@@ -650,13 +650,14 @@ let mux_scaling_check () =
 
 (* ---- Part 5: hot-path allocation witness --------------------------------- *)
 
-(* The scheduler and the packet network promise an allocation-lean hot
-   path: the heap's steady-state push/pop cycle allocates nothing
-   (parallel arrays, no per-entry boxing), an engine event costs one
-   handle record, and a network hop only its closure + in-flight
-   registration.  Witnessed directly with [Gc.minor_words] deltas —
-   exact for this purpose, since the minor allocator is counted in
-   words — and gated against explicit budgets so a regression (say,
+(* The scheduler, the packet network and routing promise an
+   allocation-lean hot path: the heap's steady-state push/pop cycle
+   allocates nothing (parallel arrays, no per-entry boxing), an engine
+   event costs one handle record, a network hop only its closure +
+   in-flight registration, and an SPF only the arrays it works in and
+   returns.  Witnessed directly with [Gc.minor_words] deltas — exact
+   for this purpose, since the minor allocator is counted in words —
+   and gated against explicit budgets so a regression (say,
    someone reboxing the heap entries) fails CI rather than silently
    landing.  The same operations are also exposed as Bechamel
    [minor_allocated] cases below for trend visibility. *)
@@ -709,6 +710,20 @@ let netsim_forward () =
   in
   (run, hops)
 
+(* One destination-rooted SPF on the paper's RAND50 graph (100 nodes,
+   costs redrawn in [1, 10] as a Monte-Carlo run does), cycling the
+   destination so every root is measured.  The per-call arrays
+   (distances, settled flags, heap, next hops) are the floor: the relax
+   and next-hop loops themselves allocate nothing. *)
+let spf_to_dest () =
+  let g = (Experiments.Common.rand50_config ~seed:1).Experiments.Common.graph in
+  Workload.Scenario.randomize (Stats.Rng.create 1) g;
+  let n = Topology.Graph.node_count g in
+  let d = ref 0 in
+  fun () ->
+    ignore (Routing.Dijkstra.to_dest g !d : Routing.Dijkstra.in_tree);
+    d := (!d + 1) mod n
+
 let words_per ~iters f =
   for _ = 1 to 1000 do
     f ()
@@ -737,6 +752,12 @@ let alloc_budget_check () =
   let run, hops = netsim_forward () in
   case "net hop (transparent fwd)" ~key:"alloc_words_net_hop" ~budget:48.0
     (words_per ~iters:200_000 run /. float_of_int hops);
+  let spf = spf_to_dest () in
+  case "SPF to_dest (RAND50)" ~key:"alloc_words_spf" ~budget:860.0
+    (words_per ~iters:20_000 spf);
+  let spf_ns = time_ns_per ~iters:20_000 spf in
+  Format.printf "spf: %.0f ns per to_dest on RAND50@." spf_ns;
+  fields := ("spf_ns", Obs.Json.Float spf_ns) :: !fields;
   if !ok then Format.printf "allocation-regression: OK@."
   else begin
     Format.printf "allocation-regression: OVER BUDGET@.";
@@ -752,6 +773,8 @@ let alloc_tests () =
     Test.make ~name:"alloc: engine schedule+fire"
       (Staged.stage (engine_event ()));
     Test.make ~name:"alloc: net packet end-to-end (ISP)" (Staged.stage run);
+    Test.make ~name:"alloc: SPF to_dest (RAND50)"
+      (Staged.stage (spf_to_dest ()));
   ]
 
 let alloc_benchmark () =

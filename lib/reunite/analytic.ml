@@ -34,29 +34,37 @@ let members t = t.members
    cyclic capture structures cannot recurse forever. *)
 let rec flow t ~forked ~from_node ~target ~elapsed ~on_link ~on_node ~on_branch
     ~on_delivery =
-  let path = Routing.Table.path t.table from_node target in
-  let rec walk elapsed = function
-    | u :: (v :: _ as rest) ->
-        on_link u v;
-        let elapsed = elapsed +. Topology.Graph.delay t.graph u v in
-        if v = target then on_delivery target elapsed
-        else begin
-          on_node v target elapsed;
-          (match t.nodes.(v).mft with
-          | Some m when m.dst = target && not (Hashtbl.mem forked v) ->
-              Hashtbl.replace forked v ();
-              on_branch v;
-              List.iter
-                (fun rj ->
-                  flow t ~forked ~from_node:v ~target:rj ~elapsed ~on_link
-                    ~on_node ~on_branch ~on_delivery)
-                m.receivers
-          | Some _ | None -> ());
-          walk elapsed rest
-        end
-    | [ _ ] | [] -> ()
+  (* Follow [target]'s in-tree next hops: the hops of
+     [Routing.Table.path t.table from_node target], without building
+     the list. *)
+  let tree = Routing.Table.in_tree t.table target in
+  if not (Routing.Dijkstra.reachable tree from_node) then
+    invalid_arg
+      (Printf.sprintf "Reunite.Analytic.flow: %d cannot reach %d" from_node
+         target);
+  let next = tree.Routing.Dijkstra.next in
+  let rec walk u elapsed =
+    let v = next.(u) in
+    on_link u v;
+    let elapsed = elapsed +. Topology.Graph.delay t.graph u v in
+    if v = target then on_delivery target elapsed
+    else begin
+      on_node v target elapsed;
+      (match t.nodes.(v).mft with
+      | Some m when m.dst = target && not (Hashtbl.mem forked v) ->
+          Hashtbl.replace forked v ();
+          on_branch v;
+          List.iter
+            (fun rj ->
+              flow t ~forked ~from_node:v ~target:rj ~elapsed ~on_link ~on_node
+                ~on_branch ~on_delivery)
+            m.receivers
+      | Some _ | None -> ());
+      walk v elapsed
+    end
   in
-  if from_node = target then on_delivery target elapsed else walk elapsed path
+  if from_node = target then on_delivery target elapsed
+  else walk from_node elapsed
 
 (* Replay one full source epoch over all roots with a fresh fork
    budget. *)
@@ -104,7 +112,13 @@ let recompute_mct t =
       in
       if (not in_mft) && not (List.mem tgt ns.mct) then
         ns.mct <- ns.mct @ [ tgt ])
-    (List.sort compare (List.rev !installs))
+    (List.sort
+       (fun (e1, o1, _, _) (e2, o2, _, _) ->
+         (* [order] is unique: the same order as [compare] on the
+            whole tuple, without polymorphic comparison. *)
+         let c = Float.compare e1 e2 in
+         if c <> 0 then c else Int.compare o1 o2)
+       (List.rev !installs))
 
 (* One join (or refresh-join) walk of receiver [r] up its reverse
    path, exactly mirroring the event protocol's capture rules: a

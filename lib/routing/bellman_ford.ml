@@ -10,8 +10,10 @@ let to_dest g d =
   let changed = ref true in
   let rounds = ref 0 in
   (* Each round, every node re-evaluates its best offer from its
-     neighbors — a synchronous distance-vector exchange.  Costs are
-     positive so at most n-1 rounds are needed. *)
+     neighbors over up links — a synchronous distance-vector exchange.
+     Costs are positive so at most n-1 rounds are needed.  Edges are
+     read through [G.neighbors]/[G.link_up]/[G.cost], not the adjacency
+     walk {!Dijkstra} uses, so the cross-check stays independent. *)
   while !changed && !rounds <= n do
     changed := false;
     incr rounds;
@@ -19,7 +21,7 @@ let to_dest g d =
       if u <> d then
         List.iter
           (fun v ->
-            if dist.(v) < max_int then begin
+            if dist.(v) < max_int && G.link_up g u v then begin
               let cand = dist.(v) + G.cost g u v in
               if cand < dist.(u) then begin
                 dist.(u) <- cand;

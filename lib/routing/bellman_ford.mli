@@ -12,4 +12,6 @@ type result = {
 }
 
 val to_dest : Topology.Graph.t -> int -> result
-(** Distances of every node to [dest] over directed costs. *)
+(** Distances of every node to [dest] over directed costs.  Links whose
+    {!Topology.Graph.link_up} flag is false are treated as absent, as
+    in {!Dijkstra.to_dest}. *)

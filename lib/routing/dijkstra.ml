@@ -44,8 +44,12 @@ module Heap = struct
       i := (!i - 1) / 2
     done
 
+  let min_key h = h.keys.(0)
+
+  (* Removes the minimum entry and returns its node; read its key with
+     [min_key] first.  Returning the pair would box a tuple per pop. *)
   let pop h =
-    let key = h.keys.(0) and node = h.nodes.(0) in
+    let node = h.nodes.(0) in
     h.size <- h.size - 1;
     h.keys.(0) <- h.keys.(h.size);
     h.nodes.(0) <- h.nodes.(h.size);
@@ -62,8 +66,49 @@ module Heap = struct
         i := !smallest
       end
     done;
-    (key, node)
+    node
 end
+
+(* Both passes below walk [G.adjacency], whose [(w, lid)] entries are
+   the links joining a node to its neighbours in ascending neighbour
+   order, and read the directed cost and [up] flag straight from the
+   link record.  They are closure-free recursive loops: without
+   flambda, a [List.iter] closure allocates per node, and the
+   [G.cost]/[G.link_up] lookups (an adjacency scan plus an option
+   each) per edge. *)
+
+(* Directed cost of traversing link [l] out of its endpoint [u]. *)
+let cost_from (l : G.link) u = if l.u = u then l.cost_uv else l.cost_vu
+
+(* Relax every in-edge u -> v of the just-settled node [v] (at
+   distance [dv]): a path u -> v -> ... -> d. *)
+let rec relax g settled dist heap dv = function
+  | [] -> ()
+  | (u, lid) :: rest ->
+      if not settled.(u) then begin
+        let l = G.link g lid in
+        if l.up then begin
+          let cand = dv + cost_from l u in
+          if cand < dist.(u) then begin
+            dist.(u) <- cand;
+            Heap.push heap cand u
+          end
+        end
+      end;
+      relax g settled dist heap dv rest
+
+(* The first (so smallest-id) neighbour [v] of [u] over an up link with
+   [dist v + cost u v = dist u]; [-1] if none. *)
+let rec first_next g dist u du = function
+  | [] -> -1
+  | (v, lid) :: rest ->
+      let dv = dist.(v) in
+      if dv < max_int then begin
+        let l = G.link g lid in
+        if l.up && dv + cost_from l u = du then v
+        else first_next g dist u du rest
+      end
+      else first_next g dist u du rest
 
 let to_dest g d =
   let n = G.node_count g in
@@ -74,21 +119,11 @@ let to_dest g d =
   dist.(d) <- 0;
   Heap.push heap 0 d;
   while not (Heap.is_empty heap) do
-    let key, v = Heap.pop heap in
+    let key = Heap.min_key heap in
+    let v = Heap.pop heap in
     if not settled.(v) && key = dist.(v) then begin
       settled.(v) <- true;
-      (* Relax every in-edge u -> v: a path u -> v -> ... -> d. *)
-      List.iter
-        (fun u ->
-          if (not settled.(u)) && G.link_up g u v then begin
-            let c = G.cost g u v in
-            let cand = dist.(v) + c in
-            if cand < dist.(u) then begin
-              dist.(u) <- cand;
-              Heap.push heap cand u
-            end
-          end)
-        (G.neighbors g v)
+      relax g settled dist heap key (G.adjacency g v)
     end
   done;
   (* Next hops: deterministic argmin with smallest-id tie-break.
@@ -96,17 +131,9 @@ let to_dest g d =
      pop order. *)
   let next = Array.make n (-1) in
   for u = 0 to n - 1 do
-    if u <> d && dist.(u) < max_int then begin
-      let best = ref (-1) in
-      List.iter
-        (fun v ->
-          if
-            dist.(v) < max_int && G.link_up g u v
-            && dist.(v) + G.cost g u v = dist.(u)
-          then if !best = -1 || v < !best then best := v)
-        (G.neighbors g u);
-      next.(u) <- !best
-    end
+    let du = dist.(u) in
+    if u <> d && du < max_int then
+      next.(u) <- first_next g dist u du (G.adjacency g u)
   done;
   { dest = d; dist; next }
 
@@ -123,7 +150,8 @@ let spf_in_edges ~n ~dest in_edges =
   dist.(dest) <- 0;
   Heap.push heap 0 dest;
   while not (Heap.is_empty heap) do
-    let key, v = Heap.pop heap in
+    let key = Heap.min_key heap in
+    let v = Heap.pop heap in
     if not settled.(v) && key = dist.(v) then begin
       settled.(v) <- true;
       List.iter

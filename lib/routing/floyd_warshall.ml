@@ -10,8 +10,10 @@ let compute g =
   done;
   List.iter
     (fun (l : G.link) ->
-      dist.((l.u * n) + l.v) <- min dist.((l.u * n) + l.v) l.cost_uv;
-      dist.((l.v * n) + l.u) <- min dist.((l.v * n) + l.u) l.cost_vu)
+      if l.up then begin
+        dist.((l.u * n) + l.v) <- min dist.((l.u * n) + l.v) l.cost_uv;
+        dist.((l.v * n) + l.u) <- min dist.((l.v * n) + l.u) l.cost_vu
+      end)
     (G.links g);
   for k = 0 to n - 1 do
     for i = 0 to n - 1 do

@@ -4,6 +4,8 @@
 type t
 
 val compute : Topology.Graph.t -> t
+(** Down links (see {!Topology.Graph.link_up}) are treated as absent,
+    as in {!Table}. *)
 
 val distance : t -> int -> int -> int
 (** [distance t u v] is the directed shortest-path cost [u -> v];

@@ -54,6 +54,10 @@ let neighbors g i =
   check_node g i;
   List.map fst g.adj.(i)
 
+let adjacency g i =
+  check_node g i;
+  g.adj.(i)
+
 let degree g i =
   check_node g i;
   List.length g.adj.(i)

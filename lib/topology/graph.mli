@@ -50,6 +50,14 @@ val set_multicast_capable : t -> int -> bool -> unit
 val neighbors : t -> int -> int list
 (** Adjacent node ids (both routers and hosts). *)
 
+val adjacency : t -> int -> (int * int) list
+(** [adjacency g u] is [u]'s [(neighbour, link id)] list in ascending
+    neighbour order, down links included.  It is the graph's own
+    immutable structure, returned without copying: read each edge's
+    state and directed cost from [link g id].  Hot loops (SPF) walk it
+    instead of {!neighbors} + {!link_up} + {!cost}, which allocate and
+    rescan the list per edge. *)
+
 val degree : t -> int -> int
 
 val avg_router_degree : t -> float

@@ -38,12 +38,12 @@ let reachable_set (sut : Sut.t) =
   while not (Queue.is_empty q) do
     let u = Queue.pop q in
     List.iter
-      (fun v ->
-        if (not seen.(v)) && G.link_up g u v && sut.Sut.node_up v then begin
+      (fun (v, lid) ->
+        if (not seen.(v)) && (G.link g lid).G.up && sut.Sut.node_up v then begin
           seen.(v) <- true;
           Queue.add v q
         end)
-      (G.neighbors g u)
+      (G.adjacency g u)
   done;
   seen
 

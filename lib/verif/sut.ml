@@ -466,10 +466,12 @@ let of_hpim ?candidates (p : Hpim.Dm.t) =
     for u = 0 to G.node_count graph - 1 do
       if is_router u && Net.node_up net u then
         List.iter
-          (fun v ->
-            if u < v && is_router v && Net.node_up net v && G.link_up graph u v
+          (fun (v, lid) ->
+            if
+              u < v && is_router v && Net.node_up net v
+              && (G.link graph lid).G.up
             then acc := (u, v) :: !acc)
-          (List.sort compare (G.neighbors graph u))
+          (G.adjacency graph u)
     done;
     List.rev !acc
   in

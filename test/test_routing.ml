@@ -22,6 +22,14 @@ let random_graph seed n =
   G.randomize_costs g rng ~lo:1 ~hi:10;
   g
 
+(* Fail each link with probability 1/4 (the graph may disconnect): the
+   references must treat down links as absent exactly as SPF does. *)
+let fail_random_links g rng =
+  List.iter
+    (fun (l : G.link) ->
+      if Stats.Rng.int rng 4 = 0 then G.set_link_up g l.u l.v false)
+    (G.links g)
+
 (* ---- Dijkstra --------------------------------------------------------- *)
 
 let test_dijkstra_trivial () =
@@ -62,36 +70,50 @@ let test_dijkstra_tie_break_smallest_id () =
     (Routing.Dijkstra.next_hop t 0)
 
 let test_dijkstra_matches_bellman_ford () =
-  for seed = 1 to 10 do
-    let g = random_graph seed 30 in
-    let d = Stats.Rng.int (Stats.Rng.create seed) 30 in
-    let dij = Routing.Dijkstra.to_dest g d in
-    let bf = Routing.Bellman_ford.to_dest g d in
-    for u = 0 to 29 do
-      Alcotest.(check int)
-        (Printf.sprintf "seed %d node %d" seed u)
-        bf.dist.(u)
-        (if Routing.Dijkstra.reachable dij u then Routing.Dijkstra.distance dij u
-         else max_int)
-    done
-  done
+  List.iter
+    (fun with_failures ->
+      for seed = 1 to 10 do
+        let g = random_graph seed 30 in
+        if with_failures then
+          fail_random_links g (Stats.Rng.create (500 + seed));
+        let d = Stats.Rng.int (Stats.Rng.create seed) 30 in
+        let dij = Routing.Dijkstra.to_dest g d in
+        let bf = Routing.Bellman_ford.to_dest g d in
+        for u = 0 to 29 do
+          Alcotest.(check int)
+            (Printf.sprintf "seed %d node %d failures %b" seed u with_failures)
+            bf.dist.(u)
+            (if Routing.Dijkstra.reachable dij u then
+               Routing.Dijkstra.distance dij u
+             else max_int)
+        done
+      done)
+    [ false; true ]
 
 let test_table_matches_floyd_warshall () =
-  for seed = 1 to 5 do
-    let g = random_graph (100 + seed) 20 in
-    let table = Routing.Table.compute g in
-    let fw = Routing.Floyd_warshall.compute g in
-    for u = 0 to 19 do
-      for v = 0 to 19 do
-        let expected = Routing.Floyd_warshall.distance fw u v in
-        let got =
-          if Routing.Table.reachable table u v then Routing.Table.distance table u v
-          else max_int
-        in
-        Alcotest.(check int) (Printf.sprintf "d(%d,%d)" u v) expected got
-      done
-    done
-  done
+  List.iter
+    (fun with_failures ->
+      for seed = 1 to 5 do
+        let g = random_graph (100 + seed) 20 in
+        if with_failures then
+          fail_random_links g (Stats.Rng.create (600 + seed));
+        let table = Routing.Table.compute g in
+        let fw = Routing.Floyd_warshall.compute g in
+        for u = 0 to 19 do
+          for v = 0 to 19 do
+            let expected = Routing.Floyd_warshall.distance fw u v in
+            let got =
+              if Routing.Table.reachable table u v then
+                Routing.Table.distance table u v
+              else max_int
+            in
+            Alcotest.(check int)
+              (Printf.sprintf "d(%d,%d) failures %b" u v with_failures)
+              expected got
+          done
+        done
+      done)
+    [ false; true ]
 
 (* ---- Table / forwarding consistency ----------------------------------- *)
 
@@ -285,6 +307,38 @@ let prop_triangle_inequality =
       done;
       !ok)
 
+(* The tie-break every delivery digest depends on, on graphs with many
+   ties (costs 1..3) and failed links: [next u] is the smallest-id
+   neighbour [v] over an up link with [dist v + cost u v = dist u],
+   distances taken from Bellman-Ford. *)
+let prop_next_hop_smallest_tied_neighbour =
+  QCheck.Test.make ~name:"next hop is the smallest-id tied up neighbour"
+    ~count:50
+    QCheck.(int_range 0 1000)
+    (fun seed ->
+      let n = 20 in
+      let rng = Stats.Rng.create seed in
+      let g =
+        Topology.Generators.random_connected ~hosts:false rng ~n ~avg_degree:4.0
+      in
+      G.randomize_costs g rng ~lo:1 ~hi:3;
+      fail_random_links g rng;
+      let d = Stats.Rng.int rng n in
+      let tree = Routing.Dijkstra.to_dest g d in
+      let bf = Routing.Bellman_ford.to_dest g d in
+      let expected u =
+        if u = d || bf.dist.(u) = max_int then -1
+        else
+          List.sort compare (G.neighbors g u)
+          |> List.find_opt (fun v ->
+                 bf.dist.(v) < max_int && G.link_up g u v
+                 && bf.dist.(v) + G.cost g u v = bf.dist.(u))
+          |> Option.value ~default:(-1)
+      in
+      List.for_all
+        (fun u -> tree.Routing.Dijkstra.next.(u) = expected u)
+        (List.init n Fun.id))
+
 let prop_path_endpoints =
   QCheck.Test.make ~name:"paths start and end correctly" ~count:30
     QCheck.(int_range 0 1000)
@@ -445,5 +499,6 @@ let () =
             prop_path_endpoints;
             prop_lazy_table_matches_fresh;
             prop_link_state_cache_consistent;
+            prop_next_hop_smallest_tied_neighbour;
           ] );
     ]
