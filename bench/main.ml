@@ -362,15 +362,14 @@ let hardstate_overhead_check () =
   in
   let flap_cycles = 5 in
   let control_under_flaps proto =
-    let ops =
-      F.ops_of proto
-        (Topology.Graph.copy config.Experiments.Common.graph)
+    let sut =
+      F.session proto config.Experiments.Common.graph
         ~source:s.Workload.Scenario.source
     in
-    List.iter ops.F.subscribe receivers;
-    ops.F.converge ();
-    let t0 = Eventsim.Engine.now ops.F.engine in
-    let before = ops.F.control () in
+    List.iter sut.Verif.Sut.subscribe receivers;
+    sut.Verif.Sut.converge ();
+    let t0 = Eventsim.Engine.now sut.Verif.Sut.engine in
+    let before = sut.Verif.Sut.control_hops () in
     let flaps =
       List.concat
         (List.init flap_cycles (fun i ->
@@ -382,12 +381,14 @@ let hardstate_overhead_check () =
                (base +. 230., Fault.Plan.Reconverge);
              ]))
     in
-    ops.F.install_plan ~seed:42 (Fault.Plan.make flaps);
-    ops.F.run_until (t0 +. 300. +. (400. *. float_of_int flap_cycles));
-    ops.F.control () - before
+    sut.Verif.Sut.install_plan ~seed:42 (Fault.Plan.make flaps);
+    Eventsim.Engine.run
+      ~until:(t0 +. 300. +. (400. *. float_of_int flap_cycles))
+      sut.Verif.Sut.engine;
+    sut.Verif.Sut.control_hops () - before
   in
-  let soft = control_under_flaps F.P_hbh in
-  let hard = control_under_flaps F.P_hpim in
+  let soft = control_under_flaps Verif.Sut.Hbh in
+  let hard = control_under_flaps Verif.Sut.Hpim_dm in
   let ratio = float_of_int hard /. float_of_int soft in
   Format.printf
     "control traffic under %d link flaps (link %d-%d, ISP): soft-state HBH %d \
@@ -505,21 +506,20 @@ let adversarial_overhead_check () =
   let receivers = List.sort compare s.Workload.Scenario.receivers in
   let module F = Experiments.Faults in
   let sample () =
-    let ops =
-      F.ops_of F.P_hbh
-        (Topology.Graph.copy config.Experiments.Common.graph)
+    let sut =
+      F.session Verif.Sut.Hbh config.Experiments.Common.graph
         ~source:s.Workload.Scenario.source
     in
-    List.iter ops.F.subscribe receivers;
-    ops.F.converge ();
-    let t0 = Eventsim.Engine.now ops.F.engine in
+    List.iter sut.Verif.Sut.subscribe receivers;
+    sut.Verif.Sut.converge ();
+    let t0 = Eventsim.Engine.now sut.Verif.Sut.engine in
     ignore
-      (Eventsim.Timer.every ~tag:"bench.probe" ops.F.engine ~start:0.0
+      (Eventsim.Timer.every ~tag:"bench.probe" sut.Verif.Sut.engine ~start:0.0
          ~period:50.0 (fun () ->
-           if Eventsim.Engine.now ops.F.engine -. t0 <= 700.0 then
-             ignore (ops.F.send_probe ())));
-    ops.F.run_until (t0 +. 1000.0);
-    let c = ops.F.counters () in
+           if Eventsim.Engine.now sut.Verif.Sut.engine -. t0 <= 700.0 then
+             ignore (sut.Verif.Sut.send_probe ())));
+    Eventsim.Engine.run ~until:(t0 +. 1000.0) sut.Verif.Sut.engine;
+    let c = sut.Verif.Sut.counters () in
     c.Netsim.Network.data_hops + c.Netsim.Network.control_hops
   in
   for _ = 1 to 3 do
@@ -562,32 +562,27 @@ let adversarial_overhead_check () =
 
 (* The channel multiplexer's O(1) dispatch claim, by measurement: the
    per-packet-hop cost on a shared mux must stay flat as idle channels
-   pile onto the same network (1 -> 256), while the pre-mux shape —
-   one private handler chain per session, [create_on] — pays O(k)
-   dispatch on every hop.  Each case attaches [k] HBH sessions to one
-   network, subscribes the full ISP receiver set on channel 0 only,
-   and times a burst of data packets through the converged tree; the
-   idle channels exist purely to be dispatched past. *)
+   pile onto the same network (1 -> 256).  Each case attaches [k] HBH
+   sessions to one mux, subscribes the full ISP receiver set on
+   channel 0 only, and times a burst of data packets through the
+   converged tree; the idle channels exist purely to be dispatched
+   past. *)
 
 let bench_channel ~source c =
   Mcast.Channel.make ~source
     ~group:(Mcast.Class_d.of_int32 (Int32.of_int (0xE8000000 + c + 1)))
 
-let mux_hop_ns ~chain ~iters k =
+let mux_hop_ns ~iters k =
   let graph = Topology.Isp.create () in
   let table = Routing.Table.compute graph in
   let engine = Eventsim.Engine.create () in
   let net = Netsim.Network.create engine table in
   let source = Topology.Isp.source in
-  let attach =
-    if chain then fun c ->
-      Hbh.Protocol.create_on ~channel:(bench_channel ~source c) net ~source
-    else begin
-      let mx = Hbh.Protocol.mux net in
-      fun c -> Hbh.Protocol.create_mux ~channel:(bench_channel ~source c) mx ~source
-    end
+  let mx = Hbh.Protocol.mux net in
+  let sessions =
+    Array.init k (fun c ->
+        Hbh.Protocol.create_mux ~channel:(bench_channel ~source c) mx ~source)
   in
-  let sessions = Array.init k attach in
   let s0 = sessions.(0) in
   List.iter (Hbh.Protocol.subscribe s0) Topology.Isp.receiver_hosts;
   Hbh.Protocol.converge s0;
@@ -611,41 +606,24 @@ let mux_hop_ns ~chain ~iters k =
   ns /. float_of_int hops
 
 let mux_scaling_check () =
-  let m1 = mux_hop_ns ~chain:false ~iters:100 1 in
-  let m256 = mux_hop_ns ~chain:false ~iters:100 256 in
-  let c1 = mux_hop_ns ~chain:true ~iters:100 1 in
-  let c256 = mux_hop_ns ~chain:true ~iters:10 256 in
-  let mux_ratio = m256 /. m1 and chain_ratio = c256 /. c1 in
+  let m1 = mux_hop_ns ~iters:100 1 in
+  let m256 = mux_hop_ns ~iters:100 256 in
+  let mux_ratio = m256 /. m1 in
   Format.printf
     "mux dispatch per data hop: %.0f ns at 1 ch -> %.0f ns at 256 ch (x%.2f)@."
     m1 m256 mux_ratio;
-  Format.printf
-    "chain baseline (create_on): %.0f ns at 1 ch -> %.0f ns at 256 ch (x%.1f)@."
-    c1 c256 chain_ratio;
   (* Expected ~1.0x (within ~10%); the gate leaves headroom for noisy
-     CI runners.  The chain contrast must stay clearly super-constant
-     or the baseline itself has stopped being a chain. *)
+     CI runners. *)
   if mux_ratio > 1.5 then begin
     Format.printf
       "mux-scaling: NOT FLAT (x%.2f > x1.5 at 256 channels)@." mux_ratio;
     exit 1
   end;
-  if chain_ratio < 4.0 then begin
-    Format.printf
-      "mux-scaling: chain baseline unexpectedly flat (x%.1f < x4)@."
-      chain_ratio;
-    exit 1
-  end;
-  Format.printf
-    "mux-scaling: OK (shared mux x%.2f flat, handler chain x%.1f linear)@."
-    mux_ratio chain_ratio;
+  Format.printf "mux-scaling: OK (shared mux x%.2f flat)@." mux_ratio;
   [
     ("mux_hop_ns_1ch", Obs.Json.Float m1);
     ("mux_hop_ns_256ch", Obs.Json.Float m256);
     ("mux_ratio", Obs.Json.Float mux_ratio);
-    ("chain_hop_ns_1ch", Obs.Json.Float c1);
-    ("chain_hop_ns_256ch", Obs.Json.Float c256);
-    ("chain_ratio", Obs.Json.Float chain_ratio);
   ]
 
 (* ---- Part 5: hot-path allocation witness --------------------------------- *)

@@ -33,29 +33,37 @@ let check_jobs jobs =
     exit 2
   end
 
-(* One converter shared by every subcommand that takes [--protocol]:
-   unknown values are rejected the same way everywhere, with the known
-   names listed in the error. *)
-let protocol_assoc =
-  List.combine
-    (List.map
-       (fun p -> String.lowercase_ascii (Experiments.Faults.proto_name p))
-       Experiments.Faults.all_protos)
-    Experiments.Faults.all_protos
+(* One converter, built from the protocol registry, shared by every
+   subcommand that takes [--protocol]: the registry's names and aliases
+   are accepted everywhere, and unknown values are rejected the same
+   way everywhere, with the known names listed in the error. *)
+let protocol_names = List.map Verif.Sut.name Verif.Sut.all
 
-let protocol_names = List.map fst protocol_assoc
+let protocol_conv =
+  let parse s =
+    match Verif.Sut.of_string s with
+    | p -> Ok p
+    | exception Invalid_argument _ ->
+        Error
+          (`Msg
+             (Printf.sprintf "invalid value '%s', expected one of %s" s
+                (String.concat ", "
+                   (List.map (Printf.sprintf "'%s'") protocol_names))))
+  in
+  Arg.conv ~docv:"P"
+    (parse, fun ppf p -> Format.pp_print_string ppf (Verif.Sut.name p))
+
+let protocol_doc =
+  String.concat ", " (List.map (fun n -> "$(b," ^ n ^ ")") protocol_names)
 
 let protocols_arg =
   let doc =
     Printf.sprintf
       "Restrict the run to protocol $(docv) (one of %s); repeatable. \
        Default: every protocol the subcommand supports."
-      (String.concat ", " (List.map (fun n -> "$(b," ^ n ^ ")") protocol_names))
+      protocol_doc
   in
-  Arg.(
-    value
-    & opt_all (enum protocol_assoc) []
-    & info [ "protocol" ] ~docv:"P" ~doc)
+  Arg.(value & opt_all protocol_conv [] & info [ "protocol" ] ~docv:"P" ~doc)
 
 let print_group ~csv group =
   if csv then print_string (Stats.Series.to_csv group)
@@ -432,41 +440,37 @@ let validate_cmd =
       value & opt int 30
       & info [ "scenarios" ] ~docv:"N" ~doc:"Randomized scenarios per protocol.")
   in
+  (* The protocols with an analytic oracle, in run order. *)
+  let oracles =
+    [
+      (Verif.Sut.Hbh, Experiments.Validate.hbh);
+      (Verif.Sut.Reunite, Experiments.Validate.reunite);
+    ]
+  in
   let run o scenarios seed protocols =
     let protocols =
-      match protocols with
-      | [] -> [ Experiments.Faults.P_hbh; Experiments.Faults.P_reunite ]
-      | ps -> ps
+      match protocols with [] -> List.map fst oracles | ps -> ps
     in
     match
-      List.find_opt
-        (fun p ->
-          p = Experiments.Faults.P_pim_ssm || p = Experiments.Faults.P_hpim)
-        protocols
+      List.find_opt (fun p -> not (List.mem_assoc p oracles)) protocols
     with
     | Some p ->
         `Error
           ( false,
             Printf.sprintf
-              "validate has no analytic %s oracle; --protocol must be hbh or \
-               reunite"
-              (Experiments.Faults.proto_name p) )
+              "validate has no analytic %s oracle; --protocol must be %s"
+              (Verif.Sut.label p)
+              (String.concat " or "
+                 (List.map (fun (p, _) -> Verif.Sut.name p) oracles)) )
     | None ->
         with_obs o ~seed ~companion:isp_companion (fun () ->
             let config = Experiments.Common.isp_config () in
             List.iter
               (fun p ->
-                match p with
-                | Experiments.Faults.P_hbh ->
-                    Format.printf "HBH event vs analytic:     %a@."
-                      Experiments.Validate.pp
-                      (Experiments.Validate.hbh ~scenarios ~seed config)
-                | Experiments.Faults.P_reunite ->
-                    Format.printf "REUNITE event vs analytic: %a@."
-                      Experiments.Validate.pp
-                      (Experiments.Validate.reunite ~scenarios ~seed config)
-                | Experiments.Faults.P_pim_ssm | Experiments.Faults.P_hpim ->
-                    ())
+                Format.printf "%-27s%a@."
+                  (Verif.Sut.label p ^ " event vs analytic:")
+                  Experiments.Validate.pp
+                  ((List.assoc p oracles) ~scenarios ~seed config))
               protocols);
         `Ok ()
   in
@@ -625,7 +629,7 @@ let faults_cmd =
       | Some s -> [ s ]
     in
     let protocols =
-      match protocols with [] -> Experiments.Faults.all_protos | ps -> ps
+      match protocols with [] -> Verif.Sut.all | ps -> ps
     in
     let timeline_dt =
       match (timeline, timeline_ndjson) with
@@ -651,7 +655,7 @@ let faults_cmd =
       List.filter
         (fun (o : Experiments.Faults.outcome) ->
           o.scenario = Experiments.Faults.Crash
-          && o.proto = Experiments.Faults.P_hbh)
+          && o.proto = Verif.Sut.Hbh)
         outcomes
     in
     List.iter
@@ -794,7 +798,7 @@ let soak_cmd =
             (Experiments.Soak.min_horizon /. 3600.0) )
     else begin
       let protocols =
-        match protocols with [] -> Experiments.Faults.all_protos | ps -> ps
+        match protocols with [] -> Verif.Sut.all | ps -> ps
       in
       let results = Experiments.Soak.run ~seed ~protocols ~hours () in
       Format.printf
@@ -805,7 +809,7 @@ let soak_cmd =
         (fun (r : Experiments.Soak.result) ->
           if r.r_violations <> [] then begin
             Format.printf "@.%s confirmed violations:@."
-              (Experiments.Faults.proto_name r.r_proto);
+              (Verif.Sut.label r.r_proto);
             List.iter
               (fun (c : Verif.Monitor.confirmed) ->
                 Format.printf "  t=%.0f %a@." c.Verif.Monitor.time
@@ -814,7 +818,7 @@ let soak_cmd =
           end;
           if r.r_unhealed <> [] then
             Format.printf "@.%s unhealed outages: %s@."
-              (Experiments.Faults.proto_name r.r_proto)
+              (Verif.Sut.label r.r_proto)
               (String.concat ", " (List.map string_of_int r.r_unhealed)))
         results;
       let total =
@@ -835,7 +839,7 @@ let soak_cmd =
                    ~tags:
                      [
                        ( "case",
-                         "soak/" ^ Experiments.Faults.proto_name r.r_proto );
+                         "soak/" ^ Verif.Sut.label r.r_proto );
                      ]
                    r.r_timeline))
             results;
@@ -949,7 +953,7 @@ let churn_cmd =
       `Error (false, "churn: --sample-every must be a positive interval")
     else begin
       let protocols =
-        match protocols with [] -> Experiments.Faults.all_protos | ps -> ps
+        match protocols with [] -> Verif.Sut.all | ps -> ps
       in
       let arms = match arm with None -> [ false; true ] | Some a -> [ a ] in
       let params =
@@ -978,7 +982,7 @@ let churn_cmd =
         (fun (o : Experiments.Churn.outcome) ->
           Format.printf
             "%s/%s: %d control hops, %d per-channel series%s@."
-            (Experiments.Faults.proto_name o.Experiments.Churn.o_proto)
+            (Verif.Sut.label o.Experiments.Churn.o_proto)
             (Experiments.Churn.arm_name o.Experiments.Churn.o_stretched)
             o.Experiments.Churn.o_control_hops
             o.Experiments.Churn.o_hot_series
@@ -1073,23 +1077,10 @@ let verify_cmd =
      replayable fault plans.  Deterministic in $(b,--seed)."
   in
   let protocol_arg =
-    let doc =
-      "Protocol to verify: $(b,hbh), $(b,reunite), $(b,pim) or $(b,hpim-dm)."
-    in
+    let doc = Printf.sprintf "Protocol to verify: one of %s." protocol_doc in
     Arg.(
       required
-      & opt
-          (some
-             (enum
-                [
-                  ("hbh", Verif.Sut.Hbh);
-                  ("reunite", Verif.Sut.Reunite);
-                  ("pim", Verif.Sut.Pim_ssm);
-                  ("pim-ssm", Verif.Sut.Pim_ssm);
-                  ("hpim", Verif.Sut.Hpim_dm);
-                  ("hpim-dm", Verif.Sut.Hpim_dm);
-                ]))
-          None
+      & opt (some protocol_conv) None
       & info [ "protocol" ] ~docv:"P" ~doc)
   in
   let depth_arg =
@@ -1150,7 +1141,7 @@ let verify_cmd =
     in
     let outcome = Verif.Explore.run ~config (make_sut ()) in
     Format.printf "== %s: systematic exploration ==@.%a@."
-      (Verif.Sut.protocol_name protocol)
+      (Verif.Sut.name protocol)
       Verif.Explore.pp_outcome outcome;
     List.iter
       (fun path ->
@@ -1185,7 +1176,7 @@ let verify_cmd =
         let j =
           Obs.Json.Obj
             [
-              ("protocol", Obs.Json.String (Verif.Sut.protocol_name protocol));
+              ("protocol", Obs.Json.String (Verif.Sut.name protocol));
               ("depth", Obs.Json.Int outcome.Verif.Explore.depth);
               ("seed", Obs.Json.Int outcome.Verif.Explore.seed);
               ("states_explored", Obs.Json.Int outcome.Verif.Explore.states);
@@ -1244,10 +1235,11 @@ let print_usage () =
     \       hbh_sim soak [--hours H] [--timeline-ndjson FILE] \
      [--openmetrics FILE] [--protocol P] [--seed N]\n\
     \       hbh_sim report [--out FILE] [--interval DT] [--seed N]\n\
-    \       hbh_sim verify --protocol hbh|reunite|pim|hpim-dm [--depth N] \
+    \       hbh_sim verify --protocol %s [--depth N] \
      [--states N] [--topology isp|rand50] [--seed N] [--jobs N] \
      [--json FILE] [--inject-bug mark-decay] [--no-shrink]\n\
      (try 'hbh_sim --help')\n"
+    (String.concat "|" protocol_names)
     (String.concat "|" protocol_names)
 
 let () =

@@ -23,93 +23,15 @@ type config = {
   t2 : float;  (** entry destruction deadline (> t1) *)
 }
 
-val default_config : config
-(** join/tree period 100, t1 250, t2 550 — comfortably above the
-    largest path delay of the evaluation topologies, so refreshes
-    always land before staleness. *)
-
-type t
-
-val create :
-  ?config:config ->
-  ?trace:Obs.Trace.t ->
-  ?channel:Mcast.Channel.t ->
-  Routing.Table.t ->
-  source:int ->
-  t
-(** Builds engine, network and router agents.  The source node may be
-    a host or a router. *)
-
-val create_on :
-  ?config:config ->
-  ?channel:Mcast.Channel.t ->
-  Messages.t Netsim.Network.t ->
-  source:int ->
-  t
-(** Run another channel over an existing network (its engine and
-    forwarding plane are shared): agents are {e chained} behind the
-    handlers already installed, and every handler forwards the other
-    channels' traffic untouched — several sources can multicast
-    concurrently, the EXPRESS "M-to-N as M channels" model. *)
-
-(** {1 Channel multiplexing}
-
-    One shared dispatcher/delivery hook/timer wheel per network,
-    O(1) per packet-hop however many channels ride it — the scale
-    path for multi-channel workloads.  [create]/[create_on] build a
-    private mux per session (the classic O(k) shape). *)
-
-type mux
-
-val mux : Messages.t Netsim.Network.t -> mux
-
-val mux_network : mux -> Messages.t Netsim.Network.t
-
-val create_mux :
-  ?config:config -> ?channel:Mcast.Channel.t -> mux -> source:int -> t
-(** Attach one more channel to a shared multiplexer.  Sessions sharing
-    a mux must snapshot/restore together. *)
-
-val engine : t -> Eventsim.Engine.t
-val network : t -> Messages.t Netsim.Network.t
-val channel : t -> Mcast.Channel.t
-val config : t -> config
-val source : t -> int
-
-val subscribe : t -> int -> unit
-(** The node starts its join cycle at the current simulation time
-    (first join flagged, never intercepted).  Idempotent. *)
-
-val unsubscribe : t -> int -> unit
-(** The node falls silent; its state upstream ages out. *)
-
-val members : t -> int list
-
-val run_for : t -> float -> unit
-(** Advance the simulation. *)
-
-val converge : ?periods:int -> t -> unit
-(** Run for [periods] (default 12) tree periods — enough for
-    subscribe/fusion/expiry chains to settle on the evaluation
-    topologies. *)
-
-val probe : t -> Mcast.Distribution.t
-(** Inject one data packet at the source and return its measured
-    distribution (per-link copies, per-receiver delays).  Runs the
-    clock forward by a delivery horizon. *)
-
-val send_data : t -> unit
-(** Fire-and-forget data packet (no accounting reset). *)
-
-val data_seq : t -> int
-(** Sequence number of the last data packet sent (0 initially); each
-    {!send_data} increments it, so callers can correlate sends with
-    the deliveries observed via {!Netsim.Network.on_delivery}. *)
-
-val spans : t -> Obs.Span.t
-(** Causal spans recorded by the session runtime — the ["join"]
-    family measures subscribe-on-a-live-stream to first delivery
-    (see {!Proto.Session.Make.spans}). *)
+(** [default_config]: join/tree period 100, t1 250, t2 550 —
+    comfortably above the largest path delay of the evaluation
+    topologies, so refreshes always land before staleness. *)
+include
+  Proto.Session.S
+    with type config := config
+     and type jx = bool
+     and type tx = int
+     and type extra = Messages.fusion
 
 (** {1 Inspection} *)
 
@@ -131,15 +53,3 @@ val all_tables : t -> (int * Tables.t) list
     layer's state-digest input).  The source is not included; read its
     table via {!source_table}. *)
 
-val control_overhead : t -> int
-(** Control-message link traversals so far. *)
-
-(** {1 Checkpoint / restore}
-
-    See {!Proto.Session.Make.snapshot}: captures protocol soft state,
-    membership and the whole underlying network/engine. *)
-
-type snapshot
-
-val snapshot : t -> snapshot
-val restore : t -> snapshot -> unit

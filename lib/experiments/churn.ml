@@ -14,6 +14,7 @@
    output is byte-identical however many jobs run the arms. *)
 
 module G = Topology.Graph
+module Sut = Verif.Sut
 module Engine = Eventsim.Engine
 module Net = Netsim.Network
 
@@ -61,7 +62,7 @@ let probe_drain = 200.0
    relative to the (unchanged) churn rate drops. *)
 let stretch_factor = 10.0
 
-(* ---- Per-protocol glue (monomorphic closure bundles) ------------------ *)
+(* ---- The per-arm world (a monomorphic closure bundle) ----------------- *)
 
 type chan = {
   subscribe : int -> unit;
@@ -88,169 +89,39 @@ let channel_of_rank ~source c =
   let group = Mcast.Class_d.of_int32 (Int32.of_int (0xE8000000 + c + 1)) in
   Mcast.Channel.make ~source ~group
 
-let hbh_ops ~stretched ~channels table ~source =
-  let engine = Engine.create () in
-  let net = Net.create engine table in
-  let mx = Hbh.Protocol.mux net in
-  let d = Hbh.Protocol.default_config in
-  let config =
-    if stretched then
-      {
-        Hbh.Protocol.join_period = d.Hbh.Protocol.join_period *. stretch_factor;
-        tree_period = d.Hbh.Protocol.tree_period *. stretch_factor;
-        t1 = d.Hbh.Protocol.t1 *. stretch_factor;
-        t2 = d.Hbh.Protocol.t2 *. stretch_factor;
-      }
-    else d
-  in
-  let chans =
-    Array.init channels (fun c ->
-        let s =
-          Hbh.Protocol.create_mux ~config
-            ~channel:(channel_of_rank ~source c)
-            mx ~source
-        in
-        {
-          subscribe = Hbh.Protocol.subscribe s;
-          unsubscribe = Hbh.Protocol.unsubscribe s;
-          members = (fun () -> Hbh.Protocol.members s);
-          send_data = (fun () -> Hbh.Protocol.send_data s);
-        })
-  in
-  {
-    engine;
-    chans;
-    control_hops = (fun () -> (Net.counters net).Net.control_hops);
-    reset_data = (fun () -> Net.reset_data_accounting net);
-    data_loads = (fun () -> Net.data_link_loads net);
-    data_deliveries = (fun () -> Net.data_deliveries net);
-    analytic = (fun ~receivers -> Hbh.Analytic.build table ~source ~receivers);
-  }
-
-let reunite_ops ~stretched ~channels table ~source =
-  let engine = Engine.create () in
-  let net = Net.create engine table in
-  let mx = Reunite.Protocol.mux net in
-  let d = Reunite.Protocol.default_config in
-  let config =
-    if stretched then
-      {
-        Reunite.Protocol.join_period =
-          d.Reunite.Protocol.join_period *. stretch_factor;
-        tree_period = d.Reunite.Protocol.tree_period *. stretch_factor;
-        t1 = d.Reunite.Protocol.t1 *. stretch_factor;
-        t2 = d.Reunite.Protocol.t2 *. stretch_factor;
-      }
-    else d
-  in
-  let chans =
-    Array.init channels (fun c ->
-        let s =
-          Reunite.Protocol.create_mux ~config
-            ~channel:(channel_of_rank ~source c)
-            mx ~source
-        in
-        {
-          subscribe = Reunite.Protocol.subscribe s;
-          unsubscribe = Reunite.Protocol.unsubscribe s;
-          members = (fun () -> Reunite.Protocol.members s);
-          send_data = (fun () -> Reunite.Protocol.send_data s);
-        })
-  in
-  {
-    engine;
-    chans;
-    control_hops = (fun () -> (Net.counters net).Net.control_hops);
-    reset_data = (fun () -> Net.reset_data_accounting net);
-    data_loads = (fun () -> Net.data_link_loads net);
-    data_deliveries = (fun () -> Net.data_deliveries net);
-    analytic =
-      (fun ~receivers -> Reunite.Analytic.build table ~source ~receivers);
-  }
-
-let pim_ops ~stretched ~channels table ~source =
-  let engine = Engine.create () in
-  let net = Net.create engine table in
-  let mx = Pim.Ssm.mux net in
-  let d = Pim.Ssm.default_config in
-  let config =
-    if stretched then
-      {
-        Pim.Ssm.join_period = d.Pim.Ssm.join_period *. stretch_factor;
-        holdtime = d.Pim.Ssm.holdtime *. stretch_factor;
-      }
-    else d
-  in
-  let chans =
-    Array.init channels (fun c ->
-        let s =
-          Pim.Ssm.create_mux ~config ~channel:(channel_of_rank ~source c) mx
-            ~source
-        in
-        {
-          subscribe = Pim.Ssm.subscribe s;
-          unsubscribe = Pim.Ssm.unsubscribe s;
-          members = (fun () -> Pim.Ssm.members s);
-          send_data = (fun () -> Pim.Ssm.send_data s);
-        })
-  in
-  {
-    engine;
-    chans;
-    control_hops = (fun () -> (Net.counters net).Net.control_hops);
-    reset_data = (fun () -> Net.reset_data_accounting net);
-    data_loads = (fun () -> Net.data_link_loads net);
-    data_deliveries = (fun () -> Net.data_deliveries net);
-    analytic = (fun ~receivers -> Pim.Pim_ss.build table ~source ~receivers);
-  }
-
-let hpim_ops ~stretched ~channels table ~source =
-  let engine = Engine.create () in
-  let net = Net.create engine table in
-  let mx = Hpim.Dm.mux net in
-  let d = Hpim.Dm.default_config in
-  let config =
-    if stretched then
-      {
-        Hpim.Dm.hello_period = d.Hpim.Dm.hello_period *. stretch_factor;
-        holdtime = d.Hpim.Dm.holdtime *. stretch_factor;
-        rto = d.Hpim.Dm.rto *. stretch_factor;
-        rto_max = d.Hpim.Dm.rto_max *. stretch_factor;
-        join_period = d.Hpim.Dm.join_period *. stretch_factor;
-      }
-    else d
-  in
-  let chans =
-    Array.init channels (fun c ->
-        let s =
-          Hpim.Dm.create_mux ~config ~channel:(channel_of_rank ~source c) mx
-            ~source
-        in
-        {
-          subscribe = Hpim.Dm.subscribe s;
-          unsubscribe = Hpim.Dm.unsubscribe s;
-          members = (fun () -> Hpim.Dm.members s);
-          send_data = (fun () -> Hpim.Dm.send_data s);
-        })
-  in
-  {
-    engine;
-    chans;
-    control_hops = (fun () -> (Net.counters net).Net.control_hops);
-    reset_data = (fun () -> Net.reset_data_accounting net);
-    data_loads = (fun () -> Net.data_link_loads net);
-    data_deliveries = (fun () -> Net.data_deliveries net);
-    (* HPIM-DM forwards along unicast shortest paths from the source,
-       exactly PIM-SSM's tree shape — same analytic reference. *)
-    analytic = (fun ~receivers -> Pim.Pim_ss.build table ~source ~receivers);
-  }
-
+(* Every arm builds the same shape over the protocol's session
+   instance: one network, one mux, [channels] sessions attached in
+   rank order. *)
 let ops_of proto ~stretched ~channels table ~source =
-  match proto with
-  | Faults.P_hbh -> hbh_ops ~stretched ~channels table ~source
-  | Faults.P_reunite -> reunite_ops ~stretched ~channels table ~source
-  | Faults.P_pim_ssm -> pim_ops ~stretched ~channels table ~source
-  | Faults.P_hpim -> hpim_ops ~stretched ~channels table ~source
+  let module P = (val Sut.instance proto) in
+  let engine = Engine.create () in
+  let net = Net.create engine table in
+  let mx = P.mux net in
+  let config =
+    if stretched then P.scale_timers stretch_factor P.default_config
+    else P.default_config
+  in
+  let chans =
+    Array.init channels (fun c ->
+        let s =
+          P.create_mux ~config ~channel:(channel_of_rank ~source c) mx ~source
+        in
+        {
+          subscribe = P.subscribe s;
+          unsubscribe = P.unsubscribe s;
+          members = (fun () -> P.members s);
+          send_data = (fun () -> P.send_data s);
+        })
+  in
+  {
+    engine;
+    chans;
+    control_hops = (fun () -> (Net.counters net).Net.control_hops);
+    reset_data = (fun () -> Net.reset_data_accounting net);
+    data_loads = (fun () -> Net.data_link_loads net);
+    data_deliveries = (fun () -> Net.data_deliveries net);
+    analytic = (fun ~receivers -> Sut.analytic proto table ~source ~receivers);
+  }
 
 (* ---- One arm ----------------------------------------------------------- *)
 
@@ -266,7 +137,7 @@ type sample = {
 }
 
 type outcome = {
-  o_proto : Faults.proto;
+  o_proto : Sut.protocol;
   o_stretched : bool;
   o_params : params;
   o_samples : sample list;
@@ -343,7 +214,7 @@ let run_arm ~seed ~params proto ~stretched =
       ~labels:
         (Obs.Labels.v
            [
-             ("protocol", String.lowercase_ascii (Faults.proto_name proto));
+             ("protocol", Sut.name proto);
              ("arm", arm_name stretched);
            ])
       (Obs.Metrics.default ())
@@ -434,7 +305,7 @@ let run_arm ~seed ~params proto ~stretched =
 
 (* ---- The experiment ----------------------------------------------------- *)
 
-let run ?(protocols = Faults.all_protos) ?(arms = [ false; true ])
+let run ?(protocols = Sut.all) ?(arms = [ false; true ])
     ?(params = default_params) ?(jobs = 1) ~seed () =
   Obs.Metrics.reset (Obs.Metrics.default ());
   let cases =
@@ -469,7 +340,7 @@ let rows o =
     (fun s ->
       let fx v = if Float.is_nan v then "-" else Printf.sprintf "%.2f" v in
       [
-        Faults.proto_name o.o_proto;
+        Sut.label o.o_proto;
         arm_name o.o_stretched;
         Printf.sprintf "%.0f" s.s_time;
         string_of_int s.s_active;
@@ -507,9 +378,7 @@ let to_json outcomes =
                Obs.Json.Obj
                  [
                    ( "protocol",
-                     Obs.Json.String
-                       (String.lowercase_ascii (Faults.proto_name o.o_proto))
-                   );
+                     Obs.Json.String (Sut.name o.o_proto) );
                    ("arm", Obs.Json.String (arm_name o.o_stretched));
                    ("generator", Obs.Json.String (gen_name o.o_params.gen));
                    ("routers", Obs.Json.Int o.o_params.routers);

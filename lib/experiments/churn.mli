@@ -51,7 +51,7 @@ type sample = {
 }
 
 type outcome = {
-  o_proto : Faults.proto;
+  o_proto : Verif.Sut.protocol;
   o_stretched : bool;
   o_params : params;
   o_samples : sample list;
@@ -64,7 +64,7 @@ val arm_name : bool -> string
 (** ["stretched"] or ["normal"]. *)
 
 val run :
-  ?protocols:Faults.proto list ->
+  ?protocols:Verif.Sut.protocol list ->
   ?arms:bool list ->
   ?params:params ->
   ?jobs:int ->

@@ -18,8 +18,6 @@ let scenario_name = function
   | Link_failure -> "link-down"
   | Loss_burst -> "loss-burst"
 
-type proto = P_hbh | P_reunite | P_pim_ssm | P_hpim
-
 (* ---- Fault-target selection (topology-only, protocol-neutral) ---- *)
 
 (* The transit router crossed by the most receivers' unicast paths
@@ -93,182 +91,19 @@ let pick_tree_link table ~source ~receivers =
   | Some ((u, v), _) -> (u, v)
   | None -> invalid_arg "Faults.pick_tree_link: no router-router tree link"
 
+module Sut = Verif.Sut
+
 (* ---- Per-protocol driver ----------------------------------------- *)
 
-(* Monomorphic closure bundle so one runner drives all three stacks. *)
-type ops = {
-  engine : Engine.t;
-  subscribe : int -> unit;
-  converge : unit -> unit;
-  run_until : float -> unit;
-  send_probe : unit -> int;  (* sends one data packet; its seq, or 0 *)
-  install_delivery : (now:float -> receiver:int -> seq:int -> unit) -> unit;
-  control : unit -> int;
-  counters : unit -> Net.counters;
-  install_plan : seed:int -> Fault.Plan.t -> unit;
-  t2 : float;  (* the protocol's slowest soft-state deadline *)
-  make_sut : unit -> Verif.Sut.t;
-      (* wrap the live session for the runtime invariant monitors *)
-  session_spans : unit -> Obs.Span.t;  (* the session's causal spans *)
-}
+(* Every protocol is measured against the same 2*t2 repair budget,
+   HBH's t2: PIM-SSM's slowest deadline is its oif holdtime and
+   hard-state HPIM-DM has no t2 at all, so one budget keeps the table
+   comparable. *)
+let t2 = 550.0
 
-let hbh_ops graph ~source =
-  let table = Routing.Table.compute graph in
-  let s = Hbh.Protocol.create table ~source in
-  let net = Hbh.Protocol.network s in
-  let cfg = Hbh.Protocol.default_config in
-  {
-    engine = Hbh.Protocol.engine s;
-    subscribe = Hbh.Protocol.subscribe s;
-    converge = (fun () -> Hbh.Protocol.converge ~periods:12 s);
-    run_until =
-      (fun u -> Engine.run ~until:u (Hbh.Protocol.engine s));
-    send_probe =
-      (fun () ->
-        let b = Hbh.Protocol.data_seq s in
-        Hbh.Protocol.send_data s;
-        let a = Hbh.Protocol.data_seq s in
-        if a > b then a else 0);
-    install_delivery =
-      (fun f ->
-        Net.on_delivery net (fun ~now ~node p ->
-            match p.Netsim.Packet.payload with
-            | Hbh.Messages.Data { seq; _ } -> f ~now ~receiver:node ~seq
-            | _ -> ()));
-    control = (fun () -> Hbh.Protocol.control_overhead s);
-    counters = (fun () -> Net.counters net);
-    install_plan =
-      (fun ~seed plan -> ignore (Fault.Injector.install ~seed net plan));
-    t2 = cfg.t2;
-    make_sut = (fun () -> Verif.Sut.of_hbh s);
-    session_spans = (fun () -> Hbh.Protocol.spans s);
-  }
-
-let reunite_ops graph ~source =
-  let table = Routing.Table.compute graph in
-  let s = Reunite.Protocol.create table ~source in
-  let net = Reunite.Protocol.network s in
-  let cfg = Reunite.Protocol.default_config in
-  {
-    engine = Reunite.Protocol.engine s;
-    subscribe = Reunite.Protocol.subscribe s;
-    converge = (fun () -> Reunite.Protocol.converge ~periods:12 s);
-    run_until = (fun u -> Engine.run ~until:u (Reunite.Protocol.engine s));
-    send_probe =
-      (fun () ->
-        let b = Reunite.Protocol.data_seq s in
-        Reunite.Protocol.send_data s;
-        let a = Reunite.Protocol.data_seq s in
-        if a > b then a else 0);
-    install_delivery =
-      (fun f ->
-        Net.on_delivery net (fun ~now ~node p ->
-            match p.Netsim.Packet.payload with
-            | Reunite.Messages.Data { seq; _ } -> f ~now ~receiver:node ~seq
-            | _ -> ()));
-    control = (fun () -> Reunite.Protocol.control_overhead s);
-    counters = (fun () -> Net.counters net);
-    install_plan =
-      (fun ~seed plan -> ignore (Fault.Injector.install ~seed net plan));
-    t2 = cfg.t2;
-    make_sut = (fun () -> Verif.Sut.of_reunite s);
-    session_spans = (fun () -> Reunite.Protocol.spans s);
-  }
-
-let pim_ops graph ~source =
-  let table = Routing.Table.compute graph in
-  let s = Pim.Ssm.create table ~source in
-  let net = Pim.Ssm.network s in
-  {
-    engine = Pim.Ssm.engine s;
-    subscribe = Pim.Ssm.subscribe s;
-    converge = (fun () -> Pim.Ssm.converge ~periods:12 s);
-    run_until = (fun u -> Engine.run ~until:u (Pim.Ssm.engine s));
-    send_probe =
-      (fun () ->
-        let b = Pim.Ssm.data_seq s in
-        Pim.Ssm.send_data s;
-        let a = Pim.Ssm.data_seq s in
-        if a > b then a else 0);
-    install_delivery =
-      (fun f ->
-        Net.on_delivery net (fun ~now ~node p ->
-            match p.Netsim.Packet.payload with
-            | Pim.Ssm.Data { seq; _ } -> f ~now ~receiver:node ~seq
-            | _ -> ()));
-    control = (fun () -> Pim.Ssm.control_overhead s);
-    counters = (fun () -> Net.counters net);
-    install_plan =
-      (fun ~seed plan -> ignore (Fault.Injector.install ~seed net plan));
-    (* PIM's slowest deadline is the oif holdtime; report against the
-       same 2*t2 budget as the soft-state protocols for comparability. *)
-    t2 = Hbh.Protocol.default_config.t2;
-    make_sut = (fun () -> Verif.Sut.of_pim s);
-    session_spans = (fun () -> Pim.Ssm.spans s);
-  }
-
-let hpim_ops graph ~source =
-  let table = Routing.Table.compute graph in
-  let s = Hpim.Dm.create table ~source in
-  let net = Hpim.Dm.network s in
-  {
-    engine = Hpim.Dm.engine s;
-    subscribe = Hpim.Dm.subscribe s;
-    converge = (fun () -> Hpim.Dm.converge ~periods:12 s);
-    run_until = (fun u -> Engine.run ~until:u (Hpim.Dm.engine s));
-    send_probe =
-      (fun () ->
-        let b = Hpim.Dm.data_seq s in
-        Hpim.Dm.send_data s;
-        let a = Hpim.Dm.data_seq s in
-        if a > b then a else 0);
-    install_delivery =
-      (fun f ->
-        Net.on_delivery net (fun ~now ~node p ->
-            match p.Netsim.Packet.payload with
-            | Hpim.Dm.Data { seq; _ } -> f ~now ~receiver:node ~seq
-            | _ -> ()));
-    control = (fun () -> Hpim.Dm.control_overhead s);
-    counters = (fun () -> Net.counters net);
-    install_plan =
-      (fun ~seed plan -> ignore (Fault.Injector.install ~seed net plan));
-    (* Hard state never decays, so HPIM has no t2 of its own; its
-       neighbor holdtime happens to equal HBH's t2, and reporting
-       against the same 2*t2 budget keeps the table comparable. *)
-    t2 = Hbh.Protocol.default_config.t2;
-    make_sut = (fun () -> Verif.Sut.of_hpim s);
-    session_spans = (fun () -> Hpim.Dm.spans s);
-  }
-
-(* ---- The protocol registry ---------------------------------------- *)
-
-(* One row per protocol instance: tag, report name, ops constructor.
-   Everything downstream — the faults case table, the soak and churn
-   drivers, the CLI's per-protocol runs — derives its protocol set
-   from this list, so a new instance lands in every harness by adding
-   one row here. *)
-let registry =
-  [
-    (P_hbh, "HBH", hbh_ops);
-    (P_reunite, "REUNITE", reunite_ops);
-    (P_pim_ssm, "PIM-SSM", pim_ops);
-    (P_hpim, "HPIM-DM", hpim_ops);
-  ]
-
-let all_protos = List.map (fun (p, _, _) -> p) registry
-
-let registry_row proto =
-  match List.find_opt (fun (p, _, _) -> p = proto) registry with
-  | Some row -> row
-  | None -> assert false
-
-let proto_name proto =
-  let _, name, _ = registry_row proto in
-  name
-
-let ops_of proto graph ~source =
-  let _, _, ops = registry_row proto in
-  ops graph ~source
+(* A fresh session on a private copy of the graph. *)
+let session proto graph ~source =
+  Sut.make proto (Routing.Table.compute (G.copy graph)) ~source
 
 (* ---- Scenario timings -------------------------------------------- *)
 
@@ -307,7 +142,7 @@ let plan_of scenario ~crash_node ~link =
 type outcome = {
   topology : string;
   scenario : scenario;
-  proto : proto;
+  proto : Sut.protocol;
   target : string;  (* crashed router or failed link *)
   budget : float;  (* the 2*t2 repair budget *)
   report : Fault.Recovery.report;
@@ -331,19 +166,19 @@ type case_obs = {
 }
 
 let case_label ~topology ~scenario ~proto =
-  Printf.sprintf "%s/%s/%s" topology (scenario_name scenario) (proto_name proto)
+  Printf.sprintf "%s/%s/%s" topology (scenario_name scenario) (Sut.label proto)
 
 let run_one ?instrument proto ~topology ~graph ~source ~receivers ~scenario
     ~crash_node ~link ~seed =
-  let ops = ops_of proto (G.copy graph) ~source in
-  List.iter ops.subscribe receivers;
-  ops.converge ();
+  let sut = session proto graph ~source in
+  List.iter sut.Sut.subscribe receivers;
+  sut.Sut.converge ();
   let spans = Obs.Span.create () in
   let recov = Fault.Recovery.create ~spans ~receivers () in
-  ops.install_delivery (fun ~now ~receiver ~seq ->
+  sut.Sut.on_delivery (fun ~now ~receiver ~seq ->
       Fault.Recovery.note_delivery recov ~now ~receiver ~seq);
-  let t0 = Engine.now ops.engine in
-  let horizon = fault_at +. (2.0 *. ops.t2) +. delivery_slack in
+  let t0 = Engine.now sut.Sut.engine in
+  let horizon = fault_at +. (2.0 *. t2) +. delivery_slack in
   let probe_until = horizon -. delivery_slack in
   let obs =
     match instrument with
@@ -359,17 +194,17 @@ let run_one ?instrument proto ~topology ~graph ~source ~receivers ~scenario
               Obs.Timeline.add_probe tl "deliveries" (fun () ->
                   float_of_int (Fault.Recovery.delivery_count recov));
               Obs.Timeline.add_probe tl "control_hops" (fun () ->
-                  float_of_int (ops.control ()));
+                  float_of_int (sut.Sut.control_hops ()));
               ignore
-                (Timer.every ~tag:"obs.timeline" ops.engine ~start:0.0
+                (Timer.every ~tag:"obs.timeline" sut.Sut.engine ~start:0.0
                    ~period:interval (fun () ->
-                     let nw = Engine.now ops.engine in
+                     let nw = Engine.now sut.Sut.engine in
                      if nw -. t0 <= horizon then
                        Obs.Timeline.sample tl ~now:(nw -. t0)));
               Some tl
         in
         let monitor =
-          if i.i_monitor then Some (Verif.Monitor.attach (ops.make_sut ()))
+          if i.i_monitor then Some (Verif.Monitor.attach sut)
           else None
         in
         Some
@@ -380,26 +215,27 @@ let run_one ?instrument proto ~topology ~graph ~source ~receivers ~scenario
             c_spans = spans;
           }
   in
-  Fault.Recovery.note_control recov ~now:t0 ~hops:(ops.control ());
+  Fault.Recovery.note_control recov ~now:t0 ~hops:(sut.Sut.control_hops ());
   ignore
-    (Timer.every ~tag:"fault.probe" ops.engine ~start:0.0 ~period:probe_period
-       (fun () ->
-         let nw = Engine.now ops.engine in
+    (Timer.every ~tag:"fault.probe" sut.Sut.engine ~start:0.0
+       ~period:probe_period (fun () ->
+         let nw = Engine.now sut.Sut.engine in
          if nw -. t0 <= probe_until then begin
-           let seq = ops.send_probe () in
+           let seq = sut.Sut.send_probe () in
            if seq > 0 then Fault.Recovery.note_send recov ~now:nw ~seq
          end));
   ignore
-    (Engine.schedule ~tag:"fault.sample" ops.engine ~delay:fault_at (fun () ->
-         Fault.Recovery.note_control recov ~now:(Engine.now ops.engine)
-           ~hops:(ops.control ())));
-  ops.install_plan ~seed (plan_of scenario ~crash_node ~link);
+    (Engine.schedule ~tag:"fault.sample" sut.Sut.engine ~delay:fault_at
+       (fun () ->
+         Fault.Recovery.note_control recov ~now:(Engine.now sut.Sut.engine)
+           ~hops:(sut.Sut.control_hops ())));
+  sut.Sut.install_plan ~seed (plan_of scenario ~crash_node ~link);
   Fault.Recovery.note_fault recov ~now:(t0 +. fault_at);
-  let before = ops.counters () in
-  ops.run_until (t0 +. horizon);
-  Fault.Recovery.note_control recov ~now:(Engine.now ops.engine)
-    ~hops:(ops.control ());
-  let after = ops.counters () in
+  let before = sut.Sut.counters () in
+  Engine.run ~until:(t0 +. horizon) sut.Sut.engine;
+  Fault.Recovery.note_control recov ~now:(Engine.now sut.Sut.engine)
+    ~hops:(sut.Sut.control_hops ());
+  let after = sut.Sut.counters () in
   let fault_drops =
     after.Net.dropped_loss - before.Net.dropped_loss
     + after.Net.dropped_link_down - before.Net.dropped_link_down
@@ -420,7 +256,7 @@ let run_one ?instrument proto ~topology ~graph ~source ~receivers ~scenario
      family aggregates across topologies and scenarios. *)
   let h_ttr =
     Obs.Metrics.histogram_l (Obs.Metrics.default ()) "span.time_to_repair"
-      (Obs.Labels.v [ ("protocol", String.lowercase_ascii (proto_name proto)) ])
+      (Obs.Labels.v [ ("protocol", Sut.name proto) ])
   in
   List.iter
     (fun (o : Fault.Recovery.receiver_outcome) ->
@@ -433,7 +269,7 @@ let run_one ?instrument proto ~topology ~graph ~source ~receivers ~scenario
       scenario;
       proto;
       target;
-      budget = 2.0 *. ops.t2;
+      budget = 2.0 *. t2;
       report = Fault.Recovery.report recov;
       fault_drops;
     },
@@ -445,10 +281,10 @@ let metric_prefix o =
   Printf.sprintf "fault.exp.%s.%s.%s"
     (match o.topology with "ISP topology" -> "isp" | _ -> "rand50")
     (scenario_name o.scenario)
-    (String.lowercase_ascii (proto_name o.proto))
+    (Sut.name o.proto)
 
 let run_config ?instrument ?(scenarios = all_scenarios)
-    ?(protocols = all_protos) ?(jobs = 1) ~seed ~n (config : Common.config) =
+    ?(protocols = Sut.all) ?(jobs = 1) ~seed ~n (config : Common.config) =
   let rng = Stats.Rng.create seed in
   let s =
     Workload.Scenario.make rng config.Common.graph ~source:config.Common.source
@@ -519,11 +355,11 @@ let join_stagger = 200.0 (* gap between successive joins *)
 
 type join_latency = {
   jl_topology : string;
-  jl_proto : proto;
+  jl_proto : Sut.protocol;
   jl_stats : Obs.Span.stats;
 }
 
-let measure_join_latency_config ?(protocols = all_protos) ~seed ~n
+let measure_join_latency_config ?(protocols = Sut.all) ~seed ~n
     (config : Common.config) =
   let rng = Stats.Rng.create seed in
   let s =
@@ -533,32 +369,33 @@ let measure_join_latency_config ?(protocols = all_protos) ~seed ~n
   let receivers = List.sort compare s.Workload.Scenario.receivers in
   List.map
     (fun proto ->
-      let ops =
-        ops_of proto (G.copy config.Common.graph)
-          ~source:s.Workload.Scenario.source
+      let sut =
+        session proto config.Common.graph ~source:s.Workload.Scenario.source
       in
       (match receivers with
       | first :: rest ->
-          ops.subscribe first;
+          sut.Sut.subscribe first;
           ignore
-            (Timer.every ~tag:"fault.probe" ops.engine ~start:probe_period
-               ~period:probe_period (fun () -> ignore (ops.send_probe ())));
+            (Timer.every ~tag:"fault.probe" sut.Sut.engine ~start:probe_period
+               ~period:probe_period (fun () -> ignore (sut.Sut.send_probe ())));
           List.iteri
             (fun i r ->
               ignore
-                (Engine.schedule ~tag:"obs.join" ops.engine
+                (Engine.schedule ~tag:"obs.join" sut.Sut.engine
                    ~delay:(join_warmup +. (float_of_int i *. join_stagger))
-                   (fun () -> ops.subscribe r)))
+                   (fun () -> sut.Sut.subscribe r)))
             rest
       | [] -> ());
-      ops.run_until
-        (join_warmup
-        +. (float_of_int (List.length receivers) *. join_stagger)
-        +. (2.0 *. ops.t2));
+      Engine.run
+        ~until:
+          (join_warmup
+          +. (float_of_int (List.length receivers) *. join_stagger)
+          +. (2.0 *. t2))
+        sut.Sut.engine;
       {
         jl_topology = config.Common.label;
         jl_proto = proto;
-        jl_stats = Obs.Span.stats ~name:"join" (ops.session_spans ());
+        jl_stats = Obs.Span.stats ~name:"join" sut.Sut.spans;
       })
     protocols
 
@@ -576,7 +413,7 @@ let jl_row jl =
   let f v = if Float.is_nan v then "-" else Printf.sprintf "%.0f" v in
   [
     jl.jl_topology;
-    proto_name jl.jl_proto;
+    Sut.label jl.jl_proto;
     string_of_int s.Obs.Span.n;
     f s.Obs.Span.mean;
     f s.Obs.Span.p50;
@@ -596,7 +433,7 @@ let row (o : outcome) =
   [
     o.topology;
     scenario_name o.scenario;
-    proto_name o.proto;
+    Sut.label o.proto;
     o.target;
     (if r.Fault.Recovery.recovered then "yes" else "NO");
     fmt_opt r.Fault.Recovery.max_time_to_repair;

@@ -18,17 +18,10 @@ type scenario = Crash | Link_failure | Loss_burst
 val all_scenarios : scenario list
 val scenario_name : scenario -> string
 
-type proto = P_hbh | P_reunite | P_pim_ssm | P_hpim
-
-val all_protos : proto list
-(** Registry order. *)
-
-val proto_name : proto -> string
-
 type outcome = {
   topology : string;
   scenario : scenario;
-  proto : proto;
+  proto : Verif.Sut.protocol;
   target : string;  (** crashed router / failed link / loss rate *)
   budget : float;  (** the [2 * t2] repair budget *)
   report : Fault.Recovery.report;
@@ -45,34 +38,14 @@ val pick_tree_link :
   Routing.Table.t -> source:int -> receivers:int list -> int * int
 (** The router-router link carrying the most receivers' paths. *)
 
-type ops = {
-  engine : Eventsim.Engine.t;
-  subscribe : int -> unit;
-  converge : unit -> unit;
-  run_until : float -> unit;
-  send_probe : unit -> int;  (** sends one data packet; its seq, or 0 *)
-  install_delivery : (now:float -> receiver:int -> seq:int -> unit) -> unit;
-  control : unit -> int;
-  counters : unit -> Netsim.Network.counters;
-  install_plan : seed:int -> Fault.Plan.t -> unit;
-  t2 : float;  (** the protocol's slowest soft-state deadline *)
-  make_sut : unit -> Verif.Sut.t;
-      (** wrap the live session for runtime invariant monitors *)
-  session_spans : unit -> Obs.Span.t;
-      (** the session's causal spans (the ["join"] family) *)
-}
-(** Monomorphic closure bundle over one protocol session so a single
-    runner (or an external equivalence harness) can drive every
-    registered stack identically. *)
+val t2 : float
+(** The common repair deadline: every protocol's repair budget is
+    [2 * t2], with [t2] HBH's 550 (PIM-SSM's slowest deadline is its
+    oif holdtime and hard-state HPIM-DM has none), so the table stays
+    comparable across protocols. *)
 
-val registry : (proto * string * (Topology.Graph.t -> source:int -> ops)) list
-(** The protocol registry: one row per instance — tag, report name,
-    ops constructor.  The faults case table, the soak and churn
-    drivers and the CLI all derive their protocol set from this list,
-    so a new instance lands in every harness by adding one row. *)
-
-val ops_of : proto -> Topology.Graph.t -> source:int -> ops
-(** Fresh session for [proto] on (a private copy of) [graph]. *)
+val session : Verif.Sut.protocol -> Topology.Graph.t -> source:int -> Verif.Sut.t
+(** Fresh session (default config) on a private copy of [graph]. *)
 
 val plan_of : scenario -> crash_node:int -> link:int * int -> Fault.Plan.t
 (** The canonical fault plan for a scenario (crash+restart, link
@@ -103,7 +76,7 @@ type case_obs = {
 val run_config :
   ?instrument:instrument ->
   ?scenarios:scenario list ->
-  ?protocols:proto list ->
+  ?protocols:Verif.Sut.protocol list ->
   ?jobs:int ->
   seed:int ->
   n:int ->
@@ -121,7 +94,7 @@ val run_observed :
   ?instrument:instrument ->
   ?seed:int ->
   ?scenarios:scenario list ->
-  ?protocols:proto list ->
+  ?protocols:Verif.Sut.protocol list ->
   ?jobs:int ->
   unit ->
   outcome list * case_obs list
@@ -132,7 +105,7 @@ val run_observed :
 val run :
   ?seed:int ->
   ?scenarios:scenario list ->
-  ?protocols:proto list ->
+  ?protocols:Verif.Sut.protocol list ->
   ?jobs:int ->
   unit ->
   outcome list
@@ -151,15 +124,15 @@ val pp_outcomes : Format.formatter -> outcome list -> unit
 
 type join_latency = {
   jl_topology : string;
-  jl_proto : proto;
+  jl_proto : Verif.Sut.protocol;
   jl_stats : Obs.Span.stats;  (** exact quantiles over joins *)
 }
 
 val measure_join_latency_config :
-  ?protocols:proto list -> seed:int -> n:int -> Common.config -> join_latency list
+  ?protocols:Verif.Sut.protocol list -> seed:int -> n:int -> Common.config -> join_latency list
 
 val measure_join_latency :
-  ?seed:int -> ?protocols:proto list -> unit -> join_latency list
+  ?seed:int -> ?protocols:Verif.Sut.protocol list -> unit -> join_latency list
 (** Both evaluation topologies (8 and 15 receivers, like {!run}). *)
 
 val pp_join_latency : Format.formatter -> join_latency list -> unit

@@ -68,7 +68,7 @@ let markdown ~seed ~(outcomes : Faults.outcome list)
          let s = jl.Faults.jl_stats in
          [
            jl.Faults.jl_topology;
-           Faults.proto_name jl.Faults.jl_proto;
+           Verif.Sut.label jl.Faults.jl_proto;
            string_of_int s.Obs.Span.n;
            fmt_f s.Obs.Span.mean;
            fmt_f s.Obs.Span.p50;

@@ -12,7 +12,7 @@
    injector seeds the network fault RNG) — so two invocations with
    the same seed produce bit-identical output. *)
 
-module G = Topology.Graph
+module Sut = Verif.Sut
 module Engine = Eventsim.Engine
 module Timer = Eventsim.Timer
 
@@ -29,7 +29,7 @@ let reconverge_delay = 30.0
 let min_horizon = 2400.0
 
 type result = {
-  r_proto : Faults.proto;
+  r_proto : Sut.protocol;
   r_horizon : float;
   r_receivers : int list;  (** the stable (always-on) members *)
   r_churners : int list;
@@ -102,35 +102,32 @@ let run_proto ~seed ~horizon proto (config : Common.config) =
     List.filter (fun c -> not (List.mem c receivers)) config.Common.candidates
     |> List.filteri (fun i _ -> i < 4)
   in
-  let ops =
-    Faults.ops_of proto
-      (G.copy config.Common.graph)
-      ~source:s.Workload.Scenario.source
+  let sut =
+    Faults.session proto config.Common.graph ~source:s.Workload.Scenario.source
   in
-  let sut = ops.Faults.make_sut () in
-  List.iter ops.Faults.subscribe receivers;
-  ops.Faults.converge ();
+  List.iter sut.Sut.subscribe receivers;
+  sut.Sut.converge ();
   let mon = Verif.Monitor.attach sut in
   let recov = Fault.Recovery.create ~receivers () in
   let deliveries = ref 0 in
   let last_seen : (int, float) Hashtbl.t = Hashtbl.create 16 in
-  ops.Faults.install_delivery (fun ~now ~receiver ~seq ->
+  sut.Sut.on_delivery (fun ~now ~receiver ~seq ->
       incr deliveries;
       Hashtbl.replace last_seen receiver now;
       Fault.Recovery.note_delivery recov ~now ~receiver ~seq);
-  let t0 = Engine.now ops.Faults.engine in
+  let t0 = Engine.now sut.Sut.engine in
   (* Membership churn: a precomputed seeded schedule driven through
      the SUT's subscribe/unsubscribe hooks. *)
   let crng = Stats.Rng.create (seed lxor 0x50ac) in
   let churn =
     List.concat_map
-      (fun m -> churn_events crng ~horizon ~t2:ops.Faults.t2 m)
+      (fun m -> churn_events crng ~horizon ~t2:Faults.t2 m)
       churners
   in
   List.iter
     (fun (at, m, join) ->
       ignore
-        (Engine.schedule ~tag:"soak.churn" ops.Faults.engine ~delay:at
+        (Engine.schedule ~tag:"soak.churn" sut.Sut.engine ~delay:at
            (fun () ->
              if join then sut.Verif.Sut.subscribe m
              else sut.Verif.Sut.unsubscribe m)))
@@ -140,11 +137,11 @@ let run_proto ~seed ~horizon proto (config : Common.config) =
   let probes = ref 0 in
   let probe_until = horizon -. delivery_slack in
   ignore
-    (Timer.every ~tag:"soak.probe" ops.Faults.engine ~start:probe_period
+    (Timer.every ~tag:"soak.probe" sut.Sut.engine ~start:probe_period
        ~period:probe_period (fun () ->
-         let nw = Engine.now ops.Faults.engine in
+         let nw = Engine.now sut.Sut.engine in
          if nw -. t0 <= probe_until then begin
-           let seq = ops.Faults.send_probe () in
+           let seq = sut.Sut.send_probe () in
            if seq > 0 then begin
              incr probes;
              Fault.Recovery.note_send recov ~now:nw ~seq
@@ -154,39 +151,39 @@ let run_proto ~seed ~horizon proto (config : Common.config) =
   let tl = Obs.Timeline.create ~interval:timeline_interval () in
   Obs.Timeline.add_probe tl "deliveries" (fun () -> float_of_int !deliveries);
   Obs.Timeline.add_probe tl "control_hops" (fun () ->
-      float_of_int (ops.Faults.control ()));
+      float_of_int (sut.Sut.control_hops ()));
   Obs.Timeline.add_probe tl "members" (fun () ->
       float_of_int (List.length (sut.Verif.Sut.members ())));
   Obs.Timeline.add_probe tl "confirmed_violations" (fun () ->
       float_of_int (Verif.Monitor.violation_count mon));
   ignore
-    (Timer.every ~tag:"obs.timeline" ops.Faults.engine ~start:0.0
+    (Timer.every ~tag:"obs.timeline" sut.Sut.engine ~start:0.0
        ~period:timeline_interval (fun () ->
-         let nw = Engine.now ops.Faults.engine in
+         let nw = Engine.now sut.Sut.engine in
          if nw -. t0 <= horizon then Obs.Timeline.sample tl ~now:(nw -. t0)));
   (* The hostile stream proper.  The island is the last stable
      receiver's host: its access link is cut for the window, so its
      degradation (goodput floor, outage, control inflation) is
      measured while every other member keeps the stream. *)
   let island = [ List.nth receivers (List.length receivers - 1) ] in
-  ops.Faults.install_plan ~seed (hostile_plan ~horizon ~island);
+  sut.Sut.install_plan ~seed (hostile_plan ~horizon ~island);
   let p_at, heal_at = partition_times ~horizon in
   Fault.Recovery.note_fault recov ~now:(t0 +. p_at);
   Fault.Recovery.note_heal recov ~now:(t0 +. heal_at);
-  Fault.Recovery.note_control recov ~now:t0 ~hops:(ops.Faults.control ());
+  Fault.Recovery.note_control recov ~now:t0 ~hops:(sut.Sut.control_hops ());
   List.iter
     (fun at ->
       ignore
-        (Engine.schedule ~tag:"soak.ctl-sample" ops.Faults.engine ~delay:at
+        (Engine.schedule ~tag:"soak.ctl-sample" sut.Sut.engine ~delay:at
            (fun () ->
              Fault.Recovery.note_control recov
-               ~now:(Engine.now ops.Faults.engine)
-               ~hops:(ops.Faults.control ()))))
+               ~now:(Engine.now sut.Sut.engine)
+               ~hops:(sut.Sut.control_hops ()))))
     [ p_at; heal_at ];
-  ops.Faults.run_until (t0 +. horizon);
+  Engine.run ~until:(t0 +. horizon) sut.Sut.engine;
   Fault.Recovery.note_control recov
-    ~now:(Engine.now ops.Faults.engine)
-    ~hops:(ops.Faults.control ());
+    ~now:(Engine.now sut.Sut.engine)
+    ~hops:(sut.Sut.control_hops ());
   Verif.Monitor.stop mon;
   (* An outage is unhealed if a stable receiver has been silent for
      the last 2*t2 of the probe stream — soft state that was going to
@@ -195,13 +192,13 @@ let run_proto ~seed ~horizon proto (config : Common.config) =
     List.filter
       (fun r ->
         match Hashtbl.find_opt last_seen r with
-        | Some l -> (t0 +. probe_until) -. l > 2.0 *. ops.Faults.t2
+        | Some l -> (t0 +. probe_until) -. l > 2.0 *. Faults.t2
         | None -> true)
       receivers
   in
   let report = Fault.Recovery.report recov in
   let prefix =
-    Printf.sprintf "soak.%s" (String.lowercase_ascii (Faults.proto_name proto))
+    Printf.sprintf "soak.%s" (Sut.name proto)
   in
   Fault.Recovery.export ~prefix (Obs.Metrics.default ()) report;
   Obs.Metrics.set
@@ -226,7 +223,7 @@ let run_proto ~seed ~horizon proto (config : Common.config) =
     r_timeline = tl;
   }
 
-let run ?(seed = 42) ?(protocols = Faults.all_protos) ~hours () =
+let run ?(seed = 42) ?(protocols = Sut.all) ~hours () =
   if not (Float.is_finite hours) || hours <= 0.0 then
     invalid_arg "Soak.run: hours must be positive";
   let horizon = hours *. 3600.0 in
@@ -260,7 +257,7 @@ let fmt_ratio v = if Float.is_nan v then "-" else Printf.sprintf "%.2f" v
 
 let row r =
   [
-    Faults.proto_name r.r_proto;
+    Sut.label r.r_proto;
     string_of_int r.r_probes;
     string_of_int r.r_deliveries;
     string_of_int r.r_churn_events;

@@ -13,7 +13,7 @@
     coin flip, so two runs with the same seed are bit-identical. *)
 
 type result = {
-  r_proto : Faults.proto;
+  r_proto : Verif.Sut.protocol;
   r_horizon : float;  (** simulated time units *)
   r_receivers : int list;  (** the stable (always-on) members *)
   r_churners : int list;  (** members that join and leave *)
@@ -40,8 +40,8 @@ val min_horizon : float
     for a partition/heal cycle plus recovery. *)
 
 val run :
-  ?seed:int -> ?protocols:Faults.proto list -> hours:float -> unit -> result list
-(** Run the soak (default: all three protocols, seed 42) on the ISP
+  ?seed:int -> ?protocols:Verif.Sut.protocol list -> hours:float -> unit -> result list
+(** Run the soak (default: every registered protocol, seed 42) on the ISP
     topology for [hours] simulated hours.  Resets
     {!Obs.Metrics.default} on entry; per-protocol recovery metrics
     land under [soak.<proto>.*].  Raises [Invalid_argument] if

@@ -53,7 +53,10 @@ type xtra =
   | Hello of { h_genid : int; h_metric : int; h_seq : int }
   | Sync of { s_sn : int; s_genid : int; s_metric : int; s_int : bool }
 
-type msg = (join_ext, ack_ext, xtra) gen
+type jx = join_ext
+type tx = ack_ext
+type extra = xtra
+type msg = (jx, tx, extra) gen
 
 type config = {
   hello_period : float;
@@ -70,6 +73,15 @@ let default_config =
     rto = 30.0;
     rto_max = 120.0;
     join_period = 100.0;
+  }
+
+let scale_timers k c =
+  {
+    hello_period = c.hello_period *. k;
+    holdtime = c.holdtime *. k;
+    rto = c.rto *. k;
+    rto_max = c.rto_max *. k;
+    join_period = c.join_period *. k;
   }
 
 (* Reliable message classes. *)
@@ -780,9 +792,6 @@ let hooks =
 
 let create ?config ?trace ?channel table ~source =
   S.create ?config ?trace ?channel hooks table ~source
-
-let create_on ?config ?channel network ~source =
-  S.create_on ?config ?channel hooks network ~source
 
 let create_mux ?config ?channel mx ~source =
   S.create_mux ?config ?channel hooks mx ~source

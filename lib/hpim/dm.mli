@@ -40,8 +40,6 @@ type xtra =
   | Hello of { h_genid : int; h_metric : int; h_seq : int }
   | Sync of { s_sn : int; s_genid : int; s_metric : int; s_int : bool }
 
-type msg = (join_ext, ack_ext, xtra) gen
-
 type config = {
   hello_period : float;
   holdtime : float;
@@ -52,54 +50,12 @@ type config = {
       (** members' audit period (audits post only on change) *)
 }
 
-val default_config : config
-
-(** {1 The session surface}
-
-    The relevant subset of {!Proto.Session.Make}'s result — hooks are
-    pre-applied, so this reads like the other protocol instances. *)
-
-type t
-
-val create :
-  ?config:config ->
-  ?trace:Obs.Trace.t ->
-  ?channel:Mcast.Channel.t ->
-  Routing.Table.t ->
-  source:int ->
-  t
-
-val create_on :
-  ?config:config -> ?channel:Mcast.Channel.t -> msg Netsim.Network.t -> source:int -> t
-
-type mux
-
-val mux : msg Netsim.Network.t -> mux
-val mux_network : mux -> msg Netsim.Network.t
-val create_mux : ?config:config -> ?channel:Mcast.Channel.t -> mux -> source:int -> t
-val subscribe : t -> int -> unit
-val unsubscribe : t -> int -> unit
-val members : t -> int list
-val run_for : t -> float -> unit
-val converge : ?periods:int -> t -> unit
-val send_data : t -> unit
-val probe : t -> Mcast.Distribution.t
-val engine : t -> Eventsim.Engine.t
-val network : t -> msg Netsim.Network.t
-val graph : t -> Topology.Graph.t
-val channel : t -> Mcast.Channel.t
-val config : t -> config
-val source : t -> int
-val now : t -> float
-val data_seq : t -> int
-val route_epoch : t -> int
-val spans : t -> Obs.Span.t
-val control_overhead : t -> int
-
-type snapshot
-
-val snapshot : t -> snapshot
-val restore : t -> snapshot -> unit
+include
+  Proto.Session.S
+    with type config := config
+     and type jx = join_ext
+     and type tx = ack_ext
+     and type extra = xtra
 
 val state_size : t -> int
 (** Total downstream (hard-state) entries across all nodes. *)

@@ -8,11 +8,16 @@ type ('jx, 'tx, 'extra) gen = ('jx, 'tx, 'extra) Proto.Messages.t =
   | Data of { channel : Mcast.Channel.t; seq : int }
   | Extra of { channel : Mcast.Channel.t; extra : 'extra }
 
-type msg = (unit, Proto.Messages.nothing, Proto.Messages.nothing) gen
-
+type jx = unit
+type tx = Proto.Messages.nothing
+type extra = Proto.Messages.nothing
+type msg = (jx, tx, extra) gen
 type config = { join_period : float; holdtime : float }
 
 let default_config = { join_period = 100.0; holdtime = 350.0 }
+
+let scale_timers k c =
+  { join_period = c.join_period *. k; holdtime = c.holdtime *. k }
 
 type state = {
   (* PIM's degenerate deadline ladder: an oif entry is live exactly
@@ -72,7 +77,7 @@ module S = Proto.Session.Make (struct
     { dl = st.dl; oifs; data_seen = Hashtbl.copy st.data_seen }
 end)
 
-(* The session IS the public API surface; only [create]/[create_on]
+(* The session IS the public API surface; only [create]/[create_mux]
    (hooks baked in) and the oif inspectors below are redefined. *)
 include S
 
@@ -198,9 +203,6 @@ let hooks =
 
 let create ?config ?trace ?channel table ~source =
   S.create ?config ?trace ?channel hooks table ~source
-
-let create_on ?config ?channel network ~source =
-  S.create_on ?config ?channel hooks network ~source
 
 let create_mux ?config ?channel mx ~source =
   S.create_mux ?config ?channel hooks mx ~source

@@ -22,86 +22,28 @@ type ('jx, 'tx, 'extra) gen = ('jx, 'tx, 'extra) Proto.Messages.t =
 (** {!Proto.Messages.t} re-exported so the constructors live in this
     namespace. *)
 
-type msg = (unit, Proto.Messages.nothing, Proto.Messages.nothing) gen
-(** PIM-SSM only speaks joins ([member] is the hop that sent the
-    refresh) and data; the tree and extra classes are uninhabited. *)
-
 type config = {
   join_period : float;  (** periodic join refresh interval *)
   holdtime : float;  (** oif entry lifetime (> join_period) *)
 }
 
-val default_config : config
-(** join period 100, holdtime 350 — comparable to the HBH/REUNITE
-    t1 deadline so the protocols' state decays on similar scales. *)
+(** [default_config]: join period 100, holdtime 350 — comparable to
+    the HBH/REUNITE t1 deadline so the protocols' state decays on
+    similar scales.
 
-type t
+    PIM-SSM only speaks joins ([member] is the hop that sent the
+    refresh) and data; the tree and extra classes are uninhabited. *)
+include
+  Proto.Session.S
+    with type config := config
+     and type jx = unit
+     and type tx = Proto.Messages.nothing
+     and type extra = Proto.Messages.nothing
 
-val create :
-  ?config:config ->
-  ?trace:Obs.Trace.t ->
-  ?channel:Mcast.Channel.t ->
-  Routing.Table.t ->
-  source:int ->
-  t
-
-val create_on :
-  ?config:config ->
-  ?channel:Mcast.Channel.t ->
-  msg Netsim.Network.t ->
-  source:int ->
-  t
-(** Run over an existing network (shared engine and forwarding
-    plane); handlers are chained behind those already installed. *)
-
-(** {1 Channel multiplexing}
-
-    One shared dispatcher/delivery hook/timer wheel per network,
-    O(1) per packet-hop however many channels ride it — the scale
-    path for multi-channel workloads.  [create]/[create_on] build a
-    private mux per session (the classic O(k) shape). *)
-
-type mux
-
-val mux : msg Netsim.Network.t -> mux
-
-val mux_network : mux -> msg Netsim.Network.t
-
-val create_mux :
-  ?config:config -> ?channel:Mcast.Channel.t -> mux -> source:int -> t
-(** Attach one more channel to a shared multiplexer.  Sessions sharing
-    a mux must snapshot/restore together. *)
-
-val engine : t -> Eventsim.Engine.t
-val network : t -> msg Netsim.Network.t
-val channel : t -> Mcast.Channel.t
-val source : t -> int
-
-val subscribe : t -> int -> unit
-val unsubscribe : t -> int -> unit
-val members : t -> int list
-
-val run_for : t -> float -> unit
-val converge : ?periods:int -> t -> unit
-
-val send_data : t -> unit
-(** One data packet from the source down the current (S,G) tree. *)
-
-val data_seq : t -> int
-(** Sequence number of the last data packet sent (0 initially). *)
-
-val spans : t -> Obs.Span.t
-(** Causal spans recorded by the session runtime (the ["join"]
-    latency family; see {!Proto.Session.Make.spans}). *)
-
-val probe : t -> Mcast.Distribution.t
-(** Reset accounting, send one data packet, run a delivery horizon
-    and return the measured distribution. *)
+(** {1 Inspection} *)
 
 val state_size : t -> int
 (** Total (S,G) oif entries across all nodes right now. *)
-
-val control_overhead : t -> int
 
 val debug_oifs : t -> int -> int list
 (** Live oif entries of a node (diagnostics). *)
@@ -110,13 +52,3 @@ val all_oifs : t -> (int * Proto.Softstate.entry list) list
 (** Every node's oif entries (dead ones included until swept),
     ascending by node — the verification layer's state-digest
     input. *)
-
-(** {1 Checkpoint / restore}
-
-    See {!Proto.Session.Make.snapshot}: captures protocol soft state,
-    membership and the whole underlying network/engine. *)
-
-type snapshot
-
-val snapshot : t -> snapshot
-val restore : t -> snapshot -> unit

@@ -2,16 +2,11 @@
     and one timer wheel per network, shared by every protocol session
     riding on it.
 
-    Without it, k concurrent sessions chain k handlers at every node
-    (each filtering by channel equality per hop), register k delivery
-    listeners (each re-checked per delivery), and arm k copies of each
-    periodic timer — O(k) per packet-hop.  The mux dispatches O(1) by
-    {!Mcast.Channel.key} (a flat int) to a per-channel {!type-port},
-    and batches same-deadline timers in a shared {!Eventsim.Wheel}.
-
-    A mux with a single registered channel behaves bit-identically to
-    the direct per-session chain it replaced — the delivery-digest
-    pins in [test/test_proto.ml] are the gate. *)
+    The mux dispatches O(1) per packet-hop by {!Mcast.Channel.key} (a
+    flat int) to a per-channel {!type-port}, and batches same-deadline
+    timers in a shared {!Eventsim.Wheel}, so k channels cost one
+    handler per node and one delivery listener, not k of each.  Seeded
+    runs are pinned by the delivery digests in [test/test_proto.ml]. *)
 
 type 'p port = {
   p_handle : int -> 'p Netsim.Packet.t -> Netsim.Network.verdict;

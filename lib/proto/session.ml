@@ -27,7 +27,62 @@ module type PROTOCOL = sig
   val copy_state : state -> state
 end
 
+module type S = sig
+  val name : string
+  val label : string
+
+  type config
+
+  val default_config : config
+  val scale_timers : float -> config -> config
+
+  type jx
+  type tx
+  type extra
+  type msg = (jx, tx, extra) Messages.t
+  type t
+
+  val create :
+    ?config:config ->
+    ?trace:Obs.Trace.t ->
+    ?channel:Mcast.Channel.t ->
+    Routing.Table.t ->
+    source:int ->
+    t
+
+  type mux
+
+  val mux : msg Netsim.Network.t -> mux
+
+  val create_mux :
+    ?config:config -> ?channel:Mcast.Channel.t -> mux -> source:int -> t
+
+  val subscribe : t -> int -> unit
+  val unsubscribe : t -> int -> unit
+  val members : t -> int list
+  val send_data : t -> unit
+  val data_seq : t -> int
+  val run_for : t -> float -> unit
+  val converge : ?periods:int -> t -> unit
+  val probe : t -> Mcast.Distribution.t
+  val engine : t -> Eventsim.Engine.t
+  val network : t -> msg Netsim.Network.t
+  val config : t -> config
+  val source : t -> int
+  val channel : t -> Mcast.Channel.t
+  val control_overhead : t -> int
+  val spans : t -> Obs.Span.t
+
+  type snapshot
+
+  val snapshot : t -> snapshot
+  val restore : t -> snapshot -> unit
+end
+
 module Make (P : PROTOCOL) = struct
+  let name = P.name
+  let label = P.label
+
   let counter name =
     Obs.Metrics.hot_counter (Printf.sprintf "proto.%s.%s" P.name name)
 
@@ -164,8 +219,6 @@ module Make (P : PROTOCOL) = struct
       ~key_of:(fun m -> Mcast.Channel.key (P.channel_of m))
       network
 
-  let mux_network = Mux.network
-
   let attach ~config ~hooks ~mux:mx ~channel ~source =
     P.validate config;
     let network = Mux.network mx in
@@ -285,11 +338,6 @@ module Make (P : PROTOCOL) = struct
   let create ?(config = P.default_config) ?trace ?channel hooks table ~source =
     let engine = Engine.create () in
     let network = Net.create ?trace engine table in
-    attach ~config ~hooks ~mux:(mux network)
-      ~channel:(fresh_channel ~source channel)
-      ~source
-
-  let create_on ?(config = P.default_config) ?channel hooks network ~source =
     attach ~config ~hooks ~mux:(mux network)
       ~channel:(fresh_channel ~source channel)
       ~source

@@ -13,18 +13,16 @@
     Sessions ride a channel multiplexer ({!Mux}): one shared per-node
     handler, delivery hook, node-event/route-change listener and timer
     wheel per network, dispatching O(1) by flat channel key to the
-    session's port.  [create]/[create_on] build a private mux (one
-    session — the classic shape); {!Make.create_mux} attaches to a
-    shared one, so k channels cost one handler per node and one
-    coalesced timer wheel instead of k of each.
+    session's port.  [create] builds a fresh network with its own mux;
+    {!Make.create_mux} attaches to a shared one, so k channels cost
+    one handler per node and one coalesced timer wheel.
 
     Ordering is part of the contract — the dispatcher covers nodes in
     [Topology.Graph.routers] order with the source last, the control
     tick fires before the sweep at coincident instants (wheel buckets
     fire in insertion order), and listeners register in a fixed
     sequence — so seeded runs replay bit-identically across protocol
-    ports, and a mux with one channel replays bit-identically to the
-    per-session chain it replaced. *)
+    ports. *)
 
 module type PROTOCOL = sig
   val name : string
@@ -70,7 +68,108 @@ module type PROTOCOL = sig
       structure with the original. *)
 end
 
+(** The hooks-applied session API every protocol instance exports —
+    {!Make}'s result with the protocol's own hooks baked into [create]
+    and [create_mux].  Generic drivers (the verifier's protocol
+    registry, the fault, soak and churn experiments) hold instances as
+    first-class [(module S)] values. *)
+module type S = sig
+  val name : string
+  (** Metric/timer namespace component, e.g. ["hbh"]. *)
+
+  val label : string
+  (** Human-facing name, e.g. ["HBH"]. *)
+
+  type config
+
+  val default_config : config
+
+  val scale_timers : float -> config -> config
+  (** Every time constant of the configuration multiplied by the
+      factor: the protocol stays self-consistent, only its pace
+      changes. *)
+
+  type jx
+  type tx
+  type extra
+
+  type msg = (jx, tx, extra) Messages.t
+  (** A {!Messages.t} instance, so generic code can read [Data]'s
+      [seq]. *)
+
+  type t
+
+  val create :
+    ?config:config ->
+    ?trace:Obs.Trace.t ->
+    ?channel:Mcast.Channel.t ->
+    Routing.Table.t ->
+    source:int ->
+    t
+  (** Fresh engine and network (with a private mux), agents installed,
+      timers armed.  The source node may be a host or a router. *)
+
+  type mux
+
+  val mux : msg Netsim.Network.t -> mux
+
+  val create_mux :
+    ?config:config -> ?channel:Mcast.Channel.t -> mux -> source:int -> t
+  (** Attach one more channel to a shared multiplexer.  Sessions
+      sharing a mux must snapshot/restore together. *)
+
+  val subscribe : t -> int -> unit
+  (** Raises [Invalid_argument] for the source.  Idempotent. *)
+
+  val unsubscribe : t -> int -> unit
+
+  val members : t -> int list
+  (** Ascending. *)
+
+  val send_data : t -> unit
+  (** Fire-and-forget data packet down the current tree (no
+      accounting reset). *)
+
+  val data_seq : t -> int
+  (** Sequence number of the last data packet sent (0 initially);
+      unchanged when {!send_data} had no tree to send down. *)
+
+  val run_for : t -> float -> unit
+
+  val converge : ?periods:int -> t -> unit
+  (** Run for [periods] (default 12) control periods. *)
+
+  val probe : t -> Mcast.Distribution.t
+  (** Reset data accounting, send one data packet, run a delivery
+      horizon and return the measured distribution. *)
+
+  val engine : t -> Eventsim.Engine.t
+  val network : t -> msg Netsim.Network.t
+  val config : t -> config
+  val source : t -> int
+  val channel : t -> Mcast.Channel.t
+
+  val control_overhead : t -> int
+  (** Control-message link traversals so far. *)
+
+  val spans : t -> Obs.Span.t
+  (** Causal spans recorded by the session runtime (the ["join"]
+      latency family; see {!Make.spans}). *)
+
+  type snapshot
+
+  val snapshot : t -> snapshot
+  (** Protocol soft state, membership and the whole underlying
+      network/engine (see {!Make.snapshot}). *)
+
+  val restore : t -> snapshot -> unit
+  (** A snapshot may be restored any number of times. *)
+end
+
 module Make (P : PROTOCOL) : sig
+  val name : string
+  val label : string
+
   type t
 
   type handler = t -> int -> P.msg Netsim.Packet.t -> Netsim.Network.verdict
@@ -119,17 +218,6 @@ module Make (P : PROTOCOL) : sig
     t
   (** Fresh engine and network, agents installed, timers armed. *)
 
-  val create_on :
-    ?config:P.config ->
-    ?channel:Mcast.Channel.t ->
-    hooks ->
-    P.msg Netsim.Network.t ->
-    source:int ->
-    t
-  (** Attach a session to an existing network (shared-infrastructure
-      experiments).  Builds a private mux: k sessions attached this
-      way cost O(k) per packet-hop, exactly like the pre-mux chain. *)
-
   (** {1 Channel multiplexing} *)
 
   type mux
@@ -140,8 +228,6 @@ module Make (P : PROTOCOL) : sig
   (** A fresh multiplexer on the network: one dispatcher, one delivery
       hook, one timer wheel (tagged [proto.<name>.timers]) shared by
       every session subsequently attached with {!create_mux}. *)
-
-  val mux_network : mux -> P.msg Netsim.Network.t
 
   val create_mux :
     ?config:P.config -> ?channel:Mcast.Channel.t -> hooks -> mux -> source:int -> t

@@ -11,6 +11,19 @@ type config = {
 let default_config =
   { join_period = 100.0; tree_period = 100.0; t1 = 250.0; t2 = 550.0 }
 
+let scale_timers k c =
+  {
+    join_period = c.join_period *. k;
+    tree_period = c.tree_period *. k;
+    t1 = c.t1 *. k;
+    t2 = c.t2 *. k;
+  }
+
+type jx = unit
+type tx = Messages.tree_info
+type extra = Proto.Messages.nothing
+type msg = Messages.t
+
 type state = {
   deadlines : Tables.deadlines;
   router_tables : (int, Tables.t) Hashtbl.t;
@@ -70,7 +83,7 @@ module S = Proto.Session.Make (struct
     }
 end)
 
-(* The session IS the public API surface; only [create]/[create_on]
+(* The session IS the public API surface; only [create]/[create_mux]
    (hooks baked in) and the protocol-specific inspectors below are
    redefined. *)
 include S
@@ -405,9 +418,6 @@ let hooks =
 
 let create ?config ?trace ?channel table ~source =
   S.create ?config ?trace ?channel hooks table ~source
-
-let create_on ?config ?channel network ~source =
-  S.create_on ?config ?channel hooks network ~source
 
 let create_mux ?config ?channel mx ~source =
   S.create_mux ?config ?channel hooks mx ~source

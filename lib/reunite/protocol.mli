@@ -15,73 +15,19 @@ type config = {
   t2 : float;
 }
 
-val default_config : config
-(** Same constants as {!Hbh.Protocol.default_config}. *)
+(** [default_config] has the same constants as
+    {!Hbh.Protocol.default_config}. *)
+include
+  Proto.Session.S
+    with type config := config
+     and type jx = unit
+     and type tx = Messages.tree_info
+     and type extra = Proto.Messages.nothing
 
-type t
-
-val create :
-  ?config:config ->
-  ?trace:Obs.Trace.t ->
-  ?channel:Mcast.Channel.t ->
-  Routing.Table.t ->
-  source:int ->
-  t
-
-val create_on :
-  ?config:config ->
-  ?channel:Mcast.Channel.t ->
-  Messages.t Netsim.Network.t ->
-  source:int ->
-  t
-(** Run another channel over an existing network (shared engine and
-    forwarding plane); handlers are chained behind those already
-    installed and forward foreign channels' traffic untouched. *)
-
-(** {1 Channel multiplexing}
-
-    One shared dispatcher/delivery hook/timer wheel per network,
-    O(1) per packet-hop however many channels ride it — the scale
-    path for multi-channel workloads.  [create]/[create_on] build a
-    private mux per session (the classic O(k) shape). *)
-
-type mux
-
-val mux : Messages.t Netsim.Network.t -> mux
-
-val mux_network : mux -> Messages.t Netsim.Network.t
-
-val create_mux :
-  ?config:config -> ?channel:Mcast.Channel.t -> mux -> source:int -> t
-(** Attach one more channel to a shared multiplexer.  Sessions sharing
-    a mux must snapshot/restore together. *)
-
-val engine : t -> Eventsim.Engine.t
-val network : t -> Messages.t Netsim.Network.t
-val channel : t -> Mcast.Channel.t
-val source : t -> int
-
-val subscribe : t -> int -> unit
-val unsubscribe : t -> int -> unit
-val members : t -> int list
-
-val run_for : t -> float -> unit
-val converge : ?periods:int -> t -> unit
-
-val probe : t -> Mcast.Distribution.t
-
-val send_data : t -> unit
-val data_seq : t -> int
-(** Sequence number of the last data packet sent (0 initially);
-    unchanged when {!send_data} had no tree to send down. *)
-
-val spans : t -> Obs.Span.t
-(** Causal spans recorded by the session runtime (the ["join"]
-    latency family; see {!Proto.Session.Make.spans}). *)
+(** {1 Inspection} *)
 
 val state : t -> Mcast.Metrics.state
 val branching_routers : t -> int list
-val control_overhead : t -> int
 val router_tables : t -> int -> Tables.t
 
 val source_table : t -> Tables.Mft.t option
@@ -91,13 +37,3 @@ val source_table : t -> Tables.Mft.t option
 val all_tables : t -> (int * Tables.t) list
 (** Every router's table set, ascending by node (the verification
     layer's state-digest input); the source is not included. *)
-
-(** {1 Checkpoint / restore}
-
-    See {!Proto.Session.Make.snapshot}: captures protocol soft state,
-    membership and the whole underlying network/engine. *)
-
-type snapshot
-
-val snapshot : t -> snapshot
-val restore : t -> snapshot -> unit

@@ -27,6 +27,18 @@ type t = {
   node_up : int -> bool;
   now : unit -> float;
   run_for : float -> unit;
+  converge : unit -> unit;  (** run the session's default convergence window *)
+  send_probe : unit -> int;
+      (** send one data packet; its sequence number, or 0 when there
+          was no tree to send down *)
+  on_delivery : (now:float -> receiver:int -> seq:int -> unit) -> unit;
+      (** observe every data delivery with its sequence number *)
+  control_hops : unit -> int;  (** control-message link traversals so far *)
+  counters : unit -> Net.counters;
+  spans : Obs.Span.t;  (** the session's causal spans *)
+  install_plan : seed:int -> Fault.Plan.t -> unit;
+      (** seed the fault RNG and schedule the plan relative to now,
+          through the same injector as [inject] *)
   save : unit -> unit -> unit;
       (** checkpoint; the returned thunk restores it (any number of
           times) *)
@@ -110,28 +122,28 @@ let state_digest sut =
   Buffer.add_string b (sut.dump_tables ());
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-(* ---- Shared wiring ----------------------------------------------------- *)
+(* ---- Protocol views --------------------------------------------------- *)
 
-let default_candidates graph ~source =
-  List.filter (fun h -> h <> source) (G.hosts graph)
+(* The protocol-specific slice of [t]: the periods read from the
+   session's own config, the canonical table dump and the inputs of
+   the structural oracles.  Everything else is wired generically over
+   the session signature by [wrap]. *)
+type view = {
+  control_period : float;
+  t2 : float;
+  dump_tables : unit -> string;
+  fanout : unit -> (int * int list) list;
+  intercept_on_path : bool;
+  source_has_state : unit -> bool;
+  branch_nodes : unit -> (int * int list) list;
+  assert_links : unit -> (int * int * bool * bool) list;
+  nbr_pairs : unit -> (int * int * bool * bool * bool) list;
+}
 
-let probe_net net ~send_data ~run_for ~control_period () =
-  Net.reset_data_accounting net;
-  send_data ();
-  run_for (Float.max 500.0 (2.0 *. control_period));
-  Net.data_deliveries net
+let none () = []
 
-let injector net ~subscribe ~unsubscribe =
-  let inj = Fault.Injector.create net in
-  Fault.Injector.set_membership inj ~subscribe ~unsubscribe;
-  inj
-
-(* ---- Per-protocol constructors ---------------------------------------- *)
-
-let of_hbh ?candidates (p : Hbh.Protocol.t) =
+let hbh_view (p : Hbh.Protocol.t) : view =
   let module P = Hbh.Protocol in
-  let net = P.network p in
-  let graph = Net.graph net in
   let source = P.source p in
   let channel = P.channel p in
   let cfg = P.config p in
@@ -183,59 +195,25 @@ let of_hbh ?candidates (p : Hbh.Protocol.t) =
         | Hbh.Tables.Control _ | Hbh.Tables.No_state -> None)
       (P.all_tables p)
   in
-  let inj = injector net ~subscribe:(P.subscribe p) ~unsubscribe:(P.unsubscribe p) in
   {
-    proto = "hbh";
-    graph;
-    table = Net.table net;
-    source;
-    candidates =
-      (match candidates with
-      | Some c -> c
-      | None -> default_candidates graph ~source);
     control_period = cfg.P.tree_period;
     t2 = cfg.P.t2;
-    engine = P.engine p;
-    trace = Net.trace net;
-    subscribe = P.subscribe p;
-    unsubscribe = P.unsubscribe p;
-    members = (fun () -> P.members p);
-    node_up = Net.node_up net;
-    now;
-    run_for = P.run_for p;
-    save =
-      (fun () ->
-        let s = P.snapshot p in
-        let fs = Fault.Injector.save inj in
-        fun () ->
-          P.restore p s;
-          Fault.Injector.restore inj fs);
-    inject = Fault.Injector.apply inj;
-    reconverge = (fun () -> Net.reconverge net);
-    set_default_loss = Net.set_default_loss net;
-    probe =
-      probe_net net
-        ~send_data:(fun () -> P.send_data p)
-        ~run_for:(P.run_for p) ~control_period:cfg.P.tree_period;
     dump_tables;
     fanout;
     intercept_on_path = false;
     source_has_state =
       (fun () -> Hbh.Tables.Mft.entries (P.source_table p) <> []);
     branch_nodes;
-    assert_links = (fun () -> []);
-    nbr_pairs = (fun () -> []);
+    assert_links = none;
+    nbr_pairs = none;
   }
 
-let of_reunite ?candidates (p : Reunite.Protocol.t) =
+let reunite_view (p : Reunite.Protocol.t) : view =
   let module P = Reunite.Protocol in
-  let net = P.network p in
-  let graph = Net.graph net in
   let source = P.source p in
   let channel = P.channel p in
+  let cfg = P.config p in
   let now () = Eventsim.Engine.now (P.engine p) in
-  let cfg = P.default_config in
-  let control_period = cfg.P.tree_period and t2 = cfg.P.t2 in
   let mft_dump b (mft : Reunite.Tables.Mft.t) =
     let nw = now () in
     Buffer.add_string b "d";
@@ -289,57 +267,23 @@ let of_reunite ?candidates (p : Reunite.Protocol.t) =
     in
     (source, src_targets) :: branches
   in
-  let inj = injector net ~subscribe:(P.subscribe p) ~unsubscribe:(P.unsubscribe p) in
   {
-    proto = "reunite";
-    graph;
-    table = Net.table net;
-    source;
-    candidates =
-      (match candidates with
-      | Some c -> c
-      | None -> default_candidates graph ~source);
-    control_period;
-    t2;
-    engine = P.engine p;
-    trace = Net.trace net;
-    subscribe = P.subscribe p;
-    unsubscribe = P.unsubscribe p;
-    members = (fun () -> P.members p);
-    node_up = Net.node_up net;
-    now;
-    run_for = P.run_for p;
-    save =
-      (fun () ->
-        let s = P.snapshot p in
-        let fs = Fault.Injector.save inj in
-        fun () ->
-          P.restore p s;
-          Fault.Injector.restore inj fs);
-    inject = Fault.Injector.apply inj;
-    reconverge = (fun () -> Net.reconverge net);
-    set_default_loss = Net.set_default_loss net;
-    probe =
-      probe_net net
-        ~send_data:(fun () -> P.send_data p)
-        ~run_for:(P.run_for p) ~control_period;
+    control_period = cfg.P.tree_period;
+    t2 = cfg.P.t2;
     dump_tables;
     fanout;
     intercept_on_path = true;
     source_has_state = (fun () -> P.source_table p <> None);
-    branch_nodes = (fun () -> []);
-    assert_links = (fun () -> []);
-    nbr_pairs = (fun () -> []);
+    branch_nodes = none;
+    assert_links = none;
+    nbr_pairs = none;
   }
 
-let of_pim ?candidates (p : Pim.Ssm.t) =
+let pim_view (p : Pim.Ssm.t) : view =
   let module P = Pim.Ssm in
-  let net = P.network p in
-  let graph = Net.graph net in
   let source = P.source p in
+  let cfg = P.config p in
   let now () = Eventsim.Engine.now (P.engine p) in
-  let cfg = P.default_config in
-  let control_period = cfg.P.join_period and holdtime = cfg.P.holdtime in
   let dump_tables () =
     let b = Buffer.create 256 in
     List.iter
@@ -365,59 +309,25 @@ let of_pim ?candidates (p : Pim.Ssm.t) =
         | ts -> Some (n, ts))
       (P.all_oifs p)
   in
-  let inj = injector net ~subscribe:(P.subscribe p) ~unsubscribe:(P.unsubscribe p) in
   {
-    proto = "pim-ssm";
-    graph;
-    table = Net.table net;
-    source;
-    candidates =
-      (match candidates with
-      | Some c -> c
-      | None -> default_candidates graph ~source);
-    control_period;
-    t2 = holdtime;
-    engine = P.engine p;
-    trace = Net.trace net;
-    subscribe = P.subscribe p;
-    unsubscribe = P.unsubscribe p;
-    members = (fun () -> P.members p);
-    node_up = Net.node_up net;
-    now;
-    run_for = P.run_for p;
-    save =
-      (fun () ->
-        let s = P.snapshot p in
-        let fs = Fault.Injector.save inj in
-        fun () ->
-          P.restore p s;
-          Fault.Injector.restore inj fs);
-    inject = Fault.Injector.apply inj;
-    reconverge = (fun () -> Net.reconverge net);
-    set_default_loss = Net.set_default_loss net;
-    probe =
-      probe_net net
-        ~send_data:(fun () -> P.send_data p)
-        ~run_for:(P.run_for p) ~control_period;
+    control_period = cfg.P.join_period;
+    t2 = cfg.P.holdtime;
     dump_tables;
     fanout;
     intercept_on_path = false;
     source_has_state =
-      (fun () ->
-        List.exists (fun (n, _) -> n = source) (fanout ()));
-    branch_nodes = (fun () -> []);
-    assert_links = (fun () -> []);
-    nbr_pairs = (fun () -> []);
+      (fun () -> List.exists (fun (n, _) -> n = source) (fanout ()));
+    branch_nodes = none;
+    assert_links = none;
+    nbr_pairs = none;
   }
 
-let of_hpim ?candidates (p : Hpim.Dm.t) =
+let hpim_view (p : Hpim.Dm.t) : view =
   let module P = Hpim.Dm in
   let net = P.network p in
   let graph = Net.graph net in
   let source = P.source p in
-  let now () = Eventsim.Engine.now (P.engine p) in
   let cfg = P.config p in
-  let control_period = cfg.P.hello_period and holdtime = cfg.P.holdtime in
   (* Hard-state tables digest without deadline buckets: entries change
      only on explicit events, so the raw structure is already
      canonical.  Generation-ID values, sequence numbers and absolute
@@ -512,11 +422,119 @@ let of_hpim ?candidates (p : Hpim.Dm.t) =
         (u, v, alive ruv, alive rvu, genid_ok))
       (router_links ())
   in
-  let inj =
-    injector net ~subscribe:(P.subscribe p) ~unsubscribe:(P.unsubscribe p)
-  in
   {
-    proto = "hpim-dm";
+    control_period = cfg.P.hello_period;
+    t2 = cfg.P.holdtime;
+    dump_tables;
+    fanout;
+    intercept_on_path = false;
+    source_has_state =
+      (fun () -> List.exists (fun (n, _) -> n = source) (fanout ()));
+    branch_nodes = none;
+    assert_links;
+    nbr_pairs;
+  }
+
+(* ---- The protocol registry --------------------------------------------- *)
+
+(* One row per protocol: the session instance, its view, the analytic
+   reference tree the churn experiment measures drift against, and the
+   spellings [of_string] accepts besides the canonical name. *)
+type 's row = {
+  instance : (module Proto.Session.S with type t = 's);
+  view : 's -> view;
+  analytic :
+    Routing.Table.t -> source:int -> receivers:int list -> Mcast.Distribution.t;
+  aliases : string list;
+}
+
+let hbh_row =
+  {
+    instance = (module Hbh.Protocol);
+    view = hbh_view;
+    analytic = Hbh.Analytic.build;
+    aliases = [];
+  }
+
+let reunite_row =
+  {
+    instance = (module Reunite.Protocol);
+    view = reunite_view;
+    analytic = Reunite.Analytic.build;
+    aliases = [];
+  }
+
+let pim_row =
+  {
+    instance = (module Pim.Ssm);
+    view = pim_view;
+    analytic = Pim.Pim_ss.build;
+    aliases = [ "pim"; "pim_ssm" ];
+  }
+
+(* HPIM-DM forwards along unicast shortest paths from the source,
+   exactly PIM-SSM's tree shape — same analytic reference. *)
+let hpim_row =
+  {
+    instance = (module Hpim.Dm);
+    view = hpim_view;
+    analytic = Pim.Pim_ss.build;
+    aliases = [ "hpim"; "hpim_dm" ];
+  }
+
+type protocol = Hbh | Reunite | Pim_ssm | Hpim_dm
+type any_row = Row : 's row -> any_row
+
+let all = [ Hbh; Reunite; Pim_ssm; Hpim_dm ]
+
+let row = function
+  | Hbh -> Row hbh_row
+  | Reunite -> Row reunite_row
+  | Pim_ssm -> Row pim_row
+  | Hpim_dm -> Row hpim_row
+
+let instance p =
+  let (Row r) = row p in
+  let module P = (val r.instance) in
+  (module P : Proto.Session.S)
+
+let label p =
+  let module P = (val instance p) in
+  P.label
+
+let name p = String.lowercase_ascii (label p)
+
+let of_string s =
+  match
+    List.find_opt
+      (fun p ->
+        let (Row r) = row p in
+        name p = s || List.mem s r.aliases)
+      all
+  with
+  | Some p -> p
+  | None -> invalid_arg (Printf.sprintf "Verif.Sut: unknown protocol %S" s)
+
+let analytic p =
+  let (Row r) = row p in
+  r.analytic
+
+(* ---- The shared wiring ------------------------------------------------- *)
+
+let default_candidates graph ~source =
+  List.filter (fun h -> h <> source) (G.hosts graph)
+
+let wrap (type s) (r : s row) ?candidates (p : s) =
+  let module P = (val r.instance) in
+  let v = r.view p in
+  let net = P.network p in
+  let graph = Net.graph net in
+  let source = P.source p in
+  let inj = Fault.Injector.create net in
+  Fault.Injector.set_membership inj ~subscribe:(P.subscribe p)
+    ~unsubscribe:(P.unsubscribe p);
+  {
+    proto = String.lowercase_ascii P.label;
     graph;
     table = Net.table net;
     source;
@@ -524,16 +542,38 @@ let of_hpim ?candidates (p : Hpim.Dm.t) =
       (match candidates with
       | Some c -> c
       | None -> default_candidates graph ~source);
-    control_period;
-    t2 = holdtime;
+    control_period = v.control_period;
+    t2 = v.t2;
     engine = P.engine p;
     trace = Net.trace net;
     subscribe = P.subscribe p;
     unsubscribe = P.unsubscribe p;
     members = (fun () -> P.members p);
     node_up = Net.node_up net;
-    now;
+    now = (fun () -> Eventsim.Engine.now (P.engine p));
     run_for = P.run_for p;
+    converge = (fun () -> P.converge p);
+    send_probe =
+      (fun () ->
+        let before = P.data_seq p in
+        P.send_data p;
+        let seq = P.data_seq p in
+        if seq > before then seq else 0);
+    on_delivery =
+      (fun f ->
+        Net.on_delivery net (fun ~now ~node pkt ->
+            match pkt.Netsim.Packet.payload with
+            | Proto.Messages.Data { seq; _ } -> f ~now ~receiver:node ~seq
+            | Proto.Messages.Join _ | Proto.Messages.Tree _
+            | Proto.Messages.Extra _ ->
+                ()));
+    control_hops = (fun () -> P.control_overhead p);
+    counters = (fun () -> Net.counters net);
+    spans = P.spans p;
+    install_plan =
+      (fun ~seed plan ->
+        Net.set_fault_rng net (Stats.Rng.create seed);
+        Fault.Injector.schedule inj plan);
     save =
       (fun () ->
         let s = P.snapshot p in
@@ -545,39 +585,26 @@ let of_hpim ?candidates (p : Hpim.Dm.t) =
     reconverge = (fun () -> Net.reconverge net);
     set_default_loss = Net.set_default_loss net;
     probe =
-      probe_net net
-        ~send_data:(fun () -> P.send_data p)
-        ~run_for:(P.run_for p) ~control_period;
-    dump_tables;
-    fanout;
-    intercept_on_path = false;
-    source_has_state =
-      (fun () -> List.exists (fun (n, _) -> n = source) (fanout ()));
-    branch_nodes = (fun () -> []);
-    assert_links;
-    nbr_pairs;
+      (fun () ->
+        Net.reset_data_accounting net;
+        P.send_data p;
+        P.run_for p (Float.max 500.0 (2.0 *. v.control_period));
+        Net.data_deliveries net);
+    dump_tables = v.dump_tables;
+    fanout = v.fanout;
+    intercept_on_path = v.intercept_on_path;
+    source_has_state = v.source_has_state;
+    branch_nodes = v.branch_nodes;
+    assert_links = v.assert_links;
+    nbr_pairs = v.nbr_pairs;
   }
 
-(* ---- Convenience factory ----------------------------------------------- *)
-
-type protocol = Hbh | Reunite | Pim_ssm | Hpim_dm
-
-let protocol_of_string = function
-  | "hbh" -> Hbh
-  | "reunite" -> Reunite
-  | "pim" | "pim-ssm" | "pim_ssm" -> Pim_ssm
-  | "hpim" | "hpim-dm" | "hpim_dm" -> Hpim_dm
-  | s -> invalid_arg (Printf.sprintf "Verif.Sut: unknown protocol %S" s)
-
-let protocol_name = function
-  | Hbh -> "hbh"
-  | Reunite -> "reunite"
-  | Pim_ssm -> "pim-ssm"
-  | Hpim_dm -> "hpim-dm"
+let of_hbh ?candidates p = wrap hbh_row ?candidates p
+let of_reunite ?candidates p = wrap reunite_row ?candidates p
+let of_pim ?candidates p = wrap pim_row ?candidates p
+let of_hpim ?candidates p = wrap hpim_row ?candidates p
 
 let make ?candidates protocol table ~source =
-  match protocol with
-  | Hbh -> of_hbh ?candidates (Hbh.Protocol.create table ~source)
-  | Reunite -> of_reunite ?candidates (Reunite.Protocol.create table ~source)
-  | Pim_ssm -> of_pim ?candidates (Pim.Ssm.create table ~source)
-  | Hpim_dm -> of_hpim ?candidates (Hpim.Dm.create table ~source)
+  let (Row r) = row protocol in
+  let module P = (val r.instance) in
+  wrap r ?candidates (P.create table ~source)

@@ -4,10 +4,15 @@
     faults, checkpoint/restore, digest state, and expose the logical
     data-plane fan-out.
 
-    The three protocol stacks have distinct message types (hence
-    distinct network and session types); bundling closures over one
-    concrete session erases that type without an existential, and the
-    explorer stays monomorphic. *)
+    The protocol stacks have distinct message types (hence distinct
+    network and session types); bundling closures over one concrete
+    session erases that type without an existential, and the explorer
+    stays monomorphic.
+
+    This module is also the protocol registry: {!protocol} is the one
+    protocol enum, and every driver (faults, soak, churn, the verifier
+    and the CLI) iterates {!all}.  Adding a protocol means one
+    {!Proto.Session.S} instance, one view and one registry row here. *)
 
 type t = {
   proto : string;  (** "hbh", "reunite", "pim-ssm" or "hpim-dm" *)
@@ -31,6 +36,21 @@ type t = {
   node_up : int -> bool;
   now : unit -> float;
   run_for : float -> unit;
+  converge : unit -> unit;
+      (** run the session's default convergence window (12 control
+          periods) *)
+  send_probe : unit -> int;
+      (** send one data packet; its sequence number, or 0 when there
+          was no tree to send down *)
+  on_delivery : (now:float -> receiver:int -> seq:int -> unit) -> unit;
+      (** observe every data delivery with its sequence number *)
+  control_hops : unit -> int;  (** control-message link traversals so far *)
+  counters : unit -> Netsim.Network.counters;
+  spans : Obs.Span.t;
+      (** the session's causal spans (the ["join"] family) *)
+  install_plan : seed:int -> Fault.Plan.t -> unit;
+      (** seed the network's fault RNG and schedule the plan relative
+          to now, through the same injector as [inject] *)
   save : unit -> unit -> unit;
       (** checkpoint now; the returned thunk restores it, any number
           of times.  Raises [Invalid_argument] while a topology change
@@ -95,11 +115,48 @@ val entry_token : now:float -> Proto.Softstate.entry -> string
 (** One entry's digest token: node, boolean marked flag, bucketed
     remaining freshness and lifetime.  Exposed for tests. *)
 
-(** {1 Constructors}
+(** {1 The protocol registry} *)
 
-    Each wraps a live session created with its default config (the
-    periods baked into [control_period]/[t2] are read from the
-    protocol's defaults where the session does not expose its own). *)
+type protocol = Hbh | Reunite | Pim_ssm | Hpim_dm
+
+val all : protocol list
+(** Registry order. *)
+
+val label : protocol -> string
+(** ["HBH"], ["REUNITE"], ["PIM-SSM"], ["HPIM-DM"]. *)
+
+val name : protocol -> string
+(** Canonical lower-case spelling: ["hbh"], ["reunite"], ["pim-ssm"],
+    ["hpim-dm"], as in a wrapped session's [proto]. *)
+
+val of_string : string -> protocol
+(** The canonical name or an alias (["pim"], ["pim_ssm"], ["hpim"],
+    ["hpim_dm"]).  Raises [Invalid_argument] otherwise. *)
+
+val instance : protocol -> (module Proto.Session.S)
+(** The protocol's session API, for drivers that build their own
+    networks and muxes. *)
+
+val analytic :
+  protocol ->
+  Routing.Table.t ->
+  source:int ->
+  receivers:int list ->
+  Mcast.Distribution.t
+(** The analytic reference tree: {!Hbh.Analytic.build},
+    {!Reunite.Analytic.build}, and {!Pim.Pim_ss.build} for both PIM-SSM
+    and HPIM-DM (which forwards along the same source-rooted shortest
+    paths). *)
+
+val make : ?candidates:int list -> protocol -> Routing.Table.t -> source:int -> t
+(** Create a fresh session of the given protocol (default config) on
+    the routing table and wrap it. *)
+
+(** {1 Wrapping a live session}
+
+    Each applies the one shared wiring to the protocol's view of the
+    session; the periods behind [control_period]/[t2] are read from
+    the session's own config. *)
 
 val of_hbh : ?candidates:int list -> Hbh.Protocol.t -> t
 val of_reunite : ?candidates:int list -> Reunite.Protocol.t -> t
@@ -110,15 +167,3 @@ val of_hpim : ?candidates:int list -> Hpim.Dm.t -> t
     explicit events); the reliable layer's pending slot keys join the
     digest, so a state with unacked control traffic in flight never
     looks quiescent. *)
-
-type protocol = Hbh | Reunite | Pim_ssm | Hpim_dm
-
-val protocol_of_string : string -> protocol
-(** Accepts "hbh", "reunite", "pim", "pim-ssm", "hpim", "hpim-dm".
-    Raises [Invalid_argument] otherwise. *)
-
-val protocol_name : protocol -> string
-
-val make : ?candidates:int list -> protocol -> Routing.Table.t -> source:int -> t
-(** Create a fresh session of the given protocol on the routing table
-    and wrap it. *)

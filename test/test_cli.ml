@@ -86,6 +86,16 @@ let test_protocol_bad_spelling () =
   check_usage_exit "faults --protocol hpimdm" "faults --protocol hpimdm"
     ~msg:"invalid value 'hpimdm'"
 
+(* verify shares the converter: same rejection, with the registry's
+   known names on stderr. *)
+let test_verify_bad_spelling () =
+  check_usage_exit "verify --protocol hpimdm" "verify --protocol hpimdm"
+    ~msg:"invalid value 'hpimdm'";
+  let _, _, err = run "verify --protocol hpimdm" in
+  Alcotest.(check bool)
+    "known names listed" true
+    (contains err "hbh|reunite|pim-ssm|hpim-dm")
+
 let test_validate_rejects_hpim () =
   check_usage_exit "validate --protocol hpim-dm" "validate --protocol hpim-dm"
     ~msg:"validate has no analytic HPIM-DM oracle"
@@ -141,6 +151,8 @@ let () =
             test_churn_bad_sample_interval;
           Alcotest.test_case "--protocol rejects near-miss spellings" `Quick
             test_protocol_bad_spelling;
+          Alcotest.test_case "verify rejects near-miss spellings" `Quick
+            test_verify_bad_spelling;
           Alcotest.test_case "validate refuses hpim-dm" `Quick
             test_validate_rejects_hpim;
           Alcotest.test_case "usage advertises hpim-dm" `Quick

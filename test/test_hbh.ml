@@ -347,8 +347,11 @@ let test_event_two_channels_share_network () =
   let rng = Stats.Rng.create 77 in
   Workload.Scenario.randomize rng g;
   let tbl = Routing.Table.compute g in
-  let a = Hbh.Protocol.create tbl ~source:18 in
-  let b = Hbh.Protocol.create_on (Hbh.Protocol.network a) ~source:27 in
+  let mx =
+    Hbh.Protocol.mux (Netsim.Network.create (Eventsim.Engine.create ()) tbl)
+  in
+  let a = Hbh.Protocol.create_mux mx ~source:18 in
+  let b = Hbh.Protocol.create_mux mx ~source:27 in
   let recv_a = [ 20; 25; 30 ] and recv_b = [ 21; 25; 33 ] in
   List.iter (Hbh.Protocol.subscribe a) recv_a;
   List.iter (Hbh.Protocol.subscribe b) recv_b;

@@ -389,7 +389,7 @@ let test_two_runs_equal_one_run () =
   let run () =
     ignore
       (Experiments.Faults.run ~seed:42 ~scenarios:[ Experiments.Faults.Crash ]
-         ~protocols:[ Experiments.Faults.P_hbh ] ());
+         ~protocols:[ Verif.Sut.Hbh ] ());
     Obs.Metrics.snapshot (Obs.Metrics.default ())
   in
   let once = run () in

@@ -15,6 +15,7 @@
 
 module Engine = Eventsim.Engine
 module Faults = Experiments.Faults
+module Sut = Verif.Sut
 module Common = Experiments.Common
 module Ss = Proto.Softstate
 
@@ -100,106 +101,125 @@ let softstate_tests =
 (* Multi-channel sessions on one shared mux: dispatch is keyed by
    channel, so traffic, membership and delivery never leak between
    channels — even when the channels share a member host (one
-   refcounted sink underneath). *)
+   refcounted sink underneath).  Every registry row rides the same
+   mux, so each test runs for every protocol. *)
 
 let mux_channel ~source c =
   Mcast.Channel.make ~source
     ~group:(Mcast.Class_d.of_int32 (Int32.of_int (0xE8000000 + c + 1)))
 
-let mux_pair () =
+(* [k] sessions on one mux over a fresh ISP network, channel [c] at
+   index [c]. *)
+let mux_sessions (type s) (module P : Proto.Session.S with type t = s) k :
+    s array =
   let graph = Topology.Isp.create () in
   let table = Routing.Table.compute graph in
   let engine = Engine.create () in
   let net = Netsim.Network.create engine table in
   let source = Topology.Isp.source in
-  let mx = Hbh.Protocol.mux net in
-  let s c = Hbh.Protocol.create_mux ~channel:(mux_channel ~source c) mx ~source in
-  (source, s 0, s 1)
+  let mx = P.mux net in
+  Array.init k (fun c ->
+      P.create_mux ~channel:(mux_channel ~source c) mx ~source)
 
-let test_mux_shared_sink_isolation () =
-  let _, a, b = mux_pair () in
-  let shared = List.nth Topology.Isp.receiver_hosts 0 in
-  let only_b = List.nth Topology.Isp.receiver_hosts 1 in
-  Hbh.Protocol.subscribe a shared;
-  Hbh.Protocol.subscribe b shared;
-  Hbh.Protocol.subscribe b only_b;
-  Hbh.Protocol.converge a;
-  Alcotest.(check (list int)) "A's membership" [ shared ] (Hbh.Protocol.members a);
-  Alcotest.(check (list int)) "B's membership"
-    (List.sort compare [ shared; only_b ])
-    (Hbh.Protocol.members b);
-  let da = Hbh.Protocol.probe a in
-  let db = Hbh.Protocol.probe b in
-  Alcotest.(check (list int)) "A delivers to its member only" [ shared ]
-    (Mcast.Distribution.receivers da);
-  Alcotest.(check (list int)) "B delivers to both"
-    (List.sort compare [ shared; only_b ])
-    (Mcast.Distribution.receivers db)
+let for_each_protocol f () =
+  List.iter
+    (fun proto ->
+      let module P = (val Verif.Sut.instance proto) in
+      f (module P : Proto.Session.S) (Printf.sprintf "%s: " P.label))
+    Verif.Sut.all
 
-let test_mux_unsubscribe_keeps_sibling_sink () =
-  let _, a, b = mux_pair () in
-  let shared = List.nth Topology.Isp.receiver_hosts 0 in
-  Hbh.Protocol.subscribe a shared;
-  Hbh.Protocol.subscribe b shared;
-  Hbh.Protocol.converge a;
-  Hbh.Protocol.unsubscribe a shared;
-  (* Past t2 (550): A's soft state for the leaver is swept everywhere. *)
-  Hbh.Protocol.run_for a 1200.0;
-  Alcotest.(check (list int)) "A empty" [] (Hbh.Protocol.members a);
-  let da = Hbh.Protocol.probe a in
-  Alcotest.(check (list int)) "A delivers to nobody" []
-    (Mcast.Distribution.receivers da);
-  (* The refcounted sink must survive A's release: B still delivers. *)
-  let db = Hbh.Protocol.probe b in
-  Alcotest.(check (list int)) "B still delivers to the shared host"
-    [ shared ]
-    (Mcast.Distribution.receivers db)
+let test_mux_shared_sink_isolation =
+  for_each_protocol (fun (module P) tag ->
+      let s = mux_sessions (module P) 2 in
+      let a = s.(0) and b = s.(1) in
+      let shared = List.nth Topology.Isp.receiver_hosts 0 in
+      let only_b = List.nth Topology.Isp.receiver_hosts 1 in
+      P.subscribe a shared;
+      P.subscribe b shared;
+      P.subscribe b only_b;
+      P.converge a;
+      Alcotest.(check (list int)) (tag ^ "A's membership") [ shared ] (P.members a);
+      Alcotest.(check (list int))
+        (tag ^ "B's membership")
+        (List.sort compare [ shared; only_b ])
+        (P.members b);
+      let da = P.probe a in
+      let db = P.probe b in
+      Alcotest.(check (list int))
+        (tag ^ "A delivers to its member only")
+        [ shared ]
+        (Mcast.Distribution.receivers da);
+      Alcotest.(check (list int))
+        (tag ^ "B delivers to both")
+        (List.sort compare [ shared; only_b ])
+        (Mcast.Distribution.receivers db))
 
-let test_mux_matches_solo_session () =
-  let members =
-    List.filteri (fun i _ -> i < 5) Topology.Isp.receiver_hosts
-  in
-  let solo =
-    let graph = Topology.Isp.create () in
-    let table = Routing.Table.compute graph in
-    Hbh.Protocol.create table ~source:Topology.Isp.source
-  in
-  List.iter (Hbh.Protocol.subscribe solo) members;
-  Hbh.Protocol.converge solo;
-  let d_solo = Hbh.Protocol.probe solo in
-  let _, muxed, _idle = mux_pair () in
-  List.iter (Hbh.Protocol.subscribe muxed) members;
-  Hbh.Protocol.converge muxed;
-  let d_mux = Hbh.Protocol.probe muxed in
-  Alcotest.(check bool) "same tree shape as a solo session" true
-    (Mcast.Distribution.equal_shape d_solo d_mux)
+let test_mux_unsubscribe_keeps_sibling_sink =
+  for_each_protocol (fun (module P) tag ->
+      let s = mux_sessions (module P) 2 in
+      let a = s.(0) and b = s.(1) in
+      let shared = List.nth Topology.Isp.receiver_hosts 0 in
+      P.subscribe a shared;
+      P.subscribe b shared;
+      P.converge a;
+      P.unsubscribe a shared;
+      (* Past every protocol's slowest deadline (HBH's t2 = 550): A's
+         state for the leaver is gone everywhere. *)
+      P.run_for a 1200.0;
+      Alcotest.(check (list int)) (tag ^ "A empty") [] (P.members a);
+      let da = P.probe a in
+      Alcotest.(check (list int))
+        (tag ^ "A delivers to nobody")
+        []
+        (Mcast.Distribution.receivers da);
+      (* The refcounted sink must survive A's release: B still
+         delivers. *)
+      let db = P.probe b in
+      Alcotest.(check (list int))
+        (tag ^ "B still delivers to the shared host")
+        [ shared ]
+        (Mcast.Distribution.receivers db))
 
-let test_mux_deterministic_rebuild () =
-  let build () =
-    let graph = Topology.Isp.create () in
-    let table = Routing.Table.compute graph in
-    let engine = Engine.create () in
-    let net = Netsim.Network.create engine table in
-    let source = Topology.Isp.source in
-    let mx = Hbh.Protocol.mux net in
-    let sessions =
-      Array.init 4 (fun c ->
-          Hbh.Protocol.create_mux ~channel:(mux_channel ~source c) mx ~source)
-    in
-    List.iteri
-      (fun i h -> Hbh.Protocol.subscribe sessions.(i mod 4) h)
-      Topology.Isp.receiver_hosts;
-    Hbh.Protocol.converge sessions.(0);
-    Array.map Hbh.Protocol.probe sessions
-  in
-  let r1 = build () and r2 = build () in
-  Array.iteri
-    (fun i d1 ->
+let test_mux_matches_solo_session =
+  for_each_protocol (fun (module P) tag ->
+      let members =
+        List.filteri (fun i _ -> i < 5) Topology.Isp.receiver_hosts
+      in
+      let solo =
+        let graph = Topology.Isp.create () in
+        let table = Routing.Table.compute graph in
+        P.create table ~source:Topology.Isp.source
+      in
+      List.iter (P.subscribe solo) members;
+      P.converge solo;
+      let d_solo = P.probe solo in
+      let muxed = (mux_sessions (module P) 2).(0) in
+      List.iter (P.subscribe muxed) members;
+      P.converge muxed;
+      let d_mux = P.probe muxed in
       Alcotest.(check bool)
-        (Printf.sprintf "channel %d rebuild-identical" i)
+        (tag ^ "same tree shape as a solo session")
         true
-        (Mcast.Distribution.equal_shape d1 r2.(i)))
-    r1
+        (Mcast.Distribution.equal_shape d_solo d_mux))
+
+let test_mux_deterministic_rebuild =
+  for_each_protocol (fun (module P) tag ->
+      let build () =
+        let sessions = mux_sessions (module P) 4 in
+        List.iteri
+          (fun i h -> P.subscribe sessions.(i mod 4) h)
+          Topology.Isp.receiver_hosts;
+        P.converge sessions.(0);
+        Array.map P.probe sessions
+      in
+      let r1 = build () and r2 = build () in
+      Array.iteri
+        (fun i d1 ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%schannel %d rebuild-identical" tag i)
+            true
+            (Mcast.Distribution.equal_shape d1 r2.(i)))
+        r1)
 
 let mux_tests =
   [
@@ -233,24 +253,20 @@ let fingerprint proto (config : Common.config) ~n =
     Faults.pick_tree_link s.Workload.Scenario.table
       ~source:s.Workload.Scenario.source ~receivers
   in
-  let ops =
-    Faults.ops_of proto
-      (Topology.Graph.copy config.graph)
-      ~source:s.Workload.Scenario.source
-  in
+  let sut = Faults.session proto config.graph ~source:s.Workload.Scenario.source in
   let buf = Buffer.create 4096 in
-  ops.Faults.install_delivery (fun ~now ~receiver ~seq ->
+  sut.Sut.on_delivery (fun ~now ~receiver ~seq ->
       Buffer.add_string buf (Printf.sprintf "%.6f:%d:%d;" now receiver seq));
-  List.iter ops.Faults.subscribe receivers;
-  ops.Faults.converge ();
-  let t0 = Engine.now ops.Faults.engine in
+  List.iter sut.Sut.subscribe receivers;
+  sut.Sut.converge ();
+  let t0 = Engine.now sut.Sut.engine in
   ignore
-    (Eventsim.Timer.every ~tag:"proto.test.probe" ops.Faults.engine ~start:0.0
+    (Eventsim.Timer.every ~tag:"proto.test.probe" sut.Sut.engine ~start:0.0
        ~period:50.0 (fun () ->
-         if Engine.now ops.Faults.engine -. t0 <= probe_until then
-           ignore (ops.Faults.send_probe ())));
-  ops.Faults.install_plan ~seed:42 (Faults.plan_of Faults.Crash ~crash_node ~link);
-  ops.Faults.run_until (t0 +. horizon);
+         if Engine.now sut.Sut.engine -. t0 <= probe_until then
+           ignore (sut.Sut.send_probe ())));
+  sut.Sut.install_plan ~seed:42 (Faults.plan_of Faults.Crash ~crash_node ~link);
+  Engine.run ~until:(t0 +. horizon) sut.Sut.engine;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
 (* Delivery digests pinned from the pre-port protocol stacks.  The
@@ -284,30 +300,24 @@ let pinned =
   ]
 
 let check_fingerprint proto config ~topo ~n () =
-  let key = Printf.sprintf "%s/%s" (Faults.proto_name proto) topo in
+  let key = Printf.sprintf "%s/%s" (Sut.label proto) topo in
   let got = fingerprint proto config ~n in
   Alcotest.(check string) key (List.assoc key pinned) got
 
 let equivalence_tests =
   let isp = Common.isp_config () in
   let rand50 = Common.rand50_config ~seed:42 in
-  List.map
-    (fun (proto, config, topo, n) ->
-      Alcotest.test_case
-        (Printf.sprintf "%s deliveries unchanged on %s" (Faults.proto_name proto)
-           topo)
-        `Quick
-        (check_fingerprint proto config ~topo ~n))
-    [
-      (Faults.P_hbh, isp, "isp", 8);
-      (Faults.P_reunite, isp, "isp", 8);
-      (Faults.P_pim_ssm, isp, "isp", 8);
-      (Faults.P_hbh, rand50, "rand50", 15);
-      (Faults.P_reunite, rand50, "rand50", 15);
-      (Faults.P_pim_ssm, rand50, "rand50", 15);
-      (Faults.P_hpim, isp, "isp", 8);
-      (Faults.P_hpim, rand50, "rand50", 15);
-    ]
+  List.concat_map
+    (fun proto ->
+      List.map
+        (fun (config, topo, n) ->
+          Alcotest.test_case
+            (Printf.sprintf "%s deliveries unchanged on %s" (Sut.label proto)
+               topo)
+            `Quick
+            (check_fingerprint proto config ~topo ~n))
+        [ (isp, "isp", 8); (rand50, "rand50", 15) ])
+    Sut.all
 
 let () =
   Alcotest.run "proto"

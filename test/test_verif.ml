@@ -14,8 +14,52 @@ let rand50_sut protocol ~seed () =
     (Routing.Table.compute cfg.Experiments.Common.graph)
     ~source:cfg.Experiments.Common.source
 
-let all_protocols =
-  [ Verif.Sut.Hbh; Verif.Sut.Reunite; Verif.Sut.Pim_ssm; Verif.Sut.Hpim_dm ]
+let all_protocols = Verif.Sut.all
+
+(* ---- The protocol registry --------------------------------------------- *)
+
+let test_registry_names () =
+  List.iter
+    (fun p ->
+      Alcotest.(check bool)
+        (Verif.Sut.name p ^ " round-trips")
+        true
+        (Verif.Sut.of_string (Verif.Sut.name p) = p))
+    Verif.Sut.all;
+  Alcotest.(check (list string))
+    "canonical names"
+    [ "hbh"; "reunite"; "pim-ssm"; "hpim-dm" ]
+    (List.map Verif.Sut.name Verif.Sut.all);
+  Alcotest.(check bool) "pim alias" true
+    (Verif.Sut.of_string "pim" = Verif.Sut.Pim_ssm);
+  Alcotest.(check bool) "hpim alias" true
+    (Verif.Sut.of_string "hpim" = Verif.Sut.Hpim_dm);
+  Alcotest.check_raises "near miss rejected"
+    (Invalid_argument "Verif.Sut: unknown protocol \"hpimdm\"") (fun () ->
+      ignore (Verif.Sut.of_string "hpimdm"))
+
+(* A wrapped session's quiescence window and settle deadline come from
+   the session's own config, not the protocol's defaults: sessions built
+   with every timer scaled 10x report scaled periods. *)
+let test_scaled_periods () =
+  let table = Routing.Table.compute (Topology.Isp.create ()) in
+  let source = Topology.Isp.source in
+  let module R = Reunite.Protocol in
+  let r =
+    Verif.Sut.of_reunite
+      (R.create ~config:(R.scale_timers 10. R.default_config) table ~source)
+  in
+  Alcotest.(check (float 0.)) "REUNITE control_period" 1000.
+    r.Verif.Sut.control_period;
+  Alcotest.(check (float 0.)) "REUNITE t2" 5500. r.Verif.Sut.t2;
+  let module P = Pim.Ssm in
+  let p =
+    Verif.Sut.of_pim
+      (P.create ~config:(P.scale_timers 10. P.default_config) table ~source)
+  in
+  Alcotest.(check (float 0.)) "PIM-SSM control_period" 1000.
+    p.Verif.Sut.control_period;
+  Alcotest.(check (float 0.)) "PIM-SSM t2 (holdtime)" 3500. p.Verif.Sut.t2
 
 (* ---- Snapshot round-trip (qcheck) -------------------------------------- *)
 
@@ -241,6 +285,12 @@ let () =
               "snapshot save/mutate/restore/re-run = fresh run (rand50)"
               (fun p () -> rand50_sut p ~seed:7 ());
           ] );
+      ( "registry",
+        [
+          Alcotest.test_case "names and aliases" `Quick test_registry_names;
+          Alcotest.test_case "periods follow the session's config" `Quick
+            test_scaled_periods;
+        ] );
       ( "explorer",
         [
           Alcotest.test_case "deterministic in seed" `Quick
