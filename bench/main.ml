@@ -728,7 +728,7 @@ let alloc_budget_check () =
   case "engine schedule+fire" ~key:"alloc_words_engine_event" ~budget:16.0
     (words_per ~iters:1_000_000 (engine_event ()));
   let run, hops = netsim_forward () in
-  case "net hop (transparent fwd)" ~key:"alloc_words_net_hop" ~budget:48.0
+  case "net hop (transparent fwd)" ~key:"alloc_words_net_hop" ~budget:31.0
     (words_per ~iters:200_000 run /. float_of_int hops);
   let spf = spf_to_dest () in
   case "SPF to_dest (RAND50)" ~key:"alloc_words_spf" ~budget:860.0

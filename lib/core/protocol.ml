@@ -24,9 +24,11 @@ type tx = int
 type extra = Messages.fusion
 type msg = Messages.t
 
+module Node_tables = Proto.Node_tables.Make (Tables)
+
 type state = {
   deadlines : Tables.deadlines;
-  router_tables : (int, Tables.t) Hashtbl.t;
+  router_tables : Node_tables.t;
   source_mft : Tables.Mft.t;
   member_last_seen : (int, float ref) Hashtbl.t;
   member_first : (int, bool ref) Hashtbl.t;
@@ -75,7 +77,7 @@ module S = Proto.Session.Make (struct
   let create_state c =
     {
       deadlines = { Tables.t1 = c.t1; t2 = c.t2 };
-      router_tables = Hashtbl.create 64;
+      router_tables = Node_tables.create ();
       source_mft = Tables.Mft.create ();
       member_last_seen = Hashtbl.create 16;
       member_first = Hashtbl.create 16;
@@ -91,7 +93,7 @@ module S = Proto.Session.Make (struct
   let copy_state st =
     {
       deadlines = st.deadlines;
-      router_tables = copy_tbl Tables.copy st.router_tables;
+      router_tables = Node_tables.copy st.router_tables;
       source_mft = Tables.Mft.copy st.source_mft;
       member_last_seen = copy_tbl (fun r -> ref !r) st.member_last_seen;
       member_first = copy_tbl (fun r -> ref !r) st.member_first;
@@ -129,14 +131,16 @@ let member_seen t n =
 
 (* ---- Appendix A: router message processing -------------------------- *)
 
-let tables_of t n =
-  let st = S.state t in
-  match Hashtbl.find_opt st.router_tables n with
-  | Some tb -> tb
-  | None ->
-      let tb = Tables.create () in
-      Hashtbl.replace st.router_tables n tb;
-      tb
+(* The channel's state at [n], without creating a table for it: only
+   rule 4 installs state at a router that holds none. *)
+let channel_state t n =
+  match Node_tables.find (S.state t).router_tables n with
+  | Some tb -> Tables.find tb (S.channel t)
+  | None -> Tables.No_state
+
+let install t n state =
+  let tb = Node_tables.attach (S.state t).router_tables n in
+  Tables.set tb (S.channel t) state
 
 let emit_trees t ~at mft =
   List.iter
@@ -165,8 +169,7 @@ let router_handle_join t n (p : Messages.t Pkt.t) ~member ~first =
   if first then Net.Forward
   else begin
     let st = S.state t in
-    let tb = tables_of t n in
-    match Tables.find tb (S.channel t) with
+    match channel_state t n with
     | Tables.Forwarding mft when Tables.Mft.mem mft member -> (
         (* Rule 3: intercept, refresh, join upstream on own behalf —
            but only when the entry carries forward-path evidence from
@@ -193,10 +196,9 @@ let router_handle_join t n (p : Messages.t Pkt.t) ~member ~first =
 
 let router_handle_tree t n (p : Messages.t Pkt.t) ~target ~from_branch =
   let st = S.state t in
-  let tb = tables_of t n in
   let now = S.now t in
   if p.Pkt.dst = n then member_seen t n;
-  match Tables.find tb (S.channel t) with
+  match channel_state t n with
   | Tables.Forwarding mft ->
       if p.Pkt.dst = n then begin
         (* Rule 1: the tree message was for us; regenerate one per
@@ -262,7 +264,7 @@ let router_handle_tree t n (p : Messages.t Pkt.t) ~target ~from_branch =
         Tables.stamp (Tables.Mft.add_fresh mft st.deadlines ~now target) ~epoch;
         mft_ev t ~node:n ~target:(Tables.Mct.target mct) Obs.Event.Add;
         mft_ev t ~node:n ~target Obs.Event.Add;
-        Tables.set tb (S.channel t) (Tables.Forwarding mft);
+        install t n (Tables.Forwarding mft);
         send_fusion t ~at:n ~to_branch:from_branch mft;
         restamp_tree t ~at:n p ~target;
         Net.Consume
@@ -271,7 +273,7 @@ let router_handle_tree t n (p : Messages.t Pkt.t) ~target ~from_branch =
       if p.Pkt.dst = n then Net.Consume
       else begin
         (* Rule 4: first sight of this channel. *)
-        Tables.set tb (S.channel t)
+        install t n
           (Tables.Control (Tables.Mct.create st.deadlines ~now target));
         mct_ev t ~node:n ~target Obs.Event.Add;
         Net.Forward
@@ -281,8 +283,7 @@ let router_handle_fusion t n (p : Messages.t Pkt.t) ~members ~sender =
   if p.Pkt.dst <> n then Net.Forward
   else begin
     let st = S.state t in
-    let tb = tables_of t n in
-    (match Tables.find tb (S.channel t) with
+    (match channel_state t n with
     | Tables.Forwarding mft ->
         List.iter
           (fun m ->
@@ -304,8 +305,7 @@ let router_handle_data t n (p : Messages.t Pkt.t) ~seq =
   else begin
     member_seen t n;
     let st = S.state t in
-    let tb = tables_of t n in
-    (match Tables.find tb (S.channel t) with
+    (match channel_state t n with
     | Tables.Forwarding mft ->
         (* Re-emit each sequence number once: a healthy tree delivers
            every packet here exactly once anyway, and the guard stops
@@ -413,9 +413,7 @@ let hooks =
     source_agent = source_handler;
     member_agent = Some member_handler;
     tick = Some tick;
-    sweep =
-      (fun t ~now ->
-        Hashtbl.iter (fun _ tb -> Tables.sweep tb ~now) (S.state t).router_tables);
+    sweep = (fun t ~now -> Node_tables.sweep (S.state t).router_tables ~now);
     state_size =
       (fun t ->
         let st = S.state t in
@@ -463,24 +461,23 @@ let create_mux ?config ?channel mx ~source =
   S.create_mux ?config ?channel hooks mx ~source
 
 let state t =
-  S.metrics_state t ~tables:(S.state t).router_tables ~sweep:Tables.sweep
+  hooks.S.sweep t ~now:(S.now t);
+  S.metrics_state t ~tables:(S.state t).router_tables
     ~mct_count:Tables.mct_count ~mft_count:Tables.mft_entry_count
     ~is_branching:(fun tb -> Tables.is_branching tb (S.channel t))
 
 let source_table t = (S.state t).source_mft
 
 let router_tables t n =
-  match Hashtbl.find_opt (S.state t).router_tables n with
+  match Node_tables.find (S.state t).router_tables n with
   | Some tb -> tb
   | None ->
       if n = S.source t || not (Net.handled (S.network t) n) then
         invalid_arg (Printf.sprintf "Protocol.router_tables: no agent at %d" n)
-      else tables_of t n
+      else Tables.create ()
 
 let branching_routers t =
   S.branching_routers t ~tables:(S.state t).router_tables
     ~is_branching:(fun tb -> Tables.is_branching tb (S.channel t))
 
-let all_tables t =
-  Hashtbl.fold (fun n tb acc -> (n, tb) :: acc) (S.state t).router_tables []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+let all_tables t = Node_tables.to_list (S.state t).router_tables

@@ -39,7 +39,9 @@ val state : t -> Mcast.Metrics.state
 (** Router MCT/MFT footprint right now. *)
 
 val router_tables : t -> int -> Tables.t
-(** Raises [Invalid_argument] for nodes without an agent. *)
+(** The router's table set; a fresh, unattached empty one when the
+    router holds no state (inspection never installs a table).
+    Raises [Invalid_argument] for nodes without an agent. *)
 
 val source_table : t -> Tables.Mft.t
 (** The source's own forwarding table (first-hop receivers and
@@ -49,7 +51,7 @@ val source_table : t -> Tables.Mft.t
 val branching_routers : t -> int list
 
 val all_tables : t -> (int * Tables.t) list
-(** Every router's table set, ascending by node (the verification
-    layer's state-digest input).  The source is not included; read its
-    table via {!source_table}. *)
+(** Every router holding state, with its table set, ascending by node
+    (the verification layer's state-digest input).  The source is not
+    included; read its table via {!source_table}. *)
 

@@ -48,6 +48,7 @@ type channel_state =
 type t = channel_state Mcast.Channel.Tbl.t
 
 let create () : t = Mcast.Channel.Tbl.create 4
+let is_empty t = Mcast.Channel.Tbl.length t = 0
 
 let find t ch =
   match Mcast.Channel.Tbl.find_opt t ch with Some s -> s | None -> No_state

@@ -130,6 +130,10 @@ type t
 (** All channels' state at one node. *)
 
 val create : unit -> t
+
+val is_empty : t -> bool
+(** No channel holds state here. *)
+
 val find : t -> Mcast.Channel.t -> channel_state
 val set : t -> Mcast.Channel.t -> channel_state -> unit
 val sweep : t -> now:float -> unit

@@ -796,8 +796,6 @@ let create ?config ?trace ?channel table ~source =
 let create_mux ?config ?channel mx ~source =
   S.create_mux ?config ?channel hooks mx ~source
 
-let state_size t = hooks.S.state_size t
-
 (* ---- Inspection (verification and digests) ------------------------------ *)
 
 type nbr_view = {

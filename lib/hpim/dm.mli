@@ -57,9 +57,6 @@ include
      and type tx = ack_ext
      and type extra = xtra
 
-val state_size : t -> int
-(** Total downstream (hard-state) entries across all nodes. *)
-
 (** {1 Inspection}
 
     Structured views for the verification layer: canonical state

@@ -19,13 +19,19 @@ let default_config = { join_period = 100.0; holdtime = 350.0 }
 let scale_timers k c =
   { join_period = c.join_period *. k; holdtime = c.holdtime *. k }
 
+module Node_tables = Proto.Node_tables.Make (struct
+  include Ss.Table
+
+  let sweep = expire
+end)
+
 type state = {
   (* PIM's degenerate deadline ladder: an oif entry is live exactly
      until its holdtime lapses, with no separate stale phase. *)
   dl : Ss.deadlines;
   (* (S,G) state: per node, the downstream neighbors joins arrived
      from, each with its holdtime deadline. *)
-  oifs : (int, Ss.Table.t) Hashtbl.t;
+  oifs : Node_tables.t;
   (* Highest data seq fanned out per node: the loop damper.  Data
      copies are unicast-addressed to oif neighbors and may arrive
      through an asymmetric path, so an interface RPF check is not
@@ -67,14 +73,16 @@ module S = Proto.Session.Make (struct
   let create_state c =
     {
       dl = { Ss.t1 = c.holdtime; t2 = c.holdtime };
-      oifs = Hashtbl.create 64;
+      oifs = Node_tables.create ();
       data_seen = Hashtbl.create 64;
     }
 
   let copy_state st =
-    let oifs = Hashtbl.create (max 8 (Hashtbl.length st.oifs)) in
-    Hashtbl.iter (fun n tbl -> Hashtbl.replace oifs n (Ss.Table.copy tbl)) st.oifs;
-    { dl = st.dl; oifs; data_seen = Hashtbl.copy st.data_seen }
+    {
+      dl = st.dl;
+      oifs = Node_tables.copy st.oifs;
+      data_seen = Hashtbl.copy st.data_seen;
+    }
 end)
 
 (* The session IS the public API surface; only [create]/[create_mux]
@@ -83,17 +91,8 @@ include S
 
 let m_oif = S.counter "oif_updates"
 
-let oifs_of t n =
-  let st = S.state t in
-  match Hashtbl.find_opt st.oifs n with
-  | Some tbl -> tbl
-  | None ->
-      let tbl = Ss.Table.create () in
-      Hashtbl.replace st.oifs n tbl;
-      tbl
-
 let live_oifs t n =
-  match Hashtbl.find_opt (S.state t).oifs n with
+  match Node_tables.find (S.state t).oifs n with
   | None -> []
   | Some tbl -> Ss.Table.live_nodes tbl ~now:(S.now t)
 
@@ -121,7 +120,7 @@ let handler t n (p : msg Pkt.t) =
   | Join _
     when p.Pkt.dst = n || Topology.Graph.multicast_capable (S.graph t) n ->
       if p.Pkt.via <> n then begin
-        let tbl = oifs_of t n in
+        let tbl = Node_tables.attach (S.state t).oifs n in
         let fresh = not (Ss.Table.mem tbl p.Pkt.via) in
         (* Freshness-guard adoption (DESIGN.md §6b) is stamping only:
            a PIM join is re-routed hop by hop on the *current* RPF
@@ -170,11 +169,9 @@ let hooks =
     source_agent = handler;
     member_agent = Some handler;
     tick = None;
-    (* Holdtime sweep: drop expired oif entries so state size reflects
-       the live tree. *)
-    sweep =
-      (fun t ~now ->
-        Hashtbl.iter (fun _ tbl -> Ss.Table.expire tbl ~now) (S.state t).oifs);
+    (* Holdtime sweep: drop expired oif entries, and nodes left without
+       any, so state size reflects the live tree. *)
+    sweep = (fun t ~now -> Node_tables.sweep (S.state t).oifs ~now);
     state_size =
       (fun t ->
         Hashtbl.fold
@@ -207,11 +204,9 @@ let create ?config ?trace ?channel table ~source =
 let create_mux ?config ?channel mx ~source =
   S.create_mux ?config ?channel hooks mx ~source
 
-let state_size t = hooks.S.state_size t
 let debug_oifs t n = live_oifs t n
 
 let all_oifs t =
-  Hashtbl.fold
-    (fun n tbl acc -> (n, Ss.Table.entries tbl) :: acc)
-    (S.state t).oifs []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  List.map
+    (fun (n, tbl) -> (n, Ss.Table.entries tbl))
+    (Node_tables.to_list (S.state t).oifs)

@@ -42,13 +42,10 @@ include
 
 (** {1 Inspection} *)
 
-val state_size : t -> int
-(** Total (S,G) oif entries across all nodes right now. *)
-
 val debug_oifs : t -> int -> int list
 (** Live oif entries of a node (diagnostics). *)
 
 val all_oifs : t -> (int * Proto.Softstate.entry list) list
-(** Every node's oif entries (dead ones included until swept),
-    ascending by node — the verification layer's state-digest
-    input. *)
+(** Every node holding oif state, with its entries (dead ones
+    included until swept), ascending by node — the verification
+    layer's state-digest input. *)

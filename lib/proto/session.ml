@@ -71,6 +71,7 @@ module type S = sig
   val source : t -> int
   val channel : t -> Mcast.Channel.t
   val control_overhead : t -> int
+  val state_size : t -> int
   val spans : t -> Obs.Span.t
 
   type snapshot
@@ -418,9 +419,9 @@ module Make (P : PROTOCOL) = struct
     dist
 
   let control_overhead t = (Net.counters t.network).Net.control_hops
+  let state_size t = t.hooks.state_size t
 
-  let metrics_state t ~tables ~sweep ~mct_count ~mft_count ~is_branching =
-    Hashtbl.iter (fun _ tb -> sweep tb ~now:(now t)) tables;
+  let metrics_state t ~tables ~mct_count ~mft_count ~is_branching =
     let mct = ref 0 and mft = ref 0 and branching = ref 0 and on_tree = ref 0 in
     Hashtbl.iter
       (fun n tb ->

@@ -152,6 +152,11 @@ module type S = sig
   val control_overhead : t -> int
   (** Control-message link traversals so far. *)
 
+  val state_size : t -> int
+  (** Live protocol state entries right now, source included (the
+      value the [proto.<name>.state_entries] gauge samples after each
+      sweep). *)
+
   val spans : t -> Obs.Span.t
   (** Causal spans recorded by the session runtime (the ["join"]
       latency family; see {!Make.spans}). *)
@@ -298,18 +303,20 @@ module Make (P : PROTOCOL) : sig
   val control_overhead : t -> int
   (** Control-plane hop count from the network counters. *)
 
+  val state_size : t -> int
+  (** The protocol's [state_size] hook, read now. *)
+
   val metrics_state :
     t ->
     tables:(int, 'tb) Hashtbl.t ->
-    sweep:('tb -> now:float -> unit) ->
     mct_count:('tb -> int) ->
     mft_count:('tb -> int) ->
     is_branching:('tb -> bool) ->
     Mcast.Metrics.state
-  (** Uniform state-size summary over a per-router table map: sweeps
-      every table first, then counts control (MCT) and forwarding
-      (MFT) entries, branching routers and on-tree routers — routers
-      only, hosts excluded. *)
+  (** Uniform state-size summary over a per-router table map: counts
+      control (MCT) and forwarding (MFT) entries, branching routers
+      and on-tree routers — routers only, hosts excluded.  Callers
+      sweep first so dead entries are not counted. *)
 
   val branching_routers :
     t -> tables:(int, 'tb) Hashtbl.t -> is_branching:('tb -> bool) -> int list

@@ -24,9 +24,11 @@ type tx = Messages.tree_info
 type extra = Proto.Messages.nothing
 type msg = Messages.t
 
+module Node_tables = Proto.Node_tables.Make (Tables)
+
 type state = {
   deadlines : Tables.deadlines;
-  router_tables : (int, Tables.t) Hashtbl.t;
+  router_tables : Node_tables.t;
   mutable source_mft : Tables.Mft.t option;
   mutable epoch : int;
 }
@@ -65,19 +67,15 @@ module S = Proto.Session.Make (struct
   let create_state c =
     {
       deadlines = { Tables.t1 = c.t1; t2 = c.t2 };
-      router_tables = Hashtbl.create 64;
+      router_tables = Node_tables.create ();
       source_mft = None;
       epoch = 0;
     }
 
   let copy_state st =
-    let tables = Hashtbl.create (max 8 (Hashtbl.length st.router_tables)) in
-    Hashtbl.iter
-      (fun n tb -> Hashtbl.replace tables n (Tables.copy tb))
-      st.router_tables;
     {
       deadlines = st.deadlines;
-      router_tables = tables;
+      router_tables = Node_tables.copy st.router_tables;
       source_mft = Option.map Tables.Mft.copy st.source_mft;
       epoch = st.epoch;
     }
@@ -99,22 +97,30 @@ let mct_ev t ~node ~target op =
   Obs.Metrics.hot_incr m_mct;
   if S.trace_active t then S.ev t ~node (Obs.Event.Mct_update { target; op })
 
-let tables_of t n =
-  let st = S.state t in
-  match Hashtbl.find_opt st.router_tables n with
-  | Some tb -> tb
-  | None ->
-      let tb = Tables.create () in
-      Hashtbl.replace st.router_tables n tb;
-      tb
+(* The channel's state at [n], without creating a table for it: only
+   a transit tree installs state at a router that holds none. *)
+let channel_state t n =
+  match Node_tables.find (S.state t).router_tables n with
+  | Some tb -> Tables.find tb (S.channel t)
+  | None -> None
+
+let attach t n =
+  Tables.attach (Node_tables.attach (S.state t).router_tables n) (S.channel t)
+
+(* A teardown emptied the channel's state between sweeps. *)
+let release t n =
+  let tables = (S.state t).router_tables in
+  match Node_tables.find tables n with
+  | Some tb ->
+      Tables.release tb (S.channel t);
+      Node_tables.release tables n
+  | None -> ()
 
 (* ---- Router message processing --------------------------------------- *)
 
-let router_handle_join t n ~member =
+let router_handle_join_at t n (st : Tables.channel_state) ~member =
   let dl = (S.state t).deadlines in
-  let tb = tables_of t n in
   let nw = S.now t in
-  let st = Tables.find tb (S.channel t) in
   let relays_member =
     match st.Tables.mct with
     | Some mct -> Tables.Mct.mem mct ~now:nw member
@@ -194,85 +200,88 @@ let router_handle_join t n ~member =
                 st.Tables.mft <- Some mft;
                 Net.Consume))
 
+(* A router holding no state for the channel neither captures nor
+   relays the join. *)
+let router_handle_join t n ~member =
+  match channel_state t n with
+  | Some st -> router_handle_join_at t n st ~member
+  | None -> Net.Forward
+
 (* Tree and data share the forking geometry: a packet addressed to a
    branching router's dst is replicated to its receiver entries while
    the original continues. *)
 let router_handle_tree t n (p : Messages.t Pkt.t) ~target ~marked ~epoch =
   let dl = (S.state t).deadlines in
-  let tb = tables_of t n in
   let nw = S.now t in
-  let st = Tables.find tb (S.channel t) in
-  let is_fork_point =
-    match st.Tables.mft with
-    | Some mft -> (Tables.Mft.dst mft).node = target
-    | None -> false
-  in
-  if is_fork_point then begin
-    let mft = Option.get st.Tables.mft in
-    if marked then begin
-      Tables.Mft.stale_dst mft ~now:nw;
-      mft_ev t ~node:n ~target Obs.Event.Mark
-    end
-    else if Tables.Mft.should_fork mft ~epoch then begin
-      (* A genuinely new epoch from the source: learn the upstream
-         interface, refresh the dst entry and fork the tree to every
-         receiver entry.  Replayed or looping epochs neither refresh
-         nor fork, so orphaned branching structures decay. *)
-      Tables.Mft.set_upstream mft p.Pkt.via;
-      ignore (Tables.Mft.refresh mft dl ~now:nw target);
-      (* The source's tree reached this fork point over the current
-         unicast paths: forward-path evidence for the dst entry and
-         every receiver entry the fork serves (DESIGN.md §6b). *)
-      let repoch = S.route_epoch t in
-      Tables.stamp (Tables.Mft.dst mft) ~epoch:repoch;
-      List.iter
-        (fun (e : Tables.entry) ->
-          Tables.stamp e ~epoch:repoch;
-          S.send t ~from:n ~dst:e.node ~kind:Pkt.Control
-            (Messages.Tree
-               {
-                 channel = S.channel t;
-                 target = e.node;
-                 ext =
-                   {
-                     Messages.marked = Tables.entry_stale e ~now:nw;
-                     epoch;
-                   };
-               }))
-        (Tables.Mft.receivers mft)
-    end;
-    Net.Forward
-  end
-  else begin
-    (* Transit flow: maintain the control entry for it (even at
-       branching nodes), unless the MFT already records the target. *)
-    let in_mft =
-      match st.Tables.mft with
-      | Some mft -> Tables.Mft.mem mft target
-      | None -> false
-    in
-    if marked then begin
-      (* Teardown: "destroys any r1 MCT entries". *)
-      match st.Tables.mct with
-      | Some mct ->
-          Tables.Mct.remove mct target;
-          mct_ev t ~node:n ~target Obs.Event.Remove;
-          if Tables.Mct.dead mct ~now:nw then st.Tables.mct <- None
-      | None -> ()
-    end
-    else if not in_mft then begin
-      (match st.Tables.mct with
-      | Some mct -> Tables.Mct.add mct dl ~now:nw target
-      | None -> st.Tables.mct <- Some (Tables.Mct.create dl ~now:nw target));
-      mct_ev t ~node:n ~target Obs.Event.Add
-    end;
-    Net.Forward
-  end
+  let found = channel_state t n in
+  match found with
+  | Some { Tables.mft = Some mft; _ }
+    when (Tables.Mft.dst mft).node = target ->
+      if marked then begin
+        Tables.Mft.stale_dst mft ~now:nw;
+        mft_ev t ~node:n ~target Obs.Event.Mark
+      end
+      else if Tables.Mft.should_fork mft ~epoch then begin
+        (* A genuinely new epoch from the source: learn the upstream
+           interface, refresh the dst entry and fork the tree to every
+           receiver entry.  Replayed or looping epochs neither refresh
+           nor fork, so orphaned branching structures decay. *)
+        Tables.Mft.set_upstream mft p.Pkt.via;
+        ignore (Tables.Mft.refresh mft dl ~now:nw target);
+        (* The source's tree reached this fork point over the current
+           unicast paths: forward-path evidence for the dst entry and
+           every receiver entry the fork serves (DESIGN.md §6b). *)
+        let repoch = S.route_epoch t in
+        Tables.stamp (Tables.Mft.dst mft) ~epoch:repoch;
+        List.iter
+          (fun (e : Tables.entry) ->
+            Tables.stamp e ~epoch:repoch;
+            S.send t ~from:n ~dst:e.node ~kind:Pkt.Control
+              (Messages.Tree
+                 {
+                   channel = S.channel t;
+                   target = e.node;
+                   ext =
+                     {
+                       Messages.marked = Tables.entry_stale e ~now:nw;
+                       epoch;
+                     };
+                 }))
+          (Tables.Mft.receivers mft)
+      end;
+      Net.Forward
+  | _ ->
+      (* Transit flow: maintain the control entry for it (even at
+         branching nodes), unless the MFT already records the target. *)
+      let in_mft =
+        match found with
+        | Some { Tables.mft = Some mft; _ } -> Tables.Mft.mem mft target
+        | Some { Tables.mft = None; _ } | None -> false
+      in
+      if marked then begin
+        (* Teardown: "destroys any r1 MCT entries". *)
+        match found with
+        | Some ({ Tables.mct = Some mct; _ } as st) ->
+            Tables.Mct.remove mct target;
+            mct_ev t ~node:n ~target Obs.Event.Remove;
+            if Tables.Mct.dead mct ~now:nw then begin
+              st.Tables.mct <- None;
+              release t n
+            end
+        | Some { Tables.mct = None; _ } | None -> ()
+      end
+      else if not in_mft then begin
+        let st = match found with Some st -> st | None -> attach t n in
+        (match st.Tables.mct with
+        | Some mct -> Tables.Mct.add mct dl ~now:nw target
+        | None -> st.Tables.mct <- Some (Tables.Mct.create dl ~now:nw target));
+        mct_ev t ~node:n ~target Obs.Event.Add
+      end;
+      Net.Forward
 
 let router_handle_data t n (p : Messages.t Pkt.t) =
-  let tb = tables_of t n in
-  match (Tables.find tb (S.channel t)).Tables.mft with
-  | Some mft
+  match channel_state t n with
+  | Some { Tables.mft = Some mft; _ }
     when (Tables.Mft.dst mft).node = p.Pkt.dst
          && Tables.Mft.from_upstream mft ~via:p.Pkt.via ->
       List.iter
@@ -370,9 +379,7 @@ let hooks =
     source_agent = source_handler;
     member_agent = None;
     tick = Some source_tick;
-    sweep =
-      (fun t ~now ->
-        Hashtbl.iter (fun _ tb -> Tables.sweep tb ~now) (S.state t).router_tables);
+    sweep = (fun t ~now -> Node_tables.sweep (S.state t).router_tables ~now);
     state_size =
       (fun t ->
         let st = S.state t in
@@ -423,7 +430,8 @@ let create_mux ?config ?channel mx ~source =
   S.create_mux ?config ?channel hooks mx ~source
 
 let state t =
-  S.metrics_state t ~tables:(S.state t).router_tables ~sweep:Tables.sweep
+  hooks.S.sweep t ~now:(S.now t);
+  S.metrics_state t ~tables:(S.state t).router_tables
     ~mct_count:Tables.mct_count ~mft_count:Tables.mft_entry_count
     ~is_branching:(fun tb -> Tables.is_branching tb (S.channel t))
 
@@ -434,14 +442,12 @@ let branching_routers t =
 let source_table t = (S.state t).source_mft
 
 let router_tables t n =
-  match Hashtbl.find_opt (S.state t).router_tables n with
+  match Node_tables.find (S.state t).router_tables n with
   | Some tb -> tb
   | None ->
       if n = S.source t || not (Net.handled (S.network t) n) then
         invalid_arg
           (Printf.sprintf "Reunite.Protocol.router_tables: no agent at %d" n)
-      else tables_of t n
+      else Tables.create ()
 
-let all_tables t =
-  Hashtbl.fold (fun n tb acc -> (n, tb) :: acc) (S.state t).router_tables []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+let all_tables t = Node_tables.to_list (S.state t).router_tables

@@ -125,16 +125,21 @@ type channel_state = {
 type t = channel_state Mcast.Channel.Tbl.t
 
 let create () : t = Mcast.Channel.Tbl.create 4
+let is_empty t = Mcast.Channel.Tbl.length t = 0
+let find t ch = Mcast.Channel.Tbl.find_opt t ch
 
-let empty_state () = { mct = None; mft = None }
-
-let find t ch =
+let attach t ch =
   match Mcast.Channel.Tbl.find_opt t ch with
   | Some s -> s
   | None ->
-      let s = empty_state () in
+      let s = { mct = None; mft = None } in
       Mcast.Channel.Tbl.replace t ch s;
       s
+
+let release t ch =
+  match Mcast.Channel.Tbl.find_opt t ch with
+  | Some { mct = None; mft = None } -> Mcast.Channel.Tbl.remove t ch
+  | Some _ | None -> ()
 
 let sweep t ~now =
   let removals =

@@ -136,9 +136,18 @@ type t
 
 val create : unit -> t
 
-val find : t -> Mcast.Channel.t -> channel_state
-(** The (possibly empty) state record for a channel, created on
-    demand; mutate its fields directly. *)
+val is_empty : t -> bool
+(** No channel holds state here. *)
+
+val find : t -> Mcast.Channel.t -> channel_state option
+(** The channel's state record, if it has one.  Never inserts. *)
+
+val attach : t -> Mcast.Channel.t -> channel_state
+(** The channel's state record, created empty on a miss — for paths
+    that install an entry straight away; mutate its fields directly. *)
+
+val release : t -> Mcast.Channel.t -> unit
+(** Drop the channel's record once both its tables are gone. *)
 
 val sweep : t -> now:float -> unit
 val mct_count : t -> int

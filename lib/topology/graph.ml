@@ -84,18 +84,28 @@ let link g i =
     invalid_arg (Printf.sprintf "Graph: link %d out of range" i);
   g.link_arr.(i)
 
-let find_link g u v =
+(* The id of the link joining [u] to [v], or -1: a closure-free walk
+   of [u]'s adjacency, so the per-hop lookups below allocate
+   nothing. *)
+let rec link_id_in (v : int) = function
+  | [] -> -1
+  | (n, lid) :: rest -> if n = v then lid else link_id_in v rest
+
+let link_id g u v =
   check_node g u;
   check_node g v;
-  List.find_opt (fun (n, _) -> n = v) g.adj.(u)
-  |> Option.map (fun (_, lid) -> g.link_arr.(lid))
+  link_id_in v g.adj.(u)
 
-let connected g u v = Option.is_some (find_link g u v)
+let find_link g u v =
+  let lid = link_id g u v in
+  if lid < 0 then None else Some g.link_arr.(lid)
+
+let connected g u v = link_id g u v >= 0
 
 let directed_link g u v =
-  match find_link g u v with
-  | Some l -> l
-  | None -> invalid_arg (Printf.sprintf "Graph: no link %d-%d" u v)
+  let lid = link_id g u v in
+  if lid < 0 then invalid_arg (Printf.sprintf "Graph: no link %d-%d" u v)
+  else g.link_arr.(lid)
 
 let cost g u v =
   let l = directed_link g u v in

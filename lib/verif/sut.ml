@@ -229,17 +229,19 @@ let reunite_view (p : Reunite.Protocol.t) : view =
     | Some mft -> mft_dump b mft);
     List.iter
       (fun (n, tb) ->
-        let st = Reunite.Tables.find tb channel in
-        (match st.Reunite.Tables.mct with
+        match Reunite.Tables.find tb channel with
         | None -> ()
-        | Some mct ->
-            Buffer.add_string b (Printf.sprintf "|%d:C:" n);
-            entries_token ~now:(now ()) b (Reunite.Tables.Mct.entries mct));
-        match st.Reunite.Tables.mft with
-        | None -> ()
-        | Some mft ->
-            Buffer.add_string b (Printf.sprintf "|%d:F:" n);
-            mft_dump b mft)
+        | Some st -> (
+            (match st.Reunite.Tables.mct with
+            | None -> ()
+            | Some mct ->
+                Buffer.add_string b (Printf.sprintf "|%d:C:" n);
+                entries_token ~now:(now ()) b (Reunite.Tables.Mct.entries mct));
+            match st.Reunite.Tables.mft with
+            | None -> ()
+            | Some mft ->
+                Buffer.add_string b (Printf.sprintf "|%d:F:" n);
+                mft_dump b mft))
       (P.all_tables p);
     Buffer.contents b
   in
@@ -257,12 +259,12 @@ let reunite_view (p : Reunite.Protocol.t) : view =
     let branches =
       List.filter_map
         (fun (n, tb) ->
-          match (Reunite.Tables.find tb channel).Reunite.Tables.mft with
-          | Some mft -> (
+          match Reunite.Tables.find tb channel with
+          | Some { Reunite.Tables.mft = Some mft; _ } -> (
               match Reunite.Tables.Mft.receiver_nodes mft with
               | [] -> None
               | rs -> Some (n, rs))
-          | None -> None)
+          | Some { Reunite.Tables.mft = None; _ } | None -> None)
         (P.all_tables p)
     in
     (source, src_targets) :: branches

@@ -233,6 +233,140 @@ let mux_tests =
       test_mux_deterministic_rebuild;
   ]
 
+(* ---- Live state only ---------------------------------------------- *)
+
+(* A per-node table exists only while it holds state.  Once every
+   member has left, a channel's soft state decays everywhere, and with
+   it every node table: the sweep, the state gauge and checkpoints then
+   touch nothing. *)
+
+type 's tables = {
+  tag : string;
+  node_entries : 's -> (int * int) list;
+      (** Every listed node table with its entry count. *)
+  period : float;  (** control period: one sweep each *)
+  decay : float;
+      (** Last leave to last entry death.  HBH and REUNITE: the
+          source's entry for a leaver stays fresh for t1 after its last
+          join and keeps sending trees that refresh the routers'
+          entries, which then live t2 more.  PIM-SSM: the holdtime. *)
+}
+
+let hbh_tables =
+  let c = Hbh.Protocol.default_config in
+  {
+    tag = "HBH";
+    node_entries =
+      (fun s ->
+        List.map
+          (fun (n, tb) ->
+            (n, Hbh.Tables.mct_count tb + Hbh.Tables.mft_entry_count tb))
+          (Hbh.Protocol.all_tables s));
+    period = c.tree_period;
+    decay = c.t1 +. c.t2;
+  }
+
+let reunite_tables =
+  let c = Reunite.Protocol.default_config in
+  {
+    tag = "REUNITE";
+    node_entries =
+      (fun s ->
+        List.map
+          (fun (n, tb) ->
+            (n, Reunite.Tables.mct_count tb + Reunite.Tables.mft_entry_count tb))
+          (Reunite.Protocol.all_tables s));
+    period = c.tree_period;
+    decay = c.t1 +. c.t2;
+  }
+
+let pim_tables =
+  let c = Pim.Ssm.default_config in
+  {
+    tag = "PIM-SSM";
+    node_entries =
+      (fun s ->
+        List.map (fun (n, es) -> (n, List.length es)) (Pim.Ssm.all_oifs s));
+    period = c.join_period;
+    decay = c.holdtime;
+  }
+
+let isp_session (type s) (module P : Proto.Session.S with type t = s) =
+  let table = Routing.Table.compute (Topology.Isp.create ()) in
+  P.create table ~source:Topology.Isp.source
+
+(* Three members per channel, on a solo ISP session and on a 4-channel
+   mux: subscribe, converge, all leave, then wait out the decay plus
+   two sweeps. *)
+let drains (type s) (module P : Proto.Session.S with type t = s) tb () =
+  let members c =
+    List.filteri (fun i _ -> i >= c && i < c + 3) Topology.Isp.receiver_hosts
+  in
+  List.iter
+    (fun (what, sessions) ->
+      let tag = Printf.sprintf "%s %s: " tb.tag what in
+      Array.iteri (fun c s -> List.iter (P.subscribe s) (members c)) sessions;
+      P.converge sessions.(0);
+      Alcotest.(check bool)
+        (tag ^ "state built") true
+        (P.state_size sessions.(0) > 0);
+      Array.iteri (fun c s -> List.iter (P.unsubscribe s) (members c)) sessions;
+      P.run_for sessions.(0) (tb.decay +. (2.0 *. tb.period));
+      Array.iteri
+        (fun c s ->
+          let ch = Printf.sprintf "%schannel %d: " tag c in
+          Alcotest.(check (list (pair int int)))
+            (ch ^ "no node tables") [] (tb.node_entries s);
+          Alcotest.(check int) (ch ^ "state_size") 0 (P.state_size s))
+        sessions)
+    [
+      ("ISP", [| isp_session (module P) |]);
+      ("4-channel mux", mux_sessions (module P) 4);
+    ]
+
+(* Random join/leave sequences on ISP: each listed node table holds at
+   least one entry — after every sweep, and in between.  Membership
+   changes land half a period off the sweeps; checks run four times a
+   period, so joins crossing transit routers between two sweeps are
+   seen too. *)
+let prop_tables_hold_state (type s) (module P : Proto.Session.S with type t = s)
+    tb =
+  let hosts = Array.of_list Topology.Isp.receiver_hosts in
+  let op =
+    QCheck.(triple (int_range 0 (Array.length hosts - 1)) bool (int_range 1 3))
+  in
+  QCheck.Test.make ~count:50
+    ~name:(tb.tag ^ ": listed node tables hold entries after each sweep")
+    QCheck.(list_of_size Gen.(1 -- 12) op)
+    (fun ops ->
+      let s = isp_session (module P) in
+      P.run_for s (0.5 *. tb.period);
+      List.for_all
+        (fun (h, join, periods) ->
+          if join then P.subscribe s hosts.(h) else P.unsubscribe s hosts.(h);
+          List.for_all
+            (fun _ ->
+              P.run_for s (0.25 *. tb.period);
+              List.for_all (fun (_, k) -> k > 0) (tb.node_entries s))
+            (List.init (4 * periods) Fun.id))
+        ops)
+
+let live_state_tests =
+  [
+    Alcotest.test_case "HBH tables drain after the last leave" `Quick
+      (drains (module Hbh.Protocol) hbh_tables);
+    Alcotest.test_case "REUNITE tables drain after the last leave" `Quick
+      (drains (module Reunite.Protocol) reunite_tables);
+    Alcotest.test_case "PIM-SSM tables drain after the last leave" `Quick
+      (drains (module Pim.Ssm) pim_tables);
+  ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [
+        prop_tables_hold_state (module Hbh.Protocol) hbh_tables;
+        prop_tables_hold_state (module Reunite.Protocol) reunite_tables;
+        prop_tables_hold_state (module Pim.Ssm) pim_tables;
+      ]
+
 (* ---- Seeded trace equivalence ------------------------------------ *)
 
 let probe_until = 700.0
@@ -324,5 +458,6 @@ let () =
     [
       ("softstate", softstate_tests);
       ("mux", mux_tests);
+      ("live-state", live_state_tests);
       ("trace-equivalence", equivalence_tests);
     ]
