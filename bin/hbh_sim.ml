@@ -4,9 +4,23 @@
 
 open Cmdliner
 
+(* Every --runs: a negative count is a bad invocation, rejected by the
+   parser rather than by the sweep that would size an array with it. *)
+let runs_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 0 -> Ok n
+    | _ ->
+        Error
+          (`Msg
+             (Printf.sprintf "invalid value '%s', expected a non-negative integer"
+                s))
+  in
+  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+
 let runs_arg default =
   let doc = "Simulation runs per group size (paper: 500)." in
-  Arg.(value & opt int default & info [ "runs" ] ~docv:"N" ~doc)
+  Arg.(value & opt runs_conv default & info [ "runs" ] ~docv:"N" ~doc)
 
 let seed_arg =
   let doc = "Master random seed; equal seeds reproduce results exactly." in
@@ -26,12 +40,6 @@ let jobs_arg =
      never results."
   in
   Arg.(value & opt int 1 & info [ "jobs" ] ~docv:"N" ~doc)
-
-let check_jobs jobs =
-  if jobs < 1 then begin
-    Printf.eprintf "hbh_sim: --jobs must be >= 1 (got %d)\n" jobs;
-    exit 2
-  end
 
 (* One converter, built from the protocol registry, shared by every
    subcommand that takes [--protocol]: the registry's names and aliases
@@ -55,6 +63,72 @@ let protocol_conv =
 
 let protocol_doc =
   String.concat ", " (List.map (fun n -> "$(b," ^ n ^ ")") protocol_names)
+
+(* The one exit-2 usage printer: every "bad invocation" path funnels
+   through here, so the flag inventory (verify's included) lives in a
+   single place. *)
+let print_usage () =
+  Printf.eprintf
+    "usage: hbh_sim COMMAND [--seed N] [--runs N] [--jobs N] [--csv] \
+     [--protocol %s] [--metrics-json FILE]\n\
+    \       hbh_sim faults [--jobs N] [--timeline[=DT]] [--timeline-ndjson \
+     FILE] [--monitor] [--openmetrics FILE] [--scenario S]\n\
+    \       hbh_sim churn [--channels N] [--routers N] [--gen \
+     power-law|as-hierarchy] [--rate R] [--hold T] [--horizon T] \
+     [--sample-every DT] [--arm normal|stretched] [--protocol P] [--seed N] \
+     [--jobs N] [--json FILE] [--metrics-json FILE] [--openmetrics FILE]\n\
+    \       hbh_sim soak [--hours H] [--timeline-ndjson FILE] \
+     [--openmetrics FILE] [--protocol P] [--seed N]\n\
+    \       hbh_sim report [--out FILE] [--interval DT] [--seed N]\n\
+    \       hbh_sim verify --protocol %s [--depth N] \
+     [--states N] [--topology isp|rand50] [--seed N] [--jobs N] \
+     [--json FILE] [--inject-bug mark-decay] [--no-shrink]\n\
+     (try 'hbh_sim --help')\n"
+    (String.concat "|" protocol_names)
+    (String.concat "|" protocol_names)
+
+(* A bad invocation found after parsing (a value out of range, an
+   unwritable output path) leaves the same way Cmdliner's own
+   rejections do: the diagnostic, the shared usage, exit 2. *)
+let usage_error msg =
+  Printf.eprintf "hbh_sim: %s\n" msg;
+  print_usage ();
+  exit 2
+
+let check_jobs jobs =
+  if jobs < 1 then usage_error (Printf.sprintf "--jobs must be >= 1 (got %d)" jobs)
+
+(* The one output writer.  [what] announces the file on stderr
+   ("<what> written to FILE"); the bytes are [contents] exactly. *)
+let write_file ?what file contents =
+  (match
+     let oc = open_out file in
+     output_string oc contents;
+     close_out oc
+   with
+  | () -> ()
+  | exception Sys_error reason ->
+      (* Sys_error reads "FILE: reason"; name the file once. *)
+      let prefix = file ^ ": " in
+      let reason =
+        if String.starts_with ~prefix reason then
+          String.sub reason (String.length prefix)
+            (String.length reason - String.length prefix)
+        else reason
+      in
+      usage_error (Printf.sprintf "cannot write %s: %s" file reason));
+  Option.iter (fun what -> Format.eprintf "%s written to %s@." what file) what
+
+let write_json ?what file json =
+  write_file ?what file (Obs.Json.to_string json ^ "\n")
+
+let write_metrics_json file =
+  write_json ~what:"metrics snapshot" file
+    (Obs.Metrics.snapshot_to_json (Obs.Metrics.snapshot (Obs.Metrics.default ())))
+
+let write_openmetrics file =
+  write_file ~what:"openmetrics" file
+    (Obs.Openmetrics.of_metrics (Obs.Metrics.default ()))
 
 let protocols_arg =
   let doc =
@@ -153,14 +227,7 @@ let with_obs o ~seed ~companion run =
       Format.printf "@.== REUNITE engine profile (companion run) ==@.%a@."
         Eventsim.Engine.pp_profile sample.reunite_profile
     end;
-    match o.metrics_json with
-    | None -> ()
-    | Some file ->
-        let oc = open_out file in
-        output_string oc (Obs.Json.to_string (Obs.Metrics.snapshot_to_json snap));
-        output_char oc '\n';
-        close_out oc;
-        Format.eprintf "metrics snapshot written to %s@." file
+    Option.iter write_metrics_json o.metrics_json
   end
 
 let isp_companion () = Experiments.Common.isp_config ()
@@ -317,15 +384,11 @@ let scaling_large ~seed ~sizes ~json =
   in
   Format.printf "@.route-equivalence: %s@."
     (if all_ok then "OK" else "MISMATCH");
-  (match json with
-  | None -> ()
-  | Some file ->
-      let oc = open_out file in
-      output_string oc
-        (Obs.Json.to_string (Experiments.Scaling.fastpath_to_json points));
-      output_char oc '\n';
-      close_out oc;
-      Format.printf "wrote %s@." file);
+  Option.iter
+    (fun file ->
+      write_json file (Experiments.Scaling.fastpath_to_json points);
+      Format.printf "wrote %s@." file)
+    json;
   (* Scripts (CI) gate on this: a silent equivalence skip or mismatch
      must fail the job, not just print. *)
   if not all_ok then exit 1
@@ -356,7 +419,16 @@ let scaling_cmd =
   in
   let run o runs seed jobs csv large sizes json =
     check_jobs jobs;
-    if large then scaling_large ~seed ~sizes ~json
+    if large then begin
+      (* The fast-path graphs have average degree 4: fewer than 5
+         routers cannot carry it. *)
+      (match List.find_opt (fun n -> n < 5) (Option.value sizes ~default:[]) with
+      | Some n ->
+          usage_error
+            (Printf.sprintf "scaling: --sizes entries must be >= 5 (got %d)" n)
+      | None -> ());
+      scaling_large ~seed ~sizes ~json
+    end
     else begin
       with_obs o ~seed
         ~companion:(fun () -> Experiments.Common.rand50_config ~seed)
@@ -416,7 +488,7 @@ let overhead_cmd =
      protocols (message link-traversals per tree period)."
   in
   let runs =
-    Arg.(value & opt int 5 & info [ "runs" ] ~docv:"N" ~doc:"Runs per size.")
+    Arg.(value & opt runs_conv 5 & info [ "runs" ] ~docv:"N" ~doc:"Runs per size.")
   in
   let run o runs seed csv =
     with_obs o ~seed ~companion:isp_companion (fun () ->
@@ -712,38 +784,20 @@ let faults_cmd =
       in
       Format.printf "monitors: %d violations@." total
     end;
-    (match timeline_ndjson with
-    | None -> ()
-    | Some file ->
-        let oc = open_out file in
-        List.iter
-          (fun (c : Experiments.Faults.case_obs) ->
-            match c.Experiments.Faults.c_timeline with
-            | None -> ()
-            | Some tl ->
-                output_string oc
-                  (Obs.Timeline.to_ndjson
-                     ~tags:[ ("case", c.Experiments.Faults.c_label) ]
-                     tl))
-          obs;
-        close_out oc;
-        Format.eprintf "timelines written to %s@." file);
-    (match openmetrics with
-    | None -> ()
-    | Some file ->
-        let oc = open_out file in
-        output_string oc (Obs.Openmetrics.of_metrics (Obs.Metrics.default ()));
-        close_out oc;
-        Format.eprintf "openmetrics written to %s@." file);
-    (match metrics_json with
-    | None -> ()
-    | Some file ->
-        let snap = Obs.Metrics.snapshot (Obs.Metrics.default ()) in
-        let oc = open_out file in
-        output_string oc (Obs.Json.to_string (Obs.Metrics.snapshot_to_json snap));
-        output_char oc '\n';
-        close_out oc;
-        Format.eprintf "metrics snapshot written to %s@." file);
+    Option.iter
+      (fun file ->
+        write_file ~what:"timelines" file
+          (String.concat ""
+             (List.filter_map
+                (fun (c : Experiments.Faults.case_obs) ->
+                  Option.map
+                    (Obs.Timeline.to_ndjson
+                       ~tags:[ ("case", c.Experiments.Faults.c_label) ])
+                    c.Experiments.Faults.c_timeline)
+                obs)))
+      timeline_ndjson;
+    Option.iter write_openmetrics openmetrics;
+    Option.iter write_metrics_json metrics_json;
     `Ok ()
   in
   Cmd.v (Cmd.info "faults" ~doc)
@@ -828,30 +882,18 @@ let soak_cmd =
           0 results
       in
       Format.printf "@.monitors: %d violations@." total;
-      (match timeline_ndjson with
-      | None -> ()
-      | Some file ->
-          let oc = open_out file in
-          List.iter
-            (fun (r : Experiments.Soak.result) ->
-              output_string oc
-                (Obs.Timeline.to_ndjson
-                   ~tags:
-                     [
-                       ( "case",
-                         "soak/" ^ Verif.Sut.label r.r_proto );
-                     ]
-                   r.r_timeline))
-            results;
-          close_out oc;
-          Format.eprintf "timelines written to %s@." file);
-      (match openmetrics with
-      | None -> ()
-      | Some file ->
-          let oc = open_out file in
-          output_string oc (Obs.Openmetrics.of_metrics (Obs.Metrics.default ()));
-          close_out oc;
-          Format.eprintf "openmetrics written to %s@." file);
+      Option.iter
+        (fun file ->
+          write_file ~what:"timelines" file
+            (String.concat ""
+               (List.map
+                  (fun (r : Experiments.Soak.result) ->
+                    Obs.Timeline.to_ndjson
+                      ~tags:[ ("case", "soak/" ^ Verif.Sut.label r.r_proto) ]
+                      r.r_timeline)
+                  results)))
+        timeline_ndjson;
+      Option.iter write_openmetrics openmetrics;
       if List.exists Experiments.Soak.failed results then exit 1;
       `Ok ()
     end
@@ -988,32 +1030,12 @@ let churn_cmd =
             o.Experiments.Churn.o_hot_series
             (if o.Experiments.Churn.o_spilled then " (tail in _other)" else ""))
         outcomes;
-      (match json with
-      | None -> ()
-      | Some file ->
-          let oc = open_out file in
-          output_string oc
-            (Obs.Json.to_string (Experiments.Churn.to_json outcomes));
-          output_char oc '\n';
-          close_out oc;
-          Format.eprintf "outcomes written to %s@." file);
-      (match openmetrics with
-      | None -> ()
-      | Some file ->
-          let oc = open_out file in
-          output_string oc (Obs.Openmetrics.of_metrics (Obs.Metrics.default ()));
-          close_out oc;
-          Format.eprintf "openmetrics written to %s@." file);
-      (match metrics_json with
-      | None -> ()
-      | Some file ->
-          let snap = Obs.Metrics.snapshot (Obs.Metrics.default ()) in
-          let oc = open_out file in
-          output_string oc
-            (Obs.Json.to_string (Obs.Metrics.snapshot_to_json snap));
-          output_char oc '\n';
-          close_out oc;
-          Format.eprintf "metrics snapshot written to %s@." file);
+      Option.iter
+        (fun file ->
+          write_json ~what:"outcomes" file (Experiments.Churn.to_json outcomes))
+        json;
+      Option.iter write_openmetrics openmetrics;
+      Option.iter write_metrics_json metrics_json;
       `Ok ()
     end
   in
@@ -1041,6 +1063,10 @@ let report_cmd =
     Arg.(value & opt float 50.0 & info [ "interval" ] ~docv:"DT" ~doc)
   in
   let run seed out interval =
+    if (not (Float.is_finite interval)) || interval <= 0.0 then
+      usage_error
+        "report: --interval needs a positive sampling interval (simulated \
+         time units)";
     let instrument =
       {
         Experiments.Faults.i_timeline = Some interval;
@@ -1052,11 +1078,7 @@ let report_cmd =
     let md = Experiments.Report.markdown ~seed ~outcomes ~obs ~join_latency () in
     match out with
     | None -> print_string md
-    | Some file ->
-        let oc = open_out file in
-        output_string oc md;
-        close_out oc;
-        Format.eprintf "report written to %s@." file
+    | Some file -> write_file ~what:"report" file md
   in
   Cmd.v (Cmd.info "report" ~doc)
     Term.(const run $ seed_arg $ out $ interval)
@@ -1170,45 +1192,39 @@ let verify_cmd =
           Verif.Scenario.pp_events events
           (Fault.Plan.to_string (Verif.Scenario.to_plan events)))
       shrunk;
-    (match json with
-    | None -> ()
-    | Some file ->
-        let j =
-          Obs.Json.Obj
-            [
-              ("protocol", Obs.Json.String (Verif.Sut.name protocol));
-              ("depth", Obs.Json.Int outcome.Verif.Explore.depth);
-              ("seed", Obs.Json.Int outcome.Verif.Explore.seed);
-              ("states_explored", Obs.Json.Int outcome.Verif.Explore.states);
-              ("transitions", Obs.Json.Int outcome.Verif.Explore.transitions);
-              ("oracle_checks", Obs.Json.Int outcome.Verif.Explore.oracle_checks);
-              ( "oscillations",
-                Obs.Json.Int (List.length outcome.Verif.Explore.oscillations) );
-              ( "counterexamples",
-                Obs.Json.List
-                  (List.map
-                     (fun (cx, events) ->
-                       Obs.Json.Obj
-                         [
-                           ( "oracles",
-                             Obs.Json.List
-                               (List.map
-                                  (fun (v : Verif.Oracle.violation) ->
-                                    Obs.Json.String v.Verif.Oracle.oracle)
-                                  cx.Verif.Explore.violations) );
-                           ( "plan",
-                             Obs.Json.String
-                               (Fault.Plan.to_string
-                                  (Verif.Scenario.to_plan events)) );
-                         ])
-                     shrunk) );
-            ]
-        in
-        let oc = open_out file in
-        output_string oc (Obs.Json.to_string j);
-        output_char oc '\n';
-        close_out oc;
-        Format.eprintf "outcome written to %s@." file);
+    Option.iter
+      (fun file ->
+        write_json ~what:"outcome" file
+          (Obs.Json.Obj
+             [
+               ("protocol", Obs.Json.String (Verif.Sut.name protocol));
+               ("depth", Obs.Json.Int outcome.Verif.Explore.depth);
+               ("seed", Obs.Json.Int outcome.Verif.Explore.seed);
+               ("states_explored", Obs.Json.Int outcome.Verif.Explore.states);
+               ("transitions", Obs.Json.Int outcome.Verif.Explore.transitions);
+               ("oracle_checks", Obs.Json.Int outcome.Verif.Explore.oracle_checks);
+               ( "oscillations",
+                 Obs.Json.Int (List.length outcome.Verif.Explore.oscillations) );
+               ( "counterexamples",
+                 Obs.Json.List
+                   (List.map
+                      (fun (cx, events) ->
+                        Obs.Json.Obj
+                          [
+                            ( "oracles",
+                              Obs.Json.List
+                                (List.map
+                                   (fun (v : Verif.Oracle.violation) ->
+                                     Obs.Json.String v.Verif.Oracle.oracle)
+                                   cx.Verif.Explore.violations) );
+                            ( "plan",
+                              Obs.Json.String
+                                (Fault.Plan.to_string
+                                   (Verif.Scenario.to_plan events)) );
+                          ])
+                      shrunk) );
+             ]))
+      json;
     if outcome.Verif.Explore.counterexamples <> [] then exit 1
   in
   Cmd.v (Cmd.info "verify" ~doc)
@@ -1218,29 +1234,6 @@ let verify_cmd =
 
 let default =
   Term.(ret (const (`Help (`Pager, None))))
-
-(* The one exit-2 usage printer: every "bad invocation" path funnels
-   through here, so the flag inventory (verify's included) lives in a
-   single place. *)
-let print_usage () =
-  Printf.eprintf
-    "usage: hbh_sim COMMAND [--seed N] [--runs N] [--jobs N] [--csv] \
-     [--protocol %s] [--metrics-json FILE]\n\
-    \       hbh_sim faults [--jobs N] [--timeline[=DT]] [--timeline-ndjson \
-     FILE] [--monitor] [--openmetrics FILE] [--scenario S]\n\
-    \       hbh_sim churn [--channels N] [--routers N] [--gen \
-     power-law|as-hierarchy] [--rate R] [--hold T] [--horizon T] \
-     [--sample-every DT] [--arm normal|stretched] [--protocol P] [--seed N] \
-     [--jobs N] [--json FILE] [--metrics-json FILE] [--openmetrics FILE]\n\
-    \       hbh_sim soak [--hours H] [--timeline-ndjson FILE] \
-     [--openmetrics FILE] [--protocol P] [--seed N]\n\
-    \       hbh_sim report [--out FILE] [--interval DT] [--seed N]\n\
-    \       hbh_sim verify --protocol %s [--depth N] \
-     [--states N] [--topology isp|rand50] [--seed N] [--jobs N] \
-     [--json FILE] [--inject-bug mark-decay] [--no-shrink]\n\
-     (try 'hbh_sim --help')\n"
-    (String.concat "|" protocol_names)
-    (String.concat "|" protocol_names)
 
 let () =
   let info =

@@ -106,6 +106,45 @@ let test_usage_advertises_hpim () =
     "usage lists hpim-dm" true
     (contains err "hbh|reunite|pim-ssm|hpim-dm")
 
+(* Values the runs would otherwise trip over deep inside (an array
+   sized by a negative count, a generator asked for a graph it cannot
+   build, a timeline with no sampling step) are bad invocations too. *)
+let test_negative_runs () =
+  List.iter
+    (fun cmd ->
+      let args = cmd ^ " --runs=-1" in
+      check_usage_exit args args ~msg:"expected a non-negative integer")
+    [
+      "fig7a"; "fig7b"; "fig8a"; "fig8b"; "all"; "scaling"; "rp-ablation";
+      "symmetry-ablation";
+    ]
+
+let test_scaling_tiny_sizes () =
+  List.iter
+    (fun n ->
+      let args = Printf.sprintf "scaling --large --sizes %d" n in
+      check_usage_exit args args ~msg:"--sizes entries must be >= 5")
+    [ 4; 0 ]
+
+let test_report_zero_interval () =
+  check_usage_exit "report --interval 0" "report --interval 0"
+    ~msg:"--interval needs a positive sampling interval"
+
+(* Every output file goes through one writer: a path that cannot be
+   opened is reported by name and exits 2, whichever flag named it. *)
+let test_unwritable_output () =
+  List.iter
+    (fun (args, file) ->
+      check_usage_exit args args ~msg:("cannot write " ^ file))
+    [
+      ("fig7a --runs 1 --metrics-json no-such-dir/m.json", "no-such-dir/m.json");
+      ("report --out no-such-dir/r.md", "no-such-dir/r.md");
+      ("verify --protocol hbh --depth 1 --json no-such-dir/v.json",
+        "no-such-dir/v.json");
+      ("scaling --large --sizes 5 --json no-such-dir/s.json",
+        "no-such-dir/s.json");
+    ]
+
 (* One good invocation end to end: the short soak must complete with
    silent monitors and exit 0 — the same gate the CI smoke greps. *)
 let test_soak_smoke () =
@@ -157,6 +196,14 @@ let () =
             test_validate_rejects_hpim;
           Alcotest.test_case "usage advertises hpim-dm" `Quick
             test_usage_advertises_hpim;
+          Alcotest.test_case "sweeps reject a negative --runs" `Quick
+            test_negative_runs;
+          Alcotest.test_case "scaling --large rejects --sizes below 5" `Quick
+            test_scaling_tiny_sizes;
+          Alcotest.test_case "report rejects a zero --interval" `Quick
+            test_report_zero_interval;
+          Alcotest.test_case "unwritable output paths exit 2" `Quick
+            test_unwritable_output;
         ] );
       ( "soak smoke",
         [
