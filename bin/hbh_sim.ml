@@ -4,23 +4,37 @@
 
 open Cmdliner
 
-(* Every --runs: a negative count is a bad invocation, rejected by the
-   parser rather than by the sweep that would size an array with it. *)
-let runs_conv =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= 0 -> Ok n
-    | _ ->
-        Error
-          (`Msg
-             (Printf.sprintf "invalid value '%s', expected a non-negative integer"
-                s))
-  in
-  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+(* ---- Option table ------------------------------------------------------ *)
 
-let runs_arg default =
-  let doc = "Simulation runs per group size (paper: 500)." in
-  Arg.(value & opt runs_conv default & info [ "runs" ] ~docv:"N" ~doc)
+(* Range checks run in the parser: a count or a duration out of range
+   is a bad invocation, rejected like a malformed one (exit 2), never a
+   run that sizes an array with it or reports a vacuous pass. *)
+let checked_conv of_string ok expected pp =
+  let parse s =
+    match of_string s with
+    | Some v when ok v -> Ok v
+    | _ -> Error (`Msg (Printf.sprintf "invalid value '%s', %s" s expected))
+  in
+  Arg.conv (parse, pp)
+
+(* [name], when given, is quoted in the diagnostic as "NAME must be >=
+   N" (the wording the CLI tests pin). *)
+let int_at_least ?name n =
+  let expected =
+    match name with
+    | Some name -> Printf.sprintf "%s must be >= %d" name n
+    | None when n = 0 -> "expected a non-negative integer"
+    | None -> Printf.sprintf "expected an integer >= %d" n
+  in
+  checked_conv int_of_string_opt (fun v -> v >= n) expected Format.pp_print_int
+
+let positive_float msg =
+  checked_conv float_of_string_opt
+    (fun v -> Float.is_finite v && v > 0.0)
+    msg Format.pp_print_float
+
+let runs_arg ?(doc = "Simulation runs per group size (paper: 500).") default =
+  Arg.(value & opt (int_at_least 0) default & info [ "runs" ] ~docv:"N" ~doc)
 
 let seed_arg =
   let doc = "Master random seed; equal seeds reproduce results exactly." in
@@ -39,7 +53,22 @@ let jobs_arg =
      byte-identical to $(b,--jobs 1) — parallelism changes wall time, \
      never results."
   in
-  Arg.(value & opt int 1 & info [ "jobs" ] ~docv:"N" ~doc)
+  Arg.(value & opt (int_at_least 1) 1 & info [ "jobs" ] ~docv:"N" ~doc)
+
+(* Every output file flag; the file is written by [write_file]. *)
+let file_arg names doc =
+  Arg.(value & opt (some string) None & info names ~docv:"FILE" ~doc)
+
+let json_arg doc = file_arg [ "json" ] doc
+let timeline_ndjson_arg doc = file_arg [ "timeline-ndjson" ] doc
+
+let metrics_json_arg =
+  file_arg [ "metrics-json" ]
+    "Write the metrics registry snapshot as JSON to $(docv)."
+
+let openmetrics_arg =
+  file_arg [ "openmetrics" ]
+    "Write the metrics registry in OpenMetrics text format to $(docv)."
 
 (* One converter, built from the protocol registry, shared by every
    subcommand that takes [--protocol]: the registry's names and aliases
@@ -64,39 +93,33 @@ let protocol_conv =
 let protocol_doc =
   String.concat ", " (List.map (fun n -> "$(b," ^ n ^ ")") protocol_names)
 
+let protocol_info doc = Arg.info [ "protocol" ] ~docv:"P" ~doc
+
+let protocols_arg ~default =
+  let doc =
+    Printf.sprintf
+      "Restrict the run to protocol $(docv) (one of %s); repeatable. \
+       Default: every protocol the subcommand supports."
+      protocol_doc
+  in
+  Arg.(value & opt_all protocol_conv default & protocol_info doc)
+
 (* The one exit-2 usage printer: every "bad invocation" path funnels
-   through here, so the flag inventory (verify's included) lives in a
-   single place. *)
+   through here.  Per-command flags are not listed: Cmdliner renders
+   them from the option table as each command's --help. *)
 let print_usage () =
   Printf.eprintf
-    "usage: hbh_sim COMMAND [--seed N] [--runs N] [--jobs N] [--csv] \
-     [--protocol %s] [--metrics-json FILE]\n\
-    \       hbh_sim faults [--jobs N] [--timeline[=DT]] [--timeline-ndjson \
-     FILE] [--monitor] [--openmetrics FILE] [--scenario S]\n\
-    \       hbh_sim churn [--channels N] [--routers N] [--gen \
-     power-law|as-hierarchy] [--rate R] [--hold T] [--horizon T] \
-     [--sample-every DT] [--arm normal|stretched] [--protocol P] [--seed N] \
-     [--jobs N] [--json FILE] [--metrics-json FILE] [--openmetrics FILE]\n\
-    \       hbh_sim soak [--hours H] [--timeline-ndjson FILE] \
-     [--openmetrics FILE] [--protocol P] [--seed N]\n\
-    \       hbh_sim report [--out FILE] [--interval DT] [--seed N]\n\
-    \       hbh_sim verify --protocol %s [--depth N] \
-     [--states N] [--topology isp|rand50] [--seed N] [--jobs N] \
-     [--json FILE] [--inject-bug mark-decay] [--no-shrink]\n\
-     (try 'hbh_sim --help')\n"
-    (String.concat "|" protocol_names)
+    "usage: hbh_sim COMMAND [OPTION]...  (--protocol %s where taken)\n\
+     (try 'hbh_sim --help' or 'hbh_sim COMMAND --help')\n"
     (String.concat "|" protocol_names)
 
-(* A bad invocation found after parsing (a value out of range, an
+(* A bad invocation found after parsing (a cross-flag constraint, an
    unwritable output path) leaves the same way Cmdliner's own
    rejections do: the diagnostic, the shared usage, exit 2. *)
 let usage_error msg =
   Printf.eprintf "hbh_sim: %s\n" msg;
   print_usage ();
   exit 2
-
-let check_jobs jobs =
-  if jobs < 1 then usage_error (Printf.sprintf "--jobs must be >= 1 (got %d)" jobs)
 
 (* The one output writer.  [what] announces the file on stderr
    ("<what> written to FILE"); the bytes are [contents] exactly. *)
@@ -130,107 +153,91 @@ let write_openmetrics file =
   write_file ~what:"openmetrics" file
     (Obs.Openmetrics.of_metrics (Obs.Metrics.default ()))
 
-let protocols_arg =
-  let doc =
-    Printf.sprintf
-      "Restrict the run to protocol $(docv) (one of %s); repeatable. \
-       Default: every protocol the subcommand supports."
-      protocol_doc
-  in
-  Arg.(value & opt_all protocol_conv [] & info [ "protocol" ] ~docv:"P" ~doc)
-
 let print_group ~csv group =
   if csv then print_string (Stats.Series.to_csv group)
   else Stats.Series.render Format.std_formatter group
 
+let topo_config ~seed = function
+  | `Isp -> Experiments.Common.isp_config ()
+  | `Rand50 -> Experiments.Common.rand50_config ~seed
+
 (* ---- Observability ---------------------------------------------------- *)
 
-type obs_opts = {
-  trace : int option;
-  trace_verbose : bool;
-  metrics : bool;
-  metrics_json : string option;
-}
+let trace_arg =
+  let doc =
+    "Record typed protocol events (joins, tree refreshes, fusions, table \
+     updates) during a companion event-driven run and print the last \
+     $(docv) of them (default 40) after the command's own output."
+  in
+  Arg.(
+    value
+    & opt ~vopt:(Some 40) (some (int_at_least 0)) None
+    & info [ "trace" ] ~docv:"N" ~doc)
 
-let obs_term =
-  let trace =
-    let doc =
-      "Record typed protocol events (joins, tree refreshes, fusions, table \
-       updates) during a companion event-driven run and print the last \
-       $(docv) of them (default 40) after the command's own output."
-    in
-    Arg.(
-      value
-      & opt ~vopt:(Some 40) (some int) None
-      & info [ "trace" ] ~docv:"N" ~doc)
+let trace_verbose_arg =
+  let doc =
+    "With $(b,--trace): also record per-packet forward and duplicate \
+     events (high volume)."
   in
-  let trace_verbose =
-    let doc =
-      "With $(b,--trace): also record per-packet forward and duplicate \
-       events (high volume)."
-    in
-    Arg.(value & flag & info [ "trace-verbose" ] ~doc)
-  in
-  let metrics =
-    let doc =
-      "Print the metrics registry snapshot (protocol message counters, \
-       network accounting, delay histogram) and the companion run's engine \
-       profiles."
-    in
-    Arg.(value & flag & info [ "metrics" ] ~doc)
-  in
-  let metrics_json =
-    let doc = "Write the metrics registry snapshot as JSON to $(docv)." in
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics-json" ] ~docv:"FILE" ~doc)
-  in
-  Term.(
-    const (fun trace trace_verbose metrics metrics_json ->
-        { trace; trace_verbose; metrics; metrics_json })
-    $ trace $ trace_verbose $ metrics $ metrics_json)
+  Arg.(value & flag & info [ "trace-verbose" ] ~doc)
 
-(* The figure commands are analytic (no event engine), so protocol
+let metrics_arg =
+  let doc =
+    "Print the metrics registry snapshot (protocol message counters, \
+     network accounting, delay histogram) and the companion run's engine \
+     profiles."
+  in
+  Arg.(value & flag & info [ "metrics" ] ~doc)
+
+(* One constructor for the subcommands that take --seed and the
+   observability flags: the analytic figures, ablations and demos, and
+   validate.  [term] yields the run for a seed.
+
+   The figure commands are analytic (no event engine), so protocol
    message telemetry has nothing to record during them.  When an
    observability flag is given we therefore also run one event-driven
-   HBH + REUNITE convergence sample on the command's topology
+   HBH + REUNITE convergence sample on the [topo] topology
    ({!Experiments.Common.instrumented_sample}) with profiling on; its
    counters, typed events and engine profiles join the snapshot. *)
-let with_obs o ~seed ~companion run =
-  if o.trace = None && (not o.metrics) && o.metrics_json = None then run ()
-  else begin
-    let trace = Obs.Trace.create ~enabled:true () in
-    if o.trace_verbose then Obs.Trace.set_verbose trace true;
-    run ();
-    let sample =
-      Experiments.Common.instrumented_sample ~trace ~seed (companion ())
-    in
-    (match o.trace with
-    | None -> ()
-    | Some n ->
-        let evs = Obs.Trace.last trace n in
-        Format.printf
-          "@.== Trace: last %d of %d events (companion run, %d receivers) ==@."
-          (List.length evs) (Obs.Trace.length trace) sample.sample_size;
-        if Obs.Trace.dropped trace > 0 then
+let analytic name ~doc ?(topo = `Isp) term =
+  let run last verbose metrics metrics_json seed body =
+    if last = None && (not metrics) && metrics_json = None then body seed
+    else begin
+      let trace = Obs.Trace.create ~enabled:true () in
+      if verbose then Obs.Trace.set_verbose trace true;
+      body seed;
+      let sample =
+        Experiments.Common.instrumented_sample ~trace ~seed
+          (topo_config ~seed topo)
+      in
+      (match last with
+      | None -> ()
+      | Some n ->
+          let evs = Obs.Trace.last trace n in
           Format.printf
-            "(ring truncated: %d older events dropped, high water %d)@."
-            (Obs.Trace.dropped trace)
-            (Obs.Trace.high_water trace);
-        List.iter (fun e -> Format.printf "%a@." Obs.Event.pp e) evs);
-    let snap = Obs.Metrics.snapshot (Obs.Metrics.default ()) in
-    if o.metrics then begin
-      Format.printf "@.== Metrics ==@.%a@." Obs.Metrics.pp_snapshot snap;
-      Format.printf "@.== HBH engine profile (companion run) ==@.%a@."
-        Eventsim.Engine.pp_profile sample.hbh_profile;
-      Format.printf "@.== REUNITE engine profile (companion run) ==@.%a@."
-        Eventsim.Engine.pp_profile sample.reunite_profile
-    end;
-    Option.iter write_metrics_json o.metrics_json
-  end
-
-let isp_companion () = Experiments.Common.isp_config ()
+            "@.== Trace: last %d of %d events (companion run, %d receivers) ==@."
+            (List.length evs) (Obs.Trace.length trace) sample.sample_size;
+          if Obs.Trace.dropped trace > 0 then
+            Format.printf
+              "(ring truncated: %d older events dropped, high water %d)@."
+              (Obs.Trace.dropped trace)
+              (Obs.Trace.high_water trace);
+          List.iter (fun e -> Format.printf "%a@." Obs.Event.pp e) evs);
+      let snap = Obs.Metrics.snapshot (Obs.Metrics.default ()) in
+      if metrics then begin
+        Format.printf "@.== Metrics ==@.%a@." Obs.Metrics.pp_snapshot snap;
+        Format.printf "@.== HBH engine profile (companion run) ==@.%a@."
+          Eventsim.Engine.pp_profile sample.hbh_profile;
+        Format.printf "@.== REUNITE engine profile (companion run) ==@.%a@."
+          Eventsim.Engine.pp_profile sample.reunite_profile
+      end;
+      Option.iter write_metrics_json metrics_json
+    end
+  in
+  Cmd.v (Cmd.info name ~doc)
+    Term.(
+      const run $ trace_arg $ trace_verbose_arg $ metrics_arg
+      $ metrics_json_arg $ seed_arg $ term)
 
 let print_headline label (r : Experiments.Common.result) =
   let h = Experiments.Figures.headline r in
@@ -238,133 +245,114 @@ let print_headline label (r : Experiments.Common.result) =
     label h.hbh_cost_advantage_pct h.hbh_delay_advantage_pct
 
 let fig_cmd name figure ~cost ~topo =
+  let where, label, sweep =
+    match topo with
+    | `Isp -> ("ISP topology", "ISP topology", Experiments.Figures.isp)
+    | `Rand50 ->
+        ( "50-node random topology",
+          "random topology",
+          Experiments.Figures.rand50 )
+  in
   let doc =
-    Printf.sprintf "Reproduce figure %s: %s on the %s."
-      figure
+    Printf.sprintf "Reproduce figure %s: %s on the %s." figure
       (if cost then "average tree cost (packet copies)"
        else "average receiver delay")
-      (match topo with `Isp -> "ISP topology" | `Rand50 -> "50-node random topology")
+      where
   in
-  let run o runs seed jobs csv =
-    check_jobs jobs;
-    let companion () =
-      match topo with
-      | `Isp -> Experiments.Common.isp_config ()
-      | `Rand50 -> Experiments.Common.rand50_config ~seed
-    in
-    with_obs o ~seed ~companion (fun () ->
-        let result =
-          match topo with
-          | `Isp -> Experiments.Figures.isp ~runs ~seed ~jobs ()
-          | `Rand50 -> Experiments.Figures.rand50 ~runs ~seed ~jobs ()
-        in
-        print_group ~csv (if cost then result.cost else result.delay);
-        if not csv then
-          print_headline
-            (match topo with
-            | `Isp -> "ISP topology"
-            | `Rand50 -> "random topology")
-            result)
+  let run runs jobs csv seed =
+    let result = sweep ~runs ~seed ~jobs () in
+    print_group ~csv (if cost then result.cost else result.delay);
+    if not csv then print_headline label result
   in
-  Cmd.v (Cmd.info name ~doc)
-    Term.(const run $ obs_term $ runs_arg 500 $ seed_arg $ jobs_arg $ csv_arg)
+  analytic name ~doc ~topo Term.(const run $ runs_arg 500 $ jobs_arg $ csv_arg)
 
 let all_cmd =
   let doc = "Reproduce all four evaluation figures (7a, 7b, 8a, 8b)." in
-  let run o runs seed jobs csv =
-    check_jobs jobs;
-    with_obs o ~seed ~companion:isp_companion (fun () ->
-        let isp = Experiments.Figures.isp ~runs ~seed ~jobs () in
-        let rand = Experiments.Figures.rand50 ~runs ~seed ~jobs () in
-        Format.printf "== Figure 7(a) ==@.";
-        print_group ~csv isp.cost;
-        Format.printf "@.== Figure 7(b) ==@.";
-        print_group ~csv rand.cost;
-        Format.printf "@.== Figure 8(a) ==@.";
-        print_group ~csv isp.delay;
-        Format.printf "@.== Figure 8(b) ==@.";
-        print_group ~csv rand.delay;
-        if not csv then begin
-          print_headline "ISP topology" isp;
-          print_headline "random topology" rand
-        end)
+  let run runs jobs csv seed =
+    let isp = Experiments.Figures.isp ~runs ~seed ~jobs () in
+    let rand = Experiments.Figures.rand50 ~runs ~seed ~jobs () in
+    Format.printf "== Figure 7(a) ==@.";
+    print_group ~csv isp.cost;
+    Format.printf "@.== Figure 7(b) ==@.";
+    print_group ~csv rand.cost;
+    Format.printf "@.== Figure 8(a) ==@.";
+    print_group ~csv isp.delay;
+    Format.printf "@.== Figure 8(b) ==@.";
+    print_group ~csv rand.delay;
+    if not csv then begin
+      print_headline "ISP topology" isp;
+      print_headline "random topology" rand
+    end
   in
-  Cmd.v (Cmd.info "all" ~doc)
-    Term.(const run $ obs_term $ runs_arg 500 $ seed_arg $ jobs_arg $ csv_arg)
+  analytic "all" ~doc Term.(const run $ runs_arg 500 $ jobs_arg $ csv_arg)
 
 let stability_cmd =
   let doc =
     "Tree reconfiguration after one member departure (Figure 4's claim)."
   in
-  let run o runs seed csv =
-    with_obs o ~seed ~companion:isp_companion (fun () ->
-        let result =
-          Experiments.Stability.run ~runs ~seed
-            (Experiments.Common.isp_config ())
-        in
-        let routers, routes = Experiments.Stability.to_groups result in
-        print_group ~csv routers;
-        Format.printf "@.";
-        print_group ~csv routes)
+  let run runs csv seed =
+    let result =
+      Experiments.Stability.run ~runs ~seed
+        (Experiments.Common.isp_config ())
+    in
+    let routers, routes = Experiments.Stability.to_groups result in
+    print_group ~csv routers;
+    Format.printf "@.";
+    print_group ~csv routes
   in
-  Cmd.v (Cmd.info "stability" ~doc)
-    Term.(const run $ obs_term $ runs_arg 200 $ seed_arg $ csv_arg)
+  analytic "stability" ~doc Term.(const run $ runs_arg 200 $ csv_arg)
 
 let state_cmd =
   let doc = "Control-plane state footprint (MCT/MFT entries) vs group size." in
-  let run o runs seed csv =
-    with_obs o ~seed ~companion:isp_companion (fun () ->
-        let result =
-          Experiments.State.run ~runs ~seed (Experiments.Common.isp_config ())
-        in
-        print_group ~csv result.mft;
-        Format.printf "@.";
-        print_group ~csv result.mct;
-        Format.printf "@.";
-        print_group ~csv result.branching)
+  let run runs csv seed =
+    let result =
+      Experiments.State.run ~runs ~seed (Experiments.Common.isp_config ())
+    in
+    print_group ~csv result.mft;
+    Format.printf "@.";
+    print_group ~csv result.mct;
+    Format.printf "@.";
+    print_group ~csv result.branching
   in
-  Cmd.v (Cmd.info "state" ~doc)
-    Term.(const run $ obs_term $ runs_arg 200 $ seed_arg $ csv_arg)
+  analytic "state" ~doc Term.(const run $ runs_arg 200 $ csv_arg)
 
 let demo_asymmetry_cmd =
   let doc =
     "Figure 2/5 walk-through: REUNITE serves r2 on a detour; HBH on the \
      shortest path."
   in
-  let run o seed =
-    with_obs o ~seed ~companion:isp_companion (fun () ->
-        let module D = Experiments.Scenarios.Detour in
-        Format.printf
-          "Topology: the Section 2.3 example (S=0, R1..R4=1..4, r1=5, r2=6).@.";
-        (match D.reunite_r2_path () with
-        | Some p ->
-            Format.printf "REUNITE data path to r2: %a@." Routing.Path.pp p
-        | None -> Format.printf "REUNITE data path to r2: (none)@.");
-        Format.printf "HBH data path to r2:     %a@." Routing.Path.pp
-          (D.hbh_r2_path ());
-        Format.printf "Extra delay REUNITE imposes on r2: %.1f time units@."
-          (D.delay_gap ()))
+  let run _seed =
+    let module D = Experiments.Scenarios.Detour in
+    Format.printf
+      "Topology: the Section 2.3 example (S=0, R1..R4=1..4, r1=5, r2=6).@.";
+    (match D.reunite_r2_path () with
+    | Some p ->
+        Format.printf "REUNITE data path to r2: %a@." Routing.Path.pp p
+    | None -> Format.printf "REUNITE data path to r2: (none)@.");
+    Format.printf "HBH data path to r2:     %a@." Routing.Path.pp
+      (D.hbh_r2_path ());
+    Format.printf "Extra delay REUNITE imposes on r2: %.1f time units@."
+      (D.delay_gap ())
   in
-  Cmd.v (Cmd.info "demo-asymmetry" ~doc) Term.(const run $ obs_term $ seed_arg)
+  analytic "demo-asymmetry" ~doc (Term.const run)
 
 let demo_duplication_cmd =
   let doc =
     "Figure 3 walk-through: REUNITE duplicates packets on a shared link; HBH \
      does not."
   in
-  let run o seed =
-    with_obs o ~seed ~companion:isp_companion (fun () ->
-        let module D = Experiments.Scenarios.Duplication in
-        let u, v = D.shared_link in
-        Format.printf
-          "Topology: the Figure 3 example; shared link R1-R6 is (%d,%d).@." u v;
-        Format.printf "Copies on the shared link: REUNITE %d, HBH %d@."
-          (D.reunite_copies_on_shared_link ())
-          (D.hbh_copies_on_shared_link ());
-        Format.printf "Tree cost: REUNITE %d, HBH %d@." (D.reunite_cost ())
-          (D.hbh_cost ()))
+  let run _seed =
+    let module D = Experiments.Scenarios.Duplication in
+    let u, v = D.shared_link in
+    Format.printf
+      "Topology: the Figure 3 example; shared link R1-R6 is (%d,%d).@." u v;
+    Format.printf "Copies on the shared link: REUNITE %d, HBH %d@."
+      (D.reunite_copies_on_shared_link ())
+      (D.hbh_copies_on_shared_link ());
+    Format.printf "Tree cost: REUNITE %d, HBH %d@." (D.reunite_cost ())
+      (D.hbh_cost ())
   in
-  Cmd.v (Cmd.info "demo-duplication" ~doc) Term.(const run $ obs_term $ seed_arg)
+  analytic "demo-duplication" ~doc (Term.const run)
 
 let scaling_large ~seed ~sizes ~json =
   let points = Experiments.Scaling.large ~seed ?sizes () in
@@ -408,57 +396,43 @@ let scaling_cmd =
   in
   let sizes_arg =
     let doc = "Router counts for $(b,--large) (default 50,200,500,1000)." in
+    (* The fast-path graphs have average degree 4: fewer than 5
+       routers cannot carry it. *)
+    let size = int_at_least ~name:"--sizes entries" 5 in
     Arg.(
       value
-      & opt (some (list int)) None
+      & opt (some (list size)) None
       & info [ "sizes" ] ~docv:"N,N,..." ~doc)
   in
-  let json_arg =
-    let doc = "With $(b,--large): also write the points as JSON to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
-  in
-  let run o runs seed jobs csv large sizes json =
-    check_jobs jobs;
-    if large then begin
-      (* The fast-path graphs have average degree 4: fewer than 5
-         routers cannot carry it. *)
-      (match List.find_opt (fun n -> n < 5) (Option.value sizes ~default:[]) with
-      | Some n ->
-          usage_error
-            (Printf.sprintf "scaling: --sizes entries must be >= 5 (got %d)" n)
-      | None -> ());
-      scaling_large ~seed ~sizes ~json
-    end
+  let run runs jobs csv large sizes json seed =
+    if large then scaling_large ~seed ~sizes ~json
     else begin
-      with_obs o ~seed
-        ~companion:(fun () -> Experiments.Common.rand50_config ~seed)
-        (fun () ->
-          Format.printf
-            "== Advantage vs connectivity (50 routers, 10 receivers) ==@.";
-          print_group ~csv
-            (Experiments.Scaling.group ~x_label:"avg degree x10"
-               (Experiments.Scaling.connectivity ~runs ~seed ~jobs ()));
-          Format.printf
-            "@.== Advantage vs network size (degree 4, n/5 receivers) ==@.";
-          print_group ~csv
-            (Experiments.Scaling.group ~x_label:"routers"
-               (Experiments.Scaling.size ~runs ~seed ~jobs ())))
+      Format.printf
+        "== Advantage vs connectivity (50 routers, 10 receivers) ==@.";
+      print_group ~csv
+        (Experiments.Scaling.group ~x_label:"avg degree x10"
+           (Experiments.Scaling.connectivity ~runs ~seed ~jobs ()));
+      Format.printf
+        "@.== Advantage vs network size (degree 4, n/5 receivers) ==@.";
+      print_group ~csv
+        (Experiments.Scaling.group ~x_label:"routers"
+           (Experiments.Scaling.size ~runs ~seed ~jobs ()))
     end
   in
-  Cmd.v (Cmd.info "scaling" ~doc)
+  analytic "scaling" ~doc ~topo:`Rand50
     Term.(
-      const run $ obs_term $ runs_arg 150 $ seed_arg $ jobs_arg $ csv_arg
-      $ large_arg $ sizes_arg $ json_arg)
+      const run $ runs_arg 150 $ jobs_arg $ csv_arg $ large_arg $ sizes_arg
+      $ json_arg "With $(b,--large): also write the points as JSON to $(docv).")
 
 let symmetry_cmd =
   let doc =
     "Ablation: rerun the cost/delay comparison with symmetric link costs — \
      REUNITE's penalty (the paper's thesis) should collapse."
   in
-  let run o runs seed csv =
-    with_obs o ~seed ~companion:isp_companion @@ fun () ->
+  let run runs csv seed =
     let r =
-      Experiments.Ablations.symmetry ~runs ~seed (Experiments.Common.isp_config ())
+      Experiments.Ablations.symmetry ~runs ~seed
+        (Experiments.Common.isp_config ())
     in
     Format.printf "== Asymmetric costs (paper's setting) ==@.";
     print_group ~csv r.asymmetric.cost;
@@ -479,28 +453,23 @@ let symmetry_cmd =
         a.hbh_delay_advantage_pct s.hbh_delay_advantage_pct
     end
   in
-  Cmd.v (Cmd.info "symmetry-ablation" ~doc)
-    Term.(const run $ obs_term $ runs_arg 200 $ seed_arg $ csv_arg)
+  analytic "symmetry-ablation" ~doc Term.(const run $ runs_arg 200 $ csv_arg)
 
 let overhead_cmd =
   let doc =
     "Steady-state control-plane overhead of the live HBH and REUNITE \
      protocols (message link-traversals per tree period)."
   in
-  let runs =
-    Arg.(value & opt runs_conv 5 & info [ "runs" ] ~docv:"N" ~doc:"Runs per size.")
+  let run runs csv seed =
+    let points =
+      Experiments.Ablations.overhead ~runs ~seed
+        ~sizes:[ 2; 4; 8; 12; 16 ]
+        (Experiments.Common.isp_config ())
+    in
+    print_group ~csv (Experiments.Ablations.overhead_group points)
   in
-  let run o runs seed csv =
-    with_obs o ~seed ~companion:isp_companion (fun () ->
-        let points =
-          Experiments.Ablations.overhead ~runs ~seed
-            ~sizes:[ 2; 4; 8; 12; 16 ]
-            (Experiments.Common.isp_config ())
-        in
-        print_group ~csv (Experiments.Ablations.overhead_group points))
-  in
-  Cmd.v (Cmd.info "overhead" ~doc)
-    Term.(const run $ obs_term $ runs $ seed_arg $ csv_arg)
+  analytic "overhead" ~doc
+    Term.(const run $ runs_arg ~doc:"Runs per size." 5 $ csv_arg)
 
 let validate_cmd =
   let doc =
@@ -509,7 +478,8 @@ let validate_cmd =
   in
   let scenarios =
     Arg.(
-      value & opt int 30
+      value
+      & opt (int_at_least 0) 30
       & info [ "scenarios" ] ~docv:"N" ~doc:"Randomized scenarios per protocol.")
   in
   (* The protocols with an analytic oracle, in run order. *)
@@ -519,43 +489,36 @@ let validate_cmd =
       (Verif.Sut.Reunite, Experiments.Validate.reunite);
     ]
   in
-  let run o scenarios seed protocols =
-    let protocols =
-      match protocols with [] -> List.map fst oracles | ps -> ps
-    in
-    match
-      List.find_opt (fun p -> not (List.mem_assoc p oracles)) protocols
-    with
-    | Some p ->
-        `Error
-          ( false,
-            Printf.sprintf
-              "validate has no analytic %s oracle; --protocol must be %s"
-              (Verif.Sut.label p)
-              (String.concat " or "
-                 (List.map (fun (p, _) -> Verif.Sut.name p) oracles)) )
-    | None ->
-        with_obs o ~seed ~companion:isp_companion (fun () ->
-            let config = Experiments.Common.isp_config () in
-            List.iter
-              (fun p ->
-                Format.printf "%-27s%a@."
-                  (Verif.Sut.label p ^ " event vs analytic:")
-                  Experiments.Validate.pp
-                  ((List.assoc p oracles) ~scenarios ~seed config))
-              protocols);
-        `Ok ()
+  let run scenarios protocols seed =
+    List.iter
+      (fun p ->
+        if not (List.mem_assoc p oracles) then
+          usage_error
+            (Printf.sprintf
+               "validate has no analytic %s oracle; --protocol must be %s"
+               (Verif.Sut.label p)
+               (String.concat " or "
+                  (List.map (fun (p, _) -> Verif.Sut.name p) oracles))))
+      protocols;
+    let config = Experiments.Common.isp_config () in
+    List.iter
+      (fun p ->
+        Format.printf "%-27s%a@."
+          (Verif.Sut.label p ^ " event vs analytic:")
+          Experiments.Validate.pp
+          ((List.assoc p oracles) ~scenarios ~seed config))
+      protocols
   in
-  Cmd.v (Cmd.info "validate" ~doc)
-    Term.(ret (const run $ obs_term $ scenarios $ seed_arg $ protocols_arg))
+  analytic "validate" ~doc
+    Term.(
+      const run $ scenarios $ protocols_arg ~default:(List.map fst oracles))
 
 let rp_ablation_cmd =
   let doc =
     "Ablation: PIM-SM receiver delay under different rendez-vous-point \
      placement strategies, against PIM-SS and HBH."
   in
-  let run o runs seed csv =
-    with_obs o ~seed ~companion:isp_companion @@ fun () ->
+  let run runs csv seed =
     let config = Experiments.Common.isp_config () in
     let strategies =
       [
@@ -594,13 +557,11 @@ let rp_ablation_cmd =
     in
     print_group ~csv group
   in
-  Cmd.v (Cmd.info "rp-ablation" ~doc)
-    Term.(const run $ obs_term $ runs_arg 150 $ seed_arg $ csv_arg)
+  analytic "rp-ablation" ~doc Term.(const run $ runs_arg 150 $ csv_arg)
 
 let asymmetry_cmd =
   let doc = "Measure unicast route asymmetry on the evaluation topologies." in
-  let run o seed =
-    with_obs o ~seed ~companion:isp_companion @@ fun () ->
+  let run seed =
     let rng = Stats.Rng.create seed in
     let show label g =
       Workload.Scenario.randomize rng g;
@@ -619,7 +580,7 @@ let asymmetry_cmd =
     in
     show "50-node random topology" g50
   in
-  Cmd.v (Cmd.info "asymmetry" ~doc) Term.(const run $ obs_term $ seed_arg)
+  analytic "asymmetry" ~doc (Term.const run)
 
 let faults_cmd =
   let doc =
@@ -629,12 +590,6 @@ let faults_cmd =
      restoration) and a 30% loss burst, with routing reconvergence after \
      each topology change.  Deterministic in $(b,--seed): equal seeds \
      reproduce the report and the metrics snapshot bit for bit."
-  in
-  let metrics_json =
-    let doc = "Write the metrics registry snapshot as JSON to $(docv)." in
-    Arg.(
-      value & opt (some string) None
-      & info [ "metrics-json" ] ~docv:"FILE" ~doc)
   in
   let scenario =
     let doc =
@@ -655,19 +610,19 @@ let faults_cmd =
        control hops) every $(docv) simulated time units (default 50) and \
        print them after the report."
     in
+    let interval =
+      positive_float
+        "--timeline needs a positive sampling interval (simulated time units)"
+    in
     Arg.(
       value
-      & opt ~vopt:(Some 50.0) (some float) None
+      & opt ~vopt:(Some 50.0) (some interval) None
       & info [ "timeline" ] ~docv:"DT" ~doc)
   in
   let timeline_ndjson =
-    let doc =
+    timeline_ndjson_arg
       "Write the sampled timelines as NDJSON (one row per sample, tagged \
        with its case) to $(docv); implies $(b,--timeline)."
-    in
-    Arg.(
-      value & opt (some string) None
-      & info [ "timeline-ndjson" ] ~docv:"FILE" ~doc)
   in
   let monitor =
     let doc =
@@ -678,30 +633,12 @@ let faults_cmd =
     in
     Arg.(value & flag & info [ "monitor" ] ~doc)
   in
-  let openmetrics =
-    let doc =
-      "Write the metrics registry in OpenMetrics text format to $(docv)."
-    in
-    Arg.(
-      value & opt (some string) None & info [ "openmetrics" ] ~docv:"FILE" ~doc)
-  in
   let run seed jobs metrics_json scenario protocols timeline timeline_ndjson
       monitor openmetrics =
-    check_jobs jobs;
-    match timeline with
-    | Some dt when (not (Float.is_finite dt)) || dt <= 0.0 ->
-        `Error
-          ( false,
-            "faults: --timeline needs a positive sampling interval (simulated \
-             time units)" )
-    | _ ->
     let scenarios =
       match scenario with
       | None -> Experiments.Faults.all_scenarios
       | Some s -> [ s ]
-    in
-    let protocols =
-      match protocols with [] -> Verif.Sut.all | ps -> ps
     in
     let timeline_dt =
       match (timeline, timeline_ndjson) with
@@ -797,14 +734,13 @@ let faults_cmd =
                 obs)))
       timeline_ndjson;
     Option.iter write_openmetrics openmetrics;
-    Option.iter write_metrics_json metrics_json;
-    `Ok ()
+    Option.iter write_metrics_json metrics_json
   in
   Cmd.v (Cmd.info "faults" ~doc)
     Term.(
-      ret
-        (const run $ seed_arg $ jobs_arg $ metrics_json $ scenario
-       $ protocols_arg $ timeline $ timeline_ndjson $ monitor $ openmetrics))
+      const run $ seed_arg $ jobs_arg $ metrics_json_arg $ scenario
+      $ protocols_arg ~default:Verif.Sut.all
+      $ timeline $ timeline_ndjson $ monitor $ openmetrics_arg)
 
 let soak_cmd =
   let doc =
@@ -819,90 +755,72 @@ let soak_cmd =
   in
   let hours =
     let doc = "Simulated hours per protocol (fractions allowed)." in
-    Arg.(value & opt float 2.0 & info [ "hours" ] ~docv:"H" ~doc)
+    let hours =
+      positive_float "--hours must be a positive number of simulated hours"
+    in
+    Arg.(value & opt hours 2.0 & info [ "hours" ] ~docv:"H" ~doc)
   in
   let timeline_ndjson =
-    let doc =
+    timeline_ndjson_arg
       "Write each protocol's soak timeline (deliveries, control hops, \
        member count, confirmed violations per 100 time units) as NDJSON to \
        $(docv)."
-    in
-    Arg.(
-      value & opt (some string) None
-      & info [ "timeline-ndjson" ] ~docv:"FILE" ~doc)
-  in
-  let openmetrics =
-    let doc =
-      "Write the metrics registry in OpenMetrics text format to $(docv)."
-    in
-    Arg.(
-      value & opt (some string) None & info [ "openmetrics" ] ~docv:"FILE" ~doc)
   in
   let run seed hours protocols timeline_ndjson openmetrics =
-    if (not (Float.is_finite hours)) || hours <= 0.0 then
-      `Error
-        (false, "soak: --hours must be a positive number of simulated hours")
-    else if hours *. 3600.0 < Experiments.Soak.min_horizon then
-      `Error
-        ( false,
-          Printf.sprintf
-            "soak: --hours %g leaves no room for a partition/heal cycle \
-             (need at least %g simulated hours)"
-            hours
-            (Experiments.Soak.min_horizon /. 3600.0) )
-    else begin
-      let protocols =
-        match protocols with [] -> Verif.Sut.all | ps -> ps
-      in
-      let results = Experiments.Soak.run ~seed ~protocols ~hours () in
-      Format.printf
-        "soak: %.2f simulated hours per protocol, seed %d, ISP topology@.@."
-        hours seed;
-      Experiments.Soak.pp_results Format.std_formatter results;
-      List.iter
-        (fun (r : Experiments.Soak.result) ->
-          if r.r_violations <> [] then begin
-            Format.printf "@.%s confirmed violations:@."
-              (Verif.Sut.label r.r_proto);
-            List.iter
-              (fun (c : Verif.Monitor.confirmed) ->
-                Format.printf "  t=%.0f %a@." c.Verif.Monitor.time
-                  Verif.Oracle.pp_violation c.Verif.Monitor.violation)
-              r.r_violations
-          end;
-          if r.r_unhealed <> [] then
-            Format.printf "@.%s unhealed outages: %s@."
-              (Verif.Sut.label r.r_proto)
-              (String.concat ", " (List.map string_of_int r.r_unhealed)))
-        results;
-      let total =
-        List.fold_left
-          (fun acc (r : Experiments.Soak.result) ->
-            acc + List.length r.r_violations)
-          0 results
-      in
-      Format.printf "@.monitors: %d violations@." total;
-      Option.iter
-        (fun file ->
-          write_file ~what:"timelines" file
-            (String.concat ""
-               (List.map
-                  (fun (r : Experiments.Soak.result) ->
-                    Obs.Timeline.to_ndjson
-                      ~tags:[ ("case", "soak/" ^ Verif.Sut.label r.r_proto) ]
-                      r.r_timeline)
-                  results)))
-        timeline_ndjson;
-      Option.iter write_openmetrics openmetrics;
-      if List.exists Experiments.Soak.failed results then exit 1;
-      `Ok ()
-    end
+    if hours *. 3600.0 < Experiments.Soak.min_horizon then
+      usage_error
+        (Printf.sprintf
+           "soak: --hours %g leaves no room for a partition/heal cycle (need \
+            at least %g simulated hours)"
+           hours
+           (Experiments.Soak.min_horizon /. 3600.0));
+    let results = Experiments.Soak.run ~seed ~protocols ~hours () in
+    Format.printf
+      "soak: %.2f simulated hours per protocol, seed %d, ISP topology@.@."
+      hours seed;
+    Experiments.Soak.pp_results Format.std_formatter results;
+    List.iter
+      (fun (r : Experiments.Soak.result) ->
+        if r.r_violations <> [] then begin
+          Format.printf "@.%s confirmed violations:@."
+            (Verif.Sut.label r.r_proto);
+          List.iter
+            (fun (c : Verif.Monitor.confirmed) ->
+              Format.printf "  t=%.0f %a@." c.Verif.Monitor.time
+                Verif.Oracle.pp_violation c.Verif.Monitor.violation)
+            r.r_violations
+        end;
+        if r.r_unhealed <> [] then
+          Format.printf "@.%s unhealed outages: %s@."
+            (Verif.Sut.label r.r_proto)
+            (String.concat ", " (List.map string_of_int r.r_unhealed)))
+      results;
+    let total =
+      List.fold_left
+        (fun acc (r : Experiments.Soak.result) ->
+          acc + List.length r.r_violations)
+        0 results
+    in
+    Format.printf "@.monitors: %d violations@." total;
+    Option.iter
+      (fun file ->
+        write_file ~what:"timelines" file
+          (String.concat ""
+             (List.map
+                (fun (r : Experiments.Soak.result) ->
+                  Obs.Timeline.to_ndjson
+                    ~tags:[ ("case", "soak/" ^ Verif.Sut.label r.r_proto) ]
+                    r.r_timeline)
+                results)))
+      timeline_ndjson;
+    Option.iter write_openmetrics openmetrics;
+    if List.exists Experiments.Soak.failed results then exit 1
   in
   Cmd.v (Cmd.info "soak" ~doc)
     Term.(
-      ret
-        (const run $ seed_arg $ hours $ protocols_arg $ timeline_ndjson
-       $ openmetrics))
+      const run $ seed_arg $ hours
+      $ protocols_arg ~default:Verif.Sut.all
+      $ timeline_ndjson $ openmetrics_arg)
 
 let churn_cmd =
   let doc =
@@ -917,11 +835,17 @@ let churn_cmd =
   in
   let channels =
     let doc = "Concurrent channels sharing the multiplexer." in
-    Arg.(value & opt int 1000 & info [ "channels" ] ~docv:"N" ~doc)
+    Arg.(
+      value
+      & opt (int_at_least ~name:"--channels" 1) 1000
+      & info [ "channels" ] ~docv:"N" ~doc)
   in
   let routers =
     let doc = "Router count of the generated topology (one host each)." in
-    Arg.(value & opt int 5000 & info [ "routers" ] ~docv:"N" ~doc)
+    Arg.(
+      value
+      & opt (int_at_least ~name:"--routers" 16) 5000
+      & info [ "routers" ] ~docv:"N" ~doc)
   in
   let gen =
     let doc = "Topology generator: $(b,power-law) or $(b,as-hierarchy)." in
@@ -938,19 +862,23 @@ let churn_cmd =
   in
   let rate =
     let doc = "Aggregate join rate over all channels (joins per time unit)." in
-    Arg.(value & opt float 0.5 & info [ "rate" ] ~docv:"R" ~doc)
+    let rate = positive_float "--rate must be a positive join rate" in
+    Arg.(value & opt rate 0.5 & info [ "rate" ] ~docv:"R" ~doc)
   in
   let hold =
     let doc = "Mean membership hold time (exponential)." in
-    Arg.(value & opt float 300.0 & info [ "hold" ] ~docv:"T" ~doc)
+    let hold = positive_float "--hold must be a positive mean hold time" in
+    Arg.(value & opt hold 300.0 & info [ "hold" ] ~docv:"T" ~doc)
   in
   let horizon =
     let doc = "Churn horizon in simulated time units." in
-    Arg.(value & opt float 2000.0 & info [ "horizon" ] ~docv:"T" ~doc)
+    let horizon = positive_float "--horizon must be a positive duration" in
+    Arg.(value & opt horizon 2000.0 & info [ "horizon" ] ~docv:"T" ~doc)
   in
   let sample_every =
     let doc = "Interval between degradation sample points." in
-    Arg.(value & opt float 500.0 & info [ "sample-every" ] ~docv:"DT" ~doc)
+    let dt = positive_float "--sample-every must be a positive interval" in
+    Arg.(value & opt dt 500.0 & info [ "sample-every" ] ~docv:"DT" ~doc)
   in
   let arm =
     let doc =
@@ -961,90 +889,55 @@ let churn_cmd =
       & opt (some (enum [ ("normal", false); ("stretched", true) ])) None
       & info [ "arm" ] ~docv:"A" ~doc)
   in
-  let json =
-    let doc = "Write the outcomes as JSON to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
-  in
-  let metrics_json =
-    let doc = "Write the metrics registry snapshot as JSON to $(docv)." in
-    Arg.(
-      value & opt (some string) None
-      & info [ "metrics-json" ] ~docv:"FILE" ~doc)
-  in
-  let openmetrics =
-    let doc =
-      "Write the metrics registry in OpenMetrics text format to $(docv)."
-    in
-    Arg.(
-      value & opt (some string) None & info [ "openmetrics" ] ~docv:"FILE" ~doc)
-  in
   let run seed jobs protocols channels routers gen rate hold horizon
       sample_every arm json metrics_json openmetrics =
-    check_jobs jobs;
-    if channels < 1 then
-      `Error (false, "churn: --channels must be >= 1")
-    else if routers < 16 then
-      `Error (false, "churn: --routers must be >= 16")
-    else if (not (Float.is_finite rate)) || rate <= 0.0 then
-      `Error (false, "churn: --rate must be a positive join rate")
-    else if (not (Float.is_finite hold)) || hold <= 0.0 then
-      `Error (false, "churn: --hold must be a positive mean hold time")
-    else if (not (Float.is_finite horizon)) || horizon <= 0.0 then
-      `Error (false, "churn: --horizon must be a positive duration")
-    else if (not (Float.is_finite sample_every)) || sample_every <= 0.0 then
-      `Error (false, "churn: --sample-every must be a positive interval")
-    else begin
-      let protocols =
-        match protocols with [] -> Verif.Sut.all | ps -> ps
-      in
-      let arms = match arm with None -> [ false; true ] | Some a -> [ a ] in
-      let params =
-        {
-          Experiments.Churn.default_params with
-          gen;
-          routers;
-          channels;
-          rate;
-          mean_hold = hold;
-          horizon;
-          sample_every;
-        }
-      in
-      let outcomes =
-        Experiments.Churn.run ~protocols ~arms ~params ~jobs ~seed ()
-      in
-      Format.printf
-        "churn: %d channels on a %d-router %s topology, aggregate rate %g, \
-         seed %d@.@."
-        channels routers
-        (Experiments.Churn.gen_name gen)
-        rate seed;
-      Experiments.Churn.pp_outcomes Format.std_formatter outcomes;
-      List.iter
-        (fun (o : Experiments.Churn.outcome) ->
-          Format.printf
-            "%s/%s: %d control hops, %d per-channel series%s@."
-            (Verif.Sut.label o.Experiments.Churn.o_proto)
-            (Experiments.Churn.arm_name o.Experiments.Churn.o_stretched)
-            o.Experiments.Churn.o_control_hops
-            o.Experiments.Churn.o_hot_series
-            (if o.Experiments.Churn.o_spilled then " (tail in _other)" else ""))
-        outcomes;
-      Option.iter
-        (fun file ->
-          write_json ~what:"outcomes" file (Experiments.Churn.to_json outcomes))
-        json;
-      Option.iter write_openmetrics openmetrics;
-      Option.iter write_metrics_json metrics_json;
-      `Ok ()
-    end
+    let arms = match arm with None -> [ false; true ] | Some a -> [ a ] in
+    let params =
+      {
+        Experiments.Churn.default_params with
+        gen;
+        routers;
+        channels;
+        rate;
+        mean_hold = hold;
+        horizon;
+        sample_every;
+      }
+    in
+    let outcomes =
+      Experiments.Churn.run ~protocols ~arms ~params ~jobs ~seed ()
+    in
+    Format.printf
+      "churn: %d channels on a %d-router %s topology, aggregate rate %g, \
+       seed %d@.@."
+      channels routers
+      (Experiments.Churn.gen_name gen)
+      rate seed;
+    Experiments.Churn.pp_outcomes Format.std_formatter outcomes;
+    List.iter
+      (fun (o : Experiments.Churn.outcome) ->
+        Format.printf
+          "%s/%s: %d control hops, %d per-channel series%s@."
+          (Verif.Sut.label o.Experiments.Churn.o_proto)
+          (Experiments.Churn.arm_name o.Experiments.Churn.o_stretched)
+          o.Experiments.Churn.o_control_hops
+          o.Experiments.Churn.o_hot_series
+          (if o.Experiments.Churn.o_spilled then " (tail in _other)" else ""))
+      outcomes;
+    Option.iter
+      (fun file ->
+        write_json ~what:"outcomes" file (Experiments.Churn.to_json outcomes))
+      json;
+    Option.iter write_openmetrics openmetrics;
+    Option.iter write_metrics_json metrics_json
   in
   Cmd.v (Cmd.info "churn" ~doc)
     Term.(
-      ret
-        (const run $ seed_arg $ jobs_arg $ protocols_arg $ channels $ routers
-       $ gen $ rate $ hold $ horizon $ sample_every $ arm $ json
-       $ metrics_json $ openmetrics))
+      const run $ seed_arg $ jobs_arg
+      $ protocols_arg ~default:Verif.Sut.all
+      $ channels $ routers $ gen $ rate $ hold $ horizon $ sample_every $ arm
+      $ json_arg "Write the outcomes as JSON to $(docv)."
+      $ metrics_json_arg $ openmetrics_arg)
 
 let report_cmd =
   let doc =
@@ -1055,18 +948,17 @@ let report_cmd =
      in $(b,--seed)."
   in
   let out =
-    let doc = "Write the markdown to $(docv) instead of stdout." in
-    Arg.(value & opt (some string) None & info [ "out"; "o" ] ~docv:"FILE" ~doc)
+    file_arg [ "out"; "o" ] "Write the markdown to $(docv) instead of stdout."
   in
   let interval =
     let doc = "Timeline sampling interval (simulated time units)." in
-    Arg.(value & opt float 50.0 & info [ "interval" ] ~docv:"DT" ~doc)
+    let dt =
+      positive_float
+        "--interval needs a positive sampling interval (simulated time units)"
+    in
+    Arg.(value & opt dt 50.0 & info [ "interval" ] ~docv:"DT" ~doc)
   in
   let run seed out interval =
-    if (not (Float.is_finite interval)) || interval <= 0.0 then
-      usage_error
-        "report: --interval needs a positive sampling interval (simulated \
-         time units)";
     let instrument =
       {
         Experiments.Faults.i_timeline = Some interval;
@@ -1100,18 +992,15 @@ let verify_cmd =
   in
   let protocol_arg =
     let doc = Printf.sprintf "Protocol to verify: one of %s." protocol_doc in
-    Arg.(
-      required
-      & opt (some protocol_conv) None
-      & info [ "protocol" ] ~docv:"P" ~doc)
+    Arg.(required & opt (some protocol_conv) None & protocol_info doc)
   in
   let depth_arg =
     let doc = "Maximum scenario length (events per path)." in
-    Arg.(value & opt int 4 & info [ "depth" ] ~docv:"N" ~doc)
+    Arg.(value & opt (int_at_least 0) 4 & info [ "depth" ] ~docv:"N" ~doc)
   in
   let states_arg =
     let doc = "Distinct-state budget for the search." in
-    Arg.(value & opt int 1500 & info [ "states" ] ~docv:"N" ~doc)
+    Arg.(value & opt (int_at_least 1) 1500 & info [ "states" ] ~docv:"N" ~doc)
   in
   let topology_arg =
     let doc = "Topology: $(b,isp) (18 routers) or $(b,rand50)." in
@@ -1119,10 +1008,6 @@ let verify_cmd =
       value
       & opt (enum [ ("isp", `Isp); ("rand50", `Rand50) ]) `Isp
       & info [ "topology" ] ~docv:"T" ~doc)
-  in
-  let json_arg =
-    let doc = "Write the outcome (counts and counterexamples) as JSON to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
   in
   let inject_bug_arg =
     let doc =
@@ -1141,19 +1026,11 @@ let verify_cmd =
     Arg.(value & flag & info [ "no-shrink" ] ~doc)
   in
   let run protocol depth states topology seed jobs json inject_bug no_shrink =
-    check_jobs jobs;
     let make_sut () =
-      match topology with
-      | `Isp ->
-          let graph = Topology.Isp.create () in
-          Verif.Sut.make ~candidates:Topology.Isp.receiver_hosts protocol
-            (Routing.Table.compute graph)
-            ~source:Topology.Isp.source
-      | `Rand50 ->
-          let cfg = Experiments.Common.rand50_config ~seed in
-          Verif.Sut.make ~candidates:cfg.Experiments.Common.candidates protocol
-            (Routing.Table.compute cfg.Experiments.Common.graph)
-            ~source:cfg.Experiments.Common.source
+      let cfg = topo_config ~seed topology in
+      Verif.Sut.make ~candidates:cfg.Experiments.Common.candidates protocol
+        (Routing.Table.compute cfg.Experiments.Common.graph)
+        ~source:cfg.Experiments.Common.source
     in
     (match inject_bug with
     | Some `Mark_decay -> Proto.Softstate.freeze_marks := true
@@ -1230,7 +1107,10 @@ let verify_cmd =
   Cmd.v (Cmd.info "verify" ~doc)
     Term.(
       const run $ protocol_arg $ depth_arg $ states_arg $ topology_arg
-      $ seed_arg $ jobs_arg $ json_arg $ inject_bug_arg $ no_shrink_arg)
+      $ seed_arg $ jobs_arg
+      $ json_arg
+          "Write the outcome (counts and counterexamples) as JSON to $(docv)."
+      $ inject_bug_arg $ no_shrink_arg)
 
 let default =
   Term.(ret (const (`Help (`Pager, None))))
@@ -1269,16 +1149,15 @@ let () =
      (scripts distinguish "bad invocation" from a failing run). *)
   let err_buf = Buffer.create 256 in
   let err_fmt = Format.formatter_of_buffer err_buf in
+  (* Only the first line of Cmdliner's diagnostic is printed below, so
+     it must not be wrapped at the formatter's margin. *)
+  Format.pp_set_margin err_fmt max_int;
   match Cmd.eval_value ~err:err_fmt group with
   | Ok (`Ok ()) | Ok `Help | Ok `Version -> exit 0
   | Error (`Parse | `Term) ->
       Format.pp_print_flush err_fmt ();
       let msg = String.trim (Buffer.contents err_buf) in
-      let first_line =
-        match String.index_opt msg '\n' with
-        | Some i -> String.sub msg 0 i
-        | None -> msg
-      in
+      let first_line = List.hd (String.split_on_char '\n' msg) in
       if first_line <> "" then prerr_endline first_line;
       print_usage ();
       exit 2

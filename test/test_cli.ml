@@ -145,6 +145,67 @@ let test_unwritable_output () =
         "no-such-dir/s.json");
     ]
 
+(* Every range-checked flag rejects a negative, a non-finite and a
+   non-numeric value in the parser, naming the flag, so no run starts
+   with a count or duration it cannot use (or reports a vacuous pass:
+   a negative --depth explores nothing and finds no counterexample). *)
+let range_checked =
+  [
+    ("fig7a", "runs");
+    ("fig7a", "jobs");
+    ("fig7a --runs 1", "trace");
+    ("validate", "scenarios");
+    ("verify --protocol hbh", "depth");
+    ("verify --protocol hbh", "states");
+    ("churn", "channels");
+    ("churn", "routers");
+    ("scaling --large", "sizes");
+    ("soak", "hours");
+    ("churn", "rate");
+    ("churn", "hold");
+    ("churn", "horizon");
+    ("churn", "sample-every");
+    ("report", "interval");
+    ("faults", "timeline");
+  ]
+
+let test_range_checked_values () =
+  List.iter
+    (fun (cmd, flag) ->
+      List.iter
+        (fun v ->
+          let args = Printf.sprintf "%s --%s=%s" cmd flag v in
+          check_usage_exit args args ~msg:("--" ^ flag))
+        [ "-1"; "nan"; "inf"; "x" ])
+    range_checked
+
+(* --help is the only per-command flag inventory: it must render for
+   every subcommand. *)
+let test_help_every_command () =
+  List.iter
+    (fun cmd ->
+      let code, out, _ = run (cmd ^ " --help=plain") in
+      Alcotest.(check int) (cmd ^ " --help exit code") 0 code;
+      Alcotest.(check bool)
+        (cmd ^ " --help lists --seed") true (contains out "--seed"))
+    [
+      "fig7a"; "fig7b"; "fig8a"; "fig8b"; "all"; "stability"; "state";
+      "demo-asymmetry"; "demo-duplication"; "rp-ablation"; "scaling";
+      "symmetry-ablation"; "overhead"; "asymmetry"; "validate"; "faults";
+      "churn"; "soak"; "report"; "verify";
+    ]
+
+(* The fast-path benchmark takes the observability flags like the
+   sweeps it replaces: --metrics-json writes its file. *)
+let test_scaling_large_metrics_json () =
+  let file = "cli_scaling_metrics.json" in
+  if Sys.file_exists file then Sys.remove file;
+  let code, _, _ =
+    run ("scaling --large --sizes 5 --metrics-json " ^ file)
+  in
+  Alcotest.(check int) "exit code" 0 code;
+  Alcotest.(check bool) "metrics file written" true (Sys.file_exists file)
+
 (* One good invocation end to end: the short soak must complete with
    silent monitors and exit 0 — the same gate the CI smoke greps. *)
 let test_soak_smoke () =
@@ -204,6 +265,12 @@ let () =
             test_report_zero_interval;
           Alcotest.test_case "unwritable output paths exit 2" `Quick
             test_unwritable_output;
+          Alcotest.test_case "range-checked flags reject bad values" `Quick
+            test_range_checked_values;
+          Alcotest.test_case "--help renders for every subcommand" `Quick
+            test_help_every_command;
+          Alcotest.test_case "scaling --large writes --metrics-json" `Quick
+            test_scaling_large_metrics_json;
         ] );
       ( "soak smoke",
         [
