@@ -24,7 +24,11 @@ type tx = int
 type extra = Messages.fusion
 type msg = Messages.t
 
-module Node_tables = Proto.Node_tables.Make (Tables)
+module Node_tables = Proto.Node_tables.Make (struct
+  include Tables
+
+  type t = channel_state
+end)
 
 type state = {
   deadlines : Tables.deadlines;
@@ -131,16 +135,14 @@ let member_seen t n =
 
 (* ---- Appendix A: router message processing -------------------------- *)
 
-(* The channel's state at [n], without creating a table for it: only
-   rule 4 installs state at a router that holds none. *)
+(* The channel's state at [n], without installing any: only rules 4
+   and 8 install state, each with a non-empty table. *)
 let channel_state t n =
   match Node_tables.find (S.state t).router_tables n with
-  | Some tb -> Tables.find tb (S.channel t)
+  | Some state -> state
   | None -> Tables.No_state
 
-let install t n state =
-  let tb = Node_tables.attach (S.state t).router_tables n in
-  Tables.set tb (S.channel t) state
+let install t n state = Node_tables.set (S.state t).router_tables n state
 
 let emit_trees t ~at mft =
   List.iter
@@ -418,8 +420,8 @@ let hooks =
       (fun t ->
         let st = S.state t in
         Hashtbl.fold
-          (fun _ tb acc ->
-            acc + Tables.mct_count tb + Tables.mft_entry_count tb)
+          (fun _ cs acc ->
+            acc + Tables.mct_count cs + Tables.mft_entry_count cs)
           st.router_tables
           (Tables.Mft.size st.source_mft));
     crash_wipe =
@@ -464,20 +466,20 @@ let state t =
   hooks.S.sweep t ~now:(S.now t);
   S.metrics_state t ~tables:(S.state t).router_tables
     ~mct_count:Tables.mct_count ~mft_count:Tables.mft_entry_count
-    ~is_branching:(fun tb -> Tables.is_branching tb (S.channel t))
+    ~is_branching:Tables.is_branching
 
 let source_table t = (S.state t).source_mft
 
 let router_tables t n =
   match Node_tables.find (S.state t).router_tables n with
-  | Some tb -> tb
+  | Some state -> state
   | None ->
       if n = S.source t || not (Net.handled (S.network t) n) then
         invalid_arg (Printf.sprintf "Protocol.router_tables: no agent at %d" n)
-      else Tables.create ()
+      else Tables.No_state
 
 let branching_routers t =
   S.branching_routers t ~tables:(S.state t).router_tables
-    ~is_branching:(fun tb -> Tables.is_branching tb (S.channel t))
+    ~is_branching:Tables.is_branching
 
 let all_tables t = Node_tables.to_list (S.state t).router_tables

@@ -38,10 +38,10 @@ include
 val state : t -> Mcast.Metrics.state
 (** Router MCT/MFT footprint right now. *)
 
-val router_tables : t -> int -> Tables.t
-(** The router's table set; a fresh, unattached empty one when the
-    router holds no state (inspection never installs a table).
-    Raises [Invalid_argument] for nodes without an agent. *)
+val router_tables : t -> int -> Tables.channel_state
+(** The router's state for the session's channel; [No_state] when it
+    holds none (inspection never installs state).  Raises
+    [Invalid_argument] for nodes without an agent. *)
 
 val source_table : t -> Tables.Mft.t
 (** The source's own forwarding table (first-hop receivers and
@@ -50,8 +50,8 @@ val source_table : t -> Tables.Mft.t
 
 val branching_routers : t -> int list
 
-val all_tables : t -> (int * Tables.t) list
-(** Every router holding state, with its table set, ascending by node
-    (the verification layer's state-digest input).  The source is not
-    included; read its table via {!source_table}. *)
+val all_tables : t -> (int * Tables.channel_state) list
+(** Every router holding state, with that state (never [No_state]),
+    ascending by node — the verification layer's state-digest input.
+    The source is not included; read its table via {!source_table}. *)
 

@@ -45,63 +45,25 @@ type channel_state =
   | Control of Mct.t
   | Forwarding of Mft.t
 
-type t = channel_state Mcast.Channel.Tbl.t
-
-let create () : t = Mcast.Channel.Tbl.create 4
-let is_empty t = Mcast.Channel.Tbl.length t = 0
-
-let find t ch =
-  match Mcast.Channel.Tbl.find_opt t ch with Some s -> s | None -> No_state
-
-let set t ch state =
+(* A node holds one channel's state, so the node's entry is that state;
+   [No_state] is what a lookup miss reads as and is never stored. *)
+let sweep state ~now =
   match state with
-  | No_state -> Mcast.Channel.Tbl.remove t ch
-  | s -> Mcast.Channel.Tbl.replace t ch s
+  | No_state -> None
+  | Control mct -> if Mct.dead mct ~now then None else Some state
+  | Forwarding mft ->
+      Mft.expire mft ~now;
+      if Mft.is_empty mft then None else Some state
 
-let sweep t ~now =
-  let updates =
-    Mcast.Channel.Tbl.fold
-      (fun ch state acc ->
-        match state with
-        | No_state -> (ch, None) :: acc
-        | Control mct -> if Mct.dead mct ~now then (ch, None) :: acc else acc
-        | Forwarding mft ->
-            Mft.expire mft ~now;
-            if Mft.is_empty mft then (ch, None) :: acc else acc)
-      t []
-  in
-  List.iter
-    (fun (ch, state) ->
-      match state with
-      | None -> Mcast.Channel.Tbl.remove t ch
-      | Some s -> Mcast.Channel.Tbl.replace t ch s)
-    updates
+let mct_count = function Control _ -> 1 | No_state | Forwarding _ -> 0
 
-let channels t = Mcast.Channel.Tbl.fold (fun ch _ acc -> ch :: acc) t []
+let mft_entry_count = function
+  | Forwarding m -> Mft.size m
+  | No_state | Control _ -> 0
 
-let mct_count t =
-  Mcast.Channel.Tbl.fold
-    (fun _ s acc -> match s with Control _ -> acc + 1 | _ -> acc)
-    t 0
+let is_branching = function Forwarding _ -> true | No_state | Control _ -> false
 
-let mft_entry_count t =
-  Mcast.Channel.Tbl.fold
-    (fun _ s acc -> match s with Forwarding m -> acc + Mft.size m | _ -> acc)
-    t 0
-
-let is_branching t ch =
-  match find t ch with Forwarding _ -> true | No_state | Control _ -> false
-
-let copy (t : t) : t =
-  let c = Mcast.Channel.Tbl.create (max 4 (Mcast.Channel.Tbl.length t)) in
-  Mcast.Channel.Tbl.iter
-    (fun ch state ->
-      let state' =
-        match state with
-        | No_state -> No_state
-        | Control m -> Control (Mct.copy m)
-        | Forwarding m -> Forwarding (Mft.copy m)
-      in
-      Mcast.Channel.Tbl.replace c ch state')
-    t;
-  c
+let copy = function
+  | No_state -> No_state
+  | Control m -> Control (Mct.copy m)
+  | Forwarding m -> Forwarding (Mft.copy m)

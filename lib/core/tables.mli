@@ -119,30 +119,20 @@ module Mct : sig
   (** Deep copy — checkpoint support. *)
 end
 
-(** {1 Per-channel state of one router} *)
+(** {1 A router's state for the session's channel} *)
 
 type channel_state =
-  | No_state
+  | No_state  (** what a lookup miss reads as; never stored *)
   | Control of Mct.t
   | Forwarding of Mft.t
 
-type t
-(** All channels' state at one node. *)
+val sweep : channel_state -> now:float -> channel_state option
+(** Expire dead entries: [None] once a dead MCT or an emptied MFT
+    leaves nothing, so the router drops the channel's state. *)
 
-val create : unit -> t
+val mct_count : channel_state -> int
+val mft_entry_count : channel_state -> int
+val is_branching : channel_state -> bool
 
-val is_empty : t -> bool
-(** No channel holds state here. *)
-
-val find : t -> Mcast.Channel.t -> channel_state
-val set : t -> Mcast.Channel.t -> channel_state -> unit
-val sweep : t -> now:float -> unit
-(** Expire dead entries, demote empty MFTs and drop dead MCTs. *)
-
-val channels : t -> Mcast.Channel.t list
-val mct_count : t -> int
-val mft_entry_count : t -> int
-val is_branching : t -> Mcast.Channel.t -> bool
-
-val copy : t -> t
-(** Deep copy of every channel's state — checkpoint support. *)
+val copy : channel_state -> channel_state
+(** Deep copy — checkpoint support. *)

@@ -23,9 +23,15 @@ type directive = { at : float; action : action }
 
 type t = directive list
 
+(* Every range check is phrased so that NaN fails it. *)
 let check_prob what p =
-  if p < 0.0 || p > 1.0 then
+  if not (p >= 0.0 && p <= 1.0) then
     invalid_arg (Printf.sprintf "Fault.Plan: %s %g outside [0,1]" what p)
+
+let check_span what x =
+  if not (Float.is_finite x && x >= 0.0) then
+    invalid_arg
+      (Printf.sprintf "Fault.Plan: %s %g not finite and non-negative" what x)
 
 let check_name name =
   if name = "" || String.exists (fun c -> c = ' ' || c = ',') name then
@@ -40,13 +46,10 @@ let validate_action = function
       if island = [] then invalid_arg "Fault.Plan: empty partition island"
   | Heal_named { name } -> check_name name
   | Jitter { max_delay } | Jitter_link { max_delay; _ } ->
-      if max_delay < 0.0 then
-        invalid_arg
-          (Printf.sprintf "Fault.Plan: negative jitter %g" max_delay)
+      check_span "jitter" max_delay
   | Reorder { window; prob } ->
       check_prob "reorder prob" prob;
-      if window < 0.0 then
-        invalid_arg (Printf.sprintf "Fault.Plan: negative window %g" window)
+      check_span "reorder window" window
   | Duplicate { prob } -> check_prob "duplication prob" prob
   | Burst_loss { prob; len } ->
       check_prob "burst prob" prob;
@@ -60,8 +63,7 @@ let validate_action = function
 let make directives =
   List.iter
     (fun (at, action) ->
-      if at < 0.0 then
-        invalid_arg (Printf.sprintf "Fault.Plan: directive at negative time %g" at);
+      check_span "directive time" at;
       validate_action action)
     directives;
   List.stable_sort
@@ -118,9 +120,15 @@ let pp ppf t =
    and [#] comments are ignored on parse.  This is the on-disk format
    of the golden counterexample fixtures, so it must round-trip. *)
 
+(* [%g] when it reads back exactly (the fixtures' form), else enough
+   digits that it does. *)
+let num x =
+  let s = Printf.sprintf "%g" x in
+  if float_of_string s = x then s else Printf.sprintf "%.17g" x
+
 let action_to_string = function
-  | Loss { u; v; rate } -> Printf.sprintf "loss %d %d %g" u v rate
-  | Loss_all { rate } -> Printf.sprintf "loss-all %g" rate
+  | Loss { u; v; rate } -> Printf.sprintf "loss %d %d %s" u v (num rate)
+  | Loss_all { rate } -> Printf.sprintf "loss-all %s" (num rate)
   | Link_down { u; v } -> Printf.sprintf "link-down %d %d" u v
   | Link_up { u; v } -> Printf.sprintf "link-up %d %d" u v
   | Crash { node } -> Printf.sprintf "crash %d" node
@@ -133,13 +141,15 @@ let action_to_string = function
       Printf.sprintf "partition-named %s %s" name
         (String.concat "," (List.map string_of_int island))
   | Heal_named { name } -> Printf.sprintf "heal-named %s" name
-  | Jitter { max_delay } -> Printf.sprintf "jitter %g" max_delay
+  | Jitter { max_delay } -> Printf.sprintf "jitter %s" (num max_delay)
   | Jitter_link { u; v; max_delay } ->
-      Printf.sprintf "jitter-link %d %d %g" u v max_delay
-  | Reorder { window; prob } -> Printf.sprintf "reorder %g %g" window prob
-  | Duplicate { prob } -> Printf.sprintf "duplicate %g" prob
-  | Burst_loss { prob; len } -> Printf.sprintf "burst-loss %g %d" prob len
-  | Drop_control { prob } -> Printf.sprintf "drop-control %g" prob
+      Printf.sprintf "jitter-link %d %d %s" u v (num max_delay)
+  | Reorder { window; prob } ->
+      Printf.sprintf "reorder %s %s" (num window) (num prob)
+  | Duplicate { prob } -> Printf.sprintf "duplicate %s" (num prob)
+  | Burst_loss { prob; len } ->
+      Printf.sprintf "burst-loss %s %d" (num prob) len
+  | Drop_control { prob } -> Printf.sprintf "drop-control %s" (num prob)
   | Reconverge -> "reconverge"
   | Join { member } -> Printf.sprintf "join %d" member
   | Leave { member } -> Printf.sprintf "leave %d" member
@@ -147,7 +157,8 @@ let action_to_string = function
 let to_string t =
   String.concat ""
     (List.map
-       (fun d -> Printf.sprintf "@%g %s\n" d.at (action_to_string d.action))
+       (fun d ->
+         Printf.sprintf "@%s %s\n" (num d.at) (action_to_string d.action))
        t)
 
 let parse_island s = List.map int_of_string (String.split_on_char ',' s)

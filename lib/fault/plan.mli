@@ -68,8 +68,9 @@ type t
 (** A plan: directives ordered by time. *)
 
 val make : (float * action) list -> t
-(** Sorts by time (stable).  Raises [Invalid_argument] on negative
-    times, out-of-range loss rates or empty islands. *)
+(** Sorts by time (stable).  Raises [Invalid_argument] on negative or
+    non-finite times, probabilities outside [0,1] (NaN included),
+    negative or non-finite delays and windows, and empty islands. *)
 
 val directives : t -> directive list
 val duration : t -> float
@@ -87,4 +88,5 @@ val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 val of_string : string -> t
-(** Raises [Invalid_argument] on a malformed line. *)
+(** Raises [Invalid_argument] on a malformed line or a value {!make}
+    rejects, and nothing else. *)

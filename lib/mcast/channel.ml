@@ -29,28 +29,4 @@ let key t =
 
 let equal a b = a.source = b.source && Class_d.equal a.group b.group
 
-let compare a b =
-  match compare a.source b.source with
-  | 0 -> Class_d.compare a.group b.group
-  | c -> c
-
-let hash t = Hashtbl.hash (t.source, Class_d.to_int32 t.group)
-
 let pp ppf t = Format.fprintf ppf "<%d, %a>" t.source Class_d.pp t.group
-
-module Ord = struct
-  type nonrec t = t
-
-  let compare = compare
-end
-
-module Map = Map.Make (Ord)
-
-module Hashed = struct
-  type nonrec t = t
-
-  let equal = equal
-  let hash = hash
-end
-
-module Tbl = Hashtbl.Make (Hashed)

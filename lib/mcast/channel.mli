@@ -2,7 +2,8 @@
 
     A channel is the EXPRESS/HBH [<S, G>] pair: the source's unicast
     address (a node id here) plus a class-D group address the source
-    allocated.  Channels are the keys of every MCT/MFT table. *)
+    allocated.  A session serves one channel, and {!key} is what the
+    channel multiplexer dispatches a packet to its session by. *)
 
 type t = { source : int; group : Class_d.t }
 
@@ -21,10 +22,5 @@ val key : t -> int
     of the channel multiplexer ({!Proto.Mux}). *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
-val hash : t -> int
 val pp : Format.formatter -> t -> unit
 (** Renders as [<3, 232.0.0.1>]. *)
-
-module Map : Map.S with type key = t
-module Tbl : Hashtbl.S with type key = t

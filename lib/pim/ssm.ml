@@ -20,9 +20,13 @@ let scale_timers k c =
   { join_period = c.join_period *. k; holdtime = c.holdtime *. k }
 
 module Node_tables = Proto.Node_tables.Make (struct
-  include Ss.Table
+  type t = Ss.Table.t
 
-  let sweep = expire
+  let sweep tbl ~now =
+    Ss.Table.expire tbl ~now;
+    if Ss.Table.is_empty tbl then None else Some tbl
+
+  let copy = Ss.Table.copy
 end)
 
 type state = {
@@ -120,7 +124,15 @@ let handler t n (p : msg Pkt.t) =
   | Join _
     when p.Pkt.dst = n || Topology.Graph.multicast_capable (S.graph t) n ->
       if p.Pkt.via <> n then begin
-        let tbl = Node_tables.attach (S.state t).oifs n in
+        let oifs = (S.state t).oifs in
+        let tbl =
+          match Node_tables.find oifs n with
+          | Some tbl -> tbl
+          | None ->
+              let tbl = Ss.Table.create () in
+              Node_tables.set oifs n tbl;
+              tbl
+        in
         let fresh = not (Ss.Table.mem tbl p.Pkt.via) in
         (* Freshness-guard adoption (DESIGN.md §6b) is stamping only:
            a PIM join is re-routed hop by hop on the *current* RPF
@@ -203,8 +215,6 @@ let create ?config ?trace ?channel table ~source =
 
 let create_mux ?config ?channel mx ~source =
   S.create_mux ?config ?channel hooks mx ~source
-
-let debug_oifs t n = live_oifs t n
 
 let all_oifs t =
   List.map

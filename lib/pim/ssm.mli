@@ -42,9 +42,6 @@ include
 
 (** {1 Inspection} *)
 
-val debug_oifs : t -> int -> int list
-(** Live oif entries of a node (diagnostics). *)
-
 val all_oifs : t -> (int * Proto.Softstate.entry list) list
 (** Every node holding oif state, with its entries (dead ones
     included until swept), ascending by node — the verification

@@ -1,9 +1,7 @@
 module type TABLE = sig
   type t
 
-  val create : unit -> t
-  val sweep : t -> now:float -> unit
-  val is_empty : t -> bool
+  val sweep : t -> now:float -> t option
   val copy : t -> t
 end
 
@@ -12,26 +10,9 @@ module Make (T : TABLE) = struct
 
   let create () : t = Hashtbl.create 64
   let find (t : t) n = Hashtbl.find_opt t n
-
-  let attach t n =
-    match Hashtbl.find_opt t n with
-    | Some tb -> tb
-    | None ->
-        let tb = T.create () in
-        Hashtbl.replace t n tb;
-        tb
-
-  let release t n =
-    match Hashtbl.find_opt t n with
-    | Some tb when T.is_empty tb -> Hashtbl.remove t n
-    | Some _ | None -> ()
-
-  let sweep t ~now =
-    Hashtbl.filter_map_inplace
-      (fun _ tb ->
-        T.sweep tb ~now;
-        if T.is_empty tb then None else Some tb)
-      t
+  let set (t : t) n tb = Hashtbl.replace t n tb
+  let release (t : t) n = Hashtbl.remove t n
+  let sweep t ~now = Hashtbl.filter_map_inplace (fun _ tb -> T.sweep tb ~now) t
 
   let copy (t : t) : t =
     let c = Hashtbl.create (max 8 (Hashtbl.length t)) in

@@ -1,15 +1,19 @@
-(** Per-node protocol tables under one invariant: a node's table exists
+(** Per-node protocol state under one invariant: a node's entry exists
     only while it holds state.
 
+    A session serves exactly one channel, so a node's entry {e is} the
+    channel's state there (an HBH MCT or MFT, a REUNITE table pair, a
+    PIM-SSM oif map) — there is no per-channel level below the node.
     Soft state lives only where the live tree runs (branching and
     relaying routers), so a session's periodic work should follow the
     live tree, not every router a message of the channel ever crossed.
     The three rules that keep it so:
 
-    - read paths look a table up with {!find}, which never inserts;
-    - only a path that is about to install an entry calls {!attach};
-    - {!sweep} drops every table its expiry pass leaves empty, and a
-      handler that empties a table outside a sweep calls {!release}.
+    - read paths look an entry up with {!find}, which never inserts;
+    - only a path that installs state calls {!set}, with an entry that
+      already holds it;
+    - {!sweep} drops every entry its expiry pass leaves empty, and a
+      handler that empties an entry outside a sweep calls {!release}.
 
     The session's sweep, its [state_size] gauge fold and its checkpoint
     copy then all cost O(live state). *)
@@ -17,12 +21,9 @@
 module type TABLE = sig
   type t
 
-  val create : unit -> t
-
-  val sweep : t -> now:float -> unit
-  (** Expire dead entries in place. *)
-
-  val is_empty : t -> bool
+  val sweep : t -> now:float -> t option
+  (** Expire dead entries; [None] once nothing is left, [Some] of the
+      state to keep otherwise. *)
 
   val copy : t -> t
   (** Deep copy — checkpoint support. *)
@@ -34,17 +35,17 @@ module Make (T : TABLE) : sig
   val create : unit -> t
 
   val find : t -> int -> T.t option
-  (** The node's table, if it holds state.  Never inserts. *)
+  (** The node's state, if it holds any.  Never inserts. *)
 
-  val attach : t -> int -> T.t
-  (** The node's table, created and attached on a miss — for paths
-      that install an entry into it straight away. *)
+  val set : t -> int -> T.t -> unit
+  (** Install the node's state (replacing any) — for paths that have
+      just built a non-empty entry. *)
 
   val release : t -> int -> unit
-  (** Drop the node's table if it no longer holds state. *)
+  (** Drop the node's state — for a handler that has just emptied it. *)
 
   val sweep : t -> now:float -> unit
-  (** {!TABLE.sweep} every table, dropping those left empty. *)
+  (** {!TABLE.sweep} every node, dropping those left empty. *)
 
   val copy : t -> t
 

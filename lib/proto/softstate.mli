@@ -112,9 +112,6 @@ module Table : sig
   val in_order : t -> entry list
   (** All entries, install order. *)
 
-  val live : t -> now:float -> entry list
-  (** Non-dead entries, unspecified order. *)
-
   val live_nodes : t -> now:float -> int list
   (** Non-dead entry nodes, ascending. *)
 
@@ -123,9 +120,6 @@ module Table : sig
 
   val fresh_targets : t -> now:float -> int list
   (** Live and not stale (marked included), ascending. *)
-
-  val live_in_order : t -> now:float -> entry list
-  (** Non-dead entries, install order. *)
 
   val mem_live : t -> now:float -> int -> bool
 

@@ -24,7 +24,11 @@ type tx = Messages.tree_info
 type extra = Proto.Messages.nothing
 type msg = Messages.t
 
-module Node_tables = Proto.Node_tables.Make (Tables)
+module Node_tables = Proto.Node_tables.Make (struct
+  include Tables
+
+  type t = channel_state
+end)
 
 type state = {
   deadlines : Tables.deadlines;
@@ -97,24 +101,9 @@ let mct_ev t ~node ~target op =
   Obs.Metrics.hot_incr m_mct;
   if S.trace_active t then S.ev t ~node (Obs.Event.Mct_update { target; op })
 
-(* The channel's state at [n], without creating a table for it: only
-   a transit tree installs state at a router that holds none. *)
-let channel_state t n =
-  match Node_tables.find (S.state t).router_tables n with
-  | Some tb -> Tables.find tb (S.channel t)
-  | None -> None
-
-let attach t n =
-  Tables.attach (Node_tables.attach (S.state t).router_tables n) (S.channel t)
-
-(* A teardown emptied the channel's state between sweeps. *)
-let release t n =
-  let tables = (S.state t).router_tables in
-  match Node_tables.find tables n with
-  | Some tb ->
-      Tables.release tb (S.channel t);
-      Node_tables.release tables n
-  | None -> ()
+(* The channel's state at [n], without installing any: only a transit
+   tree installs state at a router that holds none. *)
+let channel_state t n = Node_tables.find (S.state t).router_tables n
 
 (* ---- Router message processing --------------------------------------- *)
 
@@ -266,15 +255,24 @@ let router_handle_tree t n (p : Messages.t Pkt.t) ~target ~marked ~epoch =
             mct_ev t ~node:n ~target Obs.Event.Remove;
             if Tables.Mct.dead mct ~now:nw then begin
               st.Tables.mct <- None;
-              release t n
+              (* The teardown emptied the record between sweeps. *)
+              if st.Tables.mft = None then
+                Node_tables.release (S.state t).router_tables n
             end
         | Some { Tables.mct = None; _ } | None -> ()
       end
       else if not in_mft then begin
-        let st = match found with Some st -> st | None -> attach t n in
-        (match st.Tables.mct with
-        | Some mct -> Tables.Mct.add mct dl ~now:nw target
-        | None -> st.Tables.mct <- Some (Tables.Mct.create dl ~now:nw target));
+        (match found with
+        | Some { Tables.mct = Some mct; _ } ->
+            Tables.Mct.add mct dl ~now:nw target
+        | Some st ->
+            st.Tables.mct <- Some (Tables.Mct.create dl ~now:nw target)
+        | None ->
+            Node_tables.set (S.state t).router_tables n
+              {
+                Tables.mct = Some (Tables.Mct.create dl ~now:nw target);
+                mft = None;
+              });
         mct_ev t ~node:n ~target Obs.Event.Add
       end;
       Net.Forward
@@ -384,8 +382,8 @@ let hooks =
       (fun t ->
         let st = S.state t in
         Hashtbl.fold
-          (fun _ tb acc ->
-            acc + Tables.mct_count tb + Tables.mft_entry_count tb)
+          (fun _ cs acc ->
+            acc + Tables.mct_count cs + Tables.mft_entry_count cs)
           st.router_tables
           (match st.source_mft with
           | Some mft -> Tables.Mft.size mft
@@ -433,21 +431,21 @@ let state t =
   hooks.S.sweep t ~now:(S.now t);
   S.metrics_state t ~tables:(S.state t).router_tables
     ~mct_count:Tables.mct_count ~mft_count:Tables.mft_entry_count
-    ~is_branching:(fun tb -> Tables.is_branching tb (S.channel t))
+    ~is_branching:Tables.is_branching
 
 let branching_routers t =
   S.branching_routers t ~tables:(S.state t).router_tables
-    ~is_branching:(fun tb -> Tables.is_branching tb (S.channel t))
+    ~is_branching:Tables.is_branching
 
 let source_table t = (S.state t).source_mft
 
 let router_tables t n =
   match Node_tables.find (S.state t).router_tables n with
-  | Some tb -> tb
+  | Some state -> state
   | None ->
       if n = S.source t || not (Net.handled (S.network t) n) then
         invalid_arg
           (Printf.sprintf "Reunite.Protocol.router_tables: no agent at %d" n)
-      else Tables.create ()
+      else { Tables.mct = None; mft = None }
 
 let all_tables t = Node_tables.to_list (S.state t).router_tables

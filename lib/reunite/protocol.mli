@@ -28,12 +28,16 @@ include
 
 val state : t -> Mcast.Metrics.state
 val branching_routers : t -> int list
-val router_tables : t -> int -> Tables.t
+val router_tables : t -> int -> Tables.channel_state
+(** The router's state for the session's channel; a fresh, unattached
+    empty record when it holds none (inspection never installs state).
+    Raises [Invalid_argument] for nodes without an agent. *)
 
 val source_table : t -> Tables.Mft.t option
 (** The source's own MFT ([None] before the first join or after it
     decayed); kept alive by join messages alone. *)
 
-val all_tables : t -> (int * Tables.t) list
-(** Every router's table set, ascending by node (the verification
-    layer's state-digest input); the source is not included. *)
+val all_tables : t -> (int * Tables.channel_state) list
+(** Every router holding state, with its record, ascending by node
+    (the verification layer's state-digest input); the source is not
+    included. *)

@@ -99,9 +99,6 @@ module Mct = struct
     ignore (Ss.Table.add_fresh t dl ~now target);
     t
 
-  let targets t ~now =
-    List.map (fun (e : entry) -> e.node) (Ss.Table.live_in_order t ~now)
-
   let mem t ~now target = Ss.Table.mem_live t ~now target
   let add t dl ~now target = ignore (Ss.Table.add_fresh t dl ~now target)
   let remove t target = Ss.Table.remove t target
@@ -122,67 +119,25 @@ type channel_state = {
   mutable mft : Mft.t option;
 }
 
-type t = channel_state Mcast.Channel.Tbl.t
+(* The record is the router's whole state for the session's channel;
+   it is dropped once both tables are gone, so it is never stored
+   empty. *)
+let sweep state ~now =
+  (match state.mct with
+  | Some m ->
+      Mct.expire m ~now;
+      if Mct.dead m ~now then state.mct <- None
+  | None -> ());
+  (match state.mft with
+  | Some m ->
+      Mft.expire m ~now;
+      if Mft.dead m ~now then state.mft <- None
+  | None -> ());
+  if state.mct = None && state.mft = None then None else Some state
 
-let create () : t = Mcast.Channel.Tbl.create 4
-let is_empty t = Mcast.Channel.Tbl.length t = 0
-let find t ch = Mcast.Channel.Tbl.find_opt t ch
+let mct_count s = match s.mct with Some m -> Mct.size m | None -> 0
+let mft_entry_count s = match s.mft with Some m -> Mft.size m | None -> 0
+let is_branching s = s.mft <> None
 
-let attach t ch =
-  match Mcast.Channel.Tbl.find_opt t ch with
-  | Some s -> s
-  | None ->
-      let s = { mct = None; mft = None } in
-      Mcast.Channel.Tbl.replace t ch s;
-      s
-
-let release t ch =
-  match Mcast.Channel.Tbl.find_opt t ch with
-  | Some { mct = None; mft = None } -> Mcast.Channel.Tbl.remove t ch
-  | Some _ | None -> ()
-
-let sweep t ~now =
-  let removals =
-    Mcast.Channel.Tbl.fold
-      (fun ch state acc ->
-        (match state.mct with
-        | Some m ->
-            Mct.expire m ~now;
-            if Mct.dead m ~now then state.mct <- None
-        | None -> ());
-        (match state.mft with
-        | Some m ->
-            Mft.expire m ~now;
-            if Mft.dead m ~now then state.mft <- None
-        | None -> ());
-        if state.mct = None && state.mft = None then ch :: acc else acc)
-      t []
-  in
-  List.iter (Mcast.Channel.Tbl.remove t) removals
-
-let mct_count t =
-  Mcast.Channel.Tbl.fold
-    (fun _ s acc -> match s.mct with Some m -> acc + Mct.size m | None -> acc)
-    t 0
-
-let mft_entry_count t =
-  Mcast.Channel.Tbl.fold
-    (fun _ s acc -> match s.mft with Some m -> acc + Mft.size m | None -> acc)
-    t 0
-
-let is_branching t ch =
-  match Mcast.Channel.Tbl.find_opt t ch with
-  | Some { mft = Some _; _ } -> true
-  | Some { mft = None; _ } | None -> false
-
-let copy (t : t) : t =
-  let c = Mcast.Channel.Tbl.create (max 4 (Mcast.Channel.Tbl.length t)) in
-  Mcast.Channel.Tbl.iter
-    (fun ch state ->
-      Mcast.Channel.Tbl.replace c ch
-        {
-          mct = Option.map Mct.copy state.mct;
-          mft = Option.map Mft.copy state.mft;
-        })
-    t;
-  c
+let copy s =
+  { mct = Option.map Mct.copy s.mct; mft = Option.map Mft.copy s.mft }

@@ -102,9 +102,6 @@ module Mct : sig
   type t
 
   val create : deadlines -> now:float -> int -> t
-  val targets : t -> now:float -> int list
-  (** Live entries, install order. *)
-
   val mem : t -> now:float -> int -> bool
   val add : t -> deadlines -> now:float -> int -> unit
   (** Insert at the back, or refresh in place. *)
@@ -123,36 +120,23 @@ module Mct : sig
   (** Deep copy — checkpoint support. *)
 end
 
-(** A router may hold control entries for transit flows alongside a
-    forwarding table: becoming a branching node moves one MCT entry
-    into the MFT ("removes <S,r1> from its MCT", Figure 2) and leaves
-    the rest. *)
+(** A router's state for the session's channel.  It may hold control
+    entries for transit flows alongside a forwarding table: becoming a
+    branching node moves one MCT entry into the MFT ("removes <S,r1>
+    from its MCT", Figure 2) and leaves the rest.  A router keeps the
+    record only while at least one of the two tables exists. *)
 type channel_state = {
   mutable mct : Mct.t option;
   mutable mft : Mft.t option;
 }
 
-type t
+val sweep : channel_state -> now:float -> channel_state option
+(** Expire dead entries and drop a dead table; [None] once neither
+    table is left, so the router drops the record. *)
 
-val create : unit -> t
+val mct_count : channel_state -> int
+val mft_entry_count : channel_state -> int
+val is_branching : channel_state -> bool
 
-val is_empty : t -> bool
-(** No channel holds state here. *)
-
-val find : t -> Mcast.Channel.t -> channel_state option
-(** The channel's state record, if it has one.  Never inserts. *)
-
-val attach : t -> Mcast.Channel.t -> channel_state
-(** The channel's state record, created empty on a miss — for paths
-    that install an entry straight away; mutate its fields directly. *)
-
-val release : t -> Mcast.Channel.t -> unit
-(** Drop the channel's record once both its tables are gone. *)
-
-val sweep : t -> now:float -> unit
-val mct_count : t -> int
-val mft_entry_count : t -> int
-val is_branching : t -> Mcast.Channel.t -> bool
-
-val copy : t -> t
-(** Deep copy of every channel's state — checkpoint support. *)
+val copy : channel_state -> channel_state
+(** Deep copy — checkpoint support. *)

@@ -145,7 +145,6 @@ let none () = []
 let hbh_view (p : Hbh.Protocol.t) : view =
   let module P = Hbh.Protocol in
   let source = P.source p in
-  let channel = P.channel p in
   let cfg = P.config p in
   let now () = Eventsim.Engine.now (P.engine p) in
   let mft_dump b mft =
@@ -156,8 +155,8 @@ let hbh_view (p : Hbh.Protocol.t) : view =
     Buffer.add_string b "src:";
     mft_dump b (P.source_table p);
     List.iter
-      (fun (n, tb) ->
-        match Hbh.Tables.find tb channel with
+      (fun (n, cs) ->
+        match cs with
         | Hbh.Tables.No_state -> ()
         | Hbh.Tables.Control mct ->
             Buffer.add_string b (Printf.sprintf "|%d:C:" n);
@@ -174,8 +173,8 @@ let hbh_view (p : Hbh.Protocol.t) : view =
     let src_targets = Hbh.Tables.Mft.data_targets (P.source_table p) ~now:nw in
     let branches =
       List.filter_map
-        (fun (n, tb) ->
-          match Hbh.Tables.find tb channel with
+        (fun (n, cs) ->
+          match cs with
           | Hbh.Tables.Forwarding mft ->
               Some (n, Hbh.Tables.Mft.data_targets mft ~now:nw)
           | Hbh.Tables.Control _ | Hbh.Tables.No_state -> None)
@@ -186,8 +185,8 @@ let hbh_view (p : Hbh.Protocol.t) : view =
   let branch_nodes () =
     let nw = now () in
     List.filter_map
-      (fun (n, tb) ->
-        match Hbh.Tables.find tb channel with
+      (fun (n, cs) ->
+        match cs with
         | Hbh.Tables.Forwarding mft -> (
             match Hbh.Tables.Mft.tree_targets mft ~now:nw with
             | [] -> None
@@ -211,7 +210,6 @@ let hbh_view (p : Hbh.Protocol.t) : view =
 let reunite_view (p : Reunite.Protocol.t) : view =
   let module P = Reunite.Protocol in
   let source = P.source p in
-  let channel = P.channel p in
   let cfg = P.config p in
   let now () = Eventsim.Engine.now (P.engine p) in
   let mft_dump b (mft : Reunite.Tables.Mft.t) =
@@ -228,20 +226,17 @@ let reunite_view (p : Reunite.Protocol.t) : view =
     | None -> Buffer.add_string b "-"
     | Some mft -> mft_dump b mft);
     List.iter
-      (fun (n, tb) ->
-        match Reunite.Tables.find tb channel with
+      (fun (n, (st : Reunite.Tables.channel_state)) ->
+        (match st.mct with
         | None -> ()
-        | Some st -> (
-            (match st.Reunite.Tables.mct with
-            | None -> ()
-            | Some mct ->
-                Buffer.add_string b (Printf.sprintf "|%d:C:" n);
-                entries_token ~now:(now ()) b (Reunite.Tables.Mct.entries mct));
-            match st.Reunite.Tables.mft with
-            | None -> ()
-            | Some mft ->
-                Buffer.add_string b (Printf.sprintf "|%d:F:" n);
-                mft_dump b mft))
+        | Some mct ->
+            Buffer.add_string b (Printf.sprintf "|%d:C:" n);
+            entries_token ~now:(now ()) b (Reunite.Tables.Mct.entries mct));
+        match st.mft with
+        | None -> ()
+        | Some mft ->
+            Buffer.add_string b (Printf.sprintf "|%d:F:" n);
+            mft_dump b mft)
       (P.all_tables p);
     Buffer.contents b
   in
@@ -258,13 +253,13 @@ let reunite_view (p : Reunite.Protocol.t) : view =
     in
     let branches =
       List.filter_map
-        (fun (n, tb) ->
-          match Reunite.Tables.find tb channel with
-          | Some { Reunite.Tables.mft = Some mft; _ } -> (
+        (fun (n, (st : Reunite.Tables.channel_state)) ->
+          match st.mft with
+          | Some mft -> (
               match Reunite.Tables.Mft.receiver_nodes mft with
               | [] -> None
               | rs -> Some (n, rs))
-          | Some { Reunite.Tables.mft = None; _ } | None -> None)
+          | None -> None)
         (P.all_tables p)
     in
     (source, src_targets) :: branches

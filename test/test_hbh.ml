@@ -82,16 +82,26 @@ let test_mct_lifecycle () =
   Alcotest.(check int) "replaced" 9 (Hbh.Tables.Mct.target c);
   Alcotest.(check bool) "fresh again" false (Hbh.Tables.Mct.stale c ~now:13.0)
 
+(* A router's entry is its channel state: sweep keeps it while it holds
+   a live table and gives [None] once nothing is left. *)
 let test_tables_sweep () =
-  let tb = Hbh.Tables.create () in
-  let ch = Mcast.Channel.fresh ~source:0 in
   let m = Hbh.Tables.Mft.create () in
   ignore (Hbh.Tables.Mft.add_fresh m dl ~now:0.0 5);
-  Hbh.Tables.set tb ch (Hbh.Tables.Forwarding m);
-  Alcotest.(check bool) "branching" true (Hbh.Tables.is_branching tb ch);
-  Hbh.Tables.sweep tb ~now:30.0;
-  Alcotest.(check bool) "swept away" false (Hbh.Tables.is_branching tb ch);
-  Alcotest.(check int) "no entries" 0 (Hbh.Tables.mft_entry_count tb)
+  let fwd = Hbh.Tables.Forwarding m in
+  Alcotest.(check bool) "branching" true (Hbh.Tables.is_branching fwd);
+  Alcotest.(check bool)
+    "swept away" true
+    (Hbh.Tables.sweep fwd ~now:30.0 = None);
+  Alcotest.(check int) "no entries" 0 (Hbh.Tables.mft_entry_count fwd);
+  let ctl = Hbh.Tables.Control (Hbh.Tables.Mct.create dl ~now:0.0 4) in
+  Alcotest.(check bool)
+    "live MCT kept" true
+    (match Hbh.Tables.sweep ctl ~now:20.0 with
+    | Some s -> s == ctl
+    | None -> false);
+  Alcotest.(check bool)
+    "dead MCT gone" true
+    (Hbh.Tables.sweep ctl ~now:30.0 = None)
 
 (* ---- Analytic -------------------------------------------------------------- *)
 

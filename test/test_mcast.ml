@@ -47,18 +47,6 @@ let test_channel_identity () =
   Alcotest.(check bool) "equal to itself" true (Mcast.Channel.equal c1 c1);
   Alcotest.(check int) "source kept" 5 (Mcast.Channel.source c1)
 
-let test_channel_containers () =
-  let c1 = Mcast.Channel.fresh ~source:1 in
-  let c2 = Mcast.Channel.fresh ~source:2 in
-  let m = Mcast.Channel.Map.(empty |> add c1 "a" |> add c2 "b") in
-  Alcotest.(check (option string)) "map lookup" (Some "a")
-    (Mcast.Channel.Map.find_opt c1 m);
-  let tbl = Mcast.Channel.Tbl.create 4 in
-  Mcast.Channel.Tbl.replace tbl c2 42;
-  Alcotest.(check (option int)) "tbl lookup" (Some 42)
-    (Mcast.Channel.Tbl.find_opt tbl c2);
-  Alcotest.(check (option int)) "tbl miss" None (Mcast.Channel.Tbl.find_opt tbl c1)
-
 (* ---- Distribution ------------------------------------------------------ *)
 
 let test_distribution_cost () =
@@ -197,7 +185,6 @@ let () =
       ( "channel",
         [
           Alcotest.test_case "identity" `Quick test_channel_identity;
-          Alcotest.test_case "containers" `Quick test_channel_containers;
         ] );
       ( "distribution",
         [

@@ -209,6 +209,68 @@ let test_event_teardown_on_leave () =
   Alcotest.(check (option (float 0.0))) "r2 back on shortest path" (Some 2.0)
     (Mcast.Distribution.delay d Det.r2)
 
+(* The per-router record lives only while it holds a table: the sweep
+   keeps it while either table is alive and gives [None] once both are
+   gone. *)
+let test_tables_sweep () =
+  let dl = { Reunite.Tables.t1 = 10.0; t2 = 25.0 } in
+  let st =
+    {
+      Reunite.Tables.mct = Some (Reunite.Tables.Mct.create dl ~now:0.0 4);
+      mft = Some (Reunite.Tables.Mft.create dl ~now:10.0 ~dst:5);
+    }
+  in
+  Alcotest.(check bool)
+    "MFT alive, record kept" true
+    (match Reunite.Tables.sweep st ~now:30.0 with
+    | Some s -> s == st
+    | None -> false);
+  Alcotest.(check bool) "dead MCT dropped" true (st.mct = None);
+  Alcotest.(check bool) "MFT still there" true (Reunite.Tables.is_branching st);
+  Alcotest.(check bool)
+    "both gone" true
+    (Reunite.Tables.sweep st ~now:40.0 = None)
+
+(* A router's record is dropped exactly when it is empty: after every
+   event, each listed router holds a table, and every record that left
+   the list was emptied first (by a sweep, or by a marked tree tearing
+   down its last control entry) — one still holding an MFT is never
+   released.  An ISP group of eight converges, then half of it
+   leaves. *)
+let test_event_records_released_only_when_empty () =
+  let s = isp_scenario 1 8 in
+  let session = Reunite.Protocol.create s.table ~source:s.source in
+  let engine = Reunite.Protocol.engine session in
+  let empty (st : Reunite.Tables.channel_state) =
+    st.mct = None && st.mft = None
+  in
+  let before = ref [] in
+  let run_checked span =
+    let until = Eventsim.Engine.now engine +. span in
+    while Eventsim.Engine.now engine < until && Eventsim.Engine.step engine do
+      let after = Reunite.Protocol.all_tables session in
+      List.iter
+        (fun (n, st) ->
+          if empty st then Alcotest.failf "router %d keeps an empty record" n)
+        after;
+      List.iter
+        (fun (n, st) ->
+          if (not (List.mem_assoc n after)) && not (empty st) then
+            Alcotest.failf "router %d released a record still holding state"
+              n)
+        !before;
+      before := after
+    done
+  in
+  List.iter (Reunite.Protocol.subscribe session) s.receivers;
+  run_checked 1200.0;
+  let stay, leave = List.partition (fun r -> r mod 2 = 0) s.receivers in
+  List.iter (Reunite.Protocol.unsubscribe session) leave;
+  run_checked 2000.0;
+  Alcotest.(check (list int)) "the remaining members served"
+    (List.sort compare stay)
+    (Mcast.Distribution.receivers (Reunite.Protocol.probe session))
+
 let test_event_empty_group_sends_nothing () =
   let tbl = Det.table () in
   let session = Reunite.Protocol.create tbl ~source:Det.source in
@@ -256,6 +318,7 @@ let test_event_overhead_positive () =
 let () =
   Alcotest.run "reunite"
     [
+      ("tables", [ Alcotest.test_case "sweep" `Quick test_tables_sweep ]);
       ( "analytic-detour",
         [
           Alcotest.test_case "first join reaches source" `Quick
@@ -289,6 +352,8 @@ let () =
           Alcotest.test_case "duplication (fig 3)" `Quick test_event_duplication_scenario;
           Alcotest.test_case "teardown on leave (fig 2b-d)" `Quick
             test_event_teardown_on_leave;
+          Alcotest.test_case "records released only when empty" `Quick
+            test_event_records_released_only_when_empty;
           Alcotest.test_case "empty group" `Quick test_event_empty_group_sends_nothing;
           Alcotest.test_case "full depletion" `Quick test_event_full_depletion;
           Alcotest.test_case "isp group served" `Quick test_event_isp_group_serves_everyone;

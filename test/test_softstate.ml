@@ -68,9 +68,7 @@ let test_hbh_branching_mft_decay () =
     | [] -> Alcotest.fail "no branching router on the ISP scenario"
   in
   let mft =
-    match Hbh.Tables.find (Hbh.Protocol.router_tables sess branching)
-            (Hbh.Protocol.channel sess)
-    with
+    match Hbh.Protocol.router_tables sess branching with
     | Hbh.Tables.Forwarding mft -> mft
     | _ -> Alcotest.fail "branching router lost its MFT"
   in

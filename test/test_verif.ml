@@ -272,6 +272,134 @@ let test_golden_mark_decay () =
   let vs = Verif.Scenario.replay_plan (isp_sut Verif.Sut.Hbh ()) plan in
   Alcotest.(check int) "clean replay passes" 0 (List.length vs)
 
+(* ---- Plan text: range checks and robustness ----------------------------- *)
+
+let rejects text =
+  match Fault.Plan.of_string text with
+  | _ -> false
+  | exception Invalid_argument _ -> true
+
+(* NaN passes every [<]/[>] comparison, and [1e400] reads as infinity:
+   each of these used to parse. *)
+let test_plan_rejects_non_finite () =
+  List.iter
+    (fun text -> Alcotest.(check bool) text true (rejects text))
+    [
+      "@nan crash 1";
+      "@inf crash 1";
+      "@-inf crash 1";
+      "@1e400 crash 2";
+      "@0 loss 1 2 nan";
+      "@0 loss-all nan";
+      "@0 jitter nan";
+      "@0 jitter inf";
+      "@0 jitter-link 1 2 nan";
+      "@0 duplicate nan";
+      "@0 reorder nan 0.5";
+      "@0 reorder inf 0.5";
+      "@0 reorder 1 nan";
+      "@0 burst-loss nan 3";
+      "@0 drop-control nan";
+    ];
+  Alcotest.(check bool)
+    "make rejects a NaN time" true
+    (match Fault.Plan.make [ (Float.nan, Fault.Plan.Reconverge) ] with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  Alcotest.(check bool) "finite values still parse" false
+    (rejects "@0 jitter 2.5\n@10 reorder 3 0.5\n@20 loss-all 1")
+
+(* Plan text built from the DSL's keywords, ints, floats, non-finite
+   spellings, empty fields, [1,,2] islands and junk.  Most directives
+   have the right shape with a hostile value here and there, so a fair
+   share of the texts parse; the rest are free-form. *)
+let gen_plan_text =
+  let open QCheck.Gen in
+  let hostile =
+    oneofl
+      [ "nan"; "-nan"; "inf"; "-inf"; "infinity"; "1e400"; ""; "1,,2"; ",3";
+        "a"; "x,y"; "#"; "1.5.2"; "-1"; "0x10"; "-0" ]
+  in
+  let int_f = map string_of_int (int_range 0 40) in
+  let float_f =
+    oneof
+      [
+        map (Printf.sprintf "%g") (float_range 0.0 1.0);
+        map (Printf.sprintf "%.17g") (float_range 0.0 1.0);
+        map string_of_int (int_range 0 3);
+      ]
+  in
+  let island_f =
+    map (fun l -> String.concat "," (List.map string_of_int l))
+      (list_size (int_range 1 3) (int_range 0 40))
+  in
+  let name_f = oneofl [ "left"; "p1"; "a,b"; "" ] in
+  let slot g = frequency [ (9, g); (1, hostile) ] in
+  let shaped =
+    oneof
+      (List.map
+         (fun (kw, slots) ->
+           map (fun args -> kw :: args) (flatten_l (List.map slot slots)))
+         [
+           ("loss", [ int_f; int_f; float_f ]);
+           ("loss-all", [ float_f ]);
+           ("link-down", [ int_f; int_f ]);
+           ("link-up", [ int_f; int_f ]);
+           ("crash", [ int_f ]);
+           ("restart", [ int_f ]);
+           ("partition", [ island_f ]);
+           ("heal", [ island_f ]);
+           ("partition-named", [ name_f; island_f ]);
+           ("heal-named", [ name_f ]);
+           ("jitter", [ float_f ]);
+           ("jitter-link", [ int_f; int_f; float_f ]);
+           ("reorder", [ float_f; float_f ]);
+           ("duplicate", [ float_f ]);
+           ("burst-loss", [ float_f; int_f ]);
+           ("drop-control", [ float_f ]);
+           ("reconverge", []);
+           ("join", [ int_f ]);
+           ("leave", [ int_f ]);
+         ])
+  in
+  let free =
+    map2 (fun kw args -> kw :: args)
+      (oneofl [ "crash"; "loss"; "reorder"; "LOSS"; "crash2"; "" ])
+      (list_size (int_bound 4) (oneof [ int_f; float_f; hostile ]))
+  in
+  let at = frequency [ (6, float_f); (2, map string_of_int nat); (1, hostile) ] in
+  let directive =
+    map2
+      (fun at words -> String.concat " " (("@" ^ at) :: words))
+      at
+      (frequency [ (4, shaped); (1, free) ])
+  in
+  let line =
+    frequency
+      [
+        (10, directive);
+        (1, oneofl [ ""; "# comment"; "@"; "@ crash 1"; "crash 1"; "@1" ]);
+      ]
+  in
+  map (String.concat "\n") (list_size (int_range 1 4) line)
+
+let prop_plan_text_robust =
+  QCheck.Test.make ~name:"plan text: a plan or Invalid_argument, never else"
+    ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_plan_text)
+    (fun text ->
+      match Fault.Plan.of_string text with
+      | exception Invalid_argument _ -> true
+      | plan ->
+          let ds = Fault.Plan.directives plan in
+          List.for_all
+            (fun (d : Fault.Plan.directive) ->
+              Float.is_finite d.at && d.at >= 0.0)
+            ds
+          && Fault.Plan.directives
+               (Fault.Plan.of_string (Fault.Plan.to_string plan))
+             = ds)
+
 let () =
   Alcotest.run "verif"
     [
@@ -311,4 +439,8 @@ let () =
           Alcotest.test_case "mark-decay fixture loads and replays" `Quick
             test_golden_mark_decay;
         ] );
+      ( "plan",
+        Alcotest.test_case "non-finite values rejected" `Quick
+          test_plan_rejects_non_finite
+        :: List.map QCheck_alcotest.to_alcotest [ prop_plan_text_robust ] );
     ]
