@@ -410,8 +410,10 @@ let netsim_forward () =
 (* One destination-rooted SPF on the paper's RAND50 graph (100 nodes,
    costs redrawn in [1, 10] as a Monte-Carlo run does), cycling the
    destination so every root is measured.  The per-call arrays
-   (distances, settled flags, heap, next hops) are the floor: the relax
-   and next-hop loops themselves allocate nothing. *)
+   (distances, heap, heap positions, next hops: 4 x 101 words) and the
+   in-tree record are the whole 408 words: the kernel's loops allocate
+   nothing, and the routing view is rebuilt only when the costs
+   change. *)
 let spf_to_dest () =
   let g = (Experiments.Common.rand50_config ~seed:1).Experiments.Common.graph in
   Workload.Scenario.randomize (Stats.Rng.create 1) g;
@@ -450,7 +452,7 @@ let alloc_budget_check () =
   case "net hop (transparent fwd)" ~key:"alloc_words_net_hop" ~budget:31.0
     (words_per ~iters:200_000 run /. float_of_int hops);
   let spf = spf_to_dest () in
-  case "SPF to_dest (RAND50)" ~key:"alloc_words_spf" ~budget:860.0
+  case "SPF to_dest (RAND50)" ~key:"alloc_words_spf" ~budget:490.0
     (words_per ~iters:20_000 spf);
   let spf_ns = time_ns_per ~iters:20_000 spf in
   Format.printf "spf: %.0f ns per to_dest on RAND50@." spf_ns;

@@ -589,7 +589,9 @@ let faults_cmd =
      a mid-tree router crash (with restart), a tree-link failure (with \
      restoration) and a 30% loss burst, with routing reconvergence after \
      each topology change.  Deterministic in $(b,--seed): equal seeds \
-     reproduce the report and the metrics snapshot bit for bit."
+     reproduce the report and the metrics snapshot bit for bit.  A case \
+     that fires more than its event budget is stopped and reported as a \
+     $(b,runaway) row, and the command then exits 1."
   in
   let scenario =
     let doc =
@@ -675,7 +677,8 @@ let faults_cmd =
            %d lost, %d duplicated)@."
           o.target o.topology
           (if
-             r.Fault.Recovery.recovered
+             (not o.runaway)
+             && r.Fault.Recovery.recovered
              && match r.Fault.Recovery.max_time_to_repair with
                 | Some ttr -> ttr <= o.budget
                 | None -> false
@@ -734,7 +737,18 @@ let faults_cmd =
                 obs)))
       timeline_ndjson;
     Option.iter write_openmetrics openmetrics;
-    Option.iter write_metrics_json metrics_json
+    Option.iter write_metrics_json metrics_json;
+    let runaways =
+      List.filter (fun (o : Experiments.Faults.outcome) -> o.runaway) outcomes
+    in
+    List.iter
+      (fun (o : Experiments.Faults.outcome) ->
+        Printf.eprintf "hbh_sim: runaway: %s/%s/%s stopped at the %d-event budget\n"
+          o.topology
+          (Experiments.Faults.scenario_name o.scenario)
+          (Verif.Sut.label o.proto) Experiments.Faults.event_budget)
+      runaways;
+    if runaways <> [] then exit 1
   in
   Cmd.v (Cmd.info "faults" ~doc)
     Term.(

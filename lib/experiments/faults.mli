@@ -26,7 +26,16 @@ type outcome = {
   budget : float;  (** the [2 * t2] repair budget *)
   report : Fault.Recovery.report;
   fault_drops : int;  (** loss + link-down + node-down drops *)
+  runaway : bool;
+      (** the case fired {!event_budget} events before its horizon and
+          was stopped there: not recovered, whatever [report] says of
+          the prefix that ran.  Its row reads [runaway]. *)
 }
+
+val event_budget : int
+(** Events one case may fire between convergence and its horizon: a
+    57x margin over the largest HBH, PIM-SSM or HPIM-DM case on seeds
+    0..1000, so only REUNITE's runaway duplication reaches it. *)
 
 val pick_crash_router :
   Routing.Table.t -> source:int -> receivers:int list -> int

@@ -2,171 +2,132 @@ module G = Topology.Graph
 
 type in_tree = { dest : int; dist : int array; next : int array }
 
-(* Minimal binary min-heap of (key, node) pairs.  Stale entries are
-   tolerated (lazy deletion): a popped node already settled is
-   skipped. *)
-module Heap = struct
-  type t = {
-    mutable keys : int array;
-    mutable nodes : int array;
-    mutable size : int;
-  }
+(* The kernel reads only the routing view's flat arrays (see
+   {!Topology.Graph.view}): no link records, no lists, no closures, and
+   no cross-module calls in its loops.
 
-  let create capacity =
-    { keys = Array.make (max 1 capacity) 0; nodes = Array.make (max 1 capacity) 0; size = 0 }
+   The queue is an indexed binary min-heap over node ids keyed by
+   [dist]: [heap.(0 .. size-1)] holds the queued nodes and [pos.(v)] is
+   [v]'s slot, or -1 when [v] is not queued.  Decrease-key moves a
+   queued node up in place, so there are no stale entries, and since
+   costs are non-negative a popped node can never improve again, so no
+   settled flags are needed either. *)
 
-  let is_empty h = h.size = 0
+let sift_up (dist : int array) heap pos i0 =
+  let v = heap.(i0) in
+  let dv = dist.(v) in
+  let i = ref i0 in
+  while !i > 0 && dist.(heap.((!i - 1) / 2)) > dv do
+    let p = (!i - 1) / 2 in
+    let u = heap.(p) in
+    heap.(!i) <- u;
+    pos.(u) <- !i;
+    i := p
+  done;
+  heap.(!i) <- v;
+  pos.(v) <- !i
 
-  let swap h i j =
-    let k = h.keys.(i) in
-    h.keys.(i) <- h.keys.(j);
-    h.keys.(j) <- k;
-    let n = h.nodes.(i) in
-    h.nodes.(i) <- h.nodes.(j);
-    h.nodes.(j) <- n
-
-  let grow h =
-    let cap = Array.length h.keys in
-    let keys = Array.make (2 * cap) 0 and nodes = Array.make (2 * cap) 0 in
-    Array.blit h.keys 0 keys 0 cap;
-    Array.blit h.nodes 0 nodes 0 cap;
-    h.keys <- keys;
-    h.nodes <- nodes
-
-  let push h key node =
-    if h.size = Array.length h.keys then grow h;
-    h.keys.(h.size) <- key;
-    h.nodes.(h.size) <- node;
-    let i = ref h.size in
-    h.size <- h.size + 1;
-    while !i > 0 && h.keys.((!i - 1) / 2) > h.keys.(!i) do
-      swap h !i ((!i - 1) / 2);
-      i := (!i - 1) / 2
-    done
-
-  let min_key h = h.keys.(0)
-
-  (* Removes the minimum entry and returns its node; read its key with
-     [min_key] first.  Returning the pair would box a tuple per pop. *)
-  let pop h =
-    let node = h.nodes.(0) in
-    h.size <- h.size - 1;
-    h.keys.(0) <- h.keys.(h.size);
-    h.nodes.(0) <- h.nodes.(h.size);
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let smallest = ref !i in
-      if l < h.size && h.keys.(l) < h.keys.(!smallest) then smallest := l;
-      if r < h.size && h.keys.(r) < h.keys.(!smallest) then smallest := r;
-      if !smallest = !i then continue := false
-      else begin
-        swap h !i !smallest;
-        i := !smallest
+let sift_down (dist : int array) heap pos size i0 =
+  let v = heap.(i0) in
+  let dv = dist.(v) in
+  let i = ref i0 in
+  let continue = ref true in
+  while !continue do
+    let l = (2 * !i) + 1 in
+    if l >= size then continue := false
+    else begin
+      let c =
+        if l + 1 < size && dist.(heap.(l + 1)) < dist.(heap.(l)) then l + 1
+        else l
+      in
+      let u = heap.(c) in
+      if dist.(u) < dv then begin
+        heap.(!i) <- u;
+        pos.(u) <- !i;
+        i := c
       end
-    done;
-    node
-end
-
-(* Both passes below walk [G.adjacency], whose [(w, lid)] entries are
-   the links joining a node to its neighbours in ascending neighbour
-   order, and read the directed cost and [up] flag straight from the
-   link record.  They are closure-free recursive loops: without
-   flambda, a [List.iter] closure allocates per node, and the
-   [G.cost]/[G.link_up] lookups (an adjacency scan plus an option
-   each) per edge. *)
-
-(* Directed cost of traversing link [l] out of its endpoint [u]. *)
-let cost_from (l : G.link) u = if l.u = u then l.cost_uv else l.cost_vu
-
-(* Relax every in-edge u -> v of the just-settled node [v] (at
-   distance [dv]): a path u -> v -> ... -> d. *)
-let rec relax g settled dist heap dv = function
-  | [] -> ()
-  | (u, lid) :: rest ->
-      if not settled.(u) then begin
-        let l = G.link g lid in
-        if l.up then begin
-          let cand = dv + cost_from l u in
-          if cand < dist.(u) then begin
-            dist.(u) <- cand;
-            Heap.push heap cand u
-          end
-        end
-      end;
-      relax g settled dist heap dv rest
-
-(* The first (so smallest-id) neighbour [v] of [u] over an up link with
-   [dist v + cost u v = dist u]; [-1] if none. *)
-let rec first_next g dist u du = function
-  | [] -> -1
-  | (v, lid) :: rest ->
-      let dv = dist.(v) in
-      if dv < max_int then begin
-        let l = G.link g lid in
-        if l.up && dv + cost_from l u = du then v
-        else first_next g dist u du rest
-      end
-      else first_next g dist u du rest
-
-let to_dest g d =
-  let n = G.node_count g in
-  if d < 0 || d >= n then invalid_arg "Dijkstra.to_dest: bad destination";
-  let dist = Array.make n max_int in
-  let settled = Array.make n false in
-  let heap = Heap.create (2 * n) in
-  dist.(d) <- 0;
-  Heap.push heap 0 d;
-  while not (Heap.is_empty heap) do
-    let key = Heap.min_key heap in
-    let v = Heap.pop heap in
-    if not settled.(v) && key = dist.(v) then begin
-      settled.(v) <- true;
-      relax g settled dist heap key (G.adjacency g v)
+      else continue := false
     end
   done;
-  (* Next hops: deterministic argmin with smallest-id tie-break.
-     Computed after the fact so ties are broken by id, not by heap
-     pop order. *)
+  heap.(!i) <- v;
+  pos.(v) <- !i
+
+let of_view (view : G.view) d =
+  let off = view.G.offsets
+  and nbrs = view.G.nbrs
+  and cost_in = view.G.cost_in
+  and cost_out = view.G.cost_out
+  and stub = view.G.stub in
+  let n = Array.length stub in
+  if d < 0 || d >= n then invalid_arg "Dijkstra.to_dest: bad destination";
+  let dist = Array.make n max_int in
+  let heap = Array.make n 0 and pos = Array.make n (-1) in
+  dist.(d) <- 0;
+  heap.(0) <- d;
+  pos.(d) <- 0;
+  let size = ref 1 in
+  while !size > 0 do
+    let v = heap.(0) in
+    pos.(v) <- -1;
+    decr size;
+    if !size > 0 then begin
+      heap.(0) <- heap.(!size);
+      sift_down dist heap pos !size 0
+    end;
+    (* Relax every in-edge u -> v: a path u -> v -> ... -> d.  A stub
+       other than [d] is skipped; it is filled in below. *)
+    let dv = dist.(v) in
+    for k = off.(v) to off.(v + 1) - 1 do
+      let c = cost_in.(k) in
+      if c >= 0 then begin
+        let u = nbrs.(k) in
+        let cand = dv + c in
+        if cand < dist.(u) && not stub.(u) then begin
+          dist.(u) <- cand;
+          if pos.(u) < 0 then begin
+            heap.(!size) <- u;
+            pos.(u) <- !size;
+            incr size
+          end;
+          sift_up dist heap pos pos.(u)
+        end
+      end
+    done
+  done;
+  (* Stubs: a degree-1 node cannot be interior to a simple path, so no
+     other distance depends on it, and its own is its one neighbour's
+     plus the link cost.  (A neighbour that is itself a stub other
+     than [d] is a two-node component without [d]: both stay
+     unreachable whichever is filled first.) *)
+  for s = 0 to n - 1 do
+    if stub.(s) && s <> d then begin
+      let k = off.(s) in
+      let c = cost_out.(k) in
+      let dw = dist.(nbrs.(k)) in
+      if c >= 0 && dw < max_int then dist.(s) <- dw + c
+    end
+  done;
+  (* Next hops: the first (so smallest-id) neighbour [w] over an up
+     link with [dist w + cost u w = dist u].  Computed after the fact
+     so ties are broken by id, not by heap pop order. *)
   let next = Array.make n (-1) in
   for u = 0 to n - 1 do
     let du = dist.(u) in
-    if u <> d && du < max_int then
-      next.(u) <- first_next g dist u du (G.adjacency g u)
+    if u <> d && du < max_int then begin
+      let k = ref off.(u) and stop = off.(u + 1) in
+      while !k < stop do
+        let c = cost_out.(!k) and w = nbrs.(!k) in
+        if c >= 0 && dist.(w) < max_int && dist.(w) + c = du then begin
+          next.(u) <- w;
+          k := stop
+        end
+        else incr k
+      done
+    end
   done;
   { dest = d; dist; next }
 
-(* Destination-rooted SPF over an explicit in-edge index:
-   [in_edges.(v)] lists [(u, cost)] for every directed edge [u -> v].
-   This is the engine behind {!Link_state}'s LSDB routing — the index
-   is built once per LSDB generation and reused across destinations,
-   and the heap replaces the O(n^2) selection scan. *)
-let spf_in_edges ~n ~dest in_edges =
-  if dest < 0 || dest >= n then invalid_arg "Dijkstra.spf_in_edges: bad destination";
-  let dist = Array.make n max_int in
-  let settled = Array.make n false in
-  let heap = Heap.create (2 * n) in
-  dist.(dest) <- 0;
-  Heap.push heap 0 dest;
-  while not (Heap.is_empty heap) do
-    let key = Heap.min_key heap in
-    let v = Heap.pop heap in
-    if not settled.(v) && key = dist.(v) then begin
-      settled.(v) <- true;
-      List.iter
-        (fun (u, cost) ->
-          if not settled.(u) then begin
-            let cand = dist.(v) + cost in
-            if cand < dist.(u) then begin
-              dist.(u) <- cand;
-              Heap.push heap cand u
-            end
-          end)
-        in_edges.(v)
-    end
-  done;
-  dist
+let to_dest g d = of_view (G.routing_view g) d
 
 let reachable t u = t.dist.(u) < max_int
 

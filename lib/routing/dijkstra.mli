@@ -22,16 +22,22 @@ type in_tree = private {
 
 val to_dest : Topology.Graph.t -> int -> in_tree
 (** [to_dest g d] runs Dijkstra over the reversed directed graph
-    rooted at [d]. *)
+    rooted at [d], on [g]'s current {!Topology.Graph.routing_view}
+    (down links absent).  Raises [Invalid_argument] on a bad [d].
 
-val spf_in_edges : n:int -> dest:int -> (int * int) list array -> int array
-(** [spf_in_edges ~n ~dest in_edges] is the distance of every node to
-    [dest] over an explicit directed-edge index: [in_edges.(v)] lists
-    [(u, cost)] for every edge [u -> v].  [max_int] marks unreachable
-    nodes.  Shares {!to_dest}'s binary-heap relaxation (identical
-    distances), but takes the index instead of a graph so callers with
-    their own view of the topology — {!Link_state}'s per-router LSDBs —
-    can build the index once and sweep destinations. *)
+    The kernel is one closure-free pass over the view's flat arrays
+    with an indexed (decrease-key) binary heap.  {b Stub rule:} a
+    degree-1 node other than [d] never enters the heap — it cannot be
+    interior to a simple path — and gets its one neighbour's distance
+    plus the link cost once the heap drains.  Distances are unique
+    and next hops come from a separate smallest-id pass, so neither
+    the heap nor the stub rule changes any tie-break. *)
+
+val of_view : Topology.Graph.view -> int -> in_tree
+(** [of_view v d] is the same kernel over an explicit view, for
+    callers with their own picture of the topology ({!Link_state}'s
+    per-router LSDBs build one per LSDB generation).  [to_dest g d] is
+    [of_view (Topology.Graph.routing_view g) d]. *)
 
 val reachable : in_tree -> int -> bool
 val distance : in_tree -> int -> int

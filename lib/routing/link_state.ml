@@ -8,13 +8,12 @@ type lsa = {
 
 type router_state = { lsdb : (int, lsa) Hashtbl.t }
 
-(* Per-router SPF memo, keyed by the LSDB generation it was built
-   against: [in_edges] is the router's directed-edge index (rebuilt
-   once per generation, shared across destinations) and [dists] the
-   destination-rooted distance arrays computed so far. *)
+(* Per-router SPF memo: [view] is the router's directed-edge index as
+   a routing view stamped with the LSDB generation it was built against
+   (rebuilt once per generation, shared across destinations), and
+   [dists] the destination-rooted distance arrays computed so far. *)
 type spf_cache = {
-  mutable cache_gen : int;
-  mutable in_edges : (int * int) list array;
+  mutable view : G.view option;
   dists : (int, int array) Hashtbl.t;
 }
 
@@ -125,56 +124,80 @@ let stats t =
     converged_at = t.last_change;
   }
 
-(* Router [r]'s directed-edge index from its advertised out-links.
-   Hosts advertise nothing; give each host its graph out-link so
-   host-sourced paths (the channel source) resolve too. *)
-let build_in_edges t r =
+(* Router [r]'s directed-edge index from its advertised out-links, as
+   a routing view.  Hosts advertise nothing; give each host its graph
+   out-link so host-sourced paths (the channel source) resolve too. *)
+let build_view t r =
   let st = Hashtbl.find t.states r in
   let n = G.node_count t.graph in
-  let in_edges = Array.make n [] in
+  (* [costs]: (u, w) -> directed cost u -> w; [rows.(v)]: v's
+     neighbours in either direction, duplicates included. *)
+  let costs = Hashtbl.create 64 in
+  let rows = Array.make n [] in
+  let edge u w c =
+    Hashtbl.replace costs (u, w) c;
+    rows.(u) <- w :: rows.(u);
+    rows.(w) <- u :: rows.(w)
+  in
   Hashtbl.iter
-    (fun _ lsa ->
-      List.iter
-        (fun (nb, cost) -> in_edges.(nb) <- (lsa.origin, cost) :: in_edges.(nb))
-        lsa.out_links)
+    (fun _ lsa -> List.iter (fun (nb, c) -> edge lsa.origin nb c) lsa.out_links)
     st.lsdb;
   List.iter
     (fun h ->
       match G.neighbors t.graph h with
-      | [ rtr ] -> in_edges.(rtr) <- (h, G.cost t.graph h rtr) :: in_edges.(rtr)
+      | [ rtr ] -> edge h rtr (G.cost t.graph h rtr)
       | _ -> ())
     (G.hosts t.graph);
-  in_edges
+  let rows = Array.map (List.sort_uniq compare) rows in
+  let offsets = Array.make (n + 1) 0 in
+  Array.iteri (fun v row -> offsets.(v + 1) <- offsets.(v) + List.length row) rows;
+  let m = offsets.(n) in
+  let nbrs = Array.make m 0 in
+  let cost_in = Array.make m (-1) and cost_out = Array.make m (-1) in
+  let cost u w = Option.value ~default:(-1) (Hashtbl.find_opt costs (u, w)) in
+  Array.iteri
+    (fun v row ->
+      List.iteri
+        (fun j w ->
+          let k = offsets.(v) + j in
+          nbrs.(k) <- w;
+          cost_in.(k) <- cost w v;
+          cost_out.(k) <- cost v w)
+        row)
+    rows;
+  G.make_view ~generation:t.generation ~offsets ~nbrs ~cost_in ~cost_out
 
 let cache_of t r =
   match Hashtbl.find_opt t.caches r with
   | Some c -> c
   | None ->
-      let c = { cache_gen = -1; in_edges = [||]; dists = Hashtbl.create 16 } in
+      let c = { view = None; dists = Hashtbl.create 16 } in
       Hashtbl.replace t.caches r c;
       c
 
-(* Destination-rooted SPF over router [r]'s LSDB, mirroring
-   {!Dijkstra.to_dest}'s relaxation so the two agree exactly once
-   flooding has converged.  Returns the distance of every node to
-   [dest] in r's view, memoized per (router, LSDB generation). *)
+(* Destination-rooted SPF over router [r]'s LSDB: the same kernel as
+   {!Dijkstra.to_dest}, so the two agree exactly once flooding has
+   converged.  Returns the distance of every node to [dest] in r's
+   view, memoized per (router, LSDB generation). *)
 let lsdb_dist_to t r dest =
   let c = cache_of t r in
-  if c.cache_gen <> t.generation then begin
-    c.in_edges <- build_in_edges t r;
-    Hashtbl.reset c.dists;
-    c.cache_gen <- t.generation;
-    Obs.Metrics.hot_incr m_rebuilds
-  end;
+  let view =
+    match c.view with
+    | Some v when v.G.generation = t.generation -> v
+    | _ ->
+        let v = build_view t r in
+        c.view <- Some v;
+        Hashtbl.reset c.dists;
+        Obs.Metrics.hot_incr m_rebuilds;
+        v
+  in
   match Hashtbl.find_opt c.dists dest with
   | Some dist ->
       Obs.Metrics.hot_incr m_hits;
       dist
   | None ->
       Obs.Metrics.hot_incr m_spf;
-      let dist =
-        Dijkstra.spf_in_edges ~n:(G.node_count t.graph) ~dest c.in_edges
-      in
+      let dist = (Dijkstra.of_view view dest).Dijkstra.dist in
       Hashtbl.replace c.dists dest dist;
       dist
 

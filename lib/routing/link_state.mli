@@ -19,8 +19,10 @@
     the router's LSDB view.  Those runs are memoized per router and
     keyed by a global LSDB generation counter, bumped whenever any
     router installs a newer advertisement: a query after new flooding
-    rebuilds that router's in-edge index once and recomputes only the
-    destinations actually asked for.  Direct graph mutations (costs,
+    rebuilds that router's edge index once, as a
+    {!Topology.Graph.view} stamped with the LSDB generation, and runs
+    {!Dijkstra.of_view} (the one SPF kernel) only for the destinations
+    actually asked for.  Direct graph mutations (costs,
     link state) are observed when the owning router {!reoriginate}s —
     which is how the protocol learns of them anyway.  Cache traffic is
     accounted in {!Obs.Metrics.default} under [routing.lsdb_spf_runs],

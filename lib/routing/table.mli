@@ -8,7 +8,11 @@
     link or node state) does not touch existing trees — that staleness
     is exactly the paper's "routing has not reconverged yet" window —
     but a destination queried for the {e first} time after a mutation
-    sees the current graph.  Callers model reconvergence by
+    sees the current graph.  The graph's generation guarantees both
+    halves: every routing mutator bumps it, SPF runs on a
+    {!Topology.Graph.routing_view} rebuilt whenever the generation is
+    stale, and a view (like the in-tree built from it) is never
+    modified once built.  Callers model reconvergence by
     invalidating:
 
     - {!invalidate_edge} after a change that can only make the link

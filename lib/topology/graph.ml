@@ -11,11 +11,23 @@ type link = {
   mutable up : bool;
 }
 
+type view = {
+  generation : int;
+  offsets : int array;
+  nbrs : int array;
+  cost_in : int array;
+  cost_out : int array;
+  stub : bool array;
+}
+
 type t = {
   kinds : kind array;
   capable : bool array;
   adj : (int * int) list array; (* node -> (neighbor, link id) list *)
   link_arr : link array;
+  mutable generation : int; (* bumped by every routing-relevant mutator *)
+  view : view Atomic.t;
+      (* the routing view last built; stale when its generation differs *)
 }
 
 let node_count g = Array.length g.kinds
@@ -115,9 +127,12 @@ let delay g u v =
   let l = directed_link g u v in
   if l.u = u then l.delay_uv else l.delay_vu
 
+let bump g = g.generation <- g.generation + 1
+
 let set_cost g u v c =
   let l = directed_link g u v in
-  if l.u = u then l.cost_uv <- c else l.cost_vu <- c
+  if l.u = u then l.cost_uv <- c else l.cost_vu <- c;
+  bump g
 
 let set_delay g u v d =
   let l = directed_link g u v in
@@ -125,7 +140,9 @@ let set_delay g u v d =
 
 let link_up g u v = (directed_link g u v).up
 
-let set_link_up g u v b = (directed_link g u v).up <- b
+let set_link_up g u v b =
+  (directed_link g u v).up <- b;
+  bump g
 
 let all_links_up g = Array.for_all (fun l -> l.up) g.link_arr
 
@@ -166,14 +183,16 @@ let randomize_costs g rng ~lo ~hi =
       l.cost_vu <- Stats.Rng.int_in rng lo hi;
       l.delay_uv <- float_of_int l.cost_uv;
       l.delay_vu <- float_of_int l.cost_vu)
-    g.link_arr
+    g.link_arr;
+  bump g
 
 let symmetrize_costs g =
   Array.iter
     (fun l ->
       l.cost_vu <- l.cost_uv;
       l.delay_vu <- l.delay_uv)
-    g.link_arr
+    g.link_arr;
+  bump g
 
 let asymmetric_link_fraction g =
   let n = link_count g in
@@ -194,7 +213,8 @@ let map_costs g f =
       l.cost_vu <- cvu;
       l.delay_uv <- float_of_int cuv;
       l.delay_vu <- float_of_int cvu)
-    g.link_arr
+    g.link_arr;
+  bump g
 
 (* The graph's full mutable footprint: per-link costs/delays/up flags
    plus the multicast-capability flags.  Structure (nodes, adjacency)
@@ -227,7 +247,70 @@ let restore_links g s =
       l.delay_vu <- dvu;
       l.up <- up)
     s.ls_links;
-  Array.blit s.ls_capable 0 g.capable 0 (Array.length g.capable)
+  Array.blit s.ls_capable 0 g.capable 0 (Array.length g.capable);
+  bump g
+
+(* ---- Routing view ------------------------------------------------- *)
+
+let make_view ~generation ~offsets ~nbrs ~cost_in ~cost_out =
+  let n = Array.length offsets - 1 in
+  if
+    n < 0
+    || offsets.(0) <> 0
+    || Array.length nbrs <> offsets.(n)
+    || Array.length cost_in <> offsets.(n)
+    || Array.length cost_out <> offsets.(n)
+  then invalid_arg "Graph.make_view: ragged arrays";
+  let stub = Array.init n (fun i -> offsets.(i + 1) - offsets.(i) = 1) in
+  { generation; offsets; nbrs; cost_in; cost_out; stub }
+
+(* The structure half of the view (offsets, neighbour ids, stub flags)
+   never changes, so every generation's view shares it and only the
+   two cost arrays are rebuilt.  Generation -1 marks it stale. *)
+let structure_view adj =
+  let n = Array.length adj in
+  let offsets = Array.make (n + 1) 0 in
+  Array.iteri (fun i l -> offsets.(i + 1) <- offsets.(i) + List.length l) adj;
+  let m = offsets.(n) in
+  let nbrs = Array.make m 0 in
+  Array.iteri
+    (fun i l -> List.iteri (fun j (w, _) -> nbrs.(offsets.(i) + j) <- w) l)
+    adj;
+  make_view ~generation:(-1) ~offsets ~nbrs ~cost_in:(Array.make m (-1))
+    ~cost_out:(Array.make m (-1))
+
+(* Rebuild into fresh arrays and publish with one [Atomic.set]: a view
+   is immutable once another domain can see it.  Two domains racing on
+   a stale view both build the same arrays; either result is good. *)
+let routing_view g =
+  let v = Atomic.get g.view in
+  let generation = g.generation in
+  if v.generation = generation then v
+  else begin
+    let m = Array.length v.nbrs in
+    let cost_in = Array.make m (-1) and cost_out = Array.make m (-1) in
+    Array.iteri
+      (fun u adj ->
+        List.iteri
+          (fun j (_, lid) ->
+            let l = g.link_arr.(lid) in
+            if l.up then begin
+              let k = v.offsets.(u) + j in
+              if l.u = u then begin
+                cost_out.(k) <- l.cost_uv;
+                cost_in.(k) <- l.cost_vu
+              end
+              else begin
+                cost_out.(k) <- l.cost_vu;
+                cost_in.(k) <- l.cost_uv
+              end
+            end)
+          adj)
+      g.adj;
+    let fresh = { v with generation; cost_in; cost_out } in
+    Atomic.set g.view fresh;
+    fresh
+  end
 
 let copy g =
   {
@@ -235,6 +318,8 @@ let copy g =
     capable = Array.copy g.capable;
     adj = Array.copy g.adj;
     link_arr = Array.map (fun l -> { l with id = l.id }) g.link_arr;
+    generation = 0;
+    view = Atomic.make { (Atomic.get g.view) with generation = -1 };
   }
 
 let pp ppf g =
@@ -298,4 +383,11 @@ let make ~kinds ~links =
         invalid_arg
           (Printf.sprintf "Graph.make: host %d must have exactly one link" i))
     kinds;
-  { kinds = Array.copy kinds; capable = Array.make n true; adj; link_arr }
+  {
+    kinds = Array.copy kinds;
+    capable = Array.make n true;
+    adj;
+    link_arr;
+    generation = 0;
+    view = Atomic.make (structure_view adj);
+  }

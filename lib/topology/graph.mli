@@ -54,9 +54,10 @@ val adjacency : t -> int -> (int * int) list
 (** [adjacency g u] is [u]'s [(neighbour, link id)] list in ascending
     neighbour order, down links included.  It is the graph's own
     immutable structure, returned without copying: read each edge's
-    state and directed cost from [link g id].  Hot loops (SPF) walk it
+    state and directed cost from [link g id].  Per-edge loops walk it
     instead of {!neighbors} + {!link_up} + {!cost}, which allocate and
-    rescan the list per edge. *)
+    rescan the list per edge; shortest-path routing reads the flatter
+    {!routing_view} instead. *)
 
 val degree : t -> int -> int
 
@@ -83,7 +84,8 @@ val delay : t -> int -> int -> float
 (** Directed propagation delay; same convention as {!cost}. *)
 
 val set_cost : t -> int -> int -> int -> unit
-(** [set_cost g u v c] sets the metric of direction [u -> v]. *)
+(** [set_cost g u v c] sets the metric of direction [u -> v]; [c]
+    must be non-negative. *)
 
 val set_delay : t -> int -> int -> float -> unit
 
@@ -132,7 +134,8 @@ val map_costs : t -> (link -> int * int) -> unit
     updating delays to match. *)
 
 val copy : t -> t
-(** Deep copy (independent link records and capability flags). *)
+(** Deep copy (independent link records and capability flags).  The
+    copy starts a fresh generation with a stale view. *)
 
 type link_state
 (** The graph's full mutable footprint: per-link costs, delays and
@@ -143,6 +146,51 @@ val save_links : t -> link_state
 val restore_links : t -> link_state -> unit
 (** Restore a {!save_links} checkpoint onto the same graph.  Raises
     [Invalid_argument] if the snapshot's shape does not match. *)
+
+(** {1 Routing view}
+
+    A flat, immutable snapshot of everything shortest-path routing
+    reads, in compressed-sparse-row (CSR) form: node [v]'s entries are
+    the slots [offsets.(v) .. offsets.(v+1) - 1] of the other arrays,
+    one per neighbour, in ascending neighbour order.
+
+    {b Generation rule.}  The graph carries a generation counter,
+    0 after {!make} and {!copy}.  Every mutator that can change a route
+    bumps it: {!set_cost}, {!set_link_up},
+    {!randomize_costs}, {!symmetrize_costs}, {!map_costs} and
+    {!restore_links}.  {!set_delay} and {!set_multicast_capable} do
+    not, because routing reads neither.  {!routing_view} rebuilds the
+    view only when its generation is stale, so a view is always the
+    current graph's, and a view already handed out never changes. *)
+
+type view = private {
+  generation : int;  (** the graph generation the view was built at *)
+  offsets : int array;  (** [node_count + 1] CSR row starts *)
+  nbrs : int array;  (** neighbour id per slot, ascending per node *)
+  cost_in : int array;
+      (** slot [k] of node [v] with neighbour [w]: the directed cost
+          [w -> v], or [-1] if the link is down *)
+  cost_out : int array;  (** the directed cost [v -> w], or [-1] if down *)
+  stub : bool array;  (** node has exactly one neighbour (degree 1) *)
+}
+
+val routing_view : t -> view
+(** The view of the current generation, rebuilt (O(nodes + links),
+    into fresh arrays published with one [Atomic.set]) if the cached
+    one is stale.  Safe to call from several domains sharing a graph
+    that none of them mutates. *)
+
+val make_view :
+  generation:int ->
+  offsets:int array ->
+  nbrs:int array ->
+  cost_in:int array ->
+  cost_out:int array ->
+  view
+(** A view over some other directed graph (a router's link-state
+    database, say), with the stub flags derived from [offsets].  Costs
+    must be non-negative, [-1] marking an absent direction.  Raises
+    [Invalid_argument] on ragged arrays. *)
 
 val pp : Format.formatter -> t -> unit
 (** Summary line: node/link counts and degree. *)

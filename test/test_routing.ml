@@ -307,6 +307,19 @@ let prop_triangle_inequality =
       done;
       !ok)
 
+(* The reference next hop of [u] toward [bf]'s destination: the
+   smallest-id neighbour [v] over an up link with
+   [dist v + cost u v = dist u], distances from Bellman-Ford; -1 at the
+   destination or when unreachable. *)
+let smallest_tied_next g (bf : Routing.Bellman_ford.result) u =
+  if u = bf.dest || bf.dist.(u) = max_int then -1
+  else
+    List.sort compare (G.neighbors g u)
+    |> List.find_opt (fun v ->
+           bf.dist.(v) < max_int && G.link_up g u v
+           && bf.dist.(v) + G.cost g u v = bf.dist.(u))
+    |> Option.value ~default:(-1)
+
 (* The tie-break every delivery digest depends on, on graphs with many
    ties (costs 1..3) and failed links: [next u] is the smallest-id
    neighbour [v] over an up link with [dist v + cost u v = dist u],
@@ -326,18 +339,122 @@ let prop_next_hop_smallest_tied_neighbour =
       let d = Stats.Rng.int rng n in
       let tree = Routing.Dijkstra.to_dest g d in
       let bf = Routing.Bellman_ford.to_dest g d in
-      let expected u =
-        if u = d || bf.dist.(u) = max_int then -1
-        else
-          List.sort compare (G.neighbors g u)
-          |> List.find_opt (fun v ->
-                 bf.dist.(v) < max_int && G.link_up g u v
-                 && bf.dist.(v) + G.cost g u v = bf.dist.(u))
-          |> Option.value ~default:(-1)
-      in
       List.for_all
-        (fun u -> tree.Routing.Dijkstra.next.(u) = expected u)
+        (fun u -> tree.Routing.Dijkstra.next.(u) = smallest_tied_next g bf u)
         (List.init n Fun.id))
+
+(* A router core (random spanning tree plus chords) with degree-1
+   routers hanging off it, sometimes in chains, sometimes a detached
+   router pair, and hosts on any router: the stub shapes the kernel
+   skips, which [random_connected ~hosts:false] never makes. *)
+let stubby_graph rng =
+  let core = 4 + Stats.Rng.int rng 8 in
+  let pendants = 1 + Stats.Rng.int rng 4 in
+  let pair = Stats.Rng.int rng 2 = 0 in
+  let routers = core + pendants + if pair then 2 else 0 in
+  let hosts = 1 + Stats.Rng.int rng 4 in
+  let links = ref [] in
+  let linked u v =
+    List.exists
+      (fun (a, b, _, _) -> (a = u && b = v) || (a = v && b = u))
+      !links
+  in
+  let link u v = if u <> v && not (linked u v) then links := (u, v, 1, 1) :: !links in
+  for i = 1 to core - 1 do
+    link (Stats.Rng.int rng i) i
+  done;
+  for _ = 1 to core / 2 do
+    link (Stats.Rng.int rng core) (Stats.Rng.int rng core)
+  done;
+  for i = core to core + pendants - 1 do
+    link (Stats.Rng.int rng i) i
+  done;
+  if pair then link (routers - 2) (routers - 1);
+  for h = routers to routers + hosts - 1 do
+    link (Stats.Rng.int rng routers) h
+  done;
+  let kinds =
+    Array.init (routers + hosts) (fun i -> if i < routers then G.Router else G.Host)
+  in
+  let g = G.make ~kinds ~links:(List.rev !links) in
+  G.randomize_costs g rng ~lo:1 ~hi:3;
+  g
+
+(* [to_dest] against Bellman-Ford and the smallest-id tied-neighbour
+   rule, on stub-heavy graphs with many ties (costs 1..3) and failed
+   links, across random sequences of every routing mutator; and
+   [Table]'s cache semantics across the same mutations: a cached tree
+   is a snapshot that no mutation touches, and the first query after a
+   mutation sees the current graph.  A mutator that forgot to bump the
+   graph's generation would leave SPF on a stale view and fail
+   here. *)
+let prop_kernel_tracks_mutations =
+  QCheck.Test.make ~name:"SPF on stubs tracks every routing mutator"
+    ~count:200
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Stats.Rng.create seed in
+      let g = stubby_graph rng in
+      let n = G.node_count g in
+      let snapshot = G.save_links g in
+      fail_random_links g rng;
+      let table = Routing.Table.compute g in
+      (* Cached trees with copies of their arrays at caching time. *)
+      let cached = Hashtbl.create n in
+      let check msg b = if not b then QCheck.Test.fail_reportf "seed %d: %s" seed msg in
+      let expected_tree d =
+        let bf = Routing.Bellman_ford.to_dest g d in
+        (bf.dist, Array.init n (smallest_tied_next g bf))
+      in
+      let matches d (tree : Routing.Dijkstra.in_tree) =
+        (tree.dist, tree.next) = expected_tree d
+      in
+      let query_table () =
+        for d = 0 to n - 1 do
+          if Stats.Rng.int rng 2 = 0 then begin
+            let tree = Routing.Table.in_tree table d in
+            match Hashtbl.find_opt cached d with
+            | Some (t0, dist, next) ->
+                check "cached tree replaced"
+                  (tree == t0 && tree.dist = dist && tree.next = next)
+            | None ->
+                check (Printf.sprintf "first query of %d is stale" d) (matches d tree);
+                Hashtbl.replace cached d
+                  (tree, Array.copy tree.dist, Array.copy tree.next)
+          end
+        done
+      in
+      let random_link () =
+        let links = G.links g in
+        List.nth links (Stats.Rng.int rng (List.length links))
+      in
+      for _ = 1 to 12 do
+        for d = 0 to n - 1 do
+          check (Printf.sprintf "to_dest %d" d) (matches d (Routing.Dijkstra.to_dest g d))
+        done;
+        query_table ();
+        (match Stats.Rng.int rng 6 with
+        | 0 ->
+            let l = random_link () in
+            G.set_cost g l.u l.v (1 + Stats.Rng.int rng 3)
+        | 1 ->
+            let l = random_link () in
+            G.set_link_up g l.u l.v (not l.up)
+        | 2 -> G.randomize_costs g rng ~lo:1 ~hi:3
+        | 3 -> G.restore_links g snapshot
+        | 4 -> G.symmetrize_costs g
+        | _ ->
+            G.map_costs g (fun l -> (l.cost_vu, 1 + Stats.Rng.int rng 3)));
+        (* Drop a third of the cached trees: their next query is a
+           first query after this mutation and must see it. *)
+        for d = 0 to n - 1 do
+          if Stats.Rng.int rng 3 = 0 then begin
+            Routing.Table.invalidate_dest table d;
+            Hashtbl.remove cached d
+          end
+        done
+      done;
+      true)
 
 let prop_path_endpoints =
   QCheck.Test.make ~name:"paths start and end correctly" ~count:30
@@ -500,5 +617,6 @@ let () =
             prop_lazy_table_matches_fresh;
             prop_link_state_cache_consistent;
             prop_next_hop_smallest_tied_neighbour;
+            prop_kernel_tracks_mutations;
           ] );
     ]
