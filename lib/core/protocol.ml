@@ -474,7 +474,10 @@ let router_tables t n =
   match Node_tables.find (S.state t).router_tables n with
   | Some state -> state
   | None ->
-      if n = S.source t || not (Net.handled (S.network t) n) then
+      if
+        n = S.source t
+        || not (Topology.Graph.multicast_router (S.graph t) n)
+      then
         invalid_arg (Printf.sprintf "Protocol.router_tables: no agent at %d" n)
       else Tables.No_state
 

@@ -41,7 +41,8 @@ val state : t -> Mcast.Metrics.state
 val router_tables : t -> int -> Tables.channel_state
 (** The router's state for the session's channel; [No_state] when it
     holds none (inspection never installs state).  Raises
-    [Invalid_argument] for nodes without an agent. *)
+    [Invalid_argument] for the source and for every node that is not a
+    {!Topology.Graph.multicast_router} (no router agent runs there). *)
 
 val source_table : t -> Tables.Mft.t
 (** The source's own forwarding table (first-hop receivers and

@@ -115,11 +115,6 @@ let run ?until ?max_events t =
 
 let events_fired t = t.fired
 
-let pending_with_tag t tag =
-  let n = ref 0 in
-  Heap.iter (fun h -> if (not h.cancelled) && h.tag = tag then incr n) t.queue;
-  !n
-
 (* ---- Checkpoint / restore --------------------------------------------- *)
 
 (* Handle records are shared between the queue and whoever scheduled

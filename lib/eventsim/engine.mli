@@ -49,11 +49,6 @@ val events_fired : t -> int
     the current domain's default registry ({!Obs.Metrics.default}),
     aggregating across all engines the domain runs. *)
 
-val pending_with_tag : t -> string -> int
-(** Queued, non-cancelled events carrying the given tag (O(pending) —
-    the verification layer uses it to find instants with no in-flight
-    packets). *)
-
 (** {1 Checkpoint / restore}
 
     A snapshot captures the clock, the scheduling sequence counter,

@@ -1,13 +1,9 @@
-type kind = Periodic of float | Oneshot | Watchdog of float
-
 type t = {
   engine : Engine.t;
   tag : string option;
-  kind : kind;
   action : unit -> unit;
   mutable handle : Engine.handle option;
   mutable stopped : bool;
-  mutable deadline : float; (* watchdogs: current expiry time *)
 }
 
 let arm t ~delay body =
@@ -16,9 +12,7 @@ let arm t ~delay body =
 let every ?tag engine ?start ~period f =
   if period <= 0.0 then invalid_arg "Timer.every: period must be positive";
   let start = match start with Some s -> s | None -> period in
-  let t =
-    { engine; tag; kind = Periodic period; action = f; handle = None; stopped = false; deadline = 0.0 }
-  in
+  let t = { engine; tag; action = f; handle = None; stopped = false } in
   let rec tick () =
     if not t.stopped then begin
       t.action ();
@@ -29,82 +23,13 @@ let every ?tag engine ?start ~period f =
   t
 
 let after ?tag engine ~delay f =
-  let t =
-    { engine; tag; kind = Oneshot; action = f; handle = None; stopped = false; deadline = 0.0 }
-  in
+  let t = { engine; tag; action = f; handle = None; stopped = false } in
   arm t ~delay (fun () ->
       if not t.stopped then begin
         t.stopped <- true;
         t.action ()
       end);
   t
-
-let watchdog ?tag engine ~timeout f =
-  if timeout <= 0.0 then invalid_arg "Timer.watchdog: timeout must be positive";
-  let t =
-    {
-      engine;
-      tag;
-      kind = Watchdog timeout;
-      action = f;
-      handle = None;
-      stopped = false;
-      deadline = Engine.now engine +. timeout;
-    }
-  in
-  (* A lazy watchdog: when the scheduled check fires early (because
-     feeds postponed the deadline) it re-schedules itself for the
-     remaining time instead of tracking every feed with a new
-     event. *)
-  let rec check () =
-    if not t.stopped then begin
-      let now = Engine.now t.engine in
-      if now >= t.deadline then t.action ()
-      else arm t ~delay:(t.deadline -. now) check
-    end
-  in
-  arm t ~delay:timeout check;
-  t
-
-let feed t =
-  match t.kind with
-  | Watchdog timeout ->
-      if not t.stopped then begin
-        let now = Engine.now t.engine in
-        let expired = now >= t.deadline in
-        t.deadline <- now +. timeout;
-        (* If the pending check already fired (expired watchdog being
-           re-armed), schedule a fresh one. *)
-        if expired then begin
-          let rec check () =
-            if not t.stopped then begin
-              let now = Engine.now t.engine in
-              if now >= t.deadline then t.action ()
-              else arm t ~delay:(t.deadline -. now) check
-            end
-          in
-          arm t ~delay:timeout check
-        end
-      end
-  | Periodic _ | Oneshot -> ()
-
-(* A timer's whole mutable footprint.  The saved handle is the one
-   whose event sits in the engine queue at snapshot time; restoring it
-   alongside an [Engine.restore] means a later [stop] cancels exactly
-   the pending event again. *)
-type snap = {
-  s_handle : Engine.handle option;
-  s_stopped : bool;
-  s_deadline : float;
-}
-
-let save t =
-  { s_handle = t.handle; s_stopped = t.stopped; s_deadline = t.deadline }
-
-let restore t s =
-  t.handle <- s.s_handle;
-  t.stopped <- s.s_stopped;
-  t.deadline <- s.s_deadline
 
 let stop t =
   t.stopped <- true;

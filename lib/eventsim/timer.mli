@@ -1,6 +1,4 @@
-(** Timers built on {!Engine}: periodic ticks and restartable
-    watchdogs (the soft-state [t1]/[t2] expiry pattern of the HBH and
-    REUNITE tables). *)
+(** Timers built on {!Engine}: periodic ticks and one-shots. *)
 
 type t
 
@@ -13,29 +11,7 @@ val every :
 val after : ?tag:string -> Engine.t -> delay:float -> (unit -> unit) -> t
 (** One-shot timer. *)
 
-val watchdog : ?tag:string -> Engine.t -> timeout:float -> (unit -> unit) -> t
-(** [watchdog e ~timeout f] fires [f] once, [timeout] after the last
-    {!feed} (initially [timeout] from creation).  Feeding postpones
-    expiry; after firing, further feeds rearm it. *)
-
-val feed : t -> unit
-(** Postpone a watchdog; no effect on other timer kinds or on a
-    stopped timer. *)
-
 val stop : t -> unit
 (** Idempotent; the timer never fires again. *)
 
 val active : t -> bool
-
-(** {1 Checkpoint / restore}
-
-    A timer's mutable footprint (stopped flag, watchdog deadline,
-    current engine handle).  Only meaningful together with
-    {!Engine.snapshot}/{!Engine.restore} of the engine the timer runs
-    on: the saved handle refers to the event pending at snapshot
-    time. *)
-
-type snap
-
-val save : t -> snap
-val restore : t -> snap -> unit

@@ -419,26 +419,6 @@ let measure_join_latency ?(seed = 42) ?protocols () =
   measure_join_latency_config ?protocols ~seed ~n:8 isp
   @ measure_join_latency_config ?protocols ~seed ~n:15 rand50
 
-let jl_headers =
-  [ "topology"; "protocol"; "joins"; "mean"; "p50"; "p95"; "p99"; "max" ]
-
-let jl_row jl =
-  let s = jl.jl_stats in
-  let f v = if Float.is_nan v then "-" else Printf.sprintf "%.0f" v in
-  [
-    jl.jl_topology;
-    Sut.label jl.jl_proto;
-    string_of_int s.Obs.Span.n;
-    f s.Obs.Span.mean;
-    f s.Obs.Span.p50;
-    f s.Obs.Span.p95;
-    f s.Obs.Span.p99;
-    f s.Obs.Span.max;
-  ]
-
-let pp_join_latency ppf jls =
-  Stats.Table.render ppf ~headers:jl_headers (List.map jl_row jls)
-
 (* ---- Rendering --------------------------------------------------- *)
 
 let row (o : outcome) =

@@ -144,4 +144,3 @@ val measure_join_latency :
   ?seed:int -> ?protocols:Verif.Sut.protocol list -> unit -> join_latency list
 (** Both evaluation topologies (8 and 15 receivers, like {!run}). *)
 
-val pp_join_latency : Format.formatter -> join_latency list -> unit

@@ -116,11 +116,11 @@ let fastpath_one ~seed ~flaps ~live n =
   let t0 = Sys.time () in
   for _ = 1 to flaps do
     Topology.Graph.set_link_up g flap_u flap_v false;
-    Routing.Table.refresh table_e;
+    Routing.Table.invalidate_all table_e;
     Routing.Table.force_all table_e;
     query table_e;
     Topology.Graph.set_link_up g flap_u flap_v true;
-    Routing.Table.refresh table_e;
+    Routing.Table.invalidate_all table_e;
     Routing.Table.force_all table_e;
     query table_e
   done;

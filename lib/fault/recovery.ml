@@ -286,15 +286,3 @@ let export ?(prefix = "fault.recovery") registry r =
       | Some v -> Obs.Histo.observe histo v
       | None -> ())
     r.outcomes
-
-let pp_report ppf r =
-  let pp_opt ppf = function
-    | None -> Format.pp_print_string ppf "-"
-    | Some v -> Format.fprintf ppf "%g" v
-  in
-  Format.fprintf ppf
-    "recovered=%b ttr_max=%a lost=%d dup=%d sent_after=%d inflation=%a"
-    r.recovered pp_opt r.max_time_to_repair r.total_lost r.total_duplicated
-    r.sent_after_fault pp_opt
-    (if Float.is_finite r.overhead_inflation then Some r.overhead_inflation
-     else None)

@@ -97,5 +97,3 @@ val export : ?prefix:string -> Obs.Metrics.t -> report -> unit
     [.inflation_during_fault]) plus a [<prefix>.time_to_repair]
     histogram of per-receiver repair times.  Non-finite values are
     skipped.  Default prefix ["fault.recovery"]. *)
-
-val pp_report : Format.formatter -> report -> unit

@@ -252,16 +252,13 @@ let nbr_alive ns v ~now =
   | Some r -> now <= r.n_heard
   | None -> false
 
-(* A protocol participant: a multicast-capable router, or the source
-   (which runs the source agent even from a host attachment).  Hosts
-   and capability-disabled routers have no handler chained (see
+(* A protocol participant: a multicast router, or the source (which
+   runs the source agent even from a host attachment).  Hosts and
+   capability-disabled routers run no router agent (see
    [Proto.Session]) — helloing them would stream messages into a
    void, and worse, make the liveness view permanently one-sided. *)
 let is_router t n =
-  let g = S.graph t in
-  (Topology.Graph.kind g n = Topology.Graph.Router
-  && Topology.Graph.multicast_capable g n)
-  || n = S.source t
+  Topology.Graph.multicast_router (S.graph t) n || n = S.source t
 
 (* The RPF candidate: the first {e participating} hop on the unicast
    path toward the source.  Under full deployment this is exactly
@@ -846,5 +843,4 @@ let genid t n =
   Option.map (fun ns -> ns.ns_genid) (Hashtbl.find_opt (S.state t).nodes n)
 
 let pending_digest t b = Rel.digest (S.state t).rel b
-let pending_count t = Rel.pending (S.state t).rel
 let metric t n = metric_of t n

@@ -98,4 +98,3 @@ val pending_digest : t -> Buffer.t -> unit
 (** Append the reliable layer's pending slot keys (sorted) to a
     canonical digest: unacked control traffic means not settled. *)
 
-val pending_count : t -> int

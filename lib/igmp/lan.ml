@@ -36,7 +36,6 @@ type t = {
   mutable table : float Gmap.t;
   mutable queries : int;
   mutable reports : int;
-  mutable leaves : int;
 }
 
 let find_host t h =
@@ -104,7 +103,6 @@ let create ?(config = default_config) engine rng ~router ~hosts =
       table = Gmap.empty;
       queries = 0;
       reports = 0;
-      leaves = 0;
     }
   in
   ignore
@@ -129,7 +127,6 @@ let leave t ~host ~group =
         Eventsim.Timer.stop timer;
         hs.pending <- Gmap.remove group hs.pending
     | None -> ());
-    t.leaves <- t.leaves + 1;
     (* Group-specific query with a short deadline: if nobody answers,
        the group ages out almost immediately. *)
     t.queries <- t.queries + 1;
@@ -156,4 +153,3 @@ let router_has t group =
 
 let queries_sent t = t.queries
 let reports_sent t = t.reports
-let leaves_sent t = t.leaves

@@ -59,4 +59,3 @@ val router_has : t -> Mcast.Class_d.t -> bool
 
 val queries_sent : t -> int
 val reports_sent : t -> int
-val leaves_sent : t -> int

@@ -31,18 +31,3 @@ type state = {
   branching_routers : int;
   on_tree_routers : int;
 }
-
-let empty_state =
-  { mct_entries = 0; mft_entries = 0; branching_routers = 0; on_tree_routers = 0 }
-
-let add_state a b =
-  {
-    mct_entries = a.mct_entries + b.mct_entries;
-    mft_entries = a.mft_entries + b.mft_entries;
-    branching_routers = a.branching_routers + b.branching_routers;
-    on_tree_routers = a.on_tree_routers + b.on_tree_routers;
-  }
-
-let pp_state ppf s =
-  Format.fprintf ppf "MCT=%d MFT=%d branching=%d on-tree=%d" s.mct_entries
-    s.mft_entries s.branching_routers s.on_tree_routers

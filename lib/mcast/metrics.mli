@@ -25,6 +25,3 @@ type state = {
   on_tree_routers : int;  (** routers holding any state *)
 }
 
-val empty_state : state
-val add_state : state -> state -> state
-val pp_state : Format.formatter -> state -> unit

@@ -1,37 +1,21 @@
 type verdict = Consume | Forward
 
+(* Mutated in place on the hot path; the interface makes the record
+   private, so {!counters} hands callers a copy. *)
 type counters = {
-  originated_data : int;
-  originated_control : int;
-  data_hops : int;
-  control_hops : int;
-  deliveries : int;
-  consumed : int;
-  dropped_ttl : int;
-  dropped_unreachable : int;
-  dropped_loss : int;
-  dropped_link_down : int;
-  dropped_node_down : int;
-  dropped_filtered : int;
-  sunk_at_dst : int;
-}
-
-(* The hot path mutates these in place; {!counters} takes an immutable
-   snapshot on demand (cold). *)
-type mut_counters = {
-  mutable m_originated_data : int;
-  mutable m_originated_control : int;
-  mutable m_data_hops : int;
-  mutable m_control_hops : int;
-  mutable m_deliveries : int;
-  mutable m_consumed : int;
-  mutable m_dropped_ttl : int;
-  mutable m_dropped_unreachable : int;
-  mutable m_dropped_loss : int;
-  mutable m_dropped_link_down : int;
-  mutable m_dropped_node_down : int;
-  mutable m_dropped_filtered : int;
-  mutable m_sunk_at_dst : int;
+  mutable originated_data : int;
+  mutable originated_control : int;
+  mutable data_hops : int;
+  mutable control_hops : int;
+  mutable deliveries : int;
+  mutable consumed : int;
+  mutable dropped_ttl : int;
+  mutable dropped_unreachable : int;
+  mutable dropped_loss : int;
+  mutable dropped_link_down : int;
+  mutable dropped_node_down : int;
+  mutable dropped_filtered : int;
+  mutable sunk_at_dst : int;
 }
 
 type drop_reason = Loss | Link_failed | Node_failed | Filtered
@@ -57,8 +41,11 @@ type 'p t = {
   graph : Topology.Graph.t;
   default_ttl : int;
   trace : Obs.Trace.t;
-  handlers : (int, 'p handler) Hashtbl.t;
-  sinks : (int, unit) Hashtbl.t;
+  (* The one per-hop handler, consulted at every node a packet visits;
+     [None] forwards everything. *)
+  mutable handler : 'p handler option;
+  (* Data sinks by acquire count (see {!sink_acquire}). *)
+  sinks : (int, int) Hashtbl.t;
   (* Data accounting, allocation-lean: link loads are keyed by the
      flat directed-edge index [u * n_nodes + v] (an immediate int, so
      neither lookup nor update allocates a key), and deliveries append
@@ -69,7 +56,7 @@ type 'p t = {
   mutable dl_nodes : int array;
   mutable dl_delays : float array;
   mutable dl_len : int;
-  c : mut_counters;
+  mutable c : counters;
   (* Fault state.  [faults_on] stays false until the first fault API
      call, so a fault-free simulation pays one boolean test per hop
      and nothing else. *)
@@ -111,20 +98,23 @@ let h_delivery_delay = Obs.Metrics.hot_histogram "net.delivery_delay"
 
 let zero_counters () =
   {
-    m_originated_data = 0;
-    m_originated_control = 0;
-    m_data_hops = 0;
-    m_control_hops = 0;
-    m_deliveries = 0;
-    m_consumed = 0;
-    m_dropped_ttl = 0;
-    m_dropped_unreachable = 0;
-    m_dropped_loss = 0;
-    m_dropped_link_down = 0;
-    m_dropped_node_down = 0;
-    m_dropped_filtered = 0;
-    m_sunk_at_dst = 0;
+    originated_data = 0;
+    originated_control = 0;
+    data_hops = 0;
+    control_hops = 0;
+    deliveries = 0;
+    consumed = 0;
+    dropped_ttl = 0;
+    dropped_unreachable = 0;
+    dropped_loss = 0;
+    dropped_link_down = 0;
+    dropped_node_down = 0;
+    dropped_filtered = 0;
+    sunk_at_dst = 0;
   }
+
+(* [with] always builds a fresh record. *)
+let copy_counters c = { c with originated_data = c.originated_data }
 
 let create ?(default_ttl = 255) ?trace engine table =
   let trace = match trace with Some t -> t | None -> Obs.Trace.create () in
@@ -135,7 +125,7 @@ let create ?(default_ttl = 255) ?trace engine table =
     graph;
     default_ttl;
     trace;
-    handlers = Hashtbl.create 64;
+    handler = None;
     sinks = Hashtbl.create 16;
     n_nodes = Topology.Graph.node_count graph;
     data_loads = Hashtbl.create 256;
@@ -165,22 +155,20 @@ let table t = t.table
 let trace t = t.trace
 let now t = Eventsim.Engine.now t.engine
 
-let install t node h = Hashtbl.replace t.handlers node h
+let set_handler t h =
+  match t.handler with
+  | Some _ -> invalid_arg "Network.set_handler: a handler is already set"
+  | None -> t.handler <- Some h
 
-let chain t node h =
-  match Hashtbl.find_opt t.handlers node with
-  | None -> Hashtbl.replace t.handlers node h
-  | Some first ->
-      Hashtbl.replace t.handlers node (fun net n p ->
-          match first net n p with
-          | Consume -> Consume
-          | Forward -> h net n p)
+let sink_refs t node = Option.value ~default:0 (Hashtbl.find_opt t.sinks node)
 
-let uninstall t node = Hashtbl.remove t.handlers node
-let handled t node = Hashtbl.mem t.handlers node
+let sink_acquire t node = Hashtbl.replace t.sinks node (sink_refs t node + 1)
 
-let set_sink t node b =
-  if b then Hashtbl.replace t.sinks node () else Hashtbl.remove t.sinks node
+let sink_release t node =
+  match sink_refs t node with
+  | 0 -> ()
+  | 1 -> Hashtbl.remove t.sinks node
+  | n -> Hashtbl.replace t.sinks node (n - 1)
 
 (* ---- Fault surface ---------------------------------------------------- *)
 
@@ -276,8 +264,6 @@ let set_burst_loss t ~prob ~len =
 let hostile_active t =
   match t.hostile with Some _ -> true | None -> false
 
-let clear_hostile t = t.hostile <- None
-
 let set_link_up t u v b =
   (* Materialize any not-yet-computed routes against the pre-change
      topology first: packets must keep following stale next hops until
@@ -369,10 +355,10 @@ let reason_label = function
 
 let fault_drop t ~at ~next reason (p : 'p Packet.t) =
   (match reason with
-  | Loss -> t.c.m_dropped_loss <- t.c.m_dropped_loss + 1
-  | Link_failed -> t.c.m_dropped_link_down <- t.c.m_dropped_link_down + 1
-  | Node_failed -> t.c.m_dropped_node_down <- t.c.m_dropped_node_down + 1
-  | Filtered -> t.c.m_dropped_filtered <- t.c.m_dropped_filtered + 1);
+  | Loss -> t.c.dropped_loss <- t.c.dropped_loss + 1
+  | Link_failed -> t.c.dropped_link_down <- t.c.dropped_link_down + 1
+  | Node_failed -> t.c.dropped_node_down <- t.c.dropped_node_down + 1
+  | Filtered -> t.c.dropped_filtered <- t.c.dropped_filtered + 1);
   Obs.Metrics.hot_incr m_dropped;
   Obs.Metrics.hot_incr m_dropped_fault;
   (* Bernoulli losses track traffic volume; keep them off the ring
@@ -401,10 +387,10 @@ let tally_link t (p : 'p Packet.t) u v =
         | exception Not_found -> 0
       in
       Hashtbl.replace t.data_loads key (n + 1);
-      t.c.m_data_hops <- t.c.m_data_hops + 1;
+      t.c.data_hops <- t.c.data_hops + 1;
       Obs.Metrics.hot_incr m_pkt_copies
   | Packet.Control ->
-      t.c.m_control_hops <- t.c.m_control_hops + 1;
+      t.c.control_hops <- t.c.control_hops + 1;
       Obs.Metrics.hot_incr m_ctl_hops);
   (* Per-hop events are high-volume: only under a verbose trace. *)
   if Obs.Trace.active t.trace && Obs.Trace.verbose t.trace then
@@ -450,28 +436,22 @@ and arrive t node (p : 'p Packet.t) =
     then begin
       let delay = now t -. p.born in
       record_delivery t node delay;
-      t.c.m_deliveries <- t.c.m_deliveries + 1;
+      t.c.deliveries <- t.c.deliveries + 1;
       Obs.Metrics.hot_incr m_deliveries;
       Obs.Metrics.hot_observe h_delivery_delay delay;
       List.iter
         (fun f -> f ~now:(now t) ~node p)
         t.delivery_listeners
     end;
-    (* [find]/[Not_found] instead of [find_opt]: no [Some] box on a
-       per-arrival lookup. *)
-    let verdict =
-      match Hashtbl.find t.handlers node with
-      | h -> h t node p
-      | exception Not_found -> Forward
-    in
+    let verdict = match t.handler with Some h -> h t node p | None -> Forward in
     match verdict with
-    | Consume -> t.c.m_consumed <- t.c.m_consumed + 1
+    | Consume -> t.c.consumed <- t.c.consumed + 1
     | Forward ->
-        if p.dst = node then t.c.m_sunk_at_dst <- t.c.m_sunk_at_dst + 1
+        if p.dst = node then t.c.sunk_at_dst <- t.c.sunk_at_dst + 1
         else if p.ttl <= 0 then begin
           Obs.Trace.notef t.trace ~time:(now t) ~node "TTL expired (%d->%d)"
             p.src p.dst;
-          t.c.m_dropped_ttl <- t.c.m_dropped_ttl + 1;
+          t.c.dropped_ttl <- t.c.dropped_ttl + 1;
           Obs.Metrics.hot_incr m_dropped
         end
         else begin
@@ -487,7 +467,7 @@ and transmit t node (p : 'p Packet.t) =
     match Routing.Table.next_hop t.table node ~dest:p.dst with
     | None ->
         Obs.Trace.notef t.trace ~time:(now t) ~node "no route to %d" p.dst;
-        t.c.m_dropped_unreachable <- t.c.m_dropped_unreachable + 1;
+        t.c.dropped_unreachable <- t.c.dropped_unreachable + 1;
         Obs.Metrics.hot_incr m_dropped
     | Some next -> (
         if t.faults_on && faulted_out t node next p then ()
@@ -589,16 +569,16 @@ let originate t ~src ~dst ~kind payload =
     Packet.make ~src ~dst ~kind ~born:(now t) ~ttl:t.default_ttl payload
   in
   (match kind with
-  | Packet.Data -> t.c.m_originated_data <- t.c.m_originated_data + 1
+  | Packet.Data -> t.c.originated_data <- t.c.originated_data + 1
   | Packet.Control ->
-      t.c.m_originated_control <- t.c.m_originated_control + 1);
+      t.c.originated_control <- t.c.originated_control + 1);
   if dst = src then hop t ~delay:0.0 ~next:src p else transmit t src p
 
 let emit t ~at (p : 'p Packet.t) =
   (match p.kind with
-  | Packet.Data -> t.c.m_originated_data <- t.c.m_originated_data + 1
+  | Packet.Data -> t.c.originated_data <- t.c.originated_data + 1
   | Packet.Control ->
-      t.c.m_originated_control <- t.c.m_originated_control + 1);
+      t.c.originated_control <- t.c.originated_control + 1);
   (* [emit] is how branching routers inject rewritten copies — the
      duplication event of the recursive-unicast data plane. *)
   if Obs.Trace.active t.trace && Obs.Trace.verbose t.trace then
@@ -606,22 +586,7 @@ let emit t ~at (p : 'p Packet.t) =
       (Obs.Event.Packet_duplicate { dst = p.dst; data = p.kind = Packet.Data });
   if p.dst = at then hop t ~delay:0.0 ~next:at p else transmit t at p
 
-let counters t =
-  {
-    originated_data = t.c.m_originated_data;
-    originated_control = t.c.m_originated_control;
-    data_hops = t.c.m_data_hops;
-    control_hops = t.c.m_control_hops;
-    deliveries = t.c.m_deliveries;
-    consumed = t.c.m_consumed;
-    dropped_ttl = t.c.m_dropped_ttl;
-    dropped_unreachable = t.c.m_dropped_unreachable;
-    dropped_loss = t.c.m_dropped_loss;
-    dropped_link_down = t.c.m_dropped_link_down;
-    dropped_node_down = t.c.m_dropped_node_down;
-    dropped_filtered = t.c.m_dropped_filtered;
-    sunk_at_dst = t.c.m_sunk_at_dst;
-  }
+let counters t = copy_counters t.c
 
 let data_link_loads t =
   Hashtbl.fold
@@ -641,9 +606,8 @@ let reset_data_accounting t =
 type 'p snapshot = {
   s_engine : Eventsim.Engine.snapshot;
   s_links : Topology.Graph.link_state;
-  s_counters : mut_counters;
-  s_handlers : (int, 'p handler) Hashtbl.t;
-  s_sinks : (int, unit) Hashtbl.t;
+  s_counters : counters;
+  s_sinks : (int, int) Hashtbl.t;
   s_data_loads : (int, int) Hashtbl.t;
   s_dl_nodes : int array;
   s_dl_delays : float array;
@@ -660,38 +624,6 @@ type 'p snapshot = {
   s_inflight : (int * 'p Packet.t * int * int) list; (* id, pkt, ttl, via *)
   s_flight_seq : int;
 }
-
-let copy_counters c =
-  {
-    m_originated_data = c.m_originated_data;
-    m_originated_control = c.m_originated_control;
-    m_data_hops = c.m_data_hops;
-    m_control_hops = c.m_control_hops;
-    m_deliveries = c.m_deliveries;
-    m_consumed = c.m_consumed;
-    m_dropped_ttl = c.m_dropped_ttl;
-    m_dropped_unreachable = c.m_dropped_unreachable;
-    m_dropped_loss = c.m_dropped_loss;
-    m_dropped_link_down = c.m_dropped_link_down;
-    m_dropped_node_down = c.m_dropped_node_down;
-    m_dropped_filtered = c.m_dropped_filtered;
-    m_sunk_at_dst = c.m_sunk_at_dst;
-  }
-
-let blit_counters ~from ~into =
-  into.m_originated_data <- from.m_originated_data;
-  into.m_originated_control <- from.m_originated_control;
-  into.m_data_hops <- from.m_data_hops;
-  into.m_control_hops <- from.m_control_hops;
-  into.m_deliveries <- from.m_deliveries;
-  into.m_consumed <- from.m_consumed;
-  into.m_dropped_ttl <- from.m_dropped_ttl;
-  into.m_dropped_unreachable <- from.m_dropped_unreachable;
-  into.m_dropped_loss <- from.m_dropped_loss;
-  into.m_dropped_link_down <- from.m_dropped_link_down;
-  into.m_dropped_node_down <- from.m_dropped_node_down;
-  into.m_dropped_filtered <- from.m_dropped_filtered;
-  into.m_sunk_at_dst <- from.m_sunk_at_dst
 
 let copy_hostile h =
   {
@@ -711,7 +643,6 @@ let snapshot t =
     s_engine = Eventsim.Engine.snapshot t.engine;
     s_links = Topology.Graph.save_links t.graph;
     s_counters = copy_counters t.c;
-    s_handlers = Hashtbl.copy t.handlers;
     s_sinks = Hashtbl.copy t.sinks;
     s_data_loads = Hashtbl.copy t.data_loads;
     s_dl_nodes = Array.sub t.dl_nodes 0 t.dl_len;
@@ -740,8 +671,7 @@ let restore_tbl dst src =
 let restore t s =
   Eventsim.Engine.restore t.engine s.s_engine;
   Topology.Graph.restore_links t.graph s.s_links;
-  blit_counters ~from:s.s_counters ~into:t.c;
-  restore_tbl t.handlers s.s_handlers;
+  t.c <- copy_counters s.s_counters;
   restore_tbl t.sinks s.s_sinks;
   restore_tbl t.data_loads s.s_data_loads;
   (* Copies, so post-restore deliveries never scribble on the

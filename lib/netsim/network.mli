@@ -4,10 +4,11 @@
     ({!Routing.Table}) and an event {!Eventsim.Engine} together.
     Packets travel hop by hop: each traversal of a link takes that
     link's directed delay, and {e every} node a packet visits offers
-    it to the protocol handler installed there — this is how HBH and
-    REUNITE routers intercept join messages that are not addressed to
-    them.  Nodes without a handler (unicast-only routers, the
-    protocols' deployment story) forward transparently.
+    it to the network's one handler ({!set_handler}) — this is how HBH
+    and REUNITE routers intercept join messages that are not addressed
+    to them.  The handler decides which nodes run protocol agents;
+    everywhere else (unicast-only routers, the protocols' deployment
+    story) it returns {!Forward} and the packet passes transparently.
 
     The network keeps the accounting the paper measures: copies of
     data packets per directed link, data deliveries at hosts with
@@ -37,25 +38,21 @@ val table : 'p t -> Routing.Table.t
 val trace : 'p t -> Obs.Trace.t
 val now : 'p t -> float
 
-val install : 'p t -> int -> 'p handler -> unit
-(** Replaces any previous handler at that node. *)
+val set_handler : 'p t -> 'p handler -> unit
+(** Set the network's one per-hop handler; until then every node
+    forwards.  One network carries one dispatcher ({!Proto.Mux}), so a
+    second call raises [Invalid_argument]. *)
 
-val chain : 'p t -> int -> 'p handler -> unit
-(** Adds a handler {e behind} any existing one: the packet is offered
-    to the earlier handler first and falls through to this one only
-    if that returned {!Forward}.  Protocol handlers that forward
-    foreign traffic untouched (every handler in this repository)
-    compose safely this way — how several channels share one
-    network. *)
-
-val set_sink : 'p t -> int -> bool -> unit
+val sink_acquire : 'p t -> int -> unit
 (** Mark a node as a data delivery endpoint.  Hosts always are;
     router nodes acting as receivers (the hand-built scenario
     topologies) must be marked explicitly for their deliveries to be
-    recorded. *)
+    recorded.  Acquires are counted: the node stays a sink until every
+    acquire has been released, so several channels can share one
+    member node. *)
 
-val uninstall : 'p t -> int -> unit
-val handled : 'p t -> int -> bool
+val sink_release : 'p t -> int -> unit
+(** Undo one {!sink_acquire}; a node with no acquires is left alone. *)
 
 (** {1 Fault injection}
 
@@ -127,9 +124,6 @@ val set_burst_loss : 'p t -> prob:float -> len:int -> unit
 val hostile_active : 'p t -> bool
 (** Whether any adversarial knob has ever been set. *)
 
-val clear_hostile : 'p t -> unit
-(** Drop all adversarial knobs (the plain FIFO link again). *)
-
 val set_link_up : 'p t -> int -> int -> bool -> unit
 (** Fail ([false]) or restore ([true]) the undirected link — mutates
     the shared topology {e and} arms the per-hop fault check, so
@@ -145,11 +139,11 @@ val set_link_up : 'p t -> int -> int -> bool -> unit
 val set_node_up : 'p t -> int -> bool -> unit
 (** Crash ([false]) or restart ([true]) a node.  A down node neither
     receives, delivers, consumes nor forwards: everything touching it
-    is dropped as [dropped_node_down].  Handlers stay installed but
-    are not consulted.  State transitions fire the {!on_node_event}
-    listeners (protocol sessions use this to wipe the node's soft
-    state, modelling the loss of volatile router memory) and record a
-    typed crash/restart trace event. *)
+    is dropped as [dropped_node_down]; the handler is not consulted
+    there.  State transitions fire the {!on_node_event} listeners
+    (protocol sessions use this to wipe the node's soft state,
+    modelling the loss of volatile router memory) and record a typed
+    crash/restart trace event. *)
 
 val node_up : 'p t -> int -> bool
 
@@ -189,7 +183,7 @@ val originate :
   'p t -> src:int -> dst:int -> kind:Packet.kind -> 'p -> unit
 (** Emit a fresh packet from node [src] toward [dst] at the current
     time.  A packet addressed to its own source is looped back to the
-    local handler. *)
+    handler at that node. *)
 
 val emit : 'p t -> at:int -> 'p Packet.t -> unit
 (** Send an already-built packet (typically {!Packet.rewrite} of a
@@ -198,25 +192,28 @@ val emit : 'p t -> at:int -> 'p Packet.t -> unit
 
 (** {1 Accounting} *)
 
-type counters = {
-  originated_data : int;
-  originated_control : int;
-  data_hops : int;  (** directed-link traversals by data copies *)
-  control_hops : int;
-  deliveries : int;  (** data packets that reached a host addressed to it *)
-  consumed : int;  (** packets absorbed by handlers *)
-  dropped_ttl : int;
-  dropped_unreachable : int;
-  dropped_loss : int;  (** Bernoulli losses (transmitted, never arrived) *)
-  dropped_link_down : int;  (** forwarded onto a failed link *)
-  dropped_node_down : int;  (** touched a crashed node *)
-  dropped_filtered : int;  (** suppressed by the drop filter *)
-  sunk_at_dst : int;  (** packets that reached [dst] with no handler claim *)
+type counters = private {
+  mutable originated_data : int;
+  mutable originated_control : int;
+  mutable data_hops : int;  (** directed-link traversals by data copies *)
+  mutable control_hops : int;
+  mutable deliveries : int;
+      (** data packets that reached a host addressed to it *)
+  mutable consumed : int;  (** packets absorbed by the handler *)
+  mutable dropped_ttl : int;
+  mutable dropped_unreachable : int;
+  mutable dropped_loss : int;
+      (** Bernoulli losses (transmitted, never arrived) *)
+  mutable dropped_link_down : int;  (** forwarded onto a failed link *)
+  mutable dropped_node_down : int;  (** touched a crashed node *)
+  mutable dropped_filtered : int;  (** suppressed by the drop filter *)
+  mutable sunk_at_dst : int;
+      (** packets that reached [dst] with no handler claim *)
 }
+(** Only the network writes these; callers read fields. *)
 
 val counters : 'p t -> counters
-(** Immutable snapshot of the accounting (the network mutates its
-    counters in place on the hot path). *)
+(** A copy of the accounting: later traffic does not change it. *)
 
 val data_link_loads : 'p t -> ((int * int) * int) list
 (** Copies per directed link since the last {!reset_data_accounting},
@@ -235,7 +232,7 @@ val reset_data_accounting : 'p t -> unit
 
     A snapshot captures the whole simulation state reachable from the
     network: the engine (clock and event queue), the topology's
-    mutable link state, the accounting counters, handler/sink/fault
+    mutable link state, the accounting counters, the sink and fault
     tables, the fault RNG (copied, so restored runs redraw the same
     losses), and the mutable [ttl]/[via] fields of every in-flight
     packet referenced by a queued hop event.  Restoring rewinds all of

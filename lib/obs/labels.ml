@@ -35,7 +35,6 @@ let make pairs =
 let v pairs = make pairs
 let bindings t = t
 let cardinality t = List.length t
-let compare_t = (compare : t -> t -> int)
 let equal (a : t) b = a = b
 
 (* OpenMetrics-compatible escaping inside label values. *)

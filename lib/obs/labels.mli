@@ -23,7 +23,6 @@ val bindings : t -> (string * string) list
 
 val cardinality : t -> int
 
-val compare_t : t -> t -> int
 val equal : t -> t -> bool
 
 val escape_value : string -> string

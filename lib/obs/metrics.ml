@@ -102,7 +102,6 @@ type hot_counter = counter hot
 let hot_counter_l name labels = make_hot (fun t -> counter_l t name labels)
 let hot_counter name = hot_counter_l name Labels.empty
 let hot_incr h = incr (hot_get h)
-let hot_add h k = add (hot_get h) k
 let hot_value h = value (hot_get h)
 
 type hot_gauge = gauge hot

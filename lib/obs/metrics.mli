@@ -91,7 +91,6 @@ type hot_counter
 val hot_counter : string -> hot_counter
 val hot_counter_l : string -> Labels.t -> hot_counter
 val hot_incr : hot_counter -> unit
-val hot_add : hot_counter -> int -> unit
 
 val hot_value : hot_counter -> int
 (** Value in the current domain's default registry. *)

@@ -27,9 +27,6 @@ let add_probe t name probe =
     invalid_arg "Timeline.add_probe: timeline already has samples";
   t.probes <- (name, probe) :: t.probes
 
-let probe_counter t name c = add_probe t name (fun () -> float_of_int (Metrics.value c))
-let probe_gauge t name g = add_probe t name (fun () -> Metrics.gauge_value g)
-
 let columns t = List.rev_map fst t.probes
 
 let sample t ~now =

@@ -25,11 +25,6 @@ val add_probe : t -> string -> probe -> unit
     [Invalid_argument] on a duplicate name or after sampling
     started. *)
 
-val probe_counter : t -> string -> Metrics.counter -> unit
-(** Column reading a counter's current value. *)
-
-val probe_gauge : t -> string -> Metrics.gauge -> unit
-
 val sample : t -> now:float -> unit
 (** Record one row: read every probe (registration order) at
     simulated time [now]. *)

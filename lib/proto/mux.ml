@@ -13,39 +13,35 @@ type 'p t = {
   network : 'p Net.t;
   ports : (int, 'p port) Hashtbl.t;
   mutable ports_fwd : 'p port list; (* registration order *)
-  covered : (int, unit) Hashtbl.t;
-  sink_refs : (int, int) Hashtbl.t;
+  covered : bool array; (* by node id *)
   wheel : Wheel.t;
-  dispatcher : 'p Net.handler;
 }
 
 let create ?tag ~key_of network =
-  let ports : (int, 'p port) Hashtbl.t = Hashtbl.create 64 in
-  (* The one handler every covered node shares: an O(1) key lookup
-     replacing k chained per-channel filters.  [Hashtbl.find] rather
-     than [find_opt] keeps the per-hop path allocation-free. *)
-  let dispatcher _net node (p : 'p Pkt.t) =
-    match Hashtbl.find ports (key_of p.Pkt.payload) with
-    | port -> port.p_handle node p
-    | exception Not_found -> Net.Forward
-  in
   let t =
     {
       network;
-      ports;
+      ports = Hashtbl.create 64;
       ports_fwd = [];
-      covered = Hashtbl.create 64;
-      sink_refs = Hashtbl.create 16;
+      covered = Array.make (Topology.Graph.node_count (Net.graph network)) false;
       wheel = Wheel.create ?tag (Net.engine network);
-      dispatcher;
     }
   in
+  (* The network's one handler: a coverage test, then an O(1) key
+     lookup.  [Hashtbl.find] rather than [find_opt] keeps the per-hop
+     path allocation-free. *)
+  Net.set_handler network (fun _net node (p : 'p Pkt.t) ->
+      if not t.covered.(node) then Net.Forward
+      else
+        match Hashtbl.find t.ports (key_of p.Pkt.payload) with
+        | port -> port.p_handle node p
+        | exception Not_found -> Net.Forward);
   Net.on_node_event network (fun ~up n ->
       List.iter (fun po -> po.p_node_event ~up n) t.ports_fwd);
   Net.on_route_change network (fun ~changed ->
       List.iter (fun po -> po.p_route_change ~changed) t.ports_fwd);
   Net.on_delivery network (fun ~now ~node p ->
-      match Hashtbl.find ports (key_of p.Pkt.payload) with
+      match Hashtbl.find t.ports (key_of p.Pkt.payload) with
       | port -> port.p_deliver ~now ~node p
       | exception Not_found -> ());
   t
@@ -61,55 +57,20 @@ let register t ~key port =
   Hashtbl.replace t.ports key port;
   t.ports_fwd <- t.ports_fwd @ [ port ]
 
-let cover t n =
-  if not (Hashtbl.mem t.covered n) then begin
-    Hashtbl.replace t.covered n ();
-    Net.chain t.network n t.dispatcher
-  end
-
-(* Sink status is per node in netsim but per (node, channel) here:
-   refcounts keep one channel's unsubscribe from silencing a host
-   that still belongs to another channel. *)
-let sink_acquire t n =
-  let c = match Hashtbl.find_opt t.sink_refs n with Some c -> c | None -> 0 in
-  Hashtbl.replace t.sink_refs n (c + 1);
-  if c = 0 then Net.set_sink t.network n true
-
-let sink_release t n =
-  match Hashtbl.find_opt t.sink_refs n with
-  | None -> ()
-  | Some c ->
-      if c <= 1 then begin
-        Hashtbl.remove t.sink_refs n;
-        Net.set_sink t.network n false
-      end
-      else Hashtbl.replace t.sink_refs n (c - 1)
+let cover t n = t.covered.(n) <- true
 
 (* ---- Checkpoint / restore -------------------------------------------- *)
 
-(* The mux's own mutable footprint on top of the network snapshot:
-   which nodes the dispatcher is chained at (the network snapshot
-   restores the handler lists themselves; the cover set must agree or
-   a re-subscribe after restore would skip the chain), the sink
-   refcounts, and the wheel.  Ports registered after [save] survive a
-   [restore] — sessions sharing a mux snapshot and restore as one
+(* The mux's own mutable footprint on top of the network snapshot: the
+   coverage (a re-subscribe after restore must see the cover set of the
+   restored run) and the wheel.  Ports registered after [save] survive
+   a [restore] — sessions sharing a mux snapshot and restore as one
    unit, which the single-session verifier does trivially. *)
-type state = {
-  st_covered : int list;
-  st_sinks : (int * int) list;
-  st_wheel : Wheel.snap;
-}
+type state = { st_covered : bool array; st_wheel : Wheel.snap }
 
 let save_state t =
-  {
-    st_covered = Hashtbl.fold (fun n () acc -> n :: acc) t.covered [];
-    st_sinks = Hashtbl.fold (fun n c acc -> (n, c) :: acc) t.sink_refs [];
-    st_wheel = Wheel.save t.wheel;
-  }
+  { st_covered = Array.copy t.covered; st_wheel = Wheel.save t.wheel }
 
 let restore_state t s =
-  Hashtbl.reset t.covered;
-  List.iter (fun n -> Hashtbl.replace t.covered n ()) s.st_covered;
-  Hashtbl.reset t.sink_refs;
-  List.iter (fun (n, c) -> Hashtbl.replace t.sink_refs n c) s.st_sinks;
+  Array.blit s.st_covered 0 t.covered 0 (Array.length t.covered);
   Wheel.restore t.wheel s.st_wheel

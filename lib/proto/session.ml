@@ -138,12 +138,11 @@ module Make (P : PROTOCOL) = struct
 
   and hooks = {
     router : handler;
-        (** chained at every multicast-capable router except the
-            source *)
-    source_agent : handler;  (** chained at the source node *)
+        (** runs at every multicast router except the source *)
+    source_agent : handler;  (** runs at the source node *)
     member_agent : handler option;
-        (** chained at member {e hosts} on first subscribe (router
-            members are covered by [router]) *)
+        (** runs at member {e hosts} from their first subscribe on
+            (router members are covered by [router]) *)
     tick : (t -> unit) option;
         (** periodic source-side control cycle (HBH tree cycle,
             REUNITE source tick), every control period *)
@@ -208,9 +207,9 @@ module Make (P : PROTOCOL) = struct
     meter t ~from payload;
     Net.originate t.network ~src:from ~dst ~kind payload
 
-  (* The session rides a channel multiplexer: one shared per-node
-     handler, delivery hook and timer wheel for every session on the
-     network, dispatching O(1) by flat channel key.  Foreign channels
+  (* The session rides a channel multiplexer: the network's one
+     handler, one delivery hook and one timer wheel for every session
+     on the network, dispatching O(1) by flat channel key.  Foreign channels
      never reach the protocol hooks — the mux pre-filters, so hooks
      need no channel guards. *)
   type mux = P.msg Mux.t
@@ -284,7 +283,7 @@ module Make (P : PROTOCOL) = struct
               | None -> ());
         (* A crash wipes the node's volatile soft state; recovery then
            happens purely through the periodic join/refresh cycle.
-           The dispatcher stays chained (the network skips handlers of
+           The node stays covered (the network skips the handler at
            down nodes), so a restarted node resumes as a blank
            slate. *)
         p_node_event =
@@ -307,14 +306,11 @@ module Make (P : PROTOCOL) = struct
       }
     in
     Mux.register mx ~key:(Mcast.Channel.key channel) port;
-    (* Dispatcher coverage mirrors the old chaining set: every
-       multicast-capable router plus the source (which gets its agent
-       even when it is a router); member hosts are covered on first
-       subscribe. *)
+    (* Dispatcher coverage: every multicast router plus the source (a
+       host, or a router that gets its source agent); member hosts are
+       covered on first subscribe. *)
     List.iter
-      (fun r ->
-        if r <> source && Topology.Graph.multicast_capable graph r then
-          Mux.cover mx r)
+      (fun r -> if Topology.Graph.multicast_router graph r then Mux.cover mx r)
       (Topology.Graph.routers graph);
     Mux.cover mx source;
     (* Periodic control cycle, then the soft-state sweep: both on the
@@ -353,7 +349,7 @@ module Make (P : PROTOCOL) = struct
       invalid_arg (Printf.sprintf "%s.subscribe: the source cannot join" P.label);
     if not (List.mem r t.members) then begin
       t.members <- r :: t.members;
-      Mux.sink_acquire t.mux r;
+      Net.sink_acquire t.network r;
       (match t.hooks.member_agent with
       | Some _ ->
           if
@@ -389,10 +385,10 @@ module Make (P : PROTOCOL) = struct
           Hashtbl.remove t.member_timers r
       | None -> ());
       t.hooks.on_unsubscribe t r;
-      (* The member-agent install mark stays set (the dispatcher stays
-         chained); with the member gone the agent forwards everything,
+      (* The member-agent install mark stays set (the node stays
+         covered); with the member gone the agent forwards everything,
          so it is inert. *)
-      Mux.sink_release t.mux r
+      Net.sink_release t.network r
     end
 
   let run_for t d = Engine.run ~until:(now t +. d) t.engine
@@ -456,8 +452,8 @@ module Make (P : PROTOCOL) = struct
      all), membership, the per-member join-timer entries (the mux
      state restores the wheel buckets whose pending engine events the
      network snapshot already holds, so a post-restore [unsubscribe]
-     detaches exactly the right entry), the mux's cover/sink/wheel
-     state, and the member-agent install set. *)
+     detaches exactly the right entry), the mux's cover/wheel state,
+     and the member-agent install set. *)
   type snapshot = {
     s_state : P.state;
     s_members : int list;
@@ -486,8 +482,8 @@ module Make (P : PROTOCOL) = struct
     (* In-flight spans refer to the timeline being discarded. *)
     ignore (Obs.Span.drop_all_open t.spans);
     Net.restore t.network s.s_net;
-    (* The engine is back; now rewind the wheel/cover/sink state built
-       on it. *)
+    (* The engine is back; now rewind the wheel/cover state built on
+       it. *)
     Mux.restore_state t.mux s.s_mux;
     (* Copy again on the way out so one snapshot restores any number
        of times without the live run mutating it. *)

@@ -1,7 +1,7 @@
 (** The per-router session core of the protocol runtime.
 
     [Make (P)] owns everything the three protocol stacks used to
-    duplicate: handler installation over the topology, the periodic
+    duplicate: agent coverage over the topology, the periodic
     control/sweep timers, per-member join timers, the crash-wipe and
     restart lifecycle wired to the network's node-event listeners,
     route-change accounting, and uniform control-overhead metering
@@ -10,19 +10,17 @@
     over its own soft state; the session decides {e when} and
     {e where} they run.
 
-    Sessions ride a channel multiplexer ({!Mux}): one shared per-node
-    handler, delivery hook, node-event/route-change listener and timer
-    wheel per network, dispatching O(1) by flat channel key to the
-    session's port.  [create] builds a fresh network with its own mux;
-    {!Make.create_mux} attaches to a shared one, so k channels cost
-    one handler per node and one coalesced timer wheel.
+    Sessions ride a channel multiplexer ({!Mux}): the network's one
+    handler, one delivery hook, node-event/route-change listener and
+    timer wheel per network, dispatching O(1) by flat channel key to
+    the session's port.  [create] builds a fresh network with its own
+    mux; {!Make.create_mux} attaches to a shared one, so k channels
+    cost one handler and one coalesced timer wheel.
 
-    Ordering is part of the contract — the dispatcher covers nodes in
-    [Topology.Graph.routers] order with the source last, the control
-    tick fires before the sweep at coincident instants (wheel buckets
-    fire in insertion order), and listeners register in a fixed
-    sequence — so seeded runs replay bit-identically across protocol
-    ports. *)
+    Ordering is part of the contract — the control tick fires before
+    the sweep at coincident instants (wheel buckets fire in insertion
+    order), and listeners register in a fixed sequence — so seeded
+    runs replay bit-identically across protocol ports. *)
 
 module type PROTOCOL = sig
   val name : string
@@ -185,12 +183,12 @@ module Make (P : PROTOCOL) : sig
 
   type hooks = {
     router : handler;
-        (** chained at every multicast-capable router except the
-            source *)
-    source_agent : handler;  (** chained at the source node *)
+        (** runs at every multicast router
+            ({!Topology.Graph.multicast_router}) except the source *)
+    source_agent : handler;  (** runs at the source node *)
     member_agent : handler option;
-        (** chained at member {e hosts} on first subscribe (router
-            members are covered by [router]) *)
+        (** runs at member {e hosts} from their first subscribe on
+            (router members are covered by [router]) *)
     tick : (t -> unit) option;
         (** periodic source-side control cycle (HBH tree cycle,
             REUNITE source tick), every control period *)
@@ -232,7 +230,9 @@ module Make (P : PROTOCOL) : sig
   val mux : P.msg Netsim.Network.t -> mux
   (** A fresh multiplexer on the network: one dispatcher, one delivery
       hook, one timer wheel (tagged [proto.<name>.timers]) shared by
-      every session subsequently attached with {!create_mux}. *)
+      every session subsequently attached with {!create_mux}.  The
+      dispatcher becomes the network's handler, so a second mux on one
+      network raises [Invalid_argument]. *)
 
   val create_mux :
     ?config:P.config -> ?channel:Mcast.Channel.t -> hooks -> mux -> source:int -> t

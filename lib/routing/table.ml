@@ -60,8 +60,6 @@ let invalidate_all t =
       end)
     t.trees
 
-let refresh = invalidate_all
-
 let using_edge t u v =
   let n = Array.length t.trees in
   if u < 0 || u >= n || v < 0 || v >= n then

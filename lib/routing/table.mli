@@ -40,11 +40,6 @@ val force_all : t -> unit
     benchmarks compare against, and a way to pre-pay all SPF cost
     before a latency-sensitive phase. *)
 
-val refresh : t -> unit
-(** Alias of {!invalidate_all}, kept for callers of the historical
-    eager API: the next query per destination recomputes against the
-    current graph. *)
-
 val invalidate_all : t -> unit
 (** Drop every cached tree.  Required after changes that can improve
     a route: cost decreases, link restores, bulk cost redraws. *)

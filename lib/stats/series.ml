@@ -36,10 +36,7 @@ type group = {
 let group ?(title = "") ?(x_label = "x") ?(y_label = "y") series =
   { title; x_label; y_label; series }
 
-let group_title g = g.title
 let group_series g = g.series
-let group_x_label g = g.x_label
-let group_y_label g = g.y_label
 
 let all_xs g =
   List.fold_left

@@ -34,10 +34,7 @@ type group
 
 val group : ?title:string -> ?x_label:string -> ?y_label:string -> t list -> group
 
-val group_title : group -> string
 val group_series : group -> t list
-val group_x_label : group -> string
-val group_y_label : group -> string
 
 val render : Format.formatter -> group -> unit
 (** Render the group as an aligned text table: one row per x-value,

@@ -25,10 +25,3 @@ let render ppf ~headers rows =
   print_row rule;
   List.iter print_row rows
 
-let render_kv ppf kvs =
-  let w =
-    List.fold_left (fun acc (k, _) -> max acc (String.length k)) 0 kvs
-  in
-  List.iter
-    (fun (k, v) -> Format.fprintf ppf "%s  %s@." (pad k w) v)
-    kvs

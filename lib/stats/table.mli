@@ -6,5 +6,3 @@ val render :
     rule.  Short rows are padded with empty cells; extra cells beyond
     the header width are printed as-is. *)
 
-val render_kv : Format.formatter -> (string * string) list -> unit
-(** Two-column key/value rendering, keys left-aligned. *)

@@ -58,6 +58,8 @@ let multicast_capable g i =
   check_node g i;
   g.capable.(i)
 
+let multicast_router g i = is_router g i && g.capable.(i)
+
 let set_multicast_capable g i b =
   check_node g i;
   g.capable.(i) <- b
@@ -108,10 +110,6 @@ let link_id g u v =
   check_node g v;
   link_id_in v g.adj.(u)
 
-let find_link g u v =
-  let lid = link_id g u v in
-  if lid < 0 then None else Some g.link_arr.(lid)
-
 let connected g u v = link_id g u v >= 0
 
 let directed_link g u v =
@@ -134,17 +132,11 @@ let set_cost g u v c =
   if l.u = u then l.cost_uv <- c else l.cost_vu <- c;
   bump g
 
-let set_delay g u v d =
-  let l = directed_link g u v in
-  if l.u = u then l.delay_uv <- d else l.delay_vu <- d
-
 let link_up g u v = (directed_link g u v).up
 
 let set_link_up g u v b =
   (directed_link g u v).up <- b;
   bump g
-
-let all_links_up g = Array.for_all (fun l -> l.up) g.link_arr
 
 let down_links g =
   Array.fold_left (fun acc l -> if l.up then acc else (l.u, l.v) :: acc) [] g.link_arr
@@ -328,19 +320,6 @@ let pp ppf g =
     (List.length (routers g))
     (List.length (hosts g))
     (link_count g) (avg_router_degree g)
-
-let pp_dot ppf g =
-  Format.fprintf ppf "graph topology {@.";
-  for i = 0 to node_count g - 1 do
-    let shape = match g.kinds.(i) with Router -> "box" | Host -> "ellipse" in
-    Format.fprintf ppf "  n%d [shape=%s];@." i shape
-  done;
-  Array.iter
-    (fun l ->
-      Format.fprintf ppf "  n%d -- n%d [label=\"%d/%d\"];@." l.u l.v l.cost_uv
-        l.cost_vu)
-    g.link_arr;
-  Format.fprintf ppf "}@."
 
 let make ~kinds ~links =
   let n = Array.length kinds in

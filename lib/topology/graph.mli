@@ -44,6 +44,10 @@ val hosts : t -> int list
 val multicast_capable : t -> int -> bool
 (** Hosts are always considered capable (they terminate channels). *)
 
+val multicast_router : t -> int -> bool
+(** A multicast-capable router: a node where a protocol's router agent
+    runs. *)
+
 val set_multicast_capable : t -> int -> bool -> unit
 (** Only meaningful on routers. *)
 
@@ -68,10 +72,6 @@ val avg_router_degree : t -> float
 val links : t -> link list
 val link : t -> int -> link
 
-val find_link : t -> int -> int -> link option
-(** [find_link g u v] is the link joining [u] and [v] regardless of
-    orientation, if any. *)
-
 val connected : t -> int -> int -> bool
 (** [connected g u v] is true iff some link joins [u] and [v]. *)
 
@@ -87,8 +87,6 @@ val set_cost : t -> int -> int -> int -> unit
 (** [set_cost g u v c] sets the metric of direction [u -> v]; [c]
     must be non-negative. *)
 
-val set_delay : t -> int -> int -> float -> unit
-
 val link_up : t -> int -> int -> bool
 (** Operational state of the link joining [u] and [v] (both
     directions fail together).  Raises [Invalid_argument] if no such
@@ -96,10 +94,8 @@ val link_up : t -> int -> int -> bool
 
 val set_link_up : t -> int -> int -> bool -> unit
 (** Fail or restore a link.  Routing ({!Routing.Table.compute} /
-    [refresh]) treats down links as absent; the packet simulator
+    [invalidate_all]) treats down links as absent; the packet simulator
     drops traffic forwarded onto one. *)
-
-val all_links_up : t -> bool
 
 val down_links : t -> (int * int) list
 (** Currently failed links as [(u, v)] endpoint pairs, link order. *)
@@ -156,12 +152,12 @@ val restore_links : t -> link_state -> unit
 
     {b Generation rule.}  The graph carries a generation counter,
     0 after {!make} and {!copy}.  Every mutator that can change a route
-    bumps it: {!set_cost}, {!set_link_up},
-    {!randomize_costs}, {!symmetrize_costs}, {!map_costs} and
-    {!restore_links}.  {!set_delay} and {!set_multicast_capable} do
-    not, because routing reads neither.  {!routing_view} rebuilds the
-    view only when its generation is stale, so a view is always the
-    current graph's, and a view already handed out never changes. *)
+    bumps it: {!set_cost}, {!set_link_up}, {!randomize_costs},
+    {!symmetrize_costs}, {!map_costs} and {!restore_links}.
+    {!set_multicast_capable} does not, because routing does not read
+    it.  {!routing_view} rebuilds the view only when its generation is
+    stale, so a view is always the current graph's, and a view already
+    handed out never changes. *)
 
 type view = private {
   generation : int;  (** the graph generation the view was built at *)
@@ -194,9 +190,6 @@ val make_view :
 
 val pp : Format.formatter -> t -> unit
 (** Summary line: node/link counts and degree. *)
-
-val pp_dot : Format.formatter -> t -> unit
-(** Graphviz rendering with per-direction cost labels. *)
 
 (** {1 Construction}
 

@@ -303,9 +303,7 @@ let hpim_assert_losers (sut : Sut.t) =
           else None)
         links
     in
-    let is_router n =
-      G.multicast_capable sut.Sut.graph n || n = sut.Sut.source
-    in
+    let is_router n = G.multicast_router sut.Sut.graph n || n = sut.Sut.source in
     let bad = ref [] in
     List.iter
       (fun (n, targets) ->

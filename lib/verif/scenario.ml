@@ -104,14 +104,6 @@ let default_alphabet ?(joins = 8) ?(links = 5) ?(crashes = 2)
     age;
   }
 
-let of_churn (schedule : (float * Workload.Churn.event) list) =
-  List.map
-    (fun (_, ev) ->
-      match ev with
-      | Workload.Churn.Join m -> Join m
-      | Workload.Churn.Leave m -> Leave m)
-    schedule
-
 (* Events applicable from the current state: churn is phrased
    absolutely (join only non-members, leave only members), topology
    events only in the direction that changes something.  This keeps

@@ -57,10 +57,6 @@ val default_alphabet :
     delivery bursts (reorder, duplication) and [partitions]
     singleton-host partition/heal cycles. *)
 
-val of_churn : (float * Workload.Churn.event) list -> event list
-(** Project a {!Workload.Churn.schedule}'s membership events into
-    scenario events (times are dropped; the explorer re-paces). *)
-
 val enabled : Sut.t -> alphabet -> event list
 (** The alphabet instantiated against the current state: joins for
     non-members, leaves for members, each link/node in the direction

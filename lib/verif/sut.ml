@@ -365,9 +365,7 @@ let hpim_view (p : Hpim.Dm.t) : view =
   in
   (* The assert-election and neighbor-consistency views: one row per
      up link between up routers (the source counts as a router). *)
-  let is_router n =
-    (G.kind graph n = G.Router && G.multicast_capable graph n) || n = source
-  in
+  let is_router n = G.multicast_router graph n || n = source in
   let router_links () =
     let acc = ref [] in
     for u = 0 to G.node_count graph - 1 do

@@ -1,5 +1,5 @@
 (* Tests for the discrete-event engine: ordering, cancellation, time
-   limits, periodic and watchdog timers. *)
+   limits, periodic and one-shot timers. *)
 
 module E = Eventsim.Engine
 module T = Eventsim.Timer
@@ -148,32 +148,6 @@ let test_oneshot () =
   ignore (T.after e ~delay:2.0 (fun () -> incr fired));
   E.run ~until:10.0 e;
   Alcotest.(check int) "exactly once" 1 !fired
-
-let test_watchdog_expires () =
-  let e = E.create () in
-  let fired = ref [] in
-  ignore (T.watchdog e ~timeout:5.0 (fun () -> fired := E.now e :: !fired));
-  E.run ~until:20.0 e;
-  Alcotest.(check (list (float 0.0))) "fired once at 5" [ 5.0 ] !fired
-
-let test_watchdog_fed () =
-  let e = E.create () in
-  let fired = ref [] in
-  let w = T.watchdog e ~timeout:5.0 (fun () -> fired := E.now e :: !fired) in
-  (* Feed at 3 and 6: expiry moves to 11. *)
-  ignore (E.schedule e ~delay:3.0 (fun () -> T.feed w));
-  ignore (E.schedule e ~delay:6.0 (fun () -> T.feed w));
-  E.run ~until:30.0 e;
-  Alcotest.(check (list (float 0.0))) "postponed to 11" [ 11.0 ] !fired
-
-let test_watchdog_rearms_after_firing () =
-  let e = E.create () in
-  let fired = ref [] in
-  let w = T.watchdog e ~timeout:5.0 (fun () -> fired := E.now e :: !fired) in
-  ignore (E.schedule e ~delay:8.0 (fun () -> T.feed w));
-  E.run ~until:30.0 e;
-  Alcotest.(check (list (float 0.0))) "fires, then re-armed by feed"
-    [ 5.0; 13.0 ] (List.rev !fired)
 
 (* ---- Heap -------------------------------------------------------------- *)
 
@@ -338,9 +312,6 @@ let () =
           Alcotest.test_case "stop" `Quick test_timer_stop;
           Alcotest.test_case "self stop" `Quick test_timer_stop_from_own_callback;
           Alcotest.test_case "oneshot" `Quick test_oneshot;
-          Alcotest.test_case "watchdog expires" `Quick test_watchdog_expires;
-          Alcotest.test_case "watchdog fed" `Quick test_watchdog_fed;
-          Alcotest.test_case "watchdog re-arms" `Quick test_watchdog_rearms_after_firing;
         ] );
       ( "wheel",
         [

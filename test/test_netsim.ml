@@ -18,15 +18,27 @@ let line_network () =
   let engine = Eventsim.Engine.create () in
   (engine, Net.create engine table)
 
+(* Per-node agents behind the network's one handler; every other node
+   forwards. *)
+let at net agents =
+  Net.set_handler net (fun nt node p ->
+      match List.assoc_opt node agents with
+      | Some h -> h nt node p
+      | None -> Net.Forward)
+
 let test_delivery_and_delay () =
   let engine, net = line_network () in
   let got = ref None in
-  Net.install net 3 (fun _ node p ->
-      if p.Pkt.dst = node then begin
-        got := Some (Eventsim.Engine.now engine -. p.Pkt.born);
-        Net.Consume
-      end
-      else Net.Forward);
+  at net
+    [
+      ( 3,
+        fun _ node p ->
+          if p.Pkt.dst = node then begin
+            got := Some (Eventsim.Engine.now engine -. p.Pkt.born);
+            Net.Consume
+          end
+          else Net.Forward );
+    ];
   Net.originate net ~src:0 ~dst:3 ~kind:Pkt.Control Ping;
   Eventsim.Engine.run engine;
   Alcotest.(check (option (float 0.0))) "sum of directed delays" (Some 9.0) !got
@@ -34,12 +46,16 @@ let test_delivery_and_delay () =
 let test_reverse_direction_delay () =
   let engine, net = line_network () in
   let got = ref None in
-  Net.install net 0 (fun _ node p ->
-      if p.Pkt.dst = node then begin
-        got := Some (Eventsim.Engine.now engine -. p.Pkt.born);
-        Net.Consume
-      end
-      else Net.Forward);
+  at net
+    [
+      ( 0,
+        fun _ node p ->
+          if p.Pkt.dst = node then begin
+            got := Some (Eventsim.Engine.now engine -. p.Pkt.born);
+            Net.Consume
+          end
+          else Net.Forward );
+    ];
   Net.originate net ~src:3 ~dst:0 ~kind:Pkt.Control Ping;
   Eventsim.Engine.run engine;
   Alcotest.(check (option (float 0.0))) "reverse costs differ" (Some 15.0) !got
@@ -47,12 +63,11 @@ let test_reverse_direction_delay () =
 let test_handler_sees_transit () =
   let engine, net = line_network () in
   let seen = ref [] in
-  List.iter
-    (fun n ->
-      Net.install net n (fun _ node _ ->
-          seen := node :: !seen;
-          Net.Forward))
-    [ 1; 2 ];
+  let agent _ node _ =
+    seen := node :: !seen;
+    Net.Forward
+  in
+  at net [ (1, agent); (2, agent) ];
   Net.originate net ~src:0 ~dst:3 ~kind:Pkt.Control Ping;
   Eventsim.Engine.run engine;
   Alcotest.(check (list int)) "every hop inspected" [ 1; 2 ] (List.rev !seen)
@@ -60,10 +75,14 @@ let test_handler_sees_transit () =
 let test_consume_stops_forwarding () =
   let engine, net = line_network () in
   let reached_3 = ref false in
-  Net.install net 1 (fun _ _ _ -> Net.Consume);
-  Net.install net 3 (fun _ _ _ ->
-      reached_3 := true;
-      Net.Consume);
+  at net
+    [
+      (1, fun _ _ _ -> Net.Consume);
+      ( 3,
+        fun _ _ _ ->
+          reached_3 := true;
+          Net.Consume );
+    ];
   Net.originate net ~src:0 ~dst:3 ~kind:Pkt.Control Ping;
   Eventsim.Engine.run engine;
   Alcotest.(check bool) "intercepted at 1" false !reached_3;
@@ -71,7 +90,7 @@ let test_consume_stops_forwarding () =
 
 let test_data_accounting () =
   let engine, net = line_network () in
-  Net.set_sink net 3 true;
+  Net.sink_acquire net 3;
   Net.originate net ~src:0 ~dst:3 ~kind:Pkt.Data (Probe 1);
   Net.originate net ~src:0 ~dst:3 ~kind:Pkt.Data (Probe 2);
   Eventsim.Engine.run engine;
@@ -96,10 +115,38 @@ let test_sink_gates_delivery_recording () =
   Eventsim.Engine.run engine;
   Alcotest.(check int) "router without sink: no delivery" 0
     (List.length (Net.data_deliveries net));
-  Net.set_sink net 3 true;
+  Net.sink_acquire net 3;
   Net.originate net ~src:0 ~dst:3 ~kind:Pkt.Data (Probe 2);
   Eventsim.Engine.run engine;
   Alcotest.(check int) "sink records" 1 (List.length (Net.data_deliveries net))
+
+let test_sink_acquires_counted () =
+  let engine, net = line_network () in
+  let deliveries () = List.length (Net.data_deliveries net) in
+  let send () =
+    Net.originate net ~src:0 ~dst:3 ~kind:Pkt.Data (Probe 1);
+    Eventsim.Engine.run engine
+  in
+  Net.sink_acquire net 3;
+  Net.sink_acquire net 3;
+  Net.sink_release net 3;
+  send ();
+  Alcotest.(check int) "one release of two keeps the sink" 1 (deliveries ());
+  let snap = Net.snapshot net in
+  Net.sink_release net 3;
+  send ();
+  Alcotest.(check int) "the last release stops recording" 1 (deliveries ());
+  Net.restore net snap;
+  send ();
+  Alcotest.(check int) "restore brings the acquire back" 2 (deliveries ())
+
+let test_counters_are_a_copy () =
+  let engine, net = line_network () in
+  let before = Net.counters net in
+  Net.originate net ~src:0 ~dst:3 ~kind:Pkt.Control Ping;
+  Eventsim.Engine.run engine;
+  Alcotest.(check int) "earlier copy unchanged" 0 before.Net.control_hops;
+  Alcotest.(check int) "live count moved" 3 (Net.counters net).Net.control_hops
 
 let test_host_is_implicit_sink () =
   let b = Topology.Builder.create () in
@@ -199,9 +246,13 @@ let test_drop_filter () =
 let test_self_addressed_loopback () =
   let engine, net = line_network () in
   let got = ref false in
-  Net.install net 0 (fun _ node p ->
-      if p.Pkt.dst = node then got := true;
-      Net.Consume);
+  at net
+    [
+      ( 0,
+        fun _ node p ->
+          if p.Pkt.dst = node then got := true;
+          Net.Consume );
+    ];
   Net.originate net ~src:0 ~dst:0 ~kind:Pkt.Control Ping;
   Eventsim.Engine.run engine;
   Alcotest.(check bool) "handler sees own packet" true !got
@@ -211,18 +262,23 @@ let test_rewrite_preserves_born () =
   let end_delay = ref None in
   (* Node 2 rewrites data addressed to it toward 3, as a branching
      router would; delivery delay must span the whole trip. *)
-  Net.install net 2 (fun nt node p ->
-      if p.Pkt.dst = node then begin
-        Net.emit nt ~at:node (Pkt.rewrite p ~src:node ~dst:3 ());
-        Net.Consume
-      end
-      else Net.Forward);
-  Net.install net 3 (fun _ node p ->
-      if p.Pkt.dst = node then begin
-        end_delay := Some (Eventsim.Engine.now engine -. p.Pkt.born);
-        Net.Consume
-      end
-      else Net.Forward);
+  at net
+    [
+      ( 2,
+        fun nt node p ->
+          if p.Pkt.dst = node then begin
+            Net.emit nt ~at:node (Pkt.rewrite p ~src:node ~dst:3 ());
+            Net.Consume
+          end
+          else Net.Forward );
+      ( 3,
+        fun _ node p ->
+          if p.Pkt.dst = node then begin
+            end_delay := Some (Eventsim.Engine.now engine -. p.Pkt.born);
+            Net.Consume
+          end
+          else Net.Forward );
+    ];
   Net.originate net ~src:0 ~dst:2 ~kind:Pkt.Data (Probe 9);
   Eventsim.Engine.run engine;
   Alcotest.(check (option (float 0.0))) "cumulative delay" (Some 9.0) !end_delay
@@ -230,37 +286,23 @@ let test_rewrite_preserves_born () =
 let test_via_tracks_last_hop () =
   let engine, net = line_network () in
   let vias = ref [] in
-  List.iter
-    (fun n ->
-      Net.install net n (fun _ _ p ->
-          vias := p.Pkt.via :: !vias;
-          Net.Forward))
-    [ 1; 2; 3 ];
+  let agent _ _ p =
+    vias := p.Pkt.via :: !vias;
+    Net.Forward
+  in
+  at net [ (1, agent); (2, agent); (3, agent) ];
   Net.originate net ~src:0 ~dst:3 ~kind:Pkt.Control Ping;
   Eventsim.Engine.run engine;
   Alcotest.(check (list int)) "previous hop at each arrival" [ 0; 1; 2 ]
     (List.rev !vias)
 
-let test_chain_handlers () =
-  let engine, net = line_network () in
-  let seen = ref [] in
-  Net.install net 1 (fun _ _ p ->
-      match p.Pkt.payload with
-      | Ping ->
-          seen := "first" :: !seen;
-          Net.Consume
-      | Probe _ -> Net.Forward);
-  Net.chain net 1 (fun _ _ p ->
-      match p.Pkt.payload with
-      | Probe _ ->
-          seen := "second" :: !seen;
-          Net.Consume
-      | Ping -> Net.Forward);
-  Net.originate net ~src:0 ~dst:3 ~kind:Pkt.Control Ping;
-  Net.originate net ~src:0 ~dst:3 ~kind:Pkt.Control (Probe 1);
-  Eventsim.Engine.run engine;
-  Alcotest.(check (list string)) "each handler claims its own traffic"
-    [ "first"; "second" ] (List.rev !seen)
+let test_one_handler_per_network () =
+  let _, net = line_network () in
+  let forward _ _ _ = Net.Forward in
+  Net.set_handler net forward;
+  Alcotest.check_raises "a second handler is refused"
+    (Invalid_argument "Network.set_handler: a handler is already set")
+    (fun () -> Net.set_handler net forward)
 
 let test_trace_capacity () =
   let tr = Obs.Trace.create ~enabled:true ~capacity:3 () in
@@ -292,6 +334,8 @@ let () =
           Alcotest.test_case "self-addressed loopback" `Quick test_self_addressed_loopback;
           Alcotest.test_case "rewrite preserves born" `Quick test_rewrite_preserves_born;
           Alcotest.test_case "via tracks last hop" `Quick test_via_tracks_last_hop;
+          Alcotest.test_case "one handler per network" `Quick
+            test_one_handler_per_network;
         ] );
       ( "accounting",
         [
@@ -299,6 +343,8 @@ let () =
           Alcotest.test_case "control not counted as data" `Quick
             test_control_not_in_data_loads;
           Alcotest.test_case "sink gating" `Quick test_sink_gates_delivery_recording;
+          Alcotest.test_case "sink acquires counted" `Quick test_sink_acquires_counted;
+          Alcotest.test_case "counters are a copy" `Quick test_counters_are_a_copy;
           Alcotest.test_case "host implicit sink" `Quick test_host_is_implicit_sink;
           Alcotest.test_case "ttl expiry" `Quick test_ttl_expiry;
           Alcotest.test_case "unreachable" `Quick test_unreachable_drop;
@@ -311,8 +357,6 @@ let () =
             test_node_down_drop_and_events;
           Alcotest.test_case "drop filter" `Quick test_drop_filter;
         ] );
-      ( "chaining",
-        [ Alcotest.test_case "handlers compose" `Quick test_chain_handlers ] );
       ( "trace",
         [
           Alcotest.test_case "capacity bound" `Quick test_trace_capacity;

@@ -221,8 +221,21 @@ let test_mux_deterministic_rebuild =
             (Mcast.Distribution.equal_shape d1 r2.(i)))
         r1)
 
+(* The mux is the network's one handler: a second one on the same
+   network is refused instead of silently running a second
+   dispatcher. *)
+let test_mux_one_per_network =
+  for_each_protocol (fun (module P) tag ->
+      let table = Routing.Table.compute (Topology.Isp.create ()) in
+      let net = Netsim.Network.create (Engine.create ()) table in
+      ignore (P.mux net);
+      Alcotest.check_raises (tag ^ "second mux refused")
+        (Invalid_argument "Network.set_handler: a handler is already set")
+        (fun () -> ignore (P.mux net)))
+
 let mux_tests =
   [
+    Alcotest.test_case "one mux per network" `Quick test_mux_one_per_network;
     Alcotest.test_case "shared member host, isolated channels" `Quick
       test_mux_shared_sink_isolation;
     Alcotest.test_case "unsubscribe keeps the sibling's sink" `Quick
