@@ -64,15 +64,16 @@ let hardstate_overhead_check () =
     sut.Verif.Sut.converge ();
     let t0 = Eventsim.Engine.now sut.Verif.Sut.engine in
     let before = sut.Verif.Sut.control_hops () in
+    let lag = Fault.Plan.detection_lag in
     let flaps =
       List.concat
         (List.init flap_cycles (fun i ->
              let base = 300. +. (400. *. float_of_int i) in
              [
                (base, Fault.Plan.Link_down { u; v });
-               (base +. 30., Fault.Plan.Reconverge);
+               (base +. lag, Fault.Plan.Reconverge);
                (base +. 200., Fault.Plan.Link_up { u; v });
-               (base +. 230., Fault.Plan.Reconverge);
+               (base +. 200. +. lag, Fault.Plan.Reconverge);
              ]))
     in
     sut.Verif.Sut.install_plan ~seed:42 (Fault.Plan.make flaps);

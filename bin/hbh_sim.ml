@@ -1052,7 +1052,11 @@ let verify_cmd =
     let config =
       { Verif.Explore.default_config with depth; max_states = states; seed }
     in
-    let outcome = Verif.Explore.run ~config (make_sut ()) in
+    let sut = make_sut () in
+    let outcome = Verif.Explore.run ~config sut in
+    let plan events =
+      Fault.Plan.to_string (Verif.Scenario.to_plan sut events)
+    in
     Format.printf "== %s: systematic exploration ==@.%a@."
       (Verif.Sut.name protocol)
       Verif.Explore.pp_outcome outcome;
@@ -1080,8 +1084,7 @@ let verify_cmd =
           (fun v -> Format.printf "violates %a@." Verif.Oracle.pp_violation v)
           cx.Verif.Explore.violations;
         Format.printf "%a@.replayable plan:@.%s"
-          Verif.Scenario.pp_events events
-          (Fault.Plan.to_string (Verif.Scenario.to_plan events)))
+          Verif.Scenario.pp_events events (plan events))
       shrunk;
     Option.iter
       (fun file ->
@@ -1108,10 +1111,7 @@ let verify_cmd =
                                    (fun (v : Verif.Oracle.violation) ->
                                      Obs.Json.String v.Verif.Oracle.oracle)
                                    cx.Verif.Explore.violations) );
-                            ( "plan",
-                              Obs.Json.String
-                                (Fault.Plan.to_string
-                                   (Verif.Scenario.to_plan events)) );
+                            ("plan", Obs.Json.String (plan events));
                           ])
                       shrunk) );
              ]))

@@ -109,7 +109,6 @@ let session proto graph ~source =
 
 let fault_at = 300.0 (* pre-fault window: three control periods *)
 let repair_at = fault_at +. 400.0 (* restart / restore instant *)
-let reconverge_delay = 30.0 (* failure-detection delay before reroute *)
 let probe_period = 50.0
 let delivery_slack = 300.0
 
@@ -130,17 +129,17 @@ let plan_of scenario ~crash_node ~link =
       Fault.Plan.make
         [
           (fault_at, Fault.Plan.Crash { node = crash_node });
-          (fault_at +. reconverge_delay, Fault.Plan.Reconverge);
+          (fault_at +. Fault.Plan.detection_lag, Fault.Plan.Reconverge);
           (repair_at, Fault.Plan.Restart { node = crash_node });
-          (repair_at +. reconverge_delay, Fault.Plan.Reconverge);
+          (repair_at +. Fault.Plan.detection_lag, Fault.Plan.Reconverge);
         ]
   | Link_failure ->
       Fault.Plan.make
         [
           (fault_at, Fault.Plan.Link_down { u; v });
-          (fault_at +. reconverge_delay, Fault.Plan.Reconverge);
+          (fault_at +. Fault.Plan.detection_lag, Fault.Plan.Reconverge);
           (repair_at, Fault.Plan.Link_up { u; v });
-          (repair_at +. reconverge_delay, Fault.Plan.Reconverge);
+          (repair_at +. Fault.Plan.detection_lag, Fault.Plan.Reconverge);
         ]
   | Loss_burst ->
       Fault.Plan.make

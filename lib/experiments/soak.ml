@@ -25,7 +25,6 @@ let delivery_slack = 300.0
    the window stays under two probe periods; on short horizons it
    shrinks with the run. *)
 let max_partition_window = 800.0
-let reconverge_delay = 30.0
 let min_horizon = 2400.0
 
 type result = {
@@ -82,9 +81,9 @@ let hostile_plan ~horizon ~island =
       (0.1 *. horizon, Fault.Plan.Drop_control { prob = 0.05 });
       (0.3 *. horizon, Fault.Plan.Drop_control { prob = 0.0 });
       (p_at, Fault.Plan.Partition_named { name = "soak"; island });
-      (p_at +. reconverge_delay, Fault.Plan.Reconverge);
+      (p_at +. Fault.Plan.detection_lag, Fault.Plan.Reconverge);
       (p_at +. window, Fault.Plan.Heal_named { name = "soak" });
-      (p_at +. window +. reconverge_delay, Fault.Plan.Reconverge);
+      (p_at +. window +. Fault.Plan.detection_lag, Fault.Plan.Reconverge);
     ]
 
 let partition_times ~horizon =

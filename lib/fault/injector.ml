@@ -30,10 +30,7 @@ type 'p t = {
   mutable unsubscribe : (int -> unit) option;
 }
 
-let create ?seed net =
-  (match seed with
-  | Some s -> Net.set_fault_rng net (Stats.Rng.create s)
-  | None -> ());
+let create net =
   {
     net;
     graph = Net.graph net;
@@ -43,8 +40,6 @@ let create ?seed net =
     subscribe = None;
     unsubscribe = None;
   }
-
-let network t = t.net
 
 let set_membership t ~subscribe ~unsubscribe =
   t.subscribe <- Some subscribe;
@@ -89,14 +84,9 @@ let cut_links g island =
       | _ -> None)
     (G.links g)
 
-let reconverge net = Net.reconverge net
-
 let apply t (action : Plan.action) =
   Obs.Metrics.hot_incr m_directives;
   match action with
-  | Plan.Loss { u; v; rate } ->
-      Obs.Metrics.hot_incr m_loss_changes;
-      Net.set_loss t.net ~u ~v rate
   | Plan.Loss_all { rate } ->
       Obs.Metrics.hot_incr m_loss_changes;
       Net.set_default_loss t.net rate
@@ -116,11 +106,6 @@ let apply t (action : Plan.action) =
         List.iter (fun w -> remove_cause t node w) (G.neighbors t.graph node);
         Net.set_node_up t.net node true
       end
-  | Plan.Partition { island } ->
-      Obs.Metrics.hot_incr m_partitions;
-      List.iter (fun (u, v) -> add_cause t u v) (cut_links t.graph island)
-  | Plan.Heal { island } ->
-      List.iter (fun (u, v) -> remove_cause t u v) (cut_links t.graph island)
   | Plan.Partition_named { name; island } ->
       if not (Hashtbl.mem t.partitions name) then begin
         Obs.Metrics.hot_incr m_partitions;
@@ -137,9 +122,6 @@ let apply t (action : Plan.action) =
   | Plan.Jitter { max_delay } ->
       Obs.Metrics.hot_incr m_hostile;
       Net.set_jitter t.net max_delay
-  | Plan.Jitter_link { u; v; max_delay } ->
-      Obs.Metrics.hot_incr m_hostile;
-      Net.set_jitter ~link:(u, v) t.net max_delay
   | Plan.Reorder { window; prob } ->
       Obs.Metrics.hot_incr m_hostile;
       Net.set_reorder t.net ~window ~prob
@@ -161,7 +143,7 @@ let apply t (action : Plan.action) =
                && (prob >= 1.0
                   || Stats.Rng.float (Net.fault_rng net) 1.0 < prob)))
       end
-  | Plan.Reconverge -> ignore (reconverge t.net)
+  | Plan.Reconverge -> ignore (Net.reconverge t.net)
   | Plan.Join { member } -> (
       match t.subscribe with
       | Some f -> f member
@@ -206,8 +188,3 @@ let schedule t plan =
         (Engine.schedule ~tag:"fault.directive" engine ~delay:d.at (fun () ->
              apply t d.action)))
     (Plan.directives plan)
-
-let install ?seed net plan =
-  let t = create ?seed net in
-  schedule t plan;
-  t

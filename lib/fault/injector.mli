@@ -4,19 +4,16 @@
     compose: per-link down-cause refcounts (an explicit link failure
     and a crashed endpoint each count as one cause, so restarting a
     node does not revive a link that was also failed explicitly), the
-    crashed-node set, and routing reconvergence with its change
-    count. *)
+    crashed-node set and the cuts of the open named partitions.
+    Routing reconverges only on a {!Plan.Reconverge} directive
+    ({!Netsim.Network.reconverge}). *)
 
 type 'p t
 
-val create : ?seed:int -> 'p Netsim.Network.t -> 'p t
-(** [seed], when given, seeds the network's fault RNG
-    ({!Netsim.Network.set_fault_rng}) so Bernoulli losses are
-    reproducible from [(plan, seed)]. *)
-
-val install : ?seed:int -> 'p Netsim.Network.t -> Plan.t -> 'p t
-(** [create] + [schedule]: directive times are relative to the current
-    simulated time. *)
+val create : 'p Netsim.Network.t -> 'p t
+(** Losses draw from the network's fault RNG: seed it
+    ({!Netsim.Network.set_fault_rng}) for runs reproducible from
+    [(plan, seed)]. *)
 
 val schedule : 'p t -> Plan.t -> unit
 (** Schedule every directive on the network's engine, relative to
@@ -32,8 +29,6 @@ val set_membership :
 (** Wire {!Plan.Join}/{!Plan.Leave} directives to a protocol session's
     membership calls, making churn expressible in a plan. *)
 
-val network : 'p t -> 'p Netsim.Network.t
-
 (** {1 Checkpoint / restore}
 
     The down-cause refcounts and crashed set are world state: a
@@ -46,12 +41,3 @@ type snap
 val save : 'p t -> snap
 val restore : 'p t -> snap -> unit
 (** A [snap] may be restored any number of times. *)
-
-val reconverge : 'p Netsim.Network.t -> int
-(** Reconverge the unicast forwarding plane onto the current topology
-    (alias of {!Netsim.Network.reconverge}): invalidates only the
-    cached routes the recorded link failures could have moved —
-    restores fall back to every cached destination — announces the
-    change to the protocols and returns the number of next-hop
-    decisions that changed.  Standalone: usable without an injector
-    (the property tests drive it directly). *)

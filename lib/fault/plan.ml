@@ -1,16 +1,12 @@
 type action =
-  | Loss of { u : int; v : int; rate : float }
   | Loss_all of { rate : float }
   | Link_down of { u : int; v : int }
   | Link_up of { u : int; v : int }
   | Crash of { node : int }
   | Restart of { node : int }
-  | Partition of { island : int list }
-  | Heal of { island : int list }
   | Partition_named of { name : string; island : int list }
   | Heal_named of { name : string }
   | Jitter of { max_delay : float }
-  | Jitter_link of { u : int; v : int; max_delay : float }
   | Reorder of { window : float; prob : float }
   | Duplicate of { prob : float }
   | Burst_loss of { prob : float; len : int }
@@ -22,6 +18,8 @@ type action =
 type directive = { at : float; action : action }
 
 type t = directive list
+
+let detection_lag = 30.0
 
 (* Every range check is phrased so that NaN fails it. *)
 let check_prob what p =
@@ -38,15 +36,12 @@ let check_name name =
     invalid_arg (Printf.sprintf "Fault.Plan: bad partition name %S" name)
 
 let validate_action = function
-  | Loss { rate; _ } | Loss_all { rate } -> check_prob "loss rate" rate
-  | Partition { island } | Heal { island } ->
-      if island = [] then invalid_arg "Fault.Plan: empty partition island"
+  | Loss_all { rate } -> check_prob "loss rate" rate
   | Partition_named { name; island } ->
       check_name name;
       if island = [] then invalid_arg "Fault.Plan: empty partition island"
   | Heal_named { name } -> check_name name
-  | Jitter { max_delay } | Jitter_link { max_delay; _ } ->
-      check_span "jitter" max_delay
+  | Jitter { max_delay } -> check_span "jitter" max_delay
   | Reorder { window; prob } ->
       check_prob "reorder prob" prob;
       check_span "reorder window" window
@@ -77,26 +72,16 @@ let duration = function
   | l -> (List.nth l (List.length l - 1)).at
 
 let pp_action ppf = function
-  | Loss { u; v; rate } ->
-      Format.fprintf ppf "loss %d->%d %.1f%%" u v (100.0 *. rate)
   | Loss_all { rate } -> Format.fprintf ppf "loss * %.1f%%" (100.0 *. rate)
   | Link_down { u; v } -> Format.fprintf ppf "link %d-%d down" u v
   | Link_up { u; v } -> Format.fprintf ppf "link %d-%d up" u v
   | Crash { node } -> Format.fprintf ppf "crash %d" node
   | Restart { node } -> Format.fprintf ppf "restart %d" node
-  | Partition { island } ->
-      Format.fprintf ppf "partition [%s]"
-        (String.concat "," (List.map string_of_int island))
-  | Heal { island } ->
-      Format.fprintf ppf "heal [%s]"
-        (String.concat "," (List.map string_of_int island))
   | Partition_named { name; island } ->
       Format.fprintf ppf "partition %s [%s]" name
         (String.concat "," (List.map string_of_int island))
   | Heal_named { name } -> Format.fprintf ppf "heal %s" name
   | Jitter { max_delay } -> Format.fprintf ppf "jitter %g" max_delay
-  | Jitter_link { u; v; max_delay } ->
-      Format.fprintf ppf "jitter %d->%d %g" u v max_delay
   | Reorder { window; prob } ->
       Format.fprintf ppf "reorder w=%g %.1f%%" window (100.0 *. prob)
   | Duplicate { prob } ->
@@ -127,23 +112,16 @@ let num x =
   if float_of_string s = x then s else Printf.sprintf "%.17g" x
 
 let action_to_string = function
-  | Loss { u; v; rate } -> Printf.sprintf "loss %d %d %s" u v (num rate)
   | Loss_all { rate } -> Printf.sprintf "loss-all %s" (num rate)
   | Link_down { u; v } -> Printf.sprintf "link-down %d %d" u v
   | Link_up { u; v } -> Printf.sprintf "link-up %d %d" u v
   | Crash { node } -> Printf.sprintf "crash %d" node
   | Restart { node } -> Printf.sprintf "restart %d" node
-  | Partition { island } ->
-      "partition " ^ String.concat "," (List.map string_of_int island)
-  | Heal { island } ->
-      "heal " ^ String.concat "," (List.map string_of_int island)
   | Partition_named { name; island } ->
       Printf.sprintf "partition-named %s %s" name
         (String.concat "," (List.map string_of_int island))
   | Heal_named { name } -> Printf.sprintf "heal-named %s" name
   | Jitter { max_delay } -> Printf.sprintf "jitter %s" (num max_delay)
-  | Jitter_link { u; v; max_delay } ->
-      Printf.sprintf "jitter-link %d %d %s" u v (num max_delay)
   | Reorder { window; prob } ->
       Printf.sprintf "reorder %s %s" (num window) (num prob)
   | Duplicate { prob } -> Printf.sprintf "duplicate %s" (num prob)
@@ -165,28 +143,16 @@ let parse_island s = List.map int_of_string (String.split_on_char ',' s)
 
 let parse_action s =
   match String.split_on_char ' ' s with
-  | [ "loss"; u; v; r ] ->
-      Loss
-        { u = int_of_string u; v = int_of_string v; rate = float_of_string r }
   | [ "loss-all"; r ] -> Loss_all { rate = float_of_string r }
   | [ "link-down"; u; v ] ->
       Link_down { u = int_of_string u; v = int_of_string v }
   | [ "link-up"; u; v ] -> Link_up { u = int_of_string u; v = int_of_string v }
   | [ "crash"; n ] -> Crash { node = int_of_string n }
   | [ "restart"; n ] -> Restart { node = int_of_string n }
-  | [ "partition"; island ] -> Partition { island = parse_island island }
-  | [ "heal"; island ] -> Heal { island = parse_island island }
   | [ "partition-named"; name; island ] ->
       Partition_named { name; island = parse_island island }
   | [ "heal-named"; name ] -> Heal_named { name }
   | [ "jitter"; d ] -> Jitter { max_delay = float_of_string d }
-  | [ "jitter-link"; u; v; d ] ->
-      Jitter_link
-        {
-          u = int_of_string u;
-          v = int_of_string v;
-          max_delay = float_of_string d;
-        }
   | [ "reorder"; w; p ] ->
       Reorder { window = float_of_string w; prob = float_of_string p }
   | [ "duplicate"; p ] -> Duplicate { prob = float_of_string p }

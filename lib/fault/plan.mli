@@ -1,13 +1,12 @@
 (** The fault-plan DSL: a reproducible scenario is a list of timed
     directives, so that (plan, seed) fully determines a faulty run.
 
-    Times are simulated-time instants relative to the moment the plan
-    is installed (see {!Injector.install}). *)
+    Times are simulated-time offsets from the moment the plan is
+    scheduled ({!Injector.schedule}) or replayed.  Nothing reconverges
+    routing on its own: a topology change leaves packets on stale
+    next hops until an explicit {!Reconverge} directive. *)
 
 type action =
-  | Loss of { u : int; v : int; rate : float }
-      (** Set the Bernoulli loss rate of the directed [u -> v]
-          traversal (0 clears it). *)
   | Loss_all of { rate : float }
       (** Background loss rate on every directed link. *)
   | Link_down of { u : int; v : int }  (** Fail a link, both directions. *)
@@ -18,12 +17,9 @@ type action =
           traffic touching it is lost. *)
   | Restart of { node : int }
       (** The node comes back blank; incident links are restored. *)
-  | Partition of { island : int list }
-      (** Fail every link with exactly one endpoint in [island]. *)
-  | Heal of { island : int list }  (** Restore the island's cut links. *)
   | Partition_named of { name : string; island : int list }
-      (** First-class partition: split the graph into two named sides
-          by failing the island's cut links, {e remembering} exactly
+      (** Split the graph into two named sides by failing every link
+          with exactly one endpoint in [island], {e remembering} exactly
           which links were cut under [name] so the matching
           {!Heal_named} restores precisely those — robust against
           links that fail or heal for other reasons in between.
@@ -35,8 +31,6 @@ type action =
   | Jitter of { max_delay : float }
       (** Adversarial delivery: max uniform extra delay per hop,
           network-wide ({!Netsim.Network.set_jitter}). *)
-  | Jitter_link of { u : int; v : int; max_delay : float }
-      (** Per-directed-link jitter override (0 removes it). *)
   | Reorder of { window : float; prob : float }
       (** Bounded reordering: with probability [prob] a traversal is
           held back by up to [window] extra time units. *)
@@ -52,9 +46,8 @@ type action =
           network's drop filter — replaces any caller-set one. *)
   | Reconverge
       (** Recompute the unicast routing table against the current
-          topology and notify the protocols — explicit routing
-          reconvergence (also available automatically after a delay,
-          see {!Injector.install}). *)
+          topology and notify the protocols.  Drivers place it
+          {!detection_lag} after each topology change. *)
   | Join of { member : int }
       (** A receiver subscribes to the channel.  Requires membership
           hooks ({!Injector.set_membership}); the verification layer's
@@ -63,6 +56,11 @@ type action =
   | Leave of { member : int }  (** A receiver unsubscribes. *)
 
 type directive = { at : float; action : action }
+
+val detection_lag : float
+(** The failure-detection window, 30 time units: every driver
+    schedules the {!Reconverge} that follows a topology change this
+    long after it. *)
 
 type t
 (** A plan: directives ordered by time. *)

@@ -25,8 +25,7 @@ type drop_reason = Loss | Link_failed | Node_failed | Filtered
    pays one pointer test per hop in {!transmit} and draws nothing from
    the fault RNG — seeded digests without hostile knobs are unchanged. *)
 type hostile = {
-  mutable h_jitter : float;  (* default max uniform extra delay per hop *)
-  h_jitter_links : (int * int, float) Hashtbl.t;  (* per-link override *)
+  mutable h_jitter : float;  (* max uniform extra delay per hop *)
   mutable h_reorder_window : float;  (* hold-back bound when reorder fires *)
   mutable h_reorder_prob : float;
   mutable h_dup_prob : float;
@@ -61,7 +60,6 @@ type 'p t = {
      call, so a fault-free simulation pays one boolean test per hop
      and nothing else. *)
   mutable faults_on : bool;
-  loss : (int * int, float) Hashtbl.t;
   mutable default_loss : float;
   down_nodes : (int, unit) Hashtbl.t;
   mutable fault_rng : Stats.Rng.t option;
@@ -134,7 +132,6 @@ let create ?(default_ttl = 255) ?trace engine table =
     dl_len = 0;
     c = zero_counters ();
     faults_on = false;
-    loss = Hashtbl.create 16;
     default_loss = 0.0;
     down_nodes = Hashtbl.create 8;
     fault_rng = None;
@@ -186,19 +183,6 @@ let rng_of t =
 
 let fault_rng t = rng_of t
 
-let set_loss t ~u ~v rate =
-  if rate < 0.0 || rate > 1.0 then invalid_arg "Network.set_loss: bad rate";
-  if rate = 0.0 then Hashtbl.remove t.loss (u, v)
-  else begin
-    Hashtbl.replace t.loss (u, v) rate;
-    t.faults_on <- true
-  end
-
-let loss t ~u ~v =
-  match Hashtbl.find_opt t.loss (u, v) with
-  | Some r -> r
-  | None -> t.default_loss
-
 let set_default_loss t rate =
   if rate < 0.0 || rate > 1.0 then
     invalid_arg "Network.set_default_loss: bad rate";
@@ -218,7 +202,6 @@ let hostile_of t =
       let h =
         {
           h_jitter = 0.0;
-          h_jitter_links = Hashtbl.create 8;
           h_reorder_window = 0.0;
           h_reorder_prob = 0.0;
           h_dup_prob = 0.0;
@@ -231,14 +214,9 @@ let hostile_of t =
       t.faults_on <- true;
       h
 
-let set_jitter ?link t max_delay =
+let set_jitter t max_delay =
   if max_delay < 0.0 then invalid_arg "Network.set_jitter: negative jitter";
-  let h = hostile_of t in
-  match link with
-  | None -> h.h_jitter <- max_delay
-  | Some (u, v) ->
-      if max_delay = 0.0 then Hashtbl.remove h.h_jitter_links (u, v)
-      else Hashtbl.replace h.h_jitter_links (u, v) max_delay
+  (hostile_of t).h_jitter <- max_delay
 
 let set_reorder t ~window ~prob =
   if window < 0.0 then invalid_arg "Network.set_reorder: negative window";
@@ -481,20 +459,13 @@ and transmit t node (p : 'p Packet.t) =
         end)
 
 (* One adversarial link traversal: the scheduled delay picks up
-   per-link jitter and an optional reorder hold-back, and the packet
-   may be duplicated in flight (the copy drawing its own delay, so it
-   can overtake the original).  Every draw comes from the fault RNG:
+   jitter and an optional reorder hold-back, and the packet may be
+   duplicated in flight (the copy drawing its own delay, so it can
+   overtake the original).  Every draw comes from the fault RNG:
    a hostile run is a pure function of the seed. *)
-and hostile_delay t (h : hostile) node next base =
+and hostile_delay t (h : hostile) base =
   let d = ref base in
-  let j =
-    if Hashtbl.length h.h_jitter_links = 0 then h.h_jitter
-    else
-      match Hashtbl.find_opt h.h_jitter_links (node, next) with
-      | Some j -> j
-      | None -> h.h_jitter
-  in
-  if j > 0.0 then d := !d +. Stats.Rng.float (rng_of t) j;
+  if h.h_jitter > 0.0 then d := !d +. Stats.Rng.float (rng_of t) h.h_jitter;
   if
     h.h_reorder_prob > 0.0
     && Stats.Rng.float (rng_of t) 1.0 < h.h_reorder_prob
@@ -502,12 +473,12 @@ and hostile_delay t (h : hostile) node next base =
   !d
 
 and hostile_hop t h ~delay ~next node (p : 'p Packet.t) =
-  hop t ~delay:(hostile_delay t h node next delay) ~next p;
+  hop t ~delay:(hostile_delay t h delay) ~next p;
   if h.h_dup_prob > 0.0 && Stats.Rng.float (rng_of t) 1.0 < h.h_dup_prob
   then begin
     let c = Packet.dup p in
     tally_link t c node next;
-    hop t ~delay:(hostile_delay t h node next delay) ~next c
+    hop t ~delay:(hostile_delay t h delay) ~next c
   end
 
 (* Decide whether the [node -> next] traversal is killed by an
@@ -525,24 +496,19 @@ and faulted_out t node next (p : 'p Packet.t) =
         fault_drop t ~at:node ~next Link_failed p;
         true
       end
-      else if burst_kills t node next then begin
-        (* Burst losses model a correlated outage: the copy consumed
-           the link, then the burst ate it — same accounting as a
-           Bernoulli loss. *)
+      else if
+        burst_kills t node next
+        || t.default_loss > 0.0
+           && Stats.Rng.float (rng_of t) 1.0 < t.default_loss
+      then begin
+        (* A burst (correlated outage) or a Bernoulli loss: either way
+           the copy consumed the link, then vanished. *)
         p.Packet.via <- node;
         tally_link t p node next;
         fault_drop t ~at:node ~next Loss p;
         true
       end
-      else
-        let rate = loss t ~u:node ~v:next in
-        if rate > 0.0 && Stats.Rng.float (rng_of t) 1.0 < rate then begin
-          p.Packet.via <- node;
-          tally_link t p node next;
-          fault_drop t ~at:node ~next Loss p;
-          true
-        end
-        else false
+      else false
 
 (* Gilbert-Elliott-lite: while a burst is open on the directed link
    every traversal is eaten; otherwise each traversal may open a new
@@ -612,7 +578,6 @@ type 'p snapshot = {
   s_dl_nodes : int array;
   s_dl_delays : float array;
   s_faults_on : bool;
-  s_loss : (int * int, float) Hashtbl.t;
   s_default_loss : float;
   s_down_nodes : (int, unit) Hashtbl.t;
   s_fault_rng : Stats.Rng.t option;
@@ -628,7 +593,6 @@ type 'p snapshot = {
 let copy_hostile h =
   {
     h with
-    h_jitter_links = Hashtbl.copy h.h_jitter_links;
     h_burst_left = Hashtbl.copy h.h_burst_left;
   }
 
@@ -648,7 +612,6 @@ let snapshot t =
     s_dl_nodes = Array.sub t.dl_nodes 0 t.dl_len;
     s_dl_delays = Array.sub t.dl_delays 0 t.dl_len;
     s_faults_on = t.faults_on;
-    s_loss = Hashtbl.copy t.loss;
     s_default_loss = t.default_loss;
     s_down_nodes = Hashtbl.copy t.down_nodes;
     s_fault_rng = Option.map Stats.Rng.copy t.fault_rng;
@@ -680,7 +643,6 @@ let restore t s =
   t.dl_delays <- Array.copy s.s_dl_delays;
   t.dl_len <- Array.length s.s_dl_nodes;
   t.faults_on <- s.s_faults_on;
-  restore_tbl t.loss s.s_loss;
   t.default_loss <- s.s_default_loss;
   restore_tbl t.down_nodes s.s_down_nodes;
   (* Copy in this direction too, so one snapshot supports repeated

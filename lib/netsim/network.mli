@@ -70,19 +70,10 @@ val fault_rng : 'p t -> Stats.Rng.t
     inside the seeded, checkpointable world — e.g. the injector's
     control-drop filter — draws from here. *)
 
-val set_loss : 'p t -> u:int -> v:int -> float -> unit
-(** Per-directed-link loss probability for the [u -> v] traversal
-    (rate 0 removes the entry).  A lost copy {e is} transmitted — it
-    counts as a link traversal and a data-load copy — and then never
-    arrives. *)
-
-val loss : 'p t -> u:int -> v:int -> float
-(** Effective loss rate of a directed link (falls back to the default
-    rate). *)
-
 val set_default_loss : 'p t -> float -> unit
-(** Background loss rate applied to every directed link without an
-    explicit {!set_loss} entry. *)
+(** Bernoulli loss probability of every directed link traversal (0
+    turns it off).  A lost copy {e is} transmitted — it counts as a
+    link traversal and a data-load copy — and then never arrives. *)
 
 val set_drop_filter : 'p t -> ('p Packet.t -> bool) option -> unit
 (** A predicate consulted before every transmission; [true] drops the
@@ -101,11 +92,10 @@ val set_drop_filter : 'p t -> ('p Packet.t -> bool) option -> unit
     hostile decision comes from the {!set_fault_rng} stream, so a
     hostile run is a pure function of the seed. *)
 
-val set_jitter : ?link:int * int -> 'p t -> float -> unit
-(** Max uniform extra delay added to each hop, network-wide, or for
-    one directed link when [?link] is given (a per-link value of 0
-    removes the override).  Jitter alone already permits reordering
-    bounded by the jitter amplitude. *)
+val set_jitter : 'p t -> float -> unit
+(** Max uniform extra delay added to each hop, network-wide.  Jitter
+    alone already permits reordering bounded by the jitter
+    amplitude. *)
 
 val set_reorder : 'p t -> window:float -> prob:float -> unit
 (** With probability [prob], hold a traversal back by an extra

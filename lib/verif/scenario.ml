@@ -1,11 +1,6 @@
 module G = Topology.Graph
 module P = Fault.Plan
 
-(* Routing-detection lag: after a topology event the simulation runs
-   this long before reconverging, modeling the failure-detection
-   window (matches the recovery experiments' convention). *)
-let detection_lag = 30.0
-
 type event =
   | Join of int
   | Leave of int
@@ -140,49 +135,60 @@ let enabled (sut : Sut.t) (a : alphabet) =
 
 (* ---- Applying events ---------------------------------------------------- *)
 
-(* Every arm is a no-op when the event does not apply (subscribe is
+(* The one meaning of an event: its timed directives, offsets from the
+   moment it starts, and its span — how long it occupies the SUT.
+   Topology events reconverge one detection lag after the change;
+   delivery bursts last two refresh periods, then clear; a partition
+   cycle holds its cut for one t2 between the two reconvergences. *)
+let directives (sut : Sut.t) ev =
+  let lag = P.detection_lag and len = 2.0 *. sut.Sut.control_period in
+  let topology change = ([ (0.0, change); (lag, P.Reconverge) ], lag)
+  and burst on off = ([ (0.0, on); (len, off) ], len) in
+  match ev with
+  | Join m -> ([ (0.0, P.Join { member = m }) ], 0.0)
+  | Leave m -> ([ (0.0, P.Leave { member = m }) ], 0.0)
+  | Link_down (u, v) -> topology (P.Link_down { u; v })
+  | Link_up (u, v) -> topology (P.Link_up { u; v })
+  | Crash n -> topology (P.Crash { node = n })
+  | Restart n -> topology (P.Restart { node = n })
+  | Loss_burst rate -> burst (P.Loss_all { rate }) (P.Loss_all { rate = 0.0 })
+  | Reorder_burst (window, prob) ->
+      burst
+        (P.Reorder { window; prob })
+        (P.Reorder { window = 0.0; prob = 0.0 })
+  | Dup_burst prob -> burst (P.Duplicate { prob }) (P.Duplicate { prob = 0.0 })
+  | Partition_cycle island ->
+      let heal = lag +. sut.Sut.t2 in
+      ( [
+          (0.0, P.Partition_named { name = "verif"; island });
+          (lag, P.Reconverge);
+          (heal, P.Heal_named { name = "verif" });
+          (heal +. lag, P.Reconverge);
+        ],
+        heal +. lag )
+  | Age -> ([], sut.Sut.t2)
+
+(* The one stepper: run to [t0 +. at], inject, for each directive in
+   time order, then run on to [t0 +. span]. *)
+let play (sut : Sut.t) directives ~span =
+  let t0 = sut.Sut.now () in
+  let advance at =
+    let dt = t0 +. at -. sut.Sut.now () in
+    if dt > 0.0 then sut.Sut.run_for dt
+  in
+  List.iter
+    (fun (at, action) ->
+      advance at;
+      sut.Sut.inject action)
+    directives;
+  advance span
+
+(* Every directive is a no-op when it does not apply (subscribe is
    idempotent, link causes refcount, crash/restart guard) — ddmin
    replays arbitrary subsequences, so this must never raise. *)
-let apply (sut : Sut.t) = function
-  | Join m -> sut.Sut.inject (P.Join { member = m })
-  | Leave m -> sut.Sut.inject (P.Leave { member = m })
-  | Link_down (u, v) ->
-      sut.Sut.inject (P.Link_down { u; v });
-      sut.Sut.run_for detection_lag;
-      ignore (sut.Sut.reconverge ())
-  | Link_up (u, v) ->
-      sut.Sut.inject (P.Link_up { u; v });
-      sut.Sut.run_for detection_lag;
-      ignore (sut.Sut.reconverge ())
-  | Crash n ->
-      sut.Sut.inject (P.Crash { node = n });
-      sut.Sut.run_for detection_lag;
-      ignore (sut.Sut.reconverge ())
-  | Restart n ->
-      sut.Sut.inject (P.Restart { node = n });
-      sut.Sut.run_for detection_lag;
-      ignore (sut.Sut.reconverge ())
-  | Loss_burst rate ->
-      sut.Sut.set_default_loss rate;
-      sut.Sut.run_for (2.0 *. sut.Sut.control_period);
-      sut.Sut.set_default_loss 0.0
-  | Reorder_burst (window, prob) ->
-      sut.Sut.inject (P.Reorder { window; prob });
-      sut.Sut.run_for (2.0 *. sut.Sut.control_period);
-      sut.Sut.inject (P.Reorder { window = 0.0; prob = 0.0 })
-  | Dup_burst prob ->
-      sut.Sut.inject (P.Duplicate { prob });
-      sut.Sut.run_for (2.0 *. sut.Sut.control_period);
-      sut.Sut.inject (P.Duplicate { prob = 0.0 })
-  | Partition_cycle island ->
-      sut.Sut.inject (P.Partition_named { name = "verif"; island });
-      sut.Sut.run_for detection_lag;
-      ignore (sut.Sut.reconverge ());
-      sut.Sut.run_for sut.Sut.t2;
-      sut.Sut.inject (P.Heal_named { name = "verif" });
-      sut.Sut.run_for detection_lag;
-      ignore (sut.Sut.reconverge ())
-  | Age -> sut.Sut.run_for sut.Sut.t2
+let apply sut ev =
+  let ds, span = directives sut ev in
+  play sut ds ~span
 
 (* ---- Quiescence --------------------------------------------------------- *)
 
@@ -213,68 +219,31 @@ let quiesce ?(budget_factor = 4.0) (sut : Sut.t) =
 
 (* ---- Plans: serialization and replay ------------------------------------ *)
 
-(* Enough spacing for the slowest event (Age = t2, plus settle time):
-   each event gets its own well-separated slot, so a replayed plan
-   reproduces "apply, settle, apply, ..." even though the plan format
-   only records instants. *)
+(* Enough spacing for the slowest event (a partition cycle, 2 lags +
+   t2, plus settle time): each event gets its own well-separated slot.
+   The plan records instants, not settle points, so a sequence whose
+   outcome depends on the refresh phase at which an event lands can
+   replay differently from [replay_events]. *)
 let slot = 2200.0
 
-let to_plan events =
-  let directives = ref [] in
-  let t = ref 0.0 in
-  let push action = directives := (!t, action) :: !directives in
-  List.iter
-    (fun ev ->
-      (match ev with
-      | Join m -> push (P.Join { member = m })
-      | Leave m -> push (P.Leave { member = m })
-      | Link_down (u, v) ->
-          push (P.Link_down { u; v });
-          directives := (!t +. detection_lag, P.Reconverge) :: !directives
-      | Link_up (u, v) ->
-          push (P.Link_up { u; v });
-          directives := (!t +. detection_lag, P.Reconverge) :: !directives
-      | Crash n ->
-          push (P.Crash { node = n });
-          directives := (!t +. detection_lag, P.Reconverge) :: !directives
-      | Restart n ->
-          push (P.Restart { node = n });
-          directives := (!t +. detection_lag, P.Reconverge) :: !directives
-      | Loss_burst r ->
-          push (P.Loss_all { rate = r });
-          directives := (!t +. 200.0, P.Loss_all { rate = 0.0 }) :: !directives
-      | Reorder_burst (w, p) ->
-          push (P.Reorder { window = w; prob = p });
-          directives :=
-            (!t +. 200.0, P.Reorder { window = 0.0; prob = 0.0 })
-            :: !directives
-      | Dup_burst p ->
-          push (P.Duplicate { prob = p });
-          directives := (!t +. 200.0, P.Duplicate { prob = 0.0 }) :: !directives
-      | Partition_cycle island ->
-          push (P.Partition_named { name = "verif"; island });
-          directives :=
-            (!t +. detection_lag +. 580.0, P.Reconverge)
-            :: (!t +. detection_lag +. 550.0, P.Heal_named { name = "verif" })
-            :: (!t +. detection_lag, P.Reconverge)
-            :: !directives
-      | Age -> ());
-      t := !t +. slot)
-    events;
-  P.make (List.rev !directives)
+let to_plan sut events =
+  P.make
+    (List.concat
+       (List.mapi
+          (fun i ev ->
+            let t = float_of_int i *. slot in
+            List.map (fun (at, action) -> (t +. at, action))
+              (fst (directives sut ev)))
+          events))
 
 (* Replay a plan against a live SUT, honoring directive times; then
    settle and run the oracles once at the end state.  This is what
    the golden counterexample fixtures go through. *)
 let replay_plan (sut : Sut.t) plan =
-  let t0 = sut.Sut.now () in
-  List.iter
-    (fun (d : P.directive) ->
-      let target = t0 +. d.P.at in
-      let dt = target -. sut.Sut.now () in
-      if dt > 0.0 then sut.Sut.run_for dt;
-      sut.Sut.inject d.P.action)
-    (P.directives plan);
+  play sut ~span:0.0
+    (List.map
+       (fun (d : P.directive) -> (d.P.at, d.P.action))
+       (P.directives plan));
   ignore (quiesce sut);
   Oracle.check sut
 

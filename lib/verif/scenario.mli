@@ -62,10 +62,19 @@ val enabled : Sut.t -> alphabet -> event list
     non-members, leaves for members, each link/node in the direction
     that changes it. *)
 
+val directives : Sut.t -> event -> (float * Fault.Plan.action) list * float
+(** The event's one meaning: its timed directives, as offsets from the
+    event's start in time order, and its span.  Topology events
+    reconverge {!Fault.Plan.detection_lag} after the change; delivery
+    bursts clear after two of the SUT's refresh periods; a partition
+    cycle reconverges, holds the cut for the SUT's [t2], heals and
+    reconverges; [Age] is [t2] without a directive. *)
+
 val apply : Sut.t -> event -> unit
-(** Drive one event.  Topology events run a detection lag then
-    reconverge; loss bursts self-clear.  Every arm is a no-op when it
-    does not apply — the shrinker replays arbitrary subsequences. *)
+(** Drive one event: inject each of its {!directives} at its instant
+    (the stepper {!replay_plan} uses too), then run to the end of its
+    span.  Every directive is a no-op when it does not apply — the
+    shrinker replays arbitrary subsequences. *)
 
 val quiesce : ?budget_factor:float -> Sut.t -> float option
 (** Run refresh windows until the canonical state digest is stable
@@ -75,11 +84,14 @@ val quiesce : ?budget_factor:float -> Sut.t -> float option
     if still changing after [budget_factor * t2] (default 4) of
     simulated time — a protocol oscillation. *)
 
-val to_plan : event list -> Fault.Plan.t
-(** Serialize an event sequence as a timed plan (one well-separated
-    slot per event; topology events carry their [Reconverge]; [Age]
-    is a pure time gap).  With {!replay_plan} this is the golden
-    counterexample format. *)
+val to_plan : Sut.t -> event list -> Fault.Plan.t
+(** Serialize an event sequence as a timed plan: each event's
+    {!directives}, shifted into its own well-separated slot ([Age] is
+    a pure time gap).  The SUT supplies the burst and partition
+    lengths.  With {!replay_plan} this is the golden counterexample
+    format.  Events sit in fixed slots, not at the instants they
+    settled under {!replay_events}, so a sequence sensitive to the
+    refresh phase can replay differently. *)
 
 val replay_plan : Sut.t -> Fault.Plan.t -> Oracle.violation list
 (** Run a plan's directives at their recorded times, settle, then run

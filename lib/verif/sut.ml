@@ -44,8 +44,6 @@ type t = {
           times) *)
   inject : Fault.Plan.action -> unit;
       (** apply one plan action now (membership hooks wired) *)
-  reconverge : unit -> int;
-  set_default_loss : float -> unit;
   probe : unit -> (int * float) list;
       (** send one data packet, run a delivery horizon, return the
           [(receiver, delay)] deliveries it produced *)
@@ -577,8 +575,6 @@ let wrap (type s) (r : s row) ?candidates (p : s) =
           P.restore p s;
           Fault.Injector.restore inj fs);
     inject = Fault.Injector.apply inj;
-    reconverge = (fun () -> Net.reconverge net);
-    set_default_loss = Net.set_default_loss net;
     probe =
       (fun () ->
         Net.reset_data_accounting net;

@@ -58,8 +58,6 @@ type t = {
   inject : Fault.Plan.action -> unit;
       (** apply one plan action at the current instant; membership
           hooks are pre-wired, so [Join]/[Leave] work *)
-  reconverge : unit -> int;
-  set_default_loss : float -> unit;
   probe : unit -> (int * float) list;
       (** send one data packet, run a delivery horizon, return its
           [(receiver, delay)] deliveries.  Mutates the clock and the

@@ -193,13 +193,13 @@ let test_unreachable_drop () =
 let test_bernoulli_loss_drop () =
   let engine, net = line_network () in
   Net.set_fault_rng net (Stats.Rng.create 11);
-  Net.set_loss net ~u:1 ~v:2 1.0;
+  Net.set_default_loss net 1.0;
   Net.originate net ~src:0 ~dst:3 ~kind:Pkt.Control Ping;
   Eventsim.Engine.run engine;
   let c = Net.counters net in
   Alcotest.(check int) "lost on the wire" 1 c.Net.dropped_loss;
-  (* Rate 0 removes the entry and traffic flows again. *)
-  Net.set_loss net ~u:1 ~v:2 0.0;
+  (* Rate 0 turns loss off and traffic flows again. *)
+  Net.set_default_loss net 0.0;
   Net.originate net ~src:0 ~dst:3 ~kind:Pkt.Control Ping;
   Eventsim.Engine.run engine;
   Alcotest.(check int) "no further losses" 1 (Net.counters net).Net.dropped_loss

@@ -234,10 +234,10 @@ let prop_hbh_recovers_from_link_failure =
           let cfg = Hbh.Protocol.default_config in
           let inj = Fault.Injector.create net in
           Fault.Injector.apply inj (Fault.Plan.Link_down { u; v });
-          ignore (Fault.Injector.reconverge net);
+          ignore (Netsim.Network.reconverge net);
           Hbh.Protocol.run_for session (2.0 *. cfg.t1);
           Fault.Injector.apply inj (Fault.Plan.Link_up { u; v });
-          ignore (Fault.Injector.reconverge net);
+          ignore (Netsim.Network.reconverge net);
           (* Run until the verification layer's quiescence detector
              sees the soft state settle (canonical digest stable
              across refresh windows), instead of a blind fixed wait.
@@ -292,12 +292,12 @@ let prop_hpim_recovers_from_link_failure =
           let cfg = Hpim.Dm.config session in
           let inj = Fault.Injector.create net in
           Fault.Injector.apply inj (Fault.Plan.Link_down { u; v });
-          ignore (Fault.Injector.reconverge net);
+          ignore (Netsim.Network.reconverge net);
           (* past the holdtime, so both endpoints declare each other
              dead and the hard state across the link is released *)
           Hpim.Dm.run_for session (2.0 *. cfg.Hpim.Dm.holdtime);
           Fault.Injector.apply inj (Fault.Plan.Link_up { u; v });
-          ignore (Fault.Injector.reconverge net);
+          ignore (Netsim.Network.reconverge net);
           let sut = Verif.Sut.of_hpim session in
           let routers = List.length (Topology.Graph.routers g) in
           let budget_factor = float_of_int (routers + 2) in
@@ -343,10 +343,10 @@ let test_mutual_capture_heals () =
   let cfg = Hbh.Protocol.default_config in
   let inj = Fault.Injector.create net in
   Fault.Injector.apply inj (Fault.Plan.Link_down { u; v });
-  ignore (Fault.Injector.reconverge net);
+  ignore (Netsim.Network.reconverge net);
   Hbh.Protocol.run_for session (2.0 *. cfg.Hbh.Protocol.t1);
   Fault.Injector.apply inj (Fault.Plan.Link_up { u; v });
-  ignore (Fault.Injector.reconverge net);
+  ignore (Netsim.Network.reconverge net);
   Hbh.Protocol.run_for session (8.0 *. cfg.Hbh.Protocol.t2);
   Verif.Monitor.stop mon;
   Alcotest.(check int) "no confirmed monitor violations" 0
