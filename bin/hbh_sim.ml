@@ -1052,11 +1052,7 @@ let verify_cmd =
     let config =
       { Verif.Explore.default_config with depth; max_states = states; seed }
     in
-    let sut = make_sut () in
-    let outcome = Verif.Explore.run ~config sut in
-    let plan events =
-      Fault.Plan.to_string (Verif.Scenario.to_plan sut events)
-    in
+    let outcome = Verif.Explore.run ~config (make_sut ()) in
     Format.printf "== %s: systematic exploration ==@.%a@."
       (Verif.Sut.name protocol)
       Verif.Explore.pp_outcome outcome;
@@ -1072,11 +1068,12 @@ let verify_cmd =
             if no_shrink then cx.Verif.Explore.events
             else Verif.Shrink.minimize ~jobs ~make_sut cx
           in
-          (cx, events))
+          let plan, _ = Verif.Scenario.run (make_sut ()) events in
+          (cx, events, Fault.Plan.to_string plan))
         outcome.Verif.Explore.counterexamples
     in
     List.iteri
-      (fun i (cx, events) ->
+      (fun i (cx, events, plan) ->
         Format.printf "@.== counterexample %d (%d events%s) ==@." (i + 1)
           (List.length events)
           (if no_shrink then "" else ", minimized");
@@ -1084,7 +1081,7 @@ let verify_cmd =
           (fun v -> Format.printf "violates %a@." Verif.Oracle.pp_violation v)
           cx.Verif.Explore.violations;
         Format.printf "%a@.replayable plan:@.%s"
-          Verif.Scenario.pp_events events (plan events))
+          Verif.Scenario.pp_events events plan)
       shrunk;
     Option.iter
       (fun file ->
@@ -1102,7 +1099,7 @@ let verify_cmd =
                ( "counterexamples",
                  Obs.Json.List
                    (List.map
-                      (fun (cx, events) ->
+                      (fun (cx, _, plan) ->
                         Obs.Json.Obj
                           [
                             ( "oracles",
@@ -1111,7 +1108,7 @@ let verify_cmd =
                                    (fun (v : Verif.Oracle.violation) ->
                                      Obs.Json.String v.Verif.Oracle.oracle)
                                    cx.Verif.Explore.violations) );
-                            ("plan", Obs.Json.String (plan events));
+                            ("plan", Obs.Json.String plan);
                           ])
                       shrunk) );
              ]))

@@ -217,24 +217,36 @@ let quiesce ?(budget_factor = 4.0) (sut : Sut.t) =
   in
   go 0 (Sut.state_digest sut)
 
-(* ---- Plans: serialization and replay ------------------------------------ *)
+(* ---- One timeline: running events, replaying plans --------------------- *)
 
-(* Enough spacing for the slowest event (a partition cycle, 2 lags +
-   t2, plus settle time): each event gets its own well-separated slot.
-   The plan records instants, not settle points, so a sequence whose
-   outcome depends on the refresh phase at which an event lands can
-   replay differently from [replay_events]. *)
-let slot = 2200.0
-
-let to_plan sut events =
-  P.make
-    (List.concat
-       (List.mapi
-          (fun i ev ->
-            let t = float_of_int i *. slot in
-            List.map (fun (at, action) -> (t +. at, action))
-              (fst (directives sut ev)))
-          events))
+(* The explorer's timeline for one path (see the interface); the log
+   stamps each injected directive with its offset from the start. *)
+let run (sut : Sut.t) events =
+  let t0 = sut.Sut.now () and log = ref [] in
+  let recording =
+    {
+      sut with
+      Sut.inject =
+        (fun action ->
+          log := (sut.Sut.now () -. t0, action) :: !log;
+          sut.Sut.inject action);
+    }
+  in
+  let rec judge events =
+    match quiesce sut with
+    | None -> []
+    | Some _ -> (
+        let restore = sut.Sut.save () in
+        let vs = Oracle.check sut in
+        restore ();
+        match (vs, events) with
+        | [], ev :: rest ->
+            apply recording ev;
+            judge rest
+        | vs, _ -> vs)
+  in
+  let vs = judge events in
+  (P.make (List.rev !log), vs)
 
 (* Replay a plan against a live SUT, honoring directive times; then
    settle and run the oracles once at the end state.  This is what
@@ -246,19 +258,3 @@ let replay_plan (sut : Sut.t) plan =
        (P.directives plan));
   ignore (quiesce sut);
   Oracle.check sut
-
-(* Replay an event list (apply + settle after each event), reporting
-   the first violating oracle set encountered at any quiescent point.
-   Used by the shrinker's test function. *)
-let replay_events (sut : Sut.t) events =
-  let rec go = function
-    | [] -> []
-    | ev :: rest -> (
-        apply sut ev;
-        ignore (quiesce sut);
-        let restore = sut.Sut.save () in
-        let vs = Oracle.check sut in
-        restore ();
-        match vs with [] -> go rest | vs -> vs)
-  in
-  go events

@@ -1,6 +1,6 @@
 (** Scenario events: the explorer's alphabet, how each event drives
-    the SUT, the quiescence test, and the bridge to replayable
-    {!Fault.Plan} fixtures. *)
+    the SUT, the quiescence test, and the one runner whose recorded
+    {!Fault.Plan} replays as a fixture. *)
 
 type event =
   | Join of int
@@ -84,20 +84,17 @@ val quiesce : ?budget_factor:float -> Sut.t -> float option
     if still changing after [budget_factor * t2] (default 4) of
     simulated time — a protocol oscillation. *)
 
-val to_plan : Sut.t -> event list -> Fault.Plan.t
-(** Serialize an event sequence as a timed plan: each event's
-    {!directives}, shifted into its own well-separated slot ([Age] is
-    a pure time gap).  The SUT supplies the burst and partition
-    lengths.  With {!replay_plan} this is the golden counterexample
-    format.  Events sit in fixed slots, not at the instants they
-    settled under {!replay_events}, so a sequence sensitive to the
-    refresh phase can replay differently. *)
+val run : Sut.t -> event list -> Fault.Plan.t * Oracle.violation list
+(** The one way to run an event list outside {!Explore.run}, on its
+    timeline: settle the initial state, then {!apply} each event and
+    settle.  A point that does not settle gets no verdict and ends the
+    run; a settled one gets {!Oracle.check} inside a checkpoint, and
+    the first violation ends the run.  Returns that violation set (or
+    [[]]) and the directives injected, each at its offset from the
+    SUT's clock when [run] began — for a fresh SUT, its start, so
+    {!replay_plan} on a fresh SUT re-runs this timeline.  A trailing
+    [Age] injects nothing and leaves no trace in the plan. *)
 
 val replay_plan : Sut.t -> Fault.Plan.t -> Oracle.violation list
-(** Run a plan's directives at their recorded times, settle, then run
-    every oracle once on the end state. *)
-
-val replay_events : Sut.t -> event list -> Oracle.violation list
-(** Apply each event, settle, check all oracles (checkpointing around
-    the mutating ones); stop at the first violating quiescent point.
-    The shrinker's test function. *)
+(** Run a plan's directives at their offsets from the SUT's clock,
+    settle, then run every oracle once on the end state. *)

@@ -1,20 +1,19 @@
 (* Delta-debugging (ddmin) over event sequences.
 
-   The test replays a candidate subsequence against a FRESH SUT (the
-   caller supplies the factory) — not a checkpoint — so the minimized
-   sequence is guaranteed to reproduce from a cold start, which is
-   what makes it a committable golden fixture.  A candidate passes
-   when replay produces a violation of the same oracle as the
-   original counterexample (any detail: shrinking may change which
-   member or router exhibits the bug, the property class must
-   survive). *)
+   The test runs a candidate subsequence through [Scenario.run] on a
+   FRESH SUT (the caller supplies the factory) — not a checkpoint — so
+   the minimized sequence reproduces from a cold start on the
+   explorer's own timeline, which is what makes its recorded plan a
+   committable golden fixture.  A candidate passes when the run
+   violates the same oracle as the original counterexample (any
+   detail: shrinking may change which member or router exhibits the
+   bug, the property class must survive). *)
 
 let m_shrink_tests = Obs.Metrics.hot_counter "verif.shrink.replays"
 
 let reproduces ~make_sut ~oracles events =
   Obs.Metrics.hot_incr m_shrink_tests;
-  let sut = make_sut () in
-  let vs = Scenario.replay_events sut events in
+  let _, vs = Scenario.run (make_sut ()) events in
   List.exists (fun (v : Oracle.violation) -> List.mem v.Oracle.oracle oracles) vs
 
 (* Classic ddmin: try removing chunks at a falling granularity until

@@ -1,9 +1,9 @@
 (** Counterexample minimization by delta debugging (ddmin).
 
-    Candidates replay against a {e fresh} SUT from the caller's
-    factory — never a checkpoint — so the minimized sequence
-    reproduces from a cold start and can be committed as a golden
-    {!Fault.Plan} fixture.  A candidate reproduces when it violates
+    Candidates run through {!Scenario.run} on a {e fresh} SUT from
+    the caller's factory — never a checkpoint — so the minimized
+    sequence reproduces from a cold start and its recorded plan can be
+    committed as a golden {!Fault.Plan} fixture.  A candidate reproduces when it violates
     the {e same oracle} as the original counterexample (details may
     shift while shrinking). *)
 

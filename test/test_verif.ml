@@ -153,18 +153,16 @@ let test_oracles_clean () =
   List.iter
     (fun protocol ->
       let sut = isp_sut protocol () in
-      ignore (Verif.Scenario.quiesce sut);
-      run_events sut
-        [ Verif.Scenario.Join 19; Verif.Scenario.Join 28; Verif.Scenario.Join 33 ];
-      let restore = sut.Verif.Sut.save () in
-      let vs = Verif.Oracle.check sut in
-      restore ();
+      let _, vs =
+        Verif.Scenario.run sut
+          [ Verif.Scenario.Join 19; Verif.Scenario.Join 28; Verif.Scenario.Join 33 ]
+      in
       Alcotest.(check int)
         (Printf.sprintf "%s: no violations" sut.Verif.Sut.proto)
         0 (List.length vs))
     all_protocols
 
-(* ---- One expansion: the printed plan is the run ------------------------- *)
+(* ---- One timeline: the printed plan is the run ------------------------- *)
 
 let pp_directives ppf ds =
   List.iter
@@ -173,9 +171,10 @@ let pp_directives ppf ds =
         d.Fault.Plan.action)
     ds
 
-(* [apply] injects, at each offset from the event's start, exactly the
-   directives [to_plan] prints for that event alone — nothing reaches
-   the SUT outside [inject], and nothing runs at another instant. *)
+(* The plan [Scenario.run] returns is exactly the [inject] calls it
+   made, each at its offset from the run's start — nothing reaches the
+   SUT outside [inject], and nothing runs at another instant.  Only
+   [Age] injects nothing. *)
 let test_apply_is_the_plan () =
   List.iter
     (fun protocol ->
@@ -197,13 +196,15 @@ let test_apply_is_the_plan () =
       let n = List.hd a.crashes and w, p = Option.get a.reorder in
       List.iter
         (fun ev ->
+          let name = Format.asprintf "%s: %a" sut.Verif.Sut.proto pp_event ev in
           t0 := sut.Verif.Sut.now ();
           log := [];
-          apply recording ev;
+          let plan, _ = run recording [ ev ] in
           Alcotest.(check (testable pp_directives ( = )))
-            (Format.asprintf "%s: %a" sut.Verif.Sut.proto pp_event ev)
-            (Fault.Plan.directives (to_plan sut [ ev ]))
-            (List.rev !log))
+            name (List.rev !log)
+            (Fault.Plan.directives plan);
+          Alcotest.(check bool)
+            (name ^ " is in the plan") (ev <> Age) (!log <> []))
         [
           Join m;
           Leave m;
@@ -264,6 +265,9 @@ let prop_monitor_healthy_never_fires =
 
 (* ---- Injected bug: find, minimize, stay small -------------------------- *)
 
+let violates oracle vs =
+  List.exists (fun (v : Verif.Oracle.violation) -> v.Verif.Oracle.oracle = oracle) vs
+
 let with_frozen_marks f =
   Proto.Softstate.freeze_marks := true;
   Fun.protect ~finally:(fun () -> Proto.Softstate.freeze_marks := false) f
@@ -280,16 +284,35 @@ let test_injected_bug_caught_and_shrunk () =
   Alcotest.(check bool)
     "counterexample found" true
     (o.Verif.Explore.counterexamples <> []);
-  let cx = List.hd o.Verif.Explore.counterexamples in
-  let minimal = Verif.Shrink.minimize ~make_sut cx in
-  Alcotest.(check bool)
-    (Format.asprintf "shrunk to <= 6 events (got %a)" Verif.Scenario.pp_events
-       minimal)
-    true
-    (List.length minimal <= 6);
-  (* the minimized sequence still reproduces from a cold start *)
-  let vs = Verif.Scenario.replay_events (make_sut ()) minimal in
-  Alcotest.(check bool) "minimal sequence reproduces" true (vs <> [])
+  let violates_one_of (cx : Verif.Explore.counterexample) vs =
+    List.exists
+      (fun (v : Verif.Oracle.violation) -> violates v.Verif.Oracle.oracle vs)
+      cx.Verif.Explore.violations
+  in
+  List.iteri
+    (fun i (cx : Verif.Explore.counterexample) ->
+      let name what =
+        Format.asprintf "cx %d %a: %s" (i + 1) Verif.Scenario.pp_events
+          cx.Verif.Explore.events what
+      in
+      (* the explorer's path violates again on the one runner's timeline *)
+      let _, vs = Verif.Scenario.run (make_sut ()) cx.Verif.Explore.events in
+      Alcotest.(check bool) (name "raw path reproduces") true
+        (violates_one_of cx vs);
+      let minimal = Verif.Shrink.minimize ~make_sut cx in
+      Alcotest.(check bool)
+        (Format.asprintf "%s (got %a)" (name "shrunk to <= 6 events")
+           Verif.Scenario.pp_events minimal)
+        true
+        (List.length minimal <= 6);
+      (* the plan the run records replays from a cold start *)
+      let plan, _ = Verif.Scenario.run (make_sut ()) minimal in
+      Alcotest.(check bool)
+        (Format.asprintf "%s: %s" (name "minimized plan replays")
+           (Fault.Plan.to_string plan))
+        true
+        (violates_one_of cx (Verif.Scenario.replay_plan (make_sut ()) plan)))
+    o.Verif.Explore.counterexamples
 
 (* ---- Golden counterexample fixtures ------------------------------------ *)
 
@@ -326,6 +349,48 @@ let test_golden_mark_decay () =
      regression tripwire, not a permanent failure *)
   let vs = Verif.Scenario.replay_plan (isp_sut Verif.Sut.Hbh ()) plan in
   Alcotest.(check int) "clean replay passes" 0 (List.length vs)
+
+(* HPIM-DM's assert defect, one fixture per shape the explorer finds
+   at seeds 2, 3/33 and 24.  Each replay violates [hpim_assert_unique]
+   today; these are tripwires that the fix flips to clean, as the
+   mark-decay fixture's clean replay does. *)
+let hpim_goldens =
+  [ "hpim-dm-source-links.plan"; "hpim-dm-source-crash.plan";
+    "hpim-dm-crash-13-16.plan" ]
+
+let test_golden_hpim_assert file () =
+  let plan = Fault.Plan.of_string (read_file ("golden/" ^ file)) in
+  let start = Unix.gettimeofday () in
+  let vs = Verif.Scenario.replay_plan (isp_sut Verif.Sut.Hpim_dm ()) plan in
+  let elapsed = Unix.gettimeofday () -. start in
+  Alcotest.(check bool)
+    "hpim_assert_unique violated" true
+    (violates "hpim_assert_unique" vs);
+  Alcotest.(check bool)
+    (Printf.sprintf "replays in under 5 s (took %.2f s)" elapsed)
+    true (elapsed < 5.0)
+
+(* The run settles the initial state before the first event, as the
+   explorer does: [crash 0] alone violates on that timeline, where a
+   run that skipped the settle needed a filler event to buy the time.
+   It rides on the HPIM-DM assert defect, so the fix flips it with the
+   goldens above. *)
+let test_initial_settle () =
+  let _, vs =
+    Verif.Scenario.run (isp_sut Verif.Sut.Hpim_dm ()) [ Verif.Scenario.Crash 0 ]
+  in
+  Alcotest.(check bool)
+    "hpim_assert_unique violated" true
+    (violates "hpim_assert_unique" vs)
+
+(* After [crash 13] the state never settles (the explorer files such
+   a path as an oscillation), so the run gives it no verdict. *)
+let test_unsettled_no_verdict () =
+  let _, vs =
+    Verif.Scenario.run (isp_sut Verif.Sut.Hpim_dm ())
+      [ Verif.Scenario.Crash 16; Verif.Scenario.Crash 13 ]
+  in
+  Alcotest.(check int) "no violations" 0 (List.length vs)
 
 (* ---- Plan text: range checks and robustness ----------------------------- *)
 
@@ -489,7 +554,18 @@ let () =
         [
           Alcotest.test_case "mark-decay fixture loads and replays" `Quick
             test_golden_mark_decay;
-        ] );
+        ]
+        @ List.map
+            (fun file ->
+              Alcotest.test_case (file ^ " violates hpim_assert_unique")
+                `Quick (test_golden_hpim_assert file))
+            hpim_goldens
+        @ [
+            Alcotest.test_case "the initial state settles first" `Quick
+              test_initial_settle;
+            Alcotest.test_case "an unsettled point gets no verdict" `Quick
+              test_unsettled_no_verdict;
+          ] );
       ( "plan",
         Alcotest.test_case "non-finite values rejected" `Quick
           test_plan_rejects_non_finite
