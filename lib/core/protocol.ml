@@ -36,15 +36,17 @@ type state = {
   source_mft : Tables.Mft.t;
   member_last_seen : (int, float ref) Hashtbl.t;
   member_first : (int, bool ref) Hashtbl.t;
-  (* Loop damping.  Faults can leave the MFT entry graph momentarily
-     cyclic (a restarted router re-learns a peer that still holds a
-     stale entry pointing back); without a guard each lap of such a
-     cycle would regenerate messages and the exchange grows
-     exponentially.  In healthy (acyclic) operation both guards are
-     no-ops: a router regenerates trees once per period and sees each
-     data sequence number exactly once. *)
+  (* The tree damper, the control-plane twin of the session's data
+     damper ([S.forward_data]).  The MFT entry graph can hold a cycle
+     (a restarted router re-learns a peer that still holds a stale
+     entry pointing back); without a guard each lap of such a cycle
+     would regenerate tree messages and the exchange grows
+     exponentially.  Both dampers are counted
+     ([proto.hbh.damped_tree], [proto.hbh.damped_data]) because they
+     fire even without faults: 269 trees and 244 data copies over
+     [faults --seed 42], 125 trees and 15 data copies in the
+     fault-free churn of DESIGN.md §6b. *)
   tree_emit_at : (int, float) Hashtbl.t;  (* router -> last rule-1 emit *)
-  data_seen : (int, int) Hashtbl.t;  (* router -> highest seq re-emitted *)
 }
 
 module S = Proto.Session.Make (struct
@@ -86,7 +88,6 @@ module S = Proto.Session.Make (struct
       member_last_seen = Hashtbl.create 16;
       member_first = Hashtbl.create 16;
       tree_emit_at = Hashtbl.create 16;
-      data_seen = Hashtbl.create 16;
     }
 
   let copy_tbl copy_v src =
@@ -102,7 +103,6 @@ module S = Proto.Session.Make (struct
       member_last_seen = copy_tbl (fun r -> ref !r) st.member_last_seen;
       member_first = copy_tbl (fun r -> ref !r) st.member_first;
       tree_emit_at = copy_tbl Fun.id st.tree_emit_at;
-      data_seen = copy_tbl Fun.id st.data_seen;
     }
 end)
 
@@ -113,6 +113,7 @@ include S
 
 let m_mft = S.counter "mft_updates"
 let m_mct = S.counter "mct_updates"
+let m_damped_tree = S.counter "damped_tree"
 
 let mft_ev t ~node ~target op =
   Obs.Metrics.hot_incr m_mft;
@@ -205,9 +206,9 @@ let router_handle_tree t n (p : Messages.t Pkt.t) ~target ~from_branch =
       if p.Pkt.dst = n then begin
         (* Rule 1: the tree message was for us; regenerate one per
            non-stale entry — at most once per half tree period, so a
-           transiently cyclic entry graph cannot amplify (the guard
-           never fires in healthy operation: the upstream owner sends
-           us one tree per period). *)
+           cyclic entry graph cannot amplify.  The upstream owner
+           sends us one tree per period; every suppressed extra one
+           is counted (see [tree_emit_at]). *)
         let last =
           Option.value ~default:neg_infinity
             (Hashtbl.find_opt st.tree_emit_at n)
@@ -215,7 +216,8 @@ let router_handle_tree t n (p : Messages.t Pkt.t) ~target ~from_branch =
         if now -. last >= 0.5 *. (S.config t).tree_period then begin
           Hashtbl.replace st.tree_emit_at n now;
           emit_trees t ~at:n mft
-        end;
+        end
+        else Obs.Metrics.hot_incr m_damped_tree;
         Net.Consume
       end
       else begin
@@ -302,24 +304,14 @@ let router_handle_fusion t n (p : Messages.t Pkt.t) ~members ~sender =
     Net.Consume
   end
 
+(* Only a branching router fans data out, so only it records the
+   sequence number in the session's damper. *)
 let router_handle_data t n (p : Messages.t Pkt.t) ~seq =
   if p.Pkt.dst <> n then Net.Forward
   else begin
     member_seen t n;
-    let st = S.state t in
     (match channel_state t n with
-    | Tables.Forwarding mft ->
-        (* Re-emit each sequence number once: a healthy tree delivers
-           every packet here exactly once anyway, and the guard stops
-           a transiently cyclic entry graph from circulating copies. *)
-        let seen = Option.value ~default:0 (Hashtbl.find_opt st.data_seen n) in
-        if seq > seen then begin
-          Hashtbl.replace st.data_seen n seq;
-          List.iter
-            (fun x ->
-              Net.emit (S.network t) ~at:n (Pkt.rewrite p ~src:n ~dst:x ()))
-            (Tables.Mft.data_targets mft ~now:(S.now t))
-        end
+    | Tables.Forwarding _ -> S.forward_data t ~at:n p ~seq
     | Tables.Control _ | Tables.No_state -> ());
     Net.Consume
   end
@@ -379,6 +371,16 @@ let member_handler t n (p : Messages.t Pkt.t) =
 
 (* ---- Session hooks --------------------------------------------------- *)
 
+(* The data-plane fan-out: the source's and each branching router's
+   unmarked live MFT entries. *)
+let data_targets t n =
+  let now = S.now t in
+  if n = S.source t then Tables.Mft.data_targets (S.state t).source_mft ~now
+  else
+    match channel_state t n with
+    | Tables.Forwarding mft -> Tables.Mft.data_targets mft ~now
+    | Tables.Control _ | Tables.No_state -> []
+
 (* Source tree cycle. *)
 let tick t =
   let st = S.state t in
@@ -429,8 +431,7 @@ let hooks =
         let st = S.state t in
         if n = S.source t then Tables.Mft.clear st.source_mft
         else Hashtbl.remove st.router_tables n;
-        Hashtbl.remove st.tree_emit_at n;
-        Hashtbl.remove st.data_seen n);
+        Hashtbl.remove st.tree_emit_at n);
     join_tick;
     on_subscribe =
       (fun t r ->
@@ -444,14 +445,14 @@ let hooks =
         Hashtbl.remove st.member_first r);
     send_data =
       (fun t ->
-        let st = S.state t in
         let payload =
           Messages.Data { channel = S.channel t; seq = S.next_seq t }
         in
-        Tables.Mft.expire st.source_mft ~now:(S.now t);
+        Tables.Mft.expire (S.state t).source_mft ~now:(S.now t);
         List.iter
           (fun x -> S.send t ~from:(S.source t) ~dst:x ~kind:Pkt.Data payload)
-          (Tables.Mft.data_targets st.source_mft ~now:(S.now t)));
+          (data_targets t (S.source t)));
+    data_targets;
   }
 
 (* ---- Public API ------------------------------------------------------- *)

@@ -24,11 +24,13 @@
      sharing a link never both feed it.
 
    Data forwarding mirrors PIM-SSM's shape (copies unicast-addressed
-   to downstream entries, per-node sequence dedup damping transient
-   duplicates), with two hard-state twists: targets are pruned by
-   current unicast reachability (the hard entry survives an outage
-   and resumes instantly on heal, instead of decaying and being
-   re-built), and router targets must pass the assert election. *)
+   to downstream entries, through the session's loop damper), with
+   two hard-state twists: targets are pruned by current unicast
+   reachability (the hard entry survives an outage and resumes
+   instantly on heal, instead of decaying and being re-built), and
+   router targets must pass the assert election.  That rule is the
+   [data_targets] hook, so the verifier's assert-loser oracle checks
+   the very function the data plane forwards with. *)
 
 module Net = Netsim.Network
 module Pkt = Netsim.Packet
@@ -121,7 +123,6 @@ type state = {
   nodes : (int, node_state) Hashtbl.t;
   mutable genid_ctr : int;
   rel : msg Rel.t;
-  data_seen : (int, int) Hashtbl.t;
   mutable pump : Eventsim.Wheel.entry option;
       (* the retransmission pump: armed while [rel] has pending
          slots, stopped when it drains.  Lives in the state so
@@ -167,7 +168,6 @@ module S = Proto.Session.Make (struct
       nodes = Hashtbl.create 64;
       genid_ctr = 0;
       rel = Rel.create ~rto:c.rto ~rto_max:c.rto_max ();
-      data_seen = Hashtbl.create 64;
       pump = None;
     }
 
@@ -191,7 +191,6 @@ module S = Proto.Session.Make (struct
       nodes;
       genid_ctr = st.genid_ctr;
       rel = Rel.copy st.rel;
-      data_seen = Hashtbl.copy st.data_seen;
       (* The wheel-entry handle is shared deliberately: Wheel.restore
          resurrects exactly the entries alive at save time, and this
          copy is only ever installed by a restore to that instant. *)
@@ -607,19 +606,10 @@ let entitled t n ns d =
         | Some _ | None -> true
       else true)
 
-let entitled_targets t n =
+let data_targets t n =
   match Hashtbl.find_opt (S.state t).nodes n with
   | None -> []
   | Some ns -> List.filter (entitled t n ns) (Hs.Table.nodes ns.down)
-
-let fan_out t n seq emit =
-  match Hashtbl.find_opt (S.state t).nodes n with
-  | None -> ()
-  | Some ns ->
-      List.iter
-        (fun d ->
-          if entitled t n ns d then emit d seq)
-        (Hs.Table.nodes ns.down)
 
 (* ---- Receive processing ------------------------------------------------- *)
 
@@ -701,15 +691,9 @@ let handler t n (p : msg Pkt.t) =
         ~s_int;
       Net.Consume
   | Data { seq; _ } when p.Pkt.dst = n ->
-      let st = S.state t in
-      let seen = Option.value ~default:0 (Hashtbl.find_opt st.data_seen n) in
-      if seq > seen then begin
-        Hashtbl.replace st.data_seen n seq;
-        fan_out t n seq (fun d seq ->
-            let payload = Data { channel = S.channel t; seq } in
-            S.meter t ~from:n payload;
-            Net.emit (S.network t) ~at:n (Pkt.rewrite p ~src:n ~dst:d ~payload ()))
-      end;
+      (* The session's damper fires: 103 copies over [faults --seed
+         42], none in the fault-free churn of DESIGN.md §6b. *)
+      S.forward_data t ~at:n p ~seq;
       Net.Consume
   | Join _ | Tree _ | Data _ | Extra _ -> Net.Forward
 
@@ -758,7 +742,6 @@ let hooks =
       (fun t n ->
         let st = S.state t in
         Hashtbl.remove st.nodes n;
-        Hashtbl.remove st.data_seen n;
         Rel.drop_node st.rel n);
     join_tick =
       (fun t ~member ->
@@ -781,10 +764,11 @@ let hooks =
     send_data =
       (fun t ->
         let src = S.source t in
-        let seq = S.next_seq t in
-        fan_out t src seq (fun d seq ->
-            S.send t ~from:src ~dst:d ~kind:Pkt.Data
-              (Data { channel = S.channel t; seq })));
+        let payload = Data { channel = S.channel t; seq = S.next_seq t } in
+        List.iter
+          (fun d -> S.send t ~from:src ~dst:d ~kind:Pkt.Data payload)
+          (data_targets t src));
+    data_targets;
   }
 
 let create ?config ?trace ?channel table ~source =

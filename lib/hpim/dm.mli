@@ -20,7 +20,13 @@
     reconvergence moves the RPF parent, the next audit retracts from
     the old parent and re-expresses to the new one, and hard entries
     behind a healed outage resume forwarding instantly instead of
-    being rebuilt by refresh. *)
+    being rebuilt by refresh.
+
+    The data-plane rule is the session's [data_targets] hook: a
+    node's downstream entries that are unicast-reachable and, for
+    router targets, on the winning side of the link's assert
+    election.  Data fans out through the session's loop damper
+    ({!Proto.Session.Make.forward_data}). *)
 
 type ('jx, 'tx, 'extra) gen = ('jx, 'tx, 'extra) Proto.Messages.t =
   | Join of { channel : Mcast.Channel.t; member : int; ext : 'jx }
@@ -83,12 +89,6 @@ val view : t -> (int * node_view) list
 
 val genid : t -> int -> int option
 (** The node's own current generation ID, if it holds state. *)
-
-val entitled_targets : t -> int -> int list
-(** The node's data-plane fan-out: downstream entries that are
-    unicast-reachable and (for router targets) on the winning side of
-    the link's assert election — exactly the targets a data packet at
-    the node is copied to. *)
 
 val metric : t -> int -> int
 (** The node's live root path cost ([max_int] when the source is

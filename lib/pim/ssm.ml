@@ -36,12 +36,6 @@ type state = {
   (* (S,G) state: per node, the downstream neighbors joins arrived
      from, each with its holdtime deadline. *)
   oifs : Node_tables.t;
-  (* Highest data seq fanned out per node: the loop damper.  Data
-     copies are unicast-addressed to oif neighbors and may arrive
-     through an asymmetric path, so an interface RPF check is not
-     expressible here; accepting each seq once per node gives the
-     same guarantee (transient oif cycles cannot amplify). *)
-  data_seen : (int, int) Hashtbl.t;
 }
 
 module S = Proto.Session.Make (struct
@@ -78,15 +72,9 @@ module S = Proto.Session.Make (struct
     {
       dl = { Ss.t1 = c.holdtime; t2 = c.holdtime };
       oifs = Node_tables.create ();
-      data_seen = Hashtbl.create 64;
     }
 
-  let copy_state st =
-    {
-      dl = st.dl;
-      oifs = Node_tables.copy st.oifs;
-      data_seen = Hashtbl.copy st.data_seen;
-    }
+  let copy_state st = { dl = st.dl; oifs = Node_tables.copy st.oifs }
 end)
 
 (* The session IS the public API surface; only [create]/[create_mux]
@@ -154,22 +142,14 @@ let handler t n (p : msg Pkt.t) =
       if n <> S.source t then send_join t ~from:n;
       Net.Consume
   | Data { seq; _ } when p.Pkt.dst = n ->
-      let st = S.state t in
-      let seen = Option.value ~default:0 (Hashtbl.find_opt st.data_seen n) in
-      if seq > seen then begin
-        Hashtbl.replace st.data_seen n seq;
-        (* No incoming-interface exclusion: an asymmetric unicast
-           path can arrive through an oif neighbor, and skipping it
-           would starve that subtree.  The seq dedup above already
-           stops any bounce-back. *)
-        List.iter
-          (fun d ->
-            let payload = Data { channel = S.channel t; seq } in
-            S.meter t ~from:n payload;
-            Net.emit (S.network t) ~at:n
-              (Pkt.rewrite p ~src:n ~dst:d ~payload ()))
-          (live_oifs t n)
-      end;
+      (* Copies are unicast-addressed to oif neighbors and may arrive
+         through an asymmetric path, so neither an interface RPF check
+         nor an incoming-interface exclusion is expressible (the
+         exclusion would starve a subtree reached through an oif
+         neighbor).  The session's damper stops bounce-backs instead.
+         It fires: 26 copies over [faults --seed 42], none in the
+         fault-free churn of DESIGN.md §6b. *)
+      S.forward_data t ~at:n p ~seq;
       Net.Consume
   | Join _ | Data _ -> Net.Forward
   | Tree { ext = _; _ } -> .
@@ -193,21 +173,17 @@ let hooks =
        it through RPF re-join once the node (or a route around it) is
        back. *)
     crash_wipe =
-      (fun t n ->
-        let st = S.state t in
-        Hashtbl.remove st.oifs n;
-        Hashtbl.remove st.data_seen n);
+      (fun t n -> Hashtbl.remove (S.state t).oifs n);
     join_tick = (fun t ~member -> send_join t ~from:member);
     on_subscribe = (fun _ _ -> ());
     on_unsubscribe = (fun _ _ -> ());
     send_data =
       (fun t ->
-        let seq = S.next_seq t in
+        let payload = Data { channel = S.channel t; seq = S.next_seq t } in
         List.iter
-          (fun d ->
-            S.send t ~from:(S.source t) ~dst:d ~kind:Pkt.Data
-              (Data { channel = S.channel t; seq }))
+          (fun d -> S.send t ~from:(S.source t) ~dst:d ~kind:Pkt.Data payload)
           (live_oifs t (S.source t)));
+    data_targets = live_oifs;
   }
 
 let create ?config ?trace ?channel table ~source =

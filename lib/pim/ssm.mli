@@ -6,8 +6,10 @@
     join travels hop by hop along the {e reverse} shortest path (RPF),
     installing at every router an outgoing-interface entry for the
     neighbor it arrived from, with a holdtime.  Data fans out along
-    the recorded oifs, one copy per downstream neighbor, with an RPF
-    check on the incoming interface.
+    the recorded oifs, one copy per downstream neighbor; each node
+    fans a sequence number out once (the session's loop damper,
+    {!Proto.Session.Make.forward_data}) in place of an RPF check on
+    the incoming interface.
 
     Recovery story (contrast with HBH/REUNITE's tree refresh): after
     a failure plus unicast reconvergence, the very next periodic join

@@ -1,6 +1,6 @@
 (** The shared control-message vocabulary of the protocol runtime.
 
-    All three stacks speak the same three-verb language — periodic
+    All four stacks speak the same three-verb language — periodic
     joins toward the source, periodic tree messages away from it, and
     sequenced data — differing only in what they attach to each verb.
     The type is parameterized accordingly: ['jx] rides on joins (HBH's

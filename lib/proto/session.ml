@@ -62,6 +62,7 @@ module type S = sig
   val members : t -> int list
   val send_data : t -> unit
   val data_seq : t -> int
+  val data_targets : t -> int -> int list
   val run_for : t -> float -> unit
   val converge : ?periods:int -> t -> unit
   val probe : t -> Mcast.Distribution.t
@@ -95,6 +96,7 @@ module Make (P : PROTOCOL) = struct
   let m_join = counter "join_msgs"
   let m_tree = counter "tree_msgs"
   let m_data = counter "data_msgs"
+  let m_damped_data = counter "damped_data"
   let m_extra = Option.map counter P.extra_counter
   let m_crash_wipes = counter "crash_wipes"
   let m_route_changes = counter "route_changes"
@@ -124,6 +126,9 @@ module Make (P : PROTOCOL) = struct
     member_timers : (int, Wheel.entry) Hashtbl.t;
     member_handler_installed : (int, unit) Hashtbl.t;
     mutable data_seq : int;
+    (* The loop damper: per node, the highest data sequence number
+       fanned out there (see [forward_data]). *)
+    mutable data_seen : (int, int) Hashtbl.t;
     (* Generation counter over the unicast routing: bumped on every
        reconvergence that actually changed a next hop.  Protocols
        stamp soft-state entries with the epoch of the forward-path
@@ -157,6 +162,9 @@ module Make (P : PROTOCOL) = struct
     on_subscribe : t -> int -> unit;
     on_unsubscribe : t -> int -> unit;
     send_data : t -> unit;
+    data_targets : t -> int -> int list;
+        (** the nodes a data packet addressed to the node is copied
+            to right now *)
   }
 
   let engine t = t.engine
@@ -244,6 +252,7 @@ module Make (P : PROTOCOL) = struct
         member_timers = Hashtbl.create 16;
         member_handler_installed = Hashtbl.create 16;
         data_seq = 0;
+        data_seen = Hashtbl.create 16;
         route_epoch = 0;
         spans = Obs.Span.create ();
       }
@@ -290,6 +299,7 @@ module Make (P : PROTOCOL) = struct
           (fun ~up n ->
             if not up then begin
               Obs.Metrics.hot_incr m_crash_wipes;
+              Hashtbl.remove t.data_seen n;
               hooks.crash_wipe t n;
               notef t ~node:n "crash: %s state wiped" P.label
             end);
@@ -397,6 +407,22 @@ module Make (P : PROTOCOL) = struct
     run_for t (float_of_int periods *. P.control_period t.config)
 
   let send_data t = t.hooks.send_data t
+  let data_targets t n = t.hooks.data_targets t n
+
+  (* The loop damper: a node fans each sequence number out once.  The
+     targets are read only once the copy is admitted, so a damped copy
+     costs no table or routing read. *)
+  let forward_data t ~at (p : P.msg Pkt.t) ~seq =
+    let seen = Option.value ~default:0 (Hashtbl.find_opt t.data_seen at) in
+    if seq > seen then begin
+      Hashtbl.replace t.data_seen at seq;
+      List.iter
+        (fun d ->
+          meter t ~from:at p.Pkt.payload;
+          Net.emit t.network ~at (Pkt.rewrite p ~src:at ~dst:d ()))
+        (data_targets t at)
+    end
+    else Obs.Metrics.hot_incr m_damped_data
 
   let probe t =
     Net.reset_data_accounting t.network;
@@ -449,15 +475,16 @@ module Make (P : PROTOCOL) = struct
   (* Everything mutable the session owns on top of the network: the
      protocol state (deep-copied — every hook body reads it through
      [state t] at call time, so reassigning the field redirects them
-     all), membership, the per-member join-timer entries (the mux
-     state restores the wheel buckets whose pending engine events the
-     network snapshot already holds, so a post-restore [unsubscribe]
-     detaches exactly the right entry), the mux's cover/wheel state,
-     and the member-agent install set. *)
+     all), the loop damper, membership, the per-member join-timer
+     entries (the mux state restores the wheel buckets whose pending
+     engine events the network snapshot already holds, so a
+     post-restore [unsubscribe] detaches exactly the right entry), the
+     mux's cover/wheel state, and the member-agent install set. *)
   type snapshot = {
     s_state : P.state;
     s_members : int list;
     s_data_seq : int;
+    s_data_seen : (int, int) Hashtbl.t;
     s_route_epoch : int;
     s_net : P.msg Net.snapshot;
     s_timers : (int * Wheel.entry) list;
@@ -470,6 +497,7 @@ module Make (P : PROTOCOL) = struct
       s_state = P.copy_state t.state;
       s_members = t.members;
       s_data_seq = t.data_seq;
+      s_data_seen = Hashtbl.copy t.data_seen;
       s_route_epoch = t.route_epoch;
       s_net = Net.snapshot t.network;
       s_timers = Hashtbl.fold (fun m e acc -> (m, e) :: acc) t.member_timers [];
@@ -490,6 +518,7 @@ module Make (P : PROTOCOL) = struct
     t.state <- P.copy_state s.s_state;
     t.members <- s.s_members;
     t.data_seq <- s.s_data_seq;
+    t.data_seen <- Hashtbl.copy s.s_data_seen;
     t.route_epoch <- s.s_route_epoch;
     Hashtbl.reset t.member_timers;
     List.iter (fun (m, e) -> Hashtbl.replace t.member_timers m e) s.s_timers;

@@ -1,14 +1,15 @@
 (** The per-router session core of the protocol runtime.
 
-    [Make (P)] owns everything the three protocol stacks used to
-    duplicate: agent coverage over the topology, the periodic
-    control/sweep timers, per-member join timers, the crash-wipe and
-    restart lifecycle wired to the network's node-event listeners,
-    route-change accounting, and uniform control-overhead metering
-    under the [proto.<name>.*] metric namespace.  A protocol supplies
-    its packet-level behavior as a {!Make.hooks} record of closures
-    over its own soft state; the session decides {e when} and
-    {e where} they run.
+    [Make (P)] owns everything the four protocol stacks (HBH,
+    REUNITE, PIM-SSM, HPIM-DM) would otherwise duplicate: agent
+    coverage over the topology, the periodic control/sweep timers,
+    per-member join timers, the crash-wipe and restart lifecycle wired
+    to the network's node-event listeners, route-change accounting,
+    the data-plane loop damper ({!Make.forward_data}), and uniform
+    control-overhead metering under the [proto.<name>.*] metric
+    namespace.  A protocol supplies its packet-level behavior as a
+    {!Make.hooks} record of closures over its own soft state; the
+    session decides {e when} and {e where} they run.
 
     Sessions ride a channel multiplexer ({!Mux}): the network's one
     handler, one delivery hook, node-event/route-change listener and
@@ -132,6 +133,11 @@ module type S = sig
   (** Sequence number of the last data packet sent (0 initially);
       unchanged when {!send_data} had no tree to send down. *)
 
+  val data_targets : t -> int -> int list
+  (** The data-plane fan-out rule, read now: the nodes a data packet
+      addressed to the node is copied to ([[]] without forwarding
+      state) — what the data plane forwards with. *)
+
   val run_for : t -> float -> unit
 
   val converge : ?periods:int -> t -> unit
@@ -197,12 +203,21 @@ module Make (P : PROTOCOL) : sig
         (** live soft-state entries, sampled into the
             [proto.<name>.state_entries] gauge after each sweep *)
     crash_wipe : t -> int -> unit;
-        (** wipe the node's volatile protocol state *)
+        (** wipe the node's volatile protocol state (the session has
+            already wiped the node's loop-damper record) *)
     join_tick : t -> member:int -> unit;
         (** one member's periodic join, every join period *)
     on_subscribe : t -> int -> unit;
+        (** a member joined, after the session recorded it *)
     on_unsubscribe : t -> int -> unit;
+        (** a member left, after its join timer stopped *)
     send_data : t -> unit;
+        (** originate one data packet at the source, usually to its
+            [data_targets] *)
+    data_targets : t -> int -> int list;
+        (** the nodes a data packet addressed to the node is copied to
+            right now; read by {!forward_data} and by the verifier's
+            oracles, so it must not mutate state *)
   }
 
   val counter : string -> Obs.Metrics.hot_counter
@@ -257,6 +272,18 @@ module Make (P : PROTOCOL) : sig
 
   val send_data : t -> unit
   (** The protocol's [send_data] hook. *)
+
+  val data_targets : t -> int -> int list
+  (** The protocol's [data_targets] hook, read now. *)
+
+  val forward_data : t -> at:int -> P.msg Netsim.Packet.t -> seq:int -> unit
+  (** The loop damper: fan a data packet out at [at] once per sequence
+      number.  A [seq] above the highest one [at] has fanned out is
+      copied to [data_targets t at] (read only then), each copy
+      metered and emitted as a rewrite from [at]; any other arrival is
+      dropped and counted in [proto.<name>.damped_data].  The table is
+      checkpointed with the session; a crash wipes the node's
+      record. *)
 
   val probe : t -> Mcast.Distribution.t
   (** Reset data accounting, send one data packet, run long enough
@@ -325,12 +352,13 @@ module Make (P : PROTOCOL) : sig
   (** {1 Checkpoint / restore}
 
       A snapshot captures the session's protocol state (via
-      [P.copy_state]), membership, per-member join timers and data
-      sequence, {e plus} the underlying network/engine state through
-      {!Netsim.Network.snapshot} — so restoring rewinds the whole
-      simulation this session runs in.  With several sessions sharing
-      one network, snapshot/restore them together (each session's
-      restore re-restores the shared network).  Restoring invalidates
+      [P.copy_state]), membership, per-member join timers, data
+      sequence and loop damper, {e plus} the underlying
+      network/engine state through {!Netsim.Network.snapshot} — so
+      restoring rewinds the whole simulation this session runs in.
+      With several sessions sharing one network, snapshot/restore them
+      together (each session's restore re-restores the shared
+      network).  Restoring invalidates
       the routing cache; take snapshots at routing-converged points
       (enforced: the network snapshot raises otherwise). *)
 

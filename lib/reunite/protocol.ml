@@ -105,6 +105,23 @@ let mct_ev t ~node ~target op =
    tree installs state at a router that holds none. *)
 let channel_state t n = Node_tables.find (S.state t).router_tables n
 
+(* The data-plane fan-out: the source sends to its live dst entry and
+   every receiver entry; a branching router copies the packets
+   addressed to its dst to its receiver entries while the original
+   continues. *)
+let data_targets t n =
+  if n = S.source t then
+    match (S.state t).source_mft with
+    | None -> []
+    | Some mft ->
+        let dst = Tables.Mft.dst mft in
+        (if Tables.entry_dead dst ~now:(S.now t) then [] else [ dst.node ])
+        @ Tables.Mft.receiver_nodes mft
+  else
+    match channel_state t n with
+    | Some { Tables.mft = Some mft; _ } -> Tables.Mft.receiver_nodes mft
+    | Some { Tables.mft = None; _ } | None -> []
+
 (* ---- Router message processing --------------------------------------- *)
 
 let router_handle_join_at t n (st : Tables.channel_state) ~member =
@@ -277,15 +294,19 @@ let router_handle_tree t n (p : Messages.t Pkt.t) ~target ~marked ~epoch =
       end;
       Net.Forward
 
+(* No loop damper here, unlike the other three stacks: REUNITE's
+   forwarding cycles must stay visible (a runaway under faults, not a
+   count of suppressed copies) until an oracle bounds them. *)
 let router_handle_data t n (p : Messages.t Pkt.t) =
   match channel_state t n with
   | Some { Tables.mft = Some mft; _ }
     when (Tables.Mft.dst mft).node = p.Pkt.dst
          && Tables.Mft.from_upstream mft ~via:p.Pkt.via ->
       List.iter
-        (fun (e : Tables.entry) ->
-          Net.emit (S.network t) ~at:n (Pkt.rewrite p ~src:n ~dst:e.node ()))
-        (Tables.Mft.receivers mft);
+        (fun d ->
+          S.meter t ~from:n p.Pkt.payload;
+          Net.emit (S.network t) ~at:n (Pkt.rewrite p ~src:n ~dst:d ()))
+        (data_targets t n);
       Net.Forward
   | Some _ | None -> Net.Forward
 
@@ -401,22 +422,18 @@ let hooks =
     on_unsubscribe = (fun _ _ -> ());
     send_data =
       (fun t ->
-        let st = S.state t in
-        match st.source_mft with
+        match (S.state t).source_mft with
         | None -> ()
         | Some mft ->
             let payload =
               Messages.Data { channel = S.channel t; seq = S.next_seq t }
             in
-            let nw = S.now t in
-            Tables.Mft.expire mft ~now:nw;
-            let dst = Tables.Mft.dst mft in
-            if not (Tables.entry_dead dst ~now:nw) then
-              S.send t ~from:(S.source t) ~dst:dst.node ~kind:Pkt.Data payload;
+            Tables.Mft.expire mft ~now:(S.now t);
             List.iter
-              (fun (e : Tables.entry) ->
-                S.send t ~from:(S.source t) ~dst:e.node ~kind:Pkt.Data payload)
-              (Tables.Mft.receivers mft));
+              (fun d ->
+                S.send t ~from:(S.source t) ~dst:d ~kind:Pkt.Data payload)
+              (data_targets t (S.source t)));
+    data_targets;
   }
 
 (* ---- Public API -------------------------------------------------------- *)

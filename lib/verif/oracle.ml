@@ -50,16 +50,22 @@ let reachable_set (sut : Sut.t) =
 (* ---- Tree structure: loop-free and spans exactly the members ----------- *)
 
 (* Expand the data-plane fan-out graph from the source, following the
-   unicast paths each logical copy takes.  [stack] is the chain of
-   fan-out nodes on the current recursion path: revisiting one is a
-   forwarding loop.  [expanded] memoizes globally for termination —
+   unicast paths each logical copy takes, each node's targets read
+   once per check from the session's own fan-out rule.  [stack] is
+   the chain of fan-out nodes on the current recursion path:
+   revisiting one is a forwarding loop.  [expanded] memoizes globally for termination —
    checked only after the loop test, so cycles through
    already-expanded nodes are still caught. *)
 let tree_check (sut : Sut.t) =
   let violations = ref [] in
-  let fanout = sut.Sut.fanout () in
+  let targets = Hashtbl.create 16 in
   let targets_of n =
-    match List.assoc_opt n fanout with Some ts -> ts | None -> []
+    match Hashtbl.find_opt targets n with
+    | Some ts -> ts
+    | None ->
+        let ts = sut.Sut.data_targets n in
+        Hashtbl.replace targets n ts;
+        ts
   in
   let covered = Hashtbl.create 16 in
   let expanded = Hashtbl.create 16 in
@@ -288,8 +294,8 @@ let hpim_assert_unique (sut : Sut.t) =
 
 (* "No data forwarding from assert losers": every data-plane fan-out
    edge toward a router must originate from the endpoint that wins
-   that link's election in its own view (self-consistency between a
-   node's forwarding decisions and its election state). *)
+   that link's election in its own view (self-consistency between the
+   rule the data plane forwards with and a node's election state). *)
 let hpim_assert_losers (sut : Sut.t) =
   if sut.Sut.proto <> "hpim-dm" then []
   else begin
@@ -305,16 +311,15 @@ let hpim_assert_losers (sut : Sut.t) =
     in
     let is_router n = G.multicast_router sut.Sut.graph n || n = sut.Sut.source in
     let bad = ref [] in
-    List.iter
-      (fun (n, targets) ->
-        List.iter
-          (fun d ->
-            if is_router d then
-              match winner_view ~from:n ~dst:d with
-              | Some true | None -> ()
-              | Some false -> bad := (n, d) :: !bad)
-          targets)
-      (sut.Sut.fanout ());
+    for n = 0 to G.node_count sut.Sut.graph - 1 do
+      List.iter
+        (fun d ->
+          if is_router d then
+            match winner_view ~from:n ~dst:d with
+            | Some true | None -> ()
+            | Some false -> bad := (n, d) :: !bad)
+        (sut.Sut.data_targets n)
+    done;
     count ~oracle:"hpim_assert_losers" (!bad <> []);
     List.map
       (fun (n, d) ->

@@ -1,7 +1,8 @@
 (** Protocol oracles: properties every quiescent state must satisfy.
 
-    Structural oracles read the soft-state tables through
-    {!Sut.fanout} and compare them against the routing ground truth;
+    Structural oracles read the data-plane fan-out through
+    {!Sut.t.data_targets} — the same rule the protocol forwards
+    with — and compare it against the routing ground truth;
     the delivery oracle actually sends a data packet and counts
     arrivals.  Each check bumps
     [verif.oracle.<name>.checks]/[.violations] in
@@ -42,6 +43,7 @@ val hpim_assert_unique : Sut.t -> violation list
 
 val hpim_assert_losers : Sut.t -> violation list
 (** HPIM-DM only: every data-plane fan-out edge toward a router
+    ({!Sut.t.data_targets}, the rule [Hpim.Dm] forwards with)
     originates from the endpoint that wins that link's election in
     its own view — assert losers must not forward. *)
 

@@ -2,11 +2,11 @@ module Net = Netsim.Network
 module G = Topology.Graph
 module Ss = Proto.Softstate
 
-(* The system under test, as a monomorphic closure bundle: the three
+(* The system under test, as a monomorphic closure bundle: the
    protocol stacks have distinct message types (so distinct network
    and session types), but the explorer only needs a fixed verb set —
    drive time, churn members, inject faults, checkpoint, digest, and
-   expose the logical data-plane fan-out for the structural oracles.
+   expose the data-plane fan-out rule for the structural oracles.
    Wrapping each session in closures erases the message type without
    an existential. *)
 type t = {
@@ -49,9 +49,8 @@ type t = {
           [(receiver, delay)] deliveries it produced *)
   dump_tables : unit -> string;
       (** canonical soft-state dump (see {!state_digest}) *)
-  fanout : unit -> (int * int list) list;
-      (** data-plane fan-out: each node holding forwarding state with
-          the targets it currently copies data to, ascending *)
+  data_targets : int -> int list;
+      (** the session's data-plane fan-out rule, read now *)
   intercept_on_path : bool;
       (** REUNITE-style: forwarding state forks traffic {e passing
           through} the node; false means only traffic addressed to the
@@ -124,13 +123,13 @@ let state_digest sut =
 
 (* The protocol-specific slice of [t]: the periods read from the
    session's own config, the canonical table dump and the inputs of
-   the structural oracles.  Everything else is wired generically over
-   the session signature by [wrap]. *)
+   the structural oracles.  Everything else — the data-plane fan-out
+   included — is wired generically over the session signature by
+   [wrap]. *)
 type view = {
   control_period : float;
   t2 : float;
   dump_tables : unit -> string;
-  fanout : unit -> (int * int list) list;
   intercept_on_path : bool;
   source_has_state : unit -> bool;
   branch_nodes : unit -> (int * int list) list;
@@ -142,7 +141,6 @@ let none () = []
 
 let hbh_view (p : Hbh.Protocol.t) : view =
   let module P = Hbh.Protocol in
-  let source = P.source p in
   let cfg = P.config p in
   let now () = Eventsim.Engine.now (P.engine p) in
   let mft_dump b mft =
@@ -166,20 +164,6 @@ let hbh_view (p : Hbh.Protocol.t) : view =
       (P.all_tables p);
     Buffer.contents b
   in
-  let fanout () =
-    let nw = now () in
-    let src_targets = Hbh.Tables.Mft.data_targets (P.source_table p) ~now:nw in
-    let branches =
-      List.filter_map
-        (fun (n, cs) ->
-          match cs with
-          | Hbh.Tables.Forwarding mft ->
-              Some (n, Hbh.Tables.Mft.data_targets mft ~now:nw)
-          | Hbh.Tables.Control _ | Hbh.Tables.No_state -> None)
-        (P.all_tables p)
-    in
-    (source, src_targets) :: branches
-  in
   let branch_nodes () =
     let nw = now () in
     List.filter_map
@@ -196,7 +180,6 @@ let hbh_view (p : Hbh.Protocol.t) : view =
     control_period = cfg.P.tree_period;
     t2 = cfg.P.t2;
     dump_tables;
-    fanout;
     intercept_on_path = false;
     source_has_state =
       (fun () -> Hbh.Tables.Mft.entries (P.source_table p) <> []);
@@ -207,7 +190,6 @@ let hbh_view (p : Hbh.Protocol.t) : view =
 
 let reunite_view (p : Reunite.Protocol.t) : view =
   let module P = Reunite.Protocol in
-  let source = P.source p in
   let cfg = P.config p in
   let now () = Eventsim.Engine.now (P.engine p) in
   let mft_dump b (mft : Reunite.Tables.Mft.t) =
@@ -238,35 +220,10 @@ let reunite_view (p : Reunite.Protocol.t) : view =
       (P.all_tables p);
     Buffer.contents b
   in
-  let fanout () =
-    let nw = now () in
-    let src_targets =
-      match P.source_table p with
-      | None -> []
-      | Some mft ->
-          let dst = Reunite.Tables.Mft.dst mft in
-          (if Reunite.Tables.entry_dead dst ~now:nw then []
-           else [ dst.Ss.node ])
-          @ Reunite.Tables.Mft.receiver_nodes mft
-    in
-    let branches =
-      List.filter_map
-        (fun (n, (st : Reunite.Tables.channel_state)) ->
-          match st.mft with
-          | Some mft -> (
-              match Reunite.Tables.Mft.receiver_nodes mft with
-              | [] -> None
-              | rs -> Some (n, rs))
-          | None -> None)
-        (P.all_tables p)
-    in
-    (source, src_targets) :: branches
-  in
   {
     control_period = cfg.P.tree_period;
     t2 = cfg.P.t2;
     dump_tables;
-    fanout;
     intercept_on_path = true;
     source_has_state = (fun () -> P.source_table p <> None);
     branch_nodes = none;
@@ -290,28 +247,12 @@ let pim_view (p : Pim.Ssm.t) : view =
       (P.all_oifs p);
     Buffer.contents b
   in
-  let fanout () =
-    let nw = now () in
-    List.filter_map
-      (fun (n, entries) ->
-        match
-          List.filter_map
-            (fun (e : Ss.entry) ->
-              if Ss.entry_dead e ~now:nw then None else Some e.Ss.node)
-            entries
-        with
-        | [] -> None
-        | ts -> Some (n, ts))
-      (P.all_oifs p)
-  in
   {
     control_period = cfg.P.join_period;
     t2 = cfg.P.holdtime;
     dump_tables;
-    fanout;
     intercept_on_path = false;
-    source_has_state =
-      (fun () -> List.exists (fun (n, _) -> n = source) (fanout ()));
+    source_has_state = (fun () -> P.data_targets p source <> []);
     branch_nodes = none;
     assert_links = none;
     nbr_pairs = none;
@@ -354,12 +295,6 @@ let hpim_view (p : Hpim.Dm.t) : view =
     Buffer.add_string b "|rel:";
     P.pending_digest p b;
     Buffer.contents b
-  in
-  let fanout () =
-    List.filter_map
-      (fun (n, _) ->
-        match P.entitled_targets p n with [] -> None | ts -> Some (n, ts))
-      (P.view p)
   in
   (* The assert-election and neighbor-consistency views: one row per
      up link between up routers (the source counts as a router). *)
@@ -419,10 +354,8 @@ let hpim_view (p : Hpim.Dm.t) : view =
     control_period = cfg.P.hello_period;
     t2 = cfg.P.holdtime;
     dump_tables;
-    fanout;
     intercept_on_path = false;
-    source_has_state =
-      (fun () -> List.exists (fun (n, _) -> n = source) (fanout ()));
+    source_has_state = (fun () -> P.data_targets p source <> []);
     branch_nodes = none;
     assert_links;
     nbr_pairs;
@@ -582,7 +515,7 @@ let wrap (type s) (r : s row) ?candidates (p : s) =
         P.run_for p (Float.max 500.0 (2.0 *. v.control_period));
         Net.data_deliveries net);
     dump_tables = v.dump_tables;
-    fanout = v.fanout;
+    data_targets = P.data_targets p;
     intercept_on_path = v.intercept_on_path;
     source_has_state = v.source_has_state;
     branch_nodes = v.branch_nodes;

@@ -1,8 +1,8 @@
 (** The system under test, seen through the verification layer's
     eyes: a protocol session reduced to the fixed verb set the
     explorer and oracles need — drive time, churn members, inject
-    faults, checkpoint/restore, digest state, and expose the logical
-    data-plane fan-out.
+    faults, checkpoint/restore, digest state, and expose the
+    data-plane fan-out rule.
 
     The protocol stacks have distinct message types (hence distinct
     network and session types); bundling closures over one concrete
@@ -12,7 +12,9 @@
     This module is also the protocol registry: {!protocol} is the one
     protocol enum, and every driver (faults, soak, churn, the verifier
     and the CLI) iterates {!all}.  Adding a protocol means one
-    {!Proto.Session.S} instance, one view and one registry row here. *)
+    {!Proto.Session.S} instance (its data-plane fan-out is the
+    session's [data_targets] hook), one view (table dump and the
+    protocol-specific oracle inputs) and one registry row here. *)
 
 type t = {
   proto : string;  (** "hbh", "reunite", "pim-ssm" or "hpim-dm" *)
@@ -65,9 +67,12 @@ type t = {
   dump_tables : unit -> string;
       (** canonical soft-state dump — the protocol-specific part of
           {!state_digest} *)
-  fanout : unit -> (int * int list) list;
-      (** data-plane fan-out: each node holding forwarding state,
-          with the targets it currently copies data to *)
+  data_targets : int -> int list;
+      (** the session's data-plane fan-out rule
+          ({!Proto.Session.S.data_targets}), read now: the nodes a
+          data packet addressed to the node is copied to, [[]] where
+          it holds no forwarding state.  The function the data plane
+          forwards with, so the oracles check what actually runs. *)
   intercept_on_path : bool;
       (** REUNITE-style: forwarding state forks traffic {e passing
           through} the node, so the tree oracle must expand interior

@@ -380,6 +380,81 @@ let live_state_tests =
         prop_tables_hold_state (module Pim.Ssm) pim_tables;
       ]
 
+(* ---- The loop damper -------------------------------------------- *)
+
+(* Every registry row on ISP with four members subscribed and
+   converged.  [damped ()] reads the row's [proto.<name>.damped_data]
+   counter: the copies the session's loop damper dropped so far. *)
+let damper_sut proto =
+  let module P = (val Sut.instance proto) in
+  let table = Routing.Table.compute (Topology.Isp.create ()) in
+  let sut =
+    Sut.make ~candidates:Topology.Isp.receiver_hosts proto table
+      ~source:Topology.Isp.source
+  in
+  List.iter sut.Sut.subscribe
+    (List.filteri (fun i _ -> i < 4) Topology.Isp.receiver_hosts);
+  sut.Sut.converge ();
+  let c =
+    Obs.Metrics.counter (Obs.Metrics.default ())
+      (Printf.sprintf "proto.%s.damped_data" P.name)
+  in
+  (sut, fun () -> Obs.Metrics.value c)
+
+let for_each_sut f () =
+  List.iter
+    (fun proto ->
+      let sut, damped = damper_sut proto in
+      f proto sut damped (Sut.label proto ^ ": "))
+    Sut.all
+
+let damped_by damped f =
+  let before = damped () in
+  let x = f () in
+  (x, damped () - before)
+
+let test_damper_clean_probe =
+  for_each_sut (fun _ sut damped tag ->
+      let deliveries, d = damped_by damped sut.Sut.probe in
+      Alcotest.(check bool) (tag ^ "probe delivers") true (deliveries <> []);
+      Alcotest.(check int) (tag ^ "nothing damped") 0 d)
+
+(* The damper's table is part of the checkpoint: a replayed probe
+   reuses the restored sequence number, so a damper kept live across
+   the restore would drop the replay. *)
+let test_damper_restored =
+  for_each_sut (fun _ sut damped tag ->
+      let restore = sut.Sut.save () in
+      let (first, second), d =
+        damped_by damped (fun () ->
+            let first = sut.Sut.probe () in
+            restore ();
+            (first, sut.Sut.probe ()))
+      in
+      Alcotest.(check (list (pair int (float 1e-9))))
+        (tag ^ "replay delivers the same") first second;
+      Alcotest.(check int) (tag ^ "nothing damped") 0 d)
+
+(* Network duplication hands each fan-out node a second copy of the
+   sequence number: the damper drops it (and counts it) in HBH,
+   PIM-SSM and HPIM-DM; REUNITE has no damper. *)
+let test_damper_counts_duplicates =
+  for_each_sut (fun proto sut damped tag ->
+      sut.Sut.inject (Fault.Plan.Duplicate { prob = 1.0 });
+      let _, d = damped_by damped sut.Sut.probe in
+      if proto = Sut.Reunite then
+        Alcotest.(check int) (tag ^ "no damper") 0 d
+      else Alcotest.(check bool) (tag ^ "duplicates damped") true (d > 0))
+
+let damper_tests =
+  [
+    Alcotest.test_case "a clean probe damps nothing" `Quick
+      test_damper_clean_probe;
+    Alcotest.test_case "restore rewinds the damper" `Quick test_damper_restored;
+    Alcotest.test_case "network duplicates are damped and counted" `Quick
+      test_damper_counts_duplicates;
+  ]
+
 (* ---- Seeded trace equivalence ------------------------------------ *)
 
 let probe_until = 700.0
@@ -472,5 +547,6 @@ let () =
       ("softstate", softstate_tests);
       ("mux", mux_tests);
       ("live-state", live_state_tests);
+      ("loop damper", damper_tests);
       ("trace-equivalence", equivalence_tests);
     ]
