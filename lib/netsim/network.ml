@@ -633,6 +633,7 @@ let restore_tbl dst src =
 
 let restore t s =
   Eventsim.Engine.restore t.engine s.s_engine;
+  let generation = Topology.Graph.generation t.graph in
   Topology.Graph.restore_links t.graph s.s_links;
   t.c <- copy_counters s.s_counters;
   restore_tbl t.sinks s.s_sinks;
@@ -666,6 +667,10 @@ let restore t s =
   t.pending_down <- [];
   t.pending_restore <- false;
   (* The snapshot was taken at a routing-converged point (enforced
-     above); a full invalidation is the identity there, and it frees
-     any cache built against post-snapshot topology. *)
-  Routing.Table.invalidate_all t.table
+     above).  If the links had to be rewritten, a full invalidation
+     frees any cache built against post-snapshot topology.  If not,
+     the generation never moved: every cached in-tree was built from
+     the snapshot's own link state (a pure function of it), so the
+     cache stays. *)
+  if Topology.Graph.generation t.graph <> generation then
+    Routing.Table.invalidate_all t.table

@@ -226,8 +226,11 @@ val reset_data_accounting : 'p t -> unit
     tables, the fault RNG (copied, so restored runs redraw the same
     losses), and the mutable [ttl]/[via] fields of every in-flight
     packet referenced by a queued hop event.  Restoring rewinds all of
-    it in place and invalidates the routing cache (the snapshot point
-    is routing-converged, so that is the identity there).  Trace and
+    it in place.  The routing cache is invalidated only when the links
+    had to be rewritten ({!Topology.Graph.restore_links}): the
+    snapshot point is routing-converged, so that is the identity
+    there, and at an unchanged graph generation every cached in-tree
+    is already the snapshot's own and is kept.  Trace and
     {!Obs.Metrics} output are observability, not simulation state, and
     are not rewound.  One snapshot may be restored any number of
     times. *)

@@ -98,4 +98,6 @@ let due_iter t ~now f =
 let digest t b =
   Hashtbl.fold (fun k _ acc -> k :: acc) t.slots []
   |> List.sort compare
-  |> List.iter (fun k -> Buffer.add_string b (Printf.sprintf "r%x;" k))
+  |> List.iter (fun k ->
+         Buffer.add_char b 'r';
+         Buffer.add_int64_le b (Int64.of_int k))

@@ -78,7 +78,8 @@ val due_iter : 'm t -> now:float -> ('m slot -> unit) -> unit
     backing off its next deadline first. *)
 
 val digest : _ t -> Buffer.t -> unit
-(** Append the sorted pending slot keys to a canonical state digest:
-    a state with unacked control messages in flight is not yet
-    settled.  Sequence numbers, attempt counts and absolute deadlines
-    are deliberately excluded (monotonic bookkeeping). *)
+(** Append the sorted pending slot keys to a canonical state digest,
+    each as ['r'] and the key's 8 little-endian bytes: a state with
+    unacked control messages in flight is not yet settled.  Sequence
+    numbers, attempt counts and absolute deadlines are deliberately
+    excluded (monotonic bookkeeping). *)

@@ -208,12 +208,17 @@ let map_costs g f =
     g.link_arr;
   bump g
 
+let generation g = g.generation
+
 (* The graph's full mutable footprint: per-link costs/delays/up flags
    plus the multicast-capability flags.  Structure (nodes, adjacency)
-   is immutable and shared. *)
+   is immutable and shared.  [ls_of] and [ls_generation] name the
+   graph and generation the links were saved at. *)
 type link_state = {
   ls_links : (int * int * float * float * bool) array;
   ls_capable : bool array;
+  ls_of : link array;
+  ls_generation : int;
 }
 
 let save_links g =
@@ -223,24 +228,33 @@ let save_links g =
         (fun l -> (l.cost_uv, l.cost_vu, l.delay_uv, l.delay_vu, l.up))
         g.link_arr;
     ls_capable = Array.copy g.capable;
+    ls_of = g.link_arr;
+    ls_generation = g.generation;
   }
 
+(* Every link mutator bumps the generation and [link] is private, so
+   the same graph at the saved generation still holds the saved links:
+   rewriting them (and bumping) would only stale the routing view.
+   The capability flags are copied back regardless — their mutator
+   does not bump. *)
 let restore_links g s =
   if
     Array.length s.ls_links <> Array.length g.link_arr
     || Array.length s.ls_capable <> Array.length g.capable
   then invalid_arg "Graph.restore_links: snapshot from a different graph";
-  Array.iteri
-    (fun i (cuv, cvu, duv, dvu, up) ->
-      let l = g.link_arr.(i) in
-      l.cost_uv <- cuv;
-      l.cost_vu <- cvu;
-      l.delay_uv <- duv;
-      l.delay_vu <- dvu;
-      l.up <- up)
-    s.ls_links;
   Array.blit s.ls_capable 0 g.capable 0 (Array.length g.capable);
-  bump g
+  if s.ls_of != g.link_arr || s.ls_generation <> g.generation then begin
+    Array.iteri
+      (fun i (cuv, cvu, duv, dvu, up) ->
+        let l = g.link_arr.(i) in
+        l.cost_uv <- cuv;
+        l.cost_vu <- cvu;
+        l.delay_uv <- duv;
+        l.delay_vu <- dvu;
+        l.up <- up)
+      s.ls_links;
+    bump g
+  end
 
 (* ---- Routing view ------------------------------------------------- *)
 

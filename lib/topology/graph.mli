@@ -140,8 +140,16 @@ type link_state
 val save_links : t -> link_state
 
 val restore_links : t -> link_state -> unit
-(** Restore a {!save_links} checkpoint onto the same graph.  Raises
-    [Invalid_argument] if the snapshot's shape does not match. *)
+(** Restore a {!save_links} checkpoint onto the same graph.  The
+    capability flags are always copied back; the links are rewritten
+    (bumping the generation) only when the graph has left the saved
+    generation — at the same generation no link mutator has run, so
+    the links, the routing view and every in-tree built from it are
+    already the saved ones.  Raises [Invalid_argument] if the
+    snapshot's shape does not match. *)
+
+val generation : t -> int
+(** The current generation (see the generation rule below). *)
 
 (** {1 Routing view}
 
@@ -153,7 +161,8 @@ val restore_links : t -> link_state -> unit
     {b Generation rule.}  The graph carries a generation counter,
     0 after {!make} and {!copy}.  Every mutator that can change a route
     bumps it: {!set_cost}, {!set_link_up}, {!randomize_costs},
-    {!symmetrize_costs}, {!map_costs} and {!restore_links}.
+    {!symmetrize_costs}, {!map_costs} and a {!restore_links} that
+    rewrites links.
     {!set_multicast_capable} does not, because routing does not read
     it.  {!routing_view} rebuilds the view only when its generation is
     stale, so a view is always the current graph's, and a view already

@@ -53,7 +53,8 @@ let default_config = {
 
    The oracle probe mutates the SUT (clock, dedup state), so the
    check runs inside its own checkpoint; exploration continues from
-   the un-probed quiescent state.
+   the un-probed quiescent state.  Each state is keyed on the digest
+   quiescence settled on, not digested a second time.
 
    On a violation the path is recorded and the subtree pruned: deeper
    states would blame the same prefix, and the shrinker minimizes
@@ -105,8 +106,7 @@ let run ?(config = default_config) (sut : Sut.t) =
             | None ->
                 Metrics.hot_incr m_quiesce_failures;
                 oscillations := List.rev (ev :: path) :: !oscillations
-            | Some _ ->
-                let digest = Sut.state_digest sut in
+            | Some (_, digest) ->
                 if Hashtbl.mem visited digest then Metrics.hot_incr m_dedup
                 else begin
                   Hashtbl.replace visited digest ();
@@ -120,8 +120,12 @@ let run ?(config = default_config) (sut : Sut.t) =
     end
   in
   (* The initial quiescent state counts too — and gets checked. *)
-  ignore (Scenario.quiesce sut);
-  Hashtbl.replace visited (Sut.state_digest sut) ();
+  let initial =
+    match Scenario.quiesce sut with
+    | Some (_, digest) -> digest
+    | None -> Sut.state_digest sut
+  in
+  Hashtbl.replace visited initial ();
   incr states;
   Metrics.hot_incr m_states;
   ignore (check_state []);

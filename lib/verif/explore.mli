@@ -1,12 +1,14 @@
 (** Bounded-depth forward search over the scenario alphabet.
 
-    DFS with hash-based dedup on canonical state digests; branching
-    uses the checkpoint layer (save before an event, restore after
-    the subtree), so shared prefixes are never re-simulated.  At
-    every {e new} quiescent state all oracles run (inside their own
-    checkpoint — the delivery probe mutates the SUT); a violating
-    state records the event path as a counterexample and prunes its
-    subtree.
+    DFS with hash-based dedup on canonical state digests (the one
+    {!Scenario.quiesce} settled on — no second digest per state);
+    branching uses the checkpoint layer (save before an event,
+    restore after the subtree), so shared prefixes are never
+    re-simulated.  At every {e new} quiescent state {!Oracle.check}
+    runs inside its own checkpoint: the delivery probe goes first and
+    mutates the SUT, so the structural oracles judge the state one
+    probe horizon later.  A violating state records the event path as
+    a counterexample and prunes its subtree.
 
     Fully deterministic in [(sut, config)]: the alphabet and the
     per-expansion visit order derive from the seed. *)

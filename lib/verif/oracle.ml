@@ -267,14 +267,17 @@ let hbh_branch_on_path (sut : Sut.t) =
    who wins the link's assert election — disagreement means either
    both sides would feed data onto the link (duplicates) or neither
    would (a blackhole the hard state cannot heal by refresh). *)
-let hpim_assert_unique (sut : Sut.t) =
+let hpim_assert_unique (sut : Sut.t) links =
   if sut.Sut.proto <> "hpim-dm" then []
   else begin
     let bad =
       List.filter_map
-        (fun (u, v, u_view, v_view) ->
-          if u_view <> v_view then Some (u, v, u_view, v_view) else None)
-        (sut.Sut.assert_links ())
+        (fun (l : Sut.router_link) ->
+          match l.Sut.assert_view with
+          | Some (u_view, v_view) when u_view <> v_view ->
+              Some (l.Sut.u, l.Sut.v, u_view, v_view)
+          | Some _ | None -> None)
+        links
     in
     count ~oracle:"hpim_assert_unique" (bad <> []);
     List.map
@@ -296,19 +299,20 @@ let hpim_assert_unique (sut : Sut.t) =
    edge toward a router must originate from the endpoint that wins
    that link's election in its own view (self-consistency between the
    rule the data plane forwards with and a node's election state). *)
-let hpim_assert_losers (sut : Sut.t) =
+let hpim_assert_losers (sut : Sut.t) links =
   if sut.Sut.proto <> "hpim-dm" then []
   else begin
-    let links = sut.Sut.assert_links () in
-    let winner_view ~from ~dst =
-      (* [from]'s own belief that it wins the (from, dst) link. *)
-      List.find_map
-        (fun (u, v, u_view, v_view) ->
-          if u = from && v = dst then Some u_view
-          else if u = dst && v = from then Some (not v_view)
-          else None)
-        links
-    in
+    (* [(from, dst)] -> [from]'s own belief that it wins that link. *)
+    let wins = Hashtbl.create 64 in
+    List.iter
+      (fun (l : Sut.router_link) ->
+        match l.Sut.assert_view with
+        | Some (u_view, v_view) ->
+            Hashtbl.replace wins (l.Sut.u, l.Sut.v) u_view;
+            Hashtbl.replace wins (l.Sut.v, l.Sut.u) (not v_view)
+        | None -> ())
+      links;
+    let winner_view ~from ~dst = Hashtbl.find_opt wins (from, dst) in
     let is_router n = G.multicast_router sut.Sut.graph n || n = sut.Sut.source in
     let bad = ref [] in
     for n = 0 to G.node_count sut.Sut.graph - 1 do
@@ -338,19 +342,18 @@ let hpim_assert_losers (sut : Sut.t) =
    side's recorded generation ID must match the neighbor's actual
    current one — a one-sided or stale view means the hard state the
    two routers hold about each other has silently diverged. *)
-let hpim_nbr_consistency (sut : Sut.t) =
+let hpim_nbr_consistency (sut : Sut.t) links =
   if sut.Sut.proto <> "hpim-dm" then []
   else begin
     let bad =
-      List.filter_map
-        (fun (u, v, u_sees_v, v_sees_u, genid_ok) ->
-          if u_sees_v && v_sees_u && genid_ok then None
-          else Some (u, v, u_sees_v, v_sees_u, genid_ok))
-        (sut.Sut.nbr_pairs ())
+      List.filter
+        (fun (l : Sut.router_link) ->
+          not (l.Sut.u_sees_v && l.Sut.v_sees_u && l.Sut.genid_ok))
+        links
     in
     count ~oracle:"hpim_nbr_consistency" (bad <> []);
     List.map
-      (fun (u, v, u_sees_v, v_sees_u, genid_ok) ->
+      (fun { Sut.u; v; u_sees_v; v_sees_u; genid_ok; assert_view = _ } ->
         {
           oracle = "hpim_nbr_consistency";
           detail =
@@ -364,9 +367,22 @@ let hpim_nbr_consistency (sut : Sut.t) =
 
 (* ---- Combined check ----------------------------------------------------- *)
 
+(* HPIM-DM's link rows are read once per check and shared by its three
+   oracles. *)
 let structural_check sut =
-  tree_check sut @ hbh_first_join sut @ hbh_branch_on_path sut
-  @ hpim_assert_unique sut @ hpim_assert_losers sut
-  @ hpim_nbr_consistency sut
+  let links = sut.Sut.router_links () in
+  let tree = tree_check sut in
+  let first_join = hbh_first_join sut in
+  let branch = hbh_branch_on_path sut in
+  let unique = hpim_assert_unique sut links in
+  let losers = hpim_assert_losers sut links in
+  let nbrs = hpim_nbr_consistency sut links in
+  tree @ first_join @ branch @ unique @ losers @ nbrs
 
-let check sut = structural_check sut @ delivery_check sut
+(* The probe runs first, so the structural oracles judge the state it
+   leaves behind, one probe horizon past the quiescent point.  Every
+   recorded result (goldens, counterexample plans) depends on this
+   order, so it is sequenced explicitly. *)
+let check sut =
+  let delivery = delivery_check sut in
+  structural_check sut @ delivery

@@ -1,10 +1,12 @@
-(** Protocol oracles: properties every quiescent state must satisfy.
+(** Protocol oracles: properties a settled state must satisfy.
 
     Structural oracles read the data-plane fan-out through
     {!Sut.t.data_targets} — the same rule the protocol forwards
     with — and compare it against the routing ground truth;
     the delivery oracle actually sends a data packet and counts
-    arrivals.  Each check bumps
+    arrivals.  Within {!check} the probe runs first, so the
+    structural oracles judge the state one probe horizon past the
+    quiescent point, not the quiescent point itself.  Each check bumps
     [verif.oracle.<name>.checks]/[.violations] in
     {!Obs.Metrics.default}. *)
 
@@ -36,26 +38,31 @@ val hbh_branch_on_path : Sut.t -> violation list
     (forward or reverse — the two differ under asymmetric costs).
     Fusion must never leave an active branching router off-tree. *)
 
-val hpim_assert_unique : Sut.t -> violation list
-(** HPIM-DM only: both endpoints of every constituted router-router
-    link agree on who wins the link's assert election — exactly one
-    winner per link.  Empty for other protocols. *)
+val hpim_assert_unique : Sut.t -> Sut.router_link list -> violation list
+(** HPIM-DM only, over the {!Sut.t.router_links} rows: both endpoints
+    of every constituted router-router link agree on who wins the
+    link's assert election — exactly one winner per link.  Empty for
+    other protocols. *)
 
-val hpim_assert_losers : Sut.t -> violation list
-(** HPIM-DM only: every data-plane fan-out edge toward a router
-    ({!Sut.t.data_targets}, the rule [Hpim.Dm] forwards with)
-    originates from the endpoint that wins that link's election in
-    its own view — assert losers must not forward. *)
+val hpim_assert_losers : Sut.t -> Sut.router_link list -> violation list
+(** HPIM-DM only, against the rows' assert views: every data-plane
+    fan-out edge toward a router ({!Sut.t.data_targets}, the rule
+    [Hpim.Dm] forwards with) originates from the endpoint that wins
+    that link's election in its own view — assert losers must not
+    forward. *)
 
-val hpim_nbr_consistency : Sut.t -> violation list
-(** HPIM-DM only: across every up router-router link, hello liveness
-    is mutual and both recorded generation IDs match the neighbor's
-    actual one — the hard state the two routers hold about each other
-    has not silently diverged. *)
+val hpim_nbr_consistency : Sut.t -> Sut.router_link list -> violation list
+(** HPIM-DM only, over the rows: across every up router-router link,
+    hello liveness is mutual and both recorded generation IDs match
+    the neighbor's actual one — the hard state the two routers hold
+    about each other has not silently diverged. *)
 
 val structural_check : Sut.t -> violation list
 (** All non-mutating oracles: {!tree_check} + the HBH pair + the
-    HPIM-DM triple. *)
+    HPIM-DM triple, the triple sharing one {!Sut.t.router_links}
+    read. *)
 
 val check : Sut.t -> violation list
-(** {!structural_check} + {!delivery_check}.  Mutates the SUT. *)
+(** {!delivery_check}, then {!structural_check} on the state the probe
+    leaves; violations list the structural ones first.  Mutates the
+    SUT. *)

@@ -201,7 +201,8 @@ let apply sut ev =
    one window's worth of decay, making two successive samples digest
    equal mid-decay.  Budget: 4*t2 of simulated time — if the digest
    still changes then, the protocol is oscillating (itself
-   reportable). *)
+   reportable).  The settled digest comes back with the elapsed time,
+   so callers keying on it need not digest the state again. *)
 let quiesce ?(budget_factor = 4.0) (sut : Sut.t) =
   let budget = budget_factor *. sut.Sut.t2 in
   let window = sut.Sut.control_period in
@@ -210,8 +211,8 @@ let quiesce ?(budget_factor = 4.0) (sut : Sut.t) =
     sut.Sut.run_for window;
     let d = Sut.state_digest sut in
     let elapsed = sut.Sut.now () -. start in
-    let stable = if d = prev then stable + 1 else 0 in
-    if stable >= 2 then Some elapsed
+    let stable = if String.equal d prev then stable + 1 else 0 in
+    if stable >= 2 then Some (elapsed, d)
     else if elapsed > budget then None
     else go stable d
   in

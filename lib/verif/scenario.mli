@@ -76,13 +76,15 @@ val apply : Sut.t -> event -> unit
     span.  Every directive is a no-op when it does not apply — the
     shrinker replays arbitrary subsequences. *)
 
-val quiesce : ?budget_factor:float -> Sut.t -> float option
+val quiesce : ?budget_factor:float -> Sut.t -> (float * string) option
 (** Run refresh windows until the canonical state digest is stable
     across two consecutive windows (three equal samples — one window
     can coincide mid-decay when a stray in-flight refresh shifts a
-    deadline by exactly one window); [Some elapsed] on success, [None]
-    if still changing after [budget_factor * t2] (default 4) of
-    simulated time — a protocol oscillation. *)
+    deadline by exactly one window).  [Some (elapsed, digest)] on
+    success, [digest] being {!Sut.state_digest} of the settled state
+    the SUT is left in; [None] if still changing after
+    [budget_factor * t2] (default 4) of simulated time — a protocol
+    oscillation. *)
 
 val run : Sut.t -> event list -> Fault.Plan.t * Oracle.violation list
 (** The one way to run an event list outside {!Explore.run}, on its

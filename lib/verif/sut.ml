@@ -2,6 +2,19 @@ module Net = Netsim.Network
 module G = Topology.Graph
 module Ss = Proto.Softstate
 
+(* One HPIM-DM router-router link as the assert and neighbor oracles
+   read it. *)
+type router_link = {
+  u : int;
+  v : int;  (** [u < v] *)
+  u_sees_v : bool;
+  v_sees_u : bool;
+  genid_ok : bool;
+  assert_view : (bool * bool) option;
+      (** each endpoint's belief that [u] wins the link's assert
+          election, when both hold a live record of the other *)
+}
+
 (* The system under test, as a monomorphic closure bundle: the
    protocol stacks have distinct message types (so distinct network
    and session types), but the explorer only needs a fixed verb set —
@@ -47,8 +60,9 @@ type t = {
   probe : unit -> (int * float) list;
       (** send one data packet, run a delivery horizon, return the
           [(receiver, delay)] deliveries it produced *)
-  dump_tables : unit -> string;
-      (** canonical soft-state dump (see {!state_digest}) *)
+  dump_tables : Buffer.t -> unit;
+      (** canonical soft-state dump into the digest's buffer (see
+          {!state_digest}) *)
   data_targets : int -> int list;
       (** the session's data-plane fan-out rule, read now *)
   intercept_on_path : bool;
@@ -60,18 +74,23 @@ type t = {
   branch_nodes : unit -> (int * int list) list;
       (** HBH only: branching routers with their non-stale entry
           nodes; [[]] for other protocols *)
-  assert_links : unit -> (int * int * bool * bool) list;
-      (** HPIM-DM only: per up router-router link [(u, v, u_view,
-          v_view)] where each [_view] is that endpoint's belief that
-          [u] wins the link's assert election; [[]] for other
-          protocols *)
-  nbr_pairs : unit -> (int * int * bool * bool * bool) list;
-      (** HPIM-DM only: per up router-router link [(u, v, u_sees_v,
-          v_sees_u, genid_ok)] — mutual hello liveness and
-          generation-ID agreement; [[]] for other protocols *)
+  router_links : unit -> router_link list;
+      (** HPIM-DM only: one row per up router-router link; [[]] for
+          other protocols *)
 }
 
 (* ---- Canonical state digests ------------------------------------------ *)
+
+(* The digest hashes one canonical byte encoding, written straight
+   into one buffer: every int as 8 little-endian bytes behind a
+   one-char tag that fixes what follows, so the encoding parses back
+   unambiguously and two states share it exactly when they share the
+   digested fields.  Digests are only ever compared for equality. *)
+let add_int b n = Buffer.add_int64_le b (Int64.of_int n)
+
+let add_tagged b tag n =
+  Buffer.add_char b tag;
+  add_int b n
 
 (* Soft-state deadlines are absolute; canonicalize to [deadline - now]
    bucketed coarsely so two states reached along different schedules
@@ -94,29 +113,30 @@ let bucket ~now deadline =
    bucketed remaining time — so a frozen mark (the injectable
    mark-decay bug) yields a stable digest instead of blocking
    quiescence forever. *)
-let entry_token ~now (e : Ss.entry) =
-  Printf.sprintf "%d%s:f%d:e%d;" e.Ss.node
-    (if Ss.entry_marked e ~now then "M" else "")
-    (bucket ~now e.Ss.fresh_until)
-    (bucket ~now e.Ss.expires_at)
+let add_entry b ~now (e : Ss.entry) =
+  add_tagged b (if Ss.entry_marked e ~now then 'M' else 'e') e.Ss.node;
+  add_int b (bucket ~now e.Ss.fresh_until);
+  add_int b (bucket ~now e.Ss.expires_at)
 
-let entries_token ~now b entries =
-  List.iter (fun e -> Buffer.add_string b (entry_token ~now e)) entries
+let add_entries b ~now entries = List.iter (add_entry b ~now) entries
 
+(* Members, down links and crashed nodes, each section ended by ['|']
+   (a tag none of them uses); the protocol's tables fill the rest. *)
 let state_digest sut =
   let b = Buffer.create 512 in
-  Buffer.add_string b
-    (String.concat "," (List.map string_of_int (sut.members ())));
+  List.iter (add_tagged b 'm') (sut.members ());
   Buffer.add_char b '|';
   List.iter
-    (fun (u, v) -> Buffer.add_string b (Printf.sprintf "%d-%d;" u v))
+    (fun (u, v) ->
+      add_tagged b 'l' u;
+      add_int b v)
     (G.down_links sut.graph);
   Buffer.add_char b '|';
   for n = 0 to G.node_count sut.graph - 1 do
-    if not (sut.node_up n) then Buffer.add_string b (string_of_int n ^ ";")
+    if not (sut.node_up n) then add_tagged b 'x' n
   done;
   Buffer.add_char b '|';
-  Buffer.add_string b (sut.dump_tables ());
+  sut.dump_tables b;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 (* ---- Protocol views --------------------------------------------------- *)
@@ -129,12 +149,11 @@ let state_digest sut =
 type view = {
   control_period : float;
   t2 : float;
-  dump_tables : unit -> string;
+  dump_tables : Buffer.t -> unit;
   intercept_on_path : bool;
   source_has_state : unit -> bool;
   branch_nodes : unit -> (int * int list) list;
-  assert_links : unit -> (int * int * bool * bool) list;
-  nbr_pairs : unit -> (int * int * bool * bool * bool) list;
+  router_links : unit -> router_link list;
 }
 
 let none () = []
@@ -143,26 +162,22 @@ let hbh_view (p : Hbh.Protocol.t) : view =
   let module P = Hbh.Protocol in
   let cfg = P.config p in
   let now () = Eventsim.Engine.now (P.engine p) in
-  let mft_dump b mft =
-    entries_token ~now:(now ()) b (Hbh.Tables.Mft.entries mft)
-  in
-  let dump_tables () =
-    let b = Buffer.create 256 in
-    Buffer.add_string b "src:";
-    mft_dump b (P.source_table p);
+  (* The source's MFT entries, then per router a ['C'] (control)
+     or ['F'] (forwarding) header and its entries. *)
+  let dump_tables b =
+    let now = now () in
+    add_entries b ~now (Hbh.Tables.Mft.entries (P.source_table p));
     List.iter
       (fun (n, cs) ->
         match cs with
         | Hbh.Tables.No_state -> ()
         | Hbh.Tables.Control mct ->
-            Buffer.add_string b (Printf.sprintf "|%d:C:" n);
-            Buffer.add_string b
-              (entry_token ~now:(now ()) (Hbh.Tables.Mct.entry mct))
+            add_tagged b 'C' n;
+            add_entry b ~now (Hbh.Tables.Mct.entry mct)
         | Hbh.Tables.Forwarding mft ->
-            Buffer.add_string b (Printf.sprintf "|%d:F:" n);
-            mft_dump b mft)
-      (P.all_tables p);
-    Buffer.contents b
+            add_tagged b 'F' n;
+            add_entries b ~now (Hbh.Tables.Mft.entries mft))
+      (P.all_tables p)
   in
   let branch_nodes () =
     let nw = now () in
@@ -184,41 +199,41 @@ let hbh_view (p : Hbh.Protocol.t) : view =
     source_has_state =
       (fun () -> Hbh.Tables.Mft.entries (P.source_table p) <> []);
     branch_nodes;
-    assert_links = none;
-    nbr_pairs = none;
+    router_links = none;
   }
 
 let reunite_view (p : Reunite.Protocol.t) : view =
   let module P = Reunite.Protocol in
   let cfg = P.config p in
   let now () = Eventsim.Engine.now (P.engine p) in
-  let mft_dump b (mft : Reunite.Tables.Mft.t) =
-    let nw = now () in
-    Buffer.add_string b "d";
-    Buffer.add_string b (entry_token ~now:nw (Reunite.Tables.Mft.dst mft));
-    Buffer.add_string b (Printf.sprintf "u%d:" (Reunite.Tables.Mft.upstream mft));
-    entries_token ~now:nw b (Reunite.Tables.Mft.receivers mft)
+  (* An MFT is ['D'] and its dst entry, ['U'] and its upstream, then
+     its receiver entries.  The source's MFT (or ['-']) comes first,
+     then per router a ['C'] header and its MCT entries and an ['F']
+     header and its MFT. *)
+  let mft_dump b ~now (mft : Reunite.Tables.Mft.t) =
+    Buffer.add_char b 'D';
+    add_entry b ~now (Reunite.Tables.Mft.dst mft);
+    add_tagged b 'U' (Reunite.Tables.Mft.upstream mft);
+    add_entries b ~now (Reunite.Tables.Mft.receivers mft)
   in
-  let dump_tables () =
-    let b = Buffer.create 256 in
-    Buffer.add_string b "src:";
+  let dump_tables b =
+    let now = now () in
     (match P.source_table p with
-    | None -> Buffer.add_string b "-"
-    | Some mft -> mft_dump b mft);
+    | None -> Buffer.add_char b '-'
+    | Some mft -> mft_dump b ~now mft);
     List.iter
       (fun (n, (st : Reunite.Tables.channel_state)) ->
         (match st.mct with
         | None -> ()
         | Some mct ->
-            Buffer.add_string b (Printf.sprintf "|%d:C:" n);
-            entries_token ~now:(now ()) b (Reunite.Tables.Mct.entries mct));
+            add_tagged b 'C' n;
+            add_entries b ~now (Reunite.Tables.Mct.entries mct));
         match st.mft with
         | None -> ()
         | Some mft ->
-            Buffer.add_string b (Printf.sprintf "|%d:F:" n);
-            mft_dump b mft)
-      (P.all_tables p);
-    Buffer.contents b
+            add_tagged b 'F' n;
+            mft_dump b ~now mft)
+      (P.all_tables p)
   in
   {
     control_period = cfg.P.tree_period;
@@ -227,8 +242,7 @@ let reunite_view (p : Reunite.Protocol.t) : view =
     intercept_on_path = true;
     source_has_state = (fun () -> P.source_table p <> None);
     branch_nodes = none;
-    assert_links = none;
-    nbr_pairs = none;
+    router_links = none;
   }
 
 let pim_view (p : Pim.Ssm.t) : view =
@@ -236,16 +250,16 @@ let pim_view (p : Pim.Ssm.t) : view =
   let source = P.source p in
   let cfg = P.config p in
   let now () = Eventsim.Engine.now (P.engine p) in
-  let dump_tables () =
-    let b = Buffer.create 256 in
+  (* Per router holding oifs, an ['N'] header and its entries. *)
+  let dump_tables b =
+    let now = now () in
     List.iter
       (fun (n, entries) ->
         if entries <> [] then begin
-          Buffer.add_string b (Printf.sprintf "|%d:" n);
-          entries_token ~now:(now ()) b entries
+          add_tagged b 'N' n;
+          add_entries b ~now entries
         end)
-      (P.all_oifs p);
-    Buffer.contents b
+      (P.all_oifs p)
   in
   {
     control_period = cfg.P.join_period;
@@ -254,8 +268,7 @@ let pim_view (p : Pim.Ssm.t) : view =
     intercept_on_path = false;
     source_has_state = (fun () -> P.data_targets p source <> []);
     branch_nodes = none;
-    assert_links = none;
-    nbr_pairs = none;
+    router_links = none;
   }
 
 let hpim_view (p : Hpim.Dm.t) : view =
@@ -266,40 +279,71 @@ let hpim_view (p : Hpim.Dm.t) : view =
   let cfg = P.config p in
   (* Hard-state tables digest without deadline buckets: entries change
      only on explicit events, so the raw structure is already
-     canonical.  Generation-ID values, sequence numbers and absolute
-     liveness deadlines are monotonic bookkeeping and stay out; the
-     reliable layer's pending slot keys are included — unacked control
-     traffic in flight means the state has not settled. *)
-  let dump_tables () =
-    let b = Buffer.create 256 in
+     canonical.  Per node holding state, an ['N'] header (['P'] for a
+     member), the expressed upstream interest (['U'] positive, ['V']
+     negative) and its parent, ['d'] per downstream entry and per
+     neighbor record ['a'] (live) or ['X'] (timed out), its id and its
+     advertised metric.  Generation IDs, hello sequence numbers and
+     absolute liveness deadlines are monotonic bookkeeping and stay
+     out (liveness enters only as the a/X flag); the reliable layer's
+     pending slot keys follow — unacked control traffic in flight
+     means the state has not settled. *)
+  let dump_tables b =
     List.iter
       (fun (n, vw) ->
-        Buffer.add_string b
-          (Printf.sprintf "|%d%s:" n (if vw.P.vw_member then "M" else ""));
+        add_tagged b (if vw.P.vw_member then 'P' else 'N') n;
         (match vw.P.vw_expressed with
-        | Some (par, pol) ->
-            Buffer.add_string b
-              (Printf.sprintf "u%d%c:" par (if pol then '+' else '-'))
+        | Some (par, pol) -> add_tagged b (if pol then 'U' else 'V') par
         | None -> ());
-        List.iter
-          (fun d -> Buffer.add_string b (Printf.sprintf "d%d;" d))
-          vw.P.vw_down;
+        List.iter (add_tagged b 'd') vw.P.vw_down;
         List.iter
           (fun (r : P.nbr_view) ->
-            Buffer.add_string b
-              (Printf.sprintf "n%d%s:%d;" r.P.nv_node
-                 (if r.P.nv_alive then "" else "X")
-                 r.P.nv_metric))
+            add_tagged b (if r.P.nv_alive then 'a' else 'X') r.P.nv_node;
+            add_int b r.P.nv_metric)
           vw.P.vw_nbrs)
       (P.view p);
-    Buffer.add_string b "|rel:";
-    P.pending_digest p b;
-    Buffer.contents b
+    Buffer.add_char b '|';
+    P.pending_digest p b
   in
-  (* The assert-election and neighbor-consistency views: one row per
-     up link between up routers (the source counts as a router). *)
+  (* The assert-election and neighbor-consistency rows: one per up
+     link between up routers (the source counts as a router), from
+     one view of the neighbor tables. *)
   let is_router n = G.multicast_router graph n || n = source in
   let router_links () =
+    let nbrs = Hashtbl.create 32 in
+    List.iter (fun (n, vw) -> Hashtbl.replace nbrs n vw.P.vw_nbrs) (P.view p);
+    let nbr_of u v =
+      match Hashtbl.find_opt nbrs u with
+      | None -> None
+      | Some rs -> List.find_opt (fun r -> r.P.nv_node = v) rs
+    in
+    let alive = function Some (r : P.nbr_view) -> r.P.nv_alive | None -> false in
+    let genid_matches r g =
+      match (r, g) with
+      | Some (r : P.nbr_view), Some g -> r.P.nv_genid = g
+      | (Some _ | None), (Some _ | None) -> false
+    in
+    let row u v =
+      let ruv = nbr_of u v and rvu = nbr_of v u in
+      {
+        u;
+        v;
+        u_sees_v = alive ruv;
+        v_sees_u = alive rvu;
+        genid_ok =
+          genid_matches ruv (P.genid p v) && genid_matches rvu (P.genid p u);
+        assert_view =
+          (match (ruv, rvu) with
+          | Some ruv, Some rvu when ruv.P.nv_alive && rvu.P.nv_alive ->
+              (* Each endpoint's belief that [u] wins: lexicographic
+                 (metric, id), own live metric against the neighbor's
+                 advertised one. *)
+              let u_view = compare (P.metric p u, u) (ruv.P.nv_metric, v) < 0 in
+              let v_view = compare (rvu.P.nv_metric, u) (P.metric p v, v) < 0 in
+              Some (u_view, v_view)
+          | (Some _ | None), (Some _ | None) -> None);
+      }
+    in
     let acc = ref [] in
     for u = 0 to G.node_count graph - 1 do
       if is_router u && Net.node_up net u then
@@ -308,47 +352,10 @@ let hpim_view (p : Hpim.Dm.t) : view =
             if
               u < v && is_router v && Net.node_up net v
               && (G.link graph lid).G.up
-            then acc := (u, v) :: !acc)
+            then acc := row u v :: !acc)
           (G.adjacency graph u)
     done;
     List.rev !acc
-  in
-  let nbr_of view u v =
-    match List.assoc_opt u view with
-    | None -> None
-    | Some vw -> List.find_opt (fun r -> r.P.nv_node = v) vw.P.vw_nbrs
-  in
-  let assert_links () =
-    let view = P.view p in
-    List.filter_map
-      (fun (u, v) ->
-        match (nbr_of view u v, nbr_of view v u) with
-        | Some ruv, Some rvu when ruv.P.nv_alive && rvu.P.nv_alive ->
-            (* Each endpoint's belief that [u] wins: lexicographic
-               (metric, id), own live metric against the neighbor's
-               advertised one. *)
-            let u_view = compare (P.metric p u, u) (ruv.P.nv_metric, v) < 0 in
-            let v_view = compare (rvu.P.nv_metric, u) (P.metric p v, v) < 0 in
-            Some (u, v, u_view, v_view)
-        | (Some _ | None), (Some _ | None) -> None)
-      (router_links ())
-  in
-  let nbr_pairs () =
-    let view = P.view p in
-    List.map
-      (fun (u, v) ->
-        let ruv = nbr_of view u v and rvu = nbr_of view v u in
-        let alive = function Some (r : P.nbr_view) -> r.P.nv_alive | None -> false in
-        let genid_matches r g =
-          match (r, g) with
-          | Some (r : P.nbr_view), Some g -> r.P.nv_genid = g
-          | (Some _ | None), (Some _ | None) -> false
-        in
-        let genid_ok =
-          genid_matches ruv (P.genid p v) && genid_matches rvu (P.genid p u)
-        in
-        (u, v, alive ruv, alive rvu, genid_ok))
-      (router_links ())
   in
   {
     control_period = cfg.P.hello_period;
@@ -357,8 +364,7 @@ let hpim_view (p : Hpim.Dm.t) : view =
     intercept_on_path = false;
     source_has_state = (fun () -> P.data_targets p source <> []);
     branch_nodes = none;
-    assert_links;
-    nbr_pairs;
+    router_links;
   }
 
 (* ---- The protocol registry --------------------------------------------- *)
@@ -519,8 +525,7 @@ let wrap (type s) (r : s row) ?candidates (p : s) =
     intercept_on_path = v.intercept_on_path;
     source_has_state = v.source_has_state;
     branch_nodes = v.branch_nodes;
-    assert_links = v.assert_links;
-    nbr_pairs = v.nbr_pairs;
+    router_links = v.router_links;
   }
 
 let of_hbh ?candidates p = wrap hbh_row ?candidates p

@@ -16,6 +16,24 @@
     session's [data_targets] hook), one view (table dump and the
     protocol-specific oracle inputs) and one registry row here. *)
 
+type router_link = {
+  u : int;
+  v : int;  (** [u < v] *)
+  u_sees_v : bool;  (** [u] holds a live hello record of [v] *)
+  v_sees_u : bool;
+  genid_ok : bool;
+      (** both recorded generation IDs match the neighbor's actual
+          one *)
+  assert_view : (bool * bool) option;
+      (** [(u_view, v_view)]: each endpoint's belief that [u] wins the
+          link's assert election (lexicographic (metric, id), own live
+          metric against the neighbor's advertised one); [None] unless
+          both endpoints hold a live record of the other (election not
+          yet constituted) *)
+}
+(** One HPIM-DM router-router link, as the assert-election and
+    neighbor-consistency oracles read it. *)
+
 type t = {
   proto : string;  (** "hbh", "reunite", "pim-ssm" or "hpim-dm" *)
   graph : Topology.Graph.t;
@@ -64,9 +82,9 @@ type t = {
       (** send one data packet, run a delivery horizon, return its
           [(receiver, delay)] deliveries.  Mutates the clock and the
           dedup state: explorers must checkpoint around it. *)
-  dump_tables : unit -> string;
-      (** canonical soft-state dump — the protocol-specific part of
-          {!state_digest} *)
+  dump_tables : Buffer.t -> unit;
+      (** write the canonical table dump — the protocol-specific part
+          of {!state_digest} — into the digest's buffer *)
   data_targets : int -> int list;
       (** the session's data-plane fan-out rule
           ({!Proto.Session.S.data_targets}), read now: the nodes a
@@ -85,20 +103,11 @@ type t = {
       (** HBH only: branching routers with non-stale entries (their
           tree targets) — input to the fusion-placement oracle; [[]]
           for the other protocols *)
-  assert_links : unit -> (int * int * bool * bool) list;
+  router_links : unit -> router_link list;
       (** HPIM-DM only: one row per up link between up routers (the
-          source included), [(u, v, u_view, v_view)] where each
-          [_view] is that endpoint's belief that [u] wins the link's
-          assert election — input to the assert-agreement oracle.
-          Links where either endpoint lacks a live neighbor record of
-          the other are omitted (election not yet constituted).  [[]]
-          for the other protocols. *)
-  nbr_pairs : unit -> (int * int * bool * bool * bool) list;
-      (** HPIM-DM only: one row per up link between up routers,
-          [(u, v, u_sees_v, v_sees_u, genid_ok)] — each side's hello
-          liveness view of the other, and whether both recorded
-          generation IDs match the neighbor's actual one — input to
-          the neighbor-consistency oracle; [[]] for the other
+          source included), ascending, all read from one view of the
+          neighbor tables — input to the assert-agreement, assert-loser
+          and neighbor-consistency oracles.  [[]] for the other
           protocols. *)
 }
 
@@ -112,11 +121,23 @@ val state_digest : t -> string
     still draining (entries decaying toward expiry) keeps changing
     digest, which is what makes digest stability a sound quiescence
     test.  Monotonic bookkeeping (sequence numbers, epochs,
-    last-seen clocks) is deliberately excluded. *)
+    last-seen clocks) is deliberately excluded.
 
-val entry_token : now:float -> Proto.Softstate.entry -> string
-(** One entry's digest token: node, boolean marked flag, bucketed
-    remaining freshness and lifetime.  Exposed for tests. *)
+    {b Encoding.}  The hashed bytes are one canonical encoding
+    written into one buffer: each int as 8 little-endian bytes
+    ([Buffer.add_int64_le]) behind a one-character tag that fixes the
+    payload that follows; ['|'] ends each of the members, down-links
+    and crashed-nodes sections, and {!t.dump_tables} fills the rest.
+    It parses back
+    unambiguously, so two states share a digest exactly when they
+    share every digested field.  The digest is an equality key only
+    (the explorer's visited set, quiescence, tests): its value is not
+    stable across encodings and is never printed. *)
+
+val add_entry : Buffer.t -> now:float -> Proto.Softstate.entry -> unit
+(** Append one entry's digest token: ['M'] (marked) or ['e'], then
+    node, bucketed remaining freshness and bucketed remaining
+    lifetime.  Exposed for tests. *)
 
 (** {1 The protocol registry} *)
 

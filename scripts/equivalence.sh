@@ -8,6 +8,10 @@
 #     deterministic projection: router count and SPF work columns plus
 #     the route-equivalence verdict.  Wall-clock columns (seconds,
 #     speedup, per-query ns) are excluded.
+#   * `hbh_sim verify --depth 4 --seed 42` for every protocol, plus the
+#     HPIM-DM seed-2 run that prints its violation lines, is
+#     bit-identical: explored-state counts, counterexamples and
+#     oscillations pin which states the digests tell apart.
 #
 # Prints one `output-equivalence: <run> OK|MISMATCH` line per run and
 # exits nonzero on any mismatch.  CI greps for the OK lines.
@@ -32,6 +36,18 @@ if run scaling --large --sizes 50,200 \
 else
   status=1
   echo "output-equivalence: scaling MISMATCH"
+fi
+
+if {
+  for p in hbh reunite pim-ssm hpim-dm; do
+    run verify --protocol "$p" --depth 4 --seed 42
+  done
+  run verify --protocol hpim-dm --seed 2 --states 100 --no-shrink
+} | diff -u test/golden/verify-seed42.golden -; then
+  echo "output-equivalence: verify OK"
+else
+  status=1
+  echo "output-equivalence: verify MISMATCH"
 fi
 
 exit $status

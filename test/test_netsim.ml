@@ -140,6 +140,54 @@ let test_sink_acquires_counted () =
   send ();
   Alcotest.(check int) "restore brings the acquire back" 2 (deliveries ())
 
+(* 0 - 1 - 3 is cheaper than 0 - 2 - 3; failing 1-3 reroutes. *)
+let diamond_network () =
+  let g =
+    G.make
+      ~kinds:(Array.make 4 G.Router)
+      ~links:[ (0, 1, 1, 1); (1, 3, 1, 1); (0, 2, 2, 2); (2, 3, 2, 2) ]
+  in
+  let engine = Eventsim.Engine.create () in
+  (engine, Net.create engine (Routing.Table.compute g))
+
+let next_hops net =
+  List.init 4 (fun d ->
+      List.init 4 (fun u -> Routing.Table.next_hop (Net.table net) u ~dest:d))
+
+let spf_runs () =
+  Obs.Metrics.value
+    (Obs.Metrics.counter (Obs.Metrics.default ()) "routing.spf_runs")
+
+let test_restore_keeps_routes () =
+  let engine, net = diamond_network () in
+  let g = Net.graph net in
+  let before = next_hops net in
+  let generation = G.generation g in
+  let snap = Net.snapshot net in
+  G.set_multicast_capable g 1 false;
+  Net.originate net ~src:0 ~dst:3 ~kind:Pkt.Control Ping;
+  Eventsim.Engine.run engine;
+  Net.restore net snap;
+  let runs = spf_runs () in
+  Alcotest.(check (list (list (option int)))) "same next hops" before
+    (next_hops net);
+  Alcotest.(check int) "no SPF rerun" runs (spf_runs ());
+  Alcotest.(check int) "generation unchanged" generation (G.generation g);
+  Alcotest.(check bool) "capability flag restored" true
+    (G.multicast_capable g 1)
+
+let test_restore_after_link_change () =
+  let _, net = diamond_network () in
+  let before = next_hops net in
+  let snap = Net.snapshot net in
+  Net.set_link_up net 1 3 false;
+  ignore (Net.reconverge net);
+  Alcotest.(check bool) "the failure reroutes" false (next_hops net = before);
+  Net.restore net snap;
+  Alcotest.(check bool) "link back up" true (G.link_up (Net.graph net) 1 3);
+  Alcotest.(check (list (list (option int)))) "pre-save next hops" before
+    (next_hops net)
+
 let test_counters_are_a_copy () =
   let engine, net = line_network () in
   let before = Net.counters net in
@@ -345,9 +393,17 @@ let () =
           Alcotest.test_case "sink gating" `Quick test_sink_gates_delivery_recording;
           Alcotest.test_case "sink acquires counted" `Quick test_sink_acquires_counted;
           Alcotest.test_case "counters are a copy" `Quick test_counters_are_a_copy;
+
           Alcotest.test_case "host implicit sink" `Quick test_host_is_implicit_sink;
           Alcotest.test_case "ttl expiry" `Quick test_ttl_expiry;
           Alcotest.test_case "unreachable" `Quick test_unreachable_drop;
+        ] );
+      ( "checkpoint",
+        [
+          Alcotest.test_case "restore keeps routes" `Quick
+            test_restore_keeps_routes;
+          Alcotest.test_case "restore after a link change" `Quick
+            test_restore_after_link_change;
         ] );
       ( "faults",
         [

@@ -129,6 +129,61 @@ let prop_snapshot_roundtrip name make_sut =
           && replayed = fresh_digest)
         all_protocols)
 
+(* ---- State digests ------------------------------------------------------ *)
+
+let settled protocol members =
+  let sut = isp_sut protocol () in
+  List.iter sut.Verif.Sut.subscribe members;
+  match Verif.Scenario.quiesce sut with
+  | Some (_, digest) -> (sut, digest)
+  | None -> Alcotest.failf "%s: no quiescence" sut.Verif.Sut.proto
+
+(* The digest quiescence settles on is the settled state's digest: the
+   explorer keys its visited set on it without digesting again. *)
+let test_quiesce_digest () =
+  List.iter
+    (fun protocol ->
+      let sut, digest = settled protocol [ 22; 27 ] in
+      Alcotest.(check string)
+        (sut.Verif.Sut.proto ^ ": quiesce digest = state_digest")
+        (Verif.Sut.state_digest sut) digest)
+    all_protocols
+
+(* The byte encoding must keep apart what the text one kept apart: one
+   member more, one mark or one bucket of remaining time. *)
+let test_digest_separates () =
+  List.iter
+    (fun protocol ->
+      let sut, digest = settled protocol [ 22 ] in
+      let restore = sut.Verif.Sut.save () in
+      sut.Verif.Sut.subscribe 27;
+      Alcotest.(check bool)
+        (sut.Verif.Sut.proto ^ ": one member apart")
+        false
+        (Verif.Sut.state_digest sut = digest);
+      restore ();
+      Alcotest.(check string)
+        (sut.Verif.Sut.proto ^ ": restored digest")
+        digest
+        (Verif.Sut.state_digest sut))
+    all_protocols;
+  let module Ss = Proto.Softstate in
+  let dl = { Ss.t1 = 100.0; t2 = 300.0 } in
+  let token ~now e =
+    let b = Buffer.create 32 in
+    Verif.Sut.add_entry b ~now e;
+    Buffer.contents b
+  in
+  let tbl = Ss.Table.create () in
+  let e = Ss.Table.add_fresh tbl dl ~now:0.0 7 in
+  let plain = token ~now:0.0 e in
+  Alcotest.(check string) "within one bucket" plain (token ~now:10.0 e);
+  Alcotest.(check bool) "one bucket apart" false (plain = token ~now:25.0 e);
+  Alcotest.(check bool) "another node" false
+    (plain = token ~now:0.0 (Ss.Table.add_fresh tbl dl ~now:0.0 8));
+  ignore (Ss.Table.mark tbl dl ~now:0.0 7);
+  Alcotest.(check bool) "one mark apart" false (plain = token ~now:0.0 e)
+
 (* ---- Explorer determinism ---------------------------------------------- *)
 
 let test_explorer_deterministic () =
@@ -527,6 +582,13 @@ let () =
               "snapshot save/mutate/restore/re-run = fresh run (rand50)"
               (fun p () -> rand50_sut p ~seed:7 ());
           ] );
+      ( "digest",
+        [
+          Alcotest.test_case "quiesce returns the settled digest" `Quick
+            test_quiesce_digest;
+          Alcotest.test_case "one member, mark or bucket apart" `Quick
+            test_digest_separates;
+        ] );
       ( "registry",
         [
           Alcotest.test_case "names and aliases" `Quick test_registry_names;
