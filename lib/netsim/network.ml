@@ -72,13 +72,6 @@ type 'p t = {
      targeted invalidation; any restore forces a full one. *)
   mutable pending_down : (int * int) list;
   mutable pending_restore : bool;
-  (* In-flight registry: every scheduled hop records the packet its
-     queued closure will read on arrival, keyed by a fresh id the
-     closure removes before delivering.  Packets are mutable (ttl,
-     via), so a checkpoint must capture — and a restore rewind — the
-     fields of exactly the packets sitting in the event queue. *)
-  inflight : (int, 'p Packet.t) Hashtbl.t;
-  mutable flight_seq : int;
 }
 
 and 'p handler = 'p t -> int -> 'p Packet.t -> verdict
@@ -142,8 +135,6 @@ let create ?(default_ttl = 255) ?trace engine table =
     delivery_listeners = [];
     pending_down = [];
     pending_restore = false;
-    inflight = Hashtbl.create 32;
-    flight_seq = 0;
   }
 
 let engine t = t.engine
@@ -391,16 +382,19 @@ let record_delivery t node delay =
   t.dl_delays.(t.dl_len) <- delay;
   t.dl_len <- t.dl_len + 1
 
-(* Arrival of [p] at [node]; may consume, deliver or forward. *)
+(* The queued closure writes back [p]'s mutable fields as they were at
+   scheduling, so an engine restore, which resurrects the closures,
+   rewinds every in-flight packet.  A packet sits in at most one queued
+   hop: [emit] gets a fresh rewrite, a hostile copy is a [Packet.dup]. *)
 let rec hop t ~delay ~next (p : 'p Packet.t) =
-  let id = t.flight_seq in
-  t.flight_seq <- id + 1;
-  Hashtbl.replace t.inflight id p;
+  let ttl = p.ttl and via = p.via in
   ignore
     (Eventsim.Engine.schedule ~tag:"net.hop" t.engine ~delay (fun () ->
-         Hashtbl.remove t.inflight id;
+         p.ttl <- ttl;
+         p.via <- via;
          arrive t next p))
 
+(* Arrival of [p] at [node]; may consume, deliver or forward. *)
 and arrive t node (p : 'p Packet.t) =
   if t.faults_on && not (node_up t node) then
     (* A crashed node neither delivers, consumes nor forwards. *)
@@ -586,8 +580,6 @@ type 'p snapshot = {
   s_node_listeners : (up:bool -> int -> unit) list;
   s_route_listeners : (changed:int -> unit) list;
   s_delivery_listeners : (now:float -> node:int -> 'p Packet.t -> unit) list;
-  s_inflight : (int * 'p Packet.t * int * int) list; (* id, pkt, ttl, via *)
-  s_flight_seq : int;
 }
 
 let copy_hostile h =
@@ -620,11 +612,6 @@ let snapshot t =
     s_node_listeners = t.node_listeners;
     s_route_listeners = t.route_listeners;
     s_delivery_listeners = t.delivery_listeners;
-    s_inflight =
-      Hashtbl.fold
-        (fun id p acc -> (id, p, p.Packet.ttl, p.Packet.via) :: acc)
-        t.inflight [];
-    s_flight_seq = t.flight_seq;
   }
 
 let restore_tbl dst src =
@@ -656,14 +643,6 @@ let restore t s =
   t.node_listeners <- s.s_node_listeners;
   t.route_listeners <- s.s_route_listeners;
   t.delivery_listeners <- s.s_delivery_listeners;
-  Hashtbl.reset t.inflight;
-  List.iter
-    (fun (id, p, ttl, via) ->
-      p.Packet.ttl <- ttl;
-      p.Packet.via <- via;
-      Hashtbl.replace t.inflight id p)
-    s.s_inflight;
-  t.flight_seq <- s.s_flight_seq;
   t.pending_down <- [];
   t.pending_restore <- false;
   (* The snapshot was taken at a routing-converged point (enforced

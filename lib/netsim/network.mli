@@ -224,16 +224,16 @@ val reset_data_accounting : 'p t -> unit
     network: the engine (clock and event queue), the topology's
     mutable link state, the accounting counters, the sink and fault
     tables, the fault RNG (copied, so restored runs redraw the same
-    losses), and the mutable [ttl]/[via] fields of every in-flight
-    packet referenced by a queued hop event.  Restoring rewinds all of
-    it in place.  The routing cache is invalidated only when the links
-    had to be rewritten ({!Topology.Graph.restore_links}): the
-    snapshot point is routing-converged, so that is the identity
-    there, and at an unchanged graph generation every cached in-tree
-    is already the snapshot's own and is kept.  Trace and
-    {!Obs.Metrics} output are observability, not simulation state, and
-    are not rewound.  One snapshot may be restored any number of
-    times. *)
+    losses), and the [ttl]/[via] of every in-flight packet, which its
+    queued hop event carries and writes back on arrival.  Restoring
+    rewinds all of it in place.  The routing cache is invalidated only
+    when the links had to be rewritten
+    ({!Topology.Graph.restore_links}): the snapshot point is
+    routing-converged, so that is the identity there, and at an
+    unchanged graph generation every cached in-tree is already the
+    snapshot's own and is kept.  Trace and {!Obs.Metrics} output are
+    observability, not simulation state, and are not rewound.  One
+    snapshot may be restored any number of times. *)
 
 type 'p snapshot
 

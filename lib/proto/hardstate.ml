@@ -7,41 +7,24 @@
 type entry = { node : int; seq : int }
 
 module Table = struct
-  type t = { entries : (int, entry) Hashtbl.t; mutable next_seq : int }
+  module A = Node_tables.Sorted
 
-  let create () = { entries = Hashtbl.create 8; next_seq = 1 }
-  let size t = Hashtbl.length t.entries
-  let is_empty t = Hashtbl.length t.entries = 0
-  let mem t node = Hashtbl.mem t.entries node
-  let find t node = Hashtbl.find_opt t.entries node
+  type t = entry A.t
+
+  let create () = A.create ~first_seq:1
+  let size (t : t) = t.len
+  let is_empty (t : t) = t.len = 0
+  let mem t node = A.index t node >= 0
+  let find t n = match A.index t n with -1 -> None | i -> Some t.vals.(i)
 
   let add t node =
-    match Hashtbl.find_opt t.entries node with
-    | Some e -> e
-    | None ->
-        let e = { node; seq = t.next_seq } in
-        t.next_seq <- t.next_seq + 1;
-        Hashtbl.replace t.entries node e;
-        e
+    let i = A.index t node in
+    if i >= 0 then t.vals.(i) else A.add t node (fun seq -> { node; seq })
 
-  let remove t node = Hashtbl.remove t.entries node
-  let clear t = Hashtbl.reset t.entries
-
-  let copy t =
-    let entries = Hashtbl.create (max 8 (Hashtbl.length t.entries)) in
-    Hashtbl.iter
-      (fun n (e : entry) -> Hashtbl.replace entries n { e with node = e.node })
-      t.entries;
-    { entries; next_seq = t.next_seq }
-
-  let nodes t =
-    Hashtbl.fold (fun n _ acc -> n :: acc) t.entries [] |> List.sort compare
-
-  let entries t =
-    Hashtbl.fold (fun _ e acc -> e :: acc) t.entries []
-    |> List.sort (fun a b -> compare a.node b.node)
-
-  let in_order t =
-    Hashtbl.fold (fun _ e acc -> e :: acc) t.entries []
-    |> List.sort (fun a b -> compare a.seq b.seq)
+  let remove = A.remove
+  let clear = A.clear
+  let copy t = A.copy t Fun.id (* entries are immutable *)
+  let nodes t = A.keys_where t (fun _ -> true)
+  let entries = A.to_list
+  let in_order t = List.sort (fun a b -> compare a.seq b.seq) (A.to_list t)
 end

@@ -1,5 +1,6 @@
 (** The generic hard-state table of the protocol runtime: the
-    non-expiring counterpart of {!Softstate}.
+    non-expiring counterpart of {!Softstate}, on the same
+    {!Node_tables.Sorted} array.
 
     A hard-state protocol (HPIM-DM) installs and removes entries only
     on explicit events — a reliably-delivered control message, a

@@ -39,138 +39,79 @@ let refresh_entry e dl ~now =
 
 let force_stale e ~now = e.fresh_until <- Float.min e.fresh_until now
 
-let copy_entry e =
-  {
-    node = e.node;
-    seq = e.seq;
-    marked_until = e.marked_until;
-    fresh_until = e.fresh_until;
-    expires_at = e.expires_at;
-    epoch = e.epoch;
-  }
+(* [with] always builds a fresh record. *)
+let copy_entry e = { e with node = e.node }
 
 module Table = struct
-  type t = { tbl : (int, entry) Hashtbl.t; mutable next_seq : int }
+  module A = Node_tables.Sorted
 
-  let create () = { tbl = Hashtbl.create 8; next_seq = 0 }
+  type t = entry A.t
 
-  let size t = Hashtbl.length t.tbl
-  let is_empty t = size t = 0
-  let mem t n = Hashtbl.mem t.tbl n
-  let find t n = Hashtbl.find_opt t.tbl n
-
-  let insert t dl ~now ~stale n =
-    let e =
-      {
-        node = n;
-        seq = t.next_seq;
-        marked_until = neg_infinity;
-        fresh_until = (if stale then now else now +. dl.t1);
-        expires_at = now +. dl.t2;
-        epoch = 0;
-      }
-    in
-    t.next_seq <- t.next_seq + 1;
-    Hashtbl.replace t.tbl n e;
-    e
+  let create () = A.create ~first_seq:0
+  let size (t : t) = t.len
+  let is_empty (t : t) = t.len = 0
+  let mem t n = A.index t n >= 0
+  let find t n = match A.index t n with -1 -> None | i -> Some t.vals.(i)
 
   let add_fresh t dl ~now n =
-    match Hashtbl.find_opt t.tbl n with
-    | Some e ->
-        refresh_entry e dl ~now;
-        e
-    | None -> insert t dl ~now ~stale:false n
+    match A.index t n with
+    | -1 -> A.add t n (fun seq -> { (entry dl ~now n) with seq })
+    | i ->
+        refresh_entry t.vals.(i) dl ~now;
+        t.vals.(i)
 
+  (* An existing entry gets only its t2 refreshed; t1 is "kept
+     expired", i.e. left alone: a stale-style refresh never freshens
+     t1, but it must not expire a t1 that fresh-style refreshes are
+     keeping alive either. *)
   let add_stale t dl ~now n =
-    match Hashtbl.find_opt t.tbl n with
-    | Some e ->
-        (* t2 refreshed, t1 "kept expired" — i.e. left alone: a
-           stale-style refresh never freshens t1, but it must not
-           expire a t1 that fresh-style refreshes are keeping alive
-           either. *)
-        e.expires_at <- now +. dl.t2;
-        e
-    | None -> insert t dl ~now ~stale:true n
+    match A.index t n with
+    | -1 ->
+        A.add t n (fun seq -> { (entry dl ~now n) with seq; fresh_until = now })
+    | i ->
+        t.vals.(i).expires_at <- now +. dl.t2;
+        t.vals.(i)
 
   let refresh t dl ~now n =
-    match Hashtbl.find_opt t.tbl n with
-    | Some e ->
-        refresh_entry e dl ~now;
-        true
-    | None -> false
+    let i = A.index t n in
+    if i >= 0 then refresh_entry t.vals.(i) dl ~now;
+    i >= 0
 
   (* The mark is soft state like everything else: it decays at t1
      unless re-asserted.  t2 is deliberately untouched — a marked
      entry not refreshed through the fresh path must die. *)
   let mark t dl ~now n =
-    match Hashtbl.find_opt t.tbl n with
-    | Some e ->
-        e.marked_until <- now +. dl.t1;
-        true
-    | None -> false
+    let i = A.index t n in
+    if i >= 0 then t.vals.(i).marked_until <- now +. dl.t1;
+    i >= 0
 
-  let remove t n = Hashtbl.remove t.tbl n
-  let clear t = Hashtbl.reset t.tbl
+  let remove = A.remove
+  let clear = A.clear
 
   (* Deep copy: independent entry records (entries are mutable) and
      the same install-order counter, so every projection — including
      [in_order] and [first_fresh] — is preserved exactly.  This is the
      checkpoint primitive of the verification layer. *)
-  let copy t =
-    let c = { tbl = Hashtbl.create (max 8 (Hashtbl.length t.tbl)); next_seq = t.next_seq } in
-    Hashtbl.iter (fun n e -> Hashtbl.replace c.tbl n (copy_entry e)) t.tbl;
-    c
-
-  let expire t ~now =
-    let dead =
-      Hashtbl.fold
-        (fun n e acc -> if entry_dead e ~now then n :: acc else acc)
-        t.tbl []
-    in
-    List.iter (Hashtbl.remove t.tbl) dead
-
-  let all_dead t ~now =
-    Hashtbl.fold (fun _ e acc -> acc && entry_dead e ~now) t.tbl true
-
-  let nodes t =
-    Hashtbl.fold (fun n _ acc -> n :: acc) t.tbl [] |> List.sort compare
-
-  let entries t =
-    Hashtbl.fold (fun _ e acc -> e :: acc) t.tbl []
-    |> List.sort (fun a b -> compare a.node b.node)
-
-  let in_order t =
-    Hashtbl.fold (fun _ e acc -> e :: acc) t.tbl []
-    |> List.sort (fun a b -> compare a.seq b.seq)
-
-  let live t ~now =
-    Hashtbl.fold
-      (fun _ e acc -> if entry_dead e ~now then acc else e :: acc)
-      t.tbl []
-
-  let live_nodes t ~now =
-    live t ~now |> List.map (fun e -> e.node) |> List.sort compare
+  let copy t = A.copy t copy_entry
+  let expire t ~now = A.filter t (fun _ e -> not (entry_dead e ~now))
+  let live_nodes t ~now = A.keys_where t (fun e -> not (entry_dead e ~now))
+  let all_dead t ~now = live_nodes t ~now = []
+  let nodes t = A.keys_where t (fun _ -> true)
+  let entries = A.to_list
+  let in_order t = List.sort (fun a b -> compare a.seq b.seq) (A.to_list t)
 
   let data_targets t ~now =
-    live t ~now
-    |> List.filter_map (fun e -> if entry_marked e ~now then None else Some e.node)
-    |> List.sort compare
+    A.keys_where t (fun e -> not (entry_dead e ~now || entry_marked e ~now))
 
   let fresh_targets t ~now =
-    live t ~now
-    |> List.filter_map (fun e -> if entry_stale e ~now then None else Some e.node)
-    |> List.sort compare
-
-  let live_in_order t ~now =
-    in_order t |> List.filter (fun e -> not (entry_dead e ~now))
+    A.keys_where t (fun e -> not (entry_dead e ~now || entry_stale e ~now))
 
   let mem_live t ~now n =
-    match Hashtbl.find_opt t.tbl n with
-    | Some e -> not (entry_dead e ~now)
-    | None -> false
+    let i = A.index t n in
+    i >= 0 && not (entry_dead t.vals.(i) ~now)
 
   let first_fresh t ~now =
-    live_in_order t ~now
-    |> List.find_opt (fun e -> not (entry_stale e ~now))
-    |> Option.map (fun e -> e.node)
+    List.find_map
+      (fun e -> if entry_dead e ~now || entry_stale e ~now then None else Some e.node)
+      (in_order t)
 end

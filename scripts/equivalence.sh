@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Output-equivalence oracle for the proto runtime port.
 #
-# Two seeded driver runs are pinned against goldens captured before the
-# refactor:
+# Seeded `hbh_sim` runs are pinned against goldens captured before the
+# refactors they guard:
 #   * `hbh_sim faults --seed 42` is bit-identical (full output).
 #   * `hbh_sim scaling --large --sizes 50,200` is pinned on its
 #     deterministic projection: router count and SPF work columns plus
@@ -12,6 +12,10 @@
 #     HPIM-DM seed-2 run that prints its violation lines, is
 #     bit-identical: explored-state counts, counterexamples and
 #     oscillations pin which states the digests tell apart.
+#   * `hbh_sim churn` on a 1000-router power-law graph with 64 channels
+#     for HBH, REUNITE and PIM-SSM, and on 200 routers with 8 channels
+#     for HPIM-DM, is bit-identical: the churn outcome table and the
+#     control-hop totals pin the handlers and the soft-state tables.
 #
 # Prints one `output-equivalence: <run> OK|MISMATCH` line per run and
 # exits nonzero on any mismatch.  CI greps for the OK lines.
@@ -48,6 +52,22 @@ if {
 else
   status=1
   echo "output-equivalence: verify MISMATCH"
+fi
+
+churn() {
+  run churn --gen power-law --horizon 1000 --sample-every 500 --seed 42 "$@"
+}
+
+if {
+  for p in hbh reunite pim-ssm; do
+    churn --routers 1000 --channels 64 --protocol "$p"
+  done
+  churn --routers 200 --channels 8 --protocol hpim-dm
+} | diff -u test/golden/churn-seed42.golden -; then
+  echo "output-equivalence: churn OK"
+else
+  status=1
+  echo "output-equivalence: churn MISMATCH"
 fi
 
 exit $status

@@ -188,6 +188,41 @@ let test_restore_after_link_change () =
   Alcotest.(check (list (list (option int)))) "pre-save next hops" before
     (next_hops net)
 
+(* A packet still in flight at the snapshot is rewound with it: after
+   a restore it reaches the same nodes with the same ttl and previous
+   hop as the first time, although that run already decremented its
+   ttl and moved its [via] on. *)
+let test_restore_rewinds_inflight () =
+  let graph = Topology.Isp.create () in
+  let table = Routing.Table.compute graph in
+  let engine = Eventsim.Engine.create () in
+  let net = Net.create engine table in
+  let src = Topology.Isp.source in
+  let dst =
+    List.find
+      (fun h -> Routing.Path.hops (Routing.Table.path table src h) >= 4)
+      Topology.Isp.receiver_hosts
+  in
+  let seen = ref [] in
+  Net.set_handler net (fun _ node p ->
+      seen := (node, p.Pkt.ttl, p.Pkt.via) :: !seen;
+      Net.Forward);
+  Net.originate net ~src ~dst ~kind:Pkt.Data Ping;
+  Eventsim.Engine.run ~max_events:2 engine;
+  let snap = Net.snapshot net in
+  let after_snapshot () =
+    seen := [];
+    Eventsim.Engine.run engine;
+    List.rev !seen
+  in
+  let first = after_snapshot () in
+  Net.restore net snap;
+  let second = after_snapshot () in
+  Alcotest.(check bool) "still mid-path at the snapshot" true
+    (List.length first >= 2);
+  Alcotest.(check (list (triple int int int))) "same (node, ttl, via) run"
+    first second
+
 let test_counters_are_a_copy () =
   let engine, net = line_network () in
   let before = Net.counters net in
@@ -404,6 +439,8 @@ let () =
             test_restore_keeps_routes;
           Alcotest.test_case "restore after a link change" `Quick
             test_restore_after_link_change;
+          Alcotest.test_case "restore rewinds in-flight packets" `Quick
+            test_restore_rewinds_inflight;
         ] );
       ( "faults",
         [

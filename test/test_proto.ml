@@ -96,6 +96,243 @@ let softstate_tests =
       test_install_order_projections;
   ]
 
+(* ---- Table model ------------------------------------------------- *)
+
+(* Random operation sequences on nodes 0..7 against an association-list
+   model: after every operation each projection of the table equals
+   the model's, and a copy taken along the way still equals the model
+   as it was at the copy when the sequence ends. *)
+
+module Hs = Proto.Hardstate
+
+type soft_op =
+  | Fresh of int
+  | Stale of int
+  | Refresh of int
+  | Mark of int
+  | Remove of int
+  | Expire
+  | Clear
+  | Copy
+
+(* node, seq, marked_until, fresh_until, expires_at *)
+type soft_model = {
+  rows : (int * (int * float * float * float)) list;
+  next : int;
+}
+
+let soft_op_gen =
+  QCheck.Gen.(
+    let node = int_range 0 7 in
+    frequency
+      [
+        (4, map (fun n -> Fresh n) node);
+        (2, map (fun n -> Stale n) node);
+        (2, map (fun n -> Refresh n) node);
+        (2, map (fun n -> Mark n) node);
+        (2, map (fun n -> Remove n) node);
+        (2, return Expire);
+        (1, return Clear);
+        (1, return Copy);
+      ])
+
+let soft_step m ~now op =
+  let t1 = now +. dl.t1 and t2 = now +. dl.t2 in
+  let row n = List.assoc_opt n m.rows in
+  let set n r = { m with rows = (n, r) :: List.remove_assoc n m.rows } in
+  let add n fresh_until =
+    { rows = (n, (m.next, neg_infinity, fresh_until, t2)) :: m.rows;
+      next = m.next + 1 }
+  in
+  match op with
+  | Fresh n -> (
+      match row n with Some (s, mk, _, _) -> set n (s, mk, t1, t2) | None -> add n t1)
+  | Stale n -> (
+      match row n with Some (s, mk, fr, _) -> set n (s, mk, fr, t2) | None -> add n now)
+  | Refresh n -> (
+      match row n with Some (s, mk, _, _) -> set n (s, mk, t1, t2) | None -> m)
+  | Mark n -> (
+      match row n with Some (s, _, fr, ex) -> set n (s, t1, fr, ex) | None -> m)
+  | Remove n -> { m with rows = List.remove_assoc n m.rows }
+  | Expire -> { m with rows = List.filter (fun (_, (_, _, _, ex)) -> now < ex) m.rows }
+  | Clear -> { m with rows = [] }
+  | Copy -> m
+
+let soft_apply tb ~now = function
+  | Fresh n -> ignore (Ss.Table.add_fresh tb dl ~now n)
+  | Stale n -> ignore (Ss.Table.add_stale tb dl ~now n)
+  | Refresh n -> ignore (Ss.Table.refresh tb dl ~now n)
+  | Mark n -> ignore (Ss.Table.mark tb dl ~now n)
+  | Remove n -> Ss.Table.remove tb n
+  | Expire -> Ss.Table.expire tb ~now
+  | Clear -> Ss.Table.clear tb
+  | Copy -> ()
+
+(* Every projection of [tb] at [now], and the model's version of it. *)
+let soft_view tb ~now =
+  let row (e : Ss.entry) =
+    (e.Ss.node, (e.Ss.seq, e.Ss.marked_until, e.Ss.fresh_until, e.Ss.expires_at))
+  in
+  let nodes = List.init 9 Fun.id in
+  ( (Ss.Table.size tb, Ss.Table.nodes tb, List.map row (Ss.Table.entries tb)),
+    ( List.map (fun (e : Ss.entry) -> e.Ss.node) (Ss.Table.in_order tb),
+      Ss.Table.live_nodes tb ~now,
+      Ss.Table.data_targets tb ~now,
+      Ss.Table.fresh_targets tb ~now ),
+    ( Ss.Table.first_fresh tb ~now,
+      Ss.Table.all_dead tb ~now,
+      List.map (Ss.Table.mem tb) nodes,
+      List.map (Ss.Table.mem_live tb ~now) nodes,
+      List.map (fun n -> Option.map row (Ss.Table.find tb n)) nodes ) )
+
+let model_view m ~now =
+  let rows = List.sort compare m.rows in
+  let live = List.filter (fun (_, (_, _, _, ex)) -> now < ex) rows in
+  let keys p = List.filter_map (fun (n, r) -> if p r then Some n else None) in
+  let by_seq =
+    List.sort (fun (_, (a, _, _, _)) (_, (b, _, _, _)) -> compare a b) rows
+  in
+  let fresh (_, _, fr, _) = now < fr in
+  let nodes = List.init 9 Fun.id in
+  ( (List.length rows, List.map fst rows, rows),
+    ( List.map fst by_seq,
+      List.map fst live,
+      keys (fun (_, mk, _, _) -> now >= mk) live,
+      keys fresh live ),
+    ( List.find_map
+        (fun (n, ((_, _, _, ex) as r)) -> if now < ex && fresh r then Some n else None)
+        by_seq,
+      live = [],
+      List.map (fun n -> List.mem_assoc n rows) nodes,
+      List.map (fun n -> List.mem_assoc n live) nodes,
+      List.map
+        (fun n -> Option.map (fun r -> (n, r)) (List.assoc_opt n rows))
+        nodes ) )
+
+let prop_softstate_model =
+  QCheck.Test.make ~count:300 ~name:"softstate table matches its model"
+    QCheck.(
+      make Gen.(list_size (1 -- 40) (pair soft_op_gen (float_bound_inclusive 6.0))))
+    (fun ops ->
+      let tb = Ss.Table.create () in
+      let copies = ref [] in
+      let _, _, ok =
+        List.fold_left
+          (fun (now, m, ok) (op, dt) ->
+            let now = now +. dt in
+            soft_apply tb ~now op;
+            let m = soft_step m ~now op in
+            if op = Copy then copies := (Ss.Table.copy tb, m) :: !copies;
+            (now, m, ok && soft_view tb ~now = model_view m ~now))
+          (0.0, { rows = []; next = 0 }, true)
+          ops
+      in
+      ok
+      && List.for_all
+           (fun (c, cm) ->
+             List.for_all
+               (fun now -> soft_view c ~now = model_view cm ~now)
+               [ 0.0; 50.0; 100.0; 200.0 ])
+           !copies)
+
+type hard_op = H_add of int | H_remove of int | H_clear | H_copy
+
+let prop_hardstate_model =
+  QCheck.Test.make ~count:300 ~name:"hardstate table matches its model"
+    QCheck.(
+      make
+        Gen.(
+          list_size (1 -- 40)
+            (let node = int_range 0 7 in
+             frequency
+               [
+                 (4, map (fun n -> H_add n) node);
+                 (2, map (fun n -> H_remove n) node);
+                 (1, return H_clear);
+                 (1, return H_copy);
+               ])))
+    (fun ops ->
+      let tb = Hs.Table.create () in
+      let copies = ref [] in
+      let row (e : Hs.entry) = (e.Hs.node, e.Hs.seq) in
+      let view tb =
+        ( Hs.Table.size tb,
+          Hs.Table.is_empty tb,
+          Hs.Table.nodes tb,
+          List.map row (Hs.Table.entries tb),
+          List.map row (Hs.Table.in_order tb),
+          List.map (Hs.Table.mem tb) (List.init 9 Fun.id),
+          List.map
+            (fun n -> Option.map row (Hs.Table.find tb n))
+            (List.init 9 Fun.id) )
+      in
+      let model (rows, _) =
+        let rows = List.sort compare rows in
+        ( List.length rows,
+          rows = [],
+          List.map fst rows,
+          rows,
+          List.sort (fun (_, a) (_, b) -> compare a b) rows,
+          List.map (fun n -> List.mem_assoc n rows) (List.init 9 Fun.id),
+          List.map
+            (fun n -> Option.map (fun s -> (n, s)) (List.assoc_opt n rows))
+            (List.init 9 Fun.id) )
+      in
+      let step ((rows, next) as m) = function
+        | H_add n ->
+            if List.mem_assoc n rows then m else ((n, next) :: rows, next + 1)
+        | H_remove n -> (List.remove_assoc n rows, next)
+        | H_clear -> ([], next)
+        | H_copy -> m
+      in
+      let _, ok =
+        List.fold_left
+          (fun (m, ok) op ->
+            (match op with
+            | H_add n -> ignore (Hs.Table.add tb n)
+            | H_remove n -> Hs.Table.remove tb n
+            | H_clear -> Hs.Table.clear tb
+            | H_copy -> ());
+            let m = step m op in
+            if op = H_copy then copies := (Hs.Table.copy tb, m) :: !copies;
+            (m, ok && view tb = model m))
+          (([], 1), true)
+          ops
+      in
+      ok && List.for_all (fun (c, m) -> view c = model m) !copies)
+
+(* Lookups on the per-hop and per-refresh paths allocate nothing:
+   [mem] hits and misses, and a [find] miss. *)
+let test_lookups_allocate_nothing () =
+  let tb = Ss.Table.create () in
+  let hs = Hs.Table.create () in
+  List.iter
+    (fun n ->
+      ignore (Ss.Table.add_fresh tb dl ~now:0.0 n);
+      ignore (Hs.Table.add hs n))
+    [ 9; 2; 6; 4 ];
+  let words f =
+    let w0 = Gc.minor_words () in
+    for n = 0 to 9_999 do
+      ignore (Sys.opaque_identity (f (n land 15)))
+    done;
+    Gc.minor_words () -. w0
+  in
+  Alcotest.(check (float 0.0)) "softstate mem" 0.0
+    (words (fun n -> Ss.Table.mem tb n));
+  Alcotest.(check (float 0.0)) "softstate find miss" 0.0
+    (words (fun n -> Ss.Table.find tb (n + 16)));
+  Alcotest.(check (float 0.0)) "hardstate mem" 0.0
+    (words (fun n -> Hs.Table.mem hs n));
+  Alcotest.(check (float 0.0)) "hardstate find miss" 0.0
+    (words (fun n -> Hs.Table.find hs (n + 16)))
+
+let table_model_tests =
+  Alcotest.test_case "lookups allocate nothing" `Quick
+    test_lookups_allocate_nothing
+  :: List.map QCheck_alcotest.to_alcotest
+       [ prop_softstate_model; prop_hardstate_model ]
+
 (* ---- Channel multiplexer ----------------------------------------- *)
 
 (* Multi-channel sessions on one shared mux: dispatch is keyed by
@@ -545,6 +782,7 @@ let () =
   Alcotest.run "proto"
     [
       ("softstate", softstate_tests);
+      ("table model", table_model_tests);
       ("mux", mux_tests);
       ("live-state", live_state_tests);
       ("loop damper", damper_tests);
