@@ -36,6 +36,7 @@ module Net = Netsim.Network
 module Pkt = Netsim.Packet
 module Hs = Proto.Hardstate
 module Rel = Proto.Reliable
+module Tbl = Proto.Node_tables.Int_tbl
 
 type ('jx, 'tx, 'extra) gen = ('jx, 'tx, 'extra) Proto.Messages.t =
   | Join of { channel : Mcast.Channel.t; member : int; ext : 'jx }
@@ -110,8 +111,8 @@ type node_state = {
   mutable ns_hseq : int;  (* outgoing hello sequence *)
   mutable ns_out : int;  (* outgoing reliable sequence *)
   mutable ns_member : bool;  (* this node is a subscribed member host *)
-  nbrs : (int, nbr) Hashtbl.t;
-  peers : (int, peer) Hashtbl.t;
+  nbrs : nbr Tbl.t;
+  peers : peer Tbl.t;
   down : Hs.Table.t;  (* downstream interested: routers + member hosts *)
   mutable up_state : (int * bool * int) option;
       (* (parent, polarity, parent genid) of the last tracked
@@ -120,7 +121,7 @@ type node_state = {
 }
 
 type state = {
-  nodes : (int, node_state) Hashtbl.t;
+  nodes : node_state Tbl.t;
   mutable genid_ctr : int;
   rel : msg Rel.t;
   mutable pump : Eventsim.Wheel.entry option;
@@ -165,26 +166,26 @@ module S = Proto.Session.Make (struct
 
   let create_state c =
     {
-      nodes = Hashtbl.create 64;
+      nodes = Tbl.create 64;
       genid_ctr = 0;
       rel = Rel.create ~rto:c.rto ~rto_max:c.rto_max ();
       pump = None;
     }
 
   let copy_state st =
-    let nodes = Hashtbl.create (max 8 (Hashtbl.length st.nodes)) in
-    Hashtbl.iter
+    let nodes = Tbl.create (max 8 (Tbl.length st.nodes)) in
+    Tbl.iter
       (fun n ns ->
-        let nbrs = Hashtbl.create (max 8 (Hashtbl.length ns.nbrs)) in
-        Hashtbl.iter
-          (fun v (r : nbr) -> Hashtbl.replace nbrs v { r with n_genid = r.n_genid })
+        let nbrs = Tbl.create (max 8 (Tbl.length ns.nbrs)) in
+        Tbl.iter
+          (fun v (r : nbr) -> Tbl.replace nbrs v { r with n_genid = r.n_genid })
           ns.nbrs;
-        let peers = Hashtbl.create (max 8 (Hashtbl.length ns.peers)) in
-        Hashtbl.iter
+        let peers = Tbl.create (max 8 (Tbl.length ns.peers)) in
+        Tbl.iter
           (fun v (p : peer) ->
-            Hashtbl.replace peers v { p with p_genid = p.p_genid })
+            Tbl.replace peers v { p with p_genid = p.p_genid })
           ns.peers;
-        Hashtbl.replace nodes n
+        Tbl.replace nodes n
           { ns with nbrs; peers; down = Hs.Table.copy ns.down })
       st.nodes;
     {
@@ -206,7 +207,7 @@ let m_syncs = S.counter "neighbor_syncs"
 
 let node_state t n =
   let st = S.state t in
-  match Hashtbl.find_opt st.nodes n with
+  match Tbl.find_opt st.nodes n with
   | Some ns -> ns
   | None ->
       st.genid_ctr <- st.genid_ctr + 1;
@@ -216,21 +217,21 @@ let node_state t n =
           ns_hseq = 0;
           ns_out = 0;
           ns_member = false;
-          nbrs = Hashtbl.create 8;
-          peers = Hashtbl.create 8;
+          nbrs = Tbl.create 8;
+          peers = Tbl.create 8;
           down = Hs.Table.create ();
           up_state = None;
         }
       in
-      Hashtbl.replace st.nodes n ns;
+      Tbl.replace st.nodes n ns;
       ns
 
 let peer_of ns v =
-  match Hashtbl.find_opt ns.peers v with
+  match Tbl.find_opt ns.peers v with
   | Some p -> p
   | None ->
       let p = { p_genid = 0; p_sn = 0 } in
-      Hashtbl.replace ns.peers v p;
+      Tbl.replace ns.peers v p;
       p
 
 (* Root path cost: this node's current unicast distance to the
@@ -244,10 +245,10 @@ let rpc t n =
   else metric_unknown
 
 let nbr_genid ns v =
-  match Hashtbl.find_opt ns.nbrs v with Some r -> r.n_genid | None -> 0
+  match Tbl.find_opt ns.nbrs v with Some r -> r.n_genid | None -> 0
 
 let nbr_alive ns v ~now =
-  match Hashtbl.find_opt ns.nbrs v with
+  match Tbl.find_opt ns.nbrs v with
   | Some r -> now <= r.n_heard
   | None -> false
 
@@ -281,14 +282,15 @@ let rpf_of t n =
 
 (* The best {e alive} upstream alternative: among adjacent
    participating neighbors with a live record and a finite advertised
-   metric, the lexicographic minimum of (metric + link cost, id). *)
+   metric, the lexicographic minimum of (metric + link cost, id).  Ids
+   are unique, so the minimum does not depend on the fold's order. *)
 let best_alive_upstream t n ~now =
-  match Hashtbl.find_opt (S.state t).nodes n with
+  match Tbl.find_opt (S.state t).nodes n with
   | None -> None
   | Some ns ->
       let g = S.graph t in
       let adj = Topology.Graph.neighbors g n in
-      Hashtbl.fold
+      Tbl.fold
         (fun v (r : nbr) best ->
           if
             is_router t v && now <= r.n_heard
@@ -297,7 +299,7 @@ let best_alive_upstream t n ~now =
           then
             let m = r.n_metric + Topology.Graph.cost g n v in
             match best with
-            | Some (bm, bv) when compare (bm, bv) (m, v) <= 0 -> best
+            | Some (bm, bv) when bm < m || (bm = m && bv <= v) -> best
             | Some _ | None -> Some (m, v)
           else best)
         ns.nbrs None
@@ -323,10 +325,10 @@ let upstream_info t n =
       match rpf with
       | None -> true
       | Some p -> (
-          match Hashtbl.find_opt (S.state t).nodes n with
+          match Tbl.find_opt (S.state t).nodes n with
           | None -> false
           | Some ns -> (
-              match Hashtbl.find_opt ns.nbrs p with
+              match Tbl.find_opt ns.nbrs p with
               | Some r -> now > r.n_heard
               | None -> false))
     in
@@ -471,13 +473,13 @@ let neighbor_restarted t n ns ~v ~genid ~metric ~now =
     Hs.Table.remove ns.down v;
     Obs.Metrics.hot_incr m_down
   end;
-  (match Hashtbl.find_opt ns.nbrs v with
+  (match Tbl.find_opt ns.nbrs v with
   | Some r ->
       r.n_genid <- genid;
       r.n_metric <- metric;
       r.n_heard <- now +. (S.config t).holdtime
   | None ->
-      Hashtbl.replace ns.nbrs v
+      Tbl.replace ns.nbrs v
         {
           n_genid = genid;
           n_metric = metric;
@@ -490,9 +492,9 @@ let neighbor_restarted t n ns ~v ~genid ~metric ~now =
 let process_hello t n ~v ~genid ~metric ~hseq =
   let ns = node_state t n in
   let now = S.now t in
-  match Hashtbl.find_opt ns.nbrs v with
+  match Tbl.find_opt ns.nbrs v with
   | None ->
-      Hashtbl.replace ns.nbrs v
+      Tbl.replace ns.nbrs v
         {
           n_genid = genid;
           n_metric = metric;
@@ -545,7 +547,7 @@ let process_hello t n ~v ~genid ~metric ~hseq =
 let expire_neighbors t n ns ~now =
   let st = S.state t in
   let dead =
-    Hashtbl.fold
+    Tbl.fold
       (fun v (r : nbr) acc -> if now > r.n_heard then v :: acc else acc)
       ns.nbrs []
     |> List.sort compare
@@ -600,14 +602,15 @@ let send_hellos t n ns =
 let entitled t n ns d =
   Routing.Table.reachable (Net.table (S.network t)) n d
   && (if is_router t d then
-        match Hashtbl.find_opt ns.nbrs d with
+        match Tbl.find_opt ns.nbrs d with
         | Some r when S.now t <= r.n_heard ->
-            compare (metric_of t n, n) (r.n_metric, d) < 0
+            let m = metric_of t n in
+            m < r.n_metric || (m = r.n_metric && n < d)
         | Some _ | None -> true
       else true)
 
 let data_targets t n =
-  match Hashtbl.find_opt (S.state t).nodes n with
+  match Tbl.find_opt (S.state t).nodes n with
   | None -> []
   | Some ns -> List.filter (entitled t n ns) (Hs.Table.nodes ns.down)
 
@@ -640,7 +643,7 @@ let process_sync t n ~v ~sn ~genid ~metric ~s_int =
   let now = S.now t in
   send_ack t n ~dst:v ~cls:cls_sync ~sn;
   if fresh_reliable ns ~v ~genid ~sn then begin
-    (match Hashtbl.find_opt ns.nbrs v with
+    (match Tbl.find_opt ns.nbrs v with
     | Some r ->
         if r.n_genid <> genid then begin
           (* Restart detected through the sync itself (it raced ahead
@@ -653,7 +656,7 @@ let process_sync t n ~v ~sn ~genid ~metric ~s_int =
         r.n_metric <- metric;
         r.n_heard <- now +. (S.config t).holdtime
     | None ->
-        Hashtbl.replace ns.nbrs v
+        Tbl.replace ns.nbrs v
           {
             n_genid = genid;
             n_metric = metric;
@@ -715,7 +718,7 @@ let sweep t ~now =
         audit t n
       end
       else
-        match Hashtbl.find_opt st.nodes n with
+        match Tbl.find_opt st.nodes n with
         | None -> ()
         | Some ns ->
             expire_neighbors t n ns ~now;
@@ -731,7 +734,7 @@ let hooks =
     sweep;
     state_size =
       (fun t ->
-        Hashtbl.fold
+        Tbl.fold
           (fun _ ns acc -> acc + Hs.Table.size ns.down)
           (S.state t).nodes 0);
     (* A crash voids the incarnation: tables, dedup windows and the
@@ -741,7 +744,7 @@ let hooks =
     crash_wipe =
       (fun t n ->
         let st = S.state t in
-        Hashtbl.remove st.nodes n;
+        Tbl.remove st.nodes n;
         Rel.drop_node st.rel n);
     join_tick =
       (fun t ~member ->
@@ -756,7 +759,7 @@ let hooks =
         audit t m);
     on_unsubscribe =
       (fun t m ->
-        match Hashtbl.find_opt (S.state t).nodes m with
+        match Tbl.find_opt (S.state t).nodes m with
         | None -> ()
         | Some ns ->
             ns.ns_member <- false;
@@ -796,10 +799,10 @@ type node_view = {
 let view t =
   let st = S.state t in
   let now = S.now t in
-  Hashtbl.fold
+  Tbl.fold
     (fun n ns acc ->
       let vw_nbrs =
-        Hashtbl.fold
+        Tbl.fold
           (fun v (r : nbr) acc ->
             {
               nv_node = v;
@@ -824,7 +827,7 @@ let view t =
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let genid t n =
-  Option.map (fun ns -> ns.ns_genid) (Hashtbl.find_opt (S.state t).nodes n)
+  Option.map (fun ns -> ns.ns_genid) (Tbl.find_opt (S.state t).nodes n)
 
 let pending_digest t b = Rel.digest (S.state t).rel b
 let metric t n = metric_of t n

@@ -61,7 +61,7 @@ type 'p t = {
      and nothing else. *)
   mutable faults_on : bool;
   mutable default_loss : float;
-  down_nodes : (int, unit) Hashtbl.t;
+  down_nodes : bool array;  (* by node id *)
   mutable fault_rng : Stats.Rng.t option;
   mutable drop_filter : ('p Packet.t -> bool) option;
   mutable hostile : hostile option;
@@ -126,7 +126,7 @@ let create ?(default_ttl = 255) ?trace engine table =
     c = zero_counters ();
     faults_on = false;
     default_loss = 0.0;
-    down_nodes = Hashtbl.create 8;
+    down_nodes = Array.make (Topology.Graph.node_count graph) false;
     fault_rng = None;
     drop_filter = None;
     hostile = None;
@@ -248,23 +248,16 @@ let set_link_up t u v b =
     t.pending_down <- (u, v) :: t.pending_down
   end
 
-let node_up t n = not (Hashtbl.mem t.down_nodes n)
+let node_up t n = not t.down_nodes.(n)
 
 let on_node_event t f = t.node_listeners <- t.node_listeners @ [ f ]
 let on_route_change t f = t.route_listeners <- t.route_listeners @ [ f ]
 let on_delivery t f = t.delivery_listeners <- t.delivery_listeners @ [ f ]
 
 let set_node_up t n b =
-  let changed =
-    if b then Hashtbl.mem t.down_nodes n
-    else not (Hashtbl.mem t.down_nodes n)
-  in
-  if changed then begin
-    if b then Hashtbl.remove t.down_nodes n
-    else begin
-      Hashtbl.replace t.down_nodes n ();
-      t.faults_on <- true
-    end;
+  if t.down_nodes.(n) = b then begin
+    t.down_nodes.(n) <- not b;
+    if not b then t.faults_on <- true;
     if Obs.Trace.active t.trace then
       Obs.Trace.event t.trace ~time:(now t) ~node:n
         (if b then Obs.Event.Node_restart else Obs.Event.Node_crash);
@@ -296,13 +289,10 @@ let reconverge t =
            t.pending_down)
     else List.filter (Routing.Table.cached table) (List.init n Fun.id)
   in
-  let snapshot d =
-    Array.init n (fun u ->
-        match Routing.Table.next_hop table u ~dest:d with
-        | None -> -1
-        | Some h -> h)
-  in
-  let before = List.map (fun d -> (d, snapshot d)) affected in
+  (* An in-tree is immutable once built, so the old next-hop arrays
+     stay valid after the cache drops their trees. *)
+  let next d = (Routing.Table.in_tree table d).Routing.Dijkstra.next in
+  let before = List.map (fun d -> (d, next d)) affected in
   if targeted then List.iter (Routing.Table.invalidate_dest table) affected
   else Routing.Table.invalidate_all table;
   t.pending_down <- [];
@@ -310,8 +300,10 @@ let reconverge t =
   let changed = ref 0 in
   List.iter
     (fun (d, old) ->
-      let fresh = snapshot d in
-      Array.iteri (fun u h -> if fresh.(u) <> h then incr changed) old)
+      let fresh = next d in
+      for u = 0 to n - 1 do
+        if fresh.(u) <> old.(u) then incr changed
+      done)
     before;
   route_changed t ~changed:!changed;
   !changed
@@ -568,12 +560,13 @@ type 'p snapshot = {
   s_links : Topology.Graph.link_state;
   s_counters : counters;
   s_sinks : (int, int) Hashtbl.t;
-  s_data_loads : (int, int) Hashtbl.t;
+  s_data_loads : (int * int) list;
   s_dl_nodes : int array;
   s_dl_delays : float array;
   s_faults_on : bool;
   s_default_loss : float;
-  s_down_nodes : (int, unit) Hashtbl.t;
+  s_down_nodes : bool array;
+  s_trees : Routing.Table.saved;
   s_fault_rng : Stats.Rng.t option;
   s_drop_filter : ('p Packet.t -> bool) option;
   s_hostile : hostile option;
@@ -600,12 +593,15 @@ let snapshot t =
     s_links = Topology.Graph.save_links t.graph;
     s_counters = copy_counters t.c;
     s_sinks = Hashtbl.copy t.sinks;
-    s_data_loads = Hashtbl.copy t.data_loads;
+    (* The entries only: a [Hashtbl.copy] would copy all 256 buckets
+       of the table at every checkpoint. *)
+    s_data_loads = Hashtbl.fold (fun k n acc -> (k, n) :: acc) t.data_loads [];
     s_dl_nodes = Array.sub t.dl_nodes 0 t.dl_len;
     s_dl_delays = Array.sub t.dl_delays 0 t.dl_len;
     s_faults_on = t.faults_on;
     s_default_loss = t.default_loss;
-    s_down_nodes = Hashtbl.copy t.down_nodes;
+    s_down_nodes = Array.copy t.down_nodes;
+    s_trees = Routing.Table.save t.table;
     s_fault_rng = Option.map Stats.Rng.copy t.fault_rng;
     s_drop_filter = t.drop_filter;
     s_hostile = Option.map copy_hostile t.hostile;
@@ -624,7 +620,8 @@ let restore t s =
   Topology.Graph.restore_links t.graph s.s_links;
   t.c <- copy_counters s.s_counters;
   restore_tbl t.sinks s.s_sinks;
-  restore_tbl t.data_loads s.s_data_loads;
+  Hashtbl.reset t.data_loads;
+  List.iter (fun (k, n) -> Hashtbl.replace t.data_loads k n) s.s_data_loads;
   (* Copies, so post-restore deliveries never scribble on the
      snapshot's arrays (one snapshot supports repeated restores). *)
   t.dl_nodes <- Array.copy s.s_dl_nodes;
@@ -632,7 +629,7 @@ let restore t s =
   t.dl_len <- Array.length s.s_dl_nodes;
   t.faults_on <- s.s_faults_on;
   t.default_loss <- s.s_default_loss;
-  restore_tbl t.down_nodes s.s_down_nodes;
+  Array.blit s.s_down_nodes 0 t.down_nodes 0 t.n_nodes;
   (* Copy in this direction too, so one snapshot supports repeated
      restores with identical draws each time. *)
   t.fault_rng <- Option.map Stats.Rng.copy s.s_fault_rng;
@@ -646,10 +643,11 @@ let restore t s =
   t.pending_down <- [];
   t.pending_restore <- false;
   (* The snapshot was taken at a routing-converged point (enforced
-     above).  If the links had to be rewritten, a full invalidation
-     frees any cache built against post-snapshot topology.  If not,
-     the generation never moved: every cached in-tree was built from
-     the snapshot's own link state (a pure function of it), so the
-     cache stays. *)
+     above), so its cached in-trees are the SPF of its link state.  If
+     the links had to be rewritten, those trees come back and any
+     built against post-snapshot topology go.  If not, the generation
+     never moved: every cached in-tree was built from the snapshot's
+     own link state (a pure function of it), so the cache stays, with
+     whatever it gained since. *)
   if Topology.Graph.generation t.graph <> generation then
-    Routing.Table.invalidate_all t.table
+    Routing.Table.reinstate t.table s.s_trees

@@ -150,8 +150,10 @@ val reconverge : 'p t -> int
     a call with no recorded link change, e.g. after direct cost
     mutations — falls back to invalidating every cached destination.
     Either way only destinations that were actually cached are
-    recomputed for the change count; the rest rebuild lazily on their
-    next lookup. *)
+    recomputed for the change count, which compares each one's old and
+    new {!Routing.Dijkstra.in_tree} [next] arrays (in-trees are
+    immutable, so the old array outlives its eviction); the rest
+    rebuild lazily on their next lookup. *)
 
 val route_changed : 'p t -> changed:int -> unit
 (** Announce that the routing table was recomputed ([changed] =
@@ -224,16 +226,19 @@ val reset_data_accounting : 'p t -> unit
     network: the engine (clock and event queue), the topology's
     mutable link state, the accounting counters, the sink and fault
     tables, the fault RNG (copied, so restored runs redraw the same
-    losses), and the [ttl]/[via] of every in-flight packet, which its
-    queued hop event carries and writes back on arrival.  Restoring
-    rewinds all of it in place.  The routing cache is invalidated only
-    when the links had to be rewritten
-    ({!Topology.Graph.restore_links}): the snapshot point is
-    routing-converged, so that is the identity there, and at an
-    unchanged graph generation every cached in-tree is already the
-    snapshot's own and is kept.  Trace and {!Obs.Metrics} output are
-    observability, not simulation state, and are not rewound.  One
-    snapshot may be restored any number of times. *)
+    losses), the set of crashed nodes, the [ttl]/[via] of every
+    in-flight packet, which its queued hop event carries and writes
+    back on arrival, and the routing cache's slots
+    ({!Routing.Table.save}: n pointers, the in-trees are shared).
+    Restoring rewinds all of it in place.  When the links had to be
+    rewritten ({!Topology.Graph.restore_links}) the cache gets the
+    snapshot's in-trees back: the snapshot point is routing-converged,
+    so they are exactly what SPF would rebuild there, and no SPF runs.
+    At an unchanged graph generation every cached in-tree is already
+    the snapshot's own and the cache is kept as it is.  Trace and
+    {!Obs.Metrics} output are observability, not simulation state, and
+    are not rewound.  One snapshot may be restored any number of
+    times. *)
 
 type 'p snapshot
 

@@ -1,6 +1,7 @@
 module Net = Netsim.Network
 module Pkt = Netsim.Packet
 module Wheel = Eventsim.Wheel
+module Tbl = Node_tables.Int_tbl
 
 type 'p port = {
   p_handle : int -> 'p Pkt.t -> Net.verdict;
@@ -11,7 +12,7 @@ type 'p port = {
 
 type 'p t = {
   network : 'p Net.t;
-  ports : (int, 'p port) Hashtbl.t;
+  ports : 'p port Tbl.t;
   mutable ports_fwd : 'p port list; (* registration order *)
   covered : bool array; (* by node id *)
   wheel : Wheel.t;
@@ -21,19 +22,19 @@ let create ?tag ~key_of network =
   let t =
     {
       network;
-      ports = Hashtbl.create 64;
+      ports = Tbl.create 64;
       ports_fwd = [];
       covered = Array.make (Topology.Graph.node_count (Net.graph network)) false;
       wheel = Wheel.create ?tag (Net.engine network);
     }
   in
   (* The network's one handler: a coverage test, then an O(1) key
-     lookup.  [Hashtbl.find] rather than [find_opt] keeps the per-hop
+     lookup.  [Tbl.find] rather than [find_opt] keeps the per-hop
      path allocation-free. *)
   Net.set_handler network (fun _net node (p : 'p Pkt.t) ->
       if not t.covered.(node) then Net.Forward
       else
-        match Hashtbl.find t.ports (key_of p.Pkt.payload) with
+        match Tbl.find t.ports (key_of p.Pkt.payload) with
         | port -> port.p_handle node p
         | exception Not_found -> Net.Forward);
   Net.on_node_event network (fun ~up n ->
@@ -41,7 +42,7 @@ let create ?tag ~key_of network =
   Net.on_route_change network (fun ~changed ->
       List.iter (fun po -> po.p_route_change ~changed) t.ports_fwd);
   Net.on_delivery network (fun ~now ~node p ->
-      match Hashtbl.find t.ports (key_of p.Pkt.payload) with
+      match Tbl.find t.ports (key_of p.Pkt.payload) with
       | port -> port.p_deliver ~now ~node p
       | exception Not_found -> ());
   t
@@ -49,12 +50,12 @@ let create ?tag ~key_of network =
 let network t = t.network
 let engine t = Net.engine t.network
 let timers t = t.wheel
-let channels t = Hashtbl.length t.ports
+let channels t = Tbl.length t.ports
 
 let register t ~key port =
-  if Hashtbl.mem t.ports key then
+  if Tbl.mem t.ports key then
     invalid_arg (Printf.sprintf "Mux.register: duplicate channel key %d" key);
-  Hashtbl.replace t.ports key port;
+  Tbl.replace t.ports key port;
   t.ports_fwd <- t.ports_fwd @ [ port ]
 
 let cover t n = t.covered.(n) <- true

@@ -5,6 +5,18 @@ module type TABLE = sig
   val copy : t -> t
 end
 
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  (* One multiply spreads every key bit upward; folding the high half
+     back down lets the low bits the bucket index keeps see them all. *)
+  let hash x =
+    let h = x * 0x9E3779B97F4A7C1 in
+    h lxor (h lsr 32)
+end)
+
 module Make (T : TABLE) = struct
   type t = (int, T.t) Hashtbl.t
 

@@ -29,6 +29,13 @@ module type TABLE = sig
   (** Deep copy — checkpoint support. *)
 end
 
+module Int_tbl : Hashtbl.S with type key = int
+(** Int-keyed hash tables on a multiplicative integer mix instead of
+    the polymorphic [Hashtbl.hash]: the runtime's node-, slot- and
+    channel-keyed tables.  Bucket order differs from [Hashtbl]'s, so
+    every fold or iteration over one either sorts its keys first or
+    computes something order-free (a sum, a strict minimum, a copy). *)
+
 module Make (T : TABLE) : sig
   type t = (int, T.t) Hashtbl.t
 

@@ -11,6 +11,8 @@
    (see lib/hpim for the pump pattern), so an idle session costs zero
    engine events. *)
 
+module Tbl = Node_tables.Int_tbl
+
 type 'm slot = {
   s_from : int;
   s_dst : int;
@@ -24,7 +26,7 @@ type 'm slot = {
 type 'm t = {
   rto : float;
   rto_max : float;
-  slots : (int, 'm slot) Hashtbl.t;
+  slots : 'm slot Tbl.t;
 }
 
 (* Flat slot key; supports node ids below 2^20 (the largest topology
@@ -34,19 +36,19 @@ let key ~from ~dst ~cls = (((from lsl 20) lor dst) lsl 2) lor cls
 let create ?(rto = 30.0) ?(rto_max = 120.0) () =
   if rto <= 0.0 || rto_max < rto then
     invalid_arg "Proto.Reliable.create: need 0 < rto <= rto_max";
-  { rto; rto_max; slots = Hashtbl.create 16 }
+  { rto; rto_max; slots = Tbl.create 16 }
 
 let rto t = t.rto
 
 let copy t =
-  let slots = Hashtbl.create (max 16 (Hashtbl.length t.slots)) in
-  Hashtbl.iter
-    (fun k (s : _ slot) -> Hashtbl.replace slots k { s with s_from = s.s_from })
+  let slots = Tbl.create (max 16 (Tbl.length t.slots)) in
+  Tbl.iter
+    (fun k (s : _ slot) -> Tbl.replace slots k { s with s_from = s.s_from })
     t.slots;
   { t with slots }
 
 let post t ~now ~from ~dst ~cls ~sn payload =
-  Hashtbl.replace t.slots (key ~from ~dst ~cls)
+  Tbl.replace t.slots (key ~from ~dst ~cls)
     {
       s_from = from;
       s_dst = dst;
@@ -59,28 +61,28 @@ let post t ~now ~from ~dst ~cls ~sn payload =
 
 let ack t ~from ~dst ~cls ~sn =
   let k = key ~from ~dst ~cls in
-  match Hashtbl.find_opt t.slots k with
-  | Some s when s.s_sn <= sn -> Hashtbl.remove t.slots k
+  match Tbl.find_opt t.slots k with
+  | Some s when s.s_sn <= sn -> Tbl.remove t.slots k
   | Some _ | None -> ()
 
-let cancel t ~from ~dst ~cls = Hashtbl.remove t.slots (key ~from ~dst ~cls)
+let cancel t ~from ~dst ~cls = Tbl.remove t.slots (key ~from ~dst ~cls)
 
 let cancel_if t f =
   let doomed =
-    Hashtbl.fold (fun k s acc -> if f s then k :: acc else acc) t.slots []
+    Tbl.fold (fun k s acc -> if f s then k :: acc else acc) t.slots []
   in
-  List.iter (Hashtbl.remove t.slots) doomed
+  List.iter (Tbl.remove t.slots) doomed
 
 let cancel_between t ~from ~dst =
   cancel_if t (fun s -> s.s_from = from && s.s_dst = dst)
 
 let drop_node t node = cancel_if t (fun s -> s.s_from = node)
 
-let pending t = Hashtbl.length t.slots
+let pending t = Tbl.length t.slots
 
 let due_iter t ~now f =
   let due =
-    Hashtbl.fold
+    Tbl.fold
       (fun k s acc -> if s.s_next <= now then (k, s) :: acc else acc)
       t.slots []
     |> List.sort (fun (a, _) (b, _) -> compare a b)
@@ -96,7 +98,7 @@ let due_iter t ~now f =
     due
 
 let digest t b =
-  Hashtbl.fold (fun k _ acc -> k :: acc) t.slots []
+  Tbl.fold (fun k _ acc -> k :: acc) t.slots []
   |> List.sort compare
   |> List.iter (fun k ->
          Buffer.add_char b 'r';

@@ -45,7 +45,9 @@ val rto : _ t -> float
 
 val copy : 'm t -> 'm t
 (** Deep copy (payloads are shared — messages are immutable) —
-    checkpoint primitive. *)
+    checkpoint primitive.  Every walk over the slots that can reach an
+    output ({!due_iter}, {!digest}) sorts by key, so neither the copy's
+    bucket order nor the integer mix behind it shows. *)
 
 val post : 'm t -> now:float -> from:int -> dst:int -> cls:int -> sn:int -> 'm -> unit
 (** Register the latest message toward [(dst, cls)].  The caller
@@ -68,6 +70,10 @@ val drop_node : 'm t -> int -> unit
     node's old intentions are void. *)
 
 val cancel_if : 'm t -> ('m slot -> bool) -> unit
+(** Clear every slot the predicate holds for.  The slots live in an
+    int-keyed table ({!Node_tables.Int_tbl}) whose bucket order is
+    unspecified, so the predicate sees them in no particular order and
+    must be pure. *)
 
 val pending : _ t -> int
 (** Pending slot count — the pump's arm/stop condition. *)

@@ -2,6 +2,7 @@ module Net = Netsim.Network
 module Pkt = Netsim.Packet
 module Engine = Eventsim.Engine
 module Wheel = Eventsim.Wheel
+module Tbl = Node_tables.Int_tbl
 
 module type PROTOCOL = sig
   val name : string
@@ -123,12 +124,12 @@ module Make (P : PROTOCOL) = struct
     mutable state : P.state;
     hooks : hooks;
     mutable members : int list;
-    member_timers : (int, Wheel.entry) Hashtbl.t;
-    member_handler_installed : (int, unit) Hashtbl.t;
+    member_timers : Wheel.entry Tbl.t;
+    member_handler_installed : unit Tbl.t;
     mutable data_seq : int;
     (* The loop damper: per node, the highest data sequence number
        fanned out there (see [forward_data]). *)
-    mutable data_seen : (int, int) Hashtbl.t;
+    mutable data_seen : int Tbl.t;
     (* Generation counter over the unicast routing: bumped on every
        reconvergence that actually changed a next hop.  Protocols
        stamp soft-state entries with the epoch of the forward-path
@@ -249,10 +250,10 @@ module Make (P : PROTOCOL) = struct
         state = P.create_state config;
         hooks;
         members = [];
-        member_timers = Hashtbl.create 16;
-        member_handler_installed = Hashtbl.create 16;
+        member_timers = Tbl.create 16;
+        member_handler_installed = Tbl.create 16;
         data_seq = 0;
-        data_seen = Hashtbl.create 16;
+        data_seen = Tbl.create 16;
         route_epoch = 0;
         spans = Obs.Span.create ();
       }
@@ -270,7 +271,7 @@ module Make (P : PROTOCOL) = struct
         else Net.Forward
       else
         match hooks.member_agent with
-        | Some h when Hashtbl.mem t.member_handler_installed node -> h t node p
+        | Some h when Tbl.mem t.member_handler_installed node -> h t node p
         | _ -> Net.Forward
     in
     let port =
@@ -299,7 +300,7 @@ module Make (P : PROTOCOL) = struct
           (fun ~up n ->
             if not up then begin
               Obs.Metrics.hot_incr m_crash_wipes;
-              Hashtbl.remove t.data_seen n;
+              Tbl.remove t.data_seen n;
               hooks.crash_wipe t n;
               notef t ~node:n "crash: %s state wiped" P.label
             end);
@@ -364,9 +365,9 @@ module Make (P : PROTOCOL) = struct
       | Some _ ->
           if
             Topology.Graph.is_host t.graph r
-            && not (Hashtbl.mem t.member_handler_installed r)
+            && not (Tbl.mem t.member_handler_installed r)
           then begin
-            Hashtbl.replace t.member_handler_installed r ();
+            Tbl.replace t.member_handler_installed r ();
             Mux.cover t.mux r
           end
       | None -> ());
@@ -381,7 +382,7 @@ module Make (P : PROTOCOL) = struct
           ~period:(P.join_period t.config) (fun () ->
             t.hooks.join_tick t ~member:r)
       in
-      Hashtbl.replace t.member_timers r entry
+      Tbl.replace t.member_timers r entry
     end
 
   let unsubscribe t r =
@@ -389,10 +390,10 @@ module Make (P : PROTOCOL) = struct
       if trace_active t then ev t ~node:r Obs.Event.Member_leave;
       ignore (Obs.Span.drop t.spans join_span ~key:r);
       t.members <- List.filter (fun m -> m <> r) t.members;
-      (match Hashtbl.find_opt t.member_timers r with
+      (match Tbl.find_opt t.member_timers r with
       | Some entry ->
           Wheel.stop entry;
-          Hashtbl.remove t.member_timers r
+          Tbl.remove t.member_timers r
       | None -> ());
       t.hooks.on_unsubscribe t r;
       (* The member-agent install mark stays set (the node stays
@@ -413,9 +414,9 @@ module Make (P : PROTOCOL) = struct
      targets are read only once the copy is admitted, so a damped copy
      costs no table or routing read. *)
   let forward_data t ~at (p : P.msg Pkt.t) ~seq =
-    let seen = Option.value ~default:0 (Hashtbl.find_opt t.data_seen at) in
+    let seen = Option.value ~default:0 (Tbl.find_opt t.data_seen at) in
     if seq > seen then begin
-      Hashtbl.replace t.data_seen at seq;
+      Tbl.replace t.data_seen at seq;
       List.iter
         (fun d ->
           meter t ~from:at p.Pkt.payload;
@@ -484,7 +485,7 @@ module Make (P : PROTOCOL) = struct
     s_state : P.state;
     s_members : int list;
     s_data_seq : int;
-    s_data_seen : (int, int) Hashtbl.t;
+    s_data_seen : int Tbl.t;
     s_route_epoch : int;
     s_net : P.msg Net.snapshot;
     s_timers : (int * Wheel.entry) list;
@@ -497,13 +498,13 @@ module Make (P : PROTOCOL) = struct
       s_state = P.copy_state t.state;
       s_members = t.members;
       s_data_seq = t.data_seq;
-      s_data_seen = Hashtbl.copy t.data_seen;
+      s_data_seen = Tbl.copy t.data_seen;
       s_route_epoch = t.route_epoch;
       s_net = Net.snapshot t.network;
-      s_timers = Hashtbl.fold (fun m e acc -> (m, e) :: acc) t.member_timers [];
+      s_timers = Tbl.fold (fun m e acc -> (m, e) :: acc) t.member_timers [];
       s_mux = Mux.save_state t.mux;
       s_agents =
-        Hashtbl.fold (fun m () acc -> m :: acc) t.member_handler_installed [];
+        Tbl.fold (fun m () acc -> m :: acc) t.member_handler_installed [];
     }
 
   let restore t s =
@@ -518,12 +519,12 @@ module Make (P : PROTOCOL) = struct
     t.state <- P.copy_state s.s_state;
     t.members <- s.s_members;
     t.data_seq <- s.s_data_seq;
-    t.data_seen <- Hashtbl.copy s.s_data_seen;
+    t.data_seen <- Tbl.copy s.s_data_seen;
     t.route_epoch <- s.s_route_epoch;
-    Hashtbl.reset t.member_timers;
-    List.iter (fun (m, e) -> Hashtbl.replace t.member_timers m e) s.s_timers;
-    Hashtbl.reset t.member_handler_installed;
+    Tbl.reset t.member_timers;
+    List.iter (fun (m, e) -> Tbl.replace t.member_timers m e) s.s_timers;
+    Tbl.reset t.member_handler_installed;
     List.iter
-      (fun m -> Hashtbl.replace t.member_handler_installed m ())
+      (fun m -> Tbl.replace t.member_handler_installed m ())
       s.s_agents
 end

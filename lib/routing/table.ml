@@ -79,6 +79,16 @@ let invalidate_edge t u v =
   List.iter (invalidate_dest t) dirty;
   dirty
 
+(* A pointer copy: the trees themselves are immutable and shared. *)
+type saved = Dijkstra.in_tree option array
+
+let save t = Array.copy t.trees
+
+let reinstate t (s : saved) =
+  if Array.length s <> Array.length t.trees then
+    invalid_arg "Table.reinstate: saved from a different table";
+  Array.blit s 0 t.trees 0 (Array.length s)
+
 let next_hop t u ~dest = Dijkstra.next_hop (in_tree t dest) u
 
 let distance t u v = Dijkstra.distance (in_tree t v) u

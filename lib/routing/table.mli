@@ -66,6 +66,23 @@ val cached : t -> int -> bool
 
 val graph : t -> Topology.Graph.t
 
+(** {1 Checkpoint} *)
+
+type saved
+(** The set of cached in-trees at one instant. *)
+
+val save : t -> saved
+(** A copy of the cache's slots, O(nodes) pointer copies: the trees
+    are immutable and shared with the live table. *)
+
+val reinstate : t -> saved -> unit
+(** Make the cache hold exactly the saved trees again.  Sound only
+    when the graph's routing state is back to what it was at {!save}
+    (as after {!Topology.Graph.restore_links} of links saved at the
+    same instant) and no link change was pending then: every saved
+    tree is then what a fresh SPF would build.
+    Raises [Invalid_argument] for a [saved] of another table's size. *)
+
 val in_tree : t -> int -> Dijkstra.in_tree
 (** The in-tree of a destination (computing and caching it if
     needed). *)

@@ -188,6 +188,117 @@ let test_restore_after_link_change () =
   Alcotest.(check (list (list (option int)))) "pre-save next hops" before
     (next_hops net)
 
+(* A restore across a link change brings back the snapshot's own
+   cached in-trees: exactly the destinations cached at the snapshot are
+   cached again, each answers with no SPF run and its pre-save next
+   hops, and one snapshot serves two restores. *)
+let test_restore_reinstates_trees () =
+  let graph = Topology.Isp.create () in
+  let table = Routing.Table.compute graph in
+  let net = Net.create (Eventsim.Engine.create ()) table in
+  let src = Topology.Isp.source in
+  let dst = List.hd Topology.Isp.receiver_hosts in
+  List.iter
+    (fun d -> ignore (Routing.Table.in_tree table d))
+    (src :: Topology.Isp.receiver_hosts);
+  let all = List.init (G.node_count graph) Fun.id in
+  let cached () = List.filter (Routing.Table.cached table) all in
+  let at_snapshot = cached () in
+  let hops d =
+    List.map (fun u -> Routing.Table.next_hop table u ~dest:d) all
+  in
+  let before = List.map hops at_snapshot in
+  (* a router-to-router link on the source's path to [dst] *)
+  let rec router_link = function
+    | a :: (b :: _ as rest) ->
+        if G.is_router graph a && G.is_router graph b then (a, b)
+        else router_link rest
+    | _ -> Alcotest.fail "no router link on the path"
+  in
+  let a, b = router_link (Routing.Table.path table src dst) in
+  let snap = Net.snapshot net in
+  for round = 1 to 2 do
+    let name what = Printf.sprintf "round %d: %s" round what in
+    Net.set_link_up net a b false;
+    Alcotest.(check bool) (name "the failure reroutes") true
+      (Net.reconverge net > 0);
+    Net.restore net snap;
+    Alcotest.(check (list int)) (name "the snapshot's cache") at_snapshot
+      (cached ());
+    let runs = spf_runs () in
+    Alcotest.(check (list (list (option int))))
+      (name "pre-save next hops") before
+      (List.map hops at_snapshot);
+    Alcotest.(check int) (name "no SPF rerun") runs (spf_runs ())
+  done
+
+(* A crash is simulation state: restoring a snapshot taken while the
+   node was down takes a later restart back. *)
+let test_restore_keeps_crash () =
+  let engine, net = diamond_network () in
+  Net.set_node_up net 1 false;
+  let snap = Net.snapshot net in
+  Net.set_node_up net 1 true;
+  Alcotest.(check bool) "restarted" true (Net.node_up net 1);
+  Net.restore net snap;
+  Alcotest.(check bool) "down again" false (Net.node_up net 1);
+  Alcotest.(check (list bool)) "the others stay up" [ true; true; true ]
+    (List.map (Net.node_up net) [ 0; 2; 3 ]);
+  Net.originate net ~src:0 ~dst:3 ~kind:Pkt.Control Ping;
+  Eventsim.Engine.run engine;
+  Alcotest.(check int) "traffic through it drops" 1
+    (Net.counters net).Net.dropped_node_down
+
+(* [reconverge] returns exactly the number of (node, destination) next
+   hops that moved, over all destinations: a brute force against fresh
+   SPF runs on the graph before and after each batch of link changes.
+   The table's own next hops must match the fresh ones afterwards. *)
+let fresh_next_hops g =
+  Array.init (G.node_count g) (fun d ->
+      Array.copy (Routing.Dijkstra.to_dest g d).Routing.Dijkstra.next)
+
+let moved before after =
+  let c = ref 0 in
+  Array.iteri
+    (fun d row ->
+      Array.iteri (fun u h -> if after.(d).(u) <> h then incr c) row)
+    before;
+  !c
+
+let table_next_hops net =
+  let n = G.node_count (Net.graph net) in
+  Array.init n (fun d ->
+      Array.init n (fun u ->
+          match Routing.Table.next_hop (Net.table net) u ~dest:d with
+          | Some h -> h
+          | None -> -1))
+
+let prop_reconverge_counts name make_graph =
+  QCheck.Test.make ~count:40
+    ~name:(name ^ ": reconverge counts the moved next hops")
+    QCheck.(
+      list_of_size
+        Gen.(1 -- 6)
+        (list_of_size Gen.(1 -- 3) (pair small_nat bool)))
+    (fun batches ->
+      let g = make_graph () in
+      let links = Array.of_list (G.links g) in
+      let net =
+        Net.create (Eventsim.Engine.create ()) (Routing.Table.compute g)
+      in
+      List.for_all
+        (fun batch ->
+          let before = fresh_next_hops g in
+          List.iter
+            (fun (i, up) ->
+              let l = links.(i mod Array.length links) in
+              Net.set_link_up net l.G.u l.G.v up)
+            batch;
+          let changed = Net.reconverge net in
+          let after = fresh_next_hops g in
+          changed = moved before after && table_next_hops net = after)
+        batches)
+
 (* A packet still in flight at the snapshot is rewound with it: after
    a restore it reaches the same nodes with the same ttl and previous
    hop as the first time, although that run already decremented its
@@ -441,7 +552,19 @@ let () =
             test_restore_after_link_change;
           Alcotest.test_case "restore rewinds in-flight packets" `Quick
             test_restore_rewinds_inflight;
+          Alcotest.test_case "restore reinstates the cached trees" `Quick
+            test_restore_reinstates_trees;
+          Alcotest.test_case "restore keeps a crash" `Quick
+            test_restore_keeps_crash;
         ] );
+      ( "reconverge",
+        List.map QCheck_alcotest.to_alcotest
+          [
+            prop_reconverge_counts "ISP" Topology.Isp.create;
+            prop_reconverge_counts "RAND50" (fun () ->
+                (Experiments.Common.rand50_config ~seed:7)
+                  .Experiments.Common.graph);
+          ] );
       ( "faults",
         [
           Alcotest.test_case "bernoulli loss" `Quick test_bernoulli_loss_drop;

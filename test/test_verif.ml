@@ -425,6 +425,36 @@ let test_golden_hpim_assert file () =
     (Printf.sprintf "replays in under 5 s (took %.2f s)" elapsed)
     true (elapsed < 5.0)
 
+(* The crashed-router defect: after [crash 17] and both of its router
+   links coming back up, member 28 is left without data under HBH,
+   REUNITE and PIM-SSM, while HPIM-DM's hard state re-parents and
+   replays clean.  The explorer only reaches this shape past its
+   default state cap, so this replay is the tripwire CI sees; the fix
+   flips the three soft-state stacks to clean. *)
+let test_golden_crashed_router () =
+  let plan =
+    Fault.Plan.of_string (read_file "golden/hbh-crashed-router.plan")
+  in
+  let blackholed (v : Verif.Oracle.violation) =
+    v.Verif.Oracle.oracle = "no_blackhole"
+    && v.Verif.Oracle.detail = "member 28 received no data"
+  in
+  let start = Unix.gettimeofday () in
+  List.iter
+    (fun protocol ->
+      let vs = Verif.Scenario.replay_plan (isp_sut protocol ()) plan in
+      let name = Verif.Sut.name protocol in
+      if protocol = Verif.Sut.Hpim_dm then
+        Alcotest.(check int) (name ^ " replays clean") 0 (List.length vs)
+      else
+        Alcotest.(check bool)
+          (name ^ " black-holes member 28") true (List.exists blackholed vs))
+    all_protocols;
+  let elapsed = Unix.gettimeofday () -. start in
+  Alcotest.(check bool)
+    (Printf.sprintf "replays in under 5 s (took %.2f s)" elapsed)
+    true (elapsed < 5.0)
+
 (* The run settles the initial state before the first event, as the
    explorer does: [crash 0] alone violates on that timeline, where a
    run that skipped the settle needed a filler event to buy the time.
@@ -623,6 +653,8 @@ let () =
                 `Quick (test_golden_hpim_assert file))
             hpim_goldens
         @ [
+            Alcotest.test_case "crashed-router fixture black-holes member 28"
+              `Quick test_golden_crashed_router;
             Alcotest.test_case "the initial state settles first" `Quick
               test_initial_settle;
             Alcotest.test_case "an unsettled point gets no verdict" `Quick
