@@ -11,19 +11,18 @@ let m_loss_changes = Obs.Metrics.hot_counter "fault.loss_changes"
 let m_partitions = Obs.Metrics.hot_counter "fault.partitions"
 let m_hostile = Obs.Metrics.hot_counter "fault.hostile_changes"
 
+(* A link's facts besides its endpoints' liveness ({!Net.node_up}): the
+   explicitly failed links (ascending, [u < v]) and the open named
+   partitions' cuts.  Immutable, so a checkpoint is just the value. *)
+type facts = {
+  failed : (int * int) list;
+  cuts : (string * (int * int) list) list;
+}
+
 type 'p t = {
   net : 'p Net.t;
   graph : G.t;
-  (* Down-cause refcounts per undirected link: an explicit Link_down
-     is one cause, each crashed endpoint is another.  A link is
-     operational iff it has no causes, so a restart does not revive a
-     link that was also failed explicitly. *)
-  causes : (int * int, int) Hashtbl.t;
-  crashed : (int, unit) Hashtbl.t;
-  (* Named partitions remember the exact links they cut, so the
-     matching heal restores precisely those even if the graph's link
-     state moved underneath (a crash on the island boundary, say). *)
-  partitions : (string, (int * int) list) Hashtbl.t;
+  mutable facts : facts;
   (* Membership hooks: how Join/Leave directives reach the protocol
      session (the injector is protocol-agnostic). *)
   mutable subscribe : (int -> unit) option;
@@ -34,9 +33,7 @@ let create net =
   {
     net;
     graph = Net.graph net;
-    causes = Hashtbl.create 16;
-    crashed = Hashtbl.create 8;
-    partitions = Hashtbl.create 4;
+    facts = { failed = []; cuts = [] };
     subscribe = None;
     unsubscribe = None;
   }
@@ -45,6 +42,7 @@ let set_membership t ~subscribe ~unsubscribe =
   t.subscribe <- Some subscribe;
   t.unsubscribe <- Some unsubscribe
 
+let failed_links t = t.facts.failed
 let canon u v = if u <= v then (u, v) else (v, u)
 
 let trace_link t ~up u v =
@@ -53,26 +51,38 @@ let trace_link t ~up u v =
     Obs.Trace.event trace ~time:(Net.now t.net) ~node:u
       (if up then Obs.Event.Link_up { u; v } else Obs.Event.Link_down { u; v })
 
-let add_cause t u v =
+(* A link is up iff it is not failed, in no open cut, and both of its
+   endpoints are up; the graph's flag moves only where that changed. *)
+let sync t (u, v) =
   let k = canon u v in
-  let c = Option.value ~default:0 (Hashtbl.find_opt t.causes k) in
-  Hashtbl.replace t.causes k (c + 1);
-  if c = 0 then begin
-    Net.set_link_up t.net u v false;
-    Obs.Metrics.hot_incr m_link_downs;
-    trace_link t ~up:false u v
+  let is_k (a, b) = canon a b = k in
+  let { failed; cuts } = t.facts in
+  let up =
+    (not (List.mem k failed))
+    && (not (List.exists (fun (_, cut) -> List.exists is_k cut) cuts))
+    && Net.node_up t.net u && Net.node_up t.net v
+  in
+  if G.link_up t.graph u v <> up then begin
+    Net.set_link_up t.net u v up;
+    Obs.Metrics.hot_incr (if up then m_link_ups else m_link_downs);
+    trace_link t ~up u v
   end
 
-let remove_cause t u v =
+(* Crash and restart flip the network's liveness fact, link failures
+   the injector's own; each re-derives the links it touches. *)
+let set_node t n ~up counter =
+  if Net.node_up t.net n <> up then begin
+    Obs.Metrics.hot_incr counter;
+    Net.set_node_up t.net n up;
+    List.iter (fun w -> sync t (n, w)) (G.neighbors t.graph n)
+  end
+
+let set_failed t u v b =
   let k = canon u v in
-  match Hashtbl.find_opt t.causes k with
-  | None -> ()
-  | Some c when c <= 1 ->
-      Hashtbl.remove t.causes k;
-      Net.set_link_up t.net u v true;
-      Obs.Metrics.hot_incr m_link_ups;
-      trace_link t ~up:true u v
-  | Some c -> Hashtbl.replace t.causes k (c - 1)
+  let rest = List.filter (( <> ) k) t.facts.failed in
+  let failed = if b then List.sort compare (k :: rest) else rest in
+  t.facts <- { t.facts with failed };
+  sync t (u, v)
 
 (* Links with exactly one endpoint inside the island: the partition
    cut.  Membership lists are tiny, List.mem is fine. *)
@@ -90,35 +100,24 @@ let apply t (action : Plan.action) =
   | Plan.Loss_all { rate } ->
       Obs.Metrics.hot_incr m_loss_changes;
       Net.set_default_loss t.net rate
-  | Plan.Link_down { u; v } -> add_cause t u v
-  | Plan.Link_up { u; v } -> remove_cause t u v
-  | Plan.Crash { node } ->
-      if not (Hashtbl.mem t.crashed node) then begin
-        Hashtbl.replace t.crashed node ();
-        Obs.Metrics.hot_incr m_crashes;
-        Net.set_node_up t.net node false;
-        List.iter (fun w -> add_cause t node w) (G.neighbors t.graph node)
-      end
-  | Plan.Restart { node } ->
-      if Hashtbl.mem t.crashed node then begin
-        Hashtbl.remove t.crashed node;
-        Obs.Metrics.hot_incr m_restarts;
-        List.iter (fun w -> remove_cause t node w) (G.neighbors t.graph node);
-        Net.set_node_up t.net node true
-      end
+  | Plan.Link_down { u; v } -> set_failed t u v true
+  | Plan.Link_up { u; v } -> set_failed t u v false
+  | Plan.Crash { node } -> set_node t node ~up:false m_crashes
+  | Plan.Restart { node } -> set_node t node ~up:true m_restarts
   | Plan.Partition_named { name; island } ->
-      if not (Hashtbl.mem t.partitions name) then begin
+      if not (List.mem_assoc name t.facts.cuts) then begin
         Obs.Metrics.hot_incr m_partitions;
         let cut = cut_links t.graph island in
-        Hashtbl.replace t.partitions name cut;
-        List.iter (fun (u, v) -> add_cause t u v) cut
+        t.facts <- { t.facts with cuts = (name, cut) :: t.facts.cuts };
+        List.iter (sync t) cut
       end
   | Plan.Heal_named { name } -> (
-      match Hashtbl.find_opt t.partitions name with
+      match List.assoc_opt name t.facts.cuts with
       | None -> ()
       | Some cut ->
-          Hashtbl.remove t.partitions name;
-          List.iter (fun (u, v) -> remove_cause t u v) cut)
+          let cuts = List.remove_assoc name t.facts.cuts in
+          t.facts <- { t.facts with cuts };
+          List.iter (sync t) cut)
   | Plan.Jitter { max_delay } ->
       Obs.Metrics.hot_incr m_hostile;
       Net.set_jitter t.net max_delay
@@ -155,30 +154,12 @@ let apply t (action : Plan.action) =
       | None ->
           invalid_arg "Fault.Injector: Leave directive without membership hooks")
 
-(* The cause refcounts and crashed set are part of the world state:
-   checkpointing explorers must save them alongside the network, or a
-   restored branch sees stale causes and re-applied crash/link
-   directives silently no-op. *)
-type snap = {
-  s_causes : (int * int, int) Hashtbl.t;
-  s_crashed : (int, unit) Hashtbl.t;
-  s_partitions : (string, (int * int) list) Hashtbl.t;
-}
+(* The link facts are world state that the network snapshot does not
+   hold: checkpointing explorers save them alongside it. *)
+type snap = facts
 
-let save t =
-  {
-    s_causes = Hashtbl.copy t.causes;
-    s_crashed = Hashtbl.copy t.crashed;
-    s_partitions = Hashtbl.copy t.partitions;
-  }
-
-let restore t s =
-  Hashtbl.reset t.causes;
-  Hashtbl.iter (fun k v -> Hashtbl.replace t.causes k v) s.s_causes;
-  Hashtbl.reset t.crashed;
-  Hashtbl.iter (fun k v -> Hashtbl.replace t.crashed k v) s.s_crashed;
-  Hashtbl.reset t.partitions;
-  Hashtbl.iter (fun k v -> Hashtbl.replace t.partitions k v) s.s_partitions
+let save t = t.facts
+let restore t facts = t.facts <- facts
 
 let schedule t plan =
   let engine = Net.engine t.net in

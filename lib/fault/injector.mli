@@ -1,11 +1,11 @@
 (** Applies a {!Plan} to a running network.
 
-    The injector owns the bookkeeping that makes fault combinations
-    compose: per-link down-cause refcounts (an explicit link failure
-    and a crashed endpoint each count as one cause, so restarting a
-    node does not revive a link that was also failed explicitly), the
-    crashed-node set and the cuts of the open named partitions.
-    Routing reconverges only on a {!Plan.Reconverge} directive
+    A link's state is derived from stored facts, never counted: it is
+    up iff it is not failed explicitly, lies in no open named
+    partition's cut, and both of its endpoints are up
+    ({!Netsim.Network.node_up}).  So a restart does not revive a link
+    failed explicitly, nor a link-up a crashed router's link.  Routing
+    reconverges only on a {!Plan.Reconverge} directive
     ({!Netsim.Network.reconverge}). *)
 
 type 'p t
@@ -29,12 +29,15 @@ val set_membership :
 (** Wire {!Plan.Join}/{!Plan.Leave} directives to a protocol session's
     membership calls, making churn expressible in a plan. *)
 
+val failed_links : 'p t -> (int * int) list
+(** The explicitly failed links, [(u, v)] with [u < v], ascending: the
+    fact a {!Plan.Link_up} clears. *)
+
 (** {1 Checkpoint / restore}
 
-    The down-cause refcounts and crashed set are world state: a
-    checkpointing explorer ({!Netsim.Network.snapshot}) must carry
-    them along, or a restored branch sees stale causes and re-applied
-    crash/link directives silently no-op. *)
+    The failed links and open cuts are world state the network
+    snapshot ({!Netsim.Network.snapshot}) does not hold: a
+    checkpointing explorer saves them alongside it. *)
 
 type snap
 

@@ -10,13 +10,14 @@ type action =
   | Loss_all of { rate : float }
       (** Background loss rate on every directed link. *)
   | Link_down of { u : int; v : int }  (** Fail a link, both directions. *)
-  | Link_up of { u : int; v : int }  (** Restore a failed link. *)
+  | Link_up of { u : int; v : int }  (** Clear a link's failure. *)
   | Crash of { node : int }
       (** The node goes down: its soft state is wiped (protocol
           sessions listen for this), its incident links drop, and all
           traffic touching it is lost. *)
   | Restart of { node : int }
-      (** The node comes back blank; incident links are restored. *)
+      (** The node comes back blank, and so do the incident links
+          nothing else holds down. *)
   | Partition_named of { name : string; island : int list }
       (** Split the graph into two named sides by failing every link
           with exactly one endpoint in [island], {e remembering} exactly

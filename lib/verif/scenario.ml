@@ -101,7 +101,7 @@ let default_alphabet ?(joins = 8) ?(links = 5) ?(crashes = 2)
 
 (* Events applicable from the current state: churn is phrased
    absolutely (join only non-members, leave only members), topology
-   events only in the direction that changes something.  This keeps
+   events only in the direction that flips a stored fact.  This keeps
    the alphabet's branching factor honest and every event meaningful
    — though [apply] itself tolerates no-ops, which ddmin relies on. *)
 let enabled (sut : Sut.t) (a : alphabet) =
@@ -115,9 +115,11 @@ let enabled (sut : Sut.t) (a : alphabet) =
       (fun m -> if List.mem m members then Some (Leave m) else None)
       a.joins
   and link_events =
+    let failed = sut.Sut.failed_links () in
     List.map
       (fun (u, v) ->
-        if G.link_up sut.Sut.graph u v then Link_down (u, v) else Link_up (u, v))
+        if List.mem (min u v, max u v) failed then Link_up (u, v)
+        else Link_down (u, v))
       a.links
   and crash_events =
     List.map
@@ -184,7 +186,7 @@ let play (sut : Sut.t) directives ~span =
   advance span
 
 (* Every directive is a no-op when it does not apply (subscribe is
-   idempotent, link causes refcount, crash/restart guard) — ddmin
+   idempotent, a link fact is a set member, crash/restart guard) — ddmin
    replays arbitrary subsequences, so this must never raise. *)
 let apply sut ev =
   let ds, span = directives sut ev in

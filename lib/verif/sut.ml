@@ -37,6 +37,7 @@ type t = {
   subscribe : int -> unit;
   unsubscribe : int -> unit;
   members : unit -> int list;
+  failed_links : unit -> (int * int) list;  (** ascending, [u < v] *)
   node_up : int -> bool;
   now : unit -> float;
   run_for : float -> unit;
@@ -120,7 +121,7 @@ let add_entry b ~now (e : Ss.entry) =
 
 let add_entries b ~now entries = List.iter (add_entry b ~now) entries
 
-(* Members, down links and crashed nodes, each section ended by ['|']
+(* Members, failed links and crashed nodes, each section ended by ['|']
    (a tag none of them uses); the protocol's tables fill the rest. *)
 let state_digest sut =
   let b = Buffer.create 512 in
@@ -130,7 +131,7 @@ let state_digest sut =
     (fun (u, v) ->
       add_tagged b 'l' u;
       add_int b v)
-    (G.down_links sut.graph);
+    (sut.failed_links ());
   Buffer.add_char b '|';
   for n = 0 to G.node_count sut.graph - 1 do
     if not (sut.node_up n) then add_tagged b 'x' n
@@ -481,6 +482,7 @@ let wrap (type s) (r : s row) ?candidates (p : s) =
     subscribe = P.subscribe p;
     unsubscribe = P.unsubscribe p;
     members = (fun () -> P.members p);
+    failed_links = (fun () -> Fault.Injector.failed_links inj);
     node_up = Net.node_up net;
     now = (fun () -> Eventsim.Engine.now (P.engine p));
     run_for = P.run_for p;

@@ -53,6 +53,8 @@ type t = {
   subscribe : int -> unit;
   unsubscribe : int -> unit;
   members : unit -> int list;
+  failed_links : unit -> (int * int) list;
+      (** {!Fault.Injector.failed_links} *)
   node_up : int -> bool;
   now : unit -> float;
   run_for : float -> unit;
@@ -114,8 +116,8 @@ type t = {
 (** {1 Canonical state digests} *)
 
 val state_digest : t -> string
-(** MD5 hex over (members, down links, crashed nodes, soft-state
-    tables).  Soft-state deadlines are canonicalized to
+(** MD5 hex over (members, explicitly failed links, crashed nodes,
+    soft-state tables).  Soft-state deadlines are canonicalized to
     coarsely-bucketed {e remaining} times, so states reached along
     different schedules digest equally once settled — and a state
     still draining (entries decaying toward expiry) keeps changing
@@ -126,7 +128,7 @@ val state_digest : t -> string
     {b Encoding.}  The hashed bytes are one canonical encoding
     written into one buffer: each int as 8 little-endian bytes
     ([Buffer.add_int64_le]) behind a one-character tag that fixes the
-    payload that follows; ['|'] ends each of the members, down-links
+    payload that follows; ['|'] ends each of the members, failed-links
     and crashed-nodes sections, and {!t.dump_tables} fills the rest.
     It parses back
     unambiguously, so two states share a digest exactly when they

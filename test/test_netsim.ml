@@ -249,6 +249,84 @@ let test_restore_keeps_crash () =
   Alcotest.(check int) "traffic through it drops" 1
     (Net.counters net).Net.dropped_node_down
 
+(* ---- Fault injector: link state derived from stored facts ----------- *)
+
+module P = Fault.Plan
+
+(* Step the injector on the line 0-1-2-3 and check link 1-2's graph
+   flag after every step: a link is up iff it is not failed, in no
+   open cut, and both endpoints are up. *)
+let injector_steps steps () =
+  let _, net = line_network () in
+  let inj = Fault.Injector.create net in
+  List.iter
+    (fun (action, up) ->
+      Fault.Injector.apply inj action;
+      Alcotest.(check bool)
+        (Format.asprintf "link 1-2 after %a" P.pp_action action)
+        up
+        (G.link_up (Net.graph net) 1 2))
+    steps
+
+let crash_then_link_up =
+  [
+    (P.Crash { node = 1 }, false);
+    (P.Link_up { u = 1; v = 2 }, false);
+    (P.Restart { node = 1 }, true);
+  ]
+
+let down_crash_restart =
+  [
+    (P.Link_down { u = 1; v = 2 }, false);
+    (P.Crash { node = 1 }, false);
+    (P.Restart { node = 1 }, false);
+    (P.Link_up { u = 2; v = 1 }, true);
+  ]
+
+let down_while_crashed =
+  [
+    (P.Crash { node = 2 }, false);
+    (P.Link_down { u = 1; v = 2 }, false);
+    (P.Restart { node = 2 }, false);
+    (P.Link_up { u = 1; v = 2 }, true);
+  ]
+
+let cut_over_crash =
+  [
+    (P.Partition_named { name = "p"; island = [ 2; 3 ] }, false);
+    (P.Crash { node = 1 }, false);
+    (P.Heal_named { name = "p" }, false);
+    (P.Restart { node = 1 }, true);
+  ]
+
+(* The facts are checkpointed with the network: from one save taken
+   before a crash, each restore brings back the link and its failed
+   neighbour 2-3, and the crash applies afresh instead of finding
+   stale bookkeeping. *)
+let test_injector_restore_twice () =
+  let _, net = line_network () in
+  let g = Net.graph net in
+  let inj = Fault.Injector.create net in
+  Fault.Injector.apply inj (P.Link_down { u = 3; v = 2 });
+  ignore (Net.reconverge net);
+  let snap = Net.snapshot net and facts = Fault.Injector.save inj in
+  for round = 1 to 2 do
+    let check what expected got =
+      Alcotest.(check bool) (Printf.sprintf "round %d: %s" round what) expected got
+    in
+    Fault.Injector.apply inj (P.Crash { node = 1 });
+    Fault.Injector.apply inj (P.Link_up { u = 2; v = 3 });
+    check "crash takes 1-2 down" false (G.link_up g 1 2);
+    check "link-up brings 2-3 back" true (G.link_up g 2 3);
+    Net.restore net snap;
+    Fault.Injector.restore inj facts;
+    check "1-2 restored" true (G.link_up g 1 2);
+    check "2-3 down again" false (G.link_up g 2 3);
+    check "router 1 up" true (Net.node_up net 1);
+    Alcotest.(check (list (pair int int)))
+      "failed links restored" [ (2, 3) ] (Fault.Injector.failed_links inj)
+  done
+
 (* [reconverge] returns exactly the number of (node, destination) next
    hops that moved, over all destinations: a brute force against fresh
    SPF runs on the graph before and after each batch of link changes.
@@ -556,6 +634,19 @@ let () =
             test_restore_reinstates_trees;
           Alcotest.test_case "restore keeps a crash" `Quick
             test_restore_keeps_crash;
+        ] );
+      ( "injector",
+        [
+          Alcotest.test_case "crash then link-up: down until restart" `Quick
+            (injector_steps crash_then_link_up);
+          Alcotest.test_case "link-down, crash, restart: stays down" `Quick
+            (injector_steps down_crash_restart);
+          Alcotest.test_case "link-down while crashed, restart, link-up"
+            `Quick (injector_steps down_while_crashed);
+          Alcotest.test_case "cut over a crash, heal, restart" `Quick
+            (injector_steps cut_over_crash);
+          Alcotest.test_case "save before a crash, restore twice" `Quick
+            test_injector_restore_twice;
         ] );
       ( "reconverge",
         List.map QCheck_alcotest.to_alcotest

@@ -184,6 +184,30 @@ let test_digest_separates () =
   ignore (Ss.Table.mark tbl dl ~now:0.0 7);
   Alcotest.(check bool) "one mark apart" false (plain = token ~now:0.0 e)
 
+(* A link failed explicitly and a link held down only by its crashed
+   endpoint look alike in the graph, but a restart tells them apart:
+   the digest hashes the failed links, so the explorer never merges
+   [link-down 10-17; crash 17] with [crash 17]. *)
+let test_digest_failed_links () =
+  let after events =
+    let sut = isp_sut Verif.Sut.Hbh () in
+    List.iter (Verif.Scenario.apply sut) events;
+    match Verif.Scenario.quiesce sut with
+    | Some (_, digest) -> (sut, digest)
+    | None -> Alcotest.fail "no quiescence"
+  in
+  let failed, d_failed =
+    after [ Verif.Scenario.Link_down (10, 17); Verif.Scenario.Crash 17 ]
+  and crashed, d_crashed = after [ Verif.Scenario.Crash 17 ] in
+  Alcotest.(check bool) "digests differ" false (d_failed = d_crashed);
+  let link_after_restart sut =
+    Verif.Scenario.apply sut (Verif.Scenario.Restart 17);
+    Topology.Graph.link_up sut.Verif.Sut.graph 10 17
+  in
+  Alcotest.(check bool) "failed link stays down" false (link_after_restart failed);
+  Alcotest.(check bool) "crash-held link comes back" true
+    (link_after_restart crashed)
+
 (* ---- Explorer determinism ---------------------------------------------- *)
 
 let test_explorer_deterministic () =
@@ -425,30 +449,22 @@ let test_golden_hpim_assert file () =
     (Printf.sprintf "replays in under 5 s (took %.2f s)" elapsed)
     true (elapsed < 5.0)
 
-(* The crashed-router defect: after [crash 17] and both of its router
-   links coming back up, member 28 is left without data under HBH,
-   REUNITE and PIM-SSM, while HPIM-DM's hard state re-parents and
-   replays clean.  The explorer only reaches this shape past its
-   default state cap, so this replay is the tripwire CI sees; the fix
-   flips the three soft-state stacks to clean. *)
+(* The crashed-router regression: [crash 17], then both of its router
+   links restored while it is still down.  A restored link of a
+   crashed router stays down until the router restarts, so all four
+   stacks route around 17 and keep member 28 served.  The explorer
+   reaches this shape only past its default state cap, so this replay
+   is the gate every test run sees. *)
 let test_golden_crashed_router () =
   let plan =
     Fault.Plan.of_string (read_file "golden/hbh-crashed-router.plan")
-  in
-  let blackholed (v : Verif.Oracle.violation) =
-    v.Verif.Oracle.oracle = "no_blackhole"
-    && v.Verif.Oracle.detail = "member 28 received no data"
   in
   let start = Unix.gettimeofday () in
   List.iter
     (fun protocol ->
       let vs = Verif.Scenario.replay_plan (isp_sut protocol ()) plan in
-      let name = Verif.Sut.name protocol in
-      if protocol = Verif.Sut.Hpim_dm then
-        Alcotest.(check int) (name ^ " replays clean") 0 (List.length vs)
-      else
-        Alcotest.(check bool)
-          (name ^ " black-holes member 28") true (List.exists blackholed vs))
+      Alcotest.(check int)
+        (Verif.Sut.name protocol ^ " replays clean") 0 (List.length vs))
     all_protocols;
   let elapsed = Unix.gettimeofday () -. start in
   Alcotest.(check bool)
@@ -618,6 +634,8 @@ let () =
             test_quiesce_digest;
           Alcotest.test_case "one member, mark or bucket apart" `Quick
             test_digest_separates;
+          Alcotest.test_case "a failed link is not a crashed endpoint" `Quick
+            test_digest_failed_links;
         ] );
       ( "registry",
         [
@@ -653,7 +671,7 @@ let () =
                 `Quick (test_golden_hpim_assert file))
             hpim_goldens
         @ [
-            Alcotest.test_case "crashed-router fixture black-holes member 28"
+            Alcotest.test_case "crashed-router fixture replays clean"
               `Quick test_golden_crashed_router;
             Alcotest.test_case "the initial state settles first" `Quick
               test_initial_settle;
