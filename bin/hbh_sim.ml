@@ -34,7 +34,7 @@ let positive_float msg =
     msg Format.pp_print_float
 
 let runs_arg ?(doc = "Simulation runs per group size (paper: 500).") default =
-  Arg.(value & opt (int_at_least 0) default & info [ "runs" ] ~docv:"N" ~doc)
+  Arg.(value & opt (int_at_least 1) default & info [ "runs" ] ~docv:"N" ~doc)
 
 let seed_arg =
   let doc = "Master random seed; equal seeds reproduce results exactly." in
@@ -479,7 +479,7 @@ let validate_cmd =
   let scenarios =
     Arg.(
       value
-      & opt (int_at_least 0) 30
+      & opt (int_at_least 1) 30
       & info [ "scenarios" ] ~docv:"N" ~doc:"Randomized scenarios per protocol.")
   in
   (* The protocols with an analytic oracle, in run order. *)

@@ -31,16 +31,9 @@ type config = {
   seed : int;
   alphabet : Scenario.alphabet option;
       (** [None]: {!Scenario.default_alphabet} from the seed *)
-  check_oracles : bool;  (** disable for pure state-space measurement *)
 }
 
-let default_config = {
-  depth = 4;
-  max_states = 1500;
-  seed = 42;
-  alphabet = None;
-  check_oracles = true;
-}
+let default_config = { depth = 4; max_states = 1500; seed = 42; alphabet = None }
 
 (* Bounded-depth DFS over the scenario alphabet with hash-based
    dedup on canonical state digests.
@@ -51,10 +44,9 @@ let default_config = {
    checkpoint layer (a depth-4 search re-runs each shared prefix
    hundreds of times otherwise).
 
-   The oracle probe mutates the SUT (clock, dedup state), so the
-   check runs inside its own checkpoint; exploration continues from
-   the un-probed quiescent state.  Each state is keyed on the digest
-   quiescence settled on, not digested a second time.
+   Every state, the initial one included, goes through
+   [Scenario.settle]; the visited set is its [fresh] test, so each
+   state is keyed on the digest quiescence settled on and judged once.
 
    On a violation the path is recorded and the subtree pruned: deeper
    states would blame the same prefix, and the shrinker minimizes
@@ -67,29 +59,38 @@ let run ?(config = default_config) (sut : Sut.t) =
   in
   let rng = Stats.Rng.create config.seed in
   let visited = Hashtbl.create 1024 in
-  let states = ref 0
-  and transitions = ref 0
-  and oracle_checks = ref 0 in
+  let states = ref 0 and transitions = ref 0 in
   let counterexamples = ref [] and oscillations = ref [] in
   let budget_left () = !states < config.max_states in
-  let check_state path =
-    if config.check_oracles then begin
-      incr oracle_checks;
-      let restore = sut.Sut.save () in
-      let vs = Oracle.check sut in
-      restore ();
-      if vs <> [] then begin
+  let fresh digest =
+    if Hashtbl.mem visited digest then begin
+      Metrics.hot_incr m_dedup;
+      false
+    end
+    else begin
+      Hashtbl.replace visited digest ();
+      incr states;
+      Metrics.hot_incr m_states;
+      true
+    end
+  in
+  (* Settle the state [path] reached; true when it is new and clean,
+     so worth expanding. *)
+  let visit path =
+    match Scenario.settle ~fresh sut with
+    | Scenario.Unsettled ->
+        Metrics.hot_incr m_quiesce_failures;
+        oscillations := List.rev path :: !oscillations;
+        false
+    | Scenario.Seen -> false
+    | Scenario.Judged [] -> true
+    | Scenario.Judged vs ->
         counterexamples :=
           { events = List.rev path; violations = vs } :: !counterexamples;
         false
-      end
-      else true
-    end
-    else true
   in
   let rec explore depth path =
-    if depth >= config.depth || not (budget_left ()) then ()
-    else begin
+    if depth < config.depth && budget_left () then begin
       (* A fresh shuffle per expansion: the visit order (hence which
          states fit in the budget) is seed-determined but not biased
          toward the alphabet's construction order. *)
@@ -102,38 +103,18 @@ let run ?(config = default_config) (sut : Sut.t) =
             incr transitions;
             Metrics.hot_incr m_transitions;
             Scenario.apply sut ev;
-            (match Scenario.quiesce sut with
-            | None ->
-                Metrics.hot_incr m_quiesce_failures;
-                oscillations := List.rev (ev :: path) :: !oscillations
-            | Some (_, digest) ->
-                if Hashtbl.mem visited digest then Metrics.hot_incr m_dedup
-                else begin
-                  Hashtbl.replace visited digest ();
-                  incr states;
-                  Metrics.hot_incr m_states;
-                  if check_state (ev :: path) then explore (depth + 1) (ev :: path)
-                end);
+            if visit (ev :: path) then explore (depth + 1) (ev :: path);
             restore ()
           end)
         events
     end
   in
-  (* The initial quiescent state counts too — and gets checked. *)
-  let initial =
-    match Scenario.quiesce sut with
-    | Some (_, digest) -> digest
-    | None -> Sut.state_digest sut
-  in
-  Hashtbl.replace visited initial ();
-  incr states;
-  Metrics.hot_incr m_states;
-  ignore (check_state []);
-  explore 0 [];
+  if visit [] then explore 0 [];
   {
     states = !states;
     transitions = !transitions;
-    oracle_checks = !oracle_checks;
+    (* [settle] judges every state [fresh] accepts *)
+    oracle_checks = !states;
     counterexamples = List.rev !counterexamples;
     oscillations = List.rev !oscillations;
     depth = config.depth;

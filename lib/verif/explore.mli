@@ -1,14 +1,17 @@
 (** Bounded-depth forward search over the scenario alphabet.
 
-    DFS with hash-based dedup on canonical state digests (the one
-    {!Scenario.quiesce} settled on — no second digest per state);
-    branching uses the checkpoint layer (save before an event,
-    restore after the subtree), so shared prefixes are never
-    re-simulated.  At every {e new} quiescent state {!Oracle.check}
-    runs inside its own checkpoint: the delivery probe goes first and
-    mutates the SUT, so the structural oracles judge the state one
+    DFS with hash-based dedup on canonical state digests; branching
+    uses the checkpoint layer (save before an event, restore after the
+    subtree), so shared prefixes are never re-simulated.  The initial
+    state and every transition go through {!Scenario.settle}, whose
+    [fresh] test is the visited set: a state is keyed on the digest
+    quiescence settled on and judged only the first time it is seen.
+    The delivery probe goes first and mutates the SUT inside the
+    step's checkpoint, so the structural oracles judge the state one
     probe horizon later.  A violating state records the event path as
-    a counterexample and prunes its subtree.
+    a counterexample and prunes its subtree; an unsettled one records
+    it as an oscillation — an unsettled initial state is the
+    oscillation with the empty path, and nothing is explored.
 
     Fully deterministic in [(sut, config)]: the alphabet and the
     per-expansion visit order derive from the seed. *)
@@ -36,11 +39,10 @@ type config = {
   max_states : int;  (** distinct-state budget *)
   seed : int;
   alphabet : Scenario.alphabet option;
-  check_oracles : bool;
 }
 
 val default_config : config
-(** depth 4, 1500 states, seed 42, derived alphabet, oracles on. *)
+(** depth 4, 1500 states, seed 42, derived alphabet. *)
 
 val run : ?config:config -> Sut.t -> outcome
 

@@ -5,7 +5,7 @@
    t2, a repaired link re-fills tables over a couple of control
    periods — so a single failing observation proves nothing.  A
    violation is only confirmed after [confirm] consecutive probes see
-   it.  With the default period (the SUT's t2) and confirm = 3, any
+   it.  With the period at the SUT's t2 and confirm = 3, any
    transient bounded by the protocol's own recovery budget (2 * t2)
    can be seen at most twice in a row, while a genuine invariant
    break (a forwarding loop that survives fusion, a permanently
@@ -21,10 +21,10 @@ let m_violations = Obs.Metrics.hot_counter "obs.monitor.violations"
 
 type confirmed = { time : float; violation : Oracle.violation }
 
+let confirm = 3
+
 type t = {
   sut : Sut.t;
-  period : float;
-  confirm : int;
   timer : Timer.t;
   streaks : (string, int) Hashtbl.t; (* oracle:detail -> consecutive count *)
   mutable confirmed : confirmed list; (* newest first *)
@@ -50,7 +50,7 @@ let probe t =
         Hashtbl.replace t.streaks k streak;
         (* Fire exactly once, when the streak crosses the threshold;
            the violation stays counted while it persists. *)
-        if streak = t.confirm then begin
+        if streak = confirm then begin
           let time = t.sut.Sut.now () in
           t.confirmed <- { time; violation = v } :: t.confirmed;
           Obs.Metrics.hot_incr m_violations;
@@ -68,21 +68,12 @@ let probe t =
   in
   List.iter (Hashtbl.remove t.streaks) stale
 
-let attach ?period ?(confirm = 3) (sut : Sut.t) =
-  if confirm < 1 then invalid_arg "Monitor.attach: confirm must be >= 1";
-  let period =
-    match period with
-    | Some p ->
-        if p <= 0.0 then invalid_arg "Monitor.attach: period must be positive";
-        p
-    | None -> sut.Sut.t2
-  in
+let attach (sut : Sut.t) =
+  let period = sut.Sut.t2 in
   let rec t =
     lazy
       {
         sut;
-        period;
-        confirm;
         timer =
           Timer.every ~tag:"verif.monitor" sut.Sut.engine ~start:period ~period
             (fun () -> probe (Lazy.force t));
@@ -94,14 +85,9 @@ let attach ?period ?(confirm = 3) (sut : Sut.t) =
   Lazy.force t
 
 let stop t = Timer.stop t.timer
-let period t = t.period
 let checks t = t.checks
 let violations t = List.rev t.confirmed
 let violation_count t = List.length t.confirmed
-
-type summary = { s_checks : int; s_confirmed : int }
-
-let summary t = { s_checks = t.checks; s_confirmed = violation_count t }
 
 let pp_summary ppf t =
   Format.fprintf ppf "monitor[%s]: %d checks, %d confirmed violation%s"

@@ -6,10 +6,10 @@
     Soft-state transients are expected to fail a single probe (a
     leaving member's state ages out over t2; a repaired link refills
     tables over a few control periods), so a violation is only
-    {e confirmed} after [confirm] consecutive probes observe the same
-    (oracle, detail) pair.  With the default period (the SUT's t2)
-    and [confirm = 3], transients bounded by the protocol's own
-    recovery budget (2·t2) can be seen at most twice in a row, while
+    {e confirmed} after three consecutive probes, one every t2 of the
+    SUT, observe the same (oracle, detail) pair.  Transients bounded
+    by the protocol's own recovery budget (2·t2) can be seen at most
+    twice in a row, while
     a genuine break — a forwarding loop that survives fusion, a
     permanently blackholed member — persists and crosses the
     threshold.
@@ -25,15 +25,11 @@ type t
 
 type confirmed = { time : float; violation : Oracle.violation }
 
-val attach : ?period:float -> ?confirm:int -> Sut.t -> t
-(** Arm a monitor on the SUT's engine.  [period] defaults to the
-    SUT's t2; [confirm] (>= 1, default 3) is the consecutive-probe
-    threshold.  The monitor fires with the engine from [now + period]
-    until {!stop}. *)
+val attach : Sut.t -> t
+(** Arm a monitor on the SUT's engine.  It probes every t2 of the
+    SUT, from [now + t2] until {!stop}. *)
 
 val stop : t -> unit
-
-val period : t -> float
 
 val checks : t -> int
 (** Probes run so far. *)
@@ -43,10 +39,6 @@ val violations : t -> confirmed list
     detail) pair confirms once per continuous streak. *)
 
 val violation_count : t -> int
-
-type summary = { s_checks : int; s_confirmed : int }
-
-val summary : t -> summary
 
 val pp_summary : Format.formatter -> t -> unit
 (** One line of accounting plus one indented line per confirmed

@@ -55,15 +55,13 @@ type alphabet = {
   age : bool;  (** include the pure-decay event *)
 }
 
-(* A deterministic, seeded slice of the SUT's fault surface: a few
-   churnable members, a few failable core links (never host access
+(* A deterministic, seeded slice of the SUT's fault surface: eight
+   churnable members, five failable core links (never host access
    links — cutting a member's only link just excuses it from every
-   oracle), a couple of crash candidates.  Small alphabets keep the
+   oracle), two crash candidates.  Small alphabets keep the
    bounded-depth state space dense enough to revisit states, which is
    where the dedup pays off. *)
-let default_alphabet ?(joins = 8) ?(links = 5) ?(crashes = 2)
-    ?(loss = Some 0.3) ?(reorder = Some (2.0, 0.3)) ?(dup = Some 0.3)
-    ?(partitions = 1) ?(age = true) (sut : Sut.t) ~seed =
+let default_alphabet (sut : Sut.t) ~seed =
   let rng = Stats.Rng.create seed in
   let take n xs =
     let a = Array.of_list xs in
@@ -84,19 +82,19 @@ let default_alphabet ?(joins = 8) ?(links = 5) ?(crashes = 2)
       (List.init (G.node_count sut.Sut.graph) Fun.id)
   in
   {
-    joins = List.sort compare (take joins sut.Sut.candidates);
-    links = List.sort compare (take links core_links);
-    crashes = List.sort compare (take crashes routers);
-    loss;
-    reorder;
-    dup;
+    joins = List.sort compare (take 8 sut.Sut.candidates);
+    links = List.sort compare (take 5 core_links);
+    crashes = List.sort compare (take 2 routers);
+    loss = Some 0.3;
+    reorder = Some (2.0, 0.3);
+    dup = Some 0.3;
     (* Singleton candidate-host islands: a member (or would-be
        member) loses all connectivity for a t2, then gets it back —
        the adversarial shape behind the mutual-capture fix. *)
     islands =
-      List.map (fun h -> [ h ]) (take partitions sut.Sut.candidates)
+      List.map (fun h -> [ h ]) (take 1 sut.Sut.candidates)
       |> List.sort compare;
-    age;
+    age = true;
   }
 
 (* Events applicable from the current state: churn is phrased
@@ -220,6 +218,23 @@ let quiesce ?(budget_factor = 4.0) (sut : Sut.t) =
   in
   go 0 (Sut.state_digest sut)
 
+(* ---- Settle, then judge ------------------------------------------------ *)
+
+type point = Unsettled | Seen | Judged of Oracle.violation list
+
+(* The one place a state is judged.  The delivery probe mutates the
+   SUT (clock, dedup state), so the oracles run inside a checkpoint
+   and the caller continues from the un-probed settled state. *)
+let settle ?(fresh = fun _ -> true) (sut : Sut.t) =
+  match quiesce sut with
+  | None -> Unsettled
+  | Some (_, digest) when not (fresh digest) -> Seen
+  | Some _ ->
+      let restore = sut.Sut.save () in
+      let vs = Oracle.check sut in
+      restore ();
+      Judged vs
+
 (* ---- One timeline: running events, replaying plans --------------------- *)
 
 (* The explorer's timeline for one path (see the interface); the log
@@ -236,28 +251,22 @@ let run (sut : Sut.t) events =
     }
   in
   let rec judge events =
-    match quiesce sut with
-    | None -> []
-    | Some _ -> (
-        let restore = sut.Sut.save () in
-        let vs = Oracle.check sut in
-        restore ();
-        match (vs, events) with
-        | [], ev :: rest ->
-            apply recording ev;
-            judge rest
-        | vs, _ -> vs)
+    match (settle sut, events) with
+    | Judged [], ev :: rest ->
+        apply recording ev;
+        judge rest
+    | Judged vs, _ -> vs
+    | (Unsettled | Seen), _ -> []
   in
   let vs = judge events in
   (P.make (List.rev !log), vs)
 
-(* Replay a plan against a live SUT, honoring directive times; then
-   settle and run the oracles once at the end state.  This is what
-   the golden counterexample fixtures go through. *)
+(* Replay a plan against a live SUT, honoring directive times, then
+   settle and judge the end state.  This is what the golden
+   counterexample fixtures go through. *)
 let replay_plan (sut : Sut.t) plan =
   play sut ~span:0.0
     (List.map
        (fun (d : P.directive) -> (d.P.at, d.P.action))
        (P.directives plan));
-  ignore (quiesce sut);
-  Oracle.check sut
+  match settle sut with Judged vs -> vs | Unsettled | Seen -> []

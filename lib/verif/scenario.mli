@@ -38,24 +38,13 @@ type alphabet = {
   age : bool;
 }
 
-val default_alphabet :
-  ?joins:int ->
-  ?links:int ->
-  ?crashes:int ->
-  ?loss:float option ->
-  ?reorder:(float * float) option ->
-  ?dup:float option ->
-  ?partitions:int ->
-  ?age:bool ->
-  Sut.t ->
-  seed:int ->
-  alphabet
-(** A deterministic seeded slice of the SUT's fault surface: [joins]
-    churnable members, [links] failable {e core} links (host access
-    links are excluded — cutting a member off merely excuses it from
-    the oracles), [crashes] non-source routers, plus the hostile
-    delivery bursts (reorder, duplication) and [partitions]
-    singleton-host partition/heal cycles. *)
+val default_alphabet : Sut.t -> seed:int -> alphabet
+(** A deterministic seeded slice of the SUT's fault surface: 8
+    churnable members, 5 failable {e core} links (host access links
+    are excluded — cutting a member off merely excuses it from the
+    oracles), 2 non-source routers to crash, one singleton-host
+    partition/heal cycle, and the 0.3 loss, reorder (window 2, 0.3)
+    and duplication bursts plus [Age]. *)
 
 val enabled : Sut.t -> alphabet -> event list
 (** The alphabet instantiated against the current state: joins for
@@ -86,17 +75,31 @@ val quiesce : ?budget_factor:float -> Sut.t -> (float * string) option
     [budget_factor * t2] (default 4) of simulated time — a protocol
     oscillation. *)
 
+type point =
+  | Unsettled  (** quiescence ran out of budget: no verdict *)
+  | Seen  (** settled, but [fresh] rejected its digest: not judged *)
+  | Judged of Oracle.violation list  (** settled and judged *)
+
+val settle : ?fresh:(string -> bool) -> Sut.t -> point
+(** The one settle-and-judge step, shared by {!run}, {!replay_plan}
+    and {!Explore.run}: {!quiesce}, then, if [fresh] (default: always
+    true) accepts the settled digest, {!Oracle.check} inside one
+    checkpoint.  [fresh] runs at the settled point, before any probe.
+    The SUT is left in the settled state: the probe's clock and dedup
+    state are rewound.  Only this step calls {!Oracle.check}. *)
+
 val run : Sut.t -> event list -> Fault.Plan.t * Oracle.violation list
 (** The one way to run an event list outside {!Explore.run}, on its
-    timeline: settle the initial state, then {!apply} each event and
-    settle.  A point that does not settle gets no verdict and ends the
-    run; a settled one gets {!Oracle.check} inside a checkpoint, and
-    the first violation ends the run.  Returns that violation set (or
-    [[]]) and the directives injected, each at its offset from the
-    SUT's clock when [run] began — for a fresh SUT, its start, so
-    {!replay_plan} on a fresh SUT re-runs this timeline.  A trailing
-    [Age] injects nothing and leaves no trace in the plan. *)
+    timeline: {!settle} the initial state, then {!apply} each event
+    and {!settle} again.  An unsettled point gets no verdict and ends
+    the run — an initial state included; the first violation ends it
+    too.  Returns that violation set (or [[]]) and the directives
+    injected, each at its offset from the SUT's clock when [run] began
+    — for a fresh SUT, its start, so {!replay_plan} on a fresh SUT
+    re-runs this timeline.  A trailing [Age] injects nothing and
+    leaves no trace in the plan. *)
 
 val replay_plan : Sut.t -> Fault.Plan.t -> Oracle.violation list
 (** Run a plan's directives at their offsets from the SUT's clock,
-    settle, then run every oracle once on the end state. *)
+    then {!settle}: the end state's violations, or [[]] when it does
+    not settle. *)

@@ -108,16 +108,19 @@ let test_usage_advertises_hpim () =
 
 (* Values the runs would otherwise trip over deep inside (an array
    sized by a negative count, a generator asked for a graph it cannot
-   build, a timeline with no sampling step) are bad invocations too. *)
+   build, a timeline with no sampling step) are bad invocations too.
+   So is zero runs, which averages nothing: the sweeps printed [nan]
+   and validate a vacuous "0 scenarios" pass. *)
 let test_negative_runs () =
   List.iter
-    (fun cmd ->
-      let args = cmd ^ " --runs=-1" in
-      check_usage_exit args args ~msg:"expected a non-negative integer")
-    [
-      "fig7a"; "fig7b"; "fig8a"; "fig8b"; "all"; "scaling"; "rp-ablation";
-      "symmetry-ablation";
-    ]
+    (fun args -> check_usage_exit args args ~msg:"expected an integer >= 1")
+    ("validate --scenarios 0"
+    :: List.concat_map
+         (fun cmd -> [ cmd ^ " --runs=-1"; cmd ^ " --runs 0" ])
+         [
+           "fig7a"; "fig7b"; "fig8a"; "fig8b"; "all"; "stability"; "state";
+           "scaling"; "symmetry-ablation"; "overhead"; "rp-ablation";
+         ])
 
 let test_scaling_tiny_sizes () =
   List.iter

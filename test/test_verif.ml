@@ -299,6 +299,114 @@ let test_apply_is_the_plan () =
         ])
     all_protocols
 
+(* ---- One settle-and-judge step ------------------------------------------ *)
+
+let oracle_checks () =
+  List.filter
+    (fun (name, _) ->
+      String.starts_with ~prefix:"verif.oracle." name
+      && String.ends_with ~suffix:".checks" name)
+    (Obs.Metrics.snapshot (Obs.Metrics.default ())).Obs.Metrics.counters
+
+(* A judged state is left as it settled — the probe's clock and dedup
+   state are rewound — and a state [fresh] rejects is never judged. *)
+let test_settle_skips_and_restores () =
+  List.iter
+    (fun protocol ->
+      let sut = isp_sut protocol () in
+      let name what = sut.Verif.Sut.proto ^ ": " ^ what in
+      List.iter sut.Verif.Sut.subscribe [ 22; 27 ];
+      let at = ref None in
+      let fresh digest =
+        at := Some (digest, sut.Verif.Sut.now ());
+        true
+      in
+      (match (Verif.Scenario.settle ~fresh sut, !at) with
+      | Verif.Scenario.Judged _, Some (digest, now) ->
+          Alcotest.(check string)
+            (name "settled digest") digest (Verif.Sut.state_digest sut);
+          Alcotest.(check (float 0.)) (name "settled clock") now
+            (sut.Verif.Sut.now ())
+      | _ -> Alcotest.fail (name "not judged"));
+      let before = oracle_checks () in
+      Alcotest.(check bool)
+        (name "rejected digest is seen") true
+        (Verif.Scenario.settle ~fresh:(fun _ -> false) sut = Verif.Scenario.Seen);
+      Alcotest.(check (list (pair string int)))
+        (name "no oracle ran") before (oracle_checks ()))
+    all_protocols
+
+let violates oracle vs =
+  List.exists (fun (v : Verif.Oracle.violation) -> v.Verif.Oracle.oracle = oracle) vs
+
+let violates_one_of (cx : Verif.Explore.counterexample) vs =
+  List.exists
+    (fun (v : Verif.Oracle.violation) -> violates v.Verif.Oracle.oracle vs)
+    cx.Verif.Explore.violations
+
+(* The explorer and [Scenario.run] judge through the same step, so each
+   verdict the search reports holds on a fresh SUT's timeline: a
+   counterexample path violates again, and an oscillation path settles
+   clean at every point but its last, which gets no verdict.  The
+   seeds are the sweep's HPIM-DM counterexamples and its REUNITE
+   oscillation. *)
+let test_explorer_agrees_with_timeline () =
+  let cxs = ref 0 and oscillations = ref 0 in
+  List.iter
+    (fun (protocol, seed) ->
+      let make_sut = isp_sut protocol in
+      let config =
+        { Verif.Explore.default_config with depth = 4; max_states = 100; seed }
+      in
+      let o = Verif.Explore.run ~config (make_sut ()) in
+      let name what path =
+        Format.asprintf "%s seed %d %a: %s" (Verif.Sut.name protocol) seed
+          Verif.Scenario.pp_events path what
+      in
+      List.iter
+        (fun (cx : Verif.Explore.counterexample) ->
+          incr cxs;
+          let _, vs = Verif.Scenario.run (make_sut ()) cx.Verif.Explore.events in
+          Alcotest.(check bool)
+            (name "violates on the timeline" cx.Verif.Explore.events)
+            true (violates_one_of cx vs))
+        o.Verif.Explore.counterexamples;
+      List.iter
+        (fun path ->
+          incr oscillations;
+          let sut = make_sut () in
+          let initial = Verif.Scenario.settle sut in
+          let points =
+            initial
+            :: List.map
+                 (fun ev ->
+                   Verif.Scenario.apply sut ev;
+                   Verif.Scenario.settle sut)
+                 path
+          in
+          let expected =
+            List.mapi
+              (fun i _ ->
+                if i = List.length path then Verif.Scenario.Unsettled
+                else Verif.Scenario.Judged [])
+              points
+          in
+          Alcotest.(check bool)
+            (name "unsettled only at its end" path)
+            true (points = expected);
+          let _, vs = Verif.Scenario.run (make_sut ()) path in
+          Alcotest.(check int) (name "no verdict" path) 0 (List.length vs))
+        o.Verif.Explore.oscillations)
+    [
+      (Verif.Sut.Hpim_dm, 2);
+      (Verif.Sut.Hpim_dm, 3);
+      (Verif.Sut.Hpim_dm, 24);
+      (Verif.Sut.Hpim_dm, 33);
+      (Verif.Sut.Reunite, 8);
+    ];
+  Alcotest.(check bool) "counterexamples compared" true (!cxs > 0);
+  Alcotest.(check bool) "oscillations compared" true (!oscillations > 0)
+
 (* ---- Runtime monitors: healthy runs never fire -------------------------- *)
 
 (* The monitor's debounce claim, as a property: membership churn is
@@ -344,9 +452,6 @@ let prop_monitor_healthy_never_fires =
 
 (* ---- Injected bug: find, minimize, stay small -------------------------- *)
 
-let violates oracle vs =
-  List.exists (fun (v : Verif.Oracle.violation) -> v.Verif.Oracle.oracle = oracle) vs
-
 let with_frozen_marks f =
   Proto.Softstate.freeze_marks := true;
   Fun.protect ~finally:(fun () -> Proto.Softstate.freeze_marks := false) f
@@ -363,11 +468,6 @@ let test_injected_bug_caught_and_shrunk () =
   Alcotest.(check bool)
     "counterexample found" true
     (o.Verif.Explore.counterexamples <> []);
-  let violates_one_of (cx : Verif.Explore.counterexample) vs =
-    List.exists
-      (fun (v : Verif.Oracle.violation) -> violates v.Verif.Oracle.oracle vs)
-      cx.Verif.Explore.violations
-  in
   List.iteri
     (fun i (cx : Verif.Explore.counterexample) ->
       let name what =
@@ -651,6 +751,10 @@ let () =
             test_oracles_clean;
           Alcotest.test_case "apply runs exactly the printed plan" `Quick
             test_apply_is_the_plan;
+          Alcotest.test_case "settle skips seen states and rewinds the probe"
+            `Quick test_settle_skips_and_restores;
+          Alcotest.test_case "explorer verdicts hold on the timeline" `Quick
+            test_explorer_agrees_with_timeline;
         ] );
       ( "monitor",
         List.map QCheck_alcotest.to_alcotest
