@@ -20,6 +20,27 @@ let scenario_name = function
 
 (* ---- Fault-target selection (topology-only, protocol-neutral) ---- *)
 
+(* The key of [keys] with the largest [rank key count], [count] being
+   how often it occurs; distinct keys rank distinctly, so the table's
+   iteration order does not matter. *)
+let busiest ~what rank keys =
+  let counts = Hashtbl.create 16 in
+  List.iter
+    (fun k ->
+      Hashtbl.replace counts k
+        (1 + Option.value ~default:0 (Hashtbl.find_opt counts k)))
+    keys;
+  match
+    Hashtbl.fold
+      (fun k c best ->
+        match best with
+        | Some (bk, bc) when rank bk bc >= rank k c -> best
+        | _ -> Some (k, c))
+      counts None
+  with
+  | Some (k, _) -> k
+  | None -> invalid_arg what
+
 (* The transit router crossed by the most receivers' unicast paths
    from the source — "mid-tree".  The source's own attachment router
    is avoided when any alternative exists (crashing it disconnects
@@ -27,73 +48,39 @@ let scenario_name = function
    protocol).  Ties break to the smallest id. *)
 let pick_crash_router table ~source ~receivers =
   let g = Routing.Table.graph table in
-  let counts = Hashtbl.create 16 in
-  let bump n =
-    Hashtbl.replace counts n (1 + Option.value ~default:0 (Hashtbl.find_opt counts n))
-  in
-  List.iter
-    (fun r ->
-      match Routing.Table.path table source r with
-      | _ :: interior -> (
-          match List.rev interior with
-          | _ :: rev_interior ->
-              List.iter (fun n -> if G.is_router g n then bump n) rev_interior
-          | [] -> ())
-      | [] -> ())
-    receivers;
   let src_router =
-    if G.is_host g source then Some (G.router_of_host g source) else Some source
+    if G.is_host g source then G.router_of_host g source else source
   in
-  let best =
-    Hashtbl.fold
-      (fun n c best ->
-        let preferred = Some n <> src_router in
-        match best with
-        | None -> Some (n, c, preferred)
-        | Some (bn, bc, bp) ->
-            if
-              (preferred, c, -n) > (bp, bc, -bn)
-            then Some (n, c, preferred)
-            else Some (bn, bc, bp))
-      counts None
+  let interior r =
+    let p = Routing.Table.path table source r in
+    let last = List.length p - 1 in
+    List.filteri (fun i n -> i > 0 && i < last && G.is_router g n) p
   in
-  match best with
-  | Some (n, _, _) -> n
-  | None -> invalid_arg "Faults.pick_crash_router: no transit router"
+  busiest ~what:"Faults.pick_crash_router: no transit router"
+    (fun n c -> (n <> src_router, c, -n))
+    (List.concat_map interior receivers)
 
 (* The router-router link carrying the most receivers' paths; failing
    it forces reconvergence onto an alternate route (host access links
    are excluded — they have no alternative). *)
 let pick_tree_link table ~source ~receivers =
   let g = Routing.Table.graph table in
-  let counts = Hashtbl.create 16 in
-  let canon u v = if u <= v then (u, v) else (v, u) in
-  let rec walk = function
+  let rec links = function
     | a :: (b :: _ as rest) ->
-        if G.is_router g a && G.is_router g b then begin
-          let k = canon a b in
-          Hashtbl.replace counts k
-            (1 + Option.value ~default:0 (Hashtbl.find_opt counts k))
-        end;
-        walk rest
-    | _ -> ()
+        if G.is_router g a && G.is_router g b then
+          (min a b, max a b) :: links rest
+        else links rest
+    | _ -> []
   in
-  List.iter (fun r -> walk (Routing.Table.path table source r)) receivers;
-  let best =
-    Hashtbl.fold
-      (fun k c best ->
-        match best with
-        | None -> Some (k, c)
-        | Some (bk, bc) -> if (c, (-1 * fst k, -1 * snd k)) > (bc, (-1 * fst bk, -1 * snd bk)) then Some (k, c) else Some (bk, bc))
-      counts None
-  in
-  match best with
-  | Some ((u, v), _) -> (u, v)
-  | None -> invalid_arg "Faults.pick_tree_link: no router-router tree link"
+  busiest ~what:"Faults.pick_tree_link: no router-router tree link"
+    (fun (u, v) c -> (c, (-u, -v)))
+    (List.concat_map
+       (fun r -> links (Routing.Table.path table source r))
+       receivers)
 
 module Sut = Verif.Sut
 
-(* ---- Per-protocol driver ----------------------------------------- *)
+(* ---- Sessions and timings ---------------------------------------- *)
 
 (* Every protocol is measured against the same 2*t2 repair budget,
    HBH's t2: PIM-SSM's slowest deadline is its oif holdtime and
@@ -104,8 +91,6 @@ let t2 = 550.0
 (* A fresh session on a private copy of the graph. *)
 let session proto graph ~source =
   Sut.make proto (Routing.Table.compute (G.copy graph)) ~source
-
-(* ---- Scenario timings -------------------------------------------- *)
 
 let fault_at = 300.0 (* pre-fault window: three control periods *)
 let repair_at = fault_at +. 400.0 (* restart / restore instant *)
@@ -124,29 +109,26 @@ let event_budget = 1_000_000
 
 let plan_of scenario ~crash_node ~link =
   let u, v = link in
-  match scenario with
-  | Crash ->
-      Fault.Plan.make
-        [
-          (fault_at, Fault.Plan.Crash { node = crash_node });
-          (fault_at +. Fault.Plan.detection_lag, Fault.Plan.Reconverge);
-          (repair_at, Fault.Plan.Restart { node = crash_node });
-          (repair_at +. Fault.Plan.detection_lag, Fault.Plan.Reconverge);
-        ]
-  | Link_failure ->
-      Fault.Plan.make
-        [
-          (fault_at, Fault.Plan.Link_down { u; v });
-          (fault_at +. Fault.Plan.detection_lag, Fault.Plan.Reconverge);
-          (repair_at, Fault.Plan.Link_up { u; v });
-          (repair_at +. Fault.Plan.detection_lag, Fault.Plan.Reconverge);
-        ]
-  | Loss_burst ->
-      Fault.Plan.make
+  let outage down up =
+    [
+      (fault_at, down);
+      (fault_at +. Fault.Plan.detection_lag, Fault.Plan.Reconverge);
+      (repair_at, up);
+      (repair_at +. Fault.Plan.detection_lag, Fault.Plan.Reconverge);
+    ]
+  in
+  Fault.Plan.make
+    (match scenario with
+    | Crash ->
+        outage (Fault.Plan.Crash { node = crash_node })
+          (Fault.Plan.Restart { node = crash_node })
+    | Link_failure ->
+        outage (Fault.Plan.Link_down { u; v }) (Fault.Plan.Link_up { u; v })
+    | Loss_burst ->
         [
           (fault_at, Fault.Plan.Loss_all { rate = 0.3 });
           (repair_at, Fault.Plan.Loss_all { rate = 0.0 });
-        ]
+        ])
 
 type outcome = {
   topology : string;
@@ -159,10 +141,7 @@ type outcome = {
   runaway : bool;  (* stopped at [event_budget] before its horizon *)
 }
 
-(* What to observe while a case runs.  Observation is strictly
-   read-only — timeline probes and monitor checks read state and
-   schedule only their own timer events — so an instrumented run's
-   outcomes are identical to a plain one's. *)
+(* What to observe while a case runs; [stream] keeps it read-only. *)
 type instrument = {
   i_timeline : float option;  (* sampling interval *)
   i_monitor : bool;
@@ -175,6 +154,93 @@ type case_obs = {
   c_spans : Obs.Span.t;  (* this case's "repair" spans *)
 }
 
+(* ---- The probe stream -------------------------------------------- *)
+
+(* Every run of [faults], [soak] and join latency is one [stream]. *)
+type stream = {
+  recovery : Fault.Recovery.t;
+      (* every probe sent, every copy delivered, the control samples *)
+  report : Fault.Recovery.report;  (* read at the horizon *)
+  spans : Obs.Span.t;  (* the recovery's "repair" spans *)
+  timeline : Obs.Timeline.t option;
+  drops : int;  (* loss + link-down + node-down drops during the run *)
+  stopped : bool;  (* fired [max_events] before the horizon *)
+}
+
+(* Probing stops [delivery_slack] before [horizon] so the lost count
+   is not polluted by copies still in flight.  The timeline sampler
+   and [monitor] read state and schedule only their own timers, so
+   observing a run does not change it. *)
+let stream ?max_events ?timeline ?monitor ?fault_at ?heal_at ?plan
+    ?(probe_start = probe_period) ~seed ~horizon ~receivers sut =
+  let engine = sut.Sut.engine in
+  let spans = Obs.Span.create () in
+  let recov = Fault.Recovery.create ~spans ~receivers () in
+  sut.Sut.on_delivery (fun ~now ~receiver ~seq ->
+      Fault.Recovery.note_delivery recov ~now ~receiver ~seq);
+  let t0 = Engine.now engine in
+  let note_control () =
+    Fault.Recovery.note_control recov ~now:(Engine.now engine)
+      ~hops:(sut.Sut.control_hops ())
+  in
+  let timeline =
+    Option.map
+      (fun (interval, probes) ->
+        let tl = Obs.Timeline.create ~interval () in
+        List.iter
+          (fun (name, f) -> Obs.Timeline.add_probe tl name (fun () -> f recov))
+          probes;
+        ignore
+          (Timer.every ~tag:"obs.timeline" engine ~start:0.0 ~period:interval
+             (fun () ->
+               let nw = Engine.now engine in
+               if nw -. t0 <= horizon then
+                 Obs.Timeline.sample tl ~now:(nw -. t0)));
+        tl)
+      timeline
+  in
+  note_control ();
+  let probe_until = horizon -. delivery_slack in
+  ignore
+    (Timer.every ~tag:"fault.probe" engine ~start:probe_start
+       ~period:probe_period (fun () ->
+         let nw = Engine.now engine in
+         if nw -. t0 <= probe_until then begin
+           let seq = sut.Sut.send_probe () in
+           if seq > 0 then Fault.Recovery.note_send recov ~now:nw ~seq
+         end));
+  List.iter
+    (fun delay ->
+      ignore (Engine.schedule ~tag:"fault.sample" engine ~delay note_control))
+    (List.filter_map Fun.id [ fault_at; heal_at ]);
+  Option.iter (sut.Sut.install_plan ~seed) plan;
+  Option.iter (fun at -> Fault.Recovery.note_fault recov ~now:(t0 +. at)) fault_at;
+  Option.iter (fun at -> Fault.Recovery.note_heal recov ~now:(t0 +. at)) heal_at;
+  let before = sut.Sut.counters () in
+  let e0 = Engine.events_fired engine in
+  Engine.run ~until:(t0 +. horizon) ?max_events engine;
+  let stopped =
+    match max_events with
+    | Some m -> Engine.events_fired engine - e0 >= m
+    | None -> false
+  in
+  note_control ();
+  Option.iter Verif.Monitor.stop monitor;
+  let after = sut.Sut.counters () in
+  {
+    recovery = recov;
+    report = Fault.Recovery.report recov;
+    spans;
+    timeline;
+    drops =
+      after.Net.dropped_loss - before.Net.dropped_loss
+      + after.Net.dropped_link_down - before.Net.dropped_link_down
+      + after.Net.dropped_node_down - before.Net.dropped_node_down;
+    stopped;
+  }
+
+(* ---- One fault case ----------------------------------------------- *)
+
 let case_label ~topology ~scenario ~proto =
   Printf.sprintf "%s/%s/%s" topology (scenario_name scenario) (Sut.label proto)
 
@@ -183,87 +249,28 @@ let run_one ?instrument proto ~topology ~graph ~source ~receivers ~scenario
   let sut = session proto graph ~source in
   List.iter sut.Sut.subscribe receivers;
   sut.Sut.converge ();
-  let spans = Obs.Span.create () in
-  let recov = Fault.Recovery.create ~spans ~receivers () in
-  sut.Sut.on_delivery (fun ~now ~receiver ~seq ->
-      Fault.Recovery.note_delivery recov ~now ~receiver ~seq);
-  let t0 = Engine.now sut.Sut.engine in
-  let horizon = fault_at +. (2.0 *. t2) +. delivery_slack in
-  let probe_until = horizon -. delivery_slack in
-  let obs =
-    match instrument with
-    | None -> None
-    | Some i ->
-        let timeline =
-          match i.i_timeline with
-          | None -> None
-          | Some interval ->
-              let tl = Obs.Timeline.create ~interval () in
-              Obs.Timeline.add_probe tl "repaired" (fun () ->
-                  float_of_int (Fault.Recovery.repaired_count recov));
-              Obs.Timeline.add_probe tl "deliveries" (fun () ->
-                  float_of_int (Fault.Recovery.delivery_count recov));
-              Obs.Timeline.add_probe tl "control_hops" (fun () ->
-                  float_of_int (sut.Sut.control_hops ()));
-              ignore
-                (Timer.every ~tag:"obs.timeline" sut.Sut.engine ~start:0.0
-                   ~period:interval (fun () ->
-                     let nw = Engine.now sut.Sut.engine in
-                     if nw -. t0 <= horizon then
-                       Obs.Timeline.sample tl ~now:(nw -. t0)));
-              Some tl
-        in
-        let monitor =
-          if i.i_monitor then Some (Verif.Monitor.attach sut)
-          else None
-        in
-        Some
-          {
-            c_label = case_label ~topology ~scenario ~proto;
-            c_timeline = timeline;
-            c_monitor = monitor;
-            c_spans = spans;
-          }
+  let i =
+    Option.value instrument ~default:{ i_timeline = None; i_monitor = false }
   in
-  Fault.Recovery.note_control recov ~now:t0 ~hops:(sut.Sut.control_hops ());
-  ignore
-    (Timer.every ~tag:"fault.probe" sut.Sut.engine ~start:0.0
-       ~period:probe_period (fun () ->
-         let nw = Engine.now sut.Sut.engine in
-         if nw -. t0 <= probe_until then begin
-           let seq = sut.Sut.send_probe () in
-           if seq > 0 then Fault.Recovery.note_send recov ~now:nw ~seq
-         end));
-  ignore
-    (Engine.schedule ~tag:"fault.sample" sut.Sut.engine ~delay:fault_at
-       (fun () ->
-         Fault.Recovery.note_control recov ~now:(Engine.now sut.Sut.engine)
-           ~hops:(sut.Sut.control_hops ())));
-  sut.Sut.install_plan ~seed (plan_of scenario ~crash_node ~link);
-  Fault.Recovery.note_fault recov ~now:(t0 +. fault_at);
-  let before = sut.Sut.counters () in
-  let e0 = Engine.events_fired sut.Sut.engine in
-  Engine.run ~until:(t0 +. horizon) ~max_events:event_budget sut.Sut.engine;
-  let runaway = Engine.events_fired sut.Sut.engine - e0 >= event_budget in
-  Fault.Recovery.note_control recov ~now:(Engine.now sut.Sut.engine)
-    ~hops:(sut.Sut.control_hops ());
-  let after = sut.Sut.counters () in
-  let fault_drops =
-    after.Net.dropped_loss - before.Net.dropped_loss
-    + after.Net.dropped_link_down - before.Net.dropped_link_down
-    + after.Net.dropped_node_down - before.Net.dropped_node_down
+  let timeline =
+    Option.map
+      (fun interval ->
+        ( interval,
+          [
+            ("repaired", fun r -> float_of_int (Fault.Recovery.repaired_count r));
+            ("deliveries", fun r -> float_of_int (Fault.Recovery.delivery_count r));
+            ("control_hops", fun _ -> float_of_int (sut.Sut.control_hops ()));
+          ] ))
+      i.i_timeline
   in
-  let target =
-    match scenario with
-    | Crash -> Printf.sprintf "router %d" crash_node
-    | Link_failure ->
-        let u, v = link in
-        Printf.sprintf "link %d-%d" u v
-    | Loss_burst -> "30% loss everywhere"
+  let monitor = if i.i_monitor then Some (Verif.Monitor.attach sut) else None in
+  let st =
+    stream ?timeline ?monitor ~fault_at ~probe_start:0.0
+      ~plan:(plan_of scenario ~crash_node ~link)
+      ~max_events:event_budget ~seed
+      ~horizon:(fault_at +. (2.0 *. t2) +. delivery_slack)
+      ~receivers sut
   in
-  (match obs with
-  | Some { c_monitor = Some m; _ } -> Verif.Monitor.stop m
-  | _ -> ());
   (* Per-protocol time-to-repair distribution, always on: the labeled
      family aggregates across topologies and scenarios. *)
   let h_ttr =
@@ -272,21 +279,35 @@ let run_one ?instrument proto ~topology ~graph ~source ~receivers ~scenario
   in
   List.iter
     (fun (o : Fault.Recovery.receiver_outcome) ->
-      match o.Fault.Recovery.time_to_repair with
-      | Some v -> Obs.Histo.observe h_ttr v
-      | None -> ())
-    (Fault.Recovery.report recov).Fault.Recovery.outcomes;
+      Option.iter (Obs.Histo.observe h_ttr) o.Fault.Recovery.time_to_repair)
+    st.report.Fault.Recovery.outcomes;
+  let target =
+    match scenario with
+    | Crash -> Printf.sprintf "router %d" crash_node
+    | Link_failure ->
+        let u, v = link in
+        Printf.sprintf "link %d-%d" u v
+    | Loss_burst -> "30% loss everywhere"
+  in
   ( {
       topology;
       scenario;
       proto;
       target;
       budget = 2.0 *. t2;
-      report = Fault.Recovery.report recov;
-      fault_drops;
-      runaway;
+      report = st.report;
+      fault_drops = st.drops;
+      runaway = st.stopped;
     },
-    obs )
+    Option.map
+      (fun _ ->
+        {
+          c_label = case_label ~topology ~scenario ~proto;
+          c_timeline = st.timeline;
+          c_monitor = monitor;
+          c_spans = st.spans;
+        })
+      instrument )
 
 (* ---- The experiment ---------------------------------------------- *)
 
@@ -388,9 +409,6 @@ let measure_join_latency_config ?(protocols = Sut.all) ~seed ~n
       (match receivers with
       | first :: rest ->
           sut.Sut.subscribe first;
-          ignore
-            (Timer.every ~tag:"fault.probe" sut.Sut.engine ~start:probe_period
-               ~period:probe_period (fun () -> ignore (sut.Sut.send_probe ())));
           List.iteri
             (fun i r ->
               ignore
@@ -399,12 +417,12 @@ let measure_join_latency_config ?(protocols = Sut.all) ~seed ~n
                    (fun () -> sut.Sut.subscribe r)))
             rest
       | [] -> ());
-      Engine.run
-        ~until:
-          (join_warmup
-          +. (float_of_int (List.length receivers) *. join_stagger)
-          +. (2.0 *. t2))
-        sut.Sut.engine;
+      ignore
+        (stream ~seed ~receivers sut
+           ~horizon:
+             (join_warmup
+             +. (float_of_int (List.length receivers) *. join_stagger)
+             +. (2.0 *. t2)));
       {
         jl_topology = config.Common.label;
         jl_proto = proto;

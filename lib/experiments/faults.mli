@@ -7,6 +7,12 @@
     per-receiver time-to-repair, lost and duplicated deliveries and
     control-overhead inflation.
 
+    One driver, {!stream}, runs every probe stream here and in
+    {!Soak}.  A fault case adds its plan, the {!event_budget} bound
+    and optional instrumentation; join latency adds staggered joins
+    and reads the session's join spans; {!Soak} adds churn, the
+    hostile plan and an armed monitor.
+
     Everything is deterministic in [seed]: two runs with the same seed
     produce identical outcomes (the acceptance criterion behind
     [hbh_sim faults --seed N]).  [run] resets the default metrics
@@ -53,12 +59,53 @@ val t2 : float
     oif holdtime and hard-state HPIM-DM has none), so the table stays
     comparable across protocols. *)
 
+val delivery_slack : float
+(** How long before its horizon a probe stream stops sending: the
+    delivery horizon the lost count waits out. *)
+
 val session : Verif.Sut.protocol -> Topology.Graph.t -> source:int -> Verif.Sut.t
 (** Fresh session (default config) on a private copy of [graph]. *)
 
 val plan_of : scenario -> crash_node:int -> link:int * int -> Fault.Plan.t
 (** The canonical fault plan for a scenario (crash+restart, link
     down+up, or loss burst) on the chosen targets. *)
+
+(** {1 The probe stream}
+
+    The paper's live-tree measurement (§4): a sequenced probe stream
+    down a ready session, every copy counted at the receivers. *)
+
+type stream = {
+  recovery : Fault.Recovery.t;
+      (** fed every probe sent, every copy delivered and the control
+          samples *)
+  report : Fault.Recovery.report;  (** read at the horizon *)
+  spans : Obs.Span.t;  (** the recovery's ["repair"] spans *)
+  timeline : Obs.Timeline.t option;  (** times relative to the start *)
+  drops : int;  (** loss + link-down + node-down drops during the run *)
+  stopped : bool;  (** fired [max_events] before the horizon *)
+}
+
+val stream :
+  ?max_events:int ->
+  ?timeline:float * (string * (Fault.Recovery.t -> float)) list ->
+  ?monitor:Verif.Monitor.t ->
+  ?fault_at:float ->
+  ?heal_at:float ->
+  ?plan:Fault.Plan.t ->
+  ?probe_start:float ->
+  seed:int ->
+  horizon:float ->
+  receivers:int list ->
+  Verif.Sut.t ->
+  stream
+(** Run a ready session [horizon] time units past its clock: probes
+    every 50 units from [probe_start] (default 50) until
+    {!delivery_slack} before the horizon, control hops sampled at the
+    start, at [fault_at] and [heal_at] (the fault window the recovery
+    is told) and at the end, [plan] installed with [seed], the named
+    [timeline] probes sampled at the given interval, [monitor]
+    stopped at the end. *)
 
 (** {1 Observation}
 

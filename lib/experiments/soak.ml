@@ -14,11 +14,8 @@
 
 module Sut = Verif.Sut
 module Engine = Eventsim.Engine
-module Timer = Eventsim.Timer
 
-let probe_period = 50.0
 let timeline_interval = 100.0
-let delivery_slack = 300.0
 
 (* The partition must heal before the structural monitors can observe
    the cut [confirm = 3] times in a row (probe period = t2 = 550), so
@@ -29,11 +26,7 @@ let min_horizon = 2400.0
 
 type result = {
   r_proto : Sut.protocol;
-  r_horizon : float;
-  r_receivers : int list;  (** the stable (always-on) members *)
-  r_churners : int list;
   r_churn_events : int;
-  r_island : int list;  (** the partitioned island *)
   r_probes : int;
   r_deliveries : int;
   r_checks : int;  (** monitor probes run *)
@@ -63,6 +56,10 @@ let churn_events rng ~horizon ~t2 member =
   in
   go [] 0.0 false
 
+let partition_times ~horizon =
+  let p_at = 0.4 *. horizon in
+  (p_at, p_at +. Float.min max_partition_window (0.2 *. horizon))
+
 (* The hostile stream.  Base knobs switch on at t=0 and stay on:
    per-hop jitter, bounded reordering, duplication and short
    correlated loss bursts.  A 5% control-plane drop filter covers an
@@ -70,8 +67,7 @@ let churn_events rng ~horizon ~t2 member =
    reconvergence around it, bumping the route epoch both times) sits
    at 40% of the horizon. *)
 let hostile_plan ~horizon ~island =
-  let p_at = 0.4 *. horizon in
-  let window = Float.min max_partition_window (0.2 *. horizon) in
+  let p_at, heal_at = partition_times ~horizon in
   Fault.Plan.make
     [
       (0.0, Fault.Plan.Jitter { max_delay = 1.0 });
@@ -82,13 +78,9 @@ let hostile_plan ~horizon ~island =
       (0.3 *. horizon, Fault.Plan.Drop_control { prob = 0.0 });
       (p_at, Fault.Plan.Partition_named { name = "soak"; island });
       (p_at +. Fault.Plan.detection_lag, Fault.Plan.Reconverge);
-      (p_at +. window, Fault.Plan.Heal_named { name = "soak" });
-      (p_at +. window +. Fault.Plan.detection_lag, Fault.Plan.Reconverge);
+      (heal_at, Fault.Plan.Heal_named { name = "soak" });
+      (heal_at +. Fault.Plan.detection_lag, Fault.Plan.Reconverge);
     ]
-
-let partition_times ~horizon =
-  let p_at = 0.4 *. horizon in
-  (p_at, p_at +. Float.min max_partition_window (0.2 *. horizon))
 
 let run_proto ~seed ~horizon proto (config : Common.config) =
   let rng = Stats.Rng.create seed in
@@ -107,14 +99,7 @@ let run_proto ~seed ~horizon proto (config : Common.config) =
   List.iter sut.Sut.subscribe receivers;
   sut.Sut.converge ();
   let mon = Verif.Monitor.attach sut in
-  let recov = Fault.Recovery.create ~receivers () in
-  let deliveries = ref 0 in
-  let last_seen : (int, float) Hashtbl.t = Hashtbl.create 16 in
-  sut.Sut.on_delivery (fun ~now ~receiver ~seq ->
-      incr deliveries;
-      Hashtbl.replace last_seen receiver now;
-      Fault.Recovery.note_delivery recov ~now ~receiver ~seq);
-  let t0 = Engine.now sut.Sut.engine in
+  let t0 = sut.Sut.now () in
   (* Membership churn: a precomputed seeded schedule driven through
      the SUT's subscribe/unsubscribe hooks. *)
   let crng = Stats.Rng.create (seed lxor 0x50ac) in
@@ -131,74 +116,40 @@ let run_proto ~seed ~horizon proto (config : Common.config) =
              if join then sut.Verif.Sut.subscribe m
              else sut.Verif.Sut.unsubscribe m)))
     churn;
-  (* Sequenced probe stream, stopped a delivery horizon early so the
-     lost-delivery count is not polluted by copies still in flight. *)
-  let probes = ref 0 in
-  let probe_until = horizon -. delivery_slack in
-  ignore
-    (Timer.every ~tag:"soak.probe" sut.Sut.engine ~start:probe_period
-       ~period:probe_period (fun () ->
-         let nw = Engine.now sut.Sut.engine in
-         if nw -. t0 <= probe_until then begin
-           let seq = sut.Sut.send_probe () in
-           if seq > 0 then begin
-             incr probes;
-             Fault.Recovery.note_send recov ~now:nw ~seq
-           end
-         end));
-  (* Timeline: the run's shape over simulated time. *)
-  let tl = Obs.Timeline.create ~interval:timeline_interval () in
-  Obs.Timeline.add_probe tl "deliveries" (fun () -> float_of_int !deliveries);
-  Obs.Timeline.add_probe tl "control_hops" (fun () ->
-      float_of_int (sut.Sut.control_hops ()));
-  Obs.Timeline.add_probe tl "members" (fun () ->
-      float_of_int (List.length (sut.Verif.Sut.members ())));
-  Obs.Timeline.add_probe tl "confirmed_violations" (fun () ->
-      float_of_int (Verif.Monitor.violation_count mon));
-  ignore
-    (Timer.every ~tag:"obs.timeline" sut.Sut.engine ~start:0.0
-       ~period:timeline_interval (fun () ->
-         let nw = Engine.now sut.Sut.engine in
-         if nw -. t0 <= horizon then Obs.Timeline.sample tl ~now:(nw -. t0)));
   (* The hostile stream proper.  The island is the last stable
      receiver's host: its access link is cut for the window, so its
      degradation (goodput floor, outage, control inflation) is
      measured while every other member keeps the stream. *)
   let island = [ List.nth receivers (List.length receivers - 1) ] in
-  sut.Sut.install_plan ~seed (hostile_plan ~horizon ~island);
   let p_at, heal_at = partition_times ~horizon in
-  Fault.Recovery.note_fault recov ~now:(t0 +. p_at);
-  Fault.Recovery.note_heal recov ~now:(t0 +. heal_at);
-  Fault.Recovery.note_control recov ~now:t0 ~hops:(sut.Sut.control_hops ());
-  List.iter
-    (fun at ->
-      ignore
-        (Engine.schedule ~tag:"soak.ctl-sample" sut.Sut.engine ~delay:at
-           (fun () ->
-             Fault.Recovery.note_control recov
-               ~now:(Engine.now sut.Sut.engine)
-               ~hops:(sut.Sut.control_hops ()))))
-    [ p_at; heal_at ];
-  Engine.run ~until:(t0 +. horizon) sut.Sut.engine;
-  Fault.Recovery.note_control recov
-    ~now:(Engine.now sut.Sut.engine)
-    ~hops:(sut.Sut.control_hops ());
-  Verif.Monitor.stop mon;
+  let st =
+    Faults.stream ~monitor:mon ~fault_at:p_at ~heal_at
+      ~plan:(hostile_plan ~horizon ~island)
+      ~timeline:
+        ( timeline_interval,
+          [
+            ("deliveries", fun r -> float_of_int (Fault.Recovery.copy_count r));
+            ("control_hops", fun _ -> float_of_int (sut.Sut.control_hops ()));
+            ("members", fun _ -> float_of_int (List.length (sut.Sut.members ())));
+            ( "confirmed_violations",
+              fun _ -> float_of_int (Verif.Monitor.violation_count mon) );
+          ] )
+      ~seed ~horizon ~receivers sut
+  in
   (* An outage is unhealed if a stable receiver has been silent for
      the last 2*t2 of the probe stream — soft state that was going to
      recover has had every chance to. *)
+  let probe_until = horizon -. Faults.delivery_slack in
   let unhealed =
     List.filter
       (fun r ->
-        match Hashtbl.find_opt last_seen r with
+        match Fault.Recovery.last_delivery st.Faults.recovery r with
         | Some l -> (t0 +. probe_until) -. l > 2.0 *. Faults.t2
         | None -> true)
       receivers
   in
-  let report = Fault.Recovery.report recov in
-  let prefix =
-    Printf.sprintf "soak.%s" (Sut.name proto)
-  in
+  let report = st.Faults.report in
+  let prefix = Printf.sprintf "soak.%s" (Sut.name proto) in
   Fault.Recovery.export ~prefix (Obs.Metrics.default ()) report;
   Obs.Metrics.set
     (Obs.Metrics.gauge (Obs.Metrics.default ()) (prefix ^ ".violations"))
@@ -208,18 +159,14 @@ let run_proto ~seed ~horizon proto (config : Common.config) =
     (float_of_int (List.length unhealed));
   {
     r_proto = proto;
-    r_horizon = horizon;
-    r_receivers = receivers;
-    r_churners = churners;
     r_churn_events = List.length churn;
-    r_island = island;
-    r_probes = !probes;
-    r_deliveries = !deliveries;
+    r_probes = Fault.Recovery.sent_count st.Faults.recovery;
+    r_deliveries = Fault.Recovery.copy_count st.Faults.recovery;
     r_checks = Verif.Monitor.checks mon;
     r_violations = Verif.Monitor.violations mon;
     r_unhealed = unhealed;
     r_report = report;
-    r_timeline = tl;
+    r_timeline = Option.get st.Faults.timeline;
   }
 
 let run ?(seed = 42) ?(protocols = Sut.all) ~hours () =
@@ -270,21 +217,4 @@ let row r =
   ]
 
 let pp_results ppf results =
-  let rows = List.map row results in
-  let widths =
-    List.fold_left
-      (fun ws r -> List.map2 (fun w c -> max w (String.length c)) ws r)
-      (List.map String.length headers)
-      rows
-  in
-  let line cells =
-    List.iteri
-      (fun i (w, c) ->
-        if i > 0 then Format.fprintf ppf "  ";
-        Format.fprintf ppf "%-*s" w c)
-      (List.combine widths cells);
-    Format.fprintf ppf "@."
-  in
-  line headers;
-  line (List.map (fun w -> String.make w '-') widths);
-  List.iter line rows
+  Stats.Table.render ppf ~headers (List.map row results)

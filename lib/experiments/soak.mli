@@ -10,15 +10,16 @@
     stable receiver's outage never heals (still silent over the last
     2·t2 of the probe stream).  Everything is deterministic in
     [seed]: the receiver draw, the churn schedule and every hostile
-    coin flip, so two runs with the same seed are bit-identical. *)
+    coin flip, so two runs with the same seed are bit-identical.
+
+    Each protocol's run is one {!Faults.stream}; this module adds the
+    churn schedule, the hostile plan, the armed monitor and the
+    unhealed-outage verdict.  It sets no event bound, so a long soak
+    never trips the faults budget. *)
 
 type result = {
   r_proto : Verif.Sut.protocol;
-  r_horizon : float;  (** simulated time units *)
-  r_receivers : int list;  (** the stable (always-on) members *)
-  r_churners : int list;  (** members that join and leave *)
   r_churn_events : int;
-  r_island : int list;  (** the partitioned island *)
   r_probes : int;  (** sequenced data probes sent *)
   r_deliveries : int;
   r_checks : int;  (** monitor probes run *)

@@ -109,6 +109,9 @@ let note_delivery t ~now ~receiver ~seq =
 
 let repaired_count t = Hashtbl.length t.first_repair
 let delivery_count t = Hashtbl.length t.got
+let copy_count t = Hashtbl.fold (fun _ n acc -> acc + n) t.got 0
+let sent_count t = Hashtbl.length t.sends
+let last_delivery t r = Hashtbl.find_opt t.last_seen r
 
 type receiver_outcome = {
   receiver : int;

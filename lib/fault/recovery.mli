@@ -31,6 +31,15 @@ val repaired_count : t -> int
 val delivery_count : t -> int
 (** Distinct (receiver, seq) deliveries observed so far. *)
 
+val copy_count : t -> int
+(** Every delivery observed so far, duplicates included. *)
+
+val sent_count : t -> int
+(** Distinct sequence numbers noted by {!note_send}. *)
+
+val last_delivery : t -> int -> float option
+(** When a node (listed receiver or not) last received data. *)
+
 val note_send : t -> now:float -> seq:int -> unit
 (** First call per [seq] wins (retransmissions keep the original
     send time). *)

@@ -20,6 +20,11 @@
 #     for HBH, REUNITE and PIM-SSM, and on 200 routers with 8 channels
 #     for HPIM-DM, is bit-identical: the churn outcome table and the
 #     control-hop totals pin the handlers and the soft-state tables.
+#   * `hbh_sim soak --seed 42` is bit-identical, stdout and its
+#     `--timeline-ndjson` file alike: churn, the hostile plan, the
+#     monitors and the probe stream's counts.
+#   * `hbh_sim report --seed 42` is bit-identical: instrumented faults,
+#     repair spans, join latency, timelines and monitor summaries.
 #
 # Prints one `output-equivalence: <run> OK|MISMATCH` line per run and
 # exits nonzero on any mismatch.  CI greps for the OK lines.
@@ -83,6 +88,25 @@ if {
 else
   status=1
   echo "output-equivalence: churn MISMATCH"
+fi
+
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+
+if run soak --seed 42 --timeline-ndjson "$tmp/soak-timeline.ndjson" \
+    | diff -u test/golden/soak-seed42.golden - \
+  && diff -u test/golden/soak-seed42-timeline.ndjson "$tmp/soak-timeline.ndjson"; then
+  echo "output-equivalence: soak OK"
+else
+  status=1
+  echo "output-equivalence: soak MISMATCH"
+fi
+
+if run report --seed 42 | diff -u test/golden/report-seed42.golden -; then
+  echo "output-equivalence: report OK"
+else
+  status=1
+  echo "output-equivalence: report MISMATCH"
 fi
 
 exit $status

@@ -159,6 +159,26 @@ let test_faults_runaway_terminates () =
   Alcotest.(check string) "jobs=2 renders the same" (render outcomes)
     (render (run 2))
 
+(* Timelines and monitors read state and schedule only their own
+   timers, so the instrumented suite's rows equal the plain suite's. *)
+let test_faults_instrument_read_only () =
+  let rows os = List.map Experiments.Faults.row os in
+  let plain = Experiments.Faults.run ~seed:42 () in
+  let observed, obs =
+    Experiments.Faults.run_observed ~seed:42
+      ~instrument:
+        { Experiments.Faults.i_timeline = Some 50.; i_monitor = true }
+      ()
+  in
+  Alcotest.(check int) "24 cases" 24 (List.length plain);
+  Alcotest.(check bool) "every case has a timeline and a monitor" true
+    (List.length obs = 24
+    && List.for_all
+         (fun (c : Experiments.Faults.case_obs) ->
+           c.c_timeline <> None && c.c_monitor <> None)
+         obs);
+  Alcotest.(check (list (list string))) "same rows" (rows plain) (rows observed)
+
 let test_scaling_jobs_equiv () =
   let seq = Experiments.Scaling.connectivity ~runs:5 ~seed:9 () in
   let par = Experiments.Scaling.connectivity ~runs:5 ~seed:9 ~jobs:4 () in
@@ -193,5 +213,7 @@ let () =
         @ [
             Alcotest.test_case "faults seed 970 stops a runaway" `Quick
               test_faults_runaway_terminates;
+            Alcotest.test_case "faults instrumentation is read-only" `Quick
+              test_faults_instrument_read_only;
           ] );
     ]
