@@ -195,8 +195,8 @@ let metrics_arg =
 
    The figure commands are analytic (no event engine), so protocol
    message telemetry has nothing to record during them.  When an
-   observability flag is given we therefore also run one event-driven
-   HBH + REUNITE convergence sample on the [topo] topology
+   observability flag is given we therefore also run the paper's
+   event-driven HBH + REUNITE sample on the [topo] topology
    ({!Experiments.Common.instrumented_sample}) with profiling on; its
    counters, typed events and engine profiles join the snapshot. *)
 let analytic name ~doc ?(topo = `Isp) term =
@@ -226,10 +226,11 @@ let analytic name ~doc ?(topo = `Isp) term =
       let snap = Obs.Metrics.snapshot (Obs.Metrics.default ()) in
       if metrics then begin
         Format.printf "@.== Metrics ==@.%a@." Obs.Metrics.pp_snapshot snap;
-        Format.printf "@.== HBH engine profile (companion run) ==@.%a@."
-          Eventsim.Engine.pp_profile sample.hbh_profile;
-        Format.printf "@.== REUNITE engine profile (companion run) ==@.%a@."
-          Eventsim.Engine.pp_profile sample.reunite_profile
+        List.iter
+          (fun (p, profile) ->
+            Format.printf "@.== %s engine profile (companion run) ==@.%a@."
+              (Verif.Sut.label p) Eventsim.Engine.pp_profile profile)
+          sample.profiles
       end;
       Option.iter write_metrics_json metrics_json
     end
@@ -482,23 +483,17 @@ let validate_cmd =
       & opt (int_at_least 1) 30
       & info [ "scenarios" ] ~docv:"N" ~doc:"Randomized scenarios per protocol.")
   in
-  (* The protocols with an analytic oracle, in run order. *)
-  let oracles =
-    [
-      (Verif.Sut.Hbh, Experiments.Validate.hbh);
-      (Verif.Sut.Reunite, Experiments.Validate.reunite);
-    ]
-  in
+  (* The protocols with an analytic oracle (a paper regime). *)
+  let oracles = Experiments.Common.paper_protocols in
   let run scenarios protocols seed =
     List.iter
       (fun p ->
-        if not (List.mem_assoc p oracles) then
+        if not (List.mem p oracles) then
           usage_error
             (Printf.sprintf
                "validate has no analytic %s oracle; --protocol must be %s"
                (Verif.Sut.label p)
-               (String.concat " or "
-                  (List.map (fun (p, _) -> Verif.Sut.name p) oracles))))
+               (String.concat " or " (List.map Verif.Sut.name oracles))))
       protocols;
     let config = Experiments.Common.isp_config () in
     List.iter
@@ -506,12 +501,11 @@ let validate_cmd =
         Format.printf "%-27s%a@."
           (Verif.Sut.label p ^ " event vs analytic:")
           Experiments.Validate.pp
-          ((List.assoc p oracles) ~scenarios ~seed config))
+          (Experiments.Validate.run ~scenarios ~seed p config))
       protocols
   in
   analytic "validate" ~doc
-    Term.(
-      const run $ scenarios $ protocols_arg ~default:(List.map fst oracles))
+    Term.(const run $ scenarios $ protocols_arg ~default:oracles)
 
 let rp_ablation_cmd =
   let doc =
@@ -862,16 +856,15 @@ let churn_cmd =
       & info [ "routers" ] ~docv:"N" ~doc)
   in
   let gen =
-    let doc = "Topology generator: $(b,power-law) or $(b,as-hierarchy)." in
+    let gens =
+      List.map
+        (fun g -> (Experiments.Churn.gen_name g, g))
+        Experiments.Churn.gens
+    in
+    let doc = "Topology generator, " ^ Arg.doc_alts_enum gens ^ "." in
     Arg.(
       value
-      & opt
-          (enum
-             [
-               ("power-law", Experiments.Churn.Power_law);
-               ("as-hierarchy", Experiments.Churn.As_hierarchy);
-             ])
-          Experiments.Churn.Power_law
+      & opt (enum gens) Experiments.Churn.default_params.gen
       & info [ "gen" ] ~docv:"G" ~doc)
   in
   let rate =

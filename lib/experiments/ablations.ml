@@ -11,14 +11,21 @@ let symmetry ?(runs = 200) ?(seed = 42) config =
 
 type overhead_point = {
   size : int;
-  hbh_hops_per_period : float;
-  reunite_hops_per_period : float;
+  hops_per_period : (Verif.Sut.protocol * float) list;
 }
 
-(* Converge, then measure the steady-state control traffic of one more
-   window of [periods] tree periods. *)
-let steady_overhead ~hops_before ~hops_after ~periods =
-  (hops_after -. hops_before) /. periods
+(* Per protocol: converge, then measure the steady-state control
+   traffic of one more window of [measure_window] control periods. *)
+let measure_window = 10.0
+
+let steady_overhead p (s : Workload.Scenario.t) =
+  let module P = (val Verif.Sut.instance p) in
+  let session = P.create s.table ~source:s.source in
+  List.iter (P.subscribe session) s.receivers;
+  P.converge ~periods:15 session;
+  let before = P.control_overhead session in
+  P.run_for session (measure_window *. P.control_period session);
+  float_of_int (P.control_overhead session - before) /. measure_window
 
 let overhead ?(runs = 5) ?(seed = 42) ?sizes (config : Common.config) =
   let sizes = match sizes with Some s -> s | None -> config.sizes in
@@ -26,53 +33,38 @@ let overhead ?(runs = 5) ?(seed = 42) ?sizes (config : Common.config) =
   List.map
     (fun n ->
       let size_rng = Stats.Rng.split master in
-      let hbh_acc = Stats.Summary.create () in
-      let re_acc = Stats.Summary.create () in
+      let accs =
+        List.map (fun p -> (p, Stats.Summary.create ())) Common.paper_protocols
+      in
       for _ = 1 to runs do
         let rng = Stats.Rng.split size_rng in
         let s =
           Workload.Scenario.make rng config.graph ~source:config.source
             ~candidates:config.candidates ~n
         in
-        let measure_window = 10.0 in
-        (* HBH *)
-        let session = Hbh.Protocol.create s.table ~source:s.source in
-        List.iter (Hbh.Protocol.subscribe session) s.receivers;
-        Hbh.Protocol.converge ~periods:15 session;
-        let before = float_of_int (Hbh.Protocol.control_overhead session) in
-        Hbh.Protocol.run_for session
-          (measure_window *. (Hbh.Protocol.config session).tree_period);
-        let after = float_of_int (Hbh.Protocol.control_overhead session) in
-        Stats.Summary.add hbh_acc
-          (steady_overhead ~hops_before:before ~hops_after:after
-             ~periods:measure_window);
-        (* REUNITE *)
-        let session = Reunite.Protocol.create s.table ~source:s.source in
-        List.iter (Reunite.Protocol.subscribe session) s.receivers;
-        Reunite.Protocol.converge ~periods:15 session;
-        let before = float_of_int (Reunite.Protocol.control_overhead session) in
-        Reunite.Protocol.run_for session
-          (measure_window *. Reunite.Protocol.default_config.tree_period);
-        let after = float_of_int (Reunite.Protocol.control_overhead session) in
-        Stats.Summary.add re_acc
-          (steady_overhead ~hops_before:before ~hops_after:after
-             ~periods:measure_window)
+        List.iter
+          (fun (p, acc) -> Stats.Summary.add acc (steady_overhead p s))
+          accs
       done;
       {
         size = n;
-        hbh_hops_per_period = Stats.Summary.mean hbh_acc;
-        reunite_hops_per_period = Stats.Summary.mean re_acc;
+        hops_per_period =
+          List.map (fun (p, acc) -> (p, Stats.Summary.mean acc)) accs;
       })
     sizes
 
+(* Series in the figures' legend order (REUNITE before HBH), the
+   reverse of the registry's. *)
 let overhead_group points =
-  let hbh = Stats.Series.create "HBH" in
-  let re = Stats.Series.create "REUNITE" in
-  List.iter
-    (fun p ->
-      Stats.Series.observe hbh ~x:p.size p.hbh_hops_per_period;
-      Stats.Series.observe re ~x:p.size p.reunite_hops_per_period)
-    points;
+  let series p =
+    let s = Stats.Series.create (Verif.Sut.label p) in
+    List.iter
+      (fun pt ->
+        Stats.Series.observe s ~x:pt.size (List.assoc p pt.hops_per_period))
+      points;
+    s
+  in
   Stats.Series.group
     ~title:"Steady-state control overhead (message link-traversals per tree period)"
-    ~x_label:"receivers" ~y_label:"hops/period" [ re; hbh ]
+    ~x_label:"receivers" ~y_label:"hops/period"
+    (List.rev_map series Common.paper_protocols)

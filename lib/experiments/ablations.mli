@@ -5,7 +5,7 @@
     asymmetry and the protocols should converge.  And the recursive
     unicast machinery has a control-plane price the paper never
     quantifies: the overhead experiment measures it on the live
-    protocols. *)
+    protocols, reached through the {!Verif.Sut} registry. *)
 
 (** {1 Symmetric-costs ablation} *)
 
@@ -26,16 +26,18 @@ val symmetry :
 
 type overhead_point = {
   size : int;
-  hbh_hops_per_period : float;
-      (** control-message link traversals per tree period, converged *)
-  reunite_hops_per_period : float;
+  hops_per_period : (Verif.Sut.protocol * float) list;
+      (** per protocol of {!Common.paper_protocols}: control-message
+          link traversals per control period, converged *)
 }
 
 val overhead :
   ?runs:int -> ?seed:int -> ?sizes:int list -> Common.config -> overhead_point list
-(** Run the two event-driven protocols to convergence and measure the
-    steady-state control traffic (join + tree + fusion hops) per tree
-    period.  Defaults: 5 runs per size, seed 42, sizes from the
+(** Run each of {!Common.paper_protocols} to convergence (all joins at
+    once, 15 control periods) and measure the steady-state control
+    traffic (join + tree + fusion hops) per control period over 10
+    more.  Defaults: 5 runs per size, seed 42, sizes from the
     config. *)
 
 val overhead_group : overhead_point list -> Stats.Series.group
+(** REUNITE before HBH, the figures' legend order. *)

@@ -20,12 +20,8 @@ module Net = Netsim.Network
 
 type gen = Power_law | As_hierarchy
 
+let gens = [ Power_law; As_hierarchy ]
 let gen_name = function Power_law -> "power-law" | As_hierarchy -> "as-hierarchy"
-
-let gen_of_string = function
-  | "power-law" | "power_law" | "pl" -> Power_law
-  | "as-hierarchy" | "as_hierarchy" | "as" -> As_hierarchy
-  | s -> invalid_arg (Printf.sprintf "Churn.gen_of_string: unknown generator %S" s)
 
 type params = {
   gen : gen;
@@ -62,25 +58,6 @@ let probe_drain = 200.0
    relative to the (unchanged) churn rate drops. *)
 let stretch_factor = 10.0
 
-(* ---- The per-arm world (a monomorphic closure bundle) ----------------- *)
-
-type chan = {
-  subscribe : int -> unit;
-  unsubscribe : int -> unit;
-  members : unit -> int list;
-  send_data : unit -> unit;
-}
-
-type ops = {
-  engine : Engine.t;
-  chans : chan array;
-  control_hops : unit -> int;
-  reset_data : unit -> unit;
-  data_loads : unit -> ((int * int) * int) list;
-  data_deliveries : unit -> (int * float) list;
-  analytic : receivers:int list -> Mcast.Distribution.t;
-}
-
 (* Channel [c]'s group address: 232.0.0.0/8 (the SSM block), offset
    [c + 1] — a pure function of the rank, unlike the global
    [Channel.fresh] allocator, so arms running in one process never
@@ -88,40 +65,6 @@ type ops = {
 let channel_of_rank ~source c =
   let group = Mcast.Class_d.of_int32 (Int32.of_int (0xE8000000 + c + 1)) in
   Mcast.Channel.make ~source ~group
-
-(* Every arm builds the same shape over the protocol's session
-   instance: one network, one mux, [channels] sessions attached in
-   rank order. *)
-let ops_of proto ~stretched ~channels table ~source =
-  let module P = (val Sut.instance proto) in
-  let engine = Engine.create () in
-  let net = Net.create engine table in
-  let mx = P.mux net in
-  let config =
-    if stretched then P.scale_timers stretch_factor P.default_config
-    else P.default_config
-  in
-  let chans =
-    Array.init channels (fun c ->
-        let s =
-          P.create_mux ~config ~channel:(channel_of_rank ~source c) mx ~source
-        in
-        {
-          subscribe = P.subscribe s;
-          unsubscribe = P.unsubscribe s;
-          members = (fun () -> P.members s);
-          send_data = (fun () -> P.send_data s);
-        })
-  in
-  {
-    engine;
-    chans;
-    control_hops = (fun () -> (Net.counters net).Net.control_hops);
-    reset_data = (fun () -> Net.reset_data_accounting net);
-    data_loads = (fun () -> Net.data_link_loads net);
-    data_deliveries = (fun () -> Net.data_deliveries net);
-    analytic = (fun ~receivers -> Sut.analytic proto table ~source ~receivers);
-  }
 
 (* ---- One arm ----------------------------------------------------------- *)
 
@@ -161,28 +104,6 @@ let mean = function
   | [] -> nan
   | l -> List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l)
 
-(* Probe one channel: send a single data packet and drain, then read
-   the network's per-link copy loads and host deliveries — the live
-   tree's {!Mcast.Distribution}, by the same accounting the delivery
-   digests pin.  Only the probed channel emits data inside the window
-   (churn events are joins/leaves), so the shared counters are exact. *)
-let probe_channel ops ~source c =
-  ops.reset_data ();
-  ops.chans.(c).send_data ();
-  let e = ops.engine in
-  Engine.run ~until:(Engine.now e +. probe_drain) e;
-  let dist = Mcast.Distribution.create ~source in
-  List.iter
-    (fun ((u, v), n) ->
-      for _ = 1 to n do
-        Mcast.Distribution.add_copy dist u v
-      done)
-    (ops.data_loads ());
-  List.iter
-    (fun (r, d) -> Mcast.Distribution.deliver dist ~receiver:r ~delay:d)
-    (ops.data_deliveries ());
-  dist
-
 let run_arm ~seed ~params proto ~stretched =
   let p = params in
   (* Topology and costs are arm-independent: every arm rebuilds the
@@ -205,7 +126,32 @@ let run_arm ~seed ~params proto ~stretched =
     Workload.Churn.multi ~seed ~channels:p.channels ~candidates ~rate:p.rate
       ~popularity ~mean_hold:p.mean_hold ~horizon:p.horizon
   in
-  let ops = ops_of proto ~stretched ~channels:p.channels table ~source in
+  (* Every arm builds the same shape over the protocol's session
+     instance: one network, one mux, [channels] sessions attached in
+     rank order. *)
+  let module P = (val Sut.instance proto) in
+  let engine = Engine.create () in
+  let net = Net.create engine table in
+  let mx = P.mux net in
+  let config =
+    if stretched then P.scale_timers stretch_factor P.default_config
+    else P.default_config
+  in
+  let sessions =
+    Array.init p.channels (fun c ->
+        P.create_mux ~config ~channel:(channel_of_rank ~source c) mx ~source)
+  in
+  (* Probe one channel: one data packet, drained, read as
+     {!Proto.Session.S.probe} reads it.  Only the probed channel emits
+     data inside the window (churn events are joins/leaves), so the
+     shared accounting is exact. *)
+  let probe c =
+    Net.reset_data_accounting net;
+    P.send_data sessions.(c);
+    P.run_for sessions.(c) probe_drain;
+    Mcast.Distribution.of_accounting ~source (Net.data_link_loads net)
+      (Net.data_deliveries net)
+  in
   (* Per-channel rollups: the Zipf head gets per-channel series, the
      tail aggregates under [_other].  Labels carry the arm identity so
      merged registries from concurrent arms never collide. *)
@@ -223,21 +169,21 @@ let run_arm ~seed ~params proto ~stretched =
   List.iter
     (fun (t, c, ev) ->
       ignore
-        (Engine.schedule_at ~tag:"churn.workload" ops.engine ~time:t (fun () ->
+        (Engine.schedule_at ~tag:"churn.workload" engine ~time:t (fun () ->
              match ev with
              | Workload.Churn.Join r ->
-                 ops.chans.(c).subscribe r;
+                 P.subscribe sessions.(c) r;
                  Obs.Metrics.incr
                    (Obs.Rollup.counter rollup "churn.joins" (chan_value c))
              | Workload.Churn.Leave r ->
-                 ops.chans.(c).unsubscribe r;
+                 P.unsubscribe sessions.(c) r;
                  Obs.Metrics.incr
                    (Obs.Rollup.counter rollup "churn.leaves" (chan_value c)))))
     sched;
   let ranks = probe_rank_list ~channels:p.channels ~probe_ranks:p.probe_ranks in
   let sample_at t =
-    Engine.run ~until:t ops.engine;
-    let members_of c = ops.chans.(c).members () in
+    Engine.run ~until:t engine;
+    let members_of c = P.members sessions.(c) in
     let total = ref 0 and active = ref 0 in
     for c = 0 to p.channels - 1 do
       match List.length (members_of c) with
@@ -255,8 +201,8 @@ let run_arm ~seed ~params proto ~stretched =
         | members ->
             incr probed;
             expected := !expected + List.length members;
-            let live = probe_channel ops ~source c in
-            let ideal = ops.analytic ~receivers:members in
+            let live = probe c in
+            let ideal = Sut.analytic proto table ~source ~receivers:members in
             delivered := !delivered + List.length (Mcast.Distribution.receivers live);
             let ic = Mcast.Distribution.cost ideal in
             if ic > 0 then begin
@@ -298,7 +244,7 @@ let run_arm ~seed ~params proto ~stretched =
     o_stretched = stretched;
     o_params = p;
     o_samples = samples;
-    o_control_hops = ops.control_hops ();
+    o_control_hops = (Net.counters net).Net.control_hops;
     o_hot_series = Obs.Rollup.series_count rollup;
     o_spilled = Obs.Rollup.spilled rollup;
   }

@@ -11,17 +11,19 @@
     between periodic re-optimizations.  The "stretched" arm scales
     every protocol time constant by 10x, widening exactly that gap.
 
+    Each arm drives the {!Verif.Sut.instance} directly, one session
+    per channel, and reads a probe with {!Proto.Session.S.probe}'s
+    reader ({!Mcast.Distribution.of_accounting}), after a 200-unit
+    drain.
+
     Deterministic in [seed]: every arm rebuilds the identical topology
     and churn schedule from hash-derived streams, so [~jobs] changes
     wall-clock only, never a byte of output. *)
 
 type gen = Power_law | As_hierarchy
 
+val gens : gen list
 val gen_name : gen -> string
-
-val gen_of_string : string -> gen
-(** Accepts ["power-law"]/["pl"] and ["as-hierarchy"]/["as"]; raises
-    [Invalid_argument] otherwise. *)
 
 type params = {
   gen : gen;

@@ -8,18 +8,30 @@ let protocol_name = function
   | Reunite -> "REUNITE"
   | Hbh -> "HBH"
 
+let rp rp_strategy rng (s : Workload.Scenario.t) =
+  Pim.Rp.select rp_strategy rng s.table ~source:s.source ~receivers:s.receivers
+
 let build ?(rp_strategy = Pim.Rp.Highest_degree) protocol rng
     (s : Workload.Scenario.t) =
   match protocol with
   | Pim_sm ->
-      let rp =
-        Pim.Rp.select rp_strategy rng s.table ~source:s.source
-          ~receivers:s.receivers
-      in
+      let rp = rp rp_strategy rng s in
       Pim.Pim_sm.build s.table ~source:s.source ~rp ~receivers:s.receivers
   | Pim_ss -> Pim.Pim_ss.build s.table ~source:s.source ~receivers:s.receivers
   | Reunite -> Reunite.Analytic.build s.table ~source:s.source ~receivers:s.receivers
   | Hbh -> Hbh.Analytic.build s.table ~source:s.source ~receivers:s.receivers
+
+let state protocol rng (s : Workload.Scenario.t) =
+  match protocol with
+  | Pim_sm ->
+      let rp = rp Pim.Rp.Highest_degree rng s in
+      Pim.Pim_sm.state s.table ~rp ~receivers:s.receivers
+  | Pim_ss -> Pim.Pim_ss.state s.table ~source:s.source ~receivers:s.receivers
+  | Reunite ->
+      let t = Reunite.Analytic.create s.table ~source:s.source in
+      List.iter (Reunite.Analytic.join t) s.receivers;
+      Reunite.Analytic.state t
+  | Hbh -> Hbh.Analytic.state s.table ~source:s.source ~receivers:s.receivers
 
 type config = {
   label : string;
@@ -127,13 +139,43 @@ let sweep ?(protocols = all_protocols) ?(runs = 500) ?(seed = 42)
         (List.map snd delay_series);
   }
 
+(* ---- The paper's event-driven runs ------------------------------------ *)
+
+module Sut = Verif.Sut
+
+let paper_protocols =
+  List.filter (fun p -> Option.is_some (Sut.regime p)) Sut.all
+
+let regime p =
+  match Sut.regime p with
+  | Some r -> r
+  | None -> invalid_arg ("Common: no paper regime for " ^ Sut.label p)
+
+let paper_run ?trace ?(profile = false) p (s : Workload.Scenario.t) =
+  let r = regime p in
+  let module P = (val Sut.instance p) in
+  let session = P.create ?trace s.table ~source:s.source in
+  let engine = P.engine session in
+  Eventsim.Engine.set_profiling engine profile;
+  let spacing = float_of_int r.join_spacing *. P.control_period session in
+  List.iter
+    (fun m ->
+      P.subscribe session m;
+      if r.join_spacing > 0 then P.run_for session spacing)
+    s.receivers;
+  P.converge ~periods:r.settle_periods session;
+  let dist = P.probe session in
+  (dist, Eventsim.Engine.profile engine)
+
+let paper_reference p (s : Workload.Scenario.t) =
+  (regime p).reference s.table ~source:s.source ~receivers:s.receivers
+
 (* ---- Instrumented companion run --------------------------------------- *)
 
 type instrumented = {
   sample_size : int;
   receivers : int list;
-  hbh_profile : Eventsim.Engine.profile;
-  reunite_profile : Eventsim.Engine.profile;
+  profiles : (Sut.protocol * Eventsim.Engine.profile) list;
 }
 
 (* Mirror a run's per-tag event counts into the default registry so a
@@ -164,35 +206,15 @@ let instrumented_sample ?trace ?(seed = 1) ?n (config : config) =
     Workload.Scenario.make rng config.graph ~source:config.source
       ~candidates:config.candidates ~n
   in
-  let hbh_profile =
-    let session = Hbh.Protocol.create ?trace s.table ~source:s.source in
-    Eventsim.Engine.set_profiling (Hbh.Protocol.engine session) true;
-    List.iter (Hbh.Protocol.subscribe session) s.receivers;
-    Hbh.Protocol.converge ~periods:20 session;
-    ignore (Hbh.Protocol.probe session);
-    Eventsim.Engine.profile (Hbh.Protocol.engine session)
+  let profiles =
+    List.map
+      (fun p -> (p, snd (paper_run ?trace ~profile:true p s)))
+      paper_protocols
   in
-  let reunite_profile =
-    let session = Reunite.Protocol.create ?trace s.table ~source:s.source in
-    Eventsim.Engine.set_profiling (Reunite.Protocol.engine session) true;
-    List.iter
-      (fun r ->
-        Reunite.Protocol.subscribe session r;
-        Reunite.Protocol.run_for session
-          (3.0 *. Reunite.Protocol.default_config.tree_period))
-      s.receivers;
-    Reunite.Protocol.converge ~periods:2 session;
-    ignore (Reunite.Protocol.probe session);
-    Eventsim.Engine.profile (Reunite.Protocol.engine session)
-  in
-  fold_profile ~prefix:"hbh.engine" hbh_profile;
-  fold_profile ~prefix:"reunite.engine" reunite_profile;
-  {
-    sample_size = n;
-    receivers = List.sort compare s.receivers;
-    hbh_profile;
-    reunite_profile;
-  }
+  List.iter
+    (fun (p, profile) -> fold_profile ~prefix:(Sut.name p ^ ".engine") profile)
+    profiles;
+  { sample_size = n; receivers = List.sort compare s.receivers; profiles }
 
 let advantage group ~over ~of_ =
   let ratios = Stats.Series.ratio group ~num:of_ ~den:over in

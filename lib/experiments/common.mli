@@ -1,6 +1,8 @@
-(** Shared experiment machinery: the four protocols under comparison
-    and the Monte-Carlo sweep of Section 4 (500 runs per group size,
-    costs and receiver sets redrawn each run). *)
+(** Shared experiment machinery: the four analytic protocols under
+    comparison, the Monte-Carlo sweep of Section 4 (500 runs per group
+    size, costs and receiver sets redrawn each run), and the paper's
+    event-driven run, which reaches each protocol through the
+    {!Verif.Sut} registry and drives it by the row's regime. *)
 
 type protocol = Pim_sm | Pim_ss | Reunite | Hbh
 
@@ -19,6 +21,11 @@ val build :
     its rendez-vous point per [rp_strategy] (default
     {!Pim.Rp.Highest_degree}, the operational "RP at the core"
     practice; see EXPERIMENTS.md for the ablation). *)
+
+val state :
+  protocol -> Stats.Rng.t -> Workload.Scenario.t -> Mcast.Metrics.state
+(** {!build}'s tree's control-plane footprint, PIM-SM's RP placed by
+    {!build}'s default strategy. *)
 
 (** Configuration of one topology's sweep. *)
 type config = {
@@ -81,30 +88,52 @@ val advantage : Stats.Series.group -> over:string -> of_:string -> float
     outperforms REUNITE by N%" in the paper's phrasing.  E.g.
     [advantage g ~over:"REUNITE" ~of_:"HBH"]. *)
 
+(** {1 The paper's event-driven run}
+
+    Both raise [Invalid_argument] for a protocol without a
+    {!Verif.Sut.regime}. *)
+
+val paper_protocols : Verif.Sut.protocol list
+(** The registry's protocols with a regime, in registry order: HBH,
+    REUNITE. *)
+
+val paper_run :
+  ?trace:Obs.Trace.t ->
+  ?profile:bool ->
+  Verif.Sut.protocol ->
+  Workload.Scenario.t ->
+  Mcast.Distribution.t * Eventsim.Engine.profile
+(** A fresh default-config session on the scenario, its receivers
+    joined and settled by the regime, then probed
+    ({!Proto.Session.S.probe}), with its engine profile ([profile],
+    default false, switches engine profiling on). *)
+
+val paper_reference :
+  Verif.Sut.protocol -> Workload.Scenario.t -> Mcast.Distribution.t
+(** The regime's reference tree on the scenario. *)
+
 (** {1 Instrumented companion run}
 
     The figure commands are analytic — they build trees with
     {!build}, never running the event engine — so a metrics snapshot
     after e.g. [fig7a] holds analytic counters only.  When the CLI's
     observability flags ask for protocol-level telemetry it runs this
-    companion sample: one event-driven HBH and one REUNITE
-    convergence on the config's topology with engine profiling
+    companion sample: one {!paper_run} per protocol of
+    {!paper_protocols} on the config's topology with engine profiling
     enabled, which populates the protocol message counters
-    ([proto.hbh.join_msgs], [proto.reunite.join_msgs], ...), the engine counters
-    and, if [trace] is live, the typed event stream. *)
+    ([proto.hbh.join_msgs], [proto.reunite.join_msgs], ...), the
+    engine counters and, if [trace] is live, the typed event stream. *)
 
 type instrumented = {
   sample_size : int;  (** receiver-group size of the sample run *)
   receivers : int list;  (** the sampled receiver set, sorted *)
-  hbh_profile : Eventsim.Engine.profile;
-  reunite_profile : Eventsim.Engine.profile;
+  profiles : (Verif.Sut.protocol * Eventsim.Engine.profile) list;
+      (** per protocol of {!paper_protocols} *)
 }
 
 val instrumented_sample :
   ?trace:Obs.Trace.t -> ?seed:int -> ?n:int -> config -> instrumented
 (** Runs the companion sample on [config]'s topology ([n] defaults to
-    the middle sweep size).  Engine profiling is switched on for both
-    sessions; per-tag fired counts are folded into
-    {!Obs.Metrics.default} as [hbh.engine.tag.*] /
-    [reunite.engine.tag.*] counters so they travel with metric
-    snapshots. *)
+    the middle sweep size).  Per-tag fired counts are folded into
+    {!Obs.Metrics.default} as [<name>.engine.tag.*] counters so they
+    travel with metric snapshots. *)

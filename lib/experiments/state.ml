@@ -6,20 +6,14 @@ type result = {
   branching : Stats.Series.group;
 }
 
-let protocols = [ "PIM-SS"; "REUNITE"; "HBH" ]
-
-let state_of name (s : Workload.Scenario.t) =
-  match name with
-  | "PIM-SS" -> Pim.Pim_ss.state s.table ~source:s.source ~receivers:s.receivers
-  | "REUNITE" ->
-      let t = Reunite.Analytic.create s.table ~source:s.source in
-      List.iter (Reunite.Analytic.join t) s.receivers;
-      Reunite.Analytic.state t
-  | "HBH" -> Hbh.Analytic.state s.table ~source:s.source ~receivers:s.receivers
-  | _ -> invalid_arg "State.state_of: unknown protocol"
+let protocols = Common.[ Pim_ss; Reunite; Hbh ]
 
 let run ?(runs = 200) ?(seed = 42) (config : Common.config) =
-  let series () = List.map (fun p -> (p, Stats.Series.create p)) protocols in
+  let series () =
+    List.map
+      (fun p -> (p, Stats.Series.create (Common.protocol_name p)))
+      protocols
+  in
   let mft = series () and mct = series () and branching = series () in
   let master = Stats.Rng.create seed in
   List.iter
@@ -33,7 +27,7 @@ let run ?(runs = 200) ?(seed = 42) (config : Common.config) =
         in
         List.iter
           (fun p ->
-            let st = state_of p s in
+            let st = Common.state p rng s in
             Stats.Series.observe (List.assoc p mft) ~x:n
               (float_of_int st.Mcast.Metrics.mft_entries);
             Stats.Series.observe (List.assoc p mct) ~x:n

@@ -15,87 +15,38 @@ let sizes_of (config : Common.config) =
       List.sort_uniq compare
         [ a.(0); a.(Array.length a / 2); a.(Array.length a - 1) ]
 
-let run_one ~make_event ~make_analytic rng (config : Common.config) n =
-  let s =
-    Workload.Scenario.make rng config.graph ~source:config.source
-      ~candidates:config.candidates ~n
-  in
-  let event = make_event s in
-  let analytic = make_analytic s in
-  let exact = Mcast.Distribution.equal_shape event analytic in
-  let delivered_all =
-    Mcast.Distribution.receivers event = List.sort compare s.receivers
-  in
-  let close =
-    let ce = float_of_int (Mcast.Distribution.cost event) in
-    let ca = float_of_int (Mcast.Distribution.cost analytic) in
-    delivered_all && ca > 0.0 && Float.abs (ce -. ca) /. ca <= 0.2
-  in
-  (exact, delivered_all, close)
-
-let collect ~make_event ~make_analytic ?(scenarios = 30) ?(seed = 42) config =
+let run ?(scenarios = 30) ?(seed = 42) p (config : Common.config) =
   let master = Stats.Rng.create seed in
   let sizes = sizes_of config in
-  let total = ref 0 and exact = ref 0 and delivered = ref 0 and close = ref 0 in
+  let exact = ref 0 and delivered = ref 0 and close = ref 0 in
   let mismatches = ref [] in
   for i = 1 to scenarios do
     let rng = Stats.Rng.split master in
     let n = List.nth sizes (i mod List.length sizes) in
-    incr total;
-    let ok_exact, ok_delivered, ok_close =
-      run_one ~make_event ~make_analytic rng config n
+    let s =
+      Workload.Scenario.make rng config.graph ~source:config.source
+        ~candidates:config.candidates ~n
     in
-    if ok_exact then incr exact else mismatches := (i, n) :: !mismatches;
-    if ok_delivered then incr delivered;
-    if ok_close then incr close
+    let event, _ = Common.paper_run p s in
+    let analytic = Common.paper_reference p s in
+    if Mcast.Distribution.equal_shape event analytic then incr exact
+    else mismatches := (i, n) :: !mismatches;
+    let delivered_all =
+      Mcast.Distribution.receivers event = List.sort compare s.receivers
+    in
+    if delivered_all then incr delivered;
+    let ce = float_of_int (Mcast.Distribution.cost event) in
+    let ca = float_of_int (Mcast.Distribution.cost analytic) in
+    if delivered_all && ca > 0.0 && Float.abs (ce -. ca) /. ca <= 0.2 then
+      incr close
   done;
   {
-    scenarios = !total;
+    scenarios;
     exact = !exact;
     delivered_all = !delivered;
     close = !close;
     mismatches = List.rev !mismatches;
   }
-
-let hbh ?scenarios ?seed config =
-  let make_event (s : Workload.Scenario.t) =
-    let session = Hbh.Protocol.create s.table ~source:s.source in
-    List.iter (Hbh.Protocol.subscribe session) s.receivers;
-    Hbh.Protocol.converge ~periods:20 session;
-    Hbh.Protocol.probe session
-  in
-  let make_analytic (s : Workload.Scenario.t) =
-    Hbh.Analytic.build s.table ~source:s.source ~receivers:s.receivers
-  in
-  collect ~make_event ~make_analytic ?scenarios ?seed config
-
-let reunite ?scenarios ?seed config =
-  let make_event (s : Workload.Scenario.t) =
-    let session = Reunite.Protocol.create s.table ~source:s.source in
-    (* Sequential subscriptions pin the join order to the analytic
-       model's; probing two periods after the last join measures the
-       constructed tree — the paper's regime — before the long-run
-       soft-state migrations (which the paper does not study) start
-       reshaping it. *)
-    List.iter
-      (fun r ->
-        Reunite.Protocol.subscribe session r;
-        Reunite.Protocol.run_for session
-          (3.0 *. Reunite.Protocol.default_config.tree_period))
-      s.receivers;
-    Reunite.Protocol.converge ~periods:2 session;
-    Reunite.Protocol.probe session
-  in
-  let make_analytic (s : Workload.Scenario.t) =
-    let t = Reunite.Analytic.create s.table ~source:s.source in
-    List.iter
-      (fun r ->
-        Reunite.Analytic.join t r;
-        Reunite.Analytic.settle t)
-      s.receivers;
-    Reunite.Analytic.distribution t
-  in
-  collect ~make_event ~make_analytic ?scenarios ?seed config
 
 let pp ppf o =
   Format.fprintf ppf

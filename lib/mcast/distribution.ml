@@ -31,6 +31,17 @@ let deliver t ~receiver ~delay =
       t.dup_deliveries <- t.dup_deliveries + 1;
       if delay < prev then Hashtbl.replace t.deliveries receiver delay
 
+let of_accounting ~source loads deliveries =
+  let t = create ~source in
+  List.iter
+    (fun ((u, v), n) ->
+      for _ = 1 to n do
+        add_copy t u v
+      done)
+    loads;
+  List.iter (fun (receiver, delay) -> deliver t ~receiver ~delay) deliveries;
+  t
+
 let cost t = Hashtbl.fold (fun _ n acc -> acc + n) t.loads 0
 
 let copies t u v =

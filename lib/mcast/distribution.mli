@@ -34,6 +34,13 @@ val deliver : t -> receiver:int -> delay:float -> unit
     receiver, the {e earliest} delay wins (first copy delivered) and
     {!duplicate_deliveries} is incremented. *)
 
+val of_accounting :
+  source:int -> ((int * int) * int) list -> (int * float) list -> t
+(** A simulated packet's distribution from the network's data
+    accounting ([Netsim.Network.data_link_loads] and
+    [data_deliveries]): [n] copies per [((u, v), n)], then each
+    [(receiver, delay)] through {!deliver}. *)
+
 (** {1 Metrics} *)
 
 val cost : t -> int

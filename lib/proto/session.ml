@@ -65,6 +65,7 @@ module type S = sig
   val data_seq : t -> int
   val data_targets : t -> int -> int list
   val run_for : t -> float -> unit
+  val control_period : t -> float
   val converge : ?periods:int -> t -> unit
   val probe : t -> Mcast.Distribution.t
   val engine : t -> Eventsim.Engine.t
@@ -404,8 +405,10 @@ module Make (P : PROTOCOL) = struct
 
   let run_for t d = Engine.run ~until:(now t +. d) t.engine
 
+  let control_period t = P.control_period t.config
+
   let converge ?(periods = 12) t =
-    run_for t (float_of_int periods *. P.control_period t.config)
+    run_for t (float_of_int periods *. control_period t)
 
   let send_data t = t.hooks.send_data t
   let data_targets t n = t.hooks.data_targets t n
@@ -428,18 +431,10 @@ module Make (P : PROTOCOL) = struct
   let probe t =
     Net.reset_data_accounting t.network;
     send_data t;
-    run_for t (Float.max 500.0 (2.0 *. P.control_period t.config));
-    let dist = Mcast.Distribution.create ~source:t.source in
-    List.iter
-      (fun ((u, v), n) ->
-        for _ = 1 to n do
-          Mcast.Distribution.add_copy dist u v
-        done)
-      (Net.data_link_loads t.network);
-    List.iter
-      (fun (r, d) -> Mcast.Distribution.deliver dist ~receiver:r ~delay:d)
-      (Net.data_deliveries t.network);
-    dist
+    run_for t (Float.max 500.0 (2.0 *. control_period t));
+    Mcast.Distribution.of_accounting ~source:t.source
+      (Net.data_link_loads t.network)
+      (Net.data_deliveries t.network)
 
   let control_overhead t = (Net.counters t.network).Net.control_hops
   let state_size t = t.hooks.state_size t

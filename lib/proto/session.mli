@@ -140,6 +140,9 @@ module type S = sig
 
   val run_for : t -> float -> unit
 
+  val control_period : t -> float
+  (** The config's {!PROTOCOL.control_period}: the unit of {!converge}. *)
+
   val converge : ?periods:int -> t -> unit
   (** Run for [periods] (default 12) control periods. *)
 
@@ -268,6 +271,7 @@ module Make (P : PROTOCOL) : sig
   (** {1 Driving} *)
 
   val run_for : t -> float -> unit
+  val control_period : t -> float
   val converge : ?periods:int -> t -> unit
 
   val send_data : t -> unit

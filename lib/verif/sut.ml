@@ -142,13 +142,12 @@ let state_digest sut =
 
 (* ---- Protocol views --------------------------------------------------- *)
 
-(* The protocol-specific slice of [t]: the periods read from the
-   session's own config, the canonical table dump and the inputs of
-   the structural oracles.  Everything else — the data-plane fan-out
-   included — is wired generically over the session signature by
-   [wrap]. *)
+(* The protocol-specific slice of [t]: the state-destruction deadline
+   read from the session's own config, the canonical table dump and
+   the inputs of the structural oracles.  Everything else — the
+   control period and the data-plane fan-out included — is wired
+   generically over the session signature by [wrap]. *)
 type view = {
-  control_period : float;
   t2 : float;
   dump_tables : Buffer.t -> unit;
   intercept_on_path : bool;
@@ -193,7 +192,6 @@ let hbh_view (p : Hbh.Protocol.t) : view =
       (P.all_tables p)
   in
   {
-    control_period = cfg.P.tree_period;
     t2 = cfg.P.t2;
     dump_tables;
     intercept_on_path = false;
@@ -237,7 +235,6 @@ let reunite_view (p : Reunite.Protocol.t) : view =
       (P.all_tables p)
   in
   {
-    control_period = cfg.P.tree_period;
     t2 = cfg.P.t2;
     dump_tables;
     intercept_on_path = true;
@@ -263,7 +260,6 @@ let pim_view (p : Pim.Ssm.t) : view =
       (P.all_oifs p)
   in
   {
-    control_period = cfg.P.join_period;
     t2 = cfg.P.holdtime;
     dump_tables;
     intercept_on_path = false;
@@ -359,7 +355,6 @@ let hpim_view (p : Hpim.Dm.t) : view =
     List.rev !acc
   in
   {
-    control_period = cfg.P.hello_period;
     t2 = cfg.P.holdtime;
     dump_tables;
     intercept_on_path = false;
@@ -370,15 +365,21 @@ let hpim_view (p : Hpim.Dm.t) : view =
 
 (* ---- The protocol registry --------------------------------------------- *)
 
+type tree =
+  Routing.Table.t -> source:int -> receivers:int list -> Mcast.Distribution.t
+
+type regime = { join_spacing : int; settle_periods : int; reference : tree }
+
 (* One row per protocol: the session instance, its view, the analytic
-   reference tree the churn experiment measures drift against, and the
-   spellings [of_string] accepts besides the canonical name. *)
+   reference tree the churn experiment measures drift against, the
+   spellings [of_string] accepts besides the canonical name, and the
+   paper's event-driven regime, if the paper runs the protocol. *)
 type 's row = {
   instance : (module Proto.Session.S with type t = 's);
   view : 's -> view;
-  analytic :
-    Routing.Table.t -> source:int -> receivers:int list -> Mcast.Distribution.t;
+  analytic : tree;
   aliases : string list;
+  regime : regime option;
 }
 
 let hbh_row =
@@ -387,7 +388,28 @@ let hbh_row =
     view = hbh_view;
     analytic = Hbh.Analytic.build;
     aliases = [];
+    regime =
+      Some
+        {
+          join_spacing = 0;
+          settle_periods = 20;
+          reference = Hbh.Analytic.build;
+        };
   }
+
+(* Sequential subscriptions pin the join order to the analytic model's
+   (each join settled before the next); probing two periods after the
+   last join measures the constructed tree — the paper's regime —
+   before the long-run soft-state migrations (which the paper does not
+   study) start reshaping it. *)
+let reunite_reference table ~source ~receivers =
+  let t = Reunite.Analytic.create table ~source in
+  List.iter
+    (fun r ->
+      Reunite.Analytic.join t r;
+      Reunite.Analytic.settle t)
+    receivers;
+  Reunite.Analytic.distribution t
 
 let reunite_row =
   {
@@ -395,6 +417,9 @@ let reunite_row =
     view = reunite_view;
     analytic = Reunite.Analytic.build;
     aliases = [];
+    regime =
+      Some
+        { join_spacing = 3; settle_periods = 2; reference = reunite_reference };
   }
 
 let pim_row =
@@ -403,6 +428,7 @@ let pim_row =
     view = pim_view;
     analytic = Pim.Pim_ss.build;
     aliases = [ "pim"; "pim_ssm" ];
+    regime = None;
   }
 
 (* HPIM-DM forwards along unicast shortest paths from the source,
@@ -413,6 +439,7 @@ let hpim_row =
     view = hpim_view;
     analytic = Pim.Pim_ss.build;
     aliases = [ "hpim"; "hpim_dm" ];
+    regime = None;
   }
 
 type protocol = Hbh | Reunite | Pim_ssm | Hpim_dm
@@ -452,6 +479,10 @@ let analytic p =
   let (Row r) = row p in
   r.analytic
 
+let regime p =
+  let (Row r) = row p in
+  r.regime
+
 (* ---- The shared wiring ------------------------------------------------- *)
 
 let default_candidates graph ~source =
@@ -460,6 +491,7 @@ let default_candidates graph ~source =
 let wrap (type s) (r : s row) ?candidates (p : s) =
   let module P = (val r.instance) in
   let v = r.view p in
+  let control_period = P.control_period p in
   let net = P.network p in
   let graph = Net.graph net in
   let source = P.source p in
@@ -475,7 +507,7 @@ let wrap (type s) (r : s row) ?candidates (p : s) =
       (match candidates with
       | Some c -> c
       | None -> default_candidates graph ~source);
-    control_period = v.control_period;
+    control_period;
     t2 = v.t2;
     engine = P.engine p;
     trace = Net.trace net;
@@ -520,7 +552,7 @@ let wrap (type s) (r : s row) ?candidates (p : s) =
       (fun () ->
         Net.reset_data_accounting net;
         P.send_data p;
-        P.run_for p (Float.max 500.0 (2.0 *. v.control_period));
+        P.run_for p (Float.max 500.0 (2.0 *. control_period));
         Net.data_deliveries net);
     dump_tables = v.dump_tables;
     data_targets = P.data_targets p;

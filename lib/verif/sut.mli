@@ -10,11 +10,14 @@
     stays monomorphic.
 
     This module is also the protocol registry: {!protocol} is the one
-    protocol enum, and every driver (faults, soak, churn, the verifier
-    and the CLI) iterates {!all}.  Adding a protocol means one
+    protocol enum, and every driver (the experiments, the verifier and
+    the CLI) iterates {!all} and reaches a protocol only through its
+    row: the session {!instance}, a view (table dump and the
+    protocol-specific oracle inputs), the {!analytic} tree, the
+    {!of_string} aliases and, where the paper runs the protocol
+    event-driven, its {!regime}.  Adding a protocol means one
     {!Proto.Session.S} instance (its data-plane fan-out is the
-    session's [data_targets] hook), one view (table dump and the
-    protocol-specific oracle inputs) and one registry row here. *)
+    session's [data_targets] hook), one view and one row here. *)
 
 type router_link = {
   u : int;
@@ -163,16 +166,27 @@ val instance : protocol -> (module Proto.Session.S)
 (** The protocol's session API, for drivers that build their own
     networks and muxes. *)
 
-val analytic :
-  protocol ->
-  Routing.Table.t ->
-  source:int ->
-  receivers:int list ->
-  Mcast.Distribution.t
+type tree =
+  Routing.Table.t -> source:int -> receivers:int list -> Mcast.Distribution.t
+
+val analytic : protocol -> tree
 (** The analytic reference tree: {!Hbh.Analytic.build},
     {!Reunite.Analytic.build}, and {!Pim.Pim_ss.build} for both PIM-SSM
     and HPIM-DM (which forwards along the same source-rooted shortest
     paths). *)
+
+type regime = {
+  join_spacing : int;
+      (** control periods between consecutive joins; 0 joins all
+          receivers at once *)
+  settle_periods : int;  (** control periods run after the joins *)
+  reference : tree;  (** the analytic tree the probed session must match *)
+}
+(** How the paper's event-driven runs (§4) take a fresh session to the
+    one data packet they measure. *)
+
+val regime : protocol -> regime option
+(** [None] for PIM-SSM and HPIM-DM, which the paper does not run. *)
 
 val make : ?candidates:int list -> protocol -> Routing.Table.t -> source:int -> t
 (** Create a fresh session of the given protocol (default config) on
@@ -181,8 +195,8 @@ val make : ?candidates:int list -> protocol -> Routing.Table.t -> source:int -> 
 (** {1 Wrapping a live session}
 
     Each applies the one shared wiring to the protocol's view of the
-    session; the periods behind [control_period]/[t2] are read from
-    the session's own config. *)
+    session; [control_period] and [t2] are read from the session's own
+    config. *)
 
 val of_hbh : ?candidates:int list -> Hbh.Protocol.t -> t
 val of_reunite : ?candidates:int list -> Reunite.Protocol.t -> t

@@ -25,6 +25,16 @@
 #     monitors and the probe stream's counts.
 #   * `hbh_sim report --seed 42` is bit-identical: instrumented faults,
 #     repair spans, join latency, timelines and monitor summaries.
+#   * `hbh_sim validate --seed 42` and `hbh_sim overhead --seed 42` are
+#     bit-identical, stdout and their `--metrics-json` files alike: the
+#     event-driven runs each registered protocol's paper regime drives.
+#   * `hbh_sim fig7a --runs 5 --seed 42 --metrics --trace=30` (the
+#     instrumented companion run) is bit-identical with its `--metrics-json`
+#     file, and on stdout apart from the engine profiles' wall-clock
+#     readings (the `wall=` seconds), which differ between identical
+#     runs; each profile's events_fired, pending and runs stay pinned.
+#   * `hbh_sim state --runs 20 --seed 42` and `hbh_sim stability --runs 20
+#     --seed 42` are bit-identical.
 #
 # Prints one `output-equivalence: <run> OK|MISMATCH` line per run and
 # exits nonzero on any mismatch.  CI greps for the OK lines.
@@ -108,5 +118,36 @@ else
   status=1
   echo "output-equivalence: report MISMATCH"
 fi
+
+for cmd in validate overhead; do
+  if run "$cmd" --seed 42 --metrics-json "$tmp/$cmd.json" \
+      | diff -u "test/golden/$cmd-seed42.golden" - \
+    && diff -u "test/golden/$cmd-seed42.json" "$tmp/$cmd.json"; then
+    echo "output-equivalence: $cmd OK"
+  else
+    status=1
+    echo "output-equivalence: $cmd MISMATCH"
+  fi
+done
+
+if run fig7a --runs 5 --seed 42 --metrics --trace=30 \
+      --metrics-json "$tmp/fig7a.json" \
+    | sed 's/ wall=[0-9.]*s//' \
+    | diff -u test/golden/fig7a-metrics-seed42.golden - \
+  && diff -u test/golden/fig7a-metrics-seed42.json "$tmp/fig7a.json"; then
+  echo "output-equivalence: companion OK"
+else
+  status=1
+  echo "output-equivalence: companion MISMATCH"
+fi
+
+for cmd in state stability; do
+  if run "$cmd" --runs 20 --seed 42 | diff -u "test/golden/$cmd-seed42.golden" -; then
+    echo "output-equivalence: $cmd OK"
+  else
+    status=1
+    echo "output-equivalence: $cmd MISMATCH"
+  fi
+done
 
 exit $status

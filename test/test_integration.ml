@@ -128,13 +128,16 @@ let test_fig8_delay_advantage_grows_with_connectivity () =
 (* ---- Validation ------------------------------------------------------------- *)
 
 let test_validate_hbh_exact () =
-  let o = Experiments.Validate.hbh ~scenarios:9 ~seed:5 (Experiments.Common.isp_config ()) in
+  let o =
+    Experiments.Validate.run ~scenarios:9 ~seed:5 Verif.Sut.Hbh
+      (Experiments.Common.isp_config ())
+  in
   Alcotest.(check int) "all exact" o.scenarios o.exact;
   Alcotest.(check int) "all delivered" o.scenarios o.delivered_all
 
 let test_validate_reunite_delivers () =
   let o =
-    Experiments.Validate.reunite ~scenarios:9 ~seed:5
+    Experiments.Validate.run ~scenarios:9 ~seed:5 Verif.Sut.Reunite
       (Experiments.Common.isp_config ())
   in
   Alcotest.(check int) "all delivered" o.scenarios o.delivered_all;
@@ -208,11 +211,17 @@ let test_overhead_scales_with_group () =
   in
   match points with
   | [ small; large ] ->
-      Alcotest.(check bool) "traffic grows with the group" true
-        (large.hbh_hops_per_period > small.hbh_hops_per_period
-        && large.reunite_hops_per_period > small.reunite_hops_per_period);
-      Alcotest.(check bool) "positive overhead" true
-        (small.hbh_hops_per_period > 0.0 && small.reunite_hops_per_period > 0.0)
+      Alcotest.(check (list string))
+        "one entry per event-driven protocol" [ "hbh"; "reunite" ]
+        (List.map (fun (p, _) -> Verif.Sut.name p) small.hops_per_period);
+      List.iter2
+        (fun (p, s) (p', l) ->
+          let name = Verif.Sut.label p in
+          Alcotest.(check bool) (name ^ ": same protocol order") true (p = p');
+          Alcotest.(check bool) (name ^ ": traffic grows with the group") true
+            (l > s);
+          Alcotest.(check bool) (name ^ ": positive overhead") true (s > 0.0))
+        small.hops_per_period large.hops_per_period
   | _ -> Alcotest.fail "expected two points"
 
 let test_scaling_advantage_grows () =

@@ -77,6 +77,30 @@ let test_distribution_duplicate_delivery () =
   Alcotest.(check (option (float 0.0))) "earliest wins" (Some 2.0)
     (Mcast.Distribution.delay d 7)
 
+(* The one reader of the network's data accounting (the session probe
+   and the churn probe): loads become per-link copies, deliveries go
+   through [deliver]. *)
+let test_distribution_of_accounting () =
+  let d =
+    Mcast.Distribution.of_accounting ~source:3
+      [ ((0, 1), 2); ((1, 2), 1); ((2, 1), 1) ]
+      [ (7, 5.0); (9, 6.0); (7, 3.0); (7, 8.0) ]
+  in
+  Alcotest.(check int) "source" 3 (Mcast.Distribution.source d);
+  Alcotest.(check int) "copies on 0->1" 2 (Mcast.Distribution.copies d 0 1);
+  Alcotest.(check int) "copies on 1->2" 1 (Mcast.Distribution.copies d 1 2);
+  Alcotest.(check int) "copies on 2->1" 1 (Mcast.Distribution.copies d 2 1);
+  Alcotest.(check int) "copies on 1->0" 0 (Mcast.Distribution.copies d 1 0);
+  Alcotest.(check int) "cost" 4 (Mcast.Distribution.cost d);
+  Alcotest.(check (list int)) "receivers" [ 7; 9 ] (Mcast.Distribution.receivers d);
+  Alcotest.(check (option (float 0.0))) "earliest delay wins" (Some 3.0)
+    (Mcast.Distribution.delay d 7);
+  Alcotest.(check int) "duplicates counted" 2
+    (Mcast.Distribution.duplicate_deliveries d);
+  let empty = Mcast.Distribution.of_accounting ~source:0 [] [] in
+  Alcotest.(check int) "empty cost" 0 (Mcast.Distribution.cost empty);
+  Alcotest.(check (list int)) "no receivers" [] (Mcast.Distribution.receivers empty)
+
 let test_distribution_add_path () =
   let g =
     Topology.Graph.make
@@ -191,6 +215,7 @@ let () =
           Alcotest.test_case "cost accounting" `Quick test_distribution_cost;
           Alcotest.test_case "delivery" `Quick test_distribution_delivery;
           Alcotest.test_case "duplicate delivery" `Quick test_distribution_duplicate_delivery;
+          Alcotest.test_case "of_accounting" `Quick test_distribution_of_accounting;
           Alcotest.test_case "add_path" `Quick test_distribution_add_path;
           Alcotest.test_case "equal_shape" `Quick test_distribution_equal_shape;
           Alcotest.test_case "metrics" `Quick test_metrics_of_distribution;
