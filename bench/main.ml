@@ -1,8 +1,9 @@
 (* Benchmark harness: the gated budgets and witnesses.  Each part
    measures one claim (hard-state control traffic, dormant telemetry,
    disarmed adversarial delivery, mux scaling, hot-path allocation)
-   and exits 1 when it fails, so CI gates on one run whose numbers
-   land in [bench_results.json].  The paper's figures come from
+   and prints its OK or failure line; every part runs, the numbers
+   land in [bench_results.json], and the run then exits 1 if any part
+   failed, so CI gates on one run.  The paper's figures come from
    [hbh_sim all]; per-layer timings from perfbench's unit-cost ladder
    and [hbh_sim scaling --large]. *)
 
@@ -27,6 +28,10 @@ let emit_json fields wall_s =
       output_char oc '\n';
       close_out oc;
       Format.printf "wrote %s@." file
+
+(* Set by any part that fails its gate; checked once, after every part
+   has run and the results are written. *)
+let failed = ref false
 
 (* ---- Part 2c: hard-state control-overhead witness ------------------------ *)
 
@@ -92,7 +97,7 @@ let hardstate_overhead_check () =
   if hard >= soft then begin
     Format.printf
       "hardstate-overhead: REGRESSED (HPIM-DM %.2fx HBH, expected < 1)@." ratio;
-    exit 1
+    failed := true
   end
   else
     Format.printf
@@ -191,7 +196,7 @@ let overhead_check () =
     notef_ns;
   if pct > 2.0 then begin
     Format.printf "observability-overhead: OVER BUDGET (%.3f%% > 2%%)@." pct;
-    exit 1
+    failed := true
   end
   else Format.printf "observability-overhead: OK (%.3f%% <= 2%% budget)@." pct;
   [
@@ -270,7 +275,7 @@ let adversarial_overhead_check () =
     hops check_ns (cost_ns /. 1e3) (sample_ns /. 1e6);
   if pct > 2.0 then begin
     Format.printf "adversarial-overhead: OVER BUDGET (%.3f%% > 2%%)@." pct;
-    exit 1
+    failed := true
   end
   else Format.printf "adversarial-overhead: OK (%.3f%% <= 2%% budget)@." pct;
   [
@@ -326,21 +331,38 @@ let mux_hop_ns ~iters k =
   let ns = time_ns_per ~iters cycle in
   ns /. float_of_int hops
 
+(* The two cases alternate, so a slow phase of the host hits both
+   sides of a pair alike, and the gate reads the median of the
+   per-pair ratios rather than one pair.  Odd, so the median is one
+   reading. *)
+let mux_pairs = 5
+
+let median xs =
+  let a = Array.copy xs in
+  Array.sort compare a;
+  a.(Array.length a / 2)
+
 let mux_scaling_check () =
-  let m1 = mux_hop_ns ~iters:100 1 in
-  let m256 = mux_hop_ns ~iters:100 256 in
-  let mux_ratio = m256 /. m1 in
+  let m1s = Array.make mux_pairs 0. and m256s = Array.make mux_pairs 0. in
+  for i = 0 to mux_pairs - 1 do
+    m1s.(i) <- mux_hop_ns ~iters:100 1;
+    m256s.(i) <- mux_hop_ns ~iters:100 256
+  done;
+  let m1 = median m1s and m256 = median m256s in
+  let mux_ratio = median (Array.map2 (fun a b -> b /. a) m1s m256s) in
   Format.printf
-    "mux dispatch per data hop: %.0f ns at 1 ch -> %.0f ns at 256 ch (x%.2f)@."
-    m1 m256 mux_ratio;
-  (* Expected ~1.0x (within ~10%); the gate leaves headroom for noisy
-     CI runners. *)
+    "mux dispatch per data hop: %.0f ns at 1 ch -> %.0f ns at 256 ch (median \
+     x%.2f over %d alternating pairs)@."
+    m1 m256 mux_ratio mux_pairs;
+  (* Dispatch is one hashtable probe, so expect near 1.0x (five runs
+     on a 2-vCPU KVM guest read medians x1.14-x1.19); the gate leaves
+     headroom for noisy CI runners. *)
   if mux_ratio > 1.5 then begin
     Format.printf
       "mux-scaling: NOT FLAT (x%.2f > x1.5 at 256 channels)@." mux_ratio;
-    exit 1
-  end;
-  Format.printf "mux-scaling: OK (shared mux x%.2f flat)@." mux_ratio;
+    failed := true
+  end
+  else Format.printf "mux-scaling: OK (shared mux x%.2f flat)@." mux_ratio;
   [
     ("mux_hop_ns_1ch", Obs.Json.Float m1);
     ("mux_hop_ns_256ch", Obs.Json.Float m256);
@@ -462,7 +484,7 @@ let alloc_budget_check () =
   if !ok then Format.printf "allocation-regression: OK@."
   else begin
     Format.printf "allocation-regression: OVER BUDGET@.";
-    exit 1
+    failed := true
   end;
   List.rev !fields
 
@@ -475,4 +497,5 @@ let () =
   let alloc = alloc_budget_check () in
   emit_json
     (telemetry @ adversarial @ hardstate @ mux @ alloc)
-    (Sys.time () -. t0)
+    (Sys.time () -. t0);
+  if !failed then exit 1

@@ -93,7 +93,10 @@ let rec step t =
   end
 
 let run ?until ?max_events t =
-  let wall_start = Sys.time () in
+  (* The clock is read only while profiling; a toggle from inside the
+     run takes effect at the next one. *)
+  let timed = t.profiling in
+  let wall_start = if timed then Sys.time () else 0.0 in
   let budget = ref (match max_events with Some m -> m | None -> max_int) in
   let continue = ref true in
   while !continue && !budget > 0 do
@@ -110,7 +113,7 @@ let run ?until ?max_events t =
   (match until with
   | Some limit when Heap.is_empty t.queue && t.clock < limit -> t.clock <- limit
   | _ -> ());
-  t.run_wall_s <- t.run_wall_s +. (Sys.time () -. wall_start);
+  if timed then t.run_wall_s <- t.run_wall_s +. (Sys.time () -. wall_start);
   t.runs <- t.runs + 1
 
 let events_fired t = t.fired

@@ -72,8 +72,9 @@ val restore : t -> snapshot -> unit
 
     Opt-in per-callback-tag accounting: when enabled, each fired
     event bumps its tag's count and records the simulated time it
-    fired at into a histogram.  [run] wall-clock time is accumulated
-    unconditionally (two clock reads per call). *)
+    fired at into a histogram, and each {!run} adds its CPU time to
+    [run_wall_s] (two clock reads per call, taken only while
+    profiling). *)
 
 val set_profiling : t -> bool -> unit
 (** Off by default; toggling does not clear collected stats. *)
@@ -88,7 +89,8 @@ type tag_profile = {
 type profile = {
   events_fired : int;
   pending : int;
-  run_wall_s : float;  (** CPU seconds spent inside {!run} *)
+  run_wall_s : float;
+      (** CPU seconds spent inside {!run} calls made while profiling *)
   runs : int;  (** number of {!run} calls *)
   tags : (string * tag_profile) list;  (** sorted; empty unless profiling *)
 }

@@ -120,8 +120,12 @@ type node_state = {
          expressed" witness *)
 }
 
+(* Per-node state is dense by node id: [nodes.(n)] holds node [n]'s
+   state while it has any.  The array is empty until the first install
+   sizes it to the graph; the sweep visits every id each period anyway,
+   and every walk over it is a copy, a sum or an ascending view. *)
 type state = {
-  nodes : node_state Tbl.t;
+  mutable nodes : node_state option array;
   mutable genid_ctr : int;
   rel : msg Rel.t;
   mutable pump : Eventsim.Wheel.entry option;
@@ -166,30 +170,26 @@ module S = Proto.Session.Make (struct
 
   let create_state c =
     {
-      nodes = Tbl.create 64;
+      nodes = [||];
       genid_ctr = 0;
       rel = Rel.create ~rto:c.rto ~rto_max:c.rto_max ();
       pump = None;
     }
 
-  let copy_state st =
-    let nodes = Tbl.create (max 8 (Tbl.length st.nodes)) in
+  let copy_node ns =
+    let nbrs = Tbl.create (max 8 (Tbl.length ns.nbrs)) in
     Tbl.iter
-      (fun n ns ->
-        let nbrs = Tbl.create (max 8 (Tbl.length ns.nbrs)) in
-        Tbl.iter
-          (fun v (r : nbr) -> Tbl.replace nbrs v { r with n_genid = r.n_genid })
-          ns.nbrs;
-        let peers = Tbl.create (max 8 (Tbl.length ns.peers)) in
-        Tbl.iter
-          (fun v (p : peer) ->
-            Tbl.replace peers v { p with p_genid = p.p_genid })
-          ns.peers;
-        Tbl.replace nodes n
-          { ns with nbrs; peers; down = Hs.Table.copy ns.down })
-      st.nodes;
+      (fun v (r : nbr) -> Tbl.replace nbrs v { r with n_genid = r.n_genid })
+      ns.nbrs;
+    let peers = Tbl.create (max 8 (Tbl.length ns.peers)) in
+    Tbl.iter
+      (fun v (p : peer) -> Tbl.replace peers v { p with p_genid = p.p_genid })
+      ns.peers;
+    { ns with nbrs; peers; down = Hs.Table.copy ns.down }
+
+  let copy_state st =
     {
-      nodes;
+      nodes = Array.map (Option.map copy_node) st.nodes;
       genid_ctr = st.genid_ctr;
       rel = Rel.copy st.rel;
       (* The wheel-entry handle is shared deliberately: Wheel.restore
@@ -205,9 +205,11 @@ let m_down = S.counter "down_updates"
 let m_rtx = S.counter "retransmissions"
 let m_syncs = S.counter "neighbor_syncs"
 
+let find_state st n = if n < Array.length st.nodes then st.nodes.(n) else None
+
 let node_state t n =
   let st = S.state t in
-  match Tbl.find_opt st.nodes n with
+  match find_state st n with
   | Some ns -> ns
   | None ->
       st.genid_ctr <- st.genid_ctr + 1;
@@ -223,7 +225,9 @@ let node_state t n =
           up_state = None;
         }
       in
-      Tbl.replace st.nodes n ns;
+      if Array.length st.nodes = 0 then
+        st.nodes <- Array.make (Topology.Graph.node_count (S.graph t)) None;
+      st.nodes.(n) <- Some ns;
       ns
 
 let peer_of ns v =
@@ -233,16 +237,6 @@ let peer_of ns v =
       let p = { p_genid = 0; p_sn = 0 } in
       Tbl.replace ns.peers v p;
       p
-
-(* Root path cost: this node's current unicast distance to the
-   channel source — the assert-election metric. *)
-let rpc t n =
-  let table = Net.table (S.network t) in
-  let src = S.source t in
-  if n = src then 0
-  else if Routing.Table.reachable table n src then
-    Routing.Table.distance table n src
-  else metric_unknown
 
 let nbr_genid ns v =
   match Tbl.find_opt ns.nbrs v with Some r -> r.n_genid | None -> 0
@@ -260,51 +254,47 @@ let nbr_alive ns v ~now =
 let is_router t n =
   Topology.Graph.multicast_router (S.graph t) n || n = S.source t
 
-(* The RPF candidate: the first {e participating} hop on the unicast
-   path toward the source.  Under full deployment this is exactly
-   [next_hop]; a capability-disabled router in between is tunneled
+(* Everything routing says about this node's upstream is in one
+   in-tree: unicast toward the channel source.  [tree.next] is the
+   path, and [tree.dist.(n)] is the root path cost, the
+   assert-election metric ([max_int] = [metric_unknown] when the
+   source is unreachable).
+
+   The RPF candidate is the first {e participating} hop on that path,
+   or [-1] when there is none.  Under full deployment this is exactly
+   [tree.next.(n)]; a capability-disabled router in between is tunneled
    through (the handler forwards packets not addressed to it). *)
-let rpf_of t n =
+let rpf_of t (tree : Routing.Dijkstra.in_tree) n =
   let src = S.source t in
-  if n = src then None
-  else
-    let table = Net.table (S.network t) in
-    let rec walk v =
-      if v = src || is_router t v then Some v
-      else
-        match Routing.Table.next_hop table v ~dest:src with
-        | Some w -> walk w
-        | None -> None
-    in
-    match Routing.Table.next_hop table n ~dest:src with
-    | Some v -> walk v
-    | None -> None
+  let rec walk v =
+    if v < 0 || v = src || is_router t v then v else walk tree.next.(v)
+  in
+  walk tree.next.(n)
 
 (* The best {e alive} upstream alternative: among adjacent
    participating neighbors with a live record and a finite advertised
    metric, the lexicographic minimum of (metric + link cost, id).  Ids
    are unique, so the minimum does not depend on the fold's order. *)
-let best_alive_upstream t n ~now =
-  match Tbl.find_opt (S.state t).nodes n with
-  | None -> None
-  | Some ns ->
-      let g = S.graph t in
-      let adj = Topology.Graph.neighbors g n in
-      Tbl.fold
-        (fun v (r : nbr) best ->
-          if
-            is_router t v && now <= r.n_heard
-            && r.n_metric < metric_unknown
-            && List.mem v adj
-          then
-            let m = r.n_metric + Topology.Graph.cost g n v in
-            match best with
-            | Some (bm, bv) when bm < m || (bm = m && bv <= v) -> best
-            | Some _ | None -> Some (m, v)
-          else best)
-        ns.nbrs None
+let best_alive_upstream t n ns ~now =
+  let g = S.graph t in
+  Tbl.fold
+    (fun v (r : nbr) best ->
+      if
+        is_router t v && now <= r.n_heard
+        && r.n_metric < metric_unknown
+        && Topology.Graph.connected g n v
+      then
+        let m = r.n_metric + Topology.Graph.cost g n v in
+        match best with
+        | Some (bm, bv) when bm < m || (bm = m && bv <= v) -> best
+        | Some _ | None -> Some (m, v)
+      else best)
+    ns.nbrs None
 
-(* Upstream selection, and the advertised root-path cost it implies.
+(* Upstream selection, and the advertised root-path cost it implies,
+   from one read of the source's in-tree per decision (no memo: a
+   cached tree is an array read, and there is nothing to invalidate
+   on reconvergence or restore).
 
    The RPF candidate wins whenever it is not {e known} dead — a
    missing record is bootstrap, not death.  When hellos have declared
@@ -316,40 +306,34 @@ let best_alive_upstream t n ~now =
    plus link) rather than routing's figure, so every fallback parent
    edge strictly decreases the advertised metric — parent chains
    cannot cycle at a quiescent point. *)
-let upstream_info t n =
-  if n = S.source t then (None, 0)
+let upstream_info t n ns =
+  let src = S.source t in
+  if n = src then (None, 0)
   else begin
     let now = S.now t in
-    let rpf = rpf_of t n in
+    let tree = Routing.Table.in_tree (Net.table (S.network t)) src in
+    let rpf = rpf_of t tree n in
     let degraded =
-      match rpf with
-      | None -> true
-      | Some p -> (
-          match Tbl.find_opt (S.state t).nodes n with
-          | None -> false
-          | Some ns -> (
-              match Tbl.find_opt ns.nbrs p with
-              | Some r -> now > r.n_heard
-              | None -> false))
+      rpf < 0
+      ||
+      match Tbl.find_opt ns.nbrs rpf with
+      | Some r -> now > r.n_heard
+      | None -> false
     in
-    if not degraded then (rpf, rpc t n)
-    else
-      match best_alive_upstream t n ~now with
-      | Some (m, v) -> (Some v, m)
-      | None ->
-          (* No live alternative: keep the RPF parent anyway.  The
-             reliable layer retransmits the pending interest with
-             backoff until the hop revives (crashed routers restart
-             with a fresh generation ID and re-synchronize) — exactly
-             how single-homed members survive their attachment
-             router's crash. *)
-          (rpf, rpc t n)
+    (* With no live alternative the RPF parent stays anyway.  The
+       reliable layer retransmits the pending interest with backoff
+       until the hop revives (crashed routers restart with a fresh
+       generation ID and re-synchronize) — exactly how single-homed
+       members survive their attachment router's crash. *)
+    match if degraded then best_alive_upstream t n ns ~now else None with
+    | Some (m, v) -> (Some v, m)
+    | None -> ((if rpf < 0 then None else Some rpf), tree.dist.(n))
   end
 
-let parent_of t n = fst (upstream_info t n)
+let parent_of t n ns = fst (upstream_info t n ns)
 
 (* The metric this node advertises in hellos, syncs and asserts. *)
-let metric_of t n = snd (upstream_info t n)
+let metric_of t n ns = snd (upstream_info t n ns)
 
 let wants ns = ns.ns_member || not (Hs.Table.is_empty ns.down)
 
@@ -412,11 +396,10 @@ let post_join t n ns ~dst ~j_int ~track =
    wants: post only on change (parent moved, polarity flipped, or the
    parent restarted with a new generation ID).  Idempotent and cheap —
    the steady state posts nothing. *)
-let audit t n =
-  let ns = node_state t n in
+let audit t n ns =
   let now = S.now t in
   let want = wants ns in
-  let parent = parent_of t n in
+  let parent = parent_of t n ns in
   match parent with
   | Some p when want ->
       let g = nbr_genid ns p in
@@ -444,18 +427,22 @@ let audit t n =
 
 (* ---- Neighbor liveness and synchronization ----------------------------- *)
 
-let send_sync t n ~dst =
+let send_sync t n ns ~dst =
   let st = S.state t in
-  let ns = node_state t n in
   let sn = next_sn ns in
-  let s_int = wants ns && parent_of t n = Some dst in
+  let s_int = wants ns && parent_of t n ns = Some dst in
   let payload =
     Extra
       {
         channel = S.channel t;
         extra =
           Sync
-            { s_sn = sn; s_genid = ns.ns_genid; s_metric = metric_of t n; s_int };
+            {
+              s_sn = sn;
+              s_genid = ns.ns_genid;
+              s_metric = metric_of t n ns;
+              s_int;
+            };
       }
   in
   Rel.post st.rel ~now:(S.now t) ~from:n ~dst ~cls:cls_sync ~sn payload;
@@ -486,8 +473,8 @@ let neighbor_restarted t n ns ~v ~genid ~metric ~now =
           n_heard = now +. (S.config t).holdtime;
           n_hseq = 0;
         });
-  send_sync t n ~dst:v;
-  audit t n
+  send_sync t n ns ~dst:v;
+  audit t n ns
 
 let process_hello t n ~v ~genid ~metric ~hseq =
   let ns = node_state t n in
@@ -512,8 +499,8 @@ let process_hello t n ~v ~genid ~metric ~hseq =
          neighbor record of itself at the router, and since hosts
          never hello, that record would expire and take the host's
          hard interest entry with it, forever. *)
-      if is_router t n then send_sync t n ~dst:v;
-      audit t n
+      if is_router t n then send_sync t n ns ~dst:v;
+      audit t n ns
   | Some r ->
       (* The hseq monotonicity guard only orders hellos within one
          incarnation: a different genid or a lapsed (dead) record means
@@ -530,8 +517,8 @@ let process_hello t n ~v ~genid ~metric ~hseq =
              have released [v]'s interest and re-parented away.  Same
              genid means no restart, so nothing implicitly voids the
              divergence: re-synchronize reliably, like fresh contact. *)
-          if revived && is_router t n then send_sync t n ~dst:v;
-          audit t n
+          if revived && is_router t n then send_sync t n ns ~dst:v;
+          audit t n ns
         end
       end
 
@@ -545,30 +532,33 @@ let process_hello t n ~v ~genid ~metric ~hseq =
    Every action here is idempotent, so re-walking dead records on
    later sweeps is harmless. *)
 let expire_neighbors t n ns ~now =
-  let st = S.state t in
-  let dead =
-    Tbl.fold
-      (fun v (r : nbr) acc -> if now > r.n_heard then v :: acc else acc)
-      ns.nbrs []
-    |> List.sort compare
-  in
-  List.iter
-    (fun v ->
-      Rel.cancel_between st.rel ~from:n ~dst:v;
-      if Hs.Table.mem ns.down v then begin
-        Hs.Table.remove ns.down v;
-        Obs.Metrics.hot_incr m_down
-      end;
-      match ns.up_state with
-      | Some (p, _, _) when p = v -> ns.up_state <- None
-      | Some _ | None -> ())
-    dead
+  if Tbl.fold (fun _ (r : nbr) any -> any || now > r.n_heard) ns.nbrs false
+  then begin
+    let st = S.state t in
+    let dead =
+      Tbl.fold
+        (fun v (r : nbr) acc -> if now > r.n_heard then v :: acc else acc)
+        ns.nbrs []
+      |> List.sort compare
+    in
+    List.iter
+      (fun v ->
+        Rel.cancel_between st.rel ~from:n ~dst:v;
+        if Hs.Table.mem ns.down v then begin
+          Hs.Table.remove ns.down v;
+          Obs.Metrics.hot_incr m_down
+        end;
+        match ns.up_state with
+        | Some (p, _, _) when p = v -> ns.up_state <- None
+        | Some _ | None -> ())
+      dead
+  end
 
 let send_hellos t n ns =
   let g = S.graph t in
   let net = S.network t in
   ns.ns_hseq <- ns.ns_hseq + 1;
-  let metric = metric_of t n in
+  let metric = metric_of t n ns in
   let payload =
     Extra
       {
@@ -581,12 +571,13 @@ let send_hellos t n ns =
     if Topology.Graph.link_up g n v && Net.node_up net v then
       S.send t ~from:n ~dst:v ~kind:Pkt.Control payload
   in
-  (* Router/source neighbors, then downstream member hosts (they need
-     the parent's generation ID to know when to re-express interest;
+  (* Router/source neighbors in ascending order (the graph keeps its
+     adjacency sorted), then downstream member hosts (they need the
+     parent's generation ID to know when to re-express interest;
      non-member hosts are never helloed). *)
   List.iter
-    (fun v -> if is_router t v then hello v)
-    (List.sort compare (Topology.Graph.neighbors g n));
+    (fun (v, _) -> if is_router t v then hello v)
+    (Topology.Graph.adjacency g n);
   List.iter
     (fun v -> if not (is_router t v) then hello v)
     (Hs.Table.nodes ns.down)
@@ -604,13 +595,13 @@ let entitled t n ns d =
   && (if is_router t d then
         match Tbl.find_opt ns.nbrs d with
         | Some r when S.now t <= r.n_heard ->
-            let m = metric_of t n in
+            let m = metric_of t n ns in
             m < r.n_metric || (m = r.n_metric && n < d)
         | Some _ | None -> true
       else true)
 
 let data_targets t n =
-  match Tbl.find_opt (S.state t).nodes n with
+  match find_state (S.state t) n with
   | None -> []
   | Some ns -> List.filter (entitled t n ns) (Hs.Table.nodes ns.down)
 
@@ -635,7 +626,7 @@ let process_interest t n ~v ~sn ~j_int ~genid =
     (if j_int then ignore (Hs.Table.add ns.down v : Hs.entry)
      else Hs.Table.remove ns.down v);
     Obs.Metrics.hot_incr m_down;
-    audit t n
+    audit t n ns
   end
 
 let process_sync t n ~v ~sn ~genid ~metric ~s_int =
@@ -670,8 +661,8 @@ let process_sync t n ~v ~sn ~genid ~metric ~s_int =
        view of this node — whatever interest was expressed before may
        be gone from its table.  Void the witness so the audit below
        re-posts it reliably. *)
-    if parent_of t n = Some v then ns.up_state <- None;
-    audit t n
+    if parent_of t n ns = Some v then ns.up_state <- None;
+    audit t n ns
   end
 
 let handler t n (p : msg Pkt.t) =
@@ -715,14 +706,14 @@ let sweep t ~now =
         let ns = node_state t n in
         expire_neighbors t n ns ~now;
         send_hellos t n ns;
-        audit t n
+        audit t n ns
       end
       else
-        match Tbl.find_opt st.nodes n with
+        match find_state st n with
         | None -> ()
         | Some ns ->
             expire_neighbors t n ns ~now;
-            audit t n
+            audit t n ns
   done
 
 let hooks =
@@ -734,9 +725,10 @@ let hooks =
     sweep;
     state_size =
       (fun t ->
-        Tbl.fold
-          (fun _ ns acc -> acc + Hs.Table.size ns.down)
-          (S.state t).nodes 0);
+        Array.fold_left
+          (fun acc -> function
+            | Some ns -> acc + Hs.Table.size ns.down | None -> acc)
+          0 (S.state t).nodes);
     (* A crash voids the incarnation: tables, dedup windows and the
        node's own pending reliable slots all go; the restart draws a
        fresh generation ID lazily, and the neighbors' hello machinery
@@ -744,26 +736,26 @@ let hooks =
     crash_wipe =
       (fun t n ->
         let st = S.state t in
-        Tbl.remove st.nodes n;
+        if n < Array.length st.nodes then st.nodes.(n) <- None;
         Rel.drop_node st.rel n);
     join_tick =
       (fun t ~member ->
         let ns = node_state t member in
         ns.ns_member <- true;
         expire_neighbors t member ns ~now:(S.now t);
-        audit t member);
+        audit t member ns);
     on_subscribe =
       (fun t m ->
         let ns = node_state t m in
         ns.ns_member <- true;
-        audit t m);
+        audit t m ns);
     on_unsubscribe =
       (fun t m ->
-        match Tbl.find_opt (S.state t).nodes m with
+        match find_state (S.state t) m with
         | None -> ()
         | Some ns ->
             ns.ns_member <- false;
-            audit t m);
+            audit t m ns);
     send_data =
       (fun t ->
         let src = S.source t in
@@ -799,35 +791,42 @@ type node_view = {
 let view t =
   let st = S.state t in
   let now = S.now t in
-  Tbl.fold
-    (fun n ns acc ->
-      let vw_nbrs =
-        Tbl.fold
-          (fun v (r : nbr) acc ->
-            {
-              nv_node = v;
-              nv_alive = now <= r.n_heard;
-              nv_metric = r.n_metric;
-              nv_genid = r.n_genid;
-            }
-            :: acc)
-          ns.nbrs []
-        |> List.sort (fun a b -> compare a.nv_node b.nv_node)
-      in
-      ( n,
-        {
-          vw_member = ns.ns_member;
-          vw_expressed =
-            Option.map (fun (p, pol, _) -> (p, pol)) ns.up_state;
-          vw_down = Hs.Table.nodes ns.down;
-          vw_nbrs;
-        } )
-      :: acc)
-    st.nodes []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  let node ns =
+    let vw_nbrs =
+      Tbl.fold
+        (fun v (r : nbr) acc ->
+          {
+            nv_node = v;
+            nv_alive = now <= r.n_heard;
+            nv_metric = r.n_metric;
+            nv_genid = r.n_genid;
+          }
+          :: acc)
+        ns.nbrs []
+      |> List.sort (fun a b -> compare a.nv_node b.nv_node)
+    in
+    {
+      vw_member = ns.ns_member;
+      vw_expressed = Option.map (fun (p, pol, _) -> (p, pol)) ns.up_state;
+      vw_down = Hs.Table.nodes ns.down;
+      vw_nbrs;
+    }
+  in
+  (* Descending over the dense slots, so the list comes out ascending. *)
+  let acc = ref [] in
+  for n = Array.length st.nodes - 1 downto 0 do
+    match st.nodes.(n) with
+    | Some ns -> acc := (n, node ns) :: !acc
+    | None -> ()
+  done;
+  !acc
 
-let genid t n =
-  Option.map (fun ns -> ns.ns_genid) (Tbl.find_opt (S.state t).nodes n)
-
+let genid t n = Option.map (fun ns -> ns.ns_genid) (find_state (S.state t) n)
 let pending_digest t b = Rel.digest (S.state t).rel b
-let metric t n = metric_of t n
+
+let metric t n =
+  match find_state (S.state t) n with
+  | Some ns -> metric_of t n ns
+  | None ->
+      (* No neighbor records, so nothing can override routing's figure. *)
+      (Routing.Table.in_tree (Net.table (S.network t)) (S.source t)).dist.(n)
