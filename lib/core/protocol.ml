@@ -116,11 +116,11 @@ let m_mct = S.counter "mct_updates"
 let m_damped_tree = S.counter "damped_tree"
 
 let mft_ev t ~node ~target op =
-  Obs.Metrics.hot_incr m_mft;
+  S.count t m_mft;
   if S.trace_active t then S.ev t ~node (Obs.Event.Mft_update { target; op })
 
 let mct_ev t ~node ~target op =
-  Obs.Metrics.hot_incr m_mct;
+  S.count t m_mct;
   if S.trace_active t then S.ev t ~node (Obs.Event.Mct_update { target; op })
 
 (* A member refreshes its channel-liveness clock whenever a tree or
@@ -217,7 +217,7 @@ let router_handle_tree t n (p : Messages.t Pkt.t) ~target ~from_branch =
           Hashtbl.replace st.tree_emit_at n now;
           emit_trees t ~at:n mft
         end
-        else Obs.Metrics.hot_incr m_damped_tree;
+        else S.count t m_damped_tree;
         Net.Consume
       end
       else begin

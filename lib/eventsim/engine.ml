@@ -6,6 +6,9 @@ type t = {
   mutable clock : float;
   mutable seq : int;
   mutable fired : int;
+  (* [engine.events_fired], bound at creation (the owner contract of
+     {!Obs.Metrics.bind}). *)
+  m_fired : Obs.Metrics.counter;
   queue : handle Heap.t;
   (* Profiling (opt-in): per-callback-tag counts and sim-time
      histograms, plus wall-clock accounting of [run]. *)
@@ -15,9 +18,9 @@ type t = {
   mutable runs : int;
 }
 
-(* Every engine in the process reports fired events here: the
-   always-on integer add that lets any run's metrics dump show how
-   much simulation happened. *)
+(* Every engine reports fired events here: the always-on integer add
+   that lets any run's metrics dump show how much simulation
+   happened. *)
 let events_fired_total = Obs.Metrics.hot_counter "engine.events_fired"
 
 (* Fills vacated heap slots; [cancelled] so it can never fire even if
@@ -29,6 +32,7 @@ let create () =
     clock = 0.0;
     seq = 0;
     fired = 0;
+    m_fired = Obs.Metrics.bind events_fired_total;
     queue = Heap.create ~dummy:dummy_handle;
     profiling = false;
     tags = Hashtbl.create 16;
@@ -81,7 +85,7 @@ let rec step t =
     else begin
       t.clock <- time;
       t.fired <- t.fired + 1;
-      Obs.Metrics.hot_incr events_fired_total;
+      Obs.Metrics.incr t.m_fired;
       if t.profiling then begin
         let s = tag_stat t h.tag in
         s.tag_fired <- s.tag_fired + 1;

@@ -46,8 +46,9 @@ val run : ?until:float -> ?max_events:int -> t -> unit
 val events_fired : t -> int
 (** Total events fired since creation (cancelled events excluded).
     Every fire also increments the [engine.events_fired] counter of
-    the current domain's default registry ({!Obs.Metrics.default}),
-    aggregating across all engines the domain runs. *)
+    the registry that was the domain's default ({!Obs.Metrics.default})
+    when the engine was created, aggregating across all engines
+    created under it. *)
 
 (** {1 Checkpoint / restore}
 

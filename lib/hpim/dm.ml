@@ -358,7 +358,7 @@ let rec ensure_pump t =
 and pump_fire t =
   let st = S.state t in
   Rel.due_iter st.rel ~now:(S.now t) (fun s ->
-      Obs.Metrics.hot_incr m_rtx;
+      S.count t m_rtx;
       S.send t ~from:s.Rel.s_from ~dst:s.Rel.s_dst ~kind:Pkt.Control
         s.Rel.s_payload);
   if Rel.pending st.rel = 0 then begin
@@ -447,7 +447,7 @@ let send_sync t n ns ~dst =
   in
   Rel.post st.rel ~now:(S.now t) ~from:n ~dst ~cls:cls_sync ~sn payload;
   S.send t ~from:n ~dst ~kind:Pkt.Control payload;
-  Obs.Metrics.hot_incr m_syncs;
+  S.count t m_syncs;
   ensure_pump t;
   if s_int then ns.up_state <- Some (dst, true, nbr_genid ns dst)
 
@@ -458,7 +458,7 @@ let neighbor_restarted t n ns ~v ~genid ~metric ~now =
   Rel.cancel_between st.rel ~from:n ~dst:v;
   if Hs.Table.mem ns.down v then begin
     Hs.Table.remove ns.down v;
-    Obs.Metrics.hot_incr m_down
+    S.count t m_down
   end;
   (match Tbl.find_opt ns.nbrs v with
   | Some r ->
@@ -546,7 +546,7 @@ let expire_neighbors t n ns ~now =
         Rel.cancel_between st.rel ~from:n ~dst:v;
         if Hs.Table.mem ns.down v then begin
           Hs.Table.remove ns.down v;
-          Obs.Metrics.hot_incr m_down
+          S.count t m_down
         end;
         match ns.up_state with
         | Some (p, _, _) when p = v -> ns.up_state <- None
@@ -567,9 +567,14 @@ let send_hellos t n ns =
           Hello { h_genid = ns.ns_genid; h_metric = metric; h_seq = ns.ns_hseq };
       }
   in
+  (* A member host behind a disabled router is no neighbor of its
+     parent: the hello reaches it by unicast, as its interest reached
+     the parent. *)
   let hello v =
-    if Topology.Graph.link_up g n v && Net.node_up net v then
-      S.send t ~from:n ~dst:v ~kind:Pkt.Control payload
+    if
+      ((not (Topology.Graph.connected g n v)) || Topology.Graph.link_up g n v)
+      && Net.node_up net v
+    then S.send t ~from:n ~dst:v ~kind:Pkt.Control payload
   in
   (* Router/source neighbors in ascending order (the graph keeps its
      adjacency sorted), then downstream member hosts (they need the
@@ -625,7 +630,7 @@ let process_interest t n ~v ~sn ~j_int ~genid =
   if fresh_reliable ns ~v ~genid ~sn then begin
     (if j_int then ignore (Hs.Table.add ns.down v : Hs.entry)
      else Hs.Table.remove ns.down v);
-    Obs.Metrics.hot_incr m_down;
+    S.count t m_down;
     audit t n ns
   end
 
@@ -656,7 +661,7 @@ let process_sync t n ~v ~sn ~genid ~metric ~s_int =
           });
     (if s_int then ignore (Hs.Table.add ns.down v : Hs.entry)
      else Hs.Table.remove ns.down v);
-    Obs.Metrics.hot_incr m_down;
+    S.count t m_down;
     (* A Sync from the RPF parent means the parent (re)initialized its
        view of this node — whatever interest was expressed before may
        be gone from its table.  Void the witness so the audit below

@@ -56,6 +56,7 @@ type 'p t = {
   mutable dl_delays : float array;
   mutable dl_len : int;
   mutable c : counters;
+  m : meters;
   (* Fault state.  [faults_on] stays false until the first fault API
      call, so a fault-free simulation pays one boolean test per hop
      and nothing else. *)
@@ -76,9 +77,19 @@ type 'p t = {
 
 and 'p handler = 'p t -> int -> 'p Packet.t -> verdict
 
-(* Always-on registry mirrors of the accounting the paper measures:
-   integer adds on a pre-registered counter, so the hot path pays
-   nothing measurable when nobody reads them. *)
+(* Always-on registry mirrors of the accounting the paper measures,
+   bound once per network (the owner contract of {!Obs.Metrics.bind}):
+   the hot path pays one integer add per update. *)
+and meters = {
+  pkt_copies : Obs.Metrics.counter;
+  ctl_hops : Obs.Metrics.counter;
+  delivered : Obs.Metrics.counter;
+  dropped : Obs.Metrics.counter;
+  dropped_fault : Obs.Metrics.counter;
+  reconverges : Obs.Metrics.counter;
+  delivery_delay : Obs.Histo.t;
+}
+
 let m_pkt_copies = Obs.Metrics.hot_counter "net.pkt_copies"
 let m_ctl_hops = Obs.Metrics.hot_counter "net.ctl_hops"
 let m_deliveries = Obs.Metrics.hot_counter "net.deliveries"
@@ -86,6 +97,17 @@ let m_dropped = Obs.Metrics.hot_counter "net.dropped"
 let m_dropped_fault = Obs.Metrics.hot_counter "net.dropped_fault"
 let m_reconverges = Obs.Metrics.hot_counter "net.reconvergences"
 let h_delivery_delay = Obs.Metrics.hot_histogram "net.delivery_delay"
+
+let bind_meters () =
+  {
+    pkt_copies = Obs.Metrics.bind m_pkt_copies;
+    ctl_hops = Obs.Metrics.bind m_ctl_hops;
+    delivered = Obs.Metrics.bind m_deliveries;
+    dropped = Obs.Metrics.bind m_dropped;
+    dropped_fault = Obs.Metrics.bind m_dropped_fault;
+    reconverges = Obs.Metrics.bind m_reconverges;
+    delivery_delay = Obs.Metrics.bind_histogram h_delivery_delay;
+  }
 
 let zero_counters () =
   {
@@ -124,6 +146,7 @@ let create ?(default_ttl = 255) ?trace engine table =
     dl_delays = [||];
     dl_len = 0;
     c = zero_counters ();
+    m = bind_meters ();
     faults_on = false;
     default_loss = 0.0;
     down_nodes = Array.make (Topology.Graph.node_count graph) false;
@@ -265,7 +288,7 @@ let set_node_up t n b =
   end
 
 let route_changed t ~changed =
-  Obs.Metrics.hot_incr m_reconverges;
+  Obs.Metrics.incr t.m.reconverges;
   if Obs.Trace.active t.trace then
     Obs.Trace.event t.trace ~time:(now t) ~node:(-1)
       (Obs.Event.Route_reconverge { changed });
@@ -320,8 +343,8 @@ let fault_drop t ~at ~next reason (p : 'p Packet.t) =
   | Link_failed -> t.c.dropped_link_down <- t.c.dropped_link_down + 1
   | Node_failed -> t.c.dropped_node_down <- t.c.dropped_node_down + 1
   | Filtered -> t.c.dropped_filtered <- t.c.dropped_filtered + 1);
-  Obs.Metrics.hot_incr m_dropped;
-  Obs.Metrics.hot_incr m_dropped_fault;
+  Obs.Metrics.incr t.m.dropped;
+  Obs.Metrics.incr t.m.dropped_fault;
   (* Bernoulli losses track traffic volume; keep them off the ring
      unless verbose.  Structural drops (dead link/node) are rare and
      are exactly what a fault investigation wants to see. *)
@@ -349,10 +372,10 @@ let tally_link t (p : 'p Packet.t) u v =
       in
       Hashtbl.replace t.data_loads key (n + 1);
       t.c.data_hops <- t.c.data_hops + 1;
-      Obs.Metrics.hot_incr m_pkt_copies
+      Obs.Metrics.incr t.m.pkt_copies
   | Packet.Control ->
       t.c.control_hops <- t.c.control_hops + 1;
-      Obs.Metrics.hot_incr m_ctl_hops);
+      Obs.Metrics.incr t.m.ctl_hops);
   (* Per-hop events are high-volume: only under a verbose trace. *)
   if Obs.Trace.active t.trace && Obs.Trace.verbose t.trace then
     Obs.Trace.event t.trace ~time:(now t) ~node:u
@@ -401,8 +424,8 @@ and arrive t node (p : 'p Packet.t) =
       let delay = now t -. p.born in
       record_delivery t node delay;
       t.c.deliveries <- t.c.deliveries + 1;
-      Obs.Metrics.hot_incr m_deliveries;
-      Obs.Metrics.hot_observe h_delivery_delay delay;
+      Obs.Metrics.incr t.m.delivered;
+      Obs.Histo.observe t.m.delivery_delay delay;
       List.iter
         (fun f -> f ~now:(now t) ~node p)
         t.delivery_listeners
@@ -416,7 +439,7 @@ and arrive t node (p : 'p Packet.t) =
           Obs.Trace.notef t.trace ~time:(now t) ~node "TTL expired (%d->%d)"
             p.src p.dst;
           t.c.dropped_ttl <- t.c.dropped_ttl + 1;
-          Obs.Metrics.hot_incr m_dropped
+          Obs.Metrics.incr t.m.dropped
         end
         else begin
           p.ttl <- p.ttl - 1;
@@ -432,7 +455,7 @@ and transmit t node (p : 'p Packet.t) =
     | None ->
         Obs.Trace.notef t.trace ~time:(now t) ~node "no route to %d" p.dst;
         t.c.dropped_unreachable <- t.c.dropped_unreachable + 1;
-        Obs.Metrics.hot_incr m_dropped
+        Obs.Metrics.incr t.m.dropped
     | Some next -> (
         if t.faults_on && faulted_out t node next p then ()
         else begin

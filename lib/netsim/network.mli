@@ -30,7 +30,9 @@ val create :
   Eventsim.Engine.t ->
   Routing.Table.t ->
   'p t
-(** Default TTL is 255. *)
+(** Default TTL is 255.  The network's [net.*] counters and the
+    [net.delivery_delay] histogram count into the registry that is
+    {!Obs.Metrics.default} now (see {!Obs.Metrics.bind}). *)
 
 val engine : 'p t -> Eventsim.Engine.t
 val graph : 'p t -> Topology.Graph.t

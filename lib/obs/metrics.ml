@@ -108,7 +108,6 @@ type hot_gauge = gauge hot
 
 let hot_gauge_l name labels = make_hot (fun t -> gauge_l t name labels)
 let hot_gauge name = hot_gauge_l name Labels.empty
-let hot_set h v = set (hot_get h) v
 
 type hot_histogram = Histo.t hot
 
@@ -117,6 +116,12 @@ let hot_histogram_l ?buckets name labels =
 
 let hot_histogram ?buckets name = hot_histogram_l ?buckets name Labels.empty
 let hot_observe h v = Histo.observe (hot_get h) v
+
+(* Binding is one resolution through the handle's cache; the owner
+   then holds the instrument and pays a plain add per update. *)
+let bind = hot_get
+let bind_gauge = hot_get
+let bind_histogram = hot_get
 
 let decompose t key =
   match Hashtbl.find_opt t.series key with

@@ -131,7 +131,7 @@ let handler t n (p : msg Pkt.t) =
         Ss.stamp
           (Ss.Table.add_fresh tbl (S.state t).dl ~now:(S.now t) p.Pkt.via)
           ~epoch:(S.route_epoch t);
-        Obs.Metrics.hot_incr m_oif;
+        S.count t m_oif;
         if fresh && S.trace_active t then
           S.ev t ~node:n
             (Obs.Event.Mft_update { target = p.Pkt.via; op = Obs.Event.Add })

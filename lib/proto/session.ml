@@ -87,21 +87,23 @@ module Make (P : PROTOCOL) = struct
   let name = P.name
   let label = P.label
 
-  let counter name =
+  let hot_counter name =
     Obs.Metrics.hot_counter (Printf.sprintf "proto.%s.%s" P.name name)
 
   let gauge name =
     Obs.Metrics.hot_gauge (Printf.sprintf "proto.%s.%s" P.name name)
 
   (* Per-class control-overhead accounting, always on (pre-registered
-     counters, integer adds) — one namespace across every protocol. *)
-  let m_join = counter "join_msgs"
-  let m_tree = counter "tree_msgs"
-  let m_data = counter "data_msgs"
-  let m_damped_data = counter "damped_data"
-  let m_extra = Option.map counter P.extra_counter
-  let m_crash_wipes = counter "crash_wipes"
-  let m_route_changes = counter "route_changes"
+     counters, integer adds) — one namespace across every protocol.
+     The handles name the instruments; each session binds them when
+     attached ([meters] below). *)
+  let m_join = hot_counter "join_msgs"
+  let m_tree = hot_counter "tree_msgs"
+  let m_data = hot_counter "data_msgs"
+  let m_damped_data = hot_counter "damped_data"
+  let m_extra = Option.map hot_counter P.extra_counter
+  let m_crash_wipes = hot_counter "crash_wipes"
+  let m_route_changes = hot_counter "route_changes"
   let g_state = gauge "state_entries"
 
   (* Join latency (subscribe on a live stream -> first data delivery),
@@ -110,6 +112,45 @@ module Make (P : PROTOCOL) = struct
   let h_join_latency =
     Obs.Metrics.hot_histogram_l "span.join_latency"
       (Obs.Labels.v [ ("protocol", P.name) ])
+
+  (* The stack's own counters ({!counter}), in declaration order; a
+     stack declares them at module initialisation, before any session
+     binds them. *)
+  let declared = ref [||]
+
+  type counter = int
+
+  let counter name =
+    declared := Array.append !declared [| hot_counter name |];
+    Array.length !declared - 1
+
+  type meters = {
+    join_msgs : Obs.Metrics.counter;
+    tree_msgs : Obs.Metrics.counter;
+    data_msgs : Obs.Metrics.counter;
+    damped_data : Obs.Metrics.counter;
+    extra_msgs : Obs.Metrics.counter option;
+    crash_wipes : Obs.Metrics.counter;
+    route_changes : Obs.Metrics.counter;
+    state_entries : Obs.Metrics.gauge;
+    join_latency : Obs.Histo.t;
+    stack : Obs.Metrics.counter array;  (* by {!counter} slot *)
+  }
+
+  let bind_meters () =
+    let bind = Obs.Metrics.bind in
+    {
+      join_msgs = bind m_join;
+      tree_msgs = bind m_tree;
+      data_msgs = bind m_data;
+      damped_data = bind m_damped_data;
+      extra_msgs = Option.map bind m_extra;
+      crash_wipes = bind m_crash_wipes;
+      route_changes = bind m_route_changes;
+      state_entries = Obs.Metrics.bind_gauge g_state;
+      join_latency = Obs.Metrics.bind_histogram h_join_latency;
+      stack = Array.map bind !declared;
+    }
 
   let tag suffix = Printf.sprintf "proto.%s.%s" P.name suffix
 
@@ -139,6 +180,10 @@ module Make (P : PROTOCOL) = struct
        (the freshness guard, DESIGN.md section 6b). *)
     mutable route_epoch : int;
     spans : Obs.Span.t;
+    (* Bound at attach: the session counts into the registry current
+       when it was created (the owner contract of
+       {!Obs.Metrics.bind}). *)
+    meters : meters;
   }
 
   and handler = t -> int -> P.msg Pkt.t -> Net.verdict
@@ -201,13 +246,17 @@ module Make (P : PROTOCOL) = struct
   let notef t ~node fmt =
     Obs.Trace.notef (Net.trace t.network) ~time:(now t) ~node fmt
 
+  let count t c = Obs.Metrics.incr t.meters.stack.(c)
+
   let meter t ~from payload =
     (match P.kind_of payload with
-    | Messages.Join_msg -> Obs.Metrics.hot_incr m_join
-    | Messages.Tree_msg -> Obs.Metrics.hot_incr m_tree
-    | Messages.Data_msg -> Obs.Metrics.hot_incr m_data
+    | Messages.Join_msg -> Obs.Metrics.incr t.meters.join_msgs
+    | Messages.Tree_msg -> Obs.Metrics.incr t.meters.tree_msgs
+    | Messages.Data_msg -> Obs.Metrics.incr t.meters.data_msgs
     | Messages.Extra_msg -> (
-        match m_extra with Some c -> Obs.Metrics.hot_incr c | None -> ()));
+        match t.meters.extra_msgs with
+        | Some c -> Obs.Metrics.incr c
+        | None -> ()));
     if trace_active t then
       match P.trace_event payload with
       | Some ekind -> ev t ~node:from ekind
@@ -257,6 +306,7 @@ module Make (P : PROTOCOL) = struct
         data_seen = Tbl.create 16;
         route_epoch = 0;
         spans = Obs.Span.create ();
+        meters = bind_meters ();
       }
     in
     (* The session's port in the mux: role-based per-hop dispatch
@@ -290,7 +340,7 @@ module Make (P : PROTOCOL) = struct
               && P.kind_of p.Pkt.payload = Messages.Data_msg
             then
               match Obs.Span.finish t.spans join_span ~key:node ~now with
-              | Some d -> Obs.Metrics.hot_observe h_join_latency d
+              | Some d -> Obs.Histo.observe t.meters.join_latency d
               | None -> ());
         (* A crash wipes the node's volatile soft state; recovery then
            happens purely through the periodic join/refresh cycle.
@@ -300,7 +350,7 @@ module Make (P : PROTOCOL) = struct
         p_node_event =
           (fun ~up n ->
             if not up then begin
-              Obs.Metrics.hot_incr m_crash_wipes;
+              Obs.Metrics.incr t.meters.crash_wipes;
               Tbl.remove t.data_seen n;
               hooks.crash_wipe t n;
               notef t ~node:n "crash: %s state wiped" P.label
@@ -313,7 +363,7 @@ module Make (P : PROTOCOL) = struct
            for no topological reason). *)
         p_route_change =
           (fun ~changed ->
-            Obs.Metrics.hot_incr m_route_changes;
+            Obs.Metrics.incr t.meters.route_changes;
             if changed > 0 then t.route_epoch <- t.route_epoch + 1);
       }
     in
@@ -337,7 +387,8 @@ module Make (P : PROTOCOL) = struct
     ignore
       (Wheel.every wheel ~start:period ~period (fun () ->
            hooks.sweep t ~now:(now t);
-           Obs.Metrics.hot_set g_state (float_of_int (hooks.state_size t))));
+           Obs.Metrics.set t.meters.state_entries
+             (float_of_int (hooks.state_size t))));
     t
 
   let fresh_channel ~source = function
@@ -426,7 +477,7 @@ module Make (P : PROTOCOL) = struct
           Net.emit t.network ~at (Pkt.rewrite p ~src:at ~dst:d ()))
         (data_targets t at)
     end
-    else Obs.Metrics.hot_incr m_damped_data
+    else Obs.Metrics.incr t.meters.damped_data
 
   let probe t =
     Net.reset_data_accounting t.network;

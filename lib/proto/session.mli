@@ -223,11 +223,20 @@ module Make (P : PROTOCOL) : sig
             oracles, so it must not mutate state *)
   }
 
-  val counter : string -> Obs.Metrics.hot_counter
-  (** A counter in this protocol's [proto.<name>.*] namespace, for
-      protocol-specific instrumentation (table update counts etc.).
-      A hot handle: it follows the current domain's default registry
-      (see {!Obs.Metrics.hot_counter}). *)
+  type counter
+  (** A protocol-specific counter (table update counts etc.) in this
+      protocol's [proto.<name>.*] namespace. *)
+
+  val counter : string -> counter
+  (** Declare a counter.  Declare at module initialisation, before
+      the first session is attached: the name registers at once (so
+      the counter appears, zero, in snapshots) and every session binds
+      it when attached. *)
+
+  val count : t -> counter -> unit
+  (** One add on the session's bound counter, which lives in the
+      registry that was current when the session was attached (see
+      {!Obs.Metrics.bind}). *)
 
   val create :
     ?config:P.config ->

@@ -94,11 +94,11 @@ let m_mft = S.counter "mft_updates"
 let m_mct = S.counter "mct_updates"
 
 let mft_ev t ~node ~target op =
-  Obs.Metrics.hot_incr m_mft;
+  S.count t m_mft;
   if S.trace_active t then S.ev t ~node (Obs.Event.Mft_update { target; op })
 
 let mct_ev t ~node ~target op =
-  Obs.Metrics.hot_incr m_mct;
+  S.count t m_mct;
   if S.trace_active t then S.ev t ~node (Obs.Event.Mct_update { target; op })
 
 (* The channel's state at [n], without installing any: only a transit

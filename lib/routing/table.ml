@@ -9,19 +9,29 @@
    changes that can only improve routes (cost decrease, link restore),
    where any destination might want the new edge. *)
 
-type t = {
-  graph : Topology.Graph.t;
-  trees : Dijkstra.in_tree option array;
-}
-
 (* Always-on cache accounting: the scaling experiments read these to
-   show how much SPF work laziness avoids. *)
+   show how much SPF work laziness avoids.  Each table binds them when
+   it is computed (the owner contract of {!Obs.Metrics.bind}). *)
 let m_spf = Obs.Metrics.hot_counter "routing.spf_runs"
 let m_hits = Obs.Metrics.hot_counter "routing.cache_hits"
 let m_invalidated = Obs.Metrics.hot_counter "routing.invalidations"
 
+type t = {
+  graph : Topology.Graph.t;
+  trees : Dijkstra.in_tree option array;
+  spf_runs : Obs.Metrics.counter;
+  cache_hits : Obs.Metrics.counter;
+  invalidations : Obs.Metrics.counter;
+}
+
 let compute g =
-  { graph = g; trees = Array.make (Topology.Graph.node_count g) None }
+  {
+    graph = g;
+    trees = Array.make (Topology.Graph.node_count g) None;
+    spf_runs = Obs.Metrics.bind m_spf;
+    cache_hits = Obs.Metrics.bind m_hits;
+    invalidations = Obs.Metrics.bind m_invalidated;
+  }
 
 let graph t = t.graph
 
@@ -30,10 +40,10 @@ let in_tree t d =
     invalid_arg "Table.in_tree: bad destination";
   match t.trees.(d) with
   | Some tree ->
-      Obs.Metrics.hot_incr m_hits;
+      Obs.Metrics.incr t.cache_hits;
       tree
   | None ->
-      Obs.Metrics.hot_incr m_spf;
+      Obs.Metrics.incr t.spf_runs;
       let tree = Dijkstra.to_dest t.graph d in
       t.trees.(d) <- Some tree;
       tree
@@ -47,7 +57,7 @@ let invalidate_dest t d =
   if d < 0 || d >= Array.length t.trees then
     invalid_arg "Table.invalidate_dest: bad destination";
   if t.trees.(d) <> None then begin
-    Obs.Metrics.hot_incr m_invalidated;
+    Obs.Metrics.incr t.invalidations;
     t.trees.(d) <- None
   end
 
@@ -55,7 +65,7 @@ let invalidate_all t =
   Array.iteri
     (fun d tree ->
       if tree <> None then begin
-        Obs.Metrics.hot_incr m_invalidated;
+        Obs.Metrics.incr t.invalidations;
         t.trees.(d) <- None
       end)
     t.trees

@@ -24,9 +24,9 @@
       (cost decrease, link restore) or any bulk cost redraw: every
       destination might want the new edge, so everything is dirtied.
 
-    Cache traffic is accounted in {!Obs.Metrics.default} under
-    [routing.spf_runs], [routing.cache_hits] and
-    [routing.invalidations]. *)
+    Cache traffic is accounted under [routing.spf_runs],
+    [routing.cache_hits] and [routing.invalidations] in the registry
+    that was {!Obs.Metrics.default} when the table was computed. *)
 
 type t
 

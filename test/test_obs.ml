@@ -545,6 +545,41 @@ let test_hbh_isp_run_reports () =
     (Eventsim.Engine.events_fired (Hbh.Protocol.engine session))
     (counter "engine.events_fired")
 
+(* The owner contract of [Obs.Metrics.bind]: a session (with its
+   engine, network and routing table) built under registry A counts
+   into A even when it is run under [with_registry B]. *)
+let test_owner_keeps_registry () =
+  let a = Obs.Metrics.create () and b = Obs.Metrics.create () in
+  let session =
+    Obs.Metrics.with_registry a (fun () ->
+        let table = Routing.Table.compute (Topology.Isp.create ()) in
+        Hbh.Protocol.create table ~source:Topology.Isp.source)
+  in
+  Obs.Metrics.with_registry b (fun () ->
+      List.iter (Hbh.Protocol.subscribe session) [ 20; 25; 33 ];
+      Hbh.Protocol.converge session);
+  let count reg name =
+    Option.value ~default:0
+      (Obs.Metrics.find_counter (Obs.Metrics.snapshot reg) name)
+  in
+  let names =
+    [
+      "engine.events_fired";
+      "net.ctl_hops";
+      "routing.cache_hits";
+      "proto.hbh.join_msgs";
+      "proto.hbh.mft_updates";
+    ]
+  in
+  Alcotest.(check int) "A holds the engine's events"
+    (Eventsim.Engine.events_fired (Hbh.Protocol.engine session))
+    (count a "engine.events_fired");
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " counted in A") true (count a name > 0);
+      Alcotest.(check int) (name ^ " untouched in B") 0 (count b name))
+    names
+
 (* ---- Rollup ----------------------------------------------------------- *)
 
 let test_rollup_slots_and_overflow () =
@@ -623,6 +658,8 @@ let () =
           Alcotest.test_case "histogram merge" `Quick test_histogram_merge;
           Alcotest.test_case "two runs equal one run" `Quick
             test_two_runs_equal_one_run;
+          Alcotest.test_case "owner keeps its registry" `Quick
+            test_owner_keeps_registry;
         ] );
       ( "labels",
         [

@@ -112,6 +112,73 @@ let test_registry_isolation () =
         (Obs.Metrics.find_counter s "iso.shared_name"))
     regs
 
+(* Owners bind their instruments when created (Obs.Metrics.bind): two
+   domains, each building its own table, engine, network and HBH
+   session inside its own registry scope, must each find exactly their
+   own run in their own registry.  The engine and the network report
+   the events and control hops directly; the cache hits and join
+   messages are checked against the same run made alone, first, in a
+   fresh registry.  The two runs differ in size, so a count landing in
+   the wrong registry shows. *)
+let test_owner_registry_isolation () =
+  let keys =
+    [
+      "engine.events_fired";
+      "net.ctl_hops";
+      "routing.cache_hits";
+      "proto.hbh.join_msgs";
+    ]
+  in
+  let receivers = [| [ 19; 23; 27 ]; Topology.Isp.receiver_hosts |] in
+  let run i reg =
+    Obs.Metrics.with_registry reg (fun () ->
+        let table = Routing.Table.compute (Topology.Isp.create ()) in
+        let s = Hbh.Protocol.create table ~source:Topology.Isp.source in
+        List.iter (Hbh.Protocol.subscribe s) receivers.(i);
+        Hbh.Protocol.converge s;
+        ( Eventsim.Engine.events_fired (Hbh.Protocol.engine s),
+          (Netsim.Network.counters (Hbh.Protocol.network s))
+            .Netsim.Network.control_hops ))
+  in
+  let values reg =
+    let snap = Obs.Metrics.snapshot reg in
+    List.map
+      (fun k -> Option.value ~default:0 (Obs.Metrics.find_counter snap k))
+      keys
+  in
+  let alone =
+    Array.init 2 (fun i ->
+        let reg = Obs.Metrics.create () in
+        let fired, ctl = run i reg in
+        let v = values reg in
+        Alcotest.(check (list int))
+          (Printf.sprintf "run %d alone: its engine's events and hops" i)
+          [ fired; ctl ]
+          (List.filteri (fun k _ -> k < 2) v);
+        v)
+  in
+  Alcotest.(check bool) "the two runs differ" true (alone.(0) <> alone.(1));
+  let regs = Array.init 2 (fun _ -> Obs.Metrics.create ()) in
+  let other = Domain.spawn (fun () -> run 1 regs.(1)) in
+  let own = [| run 0 regs.(0); Domain.join other |] in
+  Array.iteri
+    (fun i reg ->
+      let fired, ctl = own.(i) in
+      match values reg with
+      | [ events; hops; hits; joins ] ->
+          Alcotest.(check int)
+            (Printf.sprintf "registry %d: events = its engine's" i)
+            fired events;
+          Alcotest.(check int)
+            (Printf.sprintf "registry %d: ctl hops = its network's" i)
+            ctl hops;
+          Alcotest.(check (list int))
+            (Printf.sprintf "registry %d: the run made alone" i)
+            alone.(i)
+            [ events; hops; hits; joins ]
+      | _ -> assert false)
+    regs
+
 (* ---- End-to-end: parallel == sequential, byte for byte ------------------ *)
 
 let figure_csv (r : Experiments.Common.result) =
@@ -206,6 +273,8 @@ let () =
         [
           Alcotest.test_case "two domains never cross-contaminate" `Quick
             test_registry_isolation;
+          Alcotest.test_case "owners bind their own registry" `Quick
+            test_owner_registry_isolation;
         ] );
       ( "jobs equivalence",
         (Alcotest.test_case "scaling jobs=4" `Quick test_scaling_jobs_equiv

@@ -642,9 +642,8 @@ let check_upstream session graph table ~source step =
   !tunnelled
 
 (* Members attached to the disabled router stay out: their first
-   capable hop is not adjacent to them, and the hello cycle's
-   [Topology.Graph.link_up] toward a downstream host raises on a
-   non-adjacent one (an open defect, recorded in CHANGES.md). *)
+   capable hop is not adjacent to them, which
+   [test_hpim_member_behind_disabled] covers on its own. *)
 let test_hpim_tunnelled_rpf ~graph ~source ~disabled ~receivers ~link () =
   Topology.Graph.set_multicast_capable graph disabled false;
   let table = Routing.Table.compute graph in
@@ -672,6 +671,27 @@ let test_hpim_tunnelled_rpf ~graph ~source ~disabled ~receivers ~link () =
     restore ();
     ignore (settle (Printf.sprintf "restored (%d)" round) : int)
   done
+
+(* A member host behind a disabled router has a parent that is not
+   its neighbor: the parent reaches it by unicast, its hellos as its
+   interest does.  Hosts 29, 30 and 35 sit on routers 11, 12 and 17
+   of ISP, and router 12 is disabled. *)
+let test_hpim_member_behind_disabled () =
+  let graph = Topology.Isp.create () in
+  Topology.Graph.set_multicast_capable graph 12 false;
+  let session =
+    Hpim.Dm.create (Routing.Table.compute graph) ~source:Topology.Isp.source
+  in
+  let members = [ 29; 30; 35 ] in
+  List.iter (Hpim.Dm.subscribe session) members;
+  Hpim.Dm.converge session;
+  let d = Hpim.Dm.probe session in
+  Alcotest.(check (list int))
+    "every member hears the probe" members
+    (List.sort compare (Mcast.Distribution.receivers d));
+  Alcotest.(check int)
+    "no duplicate deliveries" 0
+    (Mcast.Distribution.duplicate_deliveries d)
 
 (* ---- Plan text: range checks and robustness ----------------------------- *)
 
@@ -874,6 +894,8 @@ let () =
              test_hpim_tunnelled_rpf ~graph:cfg.Experiments.Common.graph
                ~source:cfg.Experiments.Common.source ~disabled:16
                ~receivers:cfg.Experiments.Common.candidates ~link:(1, 16));
+          Alcotest.test_case "ISP: members behind disabled core 12" `Quick
+            test_hpim_member_behind_disabled;
         ] );
       ( "plan",
         Alcotest.test_case "non-finite values rejected" `Quick
