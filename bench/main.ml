@@ -522,7 +522,10 @@ let alloc_budget_check () =
   case "engine schedule+fire" ~key:"alloc_words_engine_event" ~budget:16.0
     (words_per ~iters:1_000_000 (engine_event ()));
   let run, hops = netsim_forward () in
-  case "net hop (transparent fwd)" ~key:"alloc_words_net_hop" ~budget:27.0
+  (* 20.3 words per hop (OCaml 5.1.1): the next hop is read from the
+     in-tree's array and the tally is an array increment, so neither
+     allocates. *)
+  case "net hop (transparent fwd)" ~key:"alloc_words_net_hop" ~budget:24.0
     (words_per ~iters:200_000 run /. float_of_int hops);
   let spf = spf_to_dest () in
   case "SPF to_dest (RAND50)" ~key:"alloc_words_spf" ~budget:490.0

@@ -30,11 +30,17 @@ module Node_tables = Proto.Node_tables.Make (struct
   type t = channel_state
 end)
 
+(* A time updated in place.  Its only field is a float, so OCaml
+   stores the record flat and an update is a plain store; a [float ref]
+   or a [(int, float) Hashtbl.t] value would box a new float per
+   update. *)
+type instant = { mutable at : float }
+
 type state = {
   deadlines : Tables.deadlines;
   router_tables : Node_tables.t;
   source_mft : Tables.Mft.t;
-  member_last_seen : (int, float ref) Hashtbl.t;
+  member_last_seen : (int, instant) Hashtbl.t;
   member_first : (int, bool ref) Hashtbl.t;
   (* The tree damper, the control-plane twin of the session's data
      damper ([S.forward_data]).  The MFT entry graph can hold a cycle
@@ -46,7 +52,7 @@ type state = {
      fire even without faults: 269 trees and 244 data copies over
      [faults --seed 42], 125 trees and 15 data copies in the
      fault-free churn of DESIGN.md §6b. *)
-  tree_emit_at : (int, float) Hashtbl.t;  (* router -> last rule-1 emit *)
+  tree_emit_at : (int, instant) Hashtbl.t;  (* router -> last rule-1 emit *)
 }
 
 module S = Proto.Session.Make (struct
@@ -100,9 +106,9 @@ module S = Proto.Session.Make (struct
       deadlines = st.deadlines;
       router_tables = Node_tables.copy st.router_tables;
       source_mft = Tables.Mft.copy st.source_mft;
-      member_last_seen = copy_tbl (fun r -> ref !r) st.member_last_seen;
+      member_last_seen = copy_tbl (fun c -> { at = c.at }) st.member_last_seen;
       member_first = copy_tbl (fun r -> ref !r) st.member_first;
-      tree_emit_at = copy_tbl Fun.id st.tree_emit_at;
+      tree_emit_at = copy_tbl (fun c -> { at = c.at }) st.tree_emit_at;
     }
 end)
 
@@ -130,9 +136,9 @@ let mct_ev t ~node ~target op =
    branch — the soft-state self-heal of every recursive-unicast
    protocol. *)
 let member_seen t n =
-  match Hashtbl.find_opt (S.state t).member_last_seen n with
-  | Some cell -> cell := S.now t
-  | None -> ()
+  match Hashtbl.find (S.state t).member_last_seen n with
+  | cell -> cell.at <- S.now t
+  | exception Not_found -> ()
 
 (* ---- Appendix A: router message processing -------------------------- *)
 
@@ -210,11 +216,15 @@ let router_handle_tree t n (p : Messages.t Pkt.t) ~target ~from_branch =
            sends us one tree per period; every suppressed extra one
            is counted (see [tree_emit_at]). *)
         let last =
-          Option.value ~default:neg_infinity
-            (Hashtbl.find_opt st.tree_emit_at n)
+          match Hashtbl.find st.tree_emit_at n with
+          | c -> c
+          | exception Not_found ->
+              let c = { at = neg_infinity } in
+              Hashtbl.add st.tree_emit_at n c;
+              c
         in
-        if now -. last >= 0.5 *. (S.config t).tree_period then begin
-          Hashtbl.replace st.tree_emit_at n now;
+        if now -. last.at >= 0.5 *. (S.config t).tree_period then begin
+          last.at <- now;
           emit_trees t ~at:n mft
         end
         else S.count t m_damped_tree;
@@ -394,22 +404,22 @@ let tick t =
 let join_tick t ~member =
   let st = S.state t in
   match
-    ( Hashtbl.find_opt st.member_last_seen member,
-      Hashtbl.find_opt st.member_first member )
+    ( Hashtbl.find st.member_last_seen member,
+      Hashtbl.find st.member_first member )
   with
-  | Some last_seen, Some first ->
+  | last_seen, first ->
       (* Channel silent past t2: this membership episode's state has
          decayed somewhere upstream — start a new episode. *)
-      if S.now t -. !last_seen > (S.config t).t2 then begin
+      if S.now t -. last_seen.at > (S.config t).t2 then begin
         S.notef t ~node:member "channel silent, rejoining";
         first := true;
-        last_seen := S.now t
+        last_seen.at <- S.now t
       end;
       let f = !first in
       first := false;
       S.send t ~from:member ~dst:(S.source t) ~kind:Pkt.Control
         (Messages.Join { channel = S.channel t; member; ext = f })
-  | _ -> ()
+  | exception Not_found -> ()
 
 let hooks =
   {
@@ -436,7 +446,7 @@ let hooks =
     on_subscribe =
       (fun t r ->
         let st = S.state t in
-        Hashtbl.replace st.member_last_seen r (ref (S.now t));
+        Hashtbl.replace st.member_last_seen r { at = S.now t };
         Hashtbl.replace st.member_first r (ref true));
     on_unsubscribe =
       (fun t r ->

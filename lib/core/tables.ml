@@ -2,12 +2,16 @@ module Ss = Proto.Softstate
 
 type deadlines = Ss.deadlines = { t1 : float; t2 : float }
 
-type entry = Ss.entry = private {
-  node : int;
-  seq : int;
+type times = Ss.times = private {
   mutable marked_until : float;
   mutable fresh_until : float;
   mutable expires_at : float;
+}
+
+type entry = Ss.entry = private {
+  node : int;
+  seq : int;
+  tm : times;
   mutable epoch : int;
 }
 

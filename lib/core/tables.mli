@@ -16,12 +16,17 @@
 type deadlines = Proto.Softstate.deadlines = { t1 : float; t2 : float }
 (** Relative validity durations, [0 < t1 < t2]. *)
 
-type entry = Proto.Softstate.entry = private {
-  node : int;  (** the receiver or downstream branching node *)
-  seq : int;  (** table install order *)
+type times = Proto.Softstate.times = private {
   mutable marked_until : float;  (** absolute mark-decay deadline *)
   mutable fresh_until : float;  (** absolute t1 deadline *)
   mutable expires_at : float;  (** absolute t2 deadline *)
+}
+(** The entry's deadlines, stored flat (see {!Proto.Softstate.times}). *)
+
+type entry = Proto.Softstate.entry = private {
+  node : int;  (** the receiver or downstream branching node *)
+  seq : int;  (** table install order *)
+  tm : times;
   mutable epoch : int;
       (** route epoch of the last forward-path validation (see
           {!stamp}); 0 until first stamped *)

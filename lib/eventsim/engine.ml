@@ -52,6 +52,18 @@ let schedule_at ?(tag = "") t ~time f =
   t.seq <- t.seq + 1;
   h
 
+(* Same queue position as a [schedule_at] made at this point: the next
+   sequence number, so a re-queued handle ties with other events
+   exactly as a fresh one would. *)
+let requeue t h ~time =
+  if time < t.clock then
+    invalid_arg
+      (Printf.sprintf "Engine.requeue: time %g is in the past (now %g)" time
+         t.clock);
+  if h.cancelled then invalid_arg "Engine.requeue: cancelled handle";
+  Heap.push t.queue time t.seq h;
+  t.seq <- t.seq + 1
+
 let schedule ?tag t ~delay f =
   if delay < 0.0 then invalid_arg "Engine.schedule: negative delay";
   schedule_at ?tag t ~time:(t.clock +. delay) f

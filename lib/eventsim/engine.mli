@@ -24,6 +24,18 @@ val schedule : ?tag:string -> t -> delay:float -> (unit -> unit) -> handle
 val schedule_at : ?tag:string -> t -> time:float -> (unit -> unit) -> handle
 (** Absolute-time variant; [time] must not be in the past. *)
 
+val requeue : t -> handle -> time:float -> unit
+(** [requeue e h ~time] puts a handle that has already fired back in
+    the queue, to fire its action again at [time].  It takes the next
+    sequence number, exactly where a {!schedule_at} made at this point
+    would, so same-time tie-breaks are those of a fresh event; and it
+    allocates nothing, where a fresh event costs a handle and usually a
+    closure.  Precondition: [h] has fired and has not been re-queued
+    since, so it sits in no queue (a handle queued twice would fire
+    twice).  [time] must not be in the past, and [h] must not be
+    cancelled.  {!restore} treats a re-queued handle like any other:
+    a snapshot holds it at the time it was queued for then. *)
+
 val cancel : handle -> unit
 (** Idempotent; a fired event is unaffected. *)
 

@@ -17,7 +17,16 @@
     runs its members exactly when and in the order the standalone
     timers would have.  [stop] cancels the backing event when a
     bucket empties; a stopped entry never causes a no-op engine
-    fire. *)
+    fire.
+
+    Re-arm in place: when a bucket fires, the first of its members
+    that re-arms into no existing bucket takes the fired bucket itself
+    — record, member arrays, closure and engine handle — through
+    {!Engine.requeue}, which gives it the sequence number a fresh
+    event would have had.  Deadlines sit in all-float records and
+    members in arrays, so a steady-state period (every member re-arms
+    with the same period) allocates only the boxed deadline handed to
+    the engine, whatever the bucket's size. *)
 
 type t
 (** A wheel bound to one engine (and one optional profiling tag). *)
@@ -47,7 +56,13 @@ val active : entry -> bool
     {!Engine.snapshot}/{!Engine.restore}: restore the engine first
     (resurrecting the buckets' pending events in place), then the
     wheel.  Entries created after [save] are dropped; entries stopped
-    after [save] become active again. *)
+    after [save] become active again.
+
+    [save] captures each armed bucket's deadline, birth instant and
+    members in order: a bucket re-armed in place after [save] has new
+    values in all three, and [restore] puts the saved ones back (the
+    engine restore has already put its event back at the saved time).
+    One snapshot supports any number of restores. *)
 
 type snap
 

@@ -392,6 +392,14 @@ let post_join t n ns ~dst ~j_int ~track =
   ensure_pump t;
   if track then ns.up_state <- Some (dst, j_int, nbr_genid ns dst)
 
+(* A retraction goes to an old parent that is alive, or that is not
+   adjacent: a parent reached through a capability-disabled router
+   never sends this node a hello, so it has no liveness record, and
+   gating on one would leave this node in its downstream table for
+   good. *)
+let can_retract t n ns p' ~now =
+  nbr_alive ns p' ~now || not (Topology.Graph.connected (S.graph t) n p')
+
 (* Reconcile what this node has expressed upstream with what it now
    wants: post only on change (parent moved, polarity flipped, or the
    parent restarted with a new generation ID).  Idempotent and cheap —
@@ -410,7 +418,7 @@ let audit t n ns =
       in
       if not expressed then begin
         (match ns.up_state with
-        | Some (p', true, _) when p' <> p && nbr_alive ns p' ~now ->
+        | Some (p', true, _) when p' <> p && can_retract t n ns p' ~now ->
             (* Retract from the abandoned parent; untracked — the
                reliable slot outlives the bookkeeping. *)
             post_join t n ns ~dst:p' ~j_int:false ~track:false
@@ -420,7 +428,7 @@ let audit t n ns =
   | Some _ | None -> (
       match ns.up_state with
       | Some (p', true, _) ->
-          if nbr_alive ns p' ~now then
+          if can_retract t n ns p' ~now then
             post_join t n ns ~dst:p' ~j_int:false ~track:true
           else ns.up_state <- None
       | Some (_, false, _) | None -> ())

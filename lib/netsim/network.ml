@@ -45,13 +45,13 @@ type 'p t = {
   mutable handler : 'p handler option;
   (* Data sinks by acquire count (see {!sink_acquire}). *)
   sinks : (int, int) Hashtbl.t;
-  (* Data accounting, allocation-lean: link loads are keyed by the
-     flat directed-edge index [u * n_nodes + v] (an immediate int, so
-     neither lookup nor update allocates a key), and deliveries append
-     into growable parallel arrays (unboxed float delays) instead of
-     consing a tuple per delivery. *)
   n_nodes : int;
-  data_loads : (int, int) Hashtbl.t;
+  (* Data accounting, allocation-free: link loads are an [int array]
+     indexed by directed link id ([2 * link id], plus 1 for the
+     [v -> u] direction), so a tally is one array increment, and
+     deliveries append into growable parallel arrays (unboxed float
+     delays) instead of consing a tuple per delivery. *)
+  data_loads : int array;
   mutable dl_nodes : int array;
   mutable dl_delays : float array;
   mutable dl_len : int;
@@ -141,7 +141,7 @@ let create ?(default_ttl = 255) ?trace engine table =
     handler = None;
     sinks = Hashtbl.create 16;
     n_nodes = Topology.Graph.node_count graph;
-    data_loads = Hashtbl.create 256;
+    data_loads = Array.make (2 * Topology.Graph.link_count graph) 0;
     dl_nodes = [||];
     dl_delays = [||];
     dl_len = 0;
@@ -361,16 +361,14 @@ let fault_drop t ~at ~next reason (p : 'p Packet.t) =
            reason = reason_label reason;
          })
 
-let tally_link t (p : 'p Packet.t) u v =
+(* [dlink] is the directed link id of [u -> v] (see [data_loads]). *)
+let directed_link (l : Topology.Graph.link) u =
+  if l.u = u then 2 * l.id else (2 * l.id) + 1
+
+let tally_link t (p : 'p Packet.t) u v dlink =
   (match p.kind with
   | Packet.Data ->
-      let key = (u * t.n_nodes) + v in
-      let n =
-        match Hashtbl.find t.data_loads key with
-        | n -> n
-        | exception Not_found -> 0
-      in
-      Hashtbl.replace t.data_loads key (n + 1);
+      t.data_loads.(dlink) <- t.data_loads.(dlink) + 1;
       t.c.data_hops <- t.c.data_hops + 1;
       Obs.Metrics.incr t.m.pkt_copies
   | Packet.Control ->
@@ -447,25 +445,34 @@ and arrive t node (p : 'p Packet.t) =
         end
   end
 
+(* The next hop is read straight from the destination's in-tree
+   ([-1]: unreachable, or [node] is the destination), and one adjacency
+   walk yields the link for its delay and directed id: a hop allocates
+   nothing here beyond its scheduled event. *)
 and transmit t node (p : 'p Packet.t) =
   if t.faults_on && not (node_up t node) then
     fault_drop t ~at:node ~next:node Node_failed p
   else
-    match Routing.Table.next_hop t.table node ~dest:p.dst with
-    | None ->
-        Obs.Trace.notef t.trace ~time:(now t) ~node "no route to %d" p.dst;
-        t.c.dropped_unreachable <- t.c.dropped_unreachable + 1;
-        Obs.Metrics.incr t.m.dropped
-    | Some next -> (
-        if t.faults_on && faulted_out t node next p then ()
-        else begin
-          p.Packet.via <- node;
-          tally_link t p node next;
-          let delay = Topology.Graph.delay t.graph node next in
-          match t.hostile with
-          | None -> hop t ~delay ~next p
-          | Some h -> hostile_hop t h ~delay ~next node p
-        end)
+    let tree = Routing.Table.in_tree t.table p.dst in
+    let next = tree.Routing.Dijkstra.next.(node) in
+    if next < 0 then begin
+      Obs.Trace.notef t.trace ~time:(now t) ~node "no route to %d" p.dst;
+      t.c.dropped_unreachable <- t.c.dropped_unreachable + 1;
+      Obs.Metrics.incr t.m.dropped
+    end
+    else
+      let g = t.graph in
+      let l = Topology.Graph.link g (Topology.Graph.link_id g node next) in
+      let dlink = directed_link l node in
+      if t.faults_on && faulted_out t node next dlink p then ()
+      else begin
+        p.Packet.via <- node;
+        tally_link t p node next dlink;
+        let delay = if l.u = node then l.delay_uv else l.delay_vu in
+        match t.hostile with
+        | None -> hop t ~delay ~next p
+        | Some h -> hostile_hop t h ~delay ~next dlink node p
+      end
 
 (* One adversarial link traversal: the scheduled delay picks up
    jitter and an optional reorder hold-back, and the packet may be
@@ -481,12 +488,12 @@ and hostile_delay t (h : hostile) base =
   then d := !d +. Stats.Rng.float (rng_of t) h.h_reorder_window;
   !d
 
-and hostile_hop t h ~delay ~next node (p : 'p Packet.t) =
+and hostile_hop t h ~delay ~next dlink node (p : 'p Packet.t) =
   hop t ~delay:(hostile_delay t h delay) ~next p;
   if h.h_dup_prob > 0.0 && Stats.Rng.float (rng_of t) 1.0 < h.h_dup_prob
   then begin
     let c = Packet.dup p in
-    tally_link t c node next;
+    tally_link t c node next dlink;
     hop t ~delay:(hostile_delay t h delay) ~next c
   end
 
@@ -495,7 +502,7 @@ and hostile_hop t h ~delay ~next node (p : 'p Packet.t) =
    Order: filters (message-class suppression, never on the wire),
    dead link (nothing transmits), then Bernoulli loss — the copy was
    transmitted, so it {e does} consume the link, then vanishes. *)
-and faulted_out t node next (p : 'p Packet.t) =
+and faulted_out t node next dlink (p : 'p Packet.t) =
   match t.drop_filter with
   | Some f when f p ->
       fault_drop t ~at:node ~next Filtered p;
@@ -513,7 +520,7 @@ and faulted_out t node next (p : 'p Packet.t) =
         (* A burst (correlated outage) or a Bernoulli loss: either way
            the copy consumed the link, then vanished. *)
         p.Packet.via <- node;
-        tally_link t p node next;
+        tally_link t p node next dlink;
         fault_drop t ~at:node ~next Loss p;
         true
       end
@@ -564,16 +571,22 @@ let emit t ~at (p : 'p Packet.t) =
 let counters t = copy_counters t.c
 
 let data_link_loads t =
-  Hashtbl.fold
-    (fun k n acc -> ((k / t.n_nodes, k mod t.n_nodes), n) :: acc)
-    t.data_loads []
-  |> List.sort compare
+  let acc = ref [] in
+  Array.iteri
+    (fun d n ->
+      if n > 0 then begin
+        let l = Topology.Graph.link t.graph (d / 2) in
+        let uv = if d land 1 = 0 then (l.u, l.v) else (l.v, l.u) in
+        acc := (uv, n) :: !acc
+      end)
+    t.data_loads;
+  List.sort compare !acc
 
 let data_deliveries t =
   List.init t.dl_len (fun i -> (t.dl_nodes.(i), t.dl_delays.(i)))
 
 let reset_data_accounting t =
-  Hashtbl.reset t.data_loads;
+  Array.fill t.data_loads 0 (Array.length t.data_loads) 0;
   t.dl_len <- 0
 
 (* ---- Checkpoint / restore --------------------------------------------- *)
@@ -583,7 +596,7 @@ type 'p snapshot = {
   s_links : Topology.Graph.link_state;
   s_counters : counters;
   s_sinks : (int, int) Hashtbl.t;
-  s_data_loads : (int * int) list;
+  s_data_loads : int array;
   s_dl_nodes : int array;
   s_dl_delays : float array;
   s_faults_on : bool;
@@ -616,9 +629,7 @@ let snapshot t =
     s_links = Topology.Graph.save_links t.graph;
     s_counters = copy_counters t.c;
     s_sinks = Hashtbl.copy t.sinks;
-    (* The entries only: a [Hashtbl.copy] would copy all 256 buckets
-       of the table at every checkpoint. *)
-    s_data_loads = Hashtbl.fold (fun k n acc -> (k, n) :: acc) t.data_loads [];
+    s_data_loads = Array.copy t.data_loads;
     s_dl_nodes = Array.sub t.dl_nodes 0 t.dl_len;
     s_dl_delays = Array.sub t.dl_delays 0 t.dl_len;
     s_faults_on = t.faults_on;
@@ -643,8 +654,7 @@ let restore t s =
   Topology.Graph.restore_links t.graph s.s_links;
   t.c <- copy_counters s.s_counters;
   restore_tbl t.sinks s.s_sinks;
-  Hashtbl.reset t.data_loads;
-  List.iter (fun (k, n) -> Hashtbl.replace t.data_loads k n) s.s_data_loads;
+  Array.blit s.s_data_loads 0 t.data_loads 0 (Array.length t.data_loads);
   (* Copies, so post-restore deliveries never scribble on the
      snapshot's arrays (one snapshot supports repeated restores). *)
   t.dl_nodes <- Array.copy s.s_dl_nodes;

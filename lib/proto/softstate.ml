@@ -1,16 +1,18 @@
 type deadlines = { t1 : float; t2 : float }
 
-type entry = {
-  node : int;
-  seq : int;
+(* All fields are floats, so OCaml stores the record flat and a write
+   is a plain store: no box per refresh, and no [caml_modify] on an
+   entry that has already been promoted. *)
+type times = {
   mutable marked_until : float;
   mutable fresh_until : float;
   mutable expires_at : float;
-  mutable epoch : int;
 }
 
-let entry_stale e ~now = now >= e.fresh_until
-let entry_dead e ~now = now >= e.expires_at
+type entry = { node : int; seq : int; tm : times; mutable epoch : int }
+
+let entry_stale e ~now = now >= e.tm.fresh_until
+let entry_dead e ~now = now >= e.tm.expires_at
 
 (* Verification-only fault knob: with [freeze_marks] set, a mark never
    decays — the pre-PR2 bug the systematic explorer is expected to
@@ -19,28 +21,29 @@ let entry_dead e ~now = now >= e.expires_at
 let freeze_marks = ref false
 
 let entry_marked e ~now =
-  if !freeze_marks then e.marked_until > neg_infinity else now < e.marked_until
+  if !freeze_marks then e.tm.marked_until > neg_infinity
+  else now < e.tm.marked_until
 
-let entry dl ~now node =
+let make dl ~now ~seq ~fresh_until node =
   {
     node;
-    seq = 0;
-    marked_until = neg_infinity;
-    fresh_until = now +. dl.t1;
-    expires_at = now +. dl.t2;
+    seq;
+    tm =
+      { marked_until = neg_infinity; fresh_until; expires_at = now +. dl.t2 };
     epoch = 0;
   }
 
+let entry dl ~now node = make dl ~now ~seq:0 ~fresh_until:(now +. dl.t1) node
 let stamp e ~epoch = if epoch > e.epoch then e.epoch <- epoch
 
 let refresh_entry e dl ~now =
-  e.fresh_until <- now +. dl.t1;
-  e.expires_at <- now +. dl.t2
+  e.tm.fresh_until <- now +. dl.t1;
+  e.tm.expires_at <- now +. dl.t2
 
-let force_stale e ~now = e.fresh_until <- Float.min e.fresh_until now
+let force_stale e ~now = e.tm.fresh_until <- Float.min e.tm.fresh_until now
 
-(* [with] always builds a fresh record. *)
-let copy_entry e = { e with node = e.node }
+(* [with] always builds a fresh record, the times included. *)
+let copy_entry e = { e with tm = { e.tm with expires_at = e.tm.expires_at } }
 
 module Table = struct
   module A = Node_tables.Sorted
@@ -55,7 +58,8 @@ module Table = struct
 
   let add_fresh t dl ~now n =
     match A.index t n with
-    | -1 -> A.add t n (fun seq -> { (entry dl ~now n) with seq })
+    | -1 ->
+        A.add t n (fun seq -> make dl ~now ~seq ~fresh_until:(now +. dl.t1) n)
     | i ->
         refresh_entry t.vals.(i) dl ~now;
         t.vals.(i)
@@ -66,10 +70,9 @@ module Table = struct
      keeping alive either. *)
   let add_stale t dl ~now n =
     match A.index t n with
-    | -1 ->
-        A.add t n (fun seq -> { (entry dl ~now n) with seq; fresh_until = now })
+    | -1 -> A.add t n (fun seq -> make dl ~now ~seq ~fresh_until:now n)
     | i ->
-        t.vals.(i).expires_at <- now +. dl.t2;
+        t.vals.(i).tm.expires_at <- now +. dl.t2;
         t.vals.(i)
 
   let refresh t dl ~now n =
@@ -82,7 +85,7 @@ module Table = struct
      entry not refreshed through the fresh path must die. *)
   let mark t dl ~now n =
     let i = A.index t n in
-    if i >= 0 then t.vals.(i).marked_until <- now +. dl.t1;
+    if i >= 0 then t.vals.(i).tm.marked_until <- now +. dl.t1;
     i >= 0
 
   let remove = A.remove

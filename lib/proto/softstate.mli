@@ -21,12 +21,20 @@
 type deadlines = { t1 : float; t2 : float }
 (** Relative validity durations, [0 < t1 <= t2]. *)
 
-type entry = private {
-  node : int;  (** the neighbor, receiver or downstream branch *)
-  seq : int;  (** table install order (0 for detached entries) *)
+type times = private {
   mutable marked_until : float;  (** absolute mark-decay deadline *)
   mutable fresh_until : float;  (** absolute t1 deadline *)
   mutable expires_at : float;  (** absolute t2 deadline *)
+}
+(** An entry's three deadlines.  Every field is a float, so OCaml
+    stores the record flat: a refresh, mark or stale-refresh is a
+    plain store that allocates nothing, where a float field of a mixed
+    record would box a new float on every write. *)
+
+type entry = private {
+  node : int;  (** the neighbor, receiver or downstream branch *)
+  seq : int;  (** table install order (0 for detached entries) *)
+  tm : times;  (** the deadlines, owned by this entry alone *)
   mutable epoch : int;
       (** route epoch of the entry's last forward-path validation
           (see {!stamp}); 0 until first stamped *)
@@ -44,7 +52,8 @@ val freeze_marks : bool ref
     stay [false] in every normal run. *)
 
 val copy_entry : entry -> entry
-(** Independent copy of a (mutable) entry — checkpoint primitive. *)
+(** Independent copy of a (mutable) entry, its {!times} record
+    included — checkpoint primitive. *)
 
 val stamp : entry -> epoch:int -> unit
 (** Record forward-path evidence for this entry at the given route
@@ -95,8 +104,9 @@ module Table : sig
   val clear : t -> unit
 
   val copy : t -> t
-  (** Deep copy: independent entry records, identical install-order
-      counter — every projection of the copy matches the original. *)
+  (** Deep copy: independent entry and {!times} records, identical
+      install-order counter — every projection of the copy matches the
+      original, and no write to one reaches the other. *)
 
   val expire : t -> now:float -> unit
   (** Drop dead entries. *)

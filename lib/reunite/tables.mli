@@ -10,12 +10,17 @@
 
 type deadlines = Proto.Softstate.deadlines = { t1 : float; t2 : float }
 
-type entry = Proto.Softstate.entry = private {
-  node : int;
-  seq : int;  (** table install order *)
+type times = Proto.Softstate.times = private {
   mutable marked_until : float;  (** unused by REUNITE *)
   mutable fresh_until : float;
   mutable expires_at : float;
+}
+(** The entry's deadlines, stored flat (see {!Proto.Softstate.times}). *)
+
+type entry = Proto.Softstate.entry = private {
+  node : int;
+  seq : int;  (** table install order *)
+  tm : times;
   mutable epoch : int;
       (** route epoch of the last forward-path validation (see
           {!Proto.Softstate.stamp}); 0 until first stamped *)

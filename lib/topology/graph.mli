@@ -75,6 +75,12 @@ val link : t -> int -> link
 val connected : t -> int -> int -> bool
 (** [connected g u v] is true iff some link joins [u] and [v]. *)
 
+val link_id : t -> int -> int -> int
+(** [link_id g u v] is the id of the link joining [u] and [v], or [-1]
+    if there is none.  A walk of [u]'s adjacency that allocates
+    nothing: a per-hop caller reads [link g id] for the directed
+    delay, cost and state with this one lookup. *)
+
 val cost : t -> int -> int -> int
 (** [cost g u v] is the directed routing metric of the [u -> v]
     traversal of the link joining them.  Raises [Invalid_argument] if

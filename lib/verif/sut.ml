@@ -116,8 +116,8 @@ let bucket ~now deadline =
    quiescence forever. *)
 let add_entry b ~now (e : Ss.entry) =
   add_tagged b (if Ss.entry_marked e ~now then 'M' else 'e') e.Ss.node;
-  add_int b (bucket ~now e.Ss.fresh_until);
-  add_int b (bucket ~now e.Ss.expires_at)
+  add_int b (bucket ~now e.Ss.tm.fresh_until);
+  add_int b (bucket ~now e.Ss.tm.expires_at)
 
 let add_entries b ~now entries = List.iter (add_entry b ~now) entries
 

@@ -206,6 +206,24 @@ let prop_heap_sorts =
       in
       drain [] = List.sort compare keys)
 
+(* A fired handle re-queued at an instant ties with the events already
+   there exactly as a fresh [schedule_at] made at that point would: after
+   those scheduled before, before those scheduled after. *)
+let test_requeue_order () =
+  let e = E.create () in
+  let log = ref [] in
+  let h = E.schedule e ~delay:1.0 (fun () -> log := "h" :: !log) in
+  Alcotest.(check bool) "h fires" true (E.step e);
+  ignore (E.schedule_at e ~time:5.0 (fun () -> log := "before" :: !log));
+  E.requeue e h ~time:5.0;
+  ignore (E.schedule_at e ~time:5.0 (fun () -> log := "after" :: !log));
+  E.run e;
+  Alcotest.(check (list string)) "fresh-event position"
+    [ "h"; "before"; "h"; "after" ] (List.rev !log);
+  Alcotest.check_raises "past time rejected"
+    (Invalid_argument "Engine.requeue: time 1 is in the past (now 5)")
+    (fun () -> E.requeue e h ~time:1.0)
+
 (* ---- Wheel ------------------------------------------------------- *)
 
 module W = Eventsim.Wheel
@@ -289,6 +307,225 @@ let test_wheel_save_restore () =
   Alcotest.(check bool) "replay is bit-identical" true
     (List.rev !log = first)
 
+(* A restore must put back each armed bucket's deadline and birth as
+   well as its members: a bucket re-armed in place after the snapshot
+   has a new deadline in the same record, and firing it at its saved
+   engine time with that deadline would shift every later re-arm.  The
+   snapshot holds entries at three phases and two periods; after it,
+   one entry of a shared bucket stops and the run goes on for many
+   periods, so every bucket fires and is re-armed in place several
+   times.  Each replay from the one snapshot repeats the stop and must
+   fire the same (time, entry) trace from as many engine events: an
+   arm made at the snapshot's instant joins the bucket born there
+   ("e"), which only its restored birth tells apart. *)
+let test_wheel_restore_reused_buckets () =
+  let e = E.create () in
+  let w = W.create e in
+  let log = ref [] in
+  let every name ~start ~period =
+    W.every w ~start ~period (fun () -> log := (E.now e, name) :: !log)
+  in
+  ignore (every "a" ~start:5.0 ~period:10.0);
+  let b = every "b" ~start:5.0 ~period:10.0 in
+  ignore (every "c" ~start:5.0 ~period:7.0);
+  ignore (every "d" ~start:2.0 ~period:10.0);
+  E.run ~until:13.0 e;
+  ignore (every "e" ~start:4.0 ~period:10.0);
+  let es = E.snapshot e in
+  let ws = W.save w in
+  let run () =
+    log := [];
+    let fired = E.events_fired e in
+    W.stop b;
+    ignore (every "late" ~start:1.0 ~period:3.0);
+    ignore (every "joins e" ~start:4.0 ~period:10.0);
+    E.run ~until:120.0 e;
+    (List.rev !log, E.events_fired e - fired)
+  in
+  let first = run () in
+  let trace = fst first in
+  Alcotest.(check bool) "b stopped" false (List.exists (fun (_, n) -> n = "b") trace);
+  Alcotest.(check int) "a fires every period" 11
+    (List.length (List.filter (fun (_, n) -> n = "a") trace));
+  for round = 1 to 2 do
+    E.restore e es;
+    W.restore w ws;
+    Alcotest.(check bool) (Printf.sprintf "b active again (%d)" round) true (W.active b);
+    Alcotest.(check (pair (list (pair (float 0.0) string)) int))
+      (Printf.sprintf "replay %d fires the same trace" round)
+      first (run ())
+  done
+
+(* A random timer program, run once on a wheel and once on standalone
+   [Timer.every] chains.  Entry [k] is armed by an engine event at
+   [arm] (first fire [start] later, then every [period]); a [stop]
+   event may stop it, and each fire at or after [kill_at] stops entry
+   [victim] (itself included).  Arms land at shared instants with
+   shared deadlines, so buckets merge, fire, are re-armed in place and
+   lose members mid-fire.  Messages are foreign events: each is sent at
+   a half-integer time, when no arm happens, and lands on an integer
+   one, where it can tie with a deadline.  A bucket armed before such a
+   message must fire before it, and an arm made after it must fire
+   after it: which is why only buckets born at the current instant may
+   take a merge. *)
+type timed_entry = {
+  arm : float;
+  start : float;
+  period : float;
+  stop : float option;
+  victim : int;
+  kill_at : float;
+}
+
+type timer_prog = {
+  entries : timed_entry list;
+  messages : (float * float) list;  (** send time, delay *)
+}
+
+let gen_timer_prog =
+  QCheck.Gen.(
+    int_range 1 8 >>= fun n ->
+    list_repeat n
+      (oneofl [ 0.0; 1.0; 2.0; 3.0; 5.0 ] >>= fun arm ->
+       oneofl [ 0.0; 1.0; 2.0; 3.0; 4.0 ] >>= fun start ->
+       oneofl [ 2.0; 3.0; 4.0; 6.0 ] >>= fun period ->
+       opt (map float_of_int (int_range 3 30)) >>= fun stop ->
+       int_range 0 (n - 1) >>= fun victim ->
+       map float_of_int (int_range 5 60) >>= fun kill_at ->
+       return { arm; start; period; stop; victim; kill_at })
+    >>= fun entries ->
+    list_size (int_range 0 6)
+      (pair
+         (map (fun k -> float_of_int k +. 0.5) (int_range 0 20))
+         (map (fun k -> float_of_int k +. 0.5) (int_range 0 4)))
+    >>= fun messages -> return { entries; messages })
+
+(* Schedules the program's events on [e]; [arm k] and [stop k] act on
+   entry [k]'s current timer.  A fire logs [(time, k)], a message
+   [(time, -1)]. *)
+let load_timer_prog e prog ~log ~arm ~stop =
+  List.iteri
+    (fun k p ->
+      ignore
+        (E.schedule_at e ~time:p.arm (fun () ->
+             arm k ~start:p.start ~period:p.period (fun () ->
+                 log := (E.now e, k) :: !log;
+                 if E.now e >= p.kill_at then stop p.victim)));
+      Option.iter
+        (fun time -> ignore (E.schedule_at e ~time (fun () -> stop k)))
+        p.stop)
+    prog.entries;
+  List.iter
+    (fun (time, delay) ->
+      ignore
+        (E.schedule_at e ~time (fun () ->
+             ignore
+               (E.schedule e ~delay (fun () -> log := (E.now e, -1) :: !log)))))
+    prog.messages
+
+let arbitrary_timer_prog =
+  QCheck.make
+    ~print:(fun prog ->
+      String.concat "; "
+        (List.map
+           (fun p ->
+             Printf.sprintf "arm %g start %g period %g stop %s kill %d at %g"
+               p.arm p.start p.period
+               (match p.stop with Some t -> Printf.sprintf "%g" t | None -> "-")
+               p.victim p.kill_at)
+           prog.entries
+        @ List.map
+            (fun (t, d) -> Printf.sprintf "message at %g delay %g" t d)
+            prog.messages))
+    gen_timer_prog
+
+(* The program on a wheel; returns the entry slots, which an owner
+   restores along with the wheel. *)
+let load_on_wheel e w prog ~log =
+  let hs = Array.make (List.length prog.entries) None in
+  load_timer_prog e prog ~log
+    ~arm:(fun k ~start ~period f -> hs.(k) <- Some (W.every w ~start ~period f))
+    ~stop:(fun k -> Option.iter W.stop hs.(k));
+  hs
+
+let prop_wheel_is_timers =
+  QCheck.Test.make ~count:500 ~name:"wheel fires as standalone timers do"
+    arbitrary_timer_prog (fun prog ->
+      let fires load =
+        let e = E.create () in
+        let log = ref [] in
+        load e ~log;
+        E.run ~until:70.0 e;
+        List.rev !log
+      in
+      fires (fun e ~log -> ignore (load_on_wheel e (W.create e) prog ~log))
+      = fires (fun e ~log ->
+            let hs = Array.make (List.length prog.entries) None in
+            load_timer_prog e prog ~log
+              ~arm:(fun k ~start ~period f ->
+                hs.(k) <- Some (T.every e ~start ~period f))
+              ~stop:(fun k -> Option.iter T.stop hs.(k))))
+
+(* Checkpointed at a random instant, the program replays the same
+   fires from the snapshot, twice. *)
+let prop_wheel_replays =
+  QCheck.Test.make ~count:300 ~name:"wheel replays from a snapshot"
+    QCheck.(pair arbitrary_timer_prog (int_range 0 20))
+    (fun (prog, at) ->
+      let e = E.create () in
+      let w = W.create e in
+      let log = ref [] in
+      let hs = load_on_wheel e w prog ~log in
+      E.run ~until:(float_of_int at) e;
+      let es = E.snapshot e and ws = W.save w and saved_hs = Array.copy hs in
+      let rest () =
+        log := [];
+        E.run ~until:70.0 e;
+        List.rev !log
+      in
+      let first = rest () in
+      List.for_all
+        (fun () ->
+          E.restore e es;
+          W.restore w ws;
+          Array.blit saved_hs 0 hs 0 (Array.length hs);
+          rest () = first)
+        [ (); () ])
+
+(* Minor words per call of [f], after 1000 warm-up calls have grown
+   whatever arrays it fills. *)
+let words_per ~iters f =
+  for _ = 1 to 1000 do
+    f ()
+  done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to iters do
+    f ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int iters
+
+(* A steady-state period: a bucket whose members share a period fires,
+   and every member re-arms into the same bucket record, re-queued in
+   place.  The 4 words are the engine's (the clock [step] stores, 2)
+   and the deadline handed to [Engine.requeue] (2), whatever the
+   bucket's size; a new bucket per period cost 47 words with one
+   member and 803 with 64. *)
+let test_wheel_period_alloc () =
+  List.iter
+    (fun k ->
+      let e = E.create () in
+      let w = W.create e in
+      let nop () = () in
+      for _ = 1 to k do
+        ignore (W.every w ~period:5.0 nop)
+      done;
+      let period () = ignore (E.step e : bool) in
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "%d members" k)
+        4.0
+        (words_per ~iters:100_000 period))
+    [ 1; 8; 64 ]
+
 let () =
   Alcotest.run "eventsim"
     [
@@ -304,6 +541,8 @@ let () =
           Alcotest.test_case "until inclusive" `Quick test_run_until_inclusive;
           Alcotest.test_case "max events" `Quick test_max_events;
           Alcotest.test_case "past rejected" `Quick test_past_scheduling_rejected;
+          Alcotest.test_case "requeue ties like a fresh event" `Quick
+            test_requeue_order;
         ] );
       ( "timer",
         [
@@ -323,7 +562,13 @@ let () =
             test_wheel_stop;
           Alcotest.test_case "save/restore rewinds entries" `Quick
             test_wheel_save_restore;
-        ] );
+          Alcotest.test_case "restore across buckets re-armed in place" `Quick
+            test_wheel_restore_reused_buckets;
+          Alcotest.test_case "a steady period allocates 4 words" `Quick
+            test_wheel_period_alloc;
+        ]
+        @ List.map QCheck_alcotest.to_alcotest
+            [ prop_wheel_is_timers; prop_wheel_replays ] );
       ( "heap",
         Alcotest.test_case "ordering" `Quick test_heap_ordering
         :: Alcotest.test_case "releases payloads" `Quick

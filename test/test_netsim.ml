@@ -448,6 +448,37 @@ let test_ttl_expiry () =
   Eventsim.Engine.run eng;
   Alcotest.(check int) "dropped by ttl" 1 (Net.counters nt).Net.dropped_ttl
 
+(* Minor words per call of [f], after 1000 warm-up calls have grown
+   whatever arrays it fills. *)
+let words_per ~iters f =
+  for _ = 1 to 1000 do
+    f ()
+  done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to iters do
+    f ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int iters
+
+(* Link loads are an array indexed by directed link id, so a data hop's
+   tally is one increment: with the accounting reset before every
+   packet (as a probe does), a data packet across the line costs
+   exactly what a control packet does.  Node 3 is a router with no
+   sink, so neither packet is a delivery. *)
+let test_data_tally_allocates_nothing () =
+  let engine, net = line_network () in
+  let send kind () =
+    Net.reset_data_accounting net;
+    Net.originate net ~src:0 ~dst:3 ~kind Ping;
+    Eventsim.Engine.run engine
+  in
+  let control = words_per ~iters:10_000 (send Pkt.Control) in
+  let data = words_per ~iters:10_000 (send Pkt.Data) in
+  Alcotest.(check (float 0.0)) "data costs what control does" control data;
+  Alcotest.(check (list (pair (pair int int) int)))
+    "the last packet's loads" [ ((0, 1), 1); ((1, 2), 1); ((2, 3), 1) ]
+    (Net.data_link_loads net)
+
 let test_unreachable_drop () =
   let g =
     G.make ~kinds:(Array.make 3 G.Router) ~links:[ (0, 1, 1, 1) ]
@@ -621,6 +652,8 @@ let () =
           Alcotest.test_case "host implicit sink" `Quick test_host_is_implicit_sink;
           Alcotest.test_case "ttl expiry" `Quick test_ttl_expiry;
           Alcotest.test_case "unreachable" `Quick test_unreachable_drop;
+          Alcotest.test_case "data tally allocates nothing" `Quick
+            test_data_tally_allocates_nothing;
         ] );
       ( "checkpoint",
         [

@@ -83,6 +83,99 @@ let test_install_order_projections () =
   Alcotest.(check (option int)) "next oldest after removal" (Some 2)
     (Ss.Table.first_fresh tb ~now:5.0)
 
+(* A copy owns its deadlines: the verifier checkpoints tables with
+   [Table.copy] (and HBH's control entry with [copy_entry]) and then
+   runs on, so a deadline record shared between a copy and its original
+   would let the live run rewrite the checkpoint.  Every deadline
+   write goes one way and then the other, and the other side must read
+   what it read before. *)
+let test_copies_share_no_deadlines () =
+  let deadlines (e : Ss.entry) =
+    let tm = e.Ss.tm in
+    (tm.Ss.marked_until, tm.Ss.fresh_until, tm.Ss.expires_at)
+  in
+  let view tb =
+    List.map (fun (e : Ss.entry) -> (e.Ss.node, deadlines e)) (Ss.Table.entries tb)
+  in
+  let build () =
+    let tb = Ss.Table.create () in
+    ignore (Ss.Table.add_fresh tb dl ~now:0.0 1);
+    ignore (Ss.Table.add_stale tb dl ~now:0.0 2);
+    ignore (Ss.Table.add_fresh tb dl ~now:0.0 3);
+    ignore (Ss.Table.mark tb dl ~now:0.0 3);
+    tb
+  in
+  let touch tb =
+    let now = 5.0 in
+    ignore (Ss.Table.refresh tb dl ~now 1);
+    ignore (Ss.Table.mark tb dl ~now 1);
+    ignore (Ss.Table.add_stale tb dl ~now 2);
+    Ss.force_stale (Option.get (Ss.Table.find tb 3)) ~now
+  in
+  let rows = Alcotest.(list (pair int (triple (float 0.0) (float 0.0) (float 0.0)))) in
+  List.iter
+    (fun (what, written, other) ->
+      let tb = build () in
+      let copy = Ss.Table.copy tb in
+      let before = view tb in
+      touch (written tb copy);
+      Alcotest.check rows (what ^ ": the other side unchanged") before
+        (view (other tb copy));
+      Alcotest.(check bool) (what ^ ": the written side moved") false
+        (view (written tb copy) = before))
+    [
+      ("writes to the copy", (fun _ c -> c), fun t _ -> t);
+      ("writes to the original", (fun t _ -> t), fun _ c -> c);
+    ];
+  let e = Ss.entry dl ~now:0.0 4 in
+  let c = Ss.copy_entry e in
+  let write x =
+    Ss.refresh_entry x dl ~now:5.0;
+    Ss.force_stale x ~now:6.0
+  in
+  write c;
+  Alcotest.(check (triple (float 0.0) (float 0.0) (float 0.0)))
+    "copy_entry: writes to the copy" (neg_infinity, 10.0, 25.0) (deadlines e);
+  let c' = Ss.copy_entry c in
+  write e;
+  Alcotest.(check (triple (float 0.0) (float 0.0) (float 0.0)))
+    "copy_entry: writes to the original" (deadlines c') (deadlines c)
+
+(* Minor words per call of [f], after 1000 warm-up calls have grown
+   whatever arrays it fills. *)
+let words_per ~iters f =
+  for _ = 1 to 1000 do
+    f ()
+  done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to iters do
+    f ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int iters
+
+(* The deadlines are stored flat, so every periodic update of an
+   existing entry is a plain store: no float is boxed. *)
+let test_updates_allocate_nothing () =
+  let tb = Ss.Table.create () in
+  for n = 0 to 7 do
+    ignore (Ss.Table.add_fresh tb dl ~now:0.0 n)
+  done;
+  let e = Ss.entry dl ~now:0.0 9 in
+  let now = 5.0 in
+  List.iter
+    (fun (what, f) ->
+      Alcotest.(check (float 0.0)) what 0.0 (words_per ~iters:10_000 f))
+    [
+      ("Table.refresh", fun () -> ignore (Ss.Table.refresh tb dl ~now 3 : bool));
+      ("Table.mark", fun () -> ignore (Ss.Table.mark tb dl ~now 3 : bool));
+      ( "Table.add_stale, existing entry",
+        fun () -> ignore (Ss.Table.add_stale tb dl ~now 3 : Ss.entry) );
+      ( "Table.add_fresh, existing entry",
+        fun () -> ignore (Ss.Table.add_fresh tb dl ~now 3 : Ss.entry) );
+      ("refresh_entry", fun () -> Ss.refresh_entry e dl ~now);
+      ("force_stale", fun () -> Ss.force_stale e ~now);
+    ]
+
 let softstate_tests =
   [
     Alcotest.test_case "stale at t1, dead at t2, swept" `Quick test_expiry_ladder;
@@ -94,6 +187,10 @@ let softstate_tests =
       test_timed_mark_decays;
     Alcotest.test_case "install-order projections" `Quick
       test_install_order_projections;
+    Alcotest.test_case "copies share no deadline storage" `Quick
+      test_copies_share_no_deadlines;
+    Alcotest.test_case "deadline writes allocate nothing" `Quick
+      test_updates_allocate_nothing;
   ]
 
 (* ---- Table model ------------------------------------------------- *)
@@ -171,7 +268,8 @@ let soft_apply tb ~now = function
 (* Every projection of [tb] at [now], and the model's version of it. *)
 let soft_view tb ~now =
   let row (e : Ss.entry) =
-    (e.Ss.node, (e.Ss.seq, e.Ss.marked_until, e.Ss.fresh_until, e.Ss.expires_at))
+    let tm = e.Ss.tm in
+    (e.Ss.node, (e.Ss.seq, tm.Ss.marked_until, tm.Ss.fresh_until, tm.Ss.expires_at))
   in
   let nodes = List.init 9 Fun.id in
   ( (Ss.Table.size tb, Ss.Table.nodes tb, List.map row (Ss.Table.entries tb)),

@@ -693,6 +693,52 @@ let test_hpim_member_behind_disabled () =
     "no duplicate deliveries" 0
     (Mcast.Distribution.duplicate_deliveries d)
 
+(* A router that re-parents away from a parent beyond a disabled router
+   retracts its interest there: the old parent has no hello record
+   (it is not adjacent), so liveness cannot be what gates the
+   NoInterest.  On ISP with router 12 disabled, link 6-12 failing
+   moves router 6's parent from 0 (through 12) to 13; router 0 must
+   then drop 6 from its downstream entries and stop sending it
+   copies. *)
+let test_hpim_retracts_tunnelled_parent () =
+  let graph = Topology.Isp.create () in
+  Topology.Graph.set_multicast_capable graph 12 false;
+  let session =
+    Hpim.Dm.create (Routing.Table.compute graph) ~source:Topology.Isp.source
+  in
+  let members =
+    List.filter
+      (fun h -> Topology.Graph.router_of_host graph h <> 12)
+      Topology.Isp.receiver_hosts
+  in
+  List.iter (Hpim.Dm.subscribe session) members;
+  Hpim.Dm.converge session;
+  let parent n =
+    match List.assoc_opt n (Hpim.Dm.view session) with
+    | Some { Hpim.Dm.vw_expressed = Some (p, true); _ } -> Some p
+    | Some _ | None -> None
+  in
+  let down n =
+    match List.assoc_opt n (Hpim.Dm.view session) with
+    | Some v -> v.Hpim.Dm.vw_down
+    | None -> []
+  in
+  Alcotest.(check (option int)) "6 parents on 0 through 12" (Some 0) (parent 6);
+  Alcotest.(check bool) "0 holds 6 downstream" true (List.mem 6 (down 0));
+  let net = Hpim.Dm.network session in
+  Netsim.Network.set_link_up net 6 12 false;
+  ignore (Netsim.Network.reconverge net : int);
+  Hpim.Dm.run_for session 3000.0;
+  Alcotest.(check (option int)) "6 re-parents on 13" (Some 13) (parent 6);
+  Alcotest.(check (list int)) "0 dropped 6" [ 5; 11; 13; 17 ] (down 0);
+  let d = Hpim.Dm.probe session in
+  Alcotest.(check (list int))
+    "every member hears the probe" members
+    (List.sort compare (Mcast.Distribution.receivers d));
+  Alcotest.(check int)
+    "no duplicate deliveries" 0
+    (Mcast.Distribution.duplicate_deliveries d)
+
 (* ---- Plan text: range checks and robustness ----------------------------- *)
 
 let rejects text =
@@ -896,6 +942,8 @@ let () =
                ~receivers:cfg.Experiments.Common.candidates ~link:(1, 16));
           Alcotest.test_case "ISP: members behind disabled core 12" `Quick
             test_hpim_member_behind_disabled;
+          Alcotest.test_case "ISP: 6 retracts from tunnelled parent 0" `Quick
+            test_hpim_retracts_tunnelled_parent;
         ] );
       ( "plan",
         Alcotest.test_case "non-finite values rejected" `Quick
