@@ -100,7 +100,7 @@ let run_proto ~seed ~horizon proto (config : Common.config) =
   sut.Sut.converge ();
   let mon = Verif.Monitor.attach sut in
   let t0 = sut.Sut.now () in
-  (* Membership churn: a precomputed seeded schedule driven through
+  (* Member churn: a precomputed seeded schedule driven through
      the SUT's subscribe/unsubscribe hooks. *)
   let crng = Stats.Rng.create (seed lxor 0x50ac) in
   let churn =

@@ -23,7 +23,7 @@ type 'p t = {
   net : 'p Net.t;
   graph : G.t;
   mutable facts : facts;
-  (* Membership hooks: how Join/Leave directives reach the protocol
+  (* The membership hooks: how Join/Leave directives reach the protocol
      session (the injector is protocol-agnostic). *)
   mutable subscribe : (int -> unit) option;
   mutable unsubscribe : (int -> unit) option;
@@ -85,7 +85,7 @@ let set_failed t u v b =
   sync t (u, v)
 
 (* Links with exactly one endpoint inside the island: the partition
-   cut.  Membership lists are tiny, List.mem is fine. *)
+   cut.  Island lists are tiny, List.mem is fine. *)
 let cut_links g island =
   List.filter_map
     (fun (l : G.link) ->

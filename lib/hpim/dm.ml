@@ -297,7 +297,10 @@ let best_alive_upstream t n ns ~now =
    on reconvergence or restore).
 
    The RPF candidate wins whenever it is not {e known} dead — a
-   missing record is bootstrap, not death.  When hellos have declared
+   missing record is bootstrap, not death, and so is a lapsed record
+   of a tunnelled candidate (one past a capability-disabled next hop):
+   such a parent never hellos this node, so a record left from when
+   it was adjacent can never refresh.  When hellos have declared
    it dead yet unicast routing still points through it (a crashed
    router whose links came back up), the protocol does what HPIM-DM
    routers do: re-parent onto the best alive neighbor by advertised
@@ -317,7 +320,7 @@ let upstream_info t n ns =
       rpf < 0
       ||
       match Tbl.find_opt ns.nbrs rpf with
-      | Some r -> now > r.n_heard
+      | Some r -> now > r.n_heard && rpf = tree.next.(n)
       | None -> false
     in
     (* With no live alternative the RPF parent stays anyway.  The

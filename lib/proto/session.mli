@@ -267,7 +267,7 @@ module Make (P : PROTOCOL) : sig
       packet-hop regardless of how many channels the mux carries.
       Sessions sharing a mux must snapshot/restore together. *)
 
-  (** {1 Membership} *)
+  (** {1 Group membership} *)
 
   val subscribe : t -> int -> unit
   (** Raises [Invalid_argument] for the source. Idempotent. *)

@@ -8,7 +8,7 @@ let routers = 18
    reverse-path routing measurably suboptimal under asymmetric costs,
    and every inter-edge path transits the core — both properties of
    real ISP maps that the paper's Figure 6 exhibits. *)
-let router_links =
+let backbone =
   let core i = 12 + (i mod 6) in
   let uplinks =
     List.concat_map (fun i -> [ (i, core i); (i, core (i + 1)) ]) (List.init 12 Fun.id)
@@ -19,7 +19,7 @@ let router_links =
 let create () =
   let b = Builder.create () in
   ignore (Builder.add_routers b routers);
-  List.iter (fun (u, v) -> Builder.add_link b u v ()) router_links;
+  List.iter (fun (u, v) -> Builder.add_link b u v ()) backbone;
   Builder.attach_host_per_router b;
   Builder.build b
 

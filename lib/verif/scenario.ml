@@ -48,12 +48,13 @@ type alphabet = {
   joins : int list;  (** candidate members to churn *)
   links : (int * int) list;  (** links to fail/restore *)
   crashes : int list;  (** routers to crash/restart *)
-  loss : float option;  (** burst loss rate, when enabled *)
-  reorder : (float * float) option;  (** reorder burst (window, prob) *)
-  dup : float option;  (** duplication-burst probability *)
   islands : int list list;  (** partition-cycle islands *)
-  age : bool;  (** include the pure-decay event *)
 }
+
+(* Every alphabet carries the same three delivery bursts and [Age]. *)
+let loss_burst = 0.3
+let reorder_burst = (2.0, 0.3)
+let dup_burst = 0.3
 
 (* A deterministic, seeded slice of the SUT's fault surface: eight
    churnable members, five failable core links (never host access
@@ -85,16 +86,12 @@ let default_alphabet (sut : Sut.t) ~seed =
     joins = List.sort compare (take 8 sut.Sut.candidates);
     links = List.sort compare (take 5 core_links);
     crashes = List.sort compare (take 2 routers);
-    loss = Some 0.3;
-    reorder = Some (2.0, 0.3);
-    dup = Some 0.3;
     (* Singleton candidate-host islands: a member (or would-be
        member) loses all connectivity for a t2, then gets it back —
        the adversarial shape behind the mutual-capture fix. *)
     islands =
       List.map (fun h -> [ h ]) (take 1 sut.Sut.candidates)
       |> List.sort compare;
-    age = true;
   }
 
 (* Events applicable from the current state: churn is phrased
@@ -123,15 +120,12 @@ let enabled (sut : Sut.t) (a : alphabet) =
     List.map
       (fun n -> if sut.Sut.node_up n then Crash n else Restart n)
       a.crashes
-  and loss_events =
-    match a.loss with Some r -> [ Loss_burst r ] | None -> []
-  and reorder_events =
-    match a.reorder with Some (w, p) -> [ Reorder_burst (w, p) ] | None -> []
-  and dup_events = match a.dup with Some p -> [ Dup_burst p ] | None -> []
-  and partition_events = List.map (fun i -> Partition_cycle i) a.islands
-  and age_events = if a.age then [ Age ] else [] in
-  joins @ leaves @ link_events @ crash_events @ loss_events @ reorder_events
-  @ dup_events @ partition_events @ age_events
+  and bursts =
+    let w, p = reorder_burst in
+    [ Loss_burst loss_burst; Reorder_burst (w, p); Dup_burst dup_burst ]
+  and partition_events = List.map (fun i -> Partition_cycle i) a.islands in
+  joins @ leaves @ link_events @ crash_events @ bursts @ partition_events
+  @ [ Age ]
 
 (* ---- Applying events ---------------------------------------------------- *)
 

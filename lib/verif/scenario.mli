@@ -31,25 +31,32 @@ type alphabet = {
   joins : int list;
   links : (int * int) list;
   crashes : int list;
-  loss : float option;
-  reorder : (float * float) option;
-  dup : float option;
   islands : int list list;
-  age : bool;
 }
+(** The seeded part of an alphabet.  Every alphabet also carries the
+    three delivery bursts below and [Age]. *)
+
+val loss_burst : float
+(** 0.3: the [Loss_burst] rate. *)
+
+val reorder_burst : float * float
+(** (2, 0.3): the [Reorder_burst] window and probability. *)
+
+val dup_burst : float
+(** 0.3: the [Dup_burst] probability. *)
 
 val default_alphabet : Sut.t -> seed:int -> alphabet
 (** A deterministic seeded slice of the SUT's fault surface: 8
     churnable members, 5 failable {e core} links (host access links
     are excluded — cutting a member off merely excuses it from the
     oracles), 2 non-source routers to crash, one singleton-host
-    partition/heal cycle, and the 0.3 loss, reorder (window 2, 0.3)
-    and duplication bursts plus [Age]. *)
+    partition/heal cycle. *)
 
 val enabled : Sut.t -> alphabet -> event list
 (** The alphabet instantiated against the current state: joins for
     non-members, leaves for members, each link/node in the direction
-    that changes it. *)
+    that changes it, then the loss, reorder and duplication bursts,
+    the partition cycles and [Age]. *)
 
 val directives : Sut.t -> event -> (float * Fault.Plan.action) list * float
 (** The event's one meaning: its timed directives, as offsets from the

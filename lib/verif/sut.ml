@@ -1,19 +1,9 @@
 module Net = Netsim.Network
 module G = Topology.Graph
+module R = Routing.Table
 module Ss = Proto.Softstate
 
-(* One HPIM-DM router-router link as the assert and neighbor oracles
-   read it. *)
-type router_link = {
-  u : int;
-  v : int;  (** [u < v] *)
-  u_sees_v : bool;
-  v_sees_u : bool;
-  genid_ok : bool;
-  assert_view : (bool * bool) option;
-      (** each endpoint's belief that [u] wins the link's assert
-          election, when both hold a live record of the other *)
-}
+type violation = { oracle : string; detail : string }
 
 (* The system under test, as a monomorphic closure bundle: the
    protocol stacks have distinct message types (so distinct network
@@ -70,14 +60,9 @@ type t = {
       (** REUNITE-style: forwarding state forks traffic {e passing
           through} the node; false means only traffic addressed to the
           node fans out (HBH, PIM-SSM) *)
-  source_has_state : unit -> bool;
-      (** the source holds live forwarding state for the channel *)
-  branch_nodes : unit -> (int * int list) list;
-      (** HBH only: branching routers with their non-stale entry
-          nodes; [[]] for other protocols *)
-  router_links : unit -> router_link list;
-      (** HPIM-DM only: one row per up router-router link; [[]] for
-          other protocols *)
+  oracles : t -> violation list;
+      (** the protocol's own structural oracles, from its view, run
+          on the given wrapping of this session *)
 }
 
 (* ---- Canonical state digests ------------------------------------------ *)
@@ -140,23 +125,62 @@ let state_digest sut =
   sut.dump_tables b;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
+(* ---- What every oracle shares ----------------------------------------- *)
+
+(* Per-oracle check/violation counters, fetched from the current
+   domain's registry on demand so the metric namespace only contains
+   oracles that actually ran.  No memo table: a process-global cache
+   here would both leak across scoped registries and race across
+   domains, and oracle checks only run at quiescent points, where a
+   registry lookup is noise. *)
+let count_check ~oracle hit =
+  let t = Obs.Metrics.default () in
+  Obs.Metrics.incr
+    (Obs.Metrics.counter t (Printf.sprintf "verif.oracle.%s.checks" oracle));
+  if hit then
+    Obs.Metrics.incr
+      (Obs.Metrics.counter t
+         (Printf.sprintf "verif.oracle.%s.violations" oracle))
+
+(* BFS over operational links between up nodes: the ground truth the
+   oracles compare the tree against.  Members the topology has cut off
+   are excused; everyone else must be covered. *)
+let reachable sut =
+  let g = sut.graph in
+  let seen = Array.make (G.node_count g) false in
+  let q = Queue.create () in
+  if sut.node_up sut.source then begin
+    seen.(sut.source) <- true;
+    Queue.add sut.source q
+  end;
+  while not (Queue.is_empty q) do
+    let u = Queue.pop q in
+    List.iter
+      (fun (v, lid) ->
+        if (not seen.(v)) && (G.link g lid).G.up && sut.node_up v then begin
+          seen.(v) <- true;
+          Queue.add v q
+        end)
+      (G.adjacency g u)
+  done;
+  seen
+
 (* ---- Protocol views --------------------------------------------------- *)
 
 (* The protocol-specific slice of [t]: the state-destruction deadline
    read from the session's own config, the canonical table dump and
-   the inputs of the structural oracles.  Everything else — the
-   control period and the data-plane fan-out included — is wired
-   generically over the session signature by [wrap]. *)
+   the protocol's own structural oracles, which [Oracle.structural_check]
+   runs after the generic tree check.  Everything else — the control
+   period and the data-plane fan-out included — is wired generically
+   over the session signature by [wrap]. *)
 type view = {
   t2 : float;
   dump_tables : Buffer.t -> unit;
   intercept_on_path : bool;
-  source_has_state : unit -> bool;
-  branch_nodes : unit -> (int * int list) list;
-  router_links : unit -> router_link list;
+  oracles : t -> violation list;
 }
 
-let none () = []
+let no_oracles _ = []
 
 let hbh_view (p : Hbh.Protocol.t) : view =
   let module P = Hbh.Protocol in
@@ -179,26 +203,75 @@ let hbh_view (p : Hbh.Protocol.t) : view =
             add_entries b ~now (Hbh.Tables.Mft.entries mft))
       (P.all_tables p)
   in
-  let branch_nodes () =
+  (* "The first join reaches the source": whenever at least one
+     reachable member exists, the source must hold forwarding state —
+     HBH's join interception must never strand all receivers below a
+     router that cannot reach the source (Section 3.2). *)
+  let first_join sut =
+    let reachable = reachable sut in
+    let has_member = List.exists (fun m -> reachable.(m)) (sut.members ()) in
+    let bad = has_member && Hbh.Tables.Mft.entries (P.source_table p) = [] in
+    count_check ~oracle:"hbh_first_join" bad;
+    if bad then
+      [
+        {
+          oracle = "hbh_first_join";
+          detail = "members exist but the source holds no forwarding state";
+        };
+      ]
+    else []
+  in
+  (* "Fusion places the branching router on the unicast path": every
+     branching router actively emitting tree messages (a forwarding
+     table with non-stale entries) must lie on the unicast path
+     between the source and some current member — in either
+     direction, since joins refresh state along reverse paths while
+     fusion installs it along forward paths, and the two can differ
+     under asymmetric link costs. *)
+  let branch_on_path sut =
+    let members = sut.members () in
+    let on_path a b n =
+      R.reachable sut.table a b && List.mem n (R.path sut.table a b)
+    in
+    let on_some_path n =
+      List.exists
+        (fun m -> on_path sut.source m n || on_path m sut.source n)
+        members
+    in
     let nw = now () in
-    List.filter_map
-      (fun (n, cs) ->
-        match cs with
-        | Hbh.Tables.Forwarding mft -> (
-            match Hbh.Tables.Mft.tree_targets mft ~now:nw with
-            | [] -> None
-            | ts -> Some (n, ts))
-        | Hbh.Tables.Control _ | Hbh.Tables.No_state -> None)
-      (P.all_tables p)
+    let stray =
+      List.filter_map
+        (fun (n, cs) ->
+          match cs with
+          | Hbh.Tables.Forwarding mft
+            when Hbh.Tables.Mft.tree_targets mft ~now:nw <> []
+                 && sut.node_up n
+                 && not (on_some_path n) ->
+              Some n
+          | Hbh.Tables.Forwarding _ | Hbh.Tables.Control _
+          | Hbh.Tables.No_state ->
+              None)
+        (P.all_tables p)
+    in
+    count_check ~oracle:"hbh_branch_on_path" (stray <> []);
+    List.map
+      (fun b ->
+        {
+          oracle = "hbh_branch_on_path";
+          detail =
+            Printf.sprintf
+              "branching router %d is on no source-member unicast path" b;
+        })
+      stray
   in
   {
     t2 = cfg.P.t2;
     dump_tables;
     intercept_on_path = false;
-    source_has_state =
-      (fun () -> Hbh.Tables.Mft.entries (P.source_table p) <> []);
-    branch_nodes;
-    router_links = none;
+    oracles =
+      (fun sut ->
+        let first = first_join sut in
+        first @ branch_on_path sut);
   }
 
 let reunite_view (p : Reunite.Protocol.t) : view =
@@ -238,14 +311,11 @@ let reunite_view (p : Reunite.Protocol.t) : view =
     t2 = cfg.P.t2;
     dump_tables;
     intercept_on_path = true;
-    source_has_state = (fun () -> P.source_table p <> None);
-    branch_nodes = none;
-    router_links = none;
+    oracles = no_oracles;
   }
 
 let pim_view (p : Pim.Ssm.t) : view =
   let module P = Pim.Ssm in
-  let source = P.source p in
   let cfg = P.config p in
   let now () = Eventsim.Engine.now (P.engine p) in
   (* Per router holding oifs, an ['N'] header and its entries. *)
@@ -263,10 +333,24 @@ let pim_view (p : Pim.Ssm.t) : view =
     t2 = cfg.P.holdtime;
     dump_tables;
     intercept_on_path = false;
-    source_has_state = (fun () -> P.data_targets p source <> []);
-    branch_nodes = none;
-    router_links = none;
+    oracles = no_oracles;
   }
+
+(* One HPIM-DM router-router link, as the assert-election and
+   neighbor-consistency oracles read it. *)
+type router_link = {
+  u : int;
+  v : int;  (** [u < v] *)
+  u_sees_v : bool;  (** [u] holds a live hello record of [v] *)
+  v_sees_u : bool;
+  genid_ok : bool;
+      (** both recorded generation IDs match the neighbor's actual
+          one *)
+  assert_view : (bool * bool) option;
+      (** [(u_view, v_view)]: each endpoint's belief that [u] wins the
+          link's assert election; [None] unless both endpoints hold a
+          live record of the other (election not yet constituted) *)
+}
 
 let hpim_view (p : Hpim.Dm.t) : view =
   let module P = Hpim.Dm in
@@ -306,7 +390,7 @@ let hpim_view (p : Hpim.Dm.t) : view =
      link between up routers (the source counts as a router), from
      one view of the neighbor tables. *)
   let is_router n = G.multicast_router graph n || n = source in
-  let router_links () =
+  let link_rows () =
     let nbrs = Hashtbl.create 32 in
     List.iter (fun (n, vw) -> Hashtbl.replace nbrs n vw.P.vw_nbrs) (P.view p);
     let nbr_of u v =
@@ -354,13 +438,107 @@ let hpim_view (p : Hpim.Dm.t) : view =
     done;
     List.rev !acc
   in
+  (* "Exactly one assert winner per link": at a quiescent point, both
+     endpoints of every constituted router-router link must agree on
+     who wins the link's assert election — disagreement means either
+     both sides would feed data onto the link (duplicates) or neither
+     would (a blackhole the hard state cannot heal by refresh). *)
+  let assert_unique links =
+    let bad =
+      List.filter_map
+        (fun l ->
+          match l.assert_view with
+          | Some (u_view, v_view) when u_view <> v_view ->
+              Some (l.u, l.v, u_view, v_view)
+          | Some _ | None -> None)
+        links
+    in
+    count_check ~oracle:"hpim_assert_unique" (bad <> []);
+    List.map
+      (fun (u, v, u_view, v_view) ->
+        {
+          oracle = "hpim_assert_unique";
+          detail =
+            Printf.sprintf
+              "link %d-%d: %d believes %d wins the assert, %d believes %d wins"
+              u v u
+              (if u_view then u else v)
+              v
+              (if v_view then u else v);
+        })
+      bad
+  in
+  (* "No data forwarding from assert losers": every data-plane fan-out
+     edge toward a router must originate from the endpoint that wins
+     that link's election in its own view (self-consistency between
+     the rule the data plane forwards with and a node's election
+     state). *)
+  let assert_losers sut links =
+    (* [(from, dst)] -> [from]'s own belief that it wins that link. *)
+    let wins = Hashtbl.create 64 in
+    List.iter
+      (fun l ->
+        match l.assert_view with
+        | Some (u_view, v_view) ->
+            Hashtbl.replace wins (l.u, l.v) u_view;
+            Hashtbl.replace wins (l.v, l.u) (not v_view)
+        | None -> ())
+      links;
+    let bad = ref [] in
+    for n = 0 to G.node_count graph - 1 do
+      List.iter
+        (fun d ->
+          if is_router d then
+            match Hashtbl.find_opt wins (n, d) with
+            | Some true | None -> ()
+            | Some false -> bad := (n, d) :: !bad)
+        (sut.data_targets n)
+    done;
+    count_check ~oracle:"hpim_assert_losers" (!bad <> []);
+    List.map
+      (fun (n, d) ->
+        {
+          oracle = "hpim_assert_losers";
+          detail =
+            Printf.sprintf
+              "router %d forwards data to %d despite losing that link's assert"
+              n d;
+        })
+      (List.rev !bad)
+  in
+  (* "Neighbor tables are consistent at quiescence": across every up
+     link between up routers, hello liveness must be mutual and each
+     side's recorded generation ID must match the neighbor's actual
+     current one — a one-sided or stale view means the hard state the
+     two routers hold about each other has silently diverged. *)
+  let nbr_consistency links =
+    let bad =
+      List.filter (fun l -> not (l.u_sees_v && l.v_sees_u && l.genid_ok)) links
+    in
+    count_check ~oracle:"hpim_nbr_consistency" (bad <> []);
+    List.map
+      (fun { u; v; u_sees_v; v_sees_u; genid_ok; assert_view = _ } ->
+        {
+          oracle = "hpim_nbr_consistency";
+          detail =
+            Printf.sprintf
+              "link %d-%d: liveness %d->%d=%b %d->%d=%b, generation IDs %s" u v
+              u v u_sees_v v u v_sees_u
+              (if genid_ok then "consistent" else "diverged");
+        })
+      bad
+  in
   {
     t2 = cfg.P.holdtime;
     dump_tables;
     intercept_on_path = false;
-    source_has_state = (fun () -> P.data_targets p source <> []);
-    branch_nodes = none;
-    router_links;
+    (* One read of the link rows, shared by the three oracles. *)
+    oracles =
+      (fun sut ->
+        let links = link_rows () in
+        let unique = assert_unique links in
+        let losers = assert_losers sut links in
+        unique @ losers @ nbr_consistency links);
   }
 
 (* ---- The protocol registry --------------------------------------------- *)
@@ -557,9 +735,7 @@ let wrap (type s) (r : s row) ?candidates (p : s) =
     dump_tables = v.dump_tables;
     data_targets = P.data_targets p;
     intercept_on_path = v.intercept_on_path;
-    source_has_state = v.source_has_state;
-    branch_nodes = v.branch_nodes;
-    router_links = v.router_links;
+    oracles = v.oracles;
   }
 
 let of_hbh ?candidates p = wrap hbh_row ?candidates p

@@ -12,33 +12,22 @@
     This module is also the protocol registry: {!protocol} is the one
     protocol enum, and every driver (the experiments, the verifier and
     the CLI) iterates {!all} and reaches a protocol only through its
-    row: the session {!instance}, a view (table dump and the
-    protocol-specific oracle inputs), the {!analytic} tree, the
+    row: the session {!instance}, a view, the {!analytic} tree, the
     {!of_string} aliases and, where the paper runs the protocol
-    event-driven, its {!regime}.  Adding a protocol means one
-    {!Proto.Session.S} instance (its data-plane fan-out is the
-    session's [data_targets] hook), one view and one row here. *)
+    event-driven, its {!regime}.  The view is the protocol's canonical
+    table dump plus its own structural oracles ({!t.oracles}): HBH's
+    first-join and branch-on-path checks and HPIM-DM's assert and
+    neighbor checks live in their rows, REUNITE and PIM-SSM carry
+    none, and nothing outside this module compares protocol names.
+    Adding a protocol means one {!Proto.Session.S} instance (its
+    data-plane fan-out is the session's [data_targets] hook), one view
+    and one row here. *)
 
-type router_link = {
-  u : int;
-  v : int;  (** [u < v] *)
-  u_sees_v : bool;  (** [u] holds a live hello record of [v] *)
-  v_sees_u : bool;
-  genid_ok : bool;
-      (** both recorded generation IDs match the neighbor's actual
-          one *)
-  assert_view : (bool * bool) option;
-      (** [(u_view, v_view)]: each endpoint's belief that [u] wins the
-          link's assert election (lexicographic (metric, id), own live
-          metric against the neighbor's advertised one); [None] unless
-          both endpoints hold a live record of the other (election not
-          yet constituted) *)
-}
-(** One HPIM-DM router-router link, as the assert-election and
-    neighbor-consistency oracles read it. *)
+type violation = { oracle : string; detail : string }
+(** One oracle's finding: the oracle's name and what it saw. *)
 
 type t = {
-  proto : string;  (** "hbh", "reunite", "pim-ssm" or "hpim-dm" *)
+  proto : string;  (** the protocol's canonical {!name}, for labels *)
   graph : Topology.Graph.t;
   table : Routing.Table.t;
   source : int;
@@ -101,19 +90,14 @@ type t = {
           through} the node, so the tree oracle must expand interior
           path nodes too.  False for HBH and PIM-SSM (state acts only
           on traffic addressed to the node). *)
-  source_has_state : unit -> bool;
-      (** the source holds live forwarding state for the channel —
-          input to the HBH "first join reaches the source" oracle *)
-  branch_nodes : unit -> (int * int list) list;
-      (** HBH only: branching routers with non-stale entries (their
-          tree targets) — input to the fusion-placement oracle; [[]]
-          for the other protocols *)
-  router_links : unit -> router_link list;
-      (** HPIM-DM only: one row per up link between up routers (the
-          source included), ascending, all read from one view of the
-          neighbor tables — input to the assert-agreement, assert-loser
-          and neighbor-consistency oracles.  [[]] for the other
-          protocols. *)
+  oracles : t -> violation list;
+      (** the protocol's own structural oracles, run on the given
+          wrapping of this session ([sut.oracles sut]) — HBH's
+          [hbh_first_join] and [hbh_branch_on_path], HPIM-DM's
+          [hpim_assert_unique], [hpim_assert_losers] and
+          [hpim_nbr_consistency] (sharing one read of the neighbor
+          tables), nothing for REUNITE and PIM-SSM.  Non-mutating;
+          each oracle it runs bumps its {!count_check} counters. *)
 }
 
 (** {1 Canonical state digests} *)
@@ -143,6 +127,17 @@ val add_entry : Buffer.t -> now:float -> Proto.Softstate.entry -> unit
 (** Append one entry's digest token: ['M'] (marked) or ['e'], then
     node, bucketed remaining freshness and bucketed remaining
     lifetime.  Exposed for tests. *)
+
+(** {1 What every oracle shares} *)
+
+val reachable : t -> bool array
+(** Per node: reachable from the source over up links between up
+    nodes — the ground truth members are judged against (members the
+    topology cut off are excused). *)
+
+val count_check : oracle:string -> bool -> unit
+(** [count_check ~oracle hit] bumps [verif.oracle.<oracle>.checks],
+    and [.violations] when [hit], in {!Obs.Metrics.default}. *)
 
 (** {1 The protocol registry} *)
 

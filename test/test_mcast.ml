@@ -1,5 +1,5 @@
 (* Tests for multicast common types: class-D addresses, channels,
-   distributions and metrics, membership. *)
+   distributions and metrics. *)
 
 let test_class_d_validation () =
   Alcotest.(check bool) "224.0.0.0 ok" true (Mcast.Class_d.is_class_d 0xE0000000l);
@@ -136,50 +136,6 @@ let test_metrics_of_distribution () =
   Alcotest.(check int) "receivers" 1 m.receivers;
   Alcotest.(check (float 0.0)) "avg delay" 5.0 m.avg_delay
 
-(* ---- Membership -------------------------------------------------------- *)
-
-let membership () =
-  let g = Topology.Isp.create () in
-  let ch = Mcast.Channel.fresh ~source:Topology.Isp.source in
-  (g, Mcast.Membership.create g ch)
-
-let test_membership_join_leave () =
-  let _, m = membership () in
-  Mcast.Membership.join m 20;
-  Mcast.Membership.join m 25;
-  Mcast.Membership.join m 20;
-  Alcotest.(check (list int)) "members" [ 20; 25 ] (Mcast.Membership.members m);
-  Alcotest.(check int) "size" 2 (Mcast.Membership.size m);
-  Mcast.Membership.leave m 20;
-  Alcotest.(check bool) "left" false (Mcast.Membership.is_member m 20);
-  Mcast.Membership.leave m 20 (* idempotent *)
-
-let test_membership_rejects_routers_and_source () =
-  let _, m = membership () in
-  Alcotest.(check bool) "router rejected" true
-    (try
-       Mcast.Membership.join m 0;
-       false
-     with Invalid_argument _ -> true);
-  Alcotest.(check bool) "source rejected" true
-    (try
-       Mcast.Membership.join m Topology.Isp.source;
-       false
-     with Invalid_argument _ -> true)
-
-let test_membership_designated_routers () =
-  let g, m = membership () in
-  Mcast.Membership.join m 20;
-  Mcast.Membership.join m 25;
-  let expected =
-    List.sort_uniq compare
-      [ Topology.Graph.router_of_host g 20; Topology.Graph.router_of_host g 25 ]
-  in
-  Alcotest.(check (list int)) "designated routers" expected
-    (Mcast.Membership.subscribed_routers m);
-  Alcotest.(check (list int)) "members behind" [ 20 ]
-    (Mcast.Membership.members_behind m (Topology.Graph.router_of_host g 20))
-
 (* ---- Properties --------------------------------------------------------- *)
 
 let prop_distribution_cost_is_sum =
@@ -219,12 +175,6 @@ let () =
           Alcotest.test_case "add_path" `Quick test_distribution_add_path;
           Alcotest.test_case "equal_shape" `Quick test_distribution_equal_shape;
           Alcotest.test_case "metrics" `Quick test_metrics_of_distribution;
-        ] );
-      ( "membership",
-        [
-          Alcotest.test_case "join/leave" `Quick test_membership_join_leave;
-          Alcotest.test_case "rejections" `Quick test_membership_rejects_routers_and_source;
-          Alcotest.test_case "designated routers" `Quick test_membership_designated_routers;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest [ prop_distribution_cost_is_sum ] );

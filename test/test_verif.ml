@@ -272,7 +272,7 @@ let test_apply_is_the_plan () =
       let a = Verif.Scenario.default_alphabet sut ~seed:42 in
       let open Verif.Scenario in
       let m = List.hd a.joins and u, v = List.hd a.links in
-      let n = List.hd a.crashes and w, p = Option.get a.reorder in
+      let n = List.hd a.crashes and w, p = reorder_burst in
       List.iter
         (fun ev ->
           let name = Format.asprintf "%s: %a" sut.Verif.Sut.proto pp_event ev in
@@ -291,9 +291,9 @@ let test_apply_is_the_plan () =
           Link_up (u, v);
           Crash n;
           Restart n;
-          Loss_burst (Option.get a.loss);
+          Loss_burst loss_burst;
           Reorder_burst (w, p);
-          Dup_burst (Option.get a.dup);
+          Dup_burst dup_burst;
           Partition_cycle (List.hd a.islands);
           Age;
         ])
@@ -334,6 +334,39 @@ let test_settle_skips_and_restores () =
         (Verif.Scenario.settle ~fresh:(fun _ -> false) sut = Verif.Scenario.Seen);
       Alcotest.(check (list (pair string int)))
         (name "no oracle ran") before (oracle_checks ()))
+    all_protocols
+
+(* A protocol's own oracles live in its registry row, so a full check
+   on a settled session counts exactly the generic oracles plus that
+   row's: HBH's pair, HPIM-DM's triple, nothing else. *)
+let test_row_oracles () =
+  let generic =
+    [ "no_blackhole"; "no_duplicate"; "no_misdelivery"; "tree_loop_free";
+      "tree_span" ]
+  in
+  List.iter
+    (fun protocol ->
+      let own =
+        match protocol with
+        | Verif.Sut.Hbh -> [ "hbh_first_join"; "hbh_branch_on_path" ]
+        | Verif.Sut.Hpim_dm ->
+            [ "hpim_assert_unique"; "hpim_assert_losers";
+              "hpim_nbr_consistency" ]
+        | Verif.Sut.Reunite | Verif.Sut.Pim_ssm -> []
+      in
+      let counted =
+        Obs.Metrics.with_registry (Obs.Metrics.create ()) (fun () ->
+            let sut = isp_sut protocol () in
+            List.iter sut.Verif.Sut.subscribe [ 19; 28; 33 ];
+            ignore (Verif.Scenario.quiesce sut);
+            ignore (Verif.Oracle.check sut);
+            List.map fst (oracle_checks ()))
+      in
+      Alcotest.(check (list string))
+        (Verif.Sut.name protocol ^ ": oracles counted")
+        (List.sort compare
+           (List.map (Printf.sprintf "verif.oracle.%s.checks") (generic @ own)))
+        (List.sort compare counted))
     all_protocols
 
 let violates oracle vs =
@@ -888,6 +921,8 @@ let () =
           Alcotest.test_case "names and aliases" `Quick test_registry_names;
           Alcotest.test_case "periods follow the session's config" `Quick
             test_scaled_periods;
+          Alcotest.test_case "each protocol runs only its row's oracles"
+            `Quick test_row_oracles;
         ] );
       ( "explorer",
         [
@@ -944,6 +979,10 @@ let () =
             test_hpim_member_behind_disabled;
           Alcotest.test_case "ISP: 6 retracts from tunnelled parent 0" `Quick
             test_hpim_retracts_tunnelled_parent;
+          Alcotest.test_case "ISP: core 12 disabled, link 0-13 fails" `Quick
+            (test_hpim_tunnelled_rpf ~graph:(Topology.Isp.create ())
+               ~source:Topology.Isp.source ~disabled:12
+               ~receivers:Topology.Isp.receiver_hosts ~link:(0, 13));
         ] );
       ( "plan",
         Alcotest.test_case "non-finite values rejected" `Quick
