@@ -129,23 +129,6 @@ type case_obs = {
   c_spans : Obs.Span.t;  (** the case's ["repair"] spans *)
 }
 
-val run_config :
-  ?instrument:instrument ->
-  ?scenarios:scenario list ->
-  ?protocols:Verif.Sut.protocol list ->
-  ?jobs:int ->
-  seed:int ->
-  n:int ->
-  Common.config ->
-  (outcome * case_obs option) list
-(** Run every (scenario, protocol) pair on one topology with [n]
-    receivers; recovery metrics are exported to
-    {!Obs.Metrics.default} under [fault.exp.<topo>.<scenario>.<proto>]
-    prefixes, and per-receiver repair times additionally feed the
-    labeled [span.time_to_repair{protocol="..."}] histogram.
-    [jobs > 1] shards the cases across domains; output is
-    byte-identical for every [jobs]. *)
-
 val run_observed :
   ?instrument:instrument ->
   ?seed:int ->
@@ -154,9 +137,15 @@ val run_observed :
   ?jobs:int ->
   unit ->
   outcome list * case_obs list
-(** The full experiment: ISP topology (8 receivers) and the 50-node
-    random topology (15 receivers).  Resets {!Obs.Metrics.default} on
-    entry so each invocation's metrics stand alone. *)
+(** The full experiment: every (scenario, protocol) pair on the ISP
+    topology (8 receivers) and the 50-node random topology (15
+    receivers).  Resets {!Obs.Metrics.default} on entry so each
+    invocation's metrics stand alone.  Recovery metrics are exported
+    under [fault.exp.<topo>.<scenario>.<proto>] prefixes, and
+    per-receiver repair times also feed the labeled
+    [span.time_to_repair{protocol="..."}] histogram.  [jobs > 1]
+    shards the cases across domains; output is byte-identical for
+    every [jobs]. *)
 
 val run :
   ?seed:int ->
@@ -183,9 +172,6 @@ type join_latency = {
   jl_proto : Verif.Sut.protocol;
   jl_stats : Obs.Span.stats;  (** exact quantiles over joins *)
 }
-
-val measure_join_latency_config :
-  ?protocols:Verif.Sut.protocol list -> seed:int -> n:int -> Common.config -> join_latency list
 
 val measure_join_latency :
   ?seed:int -> ?protocols:Verif.Sut.protocol list -> unit -> join_latency list

@@ -145,7 +145,8 @@ val on_node_event : 'p t -> (up:bool -> int -> unit) -> unit
 
 val reconverge : 'p t -> int
 (** Reconverge unicast routing onto the current topology and announce
-    it ({!route_changed}); returns the number of next-hop decisions
+    it (the {!on_route_change} listeners fire and a typed
+    [Route_reconverge] event is recorded); returns the number of next-hop decisions
     that changed among the destinations in use.  Link failures since
     the last call invalidate only the cached in-trees that crossed
     them ({!Routing.Table.invalidate_edge} semantics); a restore — or
@@ -156,13 +157,6 @@ val reconverge : 'p t -> int
     new {!Routing.Dijkstra.in_tree} [next] arrays (in-trees are
     immutable, so the old array outlives its eviction); the rest
     rebuild lazily on their next lookup. *)
-
-val route_changed : 'p t -> changed:int -> unit
-(** Announce that the routing table was recomputed ([changed] =
-    number of next-hop decisions that differ).  Fires the
-    {!on_route_change} listeners and records a typed
-    [Route_reconverge] event — {!reconverge} calls this for you;
-    call it directly only after refreshing the table yourself. *)
 
 val on_route_change : 'p t -> (changed:int -> unit) -> unit
 (** Observe reconvergences; [changed = 0] announces a recomputation

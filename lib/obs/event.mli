@@ -73,9 +73,6 @@ val summary : kind -> string
 (** The event body rendered as the legacy one-line message (without
     time/node), e.g. ["join member=7 first"]. *)
 
-val pp_channel : Format.formatter -> channel -> unit
-(** Renders as [<src,a.b.c.d>]. *)
-
 val pp : Format.formatter -> t -> unit
 (** Full line: time, node, label, body, channel. *)
 

@@ -7,10 +7,6 @@
 
 type t
 
-val default_buckets : float array
-(** Geometric-ish bounds spanning the simulator's time scales
-    (0.5 … 5000 time units). *)
-
 val create : ?buckets:float array -> unit -> t
 (** [buckets] are upper bounds, strictly increasing; observations
     above the last bound land in an overflow bucket.  Raises

@@ -70,24 +70,6 @@ let to_string j =
 
 let pp ppf j = Format.pp_print_string ppf (to_string j)
 
-let rec pp_hum ppf = function
-  | (Null | Bool _ | Int _ | Float _ | String _) as j -> pp ppf j
-  | List [] -> Format.pp_print_string ppf "[]"
-  | List l ->
-      Format.fprintf ppf "@[<v 2>[@,%a@;<0 -2>]@]"
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@,")
-           pp_hum)
-        l
-  | Obj [] -> Format.pp_print_string ppf "{}"
-  | Obj fields ->
-      Format.fprintf ppf "@[<v 2>{@,%a@;<0 -2>}@]"
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@,")
-           (fun ppf (k, v) ->
-             Format.fprintf ppf "@[<hv 2>%s:@ %a@]" (to_string (String k)) pp_hum v))
-        fields
-
 (* ---- Parser ----------------------------------------------------------- *)
 
 exception Parse of int * string

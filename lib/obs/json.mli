@@ -19,9 +19,6 @@ type t =
 val pp : Format.formatter -> t -> unit
 (** Compact (single-line) rendering. *)
 
-val pp_hum : Format.formatter -> t -> unit
-(** Indented, human-readable rendering. *)
-
 val to_string : t -> string
 (** Compact rendering.  Non-finite floats become [null] (JSON has no
     NaN/infinity). *)

@@ -108,7 +108,6 @@ val histogram_l : t -> ?buckets:float array -> string -> Labels.t -> Histo.t
 type hot_counter
 
 val hot_counter : string -> hot_counter
-val hot_counter_l : string -> Labels.t -> hot_counter
 val hot_incr : hot_counter -> unit
 
 val hot_value : hot_counter -> int
@@ -121,7 +120,6 @@ val bind : hot_counter -> counter
 type hot_gauge
 
 val hot_gauge : string -> hot_gauge
-val hot_gauge_l : string -> Labels.t -> hot_gauge
 
 val bind_gauge : hot_gauge -> gauge
 (** {!bind} for gauges. *)

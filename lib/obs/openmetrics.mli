@@ -11,7 +11,4 @@
     Output order is the registry's sorted series order, so a seeded
     run exports byte-identical text. *)
 
-val sanitize : string -> string
-(** Map characters illegal in OpenMetrics names to underscores. *)
-
 val of_metrics : Metrics.t -> string

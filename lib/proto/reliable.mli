@@ -69,12 +69,6 @@ val drop_node : 'm t -> int -> unit
 (** Clear every slot {e posted by} the node — crash-wipe: a restarted
     node's old intentions are void. *)
 
-val cancel_if : 'm t -> ('m slot -> bool) -> unit
-(** Clear every slot the predicate holds for.  The slots live in an
-    int-keyed table ({!Node_tables.Int_tbl}) whose bucket order is
-    unspecified, so the predicate sees them in no particular order and
-    must be pure. *)
-
 val pending : _ t -> int
 (** Pending slot count — the pump's arm/stop condition. *)
 

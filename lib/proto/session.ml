@@ -83,6 +83,8 @@ module type S = sig
   val restore : t -> snapshot -> unit
 end
 
+let probe_horizon control_period = Float.max 500.0 (2.0 *. control_period)
+
 module Make (P : PROTOCOL) = struct
   let name = P.name
   let label = P.label
@@ -219,7 +221,6 @@ module Make (P : PROTOCOL) = struct
   let wheel t = Mux.timers t.mux
   let graph t = t.graph
   let channel t = t.channel
-  let ochan t = t.ochan
   let config t = t.config
   let source t = t.source
   let state t = t.state
@@ -482,7 +483,7 @@ module Make (P : PROTOCOL) = struct
   let probe t =
     Net.reset_data_accounting t.network;
     send_data t;
-    run_for t (Float.max 500.0 (2.0 *. control_period t));
+    run_for t (probe_horizon (control_period t));
     Mcast.Distribution.of_accounting ~source:t.source
       (Net.data_link_loads t.network)
       (Net.data_deliveries t.network)

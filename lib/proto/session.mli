@@ -178,6 +178,12 @@ module type S = sig
   (** A snapshot may be restored any number of times. *)
 end
 
+val probe_horizon : float -> float
+(** [probe_horizon control_period] is how long a delivery probe runs
+    after its data packet: 500 time units or two control periods,
+    whichever is longer.  Every probe ({!S.probe} and the verifier's)
+    reads it here. *)
+
 module Make (P : PROTOCOL) : sig
   val name : string
   val label : string
@@ -316,7 +322,6 @@ module Make (P : PROTOCOL) : sig
 
   val graph : t -> Topology.Graph.t
   val channel : t -> Mcast.Channel.t
-  val ochan : t -> Obs.Event.channel
   val config : t -> P.config
   val source : t -> int
   val state : t -> P.state

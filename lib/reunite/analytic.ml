@@ -32,7 +32,7 @@ let members t = t.members
    one whole replay: each branching router forks at most once, like
    the protocol's per-epoch gating (trees) and RPF check (data), so
    cyclic capture structures cannot recurse forever. *)
-let rec flow t ~forked ~from_node ~target ~elapsed ~on_link ~on_node ~on_branch
+let rec flow t ~forked ~from_node ~target ~elapsed ~on_link ~on_node
     ~on_delivery =
   (* Follow [target]'s in-tree next hops: the hops of
      [Routing.Table.path t.table from_node target], without building
@@ -53,11 +53,10 @@ let rec flow t ~forked ~from_node ~target ~elapsed ~on_link ~on_node ~on_branch
       (match t.nodes.(v).mft with
       | Some m when m.dst = target && not (Hashtbl.mem forked v) ->
           Hashtbl.replace forked v ();
-          on_branch v;
           List.iter
             (fun rj ->
               flow t ~forked ~from_node:v ~target:rj ~elapsed ~on_link ~on_node
-                ~on_branch ~on_delivery)
+                ~on_delivery)
             m.receivers
       | Some _ | None -> ());
       walk v elapsed
@@ -68,12 +67,12 @@ let rec flow t ~forked ~from_node ~target ~elapsed ~on_link ~on_node ~on_branch
 
 (* Replay one full source epoch over all roots with a fresh fork
    budget. *)
-let replay t ~on_link ~on_node ~on_branch ~on_delivery roots =
+let replay t ~on_link ~on_node ~on_delivery roots =
   let forked = Hashtbl.create 16 in
   List.iter
     (fun target ->
       flow t ~forked ~from_node:t.source ~target ~elapsed:0.0 ~on_link ~on_node
-        ~on_branch ~on_delivery)
+        ~on_delivery)
     roots
 
 let roots t =
@@ -95,7 +94,6 @@ let recompute_mct t =
     ~on_node:(fun v tgt elapsed ->
       incr order;
       installs := (elapsed, !order, v, tgt) :: !installs)
-    ~on_branch:(fun _ -> ())
     ~on_delivery:(fun _ _ -> ())
     (roots t);
   (* Every flow through a router leaves a control entry — branching
@@ -123,20 +121,17 @@ let recompute_mct t =
 (* One join (or refresh-join) walk of receiver [r] up its reverse
    path, exactly mirroring the event protocol's capture rules: a
    matching dst lets the join pass (the dst's entry lives upstream),
-   a matching receiver entry or a capture stops it.  Returns the node
-   where the walk terminated — the entry [r]'s joins currently
-   refresh. *)
+   a matching receiver entry or a capture stops it. *)
 let join_walk t r =
   let rec walk = function
-    | [] -> None
+    | [] -> ()
     | w :: rest ->
         if w = t.source then begin
-          (match t.nodes.(w).mft with
+          match t.nodes.(w).mft with
           | None -> t.nodes.(w).mft <- Some { dst = r; receivers = [] }
           | Some m ->
               if m.dst <> r && not (List.mem r m.receivers) then
-                m.receivers <- m.receivers @ [ r ]);
-          Some w
+                m.receivers <- m.receivers @ [ r ]
         end
         else begin
           if List.mem r t.nodes.(w).mct then
@@ -149,22 +144,20 @@ let join_walk t r =
                 walk rest
             | Some m ->
                 if not (List.mem r m.receivers) then
-                  m.receivers <- m.receivers @ [ r ];
-                Some w
+                  m.receivers <- m.receivers @ [ r ]
             | None -> (
                 match t.nodes.(w).mct with
                 | rj :: rest_mct ->
                     (* Oldest relayed flow moves into the new MFT as
                        dst; the other control entries stay. *)
                     t.nodes.(w).mct <- rest_mct;
-                    t.nodes.(w).mft <- Some { dst = rj; receivers = [ r ] };
-                    Some w
+                    t.nodes.(w).mft <- Some { dst = rj; receivers = [ r ] }
                 | [] -> walk rest)
         end
   in
   match Routing.Table.path t.table r t.source with
   | _ :: rest -> walk rest
-  | [] -> None
+  | [] -> ()
 
 let fingerprint t =
   Array.to_list t.nodes
@@ -182,7 +175,7 @@ let settle_refresh_joins t =
   let rec rounds budget =
     if budget > 0 then begin
       let before = fingerprint t in
-      List.iter (fun m -> ignore (join_walk t m)) t.members;
+      List.iter (join_walk t) t.members;
       recompute_mct t;
       if fingerprint t <> before then rounds (budget - 1)
     end
@@ -193,7 +186,7 @@ let do_join t r =
   if r = t.source then invalid_arg "Reunite.Analytic.join: source cannot join";
   if not (Routing.Table.reachable t.table r t.source) then
     invalid_arg (Printf.sprintf "Reunite.Analytic.join: %d cannot reach source" r);
-  ignore (join_walk t r);
+  join_walk t r;
   recompute_mct t
 
 let settle t = settle_refresh_joins t
@@ -228,7 +221,6 @@ let distribution t =
   replay t
     ~on_link:(fun u v -> Mcast.Distribution.add_copy dist u v)
     ~on_node:(fun _ _ _ -> ())
-    ~on_branch:(fun _ -> ())
     ~on_delivery:(fun r d -> Mcast.Distribution.deliver dist ~receiver:r ~delay:d)
     (roots t);
   dist
@@ -303,132 +295,6 @@ let mft_of t n =
   | None -> None
 
 let mct_of t n = t.nodes.(n).mct
-
-(* Long-run soft-state fixpoint; see the interface documentation.
-   Each round models one full refresh cycle after all transients
-   (t1/t2 expiries) have played out:
-
-   1. Replay the source's tree flows.  Branching tables the flow forks
-      at are "supported"; a table whose dst flow no longer passes it
-      is orphaned — its dst entry can only starve — and is removed.
-   2. Rebuild the MCT coverage over the surviving tables.
-   3. Replay every member's refresh join.  Joins are captured by the
-      first on-tree router of the member's reverse path, possibly
-      {e migrating} the member's entry closer to it; entries no join
-      refreshes any more are starved and removed.
-
-   Rounds repeat until the tables stop changing. *)
-let stabilize ?(max_rounds = 50) t =
-  let fingerprint () =
-    Array.to_list t.nodes
-    |> List.map (fun ns ->
-           ( ns.mct,
-             Option.map
-               (fun m -> (m.dst, List.sort compare m.receivers))
-               ns.mft ))
-  in
-  let round () =
-    (* 1. Support: which branching tables does the live flow fork at? *)
-    let supported = Hashtbl.create 16 in
-    Hashtbl.replace supported t.source ();
-    replay t
-      ~on_link:(fun _ _ -> ())
-      ~on_node:(fun _ _ _ -> ())
-      ~on_branch:(fun v -> Hashtbl.replace supported v ())
-      ~on_delivery:(fun _ _ -> ())
-      (roots t);
-    Array.iteri
-      (fun i ns ->
-        if ns.mft <> None && not (Hashtbl.mem supported i) then ns.mft <- None)
-      t.nodes;
-    (* 2. Fresh control coverage. *)
-    recompute_mct t;
-    (* 3. Refresh joins: capture (possibly migrating) every member,
-       then starve entries nobody refreshed. *)
-    let refreshed = Hashtbl.create 32 in
-    List.iter
-      (fun r ->
-        match join_walk t r with
-        | Some w -> Hashtbl.replace refreshed (w, r) ()
-        | None -> ())
-      t.members;
-    Array.iteri
-      (fun i ns ->
-        match ns.mft with
-        | Some m ->
-            m.receivers <-
-              List.filter (fun r -> Hashtbl.mem refreshed (i, r)) m.receivers
-        | None -> ())
-      t.nodes;
-    (* The source's dst entry is join-refreshed (the source gets no
-       tree messages); if its receiver migrated to a downstream
-       capture point, the entry starves and the first remaining
-       receiver is promoted — the event protocol's marked-tree
-       teardown plus promotion, seen from the converged end. *)
-    (match t.nodes.(t.source).mft with
-    | Some m when not (Hashtbl.mem refreshed (t.source, m.dst)) -> (
-        match m.receivers with
-        | d :: rest ->
-            m.dst <- d;
-            m.receivers <- rest
-        | [] -> t.nodes.(t.source).mft <- None)
-    | Some _ | None -> ());
-    recompute_mct t
-  in
-  let snapshot () =
-    Array.map
-      (fun ns ->
-        (ns.mct, Option.map (fun m -> (m.dst, m.receivers)) ns.mft))
-      t.nodes
-  in
-  let restore s =
-    Array.iteri
-      (fun i (mct, mft) ->
-        t.nodes.(i).mct <- mct;
-        t.nodes.(i).mft <-
-          Option.map (fun (dst, receivers) -> { dst; receivers }) mft)
-      s
-  in
-  let served () =
-    List.length (Mcast.Distribution.receivers (distribution t))
-  in
-  (* The dynamics need not converge: dst starvation can tear the tree
-     down and the refresh joins rebuild it, a genuine limit cycle of
-     the protocol (the paper's dst-dependence critique; the
-     event-driven agent oscillates the same way under lib/verif's
-     explorer).  Iterate until a state repeats — a fixpoint is the
-     period-1 case — then report the best-served phase of the
-     long-run cycle, i.e. measure at the rebuilt end of the teardown/
-     rebuild swing rather than wherever the round budget happens to
-     land. *)
-  let rec iterate i trail =
-    let fp = fingerprint () in
-    if List.exists (fun (f, _, _) -> f = fp) trail then
-      let rec cycle = function
-        | (f, s, snap) :: rest ->
-            if f = fp then [ (s, snap) ] else (s, snap) :: cycle rest
-        | [] -> []
-      in
-      cycle trail
-    else if i >= max_rounds then List.map (fun (_, s, snap) -> (s, snap)) trail
-    else begin
-      let entry = (fp, served (), snapshot ()) in
-      round ();
-      iterate (i + 1) (entry :: trail)
-    end
-  in
-  match iterate 0 [] with
-  | [] -> ()
-  | candidates ->
-      (* newest-first; [>=] keeps the oldest among equally-served
-         phases, a deterministic representative *)
-      let _, best =
-        List.fold_left
-          (fun (bs, bsnap) (s, snap) ->
-            if s > bs then (s, snap) else (bs, bsnap))
-          (-1, snapshot ()) (List.rev candidates)
-      in
-      restore best
 
 let build table ~source ~receivers =
   let t = create table ~source in

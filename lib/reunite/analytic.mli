@@ -14,7 +14,7 @@
     join sequence (and, on a leave, the structure the refresh-join
     mechanism re-forms, which equals a fresh construction over the
     remaining sequence — see DESIGN.md).  Message-level dynamics live
-    in {!Agent}. *)
+    in {!Protocol}. *)
 
 type t
 
@@ -39,21 +39,6 @@ val settle : t -> unit
     alone models the paper's measure-immediately-after-joins regime
     (the figures); [settle] after each join matches what the
     event-driven protocol's tables look like a few periods later. *)
-
-val stabilize : ?max_rounds:int -> t -> unit
-(** Run the protocol's long-run soft-state dynamics to a fixpoint:
-    receivers migrate to the first on-tree router of their reverse
-    path as the tree grows (their refresh joins are captured there),
-    starved entries decay, and branching structures whose dst flow no
-    longer comes from the source collapse.  After [stabilize] the
-    tables match what the event-driven {!Protocol} converges to after
-    several t2 periods; without it they model the paper's
-    measure-right-after-join regime.  The dynamics need not converge —
-    dst starvation can tear the tree down and the refresh joins
-    rebuild it, a genuine limit cycle of the protocol — so iteration
-    stops when a state repeats (a fixpoint is the period-1 case) and
-    reports the best-served phase of the long-run cycle.
-    Deterministic; [max_rounds] (default 50) bounds the search. *)
 
 val members : t -> int list
 (** Current members in join order. *)

@@ -35,9 +35,9 @@ val to_dest : Topology.Graph.t -> int -> in_tree
 
 val of_view : Topology.Graph.view -> int -> in_tree
 (** [of_view v d] is the same kernel over an explicit view, for
-    callers with their own picture of the topology ({!Link_state}'s
-    per-router LSDBs build one per LSDB generation).  [to_dest g d] is
-    [of_view (Topology.Graph.routing_view g) d]. *)
+    callers with their own picture of the topology (the link-state
+    test oracle builds one per router LSDB generation).  [to_dest g d]
+    is [of_view (Topology.Graph.routing_view g) d]. *)
 
 val reachable : in_tree -> int -> bool
 val distance : in_tree -> int -> int

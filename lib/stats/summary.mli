@@ -25,15 +25,9 @@ val mean : t -> float
 val variance : t -> float
 (** Unbiased sample variance (n-1 denominator); [nan] when [count < 2]. *)
 
-val stddev : t -> float
-(** Square root of {!variance}. *)
-
-val stderr_mean : t -> float
-(** Standard error of the mean, [stddev / sqrt count]. *)
-
 val ci95 : t -> float
 (** Half-width of a 95% normal-approximation confidence interval for
-    the mean ([1.96 * stderr_mean]). *)
+    the mean: 1.96 standard errors ([1.96 * sqrt (variance / count)]). *)
 
 val min : t -> float
 (** Smallest observation; [nan] when empty. *)

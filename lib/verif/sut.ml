@@ -730,18 +730,13 @@ let wrap (type s) (r : s row) ?candidates (p : s) =
       (fun () ->
         Net.reset_data_accounting net;
         P.send_data p;
-        P.run_for p (Float.max 500.0 (2.0 *. control_period));
+        P.run_for p (Proto.Session.probe_horizon control_period);
         Net.data_deliveries net);
     dump_tables = v.dump_tables;
     data_targets = P.data_targets p;
     intercept_on_path = v.intercept_on_path;
     oracles = v.oracles;
   }
-
-let of_hbh ?candidates p = wrap hbh_row ?candidates p
-let of_reunite ?candidates p = wrap reunite_row ?candidates p
-let of_pim ?candidates p = wrap pim_row ?candidates p
-let of_hpim ?candidates p = wrap hpim_row ?candidates p
 
 let make ?candidates protocol table ~source =
   let (Row r) = row protocol in

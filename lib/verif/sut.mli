@@ -185,20 +185,9 @@ val regime : protocol -> regime option
 
 val make : ?candidates:int list -> protocol -> Routing.Table.t -> source:int -> t
 (** Create a fresh session of the given protocol (default config) on
-    the routing table and wrap it. *)
-
-(** {1 Wrapping a live session}
-
-    Each applies the one shared wiring to the protocol's view of the
-    session; [control_period] and [t2] are read from the session's own
-    config. *)
-
-val of_hbh : ?candidates:int list -> Hbh.Protocol.t -> t
-val of_reunite : ?candidates:int list -> Reunite.Protocol.t -> t
-val of_pim : ?candidates:int list -> Pim.Ssm.t -> t
-
-val of_hpim : ?candidates:int list -> Hpim.Dm.t -> t
-(** Hard state digests without deadline buckets (entries move only on
-    explicit events); the reliable layer's pending slot keys join the
-    digest, so a state with unacked control traffic in flight never
-    looks quiescent. *)
+    the routing table and wrap it: the one shared wiring applied to
+    the protocol's view, with [control_period] and [t2] read from the
+    session's own config.  HPIM-DM's hard state digests without
+    deadline buckets (entries move only on explicit events); its
+    reliable layer's pending slot keys join the digest, so a state
+    with unacked control traffic in flight never looks quiescent. *)

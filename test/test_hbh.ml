@@ -403,6 +403,57 @@ let test_event_config_validation () =
        false
      with Invalid_argument _ -> true)
 
+(* ---- The aggregation claim (Section 4.1) ---------------------------------- *)
+
+(* The experiments attach one receiver host per border router and do not
+   simulate the LAN behind it; this pins why that loses nothing. *)
+
+let test_extra_receivers_behind_one_router_cost_only_stubs () =
+  (* Section 4.1: "The presence of one or many receivers attached to a
+     border router ... does not influence the cost of the tree" —
+     additional members behind an already-subscribed router add only
+     their own access stubs; the network tree is untouched. *)
+  let b = Topology.Builder.create () in
+  ignore (Topology.Builder.add_routers b 18);
+  List.iter
+    (fun (u, v) -> Topology.Builder.add_link b u v ())
+    [ (* reuse the ISP wiring shape: two-level backbone *)
+      (0, 12); (0, 13); (1, 13); (1, 14); (2, 14); (2, 15); (3, 15); (3, 16);
+      (4, 16); (4, 17); (5, 17); (5, 12); (6, 12); (6, 13); (7, 13); (7, 14);
+      (8, 14); (8, 15); (9, 15); (9, 16); (10, 16); (10, 17); (11, 17); (11, 12);
+      (12, 13); (13, 14); (14, 15); (15, 16); (16, 17); (17, 12);
+    ];
+  Topology.Builder.attach_host_per_router b;
+  (* Three extra hosts behind router 5. *)
+  let extras =
+    List.init 3 (fun _ -> Topology.Builder.add_host b ~router:5 ())
+  in
+  let g = Topology.Builder.build b in
+  let rng = Stats.Rng.create 4 in
+  Topology.Graph.randomize_costs g rng ~lo:1 ~hi:10;
+  let table = Routing.Table.compute g in
+  let source = 18 (* host of router 0 *) in
+  let r5_host = 23 (* original host of router 5 *) in
+  let base =
+    Hbh.Analytic.build table ~source ~receivers:[ r5_host; 25; 30 ]
+  in
+  let crowded =
+    Hbh.Analytic.build table ~source ~receivers:((r5_host :: extras) @ [ 25; 30 ])
+  in
+  (* Cost grows exactly by the extra access links, nothing else. *)
+  Alcotest.(check int) "only stub links added"
+    (Mcast.Distribution.cost base + List.length extras)
+    (Mcast.Distribution.cost crowded);
+  (* Every network link carries the same load in both trees. *)
+  List.iter
+    (fun ((u, v), n) ->
+      if Topology.Graph.is_router g u && Topology.Graph.is_router g v then
+        Alcotest.(check int)
+          (Printf.sprintf "network link %d->%d" u v)
+          n
+          (Mcast.Distribution.copies crowded u v))
+    (Mcast.Distribution.link_loads base)
+
 let () =
   Alcotest.run "hbh"
     [
@@ -447,5 +498,10 @@ let () =
             test_event_two_channels_share_network;
           Alcotest.test_case "subscribe validation" `Quick test_event_subscribe_validation;
           Alcotest.test_case "config validation" `Quick test_event_config_validation;
+        ] );
+      ( "aggregation",
+        [
+          Alcotest.test_case "extra members cost only stubs" `Quick
+            test_extra_receivers_behind_one_router_cost_only_stubs;
         ] );
     ]

@@ -111,12 +111,11 @@ let prop_reunite_serves_everyone =
       Mcast.Distribution.receivers d = List.sort compare receivers)
 
 let prop_reunite_settle_preserves_delivery =
-  make "REUNITE: settle and stabilize never lose receivers"
+  make "REUNITE: settle never loses receivers"
     (fun _ table source receivers ->
       let t = Reunite.Analytic.create table ~source in
       List.iter (Reunite.Analytic.join t) receivers;
       Reunite.Analytic.settle t;
-      Reunite.Analytic.stabilize t;
       Mcast.Distribution.receivers (Reunite.Analytic.distribution t)
       = List.sort compare receivers)
 
@@ -214,6 +213,33 @@ let tree_core_links g table ~source ~receivers =
     receivers
   |> List.sort_uniq compare
 
+(* Fail link [u]-[v] for [down_for], then restore it, reconverging
+   unicast routing after each change. *)
+let flap (sut : Verif.Sut.t) ~u ~v ~down_for =
+  sut.inject (Fault.Plan.Link_down { u; v });
+  sut.inject Fault.Plan.Reconverge;
+  sut.run_for down_for;
+  sut.inject (Fault.Plan.Link_up { u; v });
+  sut.inject Fault.Plan.Reconverge
+
+(* One delivery probe as a distribution: the deliveries [probe]
+   returns, and per directed link the data copies it carried, read
+   off the session's per-hop trace events. *)
+let probe (sut : Verif.Sut.t) =
+  let loads = Hashtbl.create 32 in
+  Obs.Trace.set_verbose sut.trace true;
+  Obs.Trace.on_event sut.trace (fun e ->
+      match e.Obs.Event.kind with
+      | Obs.Event.Packet_forward { next; data = true; _ } ->
+          let k = (e.Obs.Event.node, next) in
+          Hashtbl.replace loads k
+            (1 + Option.value ~default:0 (Hashtbl.find_opt loads k))
+      | _ -> ());
+  let deliveries = sut.probe () in
+  Mcast.Distribution.of_accounting ~source:sut.source
+    (Hashtbl.fold (fun k n acc -> (k, n) :: acc) loads [])
+    deliveries
+
 let prop_hbh_recovers_from_link_failure =
   QCheck.Test.make
     ~name:"HBH: any single link failure + restore heals by detected quiescence"
@@ -221,23 +247,16 @@ let prop_hbh_recovers_from_link_failure =
     QCheck.(int_range 0 100_000)
     (fun seed ->
       let g, table, source, receivers = scenario_of_seed seed in
-      let session = Hbh.Protocol.create table ~source in
-      List.iter (Hbh.Protocol.subscribe session) receivers;
-      Hbh.Protocol.converge ~periods:12 session;
-      let net = Hbh.Protocol.network session in
+      let sut = Verif.Sut.make Verif.Sut.Hbh table ~source in
+      List.iter sut.subscribe receivers;
+      sut.converge ();
       let tree_links = tree_core_links g table ~source ~receivers in
       match tree_links with
       | [] -> true (* degenerate star: nothing to fail *)
       | links ->
           let pick = Stats.Rng.create (seed + 7919) in
           let u, v = List.nth links (Stats.Rng.int pick (List.length links)) in
-          let cfg = Hbh.Protocol.default_config in
-          let inj = Fault.Injector.create net in
-          Fault.Injector.apply inj (Fault.Plan.Link_down { u; v });
-          ignore (Netsim.Network.reconverge net);
-          Hbh.Protocol.run_for session (2.0 *. cfg.t1);
-          Fault.Injector.apply inj (Fault.Plan.Link_up { u; v });
-          ignore (Netsim.Network.reconverge net);
+          flap sut ~u ~v ~down_for:(2.0 *. Hbh.Protocol.default_config.t1);
           (* Run until the verification layer's quiescence detector
              sees the soft state settle (canonical digest stable
              across refresh windows), instead of a blind fixed wait.
@@ -252,7 +271,6 @@ let prop_hbh_recovers_from_link_failure =
              as long as the drain takes and turns a genuinely
              non-converging state into a failure instead of a silent
              half-wait. *)
-          let sut = Verif.Sut.of_hbh session in
           let routers = List.length (Topology.Graph.routers g) in
           let budget_factor = float_of_int (routers + 2) in
           (match Verif.Scenario.quiesce ~budget_factor sut with
@@ -261,7 +279,7 @@ let prop_hbh_recovers_from_link_failure =
               QCheck.Test.fail_reportf
                 "soft state still churning %g*t2 after link restore"
                 budget_factor);
-          let d = Hbh.Protocol.probe session in
+          let d = probe sut in
           Mcast.Distribution.receivers d = List.sort compare receivers
           && Mcast.Distribution.max_stress d = 1)
 
@@ -279,26 +297,19 @@ let prop_hpim_recovers_from_link_failure =
     QCheck.(int_range 0 100_000)
     (fun seed ->
       let g, table, source, receivers = scenario_of_seed seed in
-      let session = Hpim.Dm.create table ~source in
-      List.iter (Hpim.Dm.subscribe session) receivers;
-      Hpim.Dm.converge ~periods:12 session;
-      let net = Hpim.Dm.network session in
+      let sut = Verif.Sut.make Verif.Sut.Hpim_dm table ~source in
+      List.iter sut.subscribe receivers;
+      sut.converge ();
       let tree_links = tree_core_links g table ~source ~receivers in
       match tree_links with
       | [] -> true (* degenerate star: nothing to fail *)
       | links ->
           let pick = Stats.Rng.create (seed + 7919) in
           let u, v = List.nth links (Stats.Rng.int pick (List.length links)) in
-          let cfg = Hpim.Dm.config session in
-          let inj = Fault.Injector.create net in
-          Fault.Injector.apply inj (Fault.Plan.Link_down { u; v });
-          ignore (Netsim.Network.reconverge net);
-          (* past the holdtime, so both endpoints declare each other
-             dead and the hard state across the link is released *)
-          Hpim.Dm.run_for session (2.0 *. cfg.Hpim.Dm.holdtime);
-          Fault.Injector.apply inj (Fault.Plan.Link_up { u; v });
-          ignore (Netsim.Network.reconverge net);
-          let sut = Verif.Sut.of_hpim session in
+          (* past the holdtime ([t2] here), so both endpoints declare
+             each other dead and the hard state across the link is
+             released *)
+          flap sut ~u ~v ~down_for:(2.0 *. sut.t2);
           let routers = List.length (Topology.Graph.routers g) in
           let budget_factor = float_of_int (routers + 2) in
           (match Verif.Scenario.quiesce ~budget_factor sut with
@@ -307,7 +318,7 @@ let prop_hpim_recovers_from_link_failure =
               QCheck.Test.fail_reportf
                 "hard state still churning %g*holdtime after link restore"
                 budget_factor);
-          let d = Hpim.Dm.probe session in
+          let d = probe sut in
           (* Copies are unicast-addressed (PIM-SSM's shape), so with
              asymmetric costs two copies' paths may share a link —
              per-link stress 1 is not this stack's invariant.  The
@@ -331,27 +342,20 @@ let prop_hpim_recovers_from_link_failure =
 let test_mutual_capture_heals () =
   let seed = 71643 in
   let g, table, source, receivers = scenario_of_seed seed in
-  let session = Hbh.Protocol.create table ~source in
-  List.iter (Hbh.Protocol.subscribe session) receivers;
-  Hbh.Protocol.converge ~periods:12 session;
-  let net = Hbh.Protocol.network session in
+  let sut = Verif.Sut.make Verif.Sut.Hbh table ~source in
+  List.iter sut.subscribe receivers;
+  sut.converge ();
   let tree_links = tree_core_links g table ~source ~receivers in
   let pick = Stats.Rng.create (seed + 7919) in
   let u, v = List.nth tree_links (Stats.Rng.int pick (List.length tree_links)) in
   Alcotest.(check (pair int int)) "the ROADMAP repro link" (5, 17) (u, v);
-  let mon = Verif.Monitor.attach (Verif.Sut.of_hbh session) in
-  let cfg = Hbh.Protocol.default_config in
-  let inj = Fault.Injector.create net in
-  Fault.Injector.apply inj (Fault.Plan.Link_down { u; v });
-  ignore (Netsim.Network.reconverge net);
-  Hbh.Protocol.run_for session (2.0 *. cfg.Hbh.Protocol.t1);
-  Fault.Injector.apply inj (Fault.Plan.Link_up { u; v });
-  ignore (Netsim.Network.reconverge net);
-  Hbh.Protocol.run_for session (8.0 *. cfg.Hbh.Protocol.t2);
+  let mon = Verif.Monitor.attach sut in
+  flap sut ~u ~v ~down_for:(2.0 *. Hbh.Protocol.default_config.t1);
+  sut.run_for (8.0 *. sut.t2);
   Verif.Monitor.stop mon;
   Alcotest.(check int) "no confirmed monitor violations" 0
     (List.length (Verif.Monitor.violations mon));
-  let d = Hbh.Protocol.probe session in
+  let d = probe sut in
   Alcotest.(check (list int))
     "every receiver served after restore" (List.sort compare receivers)
     (Mcast.Distribution.receivers d);
@@ -380,10 +384,10 @@ let test_mutual_capture_golden_plan () =
     (List.length (Fault.Plan.directives plan))
     (List.length (Fault.Plan.directives reparsed));
   let _, table, source, receivers = scenario_of_seed 71643 in
-  let session = Hbh.Protocol.create table ~source in
-  List.iter (Hbh.Protocol.subscribe session) receivers;
-  Hbh.Protocol.converge ~periods:12 session;
-  let vs = Verif.Scenario.replay_plan (Verif.Sut.of_hbh session) plan in
+  let sut = Verif.Sut.make Verif.Sut.Hbh table ~source in
+  List.iter sut.subscribe receivers;
+  sut.converge ();
+  let vs = Verif.Scenario.replay_plan sut plan in
   Alcotest.(check (list string))
     "golden plan replays clean under the freshness guard" []
     (List.map (fun (v : Verif.Oracle.violation) -> v.Verif.Oracle.oracle) vs)

@@ -153,19 +153,6 @@ let test_settle_idempotent () =
   let d2 = Reunite.Analytic.distribution t in
   Alcotest.(check bool) "fixpoint" true (Mcast.Distribution.equal_shape d1 d2)
 
-let test_stabilize_terminates_and_serves () =
-  for seed = 1 to 10 do
-    let s = isp_scenario (500 + seed) 12 in
-    let t = Reunite.Analytic.create s.table ~source:s.source in
-    List.iter (Reunite.Analytic.join t) s.receivers;
-    Reunite.Analytic.stabilize t;
-    let d = Reunite.Analytic.distribution t in
-    Alcotest.(check (list int))
-      (Printf.sprintf "seed %d stabilized and served" seed)
-      (List.sort compare s.receivers)
-      (Mcast.Distribution.receivers d)
-  done
-
 (* ---- Event-driven protocol ----------------------------------------------- *)
 
 let test_event_matches_analytic_on_detour () =
@@ -342,8 +329,6 @@ let () =
           Alcotest.test_case "costlier than HBH" `Quick test_cost_at_least_hbh;
           Alcotest.test_case "state counts" `Quick test_state_counts_consistent;
           Alcotest.test_case "settle idempotent" `Quick test_settle_idempotent;
-          Alcotest.test_case "stabilize terminates" `Quick
-            test_stabilize_terminates_and_serves;
         ] );
       ( "protocol",
         [

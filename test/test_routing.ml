@@ -78,7 +78,7 @@ let test_dijkstra_matches_bellman_ford () =
           fail_random_links g (Stats.Rng.create (500 + seed));
         let d = Stats.Rng.int (Stats.Rng.create seed) 30 in
         let dij = Routing.Dijkstra.to_dest g d in
-        let bf = Routing.Bellman_ford.to_dest g d in
+        let bf = Routing_oracles.Bellman_ford.to_dest g d in
         for u = 0 to 29 do
           Alcotest.(check int)
             (Printf.sprintf "seed %d node %d failures %b" seed u with_failures)
@@ -98,10 +98,10 @@ let test_table_matches_floyd_warshall () =
         if with_failures then
           fail_random_links g (Stats.Rng.create (600 + seed));
         let table = Routing.Table.compute g in
-        let fw = Routing.Floyd_warshall.compute g in
+        let fw = Routing_oracles.Floyd_warshall.compute g in
         for u = 0 to 19 do
           for v = 0 to 19 do
-            let expected = Routing.Floyd_warshall.distance fw u v in
+            let expected = Routing_oracles.Floyd_warshall.distance fw u v in
             let got =
               if Routing.Table.reachable table u v then
                 Routing.Table.distance table u v
@@ -180,7 +180,7 @@ let test_path_hops () =
 
 let test_bellman_ford_iterations_bounded () =
   let g = random_graph 400 30 in
-  let r = Routing.Bellman_ford.to_dest g 0 in
+  let r = Routing_oracles.Bellman_ford.to_dest g 0 in
   Alcotest.(check bool) "terminates within n+1 rounds" true (r.iterations <= 31)
 
 (* ---- Asymmetry --------------------------------------------------------- *)
@@ -215,8 +215,8 @@ let test_pair_asymmetric_diamond () =
 
 let converge_ls g =
   let engine = Eventsim.Engine.create () in
-  let ls = Routing.Link_state.create engine g in
-  Routing.Link_state.start ls;
+  let ls = Routing_oracles.Link_state.create engine g in
+  Routing_oracles.Link_state.start ls;
   Eventsim.Engine.run engine;
   (engine, ls)
 
@@ -225,8 +225,8 @@ let test_link_state_converges () =
   let rng = Stats.Rng.create 5 in
   G.randomize_costs g rng ~lo:1 ~hi:10;
   let _, ls = converge_ls g in
-  Alcotest.(check bool) "flooding converged" true (Routing.Link_state.converged ls);
-  let s = Routing.Link_state.stats ls in
+  Alcotest.(check bool) "flooding converged" true (Routing_oracles.Link_state.converged ls);
+  let s = Routing_oracles.Link_state.stats ls in
   Alcotest.(check int) "one LSA per router" 18 s.lsas_originated;
   Alcotest.(check bool) "flooding used messages" true (s.messages_sent > 18)
 
@@ -238,7 +238,7 @@ let test_link_state_agrees_with_centralized () =
     Alcotest.(check bool)
       (Printf.sprintf "seed %d distributed = centralized" seed)
       true
-      (Routing.Link_state.agrees_with_table ls table)
+      (Routing_oracles.Link_state.agrees_with_table ls table)
   done
 
 let test_link_state_host_destinations () =
@@ -253,7 +253,7 @@ let test_link_state_host_destinations () =
       Alcotest.(check (option int))
         (Printf.sprintf "next hop of router 5 toward host %d" h)
         (Routing.Table.next_hop table 5 ~dest:h)
-        (Routing.Link_state.next_hop ls 5 ~dest:h))
+        (Routing_oracles.Link_state.next_hop ls 5 ~dest:h))
     (G.hosts g)
 
 let test_link_state_reconvergence () =
@@ -263,12 +263,12 @@ let test_link_state_reconvergence () =
   let engine, ls = converge_ls g in
   (* Change a link cost; stale LSDBs disagree until re-origination. *)
   G.set_cost g 0 12 99;
-  Routing.Link_state.reoriginate ls 0;
+  Routing_oracles.Link_state.reoriginate ls 0;
   Eventsim.Engine.run engine;
-  Alcotest.(check bool) "re-converged" true (Routing.Link_state.converged ls);
+  Alcotest.(check bool) "re-converged" true (Routing_oracles.Link_state.converged ls);
   let table = Routing.Table.compute g in
   Alcotest.(check bool) "agrees after change" true
-    (Routing.Link_state.agrees_with_table ls table)
+    (Routing_oracles.Link_state.agrees_with_table ls table)
 
 let test_link_state_distance_matches () =
   let g = random_graph 600 12 in
@@ -284,7 +284,7 @@ let test_link_state_distance_matches () =
       Alcotest.(check (option int))
         (Printf.sprintf "d(%d,%d)" u v)
         expected
-        (Routing.Link_state.distance ls u v)
+        (Routing_oracles.Link_state.distance ls u v)
     done
   done
 
@@ -311,7 +311,7 @@ let prop_triangle_inequality =
    smallest-id neighbour [v] over an up link with
    [dist v + cost u v = dist u], distances from Bellman-Ford; -1 at the
    destination or when unreachable. *)
-let smallest_tied_next g (bf : Routing.Bellman_ford.result) u =
+let smallest_tied_next g (bf : Routing_oracles.Bellman_ford.result) u =
   if u = bf.dest || bf.dist.(u) = max_int then -1
   else
     List.sort compare (G.neighbors g u)
@@ -338,7 +338,7 @@ let prop_next_hop_smallest_tied_neighbour =
       fail_random_links g rng;
       let d = Stats.Rng.int rng n in
       let tree = Routing.Dijkstra.to_dest g d in
-      let bf = Routing.Bellman_ford.to_dest g d in
+      let bf = Routing_oracles.Bellman_ford.to_dest g d in
       List.for_all
         (fun u -> tree.Routing.Dijkstra.next.(u) = smallest_tied_next g bf u)
         (List.init n Fun.id))
@@ -403,7 +403,7 @@ let prop_kernel_tracks_mutations =
       let cached = Hashtbl.create n in
       let check msg b = if not b then QCheck.Test.fail_reportf "seed %d: %s" seed msg in
       let expected_tree d =
-        let bf = Routing.Bellman_ford.to_dest g d in
+        let bf = Routing_oracles.Bellman_ford.to_dest g d in
         (bf.dist, Array.init n (smallest_tied_next g bf))
       in
       let matches d (tree : Routing.Dijkstra.in_tree) =
@@ -552,17 +552,17 @@ let prop_link_state_cache_consistent =
            the routers from the centralized table. *)
         for r = 0 to n - 1 do
           for d = 0 to n - 1 do
-            ignore (Routing.Link_state.next_hop ls r ~dest:d)
+            ignore (Routing_oracles.Link_state.next_hop ls r ~dest:d)
           done
         done;
         let links = G.links g in
         let l = List.nth links (Stats.Rng.int rng (List.length links)) in
         G.set_cost g l.G.u l.G.v (1 + Stats.Rng.int rng 10);
-        Routing.Link_state.reoriginate ls l.G.u;
+        Routing_oracles.Link_state.reoriginate ls l.G.u;
         Eventsim.Engine.run engine;
         if
           not
-            (Routing.Link_state.agrees_with_table ls (Routing.Table.compute g))
+            (Routing_oracles.Link_state.agrees_with_table ls (Routing.Table.compute g))
         then ok := false
       done;
       !ok)

@@ -38,28 +38,24 @@ let test_registry_names () =
     (Invalid_argument "Verif.Sut: unknown protocol \"hpimdm\"") (fun () ->
       ignore (Verif.Sut.of_string "hpimdm"))
 
-(* A wrapped session's quiescence window and settle deadline come from
-   the session's own config, not the protocol's defaults: sessions built
-   with every timer scaled 10x report scaled periods. *)
-let test_scaled_periods () =
+(* Each row's quiescence window and settle deadline are its session
+   config's refresh period and state deadline (the default config):
+   [t2] for the soft-state stacks, the holdtime for the PIM family. *)
+let test_row_periods () =
   let table = Routing.Table.compute (Topology.Isp.create ()) in
-  let source = Topology.Isp.source in
-  let module R = Reunite.Protocol in
-  let r =
-    Verif.Sut.of_reunite
-      (R.create ~config:(R.scale_timers 10. R.default_config) table ~source)
-  in
-  Alcotest.(check (float 0.)) "REUNITE control_period" 1000.
-    r.Verif.Sut.control_period;
-  Alcotest.(check (float 0.)) "REUNITE t2" 5500. r.Verif.Sut.t2;
-  let module P = Pim.Ssm in
-  let p =
-    Verif.Sut.of_pim
-      (P.create ~config:(P.scale_timers 10. P.default_config) table ~source)
-  in
-  Alcotest.(check (float 0.)) "PIM-SSM control_period" 1000.
-    p.Verif.Sut.control_period;
-  Alcotest.(check (float 0.)) "PIM-SSM t2 (holdtime)" 3500. p.Verif.Sut.t2
+  List.iter
+    (fun (p, control_period, t2) ->
+      let sut = Verif.Sut.make p table ~source:Topology.Isp.source in
+      let label = Verif.Sut.label p in
+      Alcotest.(check (float 0.)) (label ^ " control_period") control_period
+        sut.Verif.Sut.control_period;
+      Alcotest.(check (float 0.)) (label ^ " t2") t2 sut.Verif.Sut.t2)
+    [
+      (Verif.Sut.Hbh, 100., 550.);
+      (Verif.Sut.Reunite, 100., 550.);
+      (Verif.Sut.Pim_ssm, 100., 350.);
+      (Verif.Sut.Hpim_dm, 100., 350.);
+    ]
 
 (* ---- Snapshot round-trip (qcheck) -------------------------------------- *)
 
@@ -674,9 +670,34 @@ let check_upstream session graph table ~source step =
     (Topology.Graph.routers graph);
   !tunnelled
 
+(* Run hello periods until HPIM-DM's inspection view and pending
+   reliable slots hold still over two windows, within 4 holdtimes: the
+   verifier's quiescence rule over the state its digest reads. *)
+let hpim_settle session step =
+  let cfg = Hpim.Dm.config session in
+  let now () = Eventsim.Engine.now (Hpim.Dm.engine session) in
+  let state () =
+    let b = Buffer.create 64 in
+    Hpim.Dm.pending_digest session b;
+    (Hpim.Dm.view session, Buffer.contents b)
+  in
+  let start = now () in
+  let rec go stable prev =
+    Hpim.Dm.run_for session cfg.Hpim.Dm.hello_period;
+    let s = state () in
+    let stable = if s = prev then stable + 1 else 0 in
+    if stable < 2 then
+      if now () -. start > 4.0 *. cfg.Hpim.Dm.holdtime then
+        Alcotest.failf "%s: no quiescence" step
+      else go stable s
+  in
+  go 0 (state ())
+
 (* Members attached to the disabled router stay out: their first
    capable hop is not adjacent to them, which
-   [test_hpim_member_behind_disabled] covers on its own. *)
+   [test_hpim_member_behind_disabled] covers on its own.  The checks
+   read the session's own view, so the test drives the session
+   itself. *)
 let test_hpim_tunnelled_rpf ~graph ~source ~disabled ~receivers ~link () =
   Topology.Graph.set_multicast_capable graph disabled false;
   let table = Routing.Table.compute graph in
@@ -686,22 +707,20 @@ let test_hpim_tunnelled_rpf ~graph ~source ~disabled ~receivers ~link () =
       if Topology.Graph.router_of_host graph h <> disabled then
         Hpim.Dm.subscribe session h)
     receivers;
-  let sut = Verif.Sut.of_hpim session in
+  let net = Hpim.Dm.network session in
   let settle step =
-    (match Verif.Scenario.quiesce sut with
-    | Some _ -> ()
-    | None -> Alcotest.failf "%s: no quiescence" step);
+    hpim_settle session step;
     check_upstream session graph table ~source step
   in
   let tunnelled = settle "converged" in
   Alcotest.(check bool) "some parent is tunnelled to" true (tunnelled > 0);
-  let restore = sut.Verif.Sut.save () in
+  let snap = Hpim.Dm.snapshot session in
   let u, v = link in
   for round = 1 to 2 do
-    sut.Verif.Sut.inject (Fault.Plan.Link_down { u; v });
-    sut.Verif.Sut.inject Fault.Plan.Reconverge;
+    Netsim.Network.set_link_up net u v false;
+    ignore (Netsim.Network.reconverge net : int);
     ignore (settle (Printf.sprintf "link %d-%d down (%d)" u v round) : int);
-    restore ();
+    Hpim.Dm.restore session snap;
     ignore (settle (Printf.sprintf "restored (%d)" round) : int)
   done
 
@@ -920,7 +939,7 @@ let () =
         [
           Alcotest.test_case "names and aliases" `Quick test_registry_names;
           Alcotest.test_case "periods follow the session's config" `Quick
-            test_scaled_periods;
+            test_row_periods;
           Alcotest.test_case "each protocol runs only its row's oracles"
             `Quick test_row_oracles;
         ] );
