@@ -425,10 +425,10 @@ let mux_scaling_check () =
    allocates nothing (parallel arrays, no per-entry boxing), an engine
    event costs one handle record, a network hop only its scheduled
    event (whose closure carries the packet's ttl/via, so a restore
-   rewinds the packet), and an SPF only the arrays it works in and
-   returns.  Witnessed directly with [Gc.minor_words] deltas — exact
-   for this purpose, since the minor allocator is counted in words —
-   and gated against explicit budgets so a regression (say,
+   rewinds the packet), an SPF only the tree it returns, and a cached
+   tree about one word per node.  Witnessed directly with
+   [Gc.minor_words] deltas — exact for this purpose, since the minor
+   allocator is counted in words — and gated against explicit budgets so a regression (say,
    someone reboxing the heap entries) fails CI rather than silently
    landing. *)
 
@@ -480,21 +480,34 @@ let netsim_forward () =
   in
   (run, hops)
 
-(* One destination-rooted SPF on the paper's RAND50 graph (100 nodes,
-   costs redrawn in [1, 10] as a Monte-Carlo run does), cycling the
-   destination so every root is measured.  The per-call arrays
-   (distances, heap, heap positions, next hops: 4 x 101 words) and the
-   in-tree record are the whole 408 words: the kernel's loops allocate
-   nothing, and the routing view is rebuilt only when the costs
-   change. *)
-let spf_to_dest () =
+(* The paper's RAND50 graph (100 nodes), costs redrawn in [1, 10] as a
+   Monte-Carlo run does. *)
+let rand50 () =
   let g = (Experiments.Common.rand50_config ~seed:1).Experiments.Common.graph in
   Workload.Scenario.randomize (Stats.Rng.create 1) g;
+  g
+
+(* One destination-rooted SPF on RAND50, cycling the destination so
+   every root is measured.  The returned tree is the whole 105 words
+   (its 800-byte buffer, 102 words with header and padding, and a
+   3-word record): the kernel works in per-domain scratch arrays, its
+   loops allocate nothing, and the routing view is rebuilt only when
+   the costs change. *)
+let spf_to_dest () =
+  let g = rand50 () in
   let n = Topology.Graph.node_count g in
   let d = ref 0 in
   fun () ->
     ignore (Routing.Dijkstra.to_dest g !d : Routing.Dijkstra.in_tree);
     d := (!d + 1) mod n
+
+(* What one cached RAND50 in-tree keeps live, per node: its buffer holds
+   two int32 words a node, so 1.05 words a node with the headers. *)
+let tree_words_per_node () =
+  let g = rand50 () in
+  let tree = Routing.Table.in_tree (Routing.Table.compute g) 0 in
+  float_of_int (Obj.reachable_words (Obj.repr tree))
+  /. float_of_int (Topology.Graph.node_count g)
 
 let words_per ~iters f =
   for _ = 1 to 1000 do
@@ -509,12 +522,12 @@ let words_per ~iters f =
 let alloc_budget_check () =
   let ok = ref true in
   let fields = ref [] in
-  let case name ~key ~budget words =
+  let case ?(per = "op") name ~key ~budget words =
     let pass = words <= budget in
     if not pass then ok := false;
     fields := (key, Obs.Json.Float words) :: !fields;
-    Format.printf "allocation-budget: %-28s %6.1f words/op (budget %g) %s@."
-      name words budget
+    Format.printf "allocation-budget: %-28s %6.2f words/%s (budget %g) %s@."
+      name words per budget
       (if pass then "OK" else "OVER")
   in
   case "heap push/pop (steady state)" ~key:"alloc_words_heap_cycle" ~budget:2.0
@@ -523,13 +536,16 @@ let alloc_budget_check () =
     (words_per ~iters:1_000_000 (engine_event ()));
   let run, hops = netsim_forward () in
   (* 20.3 words per hop (OCaml 5.1.1): the next hop is read from the
-     in-tree's array and the tally is an array increment, so neither
+     in-tree's buffer and the tally is an array increment, so neither
      allocates. *)
   case "net hop (transparent fwd)" ~key:"alloc_words_net_hop" ~budget:24.0
     (words_per ~iters:200_000 run /. float_of_int hops);
   let spf = spf_to_dest () in
-  case "SPF to_dest (RAND50)" ~key:"alloc_words_spf" ~budget:490.0
+  case "SPF to_dest (RAND50)" ~key:"alloc_words_spf" ~budget:126.0
     (words_per ~iters:20_000 spf);
+  case "cached in-tree (RAND50)" ~per:"node" ~key:"tree_words_per_node"
+    ~budget:1.25
+    (tree_words_per_node ());
   let spf_ns = time_ns_per ~iters:20_000 spf in
   Format.printf "spf: %.0f ns per to_dest on RAND50@." spf_ns;
   fields := ("spf_ns", Obs.Json.Float spf_ns) :: !fields;

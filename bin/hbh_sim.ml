@@ -95,12 +95,13 @@ let protocol_doc =
 
 let protocol_info doc = Arg.info [ "protocol" ] ~docv:"P" ~doc
 
-let protocols_arg ~default =
+let protocols_arg ?(default_doc = "every protocol the subcommand supports")
+    default =
   let doc =
     Printf.sprintf
       "Restrict the run to protocol $(docv) (one of %s); repeatable. \
-       Default: every protocol the subcommand supports."
-      protocol_doc
+       Default: %s."
+      protocol_doc default_doc
   in
   Arg.(value & opt_all protocol_conv default & protocol_info doc)
 
@@ -505,7 +506,7 @@ let validate_cmd =
       protocols
   in
   analytic "validate" ~doc
-    Term.(const run $ scenarios $ protocols_arg ~default:oracles)
+    Term.(const run $ scenarios $ protocols_arg oracles)
 
 let rp_ablation_cmd =
   let doc =
@@ -747,7 +748,7 @@ let faults_cmd =
   Cmd.v (Cmd.info "faults" ~doc)
     Term.(
       const run $ seed_arg $ jobs_arg $ metrics_json_arg $ scenario
-      $ protocols_arg ~default:Verif.Sut.all
+      $ protocols_arg Verif.Sut.all
       $ timeline $ timeline_ndjson $ monitor $ openmetrics_arg)
 
 let soak_cmd =
@@ -827,7 +828,7 @@ let soak_cmd =
   Cmd.v (Cmd.info "soak" ~doc)
     Term.(
       const run $ seed_arg $ hours
-      $ protocols_arg ~default:Verif.Sut.all
+      $ protocols_arg Verif.Sut.all
       $ timeline_ndjson $ openmetrics_arg)
 
 let churn_cmd =
@@ -941,7 +942,13 @@ let churn_cmd =
   Cmd.v (Cmd.info "churn" ~doc)
     Term.(
       const run $ seed_arg $ jobs_arg
-      $ protocols_arg ~default:Verif.Sut.all
+      $ protocols_arg
+          ~default_doc:
+            "$(b,hbh), $(b,reunite) and $(b,pim-ssm).  $(b,hpim-dm) runs \
+             only when named: it keeps neighbour state per router and \
+             channel, which at the default 5000 routers and 1000 channels \
+             does not fit in memory"
+          Verif.Sut.[ Hbh; Reunite; Pim_ssm ]
       $ channels $ routers $ gen $ rate $ hold $ horizon $ sample_every $ arm
       $ json_arg "Write the outcomes as JSON to $(docv)."
       $ metrics_json_arg $ openmetrics_arg)

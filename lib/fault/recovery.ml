@@ -35,7 +35,6 @@ let create ?spans ~receivers () =
   }
 
 let receivers t = t.receivers
-let fault_time t = t.fault_time
 
 let touch t now = if now > t.last_event then t.last_event <- now
 

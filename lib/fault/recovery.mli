@@ -59,8 +59,6 @@ val note_control : t -> now:float -> hops:int -> unit
     before the fault and one after (plus the initial one) are needed
     for {!report}'s [overhead_inflation] to be finite. *)
 
-val fault_time : t -> float option
-
 type receiver_outcome = {
   receiver : int;
   time_to_repair : float option;  (** [None]: never repaired *)

@@ -255,21 +255,23 @@ let is_router t n =
   Topology.Graph.multicast_router (S.graph t) n || n = S.source t
 
 (* Everything routing says about this node's upstream is in one
-   in-tree: unicast toward the channel source.  [tree.next] is the
-   path, and [tree.dist.(n)] is the root path cost, the
+   in-tree: unicast toward the channel source.  Its next hops are the
+   path, and [Dijkstra.dist tree n] is the root path cost, the
    assert-election metric ([max_int] = [metric_unknown] when the
    source is unreachable).
 
    The RPF candidate is the first {e participating} hop on that path,
    or [-1] when there is none.  Under full deployment this is exactly
-   [tree.next.(n)]; a capability-disabled router in between is tunneled
-   through (the handler forwards packets not addressed to it). *)
+   [Dijkstra.next tree n]; a capability-disabled router in between is
+   tunneled through (the handler forwards packets not addressed to
+   it). *)
 let rpf_of t (tree : Routing.Dijkstra.in_tree) n =
   let src = S.source t in
   let rec walk v =
-    if v < 0 || v = src || is_router t v then v else walk tree.next.(v)
+    if v < 0 || v = src || is_router t v then v
+    else walk (Routing.Dijkstra.next tree v)
   in
-  walk tree.next.(n)
+  walk (Routing.Dijkstra.next tree n)
 
 (* The best {e alive} upstream alternative: among adjacent
    participating neighbors with a live record and a finite advertised
@@ -320,7 +322,7 @@ let upstream_info t n ns =
       rpf < 0
       ||
       match Tbl.find_opt ns.nbrs rpf with
-      | Some r -> now > r.n_heard && rpf = tree.next.(n)
+      | Some r -> now > r.n_heard && rpf = Routing.Dijkstra.next tree n
       | None -> false
     in
     (* With no live alternative the RPF parent stays anyway.  The
@@ -330,7 +332,8 @@ let upstream_info t n ns =
        members survive their attachment router's crash. *)
     match if degraded then best_alive_upstream t n ns ~now else None with
     | Some (m, v) -> (Some v, m)
-    | None -> ((if rpf < 0 then None else Some rpf), tree.dist.(n))
+    | None ->
+        ((if rpf < 0 then None else Some rpf), Routing.Dijkstra.dist tree n)
   end
 
 let parent_of t n ns = fst (upstream_info t n ns)
@@ -845,4 +848,6 @@ let metric t n =
   | Some ns -> metric_of t n ns
   | None ->
       (* No neighbor records, so nothing can override routing's figure. *)
-      (Routing.Table.in_tree (Net.table (S.network t)) (S.source t)).dist.(n)
+      Routing.Dijkstra.dist
+        (Routing.Table.in_tree (Net.table (S.network t)) (S.source t))
+        n

@@ -312,10 +312,11 @@ let reconverge t =
            t.pending_down)
     else List.filter (Routing.Table.cached table) (List.init n Fun.id)
   in
-  (* An in-tree is immutable once built, so the old next-hop arrays
-     stay valid after the cache drops their trees. *)
-  let next d = (Routing.Table.in_tree table d).Routing.Dijkstra.next in
-  let before = List.map (fun d -> (d, next d)) affected in
+  (* An in-tree is immutable once built, so the old trees stay valid
+     after the cache drops them. *)
+  let before =
+    List.map (fun d -> (d, Routing.Table.in_tree table d)) affected
+  in
   if targeted then List.iter (Routing.Table.invalidate_dest table) affected
   else Routing.Table.invalidate_all table;
   t.pending_down <- [];
@@ -323,10 +324,9 @@ let reconverge t =
   let changed = ref 0 in
   List.iter
     (fun (d, old) ->
-      let fresh = next d in
-      for u = 0 to n - 1 do
-        if fresh.(u) <> old.(u) then incr changed
-      done)
+      changed :=
+        !changed
+        + Routing.Dijkstra.next_hops_changed old (Routing.Table.in_tree table d))
     before;
   route_changed t ~changed:!changed;
   !changed
@@ -453,8 +453,9 @@ and transmit t node (p : 'p Packet.t) =
   if t.faults_on && not (node_up t node) then
     fault_drop t ~at:node ~next:node Node_failed p
   else
-    let tree = Routing.Table.in_tree t.table p.dst in
-    let next = tree.Routing.Dijkstra.next.(node) in
+    let next =
+      Routing.Dijkstra.next (Routing.Table.in_tree t.table p.dst) node
+    in
     if next < 0 then begin
       Obs.Trace.notef t.trace ~time:(now t) ~node "no route to %d" p.dst;
       t.c.dropped_unreachable <- t.c.dropped_unreachable + 1;

@@ -154,9 +154,10 @@ val reconverge : 'p t -> int
     mutations — falls back to invalidating every cached destination.
     Either way only destinations that were actually cached are
     recomputed for the change count, which compares each one's old and
-    new {!Routing.Dijkstra.in_tree} [next] arrays (in-trees are
-    immutable, so the old array outlives its eviction); the rest
-    rebuild lazily on their next lookup. *)
+    new {!Routing.Dijkstra.in_tree} with
+    {!Routing.Dijkstra.next_hops_changed} (in-trees are immutable, so
+    the old tree outlives its eviction); the rest rebuild lazily on
+    their next lookup. *)
 
 val on_route_change : 'p t -> (changed:int -> unit) -> unit
 (** Observe reconvergences; [changed = 0] announces a recomputation

@@ -34,7 +34,6 @@ let make pairs =
 
 let v pairs = make pairs
 let bindings t = t
-let cardinality t = List.length t
 let equal (a : t) b = a = b
 
 (* OpenMetrics-compatible escaping inside label values. *)

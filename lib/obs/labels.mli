@@ -21,8 +21,6 @@ val v : (string * string) list -> t
 val bindings : t -> (string * string) list
 (** Sorted by key. *)
 
-val cardinality : t -> int
-
 val equal : t -> t -> bool
 
 val escape_value : string -> string

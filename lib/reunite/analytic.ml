@@ -42,9 +42,8 @@ let rec flow t ~forked ~from_node ~target ~elapsed ~on_link ~on_node
     invalid_arg
       (Printf.sprintf "Reunite.Analytic.flow: %d cannot reach %d" from_node
          target);
-  let next = tree.Routing.Dijkstra.next in
   let rec walk u elapsed =
-    let v = next.(u) in
+    let v = Routing.Dijkstra.next tree u in
     on_link u v;
     let elapsed = elapsed +. Topology.Graph.delay t.graph u v in
     if v = target then on_delivery target elapsed

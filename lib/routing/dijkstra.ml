@@ -1,6 +1,40 @@
 module G = Topology.Graph
 
-type in_tree = { dest : int; dist : int array; next : int array }
+(* One flat buffer per tree, two native-endian int32 words per node:
+   [next u] at byte [8u] and [dist u] at [8u + 4], [-1] in either for
+   "none" (the destination's next hop, an unreachable node's both).
+   The GC does not scan a [Bytes], so a cached tree costs one word per
+   node to keep and nothing to mark. *)
+type in_tree = { dest : int; buf : Bytes.t }
+
+external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32"
+external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32"
+
+(* The kernel's working arrays, one set per domain ({!Stats.Parallel}
+   runs SPFs on several at once), grown to the largest graph seen and
+   shared by every call on that domain.  Each run works on the prefix
+   [0 .. n-1] only.  It refills [dist] itself; [pos] is all -1 between
+   runs because a node leaves the heap only by being popped, and
+   popping resets it; [heap] needs no initial value. *)
+type scratch = {
+  mutable dist : int array;
+  mutable heap : int array;
+  mutable pos : int array;
+}
+
+let scratch_key =
+  Domain.DLS.new_key (fun () -> { dist = [||]; heap = [||]; pos = [||] })
+
+let scratch n =
+  let s = Domain.DLS.get scratch_key in
+  if Array.length s.pos < n then begin
+    s.dist <- Array.make n max_int;
+    s.heap <- Array.make n 0;
+    s.pos <- Array.make n (-1)
+  end;
+  s
+
+let max_dist = Int32.to_int Int32.max_int
 
 (* The kernel reads only the routing view's flat arrays (see
    {!Topology.Graph.view}): no link records, no lists, no closures, and
@@ -60,8 +94,9 @@ let of_view (view : G.view) d =
   and stub = view.G.stub in
   let n = Array.length stub in
   if d < 0 || d >= n then invalid_arg "Dijkstra.to_dest: bad destination";
-  let dist = Array.make n max_int in
-  let heap = Array.make n 0 and pos = Array.make n (-1) in
+  let s = scratch n in
+  let dist = s.dist and heap = s.heap and pos = s.pos in
+  Array.fill dist 0 n max_int;
   dist.(d) <- 0;
   heap.(0) <- d;
   pos.(d) <- 0;
@@ -109,39 +144,71 @@ let of_view (view : G.view) d =
   done;
   (* Next hops: the first (so smallest-id) neighbour [w] over an up
      link with [dist w + cost u w = dist u].  Computed after the fact
-     so ties are broken by id, not by heap pop order. *)
-  let next = Array.make n (-1) in
+     so ties are broken by id, not by heap pop order.  The same pass
+     stores both words of each node. *)
+  let buf = Bytes.create (n lsl 3) in
   for u = 0 to n - 1 do
     let du = dist.(u) in
+    let next = ref (-1) in
     if u <> d && du < max_int then begin
       let k = ref off.(u) and stop = off.(u + 1) in
       while !k < stop do
         let c = cost_out.(!k) and w = nbrs.(!k) in
         if c >= 0 && dist.(w) < max_int && dist.(w) + c = du then begin
-          next.(u) <- w;
+          next := w;
           k := stop
         end
         else incr k
       done
-    end
+    end;
+    if du > max_dist && du < max_int then
+      invalid_arg
+        (Printf.sprintf
+           "Dijkstra.to_dest: cost %d from %d to %d exceeds int32" du u d);
+    set32 buf (u lsl 3) (Int32.of_int !next);
+    set32 buf ((u lsl 3) + 4) (if du = max_int then -1l else Int32.of_int du)
   done;
-  { dest = d; dist; next }
+  { dest = d; buf }
 
 let to_dest g d = of_view (G.routing_view g) d
 
-let reachable t u = t.dist.(u) < max_int
+let dest t = t.dest
+let next t u = Int32.to_int (get32 t.buf (u lsl 3))
+
+let dist t u =
+  let du = Int32.to_int (get32 t.buf ((u lsl 3) + 4)) in
+  if du < 0 then max_int else du
+
+let reachable t u = Int32.to_int (get32 t.buf ((u lsl 3) + 4)) >= 0
 
 let distance t u =
   if not (reachable t u) then
     invalid_arg (Printf.sprintf "Dijkstra.distance: %d cannot reach %d" u t.dest);
-  t.dist.(u)
+  dist t u
 
-let next_hop t u = if t.next.(u) = -1 then None else Some t.next.(u)
+let next_hop t u =
+  let v = next t u in
+  if v < 0 then None else Some v
+
+let next_hops_changed a b =
+  let len = Bytes.length a.buf in
+  if Bytes.length b.buf <> len then
+    invalid_arg "Dijkstra.next_hops_changed: trees of different graphs";
+  if Bytes.equal a.buf b.buf then 0
+  else begin
+    let moved = ref 0 in
+    let k = ref 0 in
+    while !k < len do
+      if get32 a.buf !k <> get32 b.buf !k then incr moved;
+      k := !k + 8
+    done;
+    !moved
+  end
 
 let path t u =
   if not (reachable t u) then
     invalid_arg (Printf.sprintf "Dijkstra.path: %d cannot reach %d" u t.dest);
   let rec walk u acc =
-    if u = t.dest then List.rev (u :: acc) else walk t.next.(u) (u :: acc)
+    if u = t.dest then List.rev (u :: acc) else walk (next t u) (u :: acc)
   in
   walk u []

@@ -14,16 +14,18 @@
     smallest node id is chosen, so the whole forwarding plane is a
     deterministic function of the topology. *)
 
-type in_tree = private {
-  dest : int;
-  dist : int array;  (** [dist.(u)] = cost of cheapest path u->dest; [max_int] if unreachable *)
-  next : int array;  (** [next.(u)] = next hop from u toward dest; [-1] at dest or unreachable *)
-}
+type in_tree
+(** One destination's in-tree, immutable once built.  Each node's next
+    hop and distance are stored as two int32 words in one flat
+    buffer, 8 bytes per node, which the GC never scans: a cached tree
+    costs one word per node plus a few words of headers. *)
 
 val to_dest : Topology.Graph.t -> int -> in_tree
 (** [to_dest g d] runs Dijkstra over the reversed directed graph
     rooted at [d], on [g]'s current {!Topology.Graph.routing_view}
-    (down links absent).  Raises [Invalid_argument] on a bad [d].
+    (down links absent).  Raises [Invalid_argument] on a bad [d], and
+    when some node's distance to [d] does not fit in int32 (exceeds
+    [Int32.max_int] = 2{^31} - 1).
 
     The kernel is one closure-free pass over the view's flat arrays
     with an indexed (decrease-key) binary heap.  {b Stub rule:} a
@@ -31,13 +33,36 @@ val to_dest : Topology.Graph.t -> int -> in_tree
     interior to a simple path — and gets its one neighbour's distance
     plus the link cost once the heap drains.  Distances are unique
     and next hops come from a separate smallest-id pass, so neither
-    the heap nor the stub rule changes any tie-break. *)
+    the heap nor the stub rule changes any tie-break.
+
+    {b Scratch.}  The kernel's working arrays (distances, heap, heap
+    positions) live in one per-domain ({!Domain.DLS}) scratch that
+    grows to the largest graph seen on that domain and is reused by
+    every call, so a call allocates only the tree it returns.  Calls
+    on different domains never share it. *)
 
 val of_view : Topology.Graph.view -> int -> in_tree
 (** [of_view v d] is the same kernel over an explicit view, for
     callers with their own picture of the topology (the link-state
     test oracle builds one per router LSDB generation).  [to_dest g d]
     is [of_view (Topology.Graph.routing_view g) d]. *)
+
+(** {1 Reading a tree}
+
+    Every reader raises [Invalid_argument] for a node outside the
+    tree's graph. *)
+
+val dest : in_tree -> int
+(** The destination the tree is rooted at. *)
+
+val next : in_tree -> int -> int
+(** [next t u] is [u]'s next hop toward [dest t]; [-1] when [u] is the
+    destination or cannot reach it.  Allocates nothing: the forwarding
+    fast path. *)
+
+val dist : in_tree -> int -> int
+(** [dist t u] is the cost of the cheapest path [u -> dest t];
+    [max_int] when unreachable. *)
 
 val reachable : in_tree -> int -> bool
 val distance : in_tree -> int -> int
@@ -46,6 +71,12 @@ val distance : in_tree -> int -> int
 val next_hop : in_tree -> int -> int option
 (** [next_hop t u] is [None] when [u] is the destination or [d] is
     unreachable from [u]. *)
+
+val next_hops_changed : in_tree -> in_tree -> int
+(** [next_hops_changed a b] is the number of nodes whose next hop
+    differs between two trees of the same graph (a reconvergence's
+    change count); [0] at once when the trees are byte-equal.  Raises
+    [Invalid_argument] for trees of different node counts. *)
 
 val path : in_tree -> int -> int list
 (** [path t u] is the node sequence [u; ...; dest].  Raises

@@ -78,7 +78,7 @@ let using_edge t u v =
   for d = n - 1 downto 0 do
     match t.trees.(d) with
     | Some tree ->
-        if tree.Dijkstra.next.(u) = v || tree.Dijkstra.next.(v) = u then
+        if Dijkstra.next tree u = v || Dijkstra.next tree v = u then
           used := d :: !used
     | None -> ()
   done;

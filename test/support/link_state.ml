@@ -11,10 +11,10 @@ type router_state = { lsdb : (int, lsa) Hashtbl.t }
 (* Per-router SPF memo: [view] is the router's directed-edge index as
    a routing view stamped with the LSDB generation it was built against
    (rebuilt once per generation, shared across destinations), and
-   [dists] the destination-rooted distance arrays computed so far. *)
+   [trees] the destination-rooted in-trees computed so far. *)
 type spf_cache = {
   mutable view : G.view option;
-  dists : (int, int array) Hashtbl.t;
+  trees : (int, Routing.Dijkstra.in_tree) Hashtbl.t;
 }
 
 type stats = {
@@ -171,15 +171,15 @@ let cache_of t r =
   match Hashtbl.find_opt t.caches r with
   | Some c -> c
   | None ->
-      let c = { view = None; dists = Hashtbl.create 16 } in
+      let c = { view = None; trees = Hashtbl.create 16 } in
       Hashtbl.replace t.caches r c;
       c
 
 (* Destination-rooted SPF over router [r]'s LSDB: the same kernel as
    {!Routing.Dijkstra.to_dest}, so the two agree exactly once flooding has
-   converged.  Returns the distance of every node to [dest] in r's
-   view, memoized per (router, LSDB generation). *)
-let lsdb_dist_to t r dest =
+   converged.  Returns the in-tree toward [dest] in r's view (read for
+   distances only), memoized per (router, LSDB generation). *)
+let lsdb_tree_to t r dest =
   let c = cache_of t r in
   let view =
     match c.view with
@@ -187,34 +187,34 @@ let lsdb_dist_to t r dest =
     | _ ->
         let v = build_view t r in
         c.view <- Some v;
-        Hashtbl.reset c.dists;
+        Hashtbl.reset c.trees;
         Obs.Metrics.hot_incr m_rebuilds;
         v
   in
-  match Hashtbl.find_opt c.dists dest with
-  | Some dist ->
+  match Hashtbl.find_opt c.trees dest with
+  | Some tree ->
       Obs.Metrics.hot_incr m_hits;
-      dist
+      tree
   | None ->
       Obs.Metrics.hot_incr m_spf;
-      let dist = (Routing.Dijkstra.of_view view dest).Routing.Dijkstra.dist in
-      Hashtbl.replace c.dists dest dist;
-      dist
+      let tree = Routing.Dijkstra.of_view view dest in
+      Hashtbl.replace c.trees dest tree;
+      tree
 
 let distance t r dest =
-  let dist = lsdb_dist_to t r dest in
-  if dist.(r) = max_int then None else Some dist.(r)
+  let dist = Routing.Dijkstra.dist (lsdb_tree_to t r dest) in
+  if dist r = max_int then None else Some (dist r)
 
 let next_hop t r ~dest =
   if r = dest then None
   else begin
-    let dist = lsdb_dist_to t r dest in
-    if dist.(r) = max_int then None
+    let dist = Routing.Dijkstra.dist (lsdb_tree_to t r dest) in
+    if dist r = max_int then None
     else begin
       let best = ref (-1) in
       List.iter
         (fun v ->
-          if dist.(v) < max_int && dist.(v) + G.cost t.graph r v = dist.(r) then
+          if dist v < max_int && dist v + G.cost t.graph r v = dist r then
             if !best = -1 || v < !best then best := v)
         (G.neighbors t.graph r);
       if !best = -1 then None else Some !best

@@ -69,6 +69,38 @@ let test_dijkstra_tie_break_smallest_id () =
   Alcotest.(check (option int)) "smallest id wins" (Some 1)
     (Routing.Dijkstra.next_hop t 0)
 
+(* Distances are stored as int32: a path cost up to [Int32.max_int]
+   fits, one past it is refused rather than wrapped. *)
+let test_dijkstra_int32_bound () =
+  let g =
+    G.make
+      ~kinds:(Array.make 3 G.Router)
+      ~links:[ (0, 1, 1 lsl 30, 1); (1, 2, (1 lsl 30) - 1, 1) ]
+  in
+  Alcotest.(check int) "cost Int32.max_int fits" (Int32.to_int Int32.max_int)
+    (Routing.Dijkstra.distance (Routing.Dijkstra.to_dest g 2) 0);
+  G.set_cost g 1 2 (1 lsl 30);
+  Alcotest.(check bool) "cost past Int32.max_int raises" true
+    (match Routing.Dijkstra.to_dest g 2 with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  Alcotest.(check int) "the reverse direction still fits" 2
+    (Routing.Dijkstra.distance (Routing.Dijkstra.to_dest g 0) 2)
+
+(* A cached in-tree keeps one word per node: two int32 words a node in
+   one buffer, plus a constant five words (the 3-word record, the
+   buffer's header and its padding word). *)
+let test_tree_one_word_per_node () =
+  List.iter
+    (fun n ->
+      let g = random_graph n n in
+      let tree = Routing.Table.in_tree (Routing.Table.compute g) 0 in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d nodes: at most %d words" n (n + 5))
+        true
+        (Obj.reachable_words (Obj.repr tree) <= n + 5))
+    [ 10; 100; 1000 ]
+
 let test_dijkstra_matches_bellman_ford () =
   List.iter
     (fun with_failures ->
@@ -340,7 +372,7 @@ let prop_next_hop_smallest_tied_neighbour =
       let tree = Routing.Dijkstra.to_dest g d in
       let bf = Routing_oracles.Bellman_ford.to_dest g d in
       List.for_all
-        (fun u -> tree.Routing.Dijkstra.next.(u) = smallest_tied_next g bf u)
+        (fun u -> Routing.Dijkstra.next tree u = smallest_tied_next g bf u)
         (List.init n Fun.id))
 
 (* A router core (random spanning tree plus chords) with degree-1
@@ -399,28 +431,30 @@ let prop_kernel_tracks_mutations =
       let snapshot = G.save_links g in
       fail_random_links g rng;
       let table = Routing.Table.compute g in
-      (* Cached trees with copies of their arrays at caching time. *)
+      (* Cached trees with their distances and next hops read out at
+         caching time. *)
       let cached = Hashtbl.create n in
       let check msg b = if not b then QCheck.Test.fail_reportf "seed %d: %s" seed msg in
       let expected_tree d =
         let bf = Routing_oracles.Bellman_ford.to_dest g d in
         (bf.dist, Array.init n (smallest_tied_next g bf))
       in
-      let matches d (tree : Routing.Dijkstra.in_tree) =
-        (tree.dist, tree.next) = expected_tree d
+      let contents tree =
+        ( Array.init n (Routing.Dijkstra.dist tree),
+          Array.init n (Routing.Dijkstra.next tree) )
       in
+      let matches d tree = contents tree = expected_tree d in
       let query_table () =
         for d = 0 to n - 1 do
           if Stats.Rng.int rng 2 = 0 then begin
             let tree = Routing.Table.in_tree table d in
             match Hashtbl.find_opt cached d with
-            | Some (t0, dist, next) ->
+            | Some (t0, at_caching) ->
                 check "cached tree replaced"
-                  (tree == t0 && tree.dist = dist && tree.next = next)
+                  (tree == t0 && contents tree = at_caching)
             | None ->
                 check (Printf.sprintf "first query of %d is stale" d) (matches d tree);
-                Hashtbl.replace cached d
-                  (tree, Array.copy tree.dist, Array.copy tree.next)
+                Hashtbl.replace cached d (tree, contents tree)
           end
         done
       in
@@ -455,6 +489,47 @@ let prop_kernel_tracks_mutations =
         done
       done;
       true)
+
+(* [of_view] reuses one per-domain scratch across calls, grown to the
+   largest graph seen.  Interleaved calls over graphs of changing size
+   (stub-heavy, failed links, many ties) must each equal Bellman-Ford
+   and the smallest-id tied-neighbour rule: a kernel that reads scratch
+   left over from an earlier, larger graph fails here.  Mutants it
+   kills on every run: skipping the [dist] refill, refilling only half
+   of it, leaving [pos] dirty after a pop, and growing the scratch only
+   on first use.  The same
+   call sequence on two domains through {!Stats.Parallel} (each with
+   its own graphs, since a graph caches its routing view) must then
+   read exactly what the sequential run read. *)
+let prop_scratch_reuse =
+  QCheck.Test.make ~name:"SPF scratch reuse across graph sizes and domains"
+    ~count:40
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let calls () =
+        let rng = Stats.Rng.create seed in
+        let graphs = Array.init 4 (fun _ -> stubby_graph rng) in
+        Array.iter (fun g -> fail_random_links g rng) graphs;
+        List.init 24 (fun _ ->
+            let g = graphs.(Stats.Rng.int rng (Array.length graphs)) in
+            (g, Stats.Rng.int rng (G.node_count g)))
+      in
+      let read (g, d) =
+        let tree = Routing.Dijkstra.to_dest g d in
+        let n = G.node_count g in
+        (Array.init n (Routing.Dijkstra.dist tree),
+         Array.init n (Routing.Dijkstra.next tree))
+      in
+      let sequential = List.map read (calls ()) in
+      List.iter2
+        (fun (g, d) got ->
+          let bf = Routing_oracles.Bellman_ford.to_dest g d in
+          let n = G.node_count g in
+          if got <> (bf.dist, Array.init n (smallest_tied_next g bf)) then
+            QCheck.Test.fail_reportf "seed %d: to_dest %d on %d nodes" seed d n)
+        (calls ()) sequential;
+      Array.for_all (( = ) sequential)
+        (Stats.Parallel.map ~jobs:2 2 (fun _ -> List.map read (calls ()))))
 
 let prop_path_endpoints =
   QCheck.Test.make ~name:"paths start and end correctly" ~count:30
@@ -576,6 +651,9 @@ let () =
           Alcotest.test_case "asymmetric paths" `Quick test_dijkstra_asymmetric_paths;
           Alcotest.test_case "unreachable" `Quick test_dijkstra_unreachable;
           Alcotest.test_case "tie break" `Quick test_dijkstra_tie_break_smallest_id;
+          Alcotest.test_case "int32 distance bound" `Quick test_dijkstra_int32_bound;
+          Alcotest.test_case "a cached in-tree costs at most one word per node"
+            `Quick test_tree_one_word_per_node;
           Alcotest.test_case "matches bellman-ford" `Quick test_dijkstra_matches_bellman_ford;
           Alcotest.test_case "table matches floyd-warshall" `Quick
             test_table_matches_floyd_warshall;
@@ -618,5 +696,6 @@ let () =
             prop_link_state_cache_consistent;
             prop_next_hop_smallest_tied_neighbour;
             prop_kernel_tracks_mutations;
+            prop_scratch_reuse;
           ] );
     ]
