@@ -425,8 +425,9 @@ let mux_scaling_check () =
    allocates nothing (parallel arrays, no per-entry boxing), an engine
    event costs one handle record, a network hop only its scheduled
    event (whose closure carries the packet's ttl/via, so a restore
-   rewinds the packet), an SPF only the tree it returns, and a cached
-   tree about one word per node.  Witnessed directly with
+   rewinds the packet), an SPF only the tree it returns, a cached tree
+   about one word per node, and a REUNITE tree build one flow per
+   join.  Witnessed directly with
    [Gc.minor_words] deltas — exact for this purpose, since the minor
    allocator is counted in words — and gated against explicit budgets so a regression (say,
    someone reboxing the heap entries) fails CI rather than silently
@@ -509,6 +510,23 @@ let tree_words_per_node () =
   float_of_int (Obj.reachable_words (Obj.repr tree))
   /. float_of_int (Topology.Graph.node_count g)
 
+(* One REUNITE tree on RAND50 at the paper's largest group, 45
+   receivers, with every in-tree it reads already cached, so no SPF is
+   counted: the model inserts the one flow each join creates.  This
+   draw costs 7,174 words a build (OCaml 5.1.1); the whole-replay
+   reference in test/support, which re-runs every flow after every
+   join, costs 113,419. *)
+let reunite_build () =
+  let cfg = Experiments.Common.rand50_config ~seed:1 in
+  let s =
+    Workload.Scenario.make (Stats.Rng.create 1) cfg.Experiments.Common.graph
+      ~source:cfg.source ~candidates:cfg.candidates ~n:45
+  in
+  fun () ->
+    ignore
+      (Reunite.Analytic.build s.table ~source:s.source ~receivers:s.receivers
+        : Mcast.Distribution.t)
+
 let words_per ~iters f =
   for _ = 1 to 1000 do
     f ()
@@ -546,6 +564,9 @@ let alloc_budget_check () =
   case "cached in-tree (RAND50)" ~per:"node" ~key:"tree_words_per_node"
     ~budget:1.25
     (tree_words_per_node ());
+  case "REUNITE build (RAND50, 45)" ~per:"build"
+    ~key:"alloc_words_reunite_build" ~budget:8600.0
+    (words_per ~iters:2_000 (reunite_build ()));
   let spf_ns = time_ns_per ~iters:20_000 spf in
   Format.printf "spf: %.0f ns per to_dest on RAND50@." spf_ns;
   fields := ("spf_ns", Obs.Json.Float spf_ns) :: !fields;

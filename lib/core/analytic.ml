@@ -1,10 +1,12 @@
 module Lset = Set.Make (struct
   type t = int * int
 
-  let compare = compare
+  let compare (a, b) (c, d) =
+    let x = Int.compare a c in
+    if x <> 0 then x else Int.compare b d
 end)
 
-let dedup receivers = List.sort_uniq compare receivers
+let dedup receivers = List.sort_uniq Int.compare receivers
 
 let forward_path table ~source r = Routing.Table.path table source r
 

@@ -1,19 +1,27 @@
+(* Link loads are keyed by the packed directed link, so lookups hash
+   and compare plain ints. *)
+module Links = Hashtbl.Make (Int)
+
+let link u v = (u lsl 32) lor v
+let link_ends k = (k lsr 32, k land 0xffff_ffff)
+
 type t = {
   source : int;
-  loads : (int * int, int) Hashtbl.t;
+  loads : int Links.t;
   deliveries : (int, float) Hashtbl.t;
   mutable dup_deliveries : int;
 }
 
 let create ~source =
-  { source; loads = Hashtbl.create 64; deliveries = Hashtbl.create 16; dup_deliveries = 0 }
+  { source; loads = Links.create 64; deliveries = Hashtbl.create 16; dup_deliveries = 0 }
 
 let source t = t.source
 
 let add_copy t u v =
-  let key = (u, v) in
-  let n = match Hashtbl.find_opt t.loads key with Some n -> n | None -> 0 in
-  Hashtbl.replace t.loads key (n + 1)
+  let key = link u v in
+  match Links.find_opt t.loads key with
+  | Some n -> Links.replace t.loads key (n + 1)
+  | None -> Links.add t.loads key 1
 
 let add_path t g p =
   let delay = ref 0.0 in
@@ -42,17 +50,17 @@ let of_accounting ~source loads deliveries =
   List.iter (fun (receiver, delay) -> deliver t ~receiver ~delay) deliveries;
   t
 
-let cost t = Hashtbl.fold (fun _ n acc -> acc + n) t.loads 0
+let cost t = Links.fold (fun _ n acc -> acc + n) t.loads 0
 
 let copies t u v =
-  match Hashtbl.find_opt t.loads (u, v) with Some n -> n | None -> 0
+  match Links.find_opt t.loads (link u v) with Some n -> n | None -> 0
 
-let links_used t = Hashtbl.length t.loads
+let links_used t = Links.length t.loads
 
 let duplicated_links t =
-  Hashtbl.fold (fun _ n acc -> if n > 1 then acc + 1 else acc) t.loads 0
+  Links.fold (fun _ n acc -> if n > 1 then acc + 1 else acc) t.loads 0
 
-let max_stress t = Hashtbl.fold (fun _ n acc -> max acc n) t.loads 0
+let max_stress t = Links.fold (fun _ n acc -> max acc n) t.loads 0
 
 let receivers t =
   Hashtbl.fold (fun r _ acc -> r :: acc) t.deliveries [] |> List.sort compare
@@ -68,8 +76,11 @@ let max_delay t = Hashtbl.fold (fun _ d acc -> Float.max acc d) t.deliveries 0.0
 
 let duplicate_deliveries t = t.dup_deliveries
 
+(* Packed keys sort as their (u, v) pairs do. *)
 let link_loads t =
-  Hashtbl.fold (fun k n acc -> (k, n) :: acc) t.loads [] |> List.sort compare
+  Links.fold (fun k n acc -> (k, n) :: acc) t.loads []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  |> List.map (fun (k, n) -> (link_ends k, n))
 
 let equal_shape a b =
   a.source = b.source

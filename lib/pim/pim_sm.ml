@@ -1,7 +1,9 @@
 module Lset = Set.Make (struct
   type t = int * int
 
-  let compare = compare
+  let compare (a, b) (c, d) =
+    let x = Int.compare a c in
+    if x <> 0 then x else Int.compare b d
 end)
 
 let shared_tree_link_set table ~rp ~receivers =

@@ -38,10 +38,15 @@ val settle : t -> unit
     new capture point while its old entry lives on until t2.  [join]
     alone models the paper's measure-immediately-after-joins regime
     (the figures); [settle] after each join matches what the
-    event-driven protocol's tables look like a few periods later. *)
+    event-driven protocol's tables look like a few periods later.
+    Re-inserts every flow after each round of refresh joins. *)
 
-val members : t -> int list
-(** Current members in join order. *)
+val flow_inserts : t -> int
+(** Flows inserted into the model so far.  A {!join} of a new member
+    inserts exactly one, the flow to that member (unless the source
+    is a router that a flow forks at in transit: then every flow is
+    re-inserted).  {!settle} re-inserts every flow, and {!leave}
+    re-joins the remaining members one flow each. *)
 
 val distribution : t -> Mcast.Distribution.t
 (** Replay one data packet through the current tables: per-link
@@ -54,8 +59,6 @@ val data_path : t -> int -> int list option
 
 val state : t -> Mcast.Metrics.state
 (** Router control/forwarding footprint (source excluded). *)
-
-val branching_routers : t -> int list
 
 val mft_of : t -> int -> (int * int list) option
 (** [(dst, receivers)] of a node's forwarding table, if it has one. *)

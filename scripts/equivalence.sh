@@ -35,6 +35,9 @@
 #     runs; each profile's events_fired, pending and runs stay pinned.
 #   * `hbh_sim state --runs 20 --seed 42` and `hbh_sim stability --runs 20
 #     --seed 42` are bit-identical.
+#   * `hbh_sim all --runs 50 --seed 42 --csv` is bit-identical: the four
+#     figure sweeps (Fig. 7(a)/(b), 8(a)/(b)), every protocol's tree cost
+#     and receiver delay per group size.
 #
 # Prints one `output-equivalence: <run> OK|MISMATCH` line per run and
 # exits nonzero on any mismatch.  CI greps for the OK lines.
@@ -149,5 +152,12 @@ for cmd in state stability; do
     echo "output-equivalence: $cmd MISMATCH"
   fi
 done
+
+if run all --runs 50 --seed 42 --csv | diff -u test/golden/all-seed42.csv -; then
+  echo "output-equivalence: all OK"
+else
+  status=1
+  echo "output-equivalence: all MISMATCH"
+fi
 
 exit $status

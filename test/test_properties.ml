@@ -361,6 +361,50 @@ let test_mutual_capture_heals () =
     (Mcast.Distribution.receivers d);
   Alcotest.(check int) "one copy per receiver" 1 (Mcast.Distribution.max_stress d)
 
+(* ROADMAP item 1's HBH healing defect at its two pinned inputs of the
+   link-failure property above, run through the same body: fail the
+   picked core link for 2*t1, restore it, wait for detected quiescence,
+   probe.  The detector reports quiescence, yet the probe misses
+   members: fusion marks keep the router that serves them marked
+   upstream, so no router copies data to it.  These cases assert
+   today's failure — fixing the HBH marking flips them, and they then
+   assert that every receiver is served.
+   - 722: an 8-router grid, source 11, receivers 8, 9, 12 and 15;
+     link 2-3 flaps and 15 is missed.
+   - 20112: an 18-router random graph, source 34, receivers 19, 23,
+     25 and 35; link 6-16 flaps and 19 and 35 are missed. *)
+let healing_misses seed =
+  let g, table, source, receivers = scenario_of_seed seed in
+  let sut = Verif.Sut.make Verif.Sut.Hbh table ~source in
+  List.iter sut.subscribe receivers;
+  sut.converge ();
+  let tree_links = tree_core_links g table ~source ~receivers in
+  let pick = Stats.Rng.create (seed + 7919) in
+  let u, v = List.nth tree_links (Stats.Rng.int pick (List.length tree_links)) in
+  flap sut ~u ~v ~down_for:(2.0 *. Hbh.Protocol.default_config.t1);
+  let budget_factor =
+    float_of_int (List.length (Topology.Graph.routers g) + 2)
+  in
+  let quiesced = Verif.Scenario.quiesce ~budget_factor sut <> None in
+  let served = Mcast.Distribution.receivers (probe sut) in
+  ( (u, v),
+    quiesced,
+    List.filter (fun r -> not (List.mem r served)) (List.sort compare receivers)
+  )
+
+let test_healing_722 () =
+  let link, quiesced, missed = healing_misses 722 in
+  Alcotest.(check (pair int int)) "the ROADMAP repro link" (2, 3) link;
+  Alcotest.(check bool) "quiescence detected" true quiesced;
+  Alcotest.(check (list int)) "members the probe misses (defect)" [ 15 ] missed
+
+let test_healing_20112 () =
+  let link, quiesced, missed = healing_misses 20112 in
+  Alcotest.(check (pair int int)) "the ROADMAP repro link" (6, 16) link;
+  Alcotest.(check bool) "quiescence detected" true quiesced;
+  Alcotest.(check (list int)) "members the probe misses (defect)" [ 19; 35 ]
+    missed
+
 (* The same pathology as a committed fixture: the ddmin-minimal plan
    (link 5-17 down, one decay window, link up) replayed through the
    fault DSL against the 71643 scenario.  The guard makes it clean —
@@ -419,5 +463,9 @@ let () =
             `Quick test_mutual_capture_heals;
           Alcotest.test_case "the golden mutual-capture plan replays clean"
             `Quick test_mutual_capture_golden_plan;
+          Alcotest.test_case "HBH healing input 722 still misses 15" `Quick
+            test_healing_722;
+          Alcotest.test_case "HBH healing input 20112 still misses 19, 35"
+            `Quick test_healing_20112;
         ] );
     ]

@@ -58,7 +58,11 @@ let test_leave_reconverges_to_shortest () =
   Reunite.Analytic.join t Det.r1;
   Reunite.Analytic.join t Det.r2;
   Reunite.Analytic.leave t Det.r1;
-  Alcotest.(check (list int)) "members" [ Det.r2 ] (Reunite.Analytic.members t);
+  Alcotest.(check (option (list int))) "r1 no longer a member" None
+    (Reunite.Analytic.data_path t Det.r1);
+  Alcotest.(check (option (pair int (list int)))) "source table holds r2 only"
+    (Some (Det.r2, []))
+    (Reunite.Analytic.mft_of t Det.source);
   Alcotest.(check (option (list int))) "r2 rerouted to shortest"
     (Some [ 0; 4; Det.r2 ])
     (Reunite.Analytic.data_path t Det.r2)
@@ -66,15 +70,21 @@ let test_leave_reconverges_to_shortest () =
 let test_leave_nonmember_noop () =
   let t = Reunite.Analytic.create (Det.table ()) ~source:Det.source in
   Reunite.Analytic.join t Det.r1;
+  let before = Reunite.Analytic.state t in
   Reunite.Analytic.leave t 999 |> ignore;
-  Alcotest.(check (list int)) "unchanged" [ Det.r1 ] (Reunite.Analytic.members t)
+  Alcotest.(check (option (pair int (list int)))) "source table unchanged"
+    (Some (Det.r1, []))
+    (Reunite.Analytic.mft_of t Det.source);
+  Alcotest.(check bool) "state unchanged" true (Reunite.Analytic.state t = before)
 
 let test_join_idempotent () =
   let t = Reunite.Analytic.create (Det.table ()) ~source:Det.source in
   Reunite.Analytic.join t Det.r1;
   Reunite.Analytic.join t Det.r1;
-  Alcotest.(check (list int)) "one membership" [ Det.r1 ]
-    (Reunite.Analytic.members t)
+  Alcotest.(check (option (pair int (list int)))) "one membership"
+    (Some (Det.r1, []))
+    (Reunite.Analytic.mft_of t Det.source);
+  Alcotest.(check int) "one flow" 1 (Reunite.Analytic.flow_inserts t)
 
 let test_source_cannot_join () =
   let t = Reunite.Analytic.create (Det.table ()) ~source:Det.source in
@@ -141,7 +151,10 @@ let test_state_counts_consistent () =
   Alcotest.(check bool) "mft entries >= 2 per branching node" true
     (st.mft_entries >= 2 * st.branching_routers);
   Alcotest.(check int) "branching routers listed" st.branching_routers
-    (List.length (Reunite.Analytic.branching_routers t))
+    (List.length
+       (List.filter
+          (fun n -> Reunite.Analytic.mft_of t n <> None)
+          (Topology.Graph.routers (Routing.Table.graph s.table))))
 
 let test_settle_idempotent () =
   let s = isp_scenario 21 8 in
@@ -152,6 +165,154 @@ let test_settle_idempotent () =
   Reunite.Analytic.settle t;
   let d2 = Reunite.Analytic.distribution t in
   Alcotest.(check bool) "fixpoint" true (Mcast.Distribution.equal_shape d1 d2)
+
+(* ---- Analytic: against the whole-replay reference ----------------------- *)
+
+(* [Reunite_reference] is the whole-replay model: every join re-runs
+   every flow and rebuilds every MCT.  Random graphs
+   (random-connected, power-law, ISP) with random costs — a narrow cost
+   range makes arrival-time ties common, so the DFS tie rule is
+   exercised — and a random sequence of joins (repeats included),
+   leaves and settles; after every step both models must agree on
+   every table, entry order included, on every member's data path and
+   on the packet's distribution.  Sources are hosts except one case in
+   three, where a router source lets flows pass it in transit; members
+   are hosts and, in one case in two, routers too. *)
+
+module Ref = Reunite_reference
+
+type op = Join of int | Leave of int | Settle
+
+let pp_op = function
+  | Join r -> Printf.sprintf "join %d" r
+  | Leave r -> Printf.sprintf "leave %d" r
+  | Settle -> "settle"
+
+let reference_case seed =
+  let rng = Stats.Rng.create seed in
+  let g =
+    match Stats.Rng.int rng 3 with
+    | 0 ->
+        Topology.Generators.random_connected rng
+          ~n:(8 + Stats.Rng.int rng 30)
+          ~avg_degree:(2.5 +. float_of_int (Stats.Rng.int rng 3))
+    | 1 -> Topology.Generators.power_law rng ~n:(8 + Stats.Rng.int rng 30)
+    | _ -> Topology.Isp.create ()
+  in
+  Topology.Graph.randomize_costs g rng ~lo:1
+    ~hi:(Stats.Rng.pick rng [ 2; 3; 10 ]);
+  let table = Routing.Table.compute g in
+  let hosts = Topology.Graph.hosts g in
+  let source =
+    if Stats.Rng.int rng 3 = 0 then Stats.Rng.pick rng (Topology.Graph.routers g)
+    else Stats.Rng.pick rng hosts
+  in
+  let pool =
+    (if Stats.Rng.int rng 2 = 0 then Topology.Graph.routers g else []) @ hosts
+    |> List.filter (fun n -> n <> source)
+  in
+  let ops =
+    List.init
+      (1 + Stats.Rng.int rng 40)
+      (fun _ ->
+        match Stats.Rng.int rng 10 with
+        | 0 | 1 -> Leave (Stats.Rng.pick rng pool)
+        | 2 | 3 -> Settle
+        | _ -> Join (Stats.Rng.pick rng pool))
+  in
+  (g, table, source, ops)
+
+(* The first disagreement between the two models, if any. *)
+let disagreement g t r =
+  let n = Topology.Graph.node_count g in
+  let nodes = List.init n Fun.id in
+  let d = Reunite.Analytic.distribution t and dr = Ref.distribution r in
+  let check what ok = if ok then None else Some what in
+  List.find_map Fun.id
+    [
+      List.find_map
+        (fun v ->
+          check (Printf.sprintf "mft_of %d" v)
+            (Reunite.Analytic.mft_of t v = Ref.mft_of r v))
+        nodes;
+      List.find_map
+        (fun v ->
+          check (Printf.sprintf "mct_of %d" v)
+            (Reunite.Analytic.mct_of t v = Ref.mct_of r v))
+        nodes;
+      check "state" (Reunite.Analytic.state t = Ref.state r);
+      List.find_map
+        (fun v ->
+          check (Printf.sprintf "data_path %d" v)
+            (Reunite.Analytic.data_path t v = Ref.data_path r v))
+        nodes;
+      check "link_loads"
+        (Mcast.Distribution.link_loads d = Mcast.Distribution.link_loads dr);
+      check "receivers"
+        (Mcast.Distribution.receivers d = Mcast.Distribution.receivers dr);
+      List.find_map
+        (fun v ->
+          check (Printf.sprintf "delay %d" v)
+            (Mcast.Distribution.delay d v = Mcast.Distribution.delay dr v))
+        nodes;
+      check "duplicate deliveries"
+        (Mcast.Distribution.duplicate_deliveries d
+        = Mcast.Distribution.duplicate_deliveries dr);
+    ]
+
+(* Run case [seed] through both models; the first failure, if any.  A
+   join of a new member must also insert exactly one flow when the
+   source is a host. *)
+let reference_failure seed =
+  let g, table, source, ops = reference_case seed in
+  let t = Reunite.Analytic.create table ~source in
+  let r = Ref.create table ~source in
+  let rec steps i = function
+    | [] -> None
+    | op :: rest -> (
+        let fresh =
+          match op with
+          | Join m -> not (List.mem m (Ref.members r))
+          | Leave _ | Settle -> false
+        in
+        let inserts = Reunite.Analytic.flow_inserts t in
+        (match op with
+        | Join m ->
+            Reunite.Analytic.join t m;
+            Ref.join r m
+        | Leave m ->
+            Reunite.Analytic.leave t m;
+            Ref.leave r m
+        | Settle ->
+            Reunite.Analytic.settle t;
+            Ref.settle r);
+        let added = Reunite.Analytic.flow_inserts t - inserts in
+        match disagreement g t r with
+        | Some what ->
+            Some (Printf.sprintf "step %d (%s): %s differs" i (pp_op op) what)
+        | None when fresh && Topology.Graph.is_host g source && added <> 1 ->
+            Some
+              (Printf.sprintf "step %d (%s) inserted %d flows" i (pp_op op)
+                 added)
+        | None -> steps (i + 1) rest)
+  in
+  steps 0 ops
+
+let prop_matches_reference =
+  QCheck.Test.make ~name:"one-flow inserts = whole-replay reference" ~count:1000
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      match reference_failure seed with
+      | Some msg -> QCheck.Test.fail_report msg
+      | None -> true)
+
+(* Case 779959: a router source that a flow passes in transit and
+   forks at, so the fourth step's join at the source creates two
+   flows — the root flow and a fork at the source — and the model
+   re-inserts everything. *)
+let test_router_source_forks () =
+  Alcotest.(check (option string)) "agrees with the reference" None
+    (reference_failure 779959)
 
 (* ---- Event-driven protocol ----------------------------------------------- *)
 
@@ -329,6 +490,12 @@ let () =
           Alcotest.test_case "costlier than HBH" `Quick test_cost_at_least_hbh;
           Alcotest.test_case "state counts" `Quick test_state_counts_consistent;
           Alcotest.test_case "settle idempotent" `Quick test_settle_idempotent;
+        ] );
+      ( "analytic-reference",
+        [
+          Alcotest.test_case "router source forked in transit" `Quick
+            test_router_source_forks;
+          QCheck_alcotest.to_alcotest prop_matches_reference;
         ] );
       ( "protocol",
         [
