@@ -426,8 +426,9 @@ let mux_scaling_check () =
    event costs one handle record, a network hop only its scheduled
    event (whose closure carries the packet's ttl/via, so a restore
    rewinds the packet), an SPF only the tree it returns, a cached tree
-   about one word per node, and a REUNITE tree build one flow per
-   join.  Witnessed directly with
+   about one word per node, a REUNITE tree build one flow per join,
+   and the path-union builds one hash entry per distinct link.
+   Witnessed directly with
    [Gc.minor_words] deltas — exact for this purpose, since the minor
    allocator is counted in words — and gated against explicit budgets so a regression (say,
    someone reboxing the heap entries) fails CI rather than silently
@@ -516,15 +517,41 @@ let tree_words_per_node () =
    draw costs 7,174 words a build (OCaml 5.1.1); the whole-replay
    reference in test/support, which re-runs every flow after every
    join, costs 113,419. *)
-let reunite_build () =
+let rand50_draw () =
   let cfg = Experiments.Common.rand50_config ~seed:1 in
-  let s =
-    Workload.Scenario.make (Stats.Rng.create 1) cfg.Experiments.Common.graph
-      ~source:cfg.source ~candidates:cfg.candidates ~n:45
-  in
+  Workload.Scenario.make (Stats.Rng.create 1) cfg.Experiments.Common.graph
+    ~source:cfg.source ~candidates:cfg.candidates ~n:45
+
+let reunite_build () =
+  let s = rand50_draw () in
   fun () ->
     ignore
       (Reunite.Analytic.build s.table ~source:s.source ~receivers:s.receivers
+        : Mcast.Distribution.t)
+
+(* The same draw through the three path-union models: one HBH, one
+   PIM-SS and one PIM-SM build (RP by degree, as the figure sweeps pick
+   it), in-trees cached.  Each model looks up every receiver's path
+   once and hands it to Mcast.Distribution.Union, which keeps the
+   distinct links as packed ints and computes no degrees.  The three
+   cost 4,792 + 5,072 + 4,370 = 14,234 words (OCaml 5.1.1); with a
+   tuple set per model and every path looked up twice they cost
+   12,658 + 13,055 + 10,991 = 36,704. *)
+let union_builds () =
+  let s = rand50_draw () in
+  let rp =
+    Pim.Rp.select Pim.Rp.Highest_degree (Stats.Rng.create 1) s.table
+      ~source:s.source ~receivers:s.receivers
+  in
+  fun () ->
+    ignore
+      (Hbh.Analytic.build s.table ~source:s.source ~receivers:s.receivers
+        : Mcast.Distribution.t);
+    ignore
+      (Pim.Pim_ss.build s.table ~source:s.source ~receivers:s.receivers
+        : Mcast.Distribution.t);
+    ignore
+      (Pim.Pim_sm.build s.table ~source:s.source ~rp ~receivers:s.receivers
         : Mcast.Distribution.t)
 
 let words_per ~iters f =
@@ -567,6 +594,9 @@ let alloc_budget_check () =
   case "REUNITE build (RAND50, 45)" ~per:"build"
     ~key:"alloc_words_reunite_build" ~budget:8600.0
     (words_per ~iters:2_000 (reunite_build ()));
+  case "path-union builds (RAND50, 45)" ~per:"3 builds"
+    ~key:"alloc_words_union_builds" ~budget:17100.0
+    (words_per ~iters:2_000 (union_builds ()));
   let spf_ns = time_ns_per ~iters:20_000 spf in
   Format.printf "spf: %.0f ns per to_dest on RAND50@." spf_ns;
   fields := ("spf_ns", Obs.Json.Float spf_ns) :: !fields;

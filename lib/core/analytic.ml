@@ -1,41 +1,22 @@
-module Lset = Set.Make (struct
-  type t = int * int
-
-  let compare (a, b) (c, d) =
-    let x = Int.compare a c in
-    if x <> 0 then x else Int.compare b d
-end)
+module Union = Mcast.Distribution.Union
 
 let dedup receivers = List.sort_uniq Int.compare receivers
 
 let forward_path table ~source r = Routing.Table.path table source r
 
-let union_links table ~source ~receivers =
-  List.fold_left
-    (fun acc r ->
-      List.fold_left
-        (fun acc l -> Lset.add l acc)
-        acc
-        (Routing.Path.links (forward_path table ~source r)))
-    Lset.empty (dedup receivers)
+let union table ~source ~receivers =
+  Union.create (Routing.Table.graph table)
+    (List.map (fun r -> (r, forward_path table ~source r)) (dedup receivers))
 
 let tree_links table ~source ~receivers =
-  Lset.elements (union_links table ~source ~receivers)
+  Union.links (union table ~source ~receivers)
 
 let m_builds = Obs.Metrics.hot_counter "hbh.analytic_trees"
 
 let build table ~source ~receivers =
   Obs.Metrics.hot_incr m_builds;
-  let g = Routing.Table.graph table in
   let dist = Mcast.Distribution.create ~source in
-  Lset.iter
-    (fun (u, v) -> Mcast.Distribution.add_copy dist u v)
-    (union_links table ~source ~receivers);
-  List.iter
-    (fun r ->
-      Mcast.Distribution.deliver dist ~receiver:r
-        ~delay:(Routing.Path.delay g (forward_path table ~source r)))
-    (dedup receivers);
+  Union.deliver (union table ~source ~receivers) dist;
   dist
 
 let data_path table ~source r = forward_path table ~source r
@@ -119,55 +100,19 @@ let build_constrained table ~source ~receivers =
     receivers;
   dist
 
-let branching_nodes table ~source ~receivers =
-  let links = union_links table ~source ~receivers in
-  let out = Hashtbl.create 16 in
-  Lset.iter
-    (fun (u, _) ->
-      Hashtbl.replace out u (1 + Option.value ~default:0 (Hashtbl.find_opt out u)))
-    links;
-  Hashtbl.fold (fun u n acc -> if n > 1 then u :: acc else acc) out []
-  |> List.sort compare
-
 let state table ~source ~receivers =
-  let g = Routing.Table.graph table in
-  let links = union_links table ~source ~receivers in
-  let out = Hashtbl.create 16 in
-  let indeg = Hashtbl.create 16 in
-  let bump tbl k =
-    Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k))
-  in
-  Lset.iter
-    (fun (u, v) ->
-      bump out u;
-      bump indeg v)
-    links;
-  let on_tree_routers =
-    Lset.fold
-      (fun (u, v) acc ->
-        let acc = if Topology.Graph.is_router g u then u :: acc else acc in
-        if Topology.Graph.is_router g v then v :: acc else acc)
-      links []
-    |> List.sort_uniq compare
-  in
+  let routers = Union.routers (union table ~source ~receivers) in
   (* Branching routers hold MFTs: divergence (out-degree > 1) or merge
      (in-degree > 1) points of the union.  Every branch out of an MFT
      router is one MFT entry; other on-tree routers hold one MCT
      entry. *)
-  let is_mft r =
-    Option.value ~default:0 (Hashtbl.find_opt out r) > 1
-    || Option.value ~default:0 (Hashtbl.find_opt indeg r) > 1
-  in
-  let mft_routers = List.filter is_mft on_tree_routers in
-  let mft_entries =
-    List.fold_left
-      (fun acc r -> acc + Option.value ~default:0 (Hashtbl.find_opt out r))
-      0 mft_routers
+  let mft =
+    List.filter (fun r -> r.Union.out_degree > 1 || r.Union.in_degree > 1) routers
   in
   {
-    Mcast.Metrics.mct_entries =
-      List.length on_tree_routers - List.length mft_routers;
-    mft_entries;
-    branching_routers = List.length mft_routers;
-    on_tree_routers = List.length on_tree_routers;
+    Mcast.Metrics.mct_entries = List.length routers - List.length mft;
+    mft_entries =
+      List.fold_left (fun acc r -> acc + r.Union.out_degree) 0 mft;
+    branching_routers = List.length mft;
+    on_tree_routers = List.length routers;
   }

@@ -36,11 +36,6 @@ val tree_links :
 (** Distinct directed links of the forward-path union (the ideal HBH
     tree), lexicographic. *)
 
-val branching_nodes :
-  Routing.Table.t -> source:int -> receivers:int list -> int list
-(** Nodes of the union with two or more outgoing union links — the
-    routers that must hold MFT forwarding state. *)
-
 val state :
   Routing.Table.t -> source:int -> receivers:int list -> Mcast.Metrics.state
 (** Minimal converged footprint: an MFT entry per branch at each

@@ -17,11 +17,12 @@ let create ~source =
 
 let source t = t.source
 
-let add_copy t u v =
-  let key = link u v in
+let add_link t key =
   match Links.find_opt t.loads key with
   | Some n -> Links.replace t.loads key (n + 1)
   | None -> Links.add t.loads key 1
+
+let add_copy t u v = add_link t (link u v)
 
 let add_path t g p =
   let delay = ref 0.0 in
@@ -92,3 +93,57 @@ let pp ppf t =
     t.source (cost t) (links_used t)
     (Hashtbl.length t.deliveries)
     (avg_delay t)
+
+(* The union of unicast paths.  Its links are the packed keys the
+   loads use, so laying one copy per union link is one [add_link]
+   each. *)
+type distribution = t
+
+module Union = struct
+  type t = {
+    graph : Topology.Graph.t;
+    paths : (int * int list) list;
+    links : unit Links.t;
+  }
+
+  let create graph paths =
+    let links = Links.create 64 in
+    let rec add = function
+      | u :: (v :: _ as rest) ->
+          Links.replace links (link u v) ();
+          add rest
+      | [ _ ] | [] -> ()
+    in
+    List.iter (fun (_, p) -> add p) paths;
+    { graph; paths; links }
+
+  let links t =
+    Links.fold (fun k () acc -> k :: acc) t.links []
+    |> List.sort Int.compare |> List.map link_ends
+
+  let deliver ?(lead = 0.0) t (dist : distribution) =
+    Links.iter (fun k () -> add_link dist k) t.links;
+    List.iter
+      (fun (r, p) ->
+        deliver dist ~receiver:r ~delay:(lead +. Routing.Path.delay t.graph p))
+      t.paths
+
+  type router = { router : int; out_degree : int; in_degree : int }
+
+  let routers t =
+    let g = t.graph in
+    let n = Topology.Graph.node_count g in
+    let out = Array.make n 0 and inn = Array.make n 0 in
+    Links.iter
+      (fun k () ->
+        let u, v = link_ends k in
+        out.(u) <- out.(u) + 1;
+        inn.(v) <- inn.(v) + 1)
+      t.links;
+    let acc = ref [] in
+    for r = n - 1 downto 0 do
+      if (out.(r) > 0 || inn.(r) > 0) && Topology.Graph.is_router g r then
+        acc := { router = r; out_degree = out.(r); in_degree = inn.(r) } :: !acc
+    done;
+    !acc
+end

@@ -81,3 +81,39 @@ val equal_shape : t -> t -> bool
     trees. *)
 
 val pp : Format.formatter -> t -> unit
+
+(** {1 Path-union trees} *)
+
+type distribution := t
+
+(** A tree that is the union of unicast paths, one copy per union link.
+
+    HBH's converged tree is the union of the forward shortest paths
+    from the source; PIM-SS's is the union of the receivers' reversed
+    join paths, and PIM-SM's shared leg the same union rooted at the
+    RP.  The three models differ only in the paths they hand to
+    {!create}.  Distinct links are held as the packed ints that key
+    the link loads; the on-tree routers and their degrees are computed
+    only by {!routers}, so a build does not pay for them. *)
+module Union : sig
+  type t
+
+  val create : Topology.Graph.t -> (int * int list) list -> t
+  (** [create g [(r, p); ...]]: the union of the data paths [p], each
+      leading to receiver [r], in delivery order. *)
+
+  val links : t -> (int * int) list
+  (** Distinct directed links of the union, ascending. *)
+
+  val deliver : ?lead:float -> t -> distribution -> unit
+  (** One copy per union link, then each receiver delivered at [lead]
+      (default 0) plus its path's delay, in the order given to
+      {!create}. *)
+
+  type router = { router : int; out_degree : int; in_degree : int }
+  (** An on-tree router with its count of outgoing and incoming union
+      links. *)
+
+  val routers : t -> router list
+  (** Every router that ends a union link, ascending. *)
+end

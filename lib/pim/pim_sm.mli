@@ -19,10 +19,6 @@ val build :
 (** Raises [Invalid_argument] if the source cannot reach the RP or a
     receiver cannot reach it. *)
 
-val tree_links :
-  Routing.Table.t -> rp:int -> receivers:int list -> (int * int) list
-(** Shared-tree links in data direction (RP towards receivers). *)
-
 val state :
   Routing.Table.t ->
   rp:int ->

@@ -8,11 +8,6 @@
     eliminates.  RPF guarantees each link carries exactly one copy,
     so tree cost equals the number of links in the tree. *)
 
-val tree_links :
-  Routing.Table.t -> source:int -> receivers:int list -> (int * int) list
-(** Directed links (in data direction, parent to child) of the
-    reverse SPT spanning the receivers. *)
-
 val build :
   Routing.Table.t ->
   source:int ->

@@ -5,8 +5,13 @@ let links p =
   in
   go p
 
+(* Summed hop by hop in path order, without building the link list. *)
 let delay g p =
-  List.fold_left (fun acc (u, v) -> acc +. Topology.Graph.delay g u v) 0.0 (links p)
+  let rec go acc = function
+    | u :: (v :: _ as rest) -> go (acc +. Topology.Graph.delay g u v) rest
+    | [ _ ] | [] -> acc
+  in
+  go 0.0 p
 
 let cost g p =
   List.fold_left (fun acc (u, v) -> acc + Topology.Graph.cost g u v) 0 (links p)

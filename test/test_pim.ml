@@ -60,7 +60,11 @@ let test_ss_all_receivers_served () =
 
 let test_ss_tree_links_form_tree () =
   let s = isp_scenario 5 12 in
-  let links = Pim.Pim_ss.tree_links s.table ~source:s.source ~receivers:s.receivers in
+  let links =
+    List.map fst
+      (Mcast.Distribution.link_loads
+         (Pim.Pim_ss.build s.table ~source:s.source ~receivers:s.receivers))
+  in
   (* In-degree of every node except the source is at most 1: a tree. *)
   let indeg = Hashtbl.create 16 in
   List.iter

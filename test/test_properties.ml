@@ -95,7 +95,10 @@ let prop_hbh_constrained_consistent =
 
 let prop_pim_ss_is_tree =
   make "PIM-SS: reverse-SPT union is a tree" (fun _ table source receivers ->
-      let links = Pim.Pim_ss.tree_links table ~source ~receivers in
+      let links =
+        List.map fst
+          (Mcast.Distribution.link_loads (Pim.Pim_ss.build table ~source ~receivers))
+      in
       let indeg = Hashtbl.create 16 in
       List.iter
         (fun (_, v) ->
@@ -361,18 +364,17 @@ let test_mutual_capture_heals () =
     (Mcast.Distribution.receivers d);
   Alcotest.(check int) "one copy per receiver" 1 (Mcast.Distribution.max_stress d)
 
-(* ROADMAP item 1's HBH healing defect at its two pinned inputs of the
-   link-failure property above, run through the same body: fail the
-   picked core link for 2*t1, restore it, wait for detected quiescence,
-   probe.  The detector reports quiescence, yet the probe misses
-   members: fusion marks keep the router that serves them marked
-   upstream, so no router copies data to it.  These cases assert
-   today's failure — fixing the HBH marking flips them, and they then
-   assert that every receiver is served.
-   - 722: an 8-router grid, source 11, receivers 8, 9, 12 and 15;
-     link 2-3 flaps and 15 is missed.
-   - 20112: an 18-router random graph, source 34, receivers 19, 23,
-     25 and 35; link 6-16 flaps and 19 and 35 are missed. *)
+(* ROADMAP item 1's HBH healing defect at every input of the
+   link-failure property above that fails in 0..100000, each run
+   through the same body: fail the picked core link for 2*t1, restore
+   it, wait for detected quiescence, probe.  The detector reports
+   quiescence, yet the probe misses members: fusion marks keep the
+   router that serves them marked upstream, so no router copies data
+   to it.  These cases assert today's failure — the HBH marking fix
+   flips all seven, and they then assert that every receiver is
+   served.  722 is an 8-router grid (source 11, receivers 8, 9, 12 and
+   15); 20112 an 18-router random graph (source 34, receivers 19, 23,
+   25 and 35). *)
 let healing_misses seed =
   let g, table, source, receivers = scenario_of_seed seed in
   let sut = Verif.Sut.make Verif.Sut.Hbh table ~source in
@@ -392,18 +394,30 @@ let healing_misses seed =
     List.filter (fun r -> not (List.mem r served)) (List.sort compare receivers)
   )
 
-let test_healing_722 () =
-  let link, quiesced, missed = healing_misses 722 in
-  Alcotest.(check (pair int int)) "the ROADMAP repro link" (2, 3) link;
-  Alcotest.(check bool) "quiescence detected" true quiesced;
-  Alcotest.(check (list int)) "members the probe misses (defect)" [ 15 ] missed
+(* Input, flapped link, members the probe misses: the first two
+   pinned inputs, then the other five in ascending order. *)
+let healing_repros =
+  [
+    (722, (2, 3), [ 15 ]);
+    (20112, (6, 16), [ 19; 35 ]);
+    (3272, (12, 13), [ 30 ]);
+    (7374, (11, 12), [ 14; 24 ]);
+    (14194, (6, 17), [ 37; 43 ]);
+    (21752, (11, 12), [ 23 ]);
+    (71094, (0, 6), [ 17; 23; 26 ]);
+  ]
 
-let test_healing_20112 () =
-  let link, quiesced, missed = healing_misses 20112 in
-  Alcotest.(check (pair int int)) "the ROADMAP repro link" (6, 16) link;
-  Alcotest.(check bool) "quiescence detected" true quiesced;
-  Alcotest.(check (list int)) "members the probe misses (defect)" [ 19; 35 ]
-    missed
+let healing_case (seed, flapped, expected) =
+  Alcotest.test_case
+    (Printf.sprintf "HBH healing input %d still misses %s" seed
+       (String.concat ", " (List.map string_of_int expected)))
+    `Quick
+    (fun () ->
+      let link, quiesced, missed = healing_misses seed in
+      Alcotest.(check (pair int int)) "the ROADMAP repro link" flapped link;
+      Alcotest.(check bool) "quiescence detected" true quiesced;
+      Alcotest.(check (list int)) "members the probe misses (defect)" expected
+        missed)
 
 (* The same pathology as a committed fixture: the ddmin-minimal plan
    (link 5-17 down, one decay window, link up) replayed through the
@@ -463,9 +477,6 @@ let () =
             `Quick test_mutual_capture_heals;
           Alcotest.test_case "the golden mutual-capture plan replays clean"
             `Quick test_mutual_capture_golden_plan;
-          Alcotest.test_case "HBH healing input 722 still misses 15" `Quick
-            test_healing_722;
-          Alcotest.test_case "HBH healing input 20112 still misses 19, 35"
-            `Quick test_healing_20112;
-        ] );
+        ]
+        @ List.map healing_case healing_repros );
     ]
