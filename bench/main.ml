@@ -11,7 +11,8 @@
    [bench_results.json] (path overridable via HBH_BENCH_JSON; set it
    to the empty string to skip), so the perf trajectory accumulates
    one file per CI run, diffable against the checked-in
-   [BENCH_seed.json] baseline. *)
+   [BENCH_seed.json] baseline.  Every file records its host: the
+   domains the runtime recommends and the OCaml version. *)
 let emit_json fields wall_s =
   match Sys.getenv_opt "HBH_BENCH_JSON" with
   | Some "" -> ()
@@ -21,6 +22,12 @@ let emit_json fields wall_s =
         Obs.Json.Obj
           (("schema", Obs.Json.String "hbh-bench-overhead/1")
           :: ("wall_s", Obs.Json.Float wall_s)
+          :: ( "host",
+               Obs.Json.Obj
+                 [
+                   ("domains", Obs.Json.Int (Domain.recommended_domain_count ()));
+                   ("ocaml_version", Obs.Json.String Sys.ocaml_version);
+                 ] )
           :: fields)
       in
       let oc = open_out file in

@@ -1,6 +1,7 @@
 (* The Section 2.3 pathologies, step by step, on the paper's own
-   micro-topologies — with the event-driven protocols actually
-   exchanging join/tree/fusion messages.
+   micro-topologies — with the event-driven protocols, reached through
+   the protocol registry ([Verif.Sut]), actually exchanging
+   join/tree/fusion messages.
 
      dune exec examples/asymmetric_demo.exe
 *)
@@ -24,32 +25,32 @@ let () =
     [ (0, Det.r1); (Det.r1, 0); (0, Det.r2); (Det.r2, 0) ];
 
   Format.printf "@.REUNITE, joins r1 then r2 (live protocol):@.";
-  let session = Reunite.Protocol.create tbl ~source:Det.source in
-  Reunite.Protocol.subscribe session Det.r1;
-  Reunite.Protocol.run_for session 300.0;
-  Reunite.Protocol.subscribe session Det.r2;
-  Reunite.Protocol.converge session;
-  let d = Reunite.Protocol.probe session in
+  let sut = Verif.Sut.make Verif.Sut.Reunite tbl ~source:Det.source in
+  sut.subscribe Det.r1;
+  sut.run_for 300.0;
+  sut.subscribe Det.r2;
+  sut.converge ();
+  let d = Live.probe sut in
   Format.printf "  r2 is served with delay %.0f over the detour (optimal: 2)@."
     (Option.value ~default:nan (Mcast.Distribution.delay d Det.r2));
-  Format.printf "  branching routers: %a@."
+  Format.printf "  the tree forks at: %a@."
     Format.(pp_print_list ~pp_sep:(fun p () -> pp_print_string p " ") pp_print_int)
-    (Reunite.Protocol.branching_routers session);
+    (Live.forks d);
 
   Format.printf "@.r1 departs; the marked-tree teardown reconverges r2:@.";
-  Reunite.Protocol.unsubscribe session Det.r1;
-  Reunite.Protocol.run_for session 2000.0;
-  let d = Reunite.Protocol.probe session in
+  sut.unsubscribe Det.r1;
+  sut.run_for 2000.0;
+  let d = Live.probe sut in
   Format.printf "  r2 now served with delay %.0f — Figure 2(d)@."
     (Option.value ~default:nan (Mcast.Distribution.delay d Det.r2));
 
   Format.printf "@.HBH on the same join sequence:@.";
-  let session = Hbh.Protocol.create tbl ~source:Det.source in
-  Hbh.Protocol.subscribe session Det.r1;
-  Hbh.Protocol.run_for session 300.0;
-  Hbh.Protocol.subscribe session Det.r2;
-  Hbh.Protocol.converge session;
-  let d = Hbh.Protocol.probe session in
+  let sut = Verif.Sut.make Verif.Sut.Hbh tbl ~source:Det.source in
+  sut.subscribe Det.r1;
+  sut.run_for 300.0;
+  sut.subscribe Det.r2;
+  sut.converge ();
+  let d = Live.probe sut in
   Format.printf "  r2 served with delay %.0f from the start (shortest path)@."
     (Option.value ~default:nan (Mcast.Distribution.delay d Det.r2));
 
@@ -57,28 +58,28 @@ let () =
   Format.printf "@.=== Figure 3: REUNITE duplicates on a shared link ===@.@.";
   let tbl = Dup.table () in
   let u, v = Dup.shared_link in
-  let session = Reunite.Protocol.create tbl ~source:Dup.source in
-  Reunite.Protocol.subscribe session Dup.r1;
-  Reunite.Protocol.run_for session 300.0;
-  Reunite.Protocol.subscribe session Dup.r2;
-  Reunite.Protocol.converge session;
-  let d = Reunite.Protocol.probe session in
+  let sut = Verif.Sut.make Verif.Sut.Reunite tbl ~source:Dup.source in
+  sut.subscribe Dup.r1;
+  sut.run_for 300.0;
+  sut.subscribe Dup.r2;
+  sut.converge ();
+  let d = Live.probe sut in
   Format.printf "  REUNITE: %d copies of each packet on link R1-R6, cost %d@."
     (Mcast.Distribution.copies d u v)
     (Mcast.Distribution.cost d);
 
-  let session = Hbh.Protocol.create tbl ~source:Dup.source in
-  Hbh.Protocol.subscribe session Dup.r1;
-  Hbh.Protocol.subscribe session Dup.r2;
-  Hbh.Protocol.converge session;
-  let d = Hbh.Protocol.probe session in
+  let sut = Verif.Sut.make Verif.Sut.Hbh tbl ~source:Dup.source in
+  sut.subscribe Dup.r1;
+  sut.subscribe Dup.r2;
+  sut.converge ();
+  let d = Live.probe sut in
   Format.printf
     "  HBH:     %d copy on R1-R6 (the fusion message moved the branch to R6), cost %d@."
     (Mcast.Distribution.copies d u v)
     (Mcast.Distribution.cost d);
-  Format.printf "  HBH branching routers: %a@."
+  Format.printf "  HBH's tree forks at: %a@."
     Format.(pp_print_list ~pp_sep:(fun p () -> pp_print_string p " ") pp_print_int)
-    (Hbh.Protocol.branching_routers session);
+    (Live.forks d);
 
   (* ---------- How common is asymmetry? ---------- *)
   Format.printf "@.=== Route asymmetry on the evaluation topologies ===@.@.";

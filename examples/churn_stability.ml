@@ -1,45 +1,48 @@
-(* Group dynamics: run the two event-driven recursive-unicast
-   protocols under a Poisson join/leave workload and watch delivery
-   stay continuous while soft state reshapes — then quantify the
-   Figure 4 claim (a departure perturbs HBH's tree less than
-   REUNITE's).
+(* Group dynamics: drive the two event-driven recursive-unicast
+   protocols through the protocol registry ([Verif.Sut]) under a
+   Poisson join/leave workload and watch delivery stay continuous
+   while soft state reshapes — then quantify the Figure 4 claim (a
+   departure perturbs HBH's tree less than REUNITE's).
 
      dune exec examples/churn_stability.exe
 *)
 
 let horizon = 6000.0
 
-let run_protocol name ~subscribe ~unsubscribe ~probe ~run_for schedule =
-  Format.printf "@.== %s under churn ==@." name;
+let pp_ints =
+  Format.(pp_print_list ~pp_sep:(fun p () -> pp_print_string p " ") pp_print_int)
+
+(* Typed trace events per label ("join", "tree", "fusion", ...), over
+   both runs. *)
+let census = Hashtbl.create 16
+
+let count (e : Obs.Event.t) =
+  let l = Obs.Event.label e.kind in
+  Hashtbl.replace census l (1 + Option.value ~default:0 (Hashtbl.find_opt census l))
+
+(* Replay the schedule on a fresh session of [protocol], then probe
+   the survivors. *)
+let run_protocol protocol table ~source schedule =
+  Format.printf "@.== %s under churn ==@." (Verif.Sut.label protocol);
+  let sut = Verif.Sut.make protocol table ~source in
+  Obs.Trace.on_event sut.trace count;
+  Eventsim.Engine.set_profiling sut.engine true;
   let last = ref 0.0 in
   List.iter
     (fun (t, ev) ->
-      run_for (t -. !last);
+      sut.run_for (t -. !last);
       last := t;
       match ev with
-      | Workload.Churn.Join r -> subscribe r
-      | Workload.Churn.Leave r -> unsubscribe r)
+      | Workload.Churn.Join r -> sut.subscribe r
+      | Workload.Churn.Leave r -> sut.unsubscribe r)
     schedule;
-  run_for (horizon -. !last);
-  (* Final probe against the survivors. *)
+  sut.run_for (horizon -. !last);
   let members = Workload.Churn.members_at schedule horizon in
-  let d = probe () in
-  Format.printf "final members: %a@."
-    Format.(pp_print_list ~pp_sep:(fun p () -> pp_print_string p " ") pp_print_int)
-    members;
-  Format.printf "final tree: %a@." Mcast.Distribution.pp d;
-  Format.printf "all survivors served: %b@."
-    (Mcast.Distribution.receivers d = members)
-
-(* Count trace events per label ("join", "tree", "fusion", ...). *)
-let event_census trace =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun (e : Obs.Event.t) ->
-      let l = Obs.Event.label e.kind in
-      Hashtbl.replace tbl l (1 + Option.value ~default:0 (Hashtbl.find_opt tbl l)))
-    (Obs.Trace.events trace);
-  List.sort compare (Hashtbl.fold (fun l n acc -> (l, n) :: acc) tbl [])
+  let served = List.sort_uniq compare (List.map fst (sut.probe ())) in
+  Format.printf "final members: %a@." pp_ints members;
+  Format.printf "the source copies data to: %a@." pp_ints (sut.data_targets source);
+  Format.printf "all survivors served: %b@." (served = members);
+  sut
 
 let () =
   let rng = Stats.Rng.create 99 in
@@ -47,35 +50,16 @@ let () =
   Workload.Scenario.randomize rng graph;
   let table = Routing.Table.compute graph in
   let source = Topology.Isp.source in
-  (* Both protocols report into one typed trace; engine profiling on. *)
-  let trace = Obs.Trace.create ~enabled:true ~capacity:16384 () in
   let schedule =
     Workload.Churn.poisson rng ~candidates:Topology.Isp.receiver_hosts
       ~rate:0.01 ~mean_hold:1500.0 ~horizon:(horizon -. 1500.0)
   in
   Format.printf "Churn schedule (%d events):@." (List.length schedule);
   List.iter
-    (fun (t, ev) ->
-      Format.printf "  %7.1f  %a@." t Workload.Churn.pp_event ev)
+    (fun (t, ev) -> Format.printf "  %7.1f  %a@." t Workload.Churn.pp_event ev)
     schedule;
-
-  let hbh = Hbh.Protocol.create ~trace table ~source in
-  Eventsim.Engine.set_profiling (Hbh.Protocol.engine hbh) true;
-  run_protocol "HBH"
-    ~subscribe:(Hbh.Protocol.subscribe hbh)
-    ~unsubscribe:(Hbh.Protocol.unsubscribe hbh)
-    ~probe:(fun () -> Hbh.Protocol.probe hbh)
-    ~run_for:(Hbh.Protocol.run_for hbh)
-    schedule;
-
-  let reunite = Reunite.Protocol.create ~trace table ~source in
-  Eventsim.Engine.set_profiling (Reunite.Protocol.engine reunite) true;
-  run_protocol "REUNITE"
-    ~subscribe:(Reunite.Protocol.subscribe reunite)
-    ~unsubscribe:(Reunite.Protocol.unsubscribe reunite)
-    ~probe:(fun () -> Reunite.Protocol.probe reunite)
-    ~run_for:(Reunite.Protocol.run_for reunite)
-    schedule;
+  let hbh = run_protocol Verif.Sut.Hbh table ~source schedule in
+  let reunite = run_protocol Verif.Sut.Reunite table ~source schedule in
 
   (* The Figure 4 comparison, quantified over random departures. *)
   Format.printf "@.== One departure's blast radius (200 runs/size) ==@.@.";
@@ -90,14 +74,13 @@ let () =
     "@.HBH never reroutes a remaining receiver; REUNITE does (Figure 2's r2).@.";
 
   (* What the telemetry layer saw of all the above. *)
-  Format.printf "@.== Telemetry ==@.@.typed events under churn (%d recorded):@."
-    (Obs.Trace.length trace);
+  Format.printf "@.== Telemetry ==@.@.typed events under churn:@.";
   List.iter
     (fun (label, n) -> Format.printf "  %-10s %d@." label n)
-    (event_census trace);
+    (List.sort compare (Hashtbl.fold (fun l n acc -> (l, n) :: acc) census []));
   Format.printf "@.HBH engine: %a@." Eventsim.Engine.pp_profile
-    (Eventsim.Engine.profile (Hbh.Protocol.engine hbh));
+    (Eventsim.Engine.profile hbh.engine);
   Format.printf "@.REUNITE engine: %a@." Eventsim.Engine.pp_profile
-    (Eventsim.Engine.profile (Reunite.Protocol.engine reunite));
+    (Eventsim.Engine.profile reunite.engine);
   Format.printf "@.metrics registry:@.%a@." Obs.Metrics.pp_snapshot
     (Obs.Metrics.snapshot (Obs.Metrics.default ()))

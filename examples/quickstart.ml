@@ -1,5 +1,6 @@
 (* Quickstart: build a topology, run the event-driven HBH protocol on
-   it, send a data packet and inspect the resulting distribution tree.
+   it through the protocol registry ([Verif.Sut]), send a data packet
+   and inspect the resulting distribution tree.
 
      dune exec examples/quickstart.exe
 *)
@@ -28,17 +29,16 @@ let () =
     | s :: r1 :: r2 :: r3 :: _ -> (s, [ r1; r2; r3 ])
     | _ -> failwith "topology too small"
   in
-  let session = Hbh.Protocol.create table ~source in
-  Format.printf "Channel %a: source host %d, receivers %a@."
-    Mcast.Channel.pp (Hbh.Protocol.channel session) source
+  let sut = Verif.Sut.make Verif.Sut.Hbh table ~source in
+  Format.printf "Channel: source host %d, receivers %a@." source
     Format.(pp_print_list ~pp_sep:(fun p () -> pp_print_string p ", ") pp_print_int)
     receivers;
 
   (* 4. Let the join/tree/fusion machinery converge, then measure one
      data packet. *)
-  List.iter (Hbh.Protocol.subscribe session) receivers;
-  Hbh.Protocol.converge session;
-  let dist = Hbh.Protocol.probe session in
+  List.iter sut.subscribe receivers;
+  sut.converge ();
+  let dist = Live.probe sut in
   Format.printf "@.Measured distribution: %a@." Mcast.Distribution.pp dist;
   List.iter
     (fun ((u, v), copies) ->
@@ -56,8 +56,7 @@ let () =
   let ideal = Hbh.Analytic.build table ~source ~receivers in
   Format.printf "@.Matches the ideal shortest-path tree: %b@."
     (Mcast.Distribution.equal_shape dist ideal);
-  Format.printf "Branching routers: %a@."
+  Format.printf "The tree forks at: %a@."
     Format.(pp_print_list ~pp_sep:(fun p () -> pp_print_string p ", ") pp_print_int)
-    (Hbh.Protocol.branching_routers session);
-  Format.printf "Control overhead so far: %d message-hops@."
-    (Hbh.Protocol.control_overhead session)
+    (Live.forks dist);
+  Format.printf "Control overhead so far: %d message-hops@." (sut.control_hops ())

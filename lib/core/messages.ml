@@ -7,20 +7,3 @@ type ('jx, 'tx, 'extra) gen = ('jx, 'tx, 'extra) Proto.Messages.t =
   | Extra of { channel : Mcast.Channel.t; extra : 'extra }
 
 type t = (bool, int, fusion) gen
-
-let pp ppf = function
-  | Join { channel; member; ext = first } ->
-      Format.fprintf ppf "join%s(%a, %d)"
-        (if first then "!" else "")
-        Mcast.Channel.pp channel member
-  | Tree { channel; target; ext = from_branch } ->
-      Format.fprintf ppf "tree(%a, %d)@@%d" Mcast.Channel.pp channel target
-        from_branch
-  | Extra { channel; extra = { members; sender } } ->
-      Format.fprintf ppf "fusion(%a, [%a])<-%d" Mcast.Channel.pp channel
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-           Format.pp_print_int)
-        members sender
-  | Data { channel; seq } ->
-      Format.fprintf ppf "data(%a, #%d)" Mcast.Channel.pp channel seq

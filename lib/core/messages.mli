@@ -31,5 +31,3 @@ type ('jx, 'tx, 'extra) gen = ('jx, 'tx, 'extra) Proto.Messages.t =
     namespace. *)
 
 type t = (bool, int, fusion) gen
-
-val pp : Format.formatter -> t -> unit

@@ -35,24 +35,12 @@ include
 
 (** {1 Inspection} *)
 
-val state : t -> Mcast.Metrics.state
-(** Router MCT/MFT footprint right now. *)
-
-val router_tables : t -> int -> Tables.channel_state
-(** The router's state for the session's channel; [No_state] when it
-    holds none (inspection never installs state).  Raises
-    [Invalid_argument] for the source and for every node that is not a
-    {!Topology.Graph.multicast_router} (no router agent runs there). *)
-
 val source_table : t -> Tables.Mft.t
 (** The source's own forwarding table (first-hop receivers and
     branching nodes); kept alive by join messages alone, so
     suppressing joins lets its entries age through t1/t2. *)
 
-val branching_routers : t -> int list
-
 val all_tables : t -> (int * Tables.channel_state) list
 (** Every router holding state, with that state (never [No_state]),
     ascending by node — the verification layer's state-digest input.
     The source is not included; read its table via {!source_table}. *)
-

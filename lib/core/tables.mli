@@ -50,7 +50,6 @@ module Mft : sig
   type t
 
   val create : unit -> t
-  val is_empty : t -> bool
   val mem : t -> int -> bool
   val find : t -> int -> entry option
 
@@ -113,15 +112,12 @@ module Mct : sig
 
   val target : t -> int
   val stale : t -> now:float -> bool
-  val dead : t -> now:float -> bool
   val refresh : t -> deadlines -> now:float -> unit
   val replace : t -> deadlines -> now:float -> int -> unit
 
   val entry : t -> entry
   (** The single underlying entry — for inspection (state digests). *)
 
-  val copy : t -> t
-  (** Deep copy — checkpoint support. *)
 end
 
 (** {1 A router's state for the session's channel} *)

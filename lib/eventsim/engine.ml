@@ -70,12 +70,9 @@ let schedule ?tag t ~delay f =
 
 let cancel h = h.cancelled <- true
 
-let cancelled h = h.cancelled
-
 let pending t = Heap.size t.queue
 
 let set_profiling t b = t.profiling <- b
-let profiling t = t.profiling
 
 let tag_stat t tag =
   match Hashtbl.find_opt t.tags tag with

@@ -39,8 +39,6 @@ val requeue : t -> handle -> time:float -> unit
 val cancel : handle -> unit
 (** Idempotent; a fired event is unaffected. *)
 
-val cancelled : handle -> bool
-
 val pending : t -> int
 (** Number of queued events (including cancelled ones not yet
     drained). *)
@@ -91,8 +89,6 @@ val restore : t -> snapshot -> unit
 
 val set_profiling : t -> bool -> unit
 (** Off by default; toggling does not clear collected stats. *)
-
-val profiling : t -> bool
 
 type tag_profile = {
   fired : int;

@@ -113,21 +113,6 @@ let pop_value h =
   end;
   v
 
-let peek h =
-  if h.size = 0 then None else Some (h.keys.(0), h.seqs.(0), h.values.(0))
-
-let pop h =
-  if h.size = 0 then None
-  else begin
-    let key = h.keys.(0) and seq = h.seqs.(0) in
-    let v = pop_value h in
-    Some (key, seq, v)
-  end
-
-let clear h =
-  Array.fill h.values 0 h.size h.dummy;
-  h.size <- 0
-
 let iter f h =
   for i = 0 to h.size - 1 do
     f h.values.(i)

@@ -22,25 +22,15 @@ val push : 'a t -> float -> int -> 'a -> unit
     Allocation-free except when the backing arrays grow. *)
 
 val min_key : 'a t -> float
-(** The minimum key, without removing it — the zero-allocation
-    alternative to {!peek} for hot loops that only need the time.
-    Raises [Invalid_argument] on an empty heap. *)
+(** The minimum key, without removing it — the zero-allocation read
+    of the next entry's time.  Raises [Invalid_argument] on an empty
+    heap. *)
 
 val pop_value : 'a t -> 'a
 (** Remove the minimum entry and return its payload alone — no option,
     no tuple.  Pair with {!min_key} when the key is also needed.  The
     vacated slot is released: the heap never retains a reference to a
     popped value.  Raises [Invalid_argument] on an empty heap. *)
-
-val peek : 'a t -> (float * int * 'a) option
-
-val pop : 'a t -> (float * int * 'a) option
-(** Option/tuple convenience over {!min_key}/{!pop_value} for cold
-    paths and tests. *)
-
-val clear : 'a t -> unit
-(** Empties the heap and releases every held value (capacity is
-    kept). *)
 
 val iter : ('a -> unit) -> 'a t -> unit
 (** Visit every queued value, in unspecified (array) order. *)

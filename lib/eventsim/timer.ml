@@ -38,5 +38,3 @@ let stop t =
       Engine.cancel h;
       t.handle <- None
   | None -> ()
-
-let active t = not t.stopped

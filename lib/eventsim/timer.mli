@@ -13,5 +13,3 @@ val after : ?tag:string -> Engine.t -> delay:float -> (unit -> unit) -> t
 
 val stop : t -> unit
 (** Idempotent; the timer never fires again. *)
-
-val active : t -> bool

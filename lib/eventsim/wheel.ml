@@ -71,8 +71,6 @@ let create ?tag engine =
     born_at = { at = neg_infinity };
   }
 
-let engine t = t.engine
-
 (* Append [x] to the first [n] slots of [a], growing it (filled with
    [x]) when full; returns the array now holding it. *)
 let push a n x =

@@ -36,8 +36,6 @@ type entry
 
 val create : ?tag:string -> Engine.t -> t
 
-val engine : t -> Engine.t
-
 val every : t -> ?start:float -> period:float -> (unit -> unit) -> entry
 (** [every w ~start ~period f] runs [f] at [now +. start] and every
     [period] after each firing.  [start] defaults to [period].

@@ -51,22 +51,6 @@ type result = {
   delay : Stats.Series.group;  (** Figure 8: avg receiver delay vs group size *)
 }
 
-val sweep_sample :
-  ?protocols:protocol list ->
-  ?rp_strategy:Pim.Rp.strategy ->
-  ?symmetric:bool ->
-  seed:int ->
-  config ->
-  n:int ->
-  run:int ->
-  (protocol * (float * float)) list
-(** One Monte-Carlo run of the sweep: per protocol, (tree cost,
-    average receiver delay) for group size [n] and run index [run].
-    A pure function of [(seed, n, run)] — the RNG stream is
-    hash-derived ({!Stats.Rng.derive2}) rather than drawn from a
-    shared generator, so run [i] is independent of which runs precede
-    it and of the domain that executes it. *)
-
 val sweep :
   ?protocols:protocol list ->
   ?runs:int ->

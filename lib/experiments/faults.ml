@@ -373,9 +373,6 @@ let run_observed ?instrument ?(seed = 42) ?scenarios ?protocols ?jobs () =
   in
   (List.map fst pairs, List.filter_map snd pairs)
 
-let run ?seed ?scenarios ?protocols ?jobs () =
-  fst (run_observed ?seed ?scenarios ?protocols ?jobs ())
-
 (* ---- Join latency under a live stream ----------------------------- *)
 
 (* The paper's join-latency question: with the stream already

@@ -147,15 +147,6 @@ val run_observed :
     shards the cases across domains; output is byte-identical for
     every [jobs]. *)
 
-val run :
-  ?seed:int ->
-  ?scenarios:scenario list ->
-  ?protocols:Verif.Sut.protocol list ->
-  ?jobs:int ->
-  unit ->
-  outcome list
-(** {!run_observed} without instrumentation, outcomes only. *)
-
 val headers : string list
 val row : outcome -> string list
 val pp_outcomes : Format.formatter -> outcome list -> unit
@@ -175,5 +166,4 @@ type join_latency = {
 
 val measure_join_latency :
   ?seed:int -> ?protocols:Verif.Sut.protocol list -> unit -> join_latency list
-(** Both evaluation topologies (8 and 15 receivers, like {!run}). *)
-
+(** Both evaluation topologies (8 and 15 receivers, like {!run_observed}). *)

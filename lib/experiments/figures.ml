@@ -7,11 +7,6 @@ let rand50 ?runs ?seed ?jobs () =
   let seed = Option.value ~default:42 seed in
   Common.sweep ?runs ~seed ?jobs (Common.rand50_config ~seed)
 
-let fig7a (r : Common.result) = r.cost
-let fig8a (r : Common.result) = r.delay
-let fig7b (r : Common.result) = r.cost
-let fig8b (r : Common.result) = r.delay
-
 type headline = {
   hbh_cost_advantage_pct : float;
   hbh_delay_advantage_pct : float;

@@ -15,13 +15,6 @@ val isp : ?runs:int -> ?seed:int -> ?jobs:int -> unit -> Common.result
 val rand50 : ?runs:int -> ?seed:int -> ?jobs:int -> unit -> Common.result
 (** The 50-node-random sweep behind figures 7(b) and 8(b). *)
 
-val fig7a : Common.result -> Stats.Series.group
-(** Tree cost on the ISP topology (pass {!isp}'s result). *)
-
-val fig8a : Common.result -> Stats.Series.group
-val fig7b : Common.result -> Stats.Series.group
-val fig8b : Common.result -> Stats.Series.group
-
 (** {1 Headline comparisons (Section 4.2 prose)} *)
 
 type headline = {

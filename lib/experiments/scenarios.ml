@@ -8,7 +8,6 @@ module Detour = struct
   let source = 0
   let r1 = 5
   let r2 = 6
-  let r3 = 7
 
   let graph () =
     Topology.Graph.make

@@ -7,13 +7,10 @@
 (** Figure 2/5 setting: two (or three) receivers, where REUNITE
     captures r2's join at a node off r2's shortest path. *)
 module Detour : sig
-  val graph : unit -> Topology.Graph.t
 
   val source : int
   val r1 : int
   val r2 : int
-  val r3 : int
-  (** The third receiver of the Figure 5 walk-through. *)
 
   val table : unit -> Routing.Table.t
 
@@ -33,7 +30,6 @@ end
     the flows only diverge at R6, duplicating packets on link
     R1-R6. *)
 module Duplication : sig
-  val graph : unit -> Topology.Graph.t
 
   val source : int
   val r1 : int

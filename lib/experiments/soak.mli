@@ -48,6 +48,4 @@ val run :
     land under [soak.<proto>.*].  Raises [Invalid_argument] if
     [hours] is non-positive or the horizon is under {!min_horizon}. *)
 
-val headers : string list
-val row : result -> string list
 val pp_results : Format.formatter -> result list -> unit

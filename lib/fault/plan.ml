@@ -67,38 +67,6 @@ let make directives =
 
 let directives t = t
 
-let duration = function
-  | [] -> 0.0
-  | l -> (List.nth l (List.length l - 1)).at
-
-let pp_action ppf = function
-  | Loss_all { rate } -> Format.fprintf ppf "loss * %.1f%%" (100.0 *. rate)
-  | Link_down { u; v } -> Format.fprintf ppf "link %d-%d down" u v
-  | Link_up { u; v } -> Format.fprintf ppf "link %d-%d up" u v
-  | Crash { node } -> Format.fprintf ppf "crash %d" node
-  | Restart { node } -> Format.fprintf ppf "restart %d" node
-  | Partition_named { name; island } ->
-      Format.fprintf ppf "partition %s [%s]" name
-        (String.concat "," (List.map string_of_int island))
-  | Heal_named { name } -> Format.fprintf ppf "heal %s" name
-  | Jitter { max_delay } -> Format.fprintf ppf "jitter %g" max_delay
-  | Reorder { window; prob } ->
-      Format.fprintf ppf "reorder w=%g %.1f%%" window (100.0 *. prob)
-  | Duplicate { prob } ->
-      Format.fprintf ppf "duplicate %.1f%%" (100.0 *. prob)
-  | Burst_loss { prob; len } ->
-      Format.fprintf ppf "burst-loss %.1f%% len=%d" (100.0 *. prob) len
-  | Drop_control { prob } ->
-      Format.fprintf ppf "drop-control %.1f%%" (100.0 *. prob)
-  | Reconverge -> Format.fprintf ppf "reconverge"
-  | Join { member } -> Format.fprintf ppf "join %d" member
-  | Leave { member } -> Format.fprintf ppf "leave %d" member
-
-let pp ppf t =
-  List.iter
-    (fun d -> Format.fprintf ppf "@%g %a@." d.at pp_action d.action)
-    t
-
 (* ---- Replayable text form --------------------------------------------- *)
 
 (* One directive per line, [@<time> <action> <args...>]; blank lines

@@ -72,12 +72,6 @@ val make : (float * action) list -> t
     negative or non-finite delays and windows, and empty islands. *)
 
 val directives : t -> directive list
-val duration : t -> float
-(** Time of the last directive (0 for the empty plan). *)
-
-val pp_action : Format.formatter -> action -> unit
-val pp : Format.formatter -> t -> unit
-
 (** {1 Replayable text form}
 
     One directive per line, [@<time> <action> <args...>]; blank lines

@@ -34,8 +34,6 @@ let create ?spans ~receivers () =
     spans;
   }
 
-let receivers t = t.receivers
-
 let touch t now = if now > t.last_event then t.last_event <- now
 
 let note_send t ~now ~seq =

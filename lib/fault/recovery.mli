@@ -22,8 +22,6 @@ val create : ?spans:Obs.Span.t -> receivers:int list -> unit -> t
     post-fault delivery — so a span store shared across cases
     accumulates an exact time-to-repair distribution. *)
 
-val receivers : t -> int list
-
 val repaired_count : t -> int
 (** Receivers whose first post-fault delivery has been seen — the
     monotone recovery curve a timeline samples. *)

@@ -26,7 +26,3 @@ let group t = t.group
    normalises to the raw 32-bit pattern.  Allocation-free. *)
 let key t =
   (t.source lsl 32) lor (Int32.to_int (Class_d.to_int32 t.group) land 0xFFFFFFFF)
-
-let equal a b = a.source = b.source && Class_d.equal a.group b.group
-
-let pp ppf t = Format.fprintf ppf "<%d, %a>" t.source Class_d.pp t.group

@@ -20,7 +20,3 @@ val key : t -> int
 (** Flat integer key: [source] packed above the 32 group-address bits.
     Injective for node ids < 2^30, allocation-free — the dispatch key
     of the channel multiplexer ({!Proto.Mux}). *)
-
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
-(** Renders as [<3, 232.0.0.1>]. *)

@@ -37,12 +37,6 @@ let of_string s =
 
 let ssm_base = 0xE8000000l (* 232.0.0.0 *)
 
-let is_ssm_range t = Int32.logand t 0xFF000000l = ssm_base
-
-let equal = Int32.equal
-let compare = Int32.compare
-let pp ppf t = Format.pp_print_string ppf (to_string t)
-
 type allocator = { mutable next : int }
 
 let allocator () = { next = 1 }

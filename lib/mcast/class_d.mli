@@ -20,15 +20,6 @@ val of_string : string -> t
 
 val to_string : t -> string
 
-val is_class_d : int32 -> bool
-
-val is_ssm_range : t -> bool
-(** True for 232.0.0.0/8, the source-specific multicast block. *)
-
-val equal : t -> t -> bool
-val compare : t -> t -> int
-val pp : Format.formatter -> t -> unit
-
 (** {1 Per-source allocation} *)
 
 type allocator

@@ -15,8 +15,6 @@ type t = {
 let create ~source =
   { source; loads = Links.create 64; deliveries = Hashtbl.create 16; dup_deliveries = 0 }
 
-let source t = t.source
-
 let add_link t key =
   match Links.find_opt t.loads key with
   | Some n -> Links.replace t.loads key (n + 1)

@@ -16,8 +16,6 @@ type t
 
 val create : source:int -> t
 
-val source : t -> int
-
 (** {1 Recording} *)
 
 val add_copy : t -> int -> int -> unit

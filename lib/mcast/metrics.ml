@@ -19,12 +19,6 @@ let of_distribution d =
     receivers = List.length (Distribution.receivers d);
   }
 
-let pp ppf m =
-  Format.fprintf ppf
-    "cost=%d links=%d avg_delay=%.2f max_delay=%.2f stress=%d dup_links=%d rcv=%d"
-    m.cost m.links_used m.avg_delay m.max_delay m.max_stress m.duplicated_links
-    m.receivers
-
 type state = {
   mct_entries : int;
   mft_entries : int;

@@ -12,8 +12,6 @@ type t = {
 
 val of_distribution : Distribution.t -> t
 
-val pp : Format.formatter -> t -> unit
-
 (** Control-plane footprint of a recursive-unicast protocol for one
     channel — the REUNITE/HBH argument that only branching routers
     hold forwarding (MFT) state while others hold control-only (MCT)
@@ -24,4 +22,3 @@ type state = {
   branching_routers : int;  (** routers holding an MFT *)
   on_tree_routers : int;  (** routers holding any state *)
 }
-

@@ -18,8 +18,3 @@ let rewrite p ~src ~dst ?payload () =
   { p with src; dst; payload; via = src }
 
 let dup p = { p with ttl = p.ttl }
-
-let pp pp_payload ppf p =
-  let kind = match p.kind with Data -> "data" | Control -> "ctrl" in
-  Format.fprintf ppf "[%s %d->%d ttl=%d born=%.2f %a]" kind p.src p.dst p.ttl
-    p.born pp_payload p.payload

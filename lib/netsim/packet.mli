@@ -40,5 +40,3 @@ val dup : 'p t -> 'p t
 (** An in-flight duplicate injected by a hostile link: same addresses,
     payload and remaining TTL, but a {e distinct} mutable record so the
     two copies age independently. *)
-
-val pp : (Format.formatter -> 'p -> unit) -> Format.formatter -> 'p t -> unit

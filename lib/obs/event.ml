@@ -103,44 +103,3 @@ let pp ppf e =
   match e.channel with
   | Some c -> Format.fprintf ppf "  %a" pp_channel c
   | None -> ()
-
-let to_json e =
-  let base =
-    [ ("t", Json.Float e.time); ("node", Json.Int e.node);
-      ("kind", Json.String (label e.kind)) ]
-  in
-  let channel =
-    match e.channel with
-    | Some c ->
-        [ ("channel",
-           Json.Obj
-             [ ("source", Json.Int c.csrc);
-               ("group", Json.String (dotted_quad c.group)) ]) ]
-    | None -> []
-  in
-  let detail =
-    match e.kind with
-    | Join { member; first } ->
-        [ ("member", Json.Int member); ("first", Json.Bool first) ]
-    | Tree { target } -> [ ("target", Json.Int target) ]
-    | Fusion { members } ->
-        [ ("members", Json.List (List.map (fun m -> Json.Int m) members)) ]
-    | Packet_forward { next; dst; data } ->
-        [ ("next", Json.Int next); ("dst", Json.Int dst); ("data", Json.Bool data) ]
-    | Packet_duplicate { dst; data } ->
-        [ ("dst", Json.Int dst); ("data", Json.Bool data) ]
-    | Mft_update { target; op } | Mct_update { target; op } ->
-        [ ("target", Json.Int target); ("op", Json.String (op_name op)) ]
-    | Member_join | Member_leave -> []
-    | Packet_lost { next; dst; data; reason } ->
-        [ ("next", Json.Int next); ("dst", Json.Int dst);
-          ("data", Json.Bool data); ("reason", Json.String reason) ]
-    | Link_down { u; v } | Link_up { u; v } ->
-        [ ("u", Json.Int u); ("v", Json.Int v) ]
-    | Node_crash | Node_restart -> []
-    | Route_reconverge { changed } -> [ ("changed", Json.Int changed) ]
-    | Invariant_violation { oracle; detail } ->
-        [ ("oracle", Json.String oracle); ("detail", Json.String detail) ]
-    | Note s -> [ ("msg", Json.String s) ]
-  in
-  Json.Obj (base @ channel @ detail)

@@ -69,11 +69,6 @@ val label : kind -> string
     ["crash"], ["restart"], ["reconverge"], ["invariant"],
     ["note"]. *)
 
-val summary : kind -> string
-(** The event body rendered as the legacy one-line message (without
-    time/node), e.g. ["join member=7 first"]. *)
-
 val pp : Format.formatter -> t -> unit
-(** Full line: time, node, label, body, channel. *)
-
-val to_json : t -> Json.t
+(** Full line: time, node, label, body (e.g. ["join member=7 first"]),
+    channel. *)

@@ -63,9 +63,7 @@ let observe t v =
   end
 
 let count t = t.count
-let nans t = t.nans
 let sum t = t.sum
-let mean t = if t.count = 0 then nan else t.sum /. float_of_int t.count
 
 let reset t =
   Array.fill t.counts 0 (Array.length t.counts) 0;
@@ -160,39 +158,17 @@ let quantile (s : snapshot) q =
     locate nan 0 s.buckets
   end
 
-type summary = {
-  s_count : int;
-  s_mean : float;
-  s_min : float;
-  s_max : float;
-  p50 : float;
-  p95 : float;
-  p99 : float;
-}
-
-let summary (s : snapshot) =
-  {
-    s_count = s.count;
-    s_mean = (if s.count = 0 then nan else s.sum /. float_of_int s.count);
-    s_min = s.min;
-    s_max = s.max;
-    p50 = quantile s 0.50;
-    p95 = quantile s 0.95;
-    p99 = quantile s 0.99;
-  }
-
 let pp_snapshot ppf s =
   if s.count = 0 then begin
     Format.fprintf ppf "empty";
     if s.nans > 0 then Format.fprintf ppf " nan:%d" s.nans
   end
   else begin
-    let sm = summary s in
     Format.fprintf ppf
       "count=%d mean=%.3f min=%.3f max=%.3f p50=%.3f p95=%.3f p99=%.3f"
       s.count
       (s.sum /. float_of_int s.count)
-      s.min s.max sm.p50 sm.p95 sm.p99;
+      s.min s.max (quantile s 0.50) (quantile s 0.95) (quantile s 0.99);
     List.iter
       (fun (b, c) -> if c > 0 then Format.fprintf ppf " le%g:%d" b c)
       s.buckets;

@@ -16,21 +16,16 @@ val bounds : t -> float array
 (** The bucket upper bounds this histogram was created with. *)
 
 val observe : t -> float -> unit
-(** NaN observations are quarantined in a separate {!nans} tally —
+(** NaN observations are quarantined in a separate tally (the
+    snapshot's [nans]) —
     excluded from the buckets, [count], [sum], [min] and [max] — so
     one bad sample can neither poison the moments nor dilute the
     mean and quantile ranks. *)
 
 val count : t -> int
-(** Finite observations (NaNs excluded; see {!nans}). *)
-
-val nans : t -> int
-(** Quarantined NaN observations. *)
+(** Finite observations (NaNs excluded). *)
 
 val sum : t -> float
-
-val mean : t -> float
-(** [nan] when empty. *)
 
 val reset : t -> unit
 
@@ -64,19 +59,6 @@ val quantile : snapshot -> float -> float
     Edge cases are well-defined: 0 when empty, and exactly the
     observed value when all observations are equal (in particular a
     single observation).  [nan] only for a NaN [q]. *)
-
-type summary = {
-  s_count : int;
-  s_mean : float;  (** [nan] when empty *)
-  s_min : float;
-  s_max : float;
-  p50 : float;
-  p95 : float;
-  p99 : float;
-}
-
-val summary : snapshot -> summary
-(** Moments plus interpolated p50/p95/p99 (see {!quantile}). *)
 
 val pp_snapshot : Format.formatter -> snapshot -> unit
 (** One line: count/mean/min/max/p50/p95/p99 plus the non-empty

@@ -6,8 +6,6 @@
 type t = (string * string) list (* sorted by key, keys unique *)
 
 let empty = []
-let is_empty = function [] -> true | _ -> false
-
 let valid_key k =
   String.length k > 0
   && (match k.[0] with 'a' .. 'z' | 'A' .. 'Z' | '_' -> true | _ -> false)
@@ -34,8 +32,6 @@ let make pairs =
 
 let v pairs = make pairs
 let bindings t = t
-let equal (a : t) b = a = b
-
 (* OpenMetrics-compatible escaping inside label values. *)
 let escape_value v =
   let b = Buffer.create (String.length v + 2) in

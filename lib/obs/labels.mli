@@ -9,7 +9,6 @@
 type t
 
 val empty : t
-val is_empty : t -> bool
 
 val make : (string * string) list -> t
 (** Canonicalize a key/value list.  Raises [Invalid_argument] on a
@@ -21,17 +20,12 @@ val v : (string * string) list -> t
 val bindings : t -> (string * string) list
 (** Sorted by key. *)
 
-val equal : t -> t -> bool
-
 val escape_value : string -> string
 (** Escape backslash, quote and newline for use inside a quoted
     OpenMetrics label value. *)
 
-val render : t -> string
-(** OpenMetrics label syntax — [{k="v",k2="v2"}] — with quote,
-    backslash and newline escaped in values; the empty string for
-    the empty set. *)
-
 val series_name : string -> t -> string
-(** [series_name name t] is [name ^ render t] — the registry key a
+(** [series_name name t] is [name] followed by [t] in OpenMetrics label
+    syntax — [{k="v",k2="v2"}], with quote, backslash and newline
+    escaped in values; nothing for the empty set — the registry key a
     labeled instrument is filed under. *)

@@ -53,7 +53,6 @@ let value c = c.n
 let gauge_l t name labels = intern t t.gauges name labels (fun () -> { v = nan })
 let gauge t name = gauge_l t name Labels.empty
 let set g v = g.v <- v
-let gauge_value g = g.v
 
 let histogram_l t ?buckets name labels =
   intern t t.histograms name labels (fun () -> Histo.create ?buckets ())
@@ -115,7 +114,6 @@ let hot_histogram_l ?buckets name labels =
   make_hot (fun t -> histogram_l t ?buckets name labels)
 
 let hot_histogram ?buckets name = hot_histogram_l ?buckets name Labels.empty
-let hot_observe h v = Histo.observe (hot_get h) v
 
 (* Binding is one resolution through the handle's cache; the owner
    then holds the instrument and pays a plain add per update. *)
@@ -190,9 +188,6 @@ let gauge_series t = series_of t (sorted_bindings t.gauges (fun g -> g.v))
 let histogram_series t =
   series_of t (sorted_bindings t.histograms Histo.snapshot)
 
-let find_counter s name = List.assoc_opt name s.counters
-let find_gauge s name = List.assoc_opt name s.gauges
-
 let pp_snapshot ppf s =
   let width =
     List.fold_left
@@ -240,61 +235,3 @@ let snapshot_to_json s =
       ( "histograms",
         Json.Obj (List.map (fun (n, h) -> (n, histo_to_json h)) s.histograms) );
     ]
-
-let histo_of_json j =
-  let ( let* ) = Option.bind in
-  let* count = Option.bind (Json.member "count" j) Json.to_int in
-  let* sum = Option.bind (Json.member "sum" j) Json.to_float in
-  let min =
-    match Option.bind (Json.member "min" j) Json.to_float with
-    | Some v -> v
-    | None -> nan (* NaN serialises as null *)
-  in
-  let max =
-    match Option.bind (Json.member "max" j) Json.to_float with
-    | Some v -> v
-    | None -> nan
-  in
-  let* overflow = Option.bind (Json.member "overflow" j) Json.to_int in
-  let nans =
-    (* Absent in snapshots written before NaNs were tracked apart. *)
-    Option.value ~default:0 (Option.bind (Json.member "nans" j) Json.to_int)
-  in
-  let* bucket_items = Option.bind (Json.member "buckets" j) Json.to_list in
-  let* buckets =
-    List.fold_right
-      (fun item acc ->
-        let* acc = acc in
-        let* le = Option.bind (Json.member "le" item) Json.to_float in
-        let* n = Option.bind (Json.member "n" item) Json.to_int in
-        Some ((le, n) :: acc))
-      bucket_items (Some [])
-  in
-  Some { Histo.buckets; overflow; count; sum; min; max; nans }
-
-let snapshot_of_json j =
-  let ( let* ) = Option.bind in
-  let fields name to_v =
-    match Json.member name j with
-    | Some (Json.Obj l) ->
-        List.fold_right
-          (fun (k, v) acc ->
-            let* acc = acc in
-            let* v = to_v v in
-            Some ((k, v) :: acc))
-          l (Some [])
-    | _ -> None
-  in
-  match
-    let* counters = fields "counters" Json.to_int in
-    let* gauges =
-      fields "gauges" (fun v ->
-          match Json.to_float v with
-          | Some f -> Some f
-          | None -> if v = Json.Null then Some nan else None)
-    in
-    let* histograms = fields "histograms" histo_of_json in
-    Some { counters; gauges; histograms }
-  with
-  | Some s -> Ok s
-  | None -> Error "Metrics.snapshot_of_json: not a snapshot object"

@@ -56,8 +56,7 @@ val gauge : t -> string -> gauge
 (** Register (or fetch) a last-value-wins float. *)
 
 val set : gauge -> float -> unit
-val gauge_value : gauge -> float
-(** [nan] until first set. *)
+(** A gauge reads [nan] until first set. *)
 
 val histogram : t -> ?buckets:float array -> string -> Histo.t
 (** Register (or fetch) a histogram; [buckets] only applies on first
@@ -88,12 +87,12 @@ val histogram_l : t -> ?buckets:float array -> string -> Labels.t -> Histo.t
     never-fired instruments still appear (as zeros) in snapshots.
 
     Following costs two domain-local reads, a tuple load and a pointer
-    compare per update through {!hot_incr} or {!hot_observe}
-    — some 17–28 ns against 3–5 ns for {!incr} on a held counter.
-    That is fine on cold sites (analytic tree builds, the explorer,
-    fault directives, monitors), but not per event: code that
-    updates an instrument per fired event, packet hop, handled
-    message or cache lookup binds the handle once instead.
+    compare per update through {!hot_incr} — some 17–28 ns against
+    3–5 ns for {!incr} on a held counter.  That is fine on cold sites
+    (analytic tree builds, the explorer, fault directives, monitors),
+    but not per event: code that updates an instrument per fired
+    event, packet hop, handled message or cache lookup binds the
+    handle once instead.
 
     {b The owner contract.}  An owner — an engine, a network, a
     routing table, a protocol session — calls {!bind} on each handle
@@ -128,15 +127,9 @@ type hot_histogram
 
 val hot_histogram : ?buckets:float array -> string -> hot_histogram
 val hot_histogram_l : ?buckets:float array -> string -> Labels.t -> hot_histogram
-val hot_observe : hot_histogram -> float -> unit
 
 val bind_histogram : hot_histogram -> Histo.t
 (** {!bind} for histograms. *)
-
-val decompose : t -> string -> string * Labels.t
-(** Recover (base name, label set) from a snapshot key registered in
-    this registry; unlabeled keys decompose to themselves and
-    {!Labels.empty}. *)
 
 val reset : t -> unit
 (** Zero every instrument (counters to 0, gauges to [nan], histograms
@@ -163,15 +156,8 @@ val counter_series : t -> int series list
 val gauge_series : t -> float series list
 val histogram_series : t -> Histo.snapshot series list
 
-val find_counter : snapshot -> string -> int option
-val find_gauge : snapshot -> string -> float option
-
 val pp_snapshot : Format.formatter -> snapshot -> unit
 (** Aligned [name value] lines, counters then gauges then
     histograms. *)
 
 val snapshot_to_json : snapshot -> Json.t
-
-val snapshot_of_json : Json.t -> (snapshot, string) result
-(** Inverse of {!snapshot_to_json} (modulo float printing
-    precision). *)

@@ -2,15 +2,14 @@ type 'a t = {
   buf : 'a option array;
   mutable head : int; (* index of the oldest entry *)
   mutable len : int;
-  mutable dropped : int; (* entries evicted since creation/clear *)
-  mutable high_water : int; (* max len ever reached since creation/clear *)
+  mutable dropped : int; (* entries evicted since creation *)
+  mutable high_water : int; (* max len ever reached *)
 }
 
 let create ~capacity =
   if capacity <= 0 then invalid_arg "Ring.create: capacity must be positive";
   { buf = Array.make capacity None; head = 0; len = 0; dropped = 0; high_water = 0 }
 
-let capacity t = Array.length t.buf
 let length t = t.len
 let dropped t = t.dropped
 let high_water t = t.high_water
@@ -29,21 +28,6 @@ let push t x =
     t.dropped <- t.dropped + 1
   end
 
-let iter f t =
-  let cap = Array.length t.buf in
-  for i = 0 to t.len - 1 do
-    match t.buf.((t.head + i) mod cap) with
-    | Some x -> f x
-    | None -> ()
-  done
-
-let fold f acc t =
-  let acc = ref acc in
-  iter (fun x -> acc := f !acc x) t;
-  !acc
-
-let to_list t = List.rev (fold (fun acc x -> x :: acc) [] t)
-
 let last t n =
   let n = min n t.len in
   let cap = Array.length t.buf in
@@ -54,10 +38,3 @@ let last t n =
     | None -> ()
   done;
   !out
-
-let clear t =
-  Array.fill t.buf 0 (Array.length t.buf) None;
-  t.head <- 0;
-  t.len <- 0;
-  t.dropped <- 0;
-  t.high_water <- 0

@@ -6,35 +6,21 @@ type 'a t
 val create : capacity:int -> 'a t
 (** Raises [Invalid_argument] if [capacity <= 0]. *)
 
-val capacity : 'a t -> int
-
 val length : 'a t -> int
 (** Entries currently held, [<= capacity]. *)
 
 val dropped : 'a t -> int
-(** Entries evicted (oldest-first) since creation or the last
-    {!clear} — the truncation the ring's bound has cost so far. *)
+(** Entries evicted (oldest-first) since creation — the truncation
+    the ring's bound has cost so far. *)
 
 val high_water : 'a t -> int
-(** Maximum {!length} reached since creation or the last {!clear};
-    [high_water t < capacity t] proves the bound never bit. *)
+(** Maximum {!length} reached since creation; [high_water] below the
+    capacity proves the bound never bit. *)
 
 val push : 'a t -> 'a -> unit
 (** Appends; drops the oldest entry once at capacity (counted in
     {!dropped}). *)
 
-val iter : ('a -> unit) -> 'a t -> unit
-(** Oldest first. *)
-
-val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
-(** Oldest first. *)
-
-val to_list : 'a t -> 'a list
-(** Oldest first. *)
-
 val last : 'a t -> int -> 'a list
 (** [last t n]: the most recent [min n (length t)] entries, oldest of
     them first. *)
-
-val clear : 'a t -> unit
-(** Empties the ring and resets {!dropped} and {!high_water}. *)

@@ -42,8 +42,5 @@ let labels_for t value =
 let counter t name value = Metrics.counter_l t.registry name (labels_for t value)
 let gauge t name value = Metrics.gauge_l t.registry name (labels_for t value)
 
-let histogram t ?buckets name value =
-  Metrics.histogram_l t.registry ?buckets name (labels_for t value)
-
 let series_count t = Hashtbl.length t.assigned
 let spilled t = t.spilled

@@ -17,9 +17,6 @@
 
 type t
 
-val overflow_value : string
-(** ["_other"] — the label value of the shared overflow series. *)
-
 val create :
   ?key:string -> ?max_series:int -> ?labels:Labels.t -> Metrics.t -> t
 (** [key] defaults to ["channel"]; [max_series] to [64]; [labels] are
@@ -27,18 +24,13 @@ val create :
     [Invalid_argument] if [max_series < 1] or [labels] already binds
     [key]. *)
 
-val labels_for : t -> string -> Labels.t
-(** The label set for a channel value: its own (allocating a slot on
-    first sight, while any remain) or the overflow set. *)
-
 val counter : t -> string -> string -> Metrics.counter
-(** [counter t name value] is
-    [Metrics.counter_l _ name (labels_for t value)] — idempotent, like
-    all registry registration. *)
+(** [counter t name value] is [Metrics.counter_l _ name labels], where
+    [labels] is the value's own label set (a slot allocated on first
+    sight, while any remain) or the overflow set [key="_other"] —
+    idempotent, like all registry registration. *)
 
 val gauge : t -> string -> string -> Metrics.gauge
-
-val histogram : t -> ?buckets:float array -> string -> string -> Histo.t
 
 val series_count : t -> int
 (** Distinct channel values holding their own slot. *)

@@ -7,30 +7,17 @@
 
 type t = {
   open_spans : (string * int, float) Hashtbl.t;
-  mutable completed : (string * int * float * float) list;
-  (* (name, key, started, duration), newest first *)
-  mutable n_completed : int;
-  mutable n_opened : int;
-  mutable n_dropped : int;
+  mutable completed : (string * float) list;
+  (* (name, duration), newest first *)
 }
 
-let create () =
-  {
-    open_spans = Hashtbl.create 16;
-    completed = [];
-    n_completed = 0;
-    n_opened = 0;
-    n_dropped = 0;
-  }
+let create () = { open_spans = Hashtbl.create 16; completed = [] }
 
 let start t name ~key ~now =
-  let id = (name, key) in
   (* Re-starting an in-flight span abandons the first attempt: the
      newer episode supersedes it (e.g. leave + rejoin before the
      first join ever completed). *)
-  if Hashtbl.mem t.open_spans id then t.n_dropped <- t.n_dropped + 1
-  else t.n_opened <- t.n_opened + 1;
-  Hashtbl.replace t.open_spans id now
+  Hashtbl.replace t.open_spans (name, key) now
 
 let is_open t name ~key = Hashtbl.mem t.open_spans (name, key)
 
@@ -41,15 +28,13 @@ let finish t name ~key ~now =
   | Some started ->
       Hashtbl.remove t.open_spans id;
       let d = now -. started in
-      t.completed <- (name, key, started, d) :: t.completed;
-      t.n_completed <- t.n_completed + 1;
+      t.completed <- (name, d) :: t.completed;
       Some d
 
 let drop t name ~key =
   let id = (name, key) in
   if Hashtbl.mem t.open_spans id then begin
     Hashtbl.remove t.open_spans id;
-    t.n_dropped <- t.n_dropped + 1;
     true
   end
   else false
@@ -57,22 +42,17 @@ let drop t name ~key =
 let drop_all_open t =
   let n = Hashtbl.length t.open_spans in
   Hashtbl.reset t.open_spans;
-  t.n_dropped <- t.n_dropped + n;
   n
 
 let open_count t = Hashtbl.length t.open_spans
-let opened t = t.n_opened
-let completed_count t = t.n_completed
-let dropped t = t.n_dropped
 
-let completed ?name t =
-  let sel =
-    match name with None -> fun _ -> true | Some n -> fun (m, _, _, _) -> m = n
-  in
-  List.rev (List.filter sel t.completed)
-
+(* Completed durations in completion order, [?name] filtering to one
+   family. *)
 let durations ?name t =
-  List.map (fun (_, _, _, d) -> d) (completed ?name t)
+  List.rev
+    (List.filter_map
+       (fun (m, d) -> match name with Some n when m <> n -> None | _ -> Some d)
+       t.completed)
 
 type stats = {
   n : int;
@@ -113,10 +93,3 @@ let pp_stats ppf s =
   else
     Format.fprintf ppf "n=%d mean=%.3f min=%.3f p50=%.3f p95=%.3f p99=%.3f max=%.3f"
       s.n s.mean s.min s.p50 s.p95 s.p99 s.max
-
-let clear t =
-  Hashtbl.reset t.open_spans;
-  t.completed <- [];
-  t.n_completed <- 0;
-  t.n_opened <- 0;
-  t.n_dropped <- 0

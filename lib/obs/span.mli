@@ -5,11 +5,7 @@
     keyed by an integer (usually the node id) so many can be in
     flight at once.  Durations are recorded exactly, so the
     summary quantiles are precise rather than bucket-interpolated,
-    and under a seeded run the whole record is reproducible.
-
-    The open/close discipline is checkable: {!opened} =
-    {!completed_count} + {!open_count}, with abandoned attempts
-    accounted separately in {!dropped}. *)
+    and under a seeded run the whole record is reproducible. *)
 
 type t
 
@@ -17,7 +13,7 @@ val create : unit -> t
 
 val start : t -> string -> key:int -> now:float -> unit
 (** Open span [(name, key)] at [now].  Re-starting an already-open
-    span abandons the first attempt (counted in {!dropped}) and
+    span abandons the first attempt and
     restarts the clock — the newer episode supersedes it. *)
 
 val finish : t -> string -> key:int -> now:float -> float option
@@ -32,23 +28,10 @@ val drop : t -> string -> key:int -> bool
 val is_open : t -> string -> key:int -> bool
 
 val drop_all_open : t -> int
-(** Abandon every open span (counted in {!dropped}); returns how many
-    there were.  Called when a checkpoint restore invalidates
-    in-flight operations. *)
-
-(** {1 Accounting} *)
+(** Abandon every open span; returns how many there were.  Called when
+    a checkpoint restore invalidates in-flight operations. *)
 
 val open_count : t -> int
-val opened : t -> int  (** Spans ever started (excluding restarts). *)
-
-val completed_count : t -> int
-val dropped : t -> int
-
-val completed : ?name:string -> t -> (string * int * float * float) list
-(** Completed spans as [(name, key, started, duration)], completion
-    order; [?name] filters to one family. *)
-
-val durations : ?name:string -> t -> float list
 
 (** {1 Summaries} *)
 
@@ -67,5 +50,3 @@ val stats : ?name:string -> t -> stats
     fields [nan] when [n = 0]. *)
 
 val pp_stats : Format.formatter -> stats -> unit
-
-val clear : t -> unit

@@ -10,13 +10,12 @@ type t = {
   interval : float;
   mutable probes : (string * probe) list; (* registration order, reversed *)
   mutable rows : (float * float array) list; (* newest first *)
-  mutable n_rows : int;
 }
 
 let create ?(interval = 50.0) () =
   if interval <= 0.0 then
     invalid_arg "Timeline.create: interval must be positive";
-  { interval; probes = []; rows = []; n_rows = 0 }
+  { interval; probes = []; rows = [] }
 
 let interval t = t.interval
 
@@ -35,15 +34,9 @@ let sample t ~now =
     let ordered = List.rev t.probes in
     Array.of_list (List.map (fun (_, p) -> p ()) ordered)
   in
-  t.rows <- (now, values) :: t.rows;
-  t.n_rows <- t.n_rows + 1
+  t.rows <- (now, values) :: t.rows
 
-let length t = t.n_rows
 let rows t = List.rev t.rows
-
-let clear t =
-  t.rows <- [];
-  t.n_rows <- 0
 
 (* One JSON object per line: {"t":..., "<probe>":...,...}.  Floats
    that hold integers print without a fraction (Json.Float already

@@ -29,16 +29,6 @@ val sample : t -> now:float -> unit
 (** Record one row: read every probe (registration order) at
     simulated time [now]. *)
 
-val columns : t -> string list
-(** Probe names, registration order. *)
-
-val rows : t -> (float * float array) list
-(** Samples, oldest first; each array is in {!columns} order. *)
-
-val length : t -> int
-val clear : t -> unit
-(** Drop the samples; probes stay registered. *)
-
 val to_ndjson : ?tags:(string * string) list -> t -> string
 (** One JSON object per row ([{"t":..., "<probe>":..., ...}]), oldest
     first, newline-terminated.  [tags] prepends constant string

@@ -1,7 +1,7 @@
 type sink = Event.t -> unit
 
 type t = {
-  mutable enabled : bool;
+  enabled : bool;
   mutable verbose : bool;
   mutable sinks : sink list; (* reversed attachment order *)
   ring : Event.t Ring.t;
@@ -10,8 +10,6 @@ type t = {
 let create ?(enabled = false) ?(capacity = 10_000) () =
   { enabled; verbose = false; sinks = []; ring = Ring.create ~capacity }
 
-let enabled t = t.enabled
-let set_enabled t b = t.enabled <- b
 let verbose t = t.verbose
 let set_verbose t b = t.verbose <- b
 let on_event t sink = t.sinks <- sink :: t.sinks
@@ -33,12 +31,7 @@ let notef t ~time ~node fmt =
     (* Consume the arguments without ever running the formatter. *)
     Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
 
-let events t = Ring.to_list t.ring
 let last t n = Ring.last t.ring n
 let length t = Ring.length t.ring
-let capacity t = Ring.capacity t.ring
 let dropped t = Ring.dropped t.ring
 let high_water t = Ring.high_water t.ring
-let clear t = Ring.clear t.ring
-
-let dump ppf t = Ring.iter (fun e -> Format.fprintf ppf "%a@." Event.pp e) t.ring

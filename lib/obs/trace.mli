@@ -1,7 +1,7 @@
 (** The event trace: a bounded ring of typed {!Event.t}s plus
     pluggable sinks.
 
-    Two independent outputs: when [enabled], events are retained in
+    Two independent outputs: when [~enabled], events are retained in
     the ring (for post-run inspection and dumps); sinks, if attached,
     see every event as it happens regardless of the ring flag
     (streaming export).  When neither is on the trace is {e inactive}
@@ -21,11 +21,6 @@ val create : ?enabled:bool -> ?capacity:int -> unit -> t
 (** Ring retention off by default; [capacity] bounds memory (default
     10_000 events, oldest evicted first). *)
 
-val enabled : t -> bool
-(** Ring retention. *)
-
-val set_enabled : t -> bool -> unit
-
 val verbose : t -> bool
 (** Whether per-packet events should be emitted (default false). *)
 
@@ -36,42 +31,29 @@ val on_event : t -> sink -> unit
     order.  Exceptions from sinks propagate to the recorder. *)
 
 val active : t -> bool
-(** [enabled t || sinks attached] — guard event construction on this. *)
-
-val record : t -> Event.t -> unit
-(** Feed sinks and, when {!enabled}, retain in the ring.  No-op when
-    {!active} is false. *)
+(** Ring retention on or sinks attached — guard event construction on
+    this. *)
 
 val event : t -> time:float -> node:int -> ?channel:Event.channel -> Event.kind -> unit
-(** [record] convenience wrapping {!Event.make}. *)
-
-val note : t -> time:float -> node:int -> string -> unit
-(** Record a free-form {!Event.Note}. *)
+(** Record {!Event.make}'s event: feed the sinks and, when ring
+    retention is on, keep it in the ring.  No-op when {!active} is
+    false. *)
 
 val notef :
   t -> time:float -> node:int -> ('a, Format.formatter, unit, unit) format4 -> 'a
-(** Like {!note} with lazy formatting: when the trace is inactive the
-    format arguments are consumed without rendering — genuinely free,
-    the formatter never runs. *)
-
-val events : t -> Event.t list
-(** Ring contents, oldest first. *)
+(** Record a free-form {!Event.Note} with lazy formatting: when the
+    trace is inactive the format arguments are consumed without
+    rendering — genuinely free, the formatter never runs. *)
 
 val last : t -> int -> Event.t list
 (** The [n] most recent ring events, oldest of them first. *)
 
 val length : t -> int
-val capacity : t -> int
 
 val dropped : t -> int
-(** Ring truncation: events evicted since creation/{!clear}.  Report
-    this alongside dumps so a bounded trace never silently lies about
+(** Ring truncation: events evicted since creation.  Report this
+    alongside dumps so a bounded trace never silently lies about
     completeness. *)
 
 val high_water : t -> int
-(** Maximum ring occupancy since creation/{!clear}. *)
-
-val clear : t -> unit
-
-val dump : Format.formatter -> t -> unit
-(** Every retained event, one per line, oldest first. *)
+(** Maximum ring occupancy since creation. *)

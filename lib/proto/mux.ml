@@ -48,9 +48,7 @@ let create ?tag ~key_of network =
   t
 
 let network t = t.network
-let engine t = Net.engine t.network
 let timers t = t.wheel
-let channels t = Tbl.length t.ports
 
 let register t ~key port =
   if Tbl.mem t.ports key then

@@ -32,13 +32,9 @@ val create : ?tag:string -> key_of:('p -> int) -> 'p Netsim.Network.t -> 'p t
     timer wheel's engine events. *)
 
 val network : 'p t -> 'p Netsim.Network.t
-val engine : 'p t -> Eventsim.Engine.t
 
 val timers : 'p t -> Eventsim.Wheel.t
 (** The shared timer wheel (control ticks, sweeps, member joins). *)
-
-val channels : 'p t -> int
-(** Number of registered ports. *)
 
 val register : 'p t -> key:int -> 'p port -> unit
 (** Raises [Invalid_argument] on a duplicate key. *)

@@ -65,8 +65,6 @@ let ack t ~from ~dst ~cls ~sn =
   | Some s when s.s_sn <= sn -> Tbl.remove t.slots k
   | Some _ | None -> ()
 
-let cancel t ~from ~dst ~cls = Tbl.remove t.slots (key ~from ~dst ~cls)
-
 let cancel_if t f =
   let doomed =
     Tbl.fold (fun k s acc -> if f s then k :: acc else acc) t.slots []

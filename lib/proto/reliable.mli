@@ -60,7 +60,6 @@ val ack : 'm t -> from:int -> dst:int -> cls:int -> sn:int -> unit
     most [sn].  No-op otherwise (an ack for a superseded message must
     not clear its replacement). *)
 
-val cancel : 'm t -> from:int -> dst:int -> cls:int -> unit
 val cancel_between : 'm t -> from:int -> dst:int -> unit
 (** Clear every class pending from [from] toward [dst] — the peer
     was declared dead or restarted with a new generation ID. *)

@@ -7,15 +7,3 @@ type ('jx, 'tx, 'extra) gen = ('jx, 'tx, 'extra) Proto.Messages.t =
   | Extra of { channel : Mcast.Channel.t; extra : 'extra }
 
 type t = (unit, tree_info, Proto.Messages.nothing) gen
-
-let pp ppf (m : t) =
-  match m with
-  | Join { channel; member; _ } ->
-      Format.fprintf ppf "join(%a, %d)" Mcast.Channel.pp channel member
-  | Tree { channel; target; ext = { marked; epoch } } ->
-      Format.fprintf ppf "%stree(%a, %d)#%d"
-        (if marked then "marked-" else "")
-        Mcast.Channel.pp channel target epoch
-  | Data { channel; seq } ->
-      Format.fprintf ppf "data(%a, #%d)" Mcast.Channel.pp channel seq
-  | Extra { extra = _; _ } -> .

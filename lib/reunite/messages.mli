@@ -28,5 +28,3 @@ type ('jx, 'tx, 'extra) gen = ('jx, 'tx, 'extra) Proto.Messages.t =
     namespace. *)
 
 type t = (unit, tree_info, Proto.Messages.nothing) gen
-
-val pp : Format.formatter -> t -> unit

@@ -444,28 +444,6 @@ let create ?config ?trace ?channel table ~source =
 let create_mux ?config ?channel mx ~source =
   S.create_mux ?config ?channel hooks mx ~source
 
-let state t =
-  hooks.S.sweep t ~now:(S.now t);
-  S.metrics_state t ~tables:(S.state t).router_tables
-    ~mct_count:Tables.mct_count ~mft_count:Tables.mft_entry_count
-    ~is_branching:Tables.is_branching
-
-let branching_routers t =
-  S.branching_routers t ~tables:(S.state t).router_tables
-    ~is_branching:Tables.is_branching
-
 let source_table t = (S.state t).source_mft
-
-let router_tables t n =
-  match Node_tables.find (S.state t).router_tables n with
-  | Some state -> state
-  | None ->
-      if
-        n = S.source t
-        || not (Topology.Graph.multicast_router (S.graph t) n)
-      then
-        invalid_arg
-          (Printf.sprintf "Reunite.Protocol.router_tables: no agent at %d" n)
-      else { Tables.mct = None; mft = None }
 
 let all_tables t = Node_tables.to_list (S.state t).router_tables

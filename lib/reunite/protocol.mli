@@ -26,15 +26,6 @@ include
 
 (** {1 Inspection} *)
 
-val state : t -> Mcast.Metrics.state
-val branching_routers : t -> int list
-val router_tables : t -> int -> Tables.channel_state
-(** The router's state for the session's channel; a fresh, unattached
-    empty record when it holds none (inspection never installs state).
-    Raises [Invalid_argument] for the source and for every node that is
-    not a {!Topology.Graph.multicast_router} (no router agent runs
-    there). *)
-
 val source_table : t -> Tables.Mft.t option
 (** The source's own MFT ([None] before the first join or after it
     decayed); kept alive by join messages alone. *)

@@ -113,16 +113,11 @@ module Mct : sig
 
   val remove : t -> int -> unit
   val first_fresh : t -> now:float -> int option
-  val expire : t -> now:float -> unit
   val dead : t -> now:float -> bool
-  val size : t -> int
 
   val entries : t -> entry list
   (** All entries, ascending by node — for inspection (state
       digests). *)
-
-  val copy : t -> t
-  (** Deep copy — checkpoint support. *)
 end
 
 (** A router's state for the session's channel.  It may hold control

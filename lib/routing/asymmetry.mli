@@ -18,7 +18,3 @@ type report = {
 val measure : ?nodes:int list -> Table.t -> report
 (** [measure t] inspects all unordered pairs of [nodes] (default: all
     routers of the graph). *)
-
-val pair_asymmetric : Table.t -> int -> int -> bool
-(** True iff the route [u -> v] is not the reverse of the route
-    [v -> u]. *)

@@ -172,7 +172,6 @@ let of_view (view : G.view) d =
 
 let to_dest g d = of_view (G.routing_view g) d
 
-let dest t = t.dest
 let next t u = Int32.to_int (get32 t.buf (u lsl 3))
 
 let dist t u =

@@ -52,9 +52,6 @@ val of_view : Topology.Graph.view -> int -> in_tree
     Every reader raises [Invalid_argument] for a node outside the
     tree's graph. *)
 
-val dest : in_tree -> int
-(** The destination the tree is rooted at. *)
-
 val next : in_tree -> int -> int
 (** [next t u] is [u]'s next hop toward [dest t]; [-1] when [u] is the
     destination or cannot reach it.  Allocates nothing: the forwarding

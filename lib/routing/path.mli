@@ -7,18 +7,8 @@ val delay : Topology.Graph.t -> int list -> float
 (** Sum of directed link delays along the path, i.e. the one-way
     latency a packet experiences travelling it. *)
 
-val cost : Topology.Graph.t -> int list -> int
-(** Sum of directed link costs along the path. *)
-
 val hops : int list -> int
 (** Number of links. *)
-
-val valid : Topology.Graph.t -> int list -> bool
-(** True iff consecutive nodes are adjacent and no node repeats. *)
-
-val reverse : int list -> int list
-(** The same node sequence walked the other way (note: its delay and
-    cost generally differ — that is the asymmetry). *)
 
 val pp : Format.formatter -> int list -> unit
 (** Renders as [3 -> 7 -> 12]. *)

@@ -76,8 +76,6 @@ let float t bound =
   let v = Int64.to_int (Int64.shift_right_logical (bits64 t) 11) in
   bound *. (float_of_int v *. (1.0 /. 9007199254740992.0))
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
-
 let exponential t mean =
   if mean <= 0.0 then invalid_arg "Rng.exponential: mean must be positive";
   let rec positive () =

@@ -36,9 +36,6 @@ val derive2 : seed:int -> a:int -> b:int -> t
 (** Two-level {!derive} for nested sweeps (e.g. group-size [a], run
     [b]); independent of {!derive} streams in practice. *)
 
-val bits64 : t -> int64
-(** Next raw 64-bit output. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].  [bound] must be
     positive.  Uses rejection sampling, hence unbiased. *)
@@ -48,9 +45,6 @@ val int_in : t -> int -> int -> int
 
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
-
-val bool : t -> bool
-(** Fair coin. *)
 
 val exponential : t -> float -> float
 (** [exponential t mean] samples an exponential distribution with the

@@ -44,7 +44,7 @@ let all_xs g =
     Imap.empty g.series
   |> Imap.bindings |> List.map fst
 
-let render_cells cell ppf g =
+let render ppf g =
   let xs = all_xs g in
   let headers = g.x_label :: List.map name g.series in
   let rows =
@@ -54,7 +54,7 @@ let render_cells cell ppf g =
         :: List.map
              (fun s ->
                match summary s ~x with
-               | Some sm -> cell sm
+               | Some sm -> Printf.sprintf "%.2f" (Summary.mean sm)
                | None -> "-")
              g.series)
       xs
@@ -62,14 +62,6 @@ let render_cells cell ppf g =
   if g.title <> "" then Format.fprintf ppf "%s@." g.title;
   Table.render ppf ~headers rows;
   if g.y_label <> "" then Format.fprintf ppf "(y: %s)@." g.y_label
-
-let render ppf g =
-  render_cells (fun sm -> Printf.sprintf "%.2f" (Summary.mean sm)) ppf g
-
-let render_ci ppf g =
-  render_cells
-    (fun sm -> Printf.sprintf "%.2f ±%.2f" (Summary.mean sm) (Summary.ci95 sm))
-    ppf g
 
 let to_csv g =
   let buf = Buffer.create 256 in

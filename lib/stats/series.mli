@@ -15,15 +15,6 @@ val name : t -> string
 val observe : t -> x:int -> float -> unit
 (** Record one observation at x-value [x]. *)
 
-val xs : t -> int list
-(** Sorted list of x-values with at least one observation. *)
-
-val summary : t -> x:int -> Summary.t option
-(** Accumulated summary at [x], if any. *)
-
-val mean_at : t -> x:int -> float
-(** Mean at [x]; [nan] if no observation. *)
-
 val points : t -> (int * float) list
 (** [(x, mean)] pairs, sorted by x. *)
 
@@ -40,9 +31,6 @@ val render : Format.formatter -> group -> unit
 (** Render the group as an aligned text table: one row per x-value,
     one column per series mean.  This is the "same rows/series the
     paper reports" output format. *)
-
-val render_ci : Format.formatter -> group -> unit
-(** Like {!render} but each cell shows [mean ± ci95]. *)
 
 val to_csv : group -> string
 (** CSV with a header row; one line per x-value. *)

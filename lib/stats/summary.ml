@@ -1,71 +1,11 @@
-type t = {
-  mutable n : int;
-  mutable mean : float;
-  mutable m2 : float; (* sum of squared deviations from the mean *)
-  mutable min : float;
-  mutable max : float;
-  mutable total : float;
-}
+type t = { mutable n : int; mutable mean : float }
 
-let create () =
-  { n = 0; mean = 0.0; m2 = 0.0; min = nan; max = nan; total = 0.0 }
+let create () = { n = 0; mean = 0.0 }
 
 let add t x =
   t.n <- t.n + 1;
-  t.total <- t.total +. x;
-  let delta = x -. t.mean in
-  t.mean <- t.mean +. (delta /. float_of_int t.n);
-  t.m2 <- t.m2 +. (delta *. (x -. t.mean));
-  if t.n = 1 then begin
-    t.min <- x;
-    t.max <- x
-  end else begin
-    if x < t.min then t.min <- x;
-    if x > t.max then t.max <- x
-  end
+  t.mean <- t.mean +. ((x -. t.mean) /. float_of_int t.n)
 
 let add_int t v = add t (float_of_int v)
 
-let count t = t.n
-
 let mean t = if t.n = 0 then nan else t.mean
-
-let variance t = if t.n < 2 then nan else t.m2 /. float_of_int (t.n - 1)
-
-let stddev t = sqrt (variance t)
-
-let stderr_mean t =
-  if t.n < 2 then nan else stddev t /. sqrt (float_of_int t.n)
-
-let ci95 t = 1.96 *. stderr_mean t
-
-let min t = t.min
-
-let max t = t.max
-
-let total t = t.total
-
-let merge a b =
-  if a.n = 0 then { b with n = b.n }
-  else if b.n = 0 then { a with n = a.n }
-  else begin
-    let n = a.n + b.n in
-    let delta = b.mean -. a.mean in
-    let mean = a.mean +. (delta *. float_of_int b.n /. float_of_int n) in
-    let m2 =
-      a.m2 +. b.m2
-      +. (delta *. delta *. float_of_int a.n *. float_of_int b.n /. float_of_int n)
-    in
-    {
-      n;
-      mean;
-      m2;
-      min = Float.min a.min b.min;
-      max = Float.max a.max b.max;
-      total = a.total +. b.total;
-    }
-  end
-
-let pp ppf t =
-  if t.n = 0 then Format.fprintf ppf "<empty>"
-  else Format.fprintf ppf "%.3f ± %.3f (n=%d)" (mean t) (ci95 t) t.n

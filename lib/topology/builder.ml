@@ -54,9 +54,6 @@ let add_host b ~router ?(cost = 1) ?(cost_back = 1) () =
 let add_link b u v ?(cost = 1) ?(cost_back = 1) () =
   add_raw_link b u v cost cost_back
 
-let node_count b = b.n
-let link_count b = b.nlinks
-
 let build b =
   Graph.make
     ~kinds:(Array.of_list (List.rev b.kinds_rev))

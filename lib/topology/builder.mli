@@ -26,8 +26,6 @@ val add_link : t -> int -> int -> ?cost:int -> ?cost_back:int -> unit -> unit
     duplicate links. *)
 
 val has_link : t -> int -> int -> bool
-val node_count : t -> int
-val link_count : t -> int
 
 val build : t -> Graph.t
 (** Finalize.  The builder remains usable afterwards. *)

@@ -138,35 +138,12 @@ let set_link_up g u v b =
   (directed_link g u v).up <- b;
   bump g
 
-let down_links g =
-  Array.fold_left (fun acc l -> if l.up then acc else (l.u, l.v) :: acc) [] g.link_arr
-  |> List.rev
-
 let router_of_host g h =
   if not (is_host g h) then
     invalid_arg (Printf.sprintf "Graph.router_of_host: %d is not a host" h);
   match g.adj.(h) with
   | [ (r, _) ] when g.kinds.(r) = Router -> r
   | _ -> invalid_arg (Printf.sprintf "Graph.router_of_host: host %d ill-attached" h)
-
-let hosts_of_router g r =
-  check_node g r;
-  List.filter (fun n -> g.kinds.(n) = Host) (neighbors g r)
-
-let is_connected g =
-  let n = node_count g in
-  if n = 0 then true
-  else begin
-    let seen = Array.make n false in
-    let rec dfs i =
-      if not seen.(i) then begin
-        seen.(i) <- true;
-        List.iter (fun (j, _) -> dfs j) g.adj.(i)
-      end
-    in
-    dfs 0;
-    Array.for_all Fun.id seen
-  end
 
 let randomize_costs g rng ~lo ~hi =
   Array.iter
@@ -183,28 +160,6 @@ let symmetrize_costs g =
     (fun l ->
       l.cost_vu <- l.cost_uv;
       l.delay_vu <- l.delay_uv)
-    g.link_arr;
-  bump g
-
-let asymmetric_link_fraction g =
-  let n = link_count g in
-  if n = 0 then 0.0
-  else
-    let asym =
-      Array.fold_left
-        (fun acc l -> if l.cost_uv <> l.cost_vu then acc + 1 else acc)
-        0 g.link_arr
-    in
-    float_of_int asym /. float_of_int n
-
-let map_costs g f =
-  Array.iter
-    (fun l ->
-      let cuv, cvu = f l in
-      l.cost_uv <- cuv;
-      l.cost_vu <- cvu;
-      l.delay_uv <- float_of_int cuv;
-      l.delay_vu <- float_of_int cvu)
     g.link_arr;
   bump g
 

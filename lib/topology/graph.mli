@@ -65,10 +65,6 @@ val adjacency : t -> int -> (int * int) list
 
 val degree : t -> int -> int
 
-val avg_router_degree : t -> float
-(** Average degree of the router-only subgraph (the paper quotes 3.3
-    for the ISP topology and 8.6 for the 50-node random one). *)
-
 val links : t -> link list
 val link : t -> int -> link
 
@@ -103,21 +99,11 @@ val set_link_up : t -> int -> int -> bool -> unit
     [invalidate_all]) treats down links as absent; the packet simulator
     drops traffic forwarded onto one. *)
 
-val down_links : t -> (int * int) list
-(** Currently failed links as [(u, v)] endpoint pairs, link order. *)
-
 val router_of_host : t -> int -> int
 (** The unique router a host attaches to.  Raises [Invalid_argument]
     on a router id or an unattached host. *)
 
-val hosts_of_router : t -> int -> int list
-(** Hosts attached to the given router. *)
-
 (** {1 Whole-graph operations} *)
-
-val is_connected : t -> bool
-(** True iff every node is reachable from node 0 ignoring direction.
-    (Costs are positive so directed reachability coincides.) *)
 
 val randomize_costs : t -> Stats.Rng.t -> lo:int -> hi:int -> unit
 (** Draw every directed cost independently and uniformly from
@@ -127,13 +113,6 @@ val randomize_costs : t -> Stats.Rng.t -> lo:int -> hi:int -> unit
 val symmetrize_costs : t -> unit
 (** Force [cost v u := cost u v] (and delays alike) on every link —
     the symmetric-routing ablation. *)
-
-val asymmetric_link_fraction : t -> float
-(** Fraction of links whose two directed costs differ. *)
-
-val map_costs : t -> (link -> int * int) -> unit
-(** [map_costs g f] sets each link's [(cost_uv, cost_vu)] to [f link],
-    updating delays to match. *)
 
 val copy : t -> t
 (** Deep copy (independent link records and capability flags).  The
@@ -167,8 +146,7 @@ val generation : t -> int
     {b Generation rule.}  The graph carries a generation counter,
     0 after {!make} and {!copy}.  Every mutator that can change a route
     bumps it: {!set_cost}, {!set_link_up}, {!randomize_costs},
-    {!symmetrize_costs}, {!map_costs} and a {!restore_links} that
-    rewrites links.
+    {!symmetrize_costs} and a {!restore_links} that rewrites links.
     {!set_multicast_capable} does not, because routing does not read
     it.  {!routing_view} rebuilds the view only when its generation is
     stale, so a view is always the current graph's, and a view already

@@ -13,9 +13,6 @@
     The paper fixes node 18 as the channel source; {!source} exposes
     that convention. *)
 
-val routers : int
-(** 18. *)
-
 val create : unit -> Graph.t
 (** Fresh ISP topology with unit costs; randomize with
     {!Graph.randomize_costs} before use. *)

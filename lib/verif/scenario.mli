@@ -24,7 +24,6 @@ type event =
           explorer never carries an open partition between states) *)
   | Age  (** run one t2 with no stimulus: pure soft-state decay *)
 
-val pp_event : Format.formatter -> event -> unit
 val pp_events : Format.formatter -> event list -> unit
 
 type alphabet = {
@@ -34,16 +33,8 @@ type alphabet = {
   islands : int list list;
 }
 (** The seeded part of an alphabet.  Every alphabet also carries the
-    three delivery bursts below and [Age]. *)
-
-val loss_burst : float
-(** 0.3: the [Loss_burst] rate. *)
-
-val reorder_burst : float * float
-(** (2, 0.3): the [Reorder_burst] window and probability. *)
-
-val dup_burst : float
-(** 0.3: the [Dup_burst] probability. *)
+    three delivery bursts — [Loss_burst 0.3], [Reorder_burst (2, 0.3)]
+    and [Dup_burst 0.3] — and [Age]. *)
 
 val default_alphabet : Sut.t -> seed:int -> alphabet
 (** A deterministic seeded slice of the SUT's fault surface: 8
@@ -58,19 +49,16 @@ val enabled : Sut.t -> alphabet -> event list
     that changes it, then the loss, reorder and duplication bursts,
     the partition cycles and [Age]. *)
 
-val directives : Sut.t -> event -> (float * Fault.Plan.action) list * float
-(** The event's one meaning: its timed directives, as offsets from the
-    event's start in time order, and its span.  Topology events
-    reconverge {!Fault.Plan.detection_lag} after the change; delivery
-    bursts clear after two of the SUT's refresh periods; a partition
-    cycle reconverges, holds the cut for the SUT's [t2], heals and
-    reconverges; [Age] is [t2] without a directive. *)
-
 val apply : Sut.t -> event -> unit
-(** Drive one event: inject each of its {!directives} at its instant
-    (the stepper {!replay_plan} uses too), then run to the end of its
-    span.  Every directive is a no-op when it does not apply — the
-    shrinker replays arbitrary subsequences. *)
+(** Drive one event: inject each of its timed directives at its
+    instant (the stepper {!replay_plan} uses too), then run to the end
+    of its span.  Topology events reconverge
+    {!Fault.Plan.detection_lag} after the change; delivery bursts clear
+    after two of the SUT's refresh periods; a partition cycle
+    reconverges, holds the cut for the SUT's [t2], heals and
+    reconverges; [Age] is [t2] without a directive.  Every directive is
+    a no-op when it does not apply — the shrinker replays arbitrary
+    subsequences. *)
 
 val quiesce : ?budget_factor:float -> Sut.t -> (float * string) option
 (** Run refresh windows until the canonical state digest is stable

@@ -7,22 +7,14 @@
     the {e same oracle} as the original counterexample (details may
     shift while shrinking). *)
 
-val ddmin :
-  ?jobs:int ->
-  test:(Scenario.event list -> bool) ->
-  Scenario.event list ->
-  Scenario.event list
-(** Generic ddmin to a 1-minimal sequence (removing any single event
-    makes [test] fail).  Returns the input unchanged if it does not
-    pass [test].  [jobs > 1] probes the complements of each
-    granularity level concurrently (so [test] must be safe to call
-    from several domains — true of fresh-SUT replays); the success at
-    the lowest index wins, making the result independent of [jobs]. *)
-
 val minimize :
   ?jobs:int ->
   make_sut:(unit -> Sut.t) ->
   Explore.counterexample ->
   Scenario.event list
 (** Minimize a counterexample's event path, preserving its oracle
-    class.  Each replay bumps [verif.shrink.replays]. *)
+    class, to a 1-minimal sequence (removing any single event loses
+    the violation).  [jobs > 1] probes the complements of each
+    granularity level concurrently; the success at the lowest index
+    wins, making the result independent of [jobs].  Each replay bumps
+    [verif.shrink.replays]. *)

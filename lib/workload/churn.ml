@@ -2,10 +2,6 @@ type event = Join of int | Leave of int
 
 type schedule = (float * event) list
 
-let flash_crowd rng ~candidates ~n ~spacing =
-  let picked = Scenario.pick_receivers rng ~candidates ~n in
-  List.mapi (fun i r -> (spacing *. float_of_int (i + 1), Join r)) picked
-
 module Iset = Set.Make (Int)
 
 let poisson rng ~candidates ~rate ~mean_hold ~horizon =
@@ -73,9 +69,6 @@ let multi ~seed ~channels ~candidates ~rate ~popularity ~mean_hold ~horizon =
     (fun (t1, c1, _) (t2, c2, _) ->
       match Float.compare t1 t2 with 0 -> Int.compare c1 c2 | d -> d)
     (List.concat streams)
-
-let project sched c =
-  List.filter_map (fun (t, c', ev) -> if c' = c then Some (t, ev) else None) sched
 
 let members_at schedule time =
   List.fold_left

@@ -9,11 +9,6 @@ type event = Join of int | Leave of int
 type schedule = (float * event) list
 (** Time-ordered. *)
 
-val flash_crowd :
-  Stats.Rng.t -> candidates:int list -> n:int -> spacing:float -> schedule
-(** [n] receivers join, one every [spacing] time units starting at
-    [spacing], in random order; nobody leaves. *)
-
 val poisson :
   Stats.Rng.t ->
   candidates:int list ->
@@ -43,11 +38,8 @@ val multi :
     rate), seeded from [Stats.Rng.derive ~seed ~index:c] — order-free
     deterministic, the property the [--jobs] byte-identity gate leans
     on.  Ties sort by channel with each channel's own order
-    preserved, so {!project} returns exactly the standalone
-    schedule. *)
-
-val project : (float * int * event) list -> int -> schedule
-(** The merged stream's events for one channel, in stream order. *)
+    preserved, so one channel's events, in stream order, are exactly
+    its standalone schedule. *)
 
 val members_at : schedule -> float -> int list
 (** Group membership just after the given time, ascending. *)

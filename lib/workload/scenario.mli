@@ -3,12 +3,6 @@
     run, the source is fixed, and N receivers are drawn uniformly
     from the candidate hosts. *)
 
-val default_cost_lo : int
-(** 1 *)
-
-val default_cost_hi : int
-(** 10 *)
-
 val randomize : Stats.Rng.t -> Topology.Graph.t -> unit
 (** Redraw every directed link cost from the paper's [1, 10] range
     (delays follow costs). *)

@@ -18,13 +18,3 @@ let create ?(s = 1.0) ~n () =
 
 let n t = Array.length t.cdf
 let pmf t k = if k = 0 then t.cdf.(0) else t.cdf.(k) -. t.cdf.(k - 1)
-
-let sample t rng =
-  let u = Stats.Rng.float rng 1.0 in
-  (* First index with cdf > u. *)
-  let lo = ref 0 and hi = ref (Array.length t.cdf - 1) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if t.cdf.(mid) > u then hi := mid else lo := mid + 1
-  done;
-  !lo

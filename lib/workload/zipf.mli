@@ -2,9 +2,7 @@
     [1 / (k+1)^s].  The channel-popularity model of the multi-channel
     workloads — a few hot groups carry most of the join traffic, a
     long tail barely any (the measured shape of multicast/stream
-    audiences).  Sampling is a binary search over the precomputed
-    CDF: O(log n), allocation-free, deterministic from the caller's
-    {!Stats.Rng}. *)
+    audiences). *)
 
 type t
 
@@ -16,6 +14,3 @@ val n : t -> int
 
 val pmf : t -> int -> float
 (** Probability of rank [k], [0 <= k < n]. *)
-
-val sample : t -> Stats.Rng.t -> int
-(** Draw a rank. *)

@@ -77,7 +77,7 @@ let test_mct_lifecycle () =
   Alcotest.(check int) "target" 4 (Hbh.Tables.Mct.target c);
   Alcotest.(check bool) "fresh" false (Hbh.Tables.Mct.stale c ~now:5.0);
   Alcotest.(check bool) "stale after t1" true (Hbh.Tables.Mct.stale c ~now:11.0);
-  Alcotest.(check bool) "dead after t2" true (Hbh.Tables.Mct.dead c ~now:26.0);
+  Alcotest.(check bool) "dead after t2" true (Hbh.Tables.entry_dead (Hbh.Tables.Mct.entry c) ~now:26.0);
   Hbh.Tables.Mct.replace c dl ~now:12.0 9;
   Alcotest.(check int) "replaced" 9 (Hbh.Tables.Mct.target c);
   Alcotest.(check bool) "fresh again" false (Hbh.Tables.Mct.stale c ~now:13.0)
@@ -251,25 +251,29 @@ let test_event_converges_on_detour () =
     (Mcast.Distribution.delay d Det.r2)
 
 let test_event_fig5_third_receiver () =
-  (* The figure 5 walk-through: r3 joins after r1/r2; fusion moves the
-     branch to H3 and everyone still gets shortest-path delivery. *)
+  (* The figure 5 walk-through: r3 (node 7) joins after r1/r2; fusion
+     moves the branch to H3 and everyone still gets shortest-path
+     delivery. *)
+  let r3 = 7 in
   let tbl = Det.table () in
   let session = Hbh.Protocol.create tbl ~source:Det.source in
   Hbh.Protocol.subscribe session Det.r1;
   Hbh.Protocol.subscribe session Det.r2;
   Hbh.Protocol.converge session;
-  Hbh.Protocol.subscribe session Det.r3;
+  Hbh.Protocol.subscribe session r3;
   Hbh.Protocol.converge session;
   let d = Hbh.Protocol.probe session in
   let a =
     Hbh.Analytic.build tbl ~source:Det.source
-      ~receivers:[ Det.r1; Det.r2; Det.r3 ]
+      ~receivers:[ Det.r1; Det.r2; r3 ]
   in
   Alcotest.(check bool) "converged to ideal" true (Mcast.Distribution.equal_shape d a);
   (* r1 and r3 share S->R1->R3; the branching node R3 (id 3) holds
      forwarding state. *)
   Alcotest.(check bool) "R3 is branching" true
-    (List.mem 3 (Hbh.Protocol.branching_routers session))
+    (List.exists
+       (fun (n, st) -> n = 3 && Hbh.Tables.is_branching st)
+       (Hbh.Protocol.all_tables session))
 
 let test_event_fusion_resolves_fig3 () =
   let tbl = Dup.table () in
@@ -322,9 +326,8 @@ let test_event_full_depletion () =
   Hbh.Protocol.unsubscribe session Det.r1;
   Hbh.Protocol.unsubscribe session Det.r2;
   Hbh.Protocol.run_for session 3000.0;
-  let st = Hbh.Protocol.state session in
   Alcotest.(check int) "all state drained" 0
-    (st.Mcast.Metrics.mft_entries + st.mct_entries)
+    (List.length (Hbh.Protocol.all_tables session))
 
 let test_event_rejoin_after_silence () =
   (* A receiver whose state is wiped re-joins through the first-join
@@ -340,7 +343,7 @@ let test_event_rejoin_after_silence () =
 let test_event_unicast_cloud_transparent () =
   (* Disable the branching router: HBH must still deliver (copies made
      upstream), demonstrating the incremental-deployment property. *)
-  let g = Dup.graph () in
+  let g = Routing.Table.graph (Dup.table ()) in
   Topology.Graph.set_multicast_capable g 6 false;
   let tbl = Routing.Table.compute g in
   let session = Hbh.Protocol.create tbl ~source:Dup.source in

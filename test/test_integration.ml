@@ -18,6 +18,10 @@ let series group name =
   | Some s -> s
   | None -> Alcotest.failf "series %s missing" name
 
+(* A series' x-values and its mean at one of them, read off its points. *)
+let xs s = List.map fst (Stats.Series.points s)
+let mean_at s ~x = List.assoc x (Stats.Series.points s)
+
 let mean_over group name =
   let s = series group name in
   let pts = Stats.Series.points s in
@@ -38,13 +42,13 @@ let test_fig7a_reunite_costlier_than_hbh () =
   let r = Lazy.force isp in
   List.iter
     (fun x ->
-      let re = Stats.Series.mean_at (series r.cost "REUNITE") ~x in
-      let hbh = Stats.Series.mean_at (series r.cost "HBH") ~x in
+      let re = mean_at (series r.cost "REUNITE") ~x in
+      let hbh = mean_at (series r.cost "HBH") ~x in
       if x >= 6 then
         Alcotest.(check bool)
           (Printf.sprintf "REUNITE above HBH at n=%d" x)
           true (re > hbh))
-    (Stats.Series.xs (series r.cost "REUNITE"))
+    (xs (series r.cost "REUNITE"))
 
 let test_fig7a_advantage_near_paper () =
   (* Paper: ~5% average cost advantage over REUNITE on the ISP
@@ -60,8 +64,8 @@ let test_fig7b_reunite_worst_at_scale () =
   (* Paper: on the dense 50-node topology REUNITE exceeds even PIM-SM
      for large groups. *)
   let r = Lazy.force rand in
-  let re = Stats.Series.mean_at (series r.cost "REUNITE") ~x:45 in
-  let sm = Stats.Series.mean_at (series r.cost "PIM-SM") ~x:45 in
+  let re = mean_at (series r.cost "REUNITE") ~x:45 in
+  let sm = mean_at (series r.cost "PIM-SM") ~x:45 in
   Alcotest.(check bool) "REUNITE above PIM-SM at n=45" true (re > sm)
 
 let test_fig7b_advantage_near_paper () =
@@ -92,30 +96,30 @@ let test_fig8_hbh_best_everywhere () =
     (fun (r : Experiments.Common.result) ->
       List.iter
         (fun x ->
-          let hbh = Stats.Series.mean_at (series r.delay "HBH") ~x in
+          let hbh = mean_at (series r.delay "HBH") ~x in
           List.iter
             (fun other ->
               Alcotest.(check bool)
                 (Printf.sprintf "HBH <= %s at n=%d" other x)
                 true
-                (hbh <= Stats.Series.mean_at (series r.delay other) ~x +. 1e-9))
+                (hbh <= mean_at (series r.delay other) ~x +. 1e-9))
             [ "PIM-SM"; "PIM-SS"; "REUNITE" ])
-        (Stats.Series.xs (series r.delay "HBH")))
+        (xs (series r.delay "HBH")))
     [ Lazy.force isp; Lazy.force rand ]
 
 let test_fig8b_pim_sm_worst () =
   let r = Lazy.force rand in
   List.iter
     (fun x ->
-      let sm = Stats.Series.mean_at (series r.delay "PIM-SM") ~x in
+      let sm = mean_at (series r.delay "PIM-SM") ~x in
       List.iter
         (fun other ->
           Alcotest.(check bool)
             (Printf.sprintf "PIM-SM worst at n=%d vs %s" x other)
             true
-            (sm >= Stats.Series.mean_at (series r.delay other) ~x))
+            (sm >= mean_at (series r.delay other) ~x))
         [ "PIM-SS"; "REUNITE"; "HBH" ])
-    (Stats.Series.xs (series r.delay "PIM-SM"))
+    (xs (series r.delay "PIM-SM"))
 
 let test_fig8_delay_advantage_grows_with_connectivity () =
   (* Paper: HBH's delay advantage over REUNITE is larger on the dense
@@ -170,16 +174,16 @@ let test_state_minority_of_routers_branch () =
   let r = Experiments.State.run ~runs:30 ~seed:3 (Experiments.Common.isp_config ()) in
   List.iter
     (fun x ->
-      let classic_routers = Stats.Series.mean_at (series r.mft "PIM-SS") ~x in
-      let hbh_branching = Stats.Series.mean_at (series r.branching "HBH") ~x in
+      let classic_routers = mean_at (series r.mft "PIM-SS") ~x in
+      let hbh_branching = mean_at (series r.branching "HBH") ~x in
       Alcotest.(check bool)
         (Printf.sprintf "branching routers are a minority at n=%d" x)
         true
         (hbh_branching < classic_routers))
-    (Stats.Series.xs (series r.branching "HBH"));
+    (xs (series r.branching "HBH"));
   (* And at small group sizes even the entry count is lower. *)
-  let classic = Stats.Series.mean_at (series r.mft "PIM-SS") ~x:4 in
-  let hbh = Stats.Series.mean_at (series r.mft "HBH") ~x:4 in
+  let classic = mean_at (series r.mft "PIM-SS") ~x:4 in
+  let hbh = mean_at (series r.mft "HBH") ~x:4 in
   Alcotest.(check bool) "fewer forwarding entries at n=4" true (hbh < classic)
 
 let test_state_hbh_has_control_entries () =

@@ -1,12 +1,15 @@
 (* Tests for multicast common types: class-D addresses, channels,
    distributions and metrics. *)
 
+(* Whether [of_int32] accepts the value as a class-D address. *)
+let is_class_d v =
+  match Mcast.Class_d.of_int32 v with _ -> true | exception Invalid_argument _ -> false
+
 let test_class_d_validation () =
-  Alcotest.(check bool) "224.0.0.0 ok" true (Mcast.Class_d.is_class_d 0xE0000000l);
-  Alcotest.(check bool) "239.255.255.255 ok" true
-    (Mcast.Class_d.is_class_d 0xEFFFFFFFl);
-  Alcotest.(check bool) "223.x rejected" false (Mcast.Class_d.is_class_d 0xDFFFFFFFl);
-  Alcotest.(check bool) "240.x rejected" false (Mcast.Class_d.is_class_d 0xF0000000l);
+  Alcotest.(check bool) "224.0.0.0 ok" true (is_class_d 0xE0000000l);
+  Alcotest.(check bool) "239.255.255.255 ok" true (is_class_d 0xEFFFFFFFl);
+  Alcotest.(check bool) "223.x rejected" false (is_class_d 0xDFFFFFFFl);
+  Alcotest.(check bool) "240.x rejected" false (is_class_d 0xF0000000l);
   Alcotest.(check bool) "of_int32 raises" true
     (try
        ignore (Mcast.Class_d.of_int32 0x0A000001l);
@@ -34,17 +37,18 @@ let test_class_d_allocator () =
   let a = Mcast.Class_d.allocator () in
   let g1 = Mcast.Class_d.allocate a in
   let g2 = Mcast.Class_d.allocate a in
-  Alcotest.(check bool) "distinct" false (Mcast.Class_d.equal g1 g2);
-  Alcotest.(check bool) "ssm range" true (Mcast.Class_d.is_ssm_range g1);
-  Alcotest.(check string) "first is 232.0.0.1" "232.0.0.1"
-    (Mcast.Class_d.to_string g1)
+  Alcotest.(check bool) "distinct" false
+    (Mcast.Class_d.to_int32 g1 = Mcast.Class_d.to_int32 g2);
+  Alcotest.(check bool) "ssm range" true
+    (Int32.logand (Mcast.Class_d.to_int32 g1) 0xFF000000l = 0xE8000000l);
+  Alcotest.(check string) "first is 232.0.0.1" "232.0.0.1" (Mcast.Class_d.to_string g1)
 
 let test_channel_identity () =
   let c1 = Mcast.Channel.fresh ~source:5 in
   let c2 = Mcast.Channel.fresh ~source:5 in
   Alcotest.(check bool) "same source, distinct groups" false
-    (Mcast.Channel.equal c1 c2);
-  Alcotest.(check bool) "equal to itself" true (Mcast.Channel.equal c1 c1);
+    (Mcast.Channel.key c1 = Mcast.Channel.key c2);
+  Alcotest.(check bool) "equal to itself" true (c1 = c1);
   Alcotest.(check int) "source kept" 5 (Mcast.Channel.source c1)
 
 (* ---- Distribution ------------------------------------------------------ *)
@@ -81,12 +85,15 @@ let test_distribution_duplicate_delivery () =
    and the churn probe): loads become per-link copies, deliveries go
    through [deliver]. *)
 let test_distribution_of_accounting () =
-  let d =
-    Mcast.Distribution.of_accounting ~source:3
+  let of_accounting ~source =
+    Mcast.Distribution.of_accounting ~source
       [ ((0, 1), 2); ((1, 2), 1); ((2, 1), 1) ]
       [ (7, 5.0); (9, 6.0); (7, 3.0); (7, 8.0) ]
   in
-  Alcotest.(check int) "source" 3 (Mcast.Distribution.source d);
+  let d = of_accounting ~source:3 in
+  Alcotest.(check bool) "source" true
+    (Mcast.Distribution.equal_shape d (of_accounting ~source:3)
+    && not (Mcast.Distribution.equal_shape d (of_accounting ~source:4)));
   Alcotest.(check int) "copies on 0->1" 2 (Mcast.Distribution.copies d 0 1);
   Alcotest.(check int) "copies on 1->2" 1 (Mcast.Distribution.copies d 1 2);
   Alcotest.(check int) "copies on 2->1" 1 (Mcast.Distribution.copies d 2 1);

@@ -263,7 +263,7 @@ let injector_steps steps () =
     (fun (action, up) ->
       Fault.Injector.apply inj action;
       Alcotest.(check bool)
-        (Format.asprintf "link 1-2 after %a" P.pp_action action)
+        ("link 1-2 after " ^ String.trim (P.to_string (P.make [ (0.0, action) ])))
         up
         (G.link_up (Net.graph net) 1 2))
     steps
@@ -611,19 +611,19 @@ let test_one_handler_per_network () =
 let test_trace_capacity () =
   let tr = Obs.Trace.create ~enabled:true ~capacity:3 () in
   for i = 1 to 5 do
-    Obs.Trace.note tr ~time:(float_of_int i) ~node:0 (string_of_int i)
+    Obs.Trace.notef tr ~time:(float_of_int i) ~node:0 "%d" i
   done;
   Alcotest.(check int) "bounded" 3 (Obs.Trace.length tr);
   let first_summary =
-    match Obs.Trace.events tr with
-    | (e : Obs.Event.t) :: _ -> Obs.Event.summary e.kind
-    | [] -> ""
+    match Obs.Trace.last tr max_int with
+    | { Obs.Event.kind = Obs.Event.Note s; _ } :: _ -> s
+    | _ -> ""
   in
   Alcotest.(check string) "oldest dropped" "3" first_summary
 
 let test_trace_disabled_is_free () =
   let tr = Obs.Trace.create () in
-  Obs.Trace.note tr ~time:1.0 ~node:0 "x";
+  Obs.Trace.notef tr ~time:1.0 ~node:0 "x";
   Alcotest.(check int) "nothing recorded" 0 (Obs.Trace.length tr)
 
 let () =

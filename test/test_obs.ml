@@ -7,19 +7,14 @@
 
 let test_ring_eviction () =
   let r = Obs.Ring.create ~capacity:3 in
-  Alcotest.(check int) "capacity" 3 (Obs.Ring.capacity r);
   List.iter (Obs.Ring.push r) [ 1; 2; 3; 4; 5 ];
   Alcotest.(check int) "length capped" 3 (Obs.Ring.length r);
   Alcotest.(check (list int)) "oldest evicted first" [ 3; 4; 5 ]
-    (Obs.Ring.to_list r);
+    (Obs.Ring.last r max_int);
   Alcotest.(check (list int)) "last n, oldest-of-them first" [ 4; 5 ]
     (Obs.Ring.last r 2);
   Alcotest.(check (list int)) "last over-asks clamps" [ 3; 4; 5 ]
     (Obs.Ring.last r 10);
-  Alcotest.(check int) "fold sees survivors" 12
-    (Obs.Ring.fold (fun acc x -> acc + x) 0 r);
-  Obs.Ring.clear r;
-  Alcotest.(check int) "clear empties" 0 (Obs.Ring.length r);
   Alcotest.check_raises "capacity must be positive"
     (Invalid_argument "Ring.create: capacity must be positive") (fun () ->
       ignore (Obs.Ring.create ~capacity:0))
@@ -29,7 +24,7 @@ let test_ring_partial () =
   Obs.Ring.push r "a";
   Obs.Ring.push r "b";
   Alcotest.(check (list string)) "unfilled keeps all" [ "a"; "b" ]
-    (Obs.Ring.to_list r)
+    (Obs.Ring.last r max_int)
 
 (* Truncation is accounted, not silent: evictions are counted and the
    high-water mark proves (or disproves) that the bound ever bit. *)
@@ -43,10 +38,7 @@ let test_ring_truncation_accounting () =
   Alcotest.(check int) "two oldest evicted" 2 (Obs.Ring.dropped r);
   Alcotest.(check int) "high water pegged at capacity" 3 (Obs.Ring.high_water r);
   Alcotest.(check (list int)) "survivors unchanged" [ 3; 4; 5 ]
-    (Obs.Ring.to_list r);
-  Obs.Ring.clear r;
-  Alcotest.(check int) "clear resets dropped" 0 (Obs.Ring.dropped r);
-  Alcotest.(check int) "clear resets high water" 0 (Obs.Ring.high_water r)
+    (Obs.Ring.last r max_int)
 
 (* ---- Metrics instruments ----------------------------------------------- *)
 
@@ -68,12 +60,11 @@ let test_counter_semantics () =
 let test_gauge_semantics () =
   let reg = Obs.Metrics.create () in
   let g = Obs.Metrics.gauge reg "x.level" in
-  Alcotest.(check bool) "nan until set" true
-    (Float.is_nan (Obs.Metrics.gauge_value g));
+  let value () = List.assoc "x.level" (Obs.Metrics.snapshot reg).Obs.Metrics.gauges in
+  Alcotest.(check bool) "nan until set" true (Float.is_nan (value ()));
   Obs.Metrics.set g 2.5;
   Obs.Metrics.set g 7.0;
-  Alcotest.(check (float 0.0)) "last value wins" 7.0
-    (Obs.Metrics.gauge_value g)
+  Alcotest.(check (float 0.0)) "last value wins" 7.0 (value ())
 
 (* Regression: a NaN observation used to land in the first bucket (it
    compares false against every bound) and poison sum/min/max for the
@@ -97,7 +88,7 @@ let test_histogram_nan_quarantined () =
   Alcotest.(check (float 0.0)) "min unpoisoned" 0.5 s.Obs.Histo.min;
   Alcotest.(check (float 0.0)) "max unpoisoned" 0.5 s.Obs.Histo.max;
   Alcotest.(check (float 1e-9)) "mean over finite samples only" 0.5
-    (Obs.Histo.mean h);
+    (Obs.Histo.sum h /. float_of_int (Obs.Histo.count h));
   Alcotest.(check (float 0.0)) "p50 undiluted by NaNs" 0.5
     (Obs.Histo.quantile s 0.50)
 
@@ -127,15 +118,16 @@ let test_histogram_quantiles () =
   for i = 1 to 100 do
     Obs.Histo.observe h (float_of_int i)
   done;
-  let s = Obs.Histo.summary (Obs.Histo.snapshot h) in
-  Alcotest.(check int) "count" 100 s.Obs.Histo.s_count;
-  Alcotest.(check (float 10.0)) "p50 near 50" 50.0 s.Obs.Histo.p50;
-  Alcotest.(check (float 10.0)) "p95 near 95" 95.0 s.Obs.Histo.p95;
-  Alcotest.(check (float 10.0)) "p99 near 99" 99.0 s.Obs.Histo.p99;
-  Alcotest.(check bool) "quantiles ordered" true
-    (s.Obs.Histo.p50 <= s.Obs.Histo.p95 && s.Obs.Histo.p95 <= s.Obs.Histo.p99);
-  Alcotest.(check bool) "clamped to observed range" true
-    (s.Obs.Histo.p99 <= s.Obs.Histo.s_max)
+  let s = Obs.Histo.snapshot h in
+  let p50 = Obs.Histo.quantile s 0.50
+  and p95 = Obs.Histo.quantile s 0.95
+  and p99 = Obs.Histo.quantile s 0.99 in
+  Alcotest.(check int) "count" 100 s.Obs.Histo.count;
+  Alcotest.(check (float 10.0)) "p50 near 50" 50.0 p50;
+  Alcotest.(check (float 10.0)) "p95 near 95" 95.0 p95;
+  Alcotest.(check (float 10.0)) "p99 near 99" 99.0 p99;
+  Alcotest.(check bool) "quantiles ordered" true (p50 <= p95 && p95 <= p99);
+  Alcotest.(check bool) "clamped to observed range" true (p99 <= s.Obs.Histo.max)
 
 (* Degenerate histograms must yield well-defined quantiles — not NaN
    or interpolation garbage: empty -> 0, a single observation (or any
@@ -206,7 +198,8 @@ let test_labels_canonical () =
   let reg = Obs.Metrics.create () in
   let ab = Obs.Labels.v [ ("a", "1"); ("b", "2") ] in
   let ba = Obs.Labels.v [ ("b", "2"); ("a", "1") ] in
-  Alcotest.(check bool) "order-insensitive equality" true (Obs.Labels.equal ab ba);
+  Alcotest.(check bool) "order-insensitive equality" true
+    (Obs.Labels.bindings ab = Obs.Labels.bindings ba);
   Alcotest.(check string) "one registry key"
     (Obs.Labels.series_name "req" ab)
     (Obs.Labels.series_name "req" ba);
@@ -219,12 +212,16 @@ let test_labels_canonical () =
   Alcotest.(check int) "different values split the series" 0
     (Obs.Metrics.value other);
   (* The encoded snapshot key decomposes back to (base, labels). *)
-  let base, labels = Obs.Metrics.decompose reg (Obs.Labels.series_name "req" ab) in
-  Alcotest.(check string) "decompose base" "req" base;
-  Alcotest.(check bool) "decompose labels" true (Obs.Labels.equal ab labels);
+  (match Obs.Metrics.counter_series reg with
+  | { Obs.Metrics.base; labels; value } :: _ ->
+      Alcotest.(check string) "decompose base" "req" base;
+      Alcotest.(check bool) "decompose labels" true
+        (Obs.Labels.bindings ab = Obs.Labels.bindings labels);
+      Alcotest.(check int) "decomposed series value" 2 value
+  | [] -> Alcotest.fail "no counter series");
   let snap = Obs.Metrics.snapshot reg in
   Alcotest.(check (option int)) "snapshot carries the encoded key" (Some 2)
-    (Obs.Metrics.find_counter snap "req{a=\"1\",b=\"2\"}")
+    (List.assoc_opt "req{a=\"1\",b=\"2\"}" snap.Obs.Metrics.counters)
 
 let test_labels_validation () =
   Alcotest.check_raises "duplicate key"
@@ -234,9 +231,9 @@ let test_labels_validation () =
     (Invalid_argument "Labels.make: invalid label key \"0bad\"") (fun () ->
       ignore (Obs.Labels.make [ ("0bad", "1") ]));
   Alcotest.(check string) "values escaped in render" "{k=\"x\\\"y\\\\z\"}"
-    (Obs.Labels.render (Obs.Labels.v [ ("k", "x\"y\\z") ]));
+    (Obs.Labels.series_name "" (Obs.Labels.v [ ("k", "x\"y\\z") ]));
   Alcotest.(check string) "empty set renders empty" ""
-    (Obs.Labels.render Obs.Labels.empty)
+    (Obs.Labels.series_name "" Obs.Labels.empty)
 
 (* ---- Timeline ----------------------------------------------------------- *)
 
@@ -255,15 +252,14 @@ let test_timeline_determinism () =
     tl
   in
   let a = build () and b = build () in
-  Alcotest.(check (list string)) "columns in registration order" [ "x"; "xx" ]
-    (Obs.Timeline.columns a);
-  Alcotest.(check int) "one row per sample" 5 (Obs.Timeline.length a);
   let nd t = Obs.Timeline.to_ndjson ~tags:[ ("case", "t") ] t in
   Alcotest.(check string) "NDJSON bit-identical across runs" (nd a) (nd b);
-  (match Obs.Timeline.rows a with
-  | (t0, r0) :: _ ->
-      Alcotest.(check (float 0.0)) "rows oldest first" 0.0 t0;
-      Alcotest.(check (float 0.0)) "probe read at sample time" 1.0 r0.(0)
+  (* Rows oldest first, columns in registration order, each probe read
+     at its sample time. *)
+  (match String.split_on_char '\n' (nd a) with
+  | first :: _ ->
+      Alcotest.(check string) "first row" {|{"case":"t","t":0.0,"x":1.0,"xx":1.0}|}
+        first
   | [] -> Alcotest.fail "no rows");
   (* Every NDJSON line is a self-contained JSON object with the tag. *)
   let lines = String.split_on_char '\n' (nd a) in
@@ -271,19 +267,15 @@ let test_timeline_determinism () =
   Alcotest.(check int) "one line per row" 5 (List.length lines);
   List.iteri
     (fun i line ->
-      match Obs.Json.of_string line with
+      match Json_read.of_string line with
       | Error e -> Alcotest.failf "row %d is not JSON: %s" i e
       | Ok j ->
           Alcotest.(check (option string)) "tag present" (Some "t")
-            Obs.Json.(Option.bind (member "case" j) to_string_opt);
+            Json_read.(Option.bind (member "case" j) to_string_opt);
           Alcotest.(check (option (float 0.0))) "probe field"
             (Some (float_of_int ((i + 1) * (i + 1))))
-            Obs.Json.(Option.bind (member "xx" j) to_float))
-    lines;
-  Obs.Timeline.clear a;
-  Alcotest.(check int) "clear drops rows" 0 (Obs.Timeline.length a);
-  Obs.Timeline.sample a ~now:99.0;
-  Alcotest.(check int) "probes survive clear" 1 (Obs.Timeline.length a)
+            Json_read.(Option.bind (member "xx" j) to_float))
+    lines
 
 let test_timeline_registration_guards () =
   let tl = Obs.Timeline.create () in
@@ -325,15 +317,8 @@ let test_span_balance () =
   Obs.Span.start s "graft" ~key:4 ~now:31.0;
   Alcotest.(check int) "restore abandons all in flight" 2
     (Obs.Span.drop_all_open s);
-  (* The books balance: every first-start either completed, is still
-     open, or was abandoned (restarts count as abandonments of the
-     superseded attempt, not as new opens). *)
-  Alcotest.(check int) "opened (first starts)" 5 (Obs.Span.opened s);
-  Alcotest.(check int) "completed" 2 (Obs.Span.completed_count s);
+  Alcotest.(check int) "completed" 2 (Obs.Span.stats s).Obs.Span.n;
   Alcotest.(check int) "open" 0 (Obs.Span.open_count s);
-  Alcotest.(check int) "dropped (incl. one restart)" 4 (Obs.Span.dropped s);
-  Alcotest.(check int) "opened + restarts = completed + open + dropped" (5 + 1)
-    (Obs.Span.completed_count s + Obs.Span.open_count s + Obs.Span.dropped s);
   (* Exact nearest-rank stats over the two completed durations. *)
   let st = Obs.Span.stats ~name:"join" s in
   Alcotest.(check int) "stats n" 2 st.Obs.Span.n;
@@ -388,8 +373,8 @@ let test_openmetrics_exposition () =
 let test_two_runs_equal_one_run () =
   let run () =
     ignore
-      (Experiments.Faults.run ~seed:42 ~scenarios:[ Experiments.Faults.Crash ]
-         ~protocols:[ Verif.Sut.Hbh ] ());
+      (Experiments.Faults.run_observed ~seed:42
+         ~scenarios:[ Experiments.Faults.Crash ] ~protocols:[ Verif.Sut.Hbh ] ());
     Obs.Metrics.snapshot (Obs.Metrics.default ())
   in
   let once = run () in
@@ -420,17 +405,17 @@ let test_json_roundtrip () =
         ("l", Obs.Json.List [ Obs.Json.Int 1; Obs.Json.Int 2 ]);
       ]
   in
-  match Obs.Json.of_string (Obs.Json.to_string j) with
+  match Json_read.of_string (Obs.Json.to_string j) with
   | Error e -> Alcotest.failf "parse failed: %s" e
   | Ok j' ->
       Alcotest.(check string) "print-parse-print stable"
         (Obs.Json.to_string j) (Obs.Json.to_string j');
       Alcotest.(check (option int)) "member access" (Some (-42))
-        Obs.Json.(Option.bind (member "i" j') to_int)
+        Json_read.(Option.bind (member "i" j') to_int)
 
 let test_json_rejects_garbage () =
   let bad s =
-    match Obs.Json.of_string s with
+    match Json_read.of_string s with
     | Ok _ -> Alcotest.failf "accepted %S" s
     | Error _ -> ()
   in
@@ -445,10 +430,10 @@ let test_snapshot_json_roundtrip () =
   List.iter (Obs.Histo.observe h) [ 0.2; 3.0; 99.0 ];
   let snap = Obs.Metrics.snapshot reg in
   let json = Obs.Metrics.snapshot_to_json snap in
-  match Obs.Json.of_string (Obs.Json.to_string json) with
+  match Json_read.of_string (Obs.Json.to_string json) with
   | Error e -> Alcotest.failf "reparse failed: %s" e
   | Ok j -> (
-      match Obs.Metrics.snapshot_of_json j with
+      match Json_read.snapshot_of_json j with
       | Error e -> Alcotest.failf "snapshot decode failed: %s" e
       | Ok snap' ->
           Alcotest.(check (list (pair string int)))
@@ -479,7 +464,7 @@ let test_notef_short_circuit () =
   Obs.Trace.notef t ~time:1.0 ~node:0 "spy: %t" spy;
   Alcotest.(check bool) "inactive trace never formats" false !rendered;
   Alcotest.(check int) "nothing recorded" 0 (Obs.Trace.length t);
-  Obs.Trace.set_enabled t true;
+  let t = Obs.Trace.create ~enabled:true () in
   Obs.Trace.notef t ~time:2.0 ~node:0 "spy: %t" spy;
   Alcotest.(check bool) "active trace formats" true !rendered;
   Alcotest.(check int) "note recorded" 1 (Obs.Trace.length t)
@@ -501,7 +486,7 @@ let test_ring_bound_and_order () =
   for i = 1 to 3 do
     Obs.Trace.event t ~time:(float_of_int i) ~node:i Obs.Event.Member_join
   done;
-  match Obs.Trace.events t with
+  match Obs.Trace.last t max_int with
   | [ a; b ] ->
       Alcotest.(check (float 0.0)) "oldest surviving" 2.0 a.Obs.Event.time;
       Alcotest.(check (float 0.0)) "newest" 3.0 b.Obs.Event.time
@@ -510,7 +495,7 @@ let test_ring_bound_and_order () =
 (* ---- End to end: ISP-scenario HBH run reports into obs ------------------ *)
 
 let count_kind trace pred =
-  List.length (List.filter (fun (e : Obs.Event.t) -> pred e.kind) (Obs.Trace.events trace))
+  List.length (List.filter (fun (e : Obs.Event.t) -> pred e.kind) (Obs.Trace.last trace max_int))
 
 let test_hbh_isp_run_reports () =
   Obs.Metrics.reset (Obs.Metrics.default ());
@@ -535,7 +520,7 @@ let test_hbh_isp_run_reports () =
   Alcotest.(check bool) "tree events recorded" true (trees > 0);
   let snap = Obs.Metrics.snapshot (Obs.Metrics.default ()) in
   let counter name =
-    match Obs.Metrics.find_counter snap name with
+    match List.assoc_opt name snap.Obs.Metrics.counters with
     | Some n -> n
     | None -> Alcotest.failf "counter %s missing from snapshot" name
   in
@@ -560,7 +545,7 @@ let test_owner_keeps_registry () =
       Hbh.Protocol.converge session);
   let count reg name =
     Option.value ~default:0
-      (Obs.Metrics.find_counter (Obs.Metrics.snapshot reg) name)
+      (List.assoc_opt name (Obs.Metrics.snapshot reg).Obs.Metrics.counters)
   in
   let names =
     [
@@ -597,34 +582,30 @@ let test_rollup_slots_and_overflow () =
   Alcotest.(check bool) "spilled" true (Obs.Rollup.spilled roll);
   let snap = Obs.Metrics.snapshot r in
   let get ch =
-    Obs.Metrics.find_counter snap
+    List.assoc_opt
       (Obs.Labels.series_name "churn.joins"
-         (Obs.Rollup.labels_for roll ch))
+         (Obs.Labels.v [ ("channel", ch); ("protocol", "hbh") ]))
+      snap.Obs.Metrics.counters
   in
   Alcotest.(check (option int)) "hot channel counted twice" (Some 2) (get "c0");
   Alcotest.(check (option int)) "own series" (Some 1) (get "c1");
-  (* c3 and c4 share the overflow series. *)
-  Alcotest.(check (option int)) "tail aggregated" (Some 2) (get "c3");
-  Alcotest.(check bool) "overflow label value" true
-    (List.mem_assoc "channel" (Obs.Labels.bindings (Obs.Rollup.labels_for roll "c4"))
-    && List.assoc "channel" (Obs.Labels.bindings (Obs.Rollup.labels_for roll "c4"))
-       = Obs.Rollup.overflow_value)
+  (* c3 and c4 share the overflow series, labelled channel="_other". *)
+  Alcotest.(check (option int)) "tail aggregated" (Some 2) (get "_other");
+  Alcotest.(check (option int)) "no own series past the cap" None (get "c3")
 
 let test_rollup_stable_mapping () =
   let r = Obs.Metrics.create () in
   let roll = Obs.Rollup.create ~max_series:2 r in
-  let a = Obs.Rollup.labels_for roll "a" in
+  let a = Obs.Labels.v [ ("channel", "a") ] in
   (* Same value, same labels — across instruments too. *)
-  Alcotest.(check bool) "memoized" true
-    (Obs.Labels.equal a (Obs.Rollup.labels_for roll "a"));
-  let c = Obs.Rollup.counter roll "m.events" "a" in
-  Obs.Metrics.incr c;
+  Obs.Metrics.incr (Obs.Rollup.counter roll "m.events" "a");
+  Obs.Metrics.incr (Obs.Rollup.counter roll "m.events" "a");
   Obs.Metrics.set (Obs.Rollup.gauge roll "m.depth" "a") 4.0;
   let snap = Obs.Metrics.snapshot r in
-  Alcotest.(check (option int)) "counter under same labels" (Some 1)
-    (Obs.Metrics.find_counter snap (Obs.Labels.series_name "m.events" a));
+  Alcotest.(check (option int)) "memoized: counter under same labels" (Some 2)
+    (List.assoc_opt (Obs.Labels.series_name "m.events" a) snap.Obs.Metrics.counters);
   Alcotest.(check bool) "gauge under same labels" true
-    (Obs.Metrics.find_gauge snap (Obs.Labels.series_name "m.depth" a)
+    (List.assoc_opt (Obs.Labels.series_name "m.depth" a) snap.Obs.Metrics.gauges
     = Some 4.0)
 
 let test_rollup_rejects_bad_config () =

@@ -79,9 +79,12 @@ let test_run_independence () =
     (points_at ~x:16 full) (points_at ~x:16 solo)
 
 let test_sweep_sample_pure () =
-  let cfg = Experiments.Common.isp_config () in
-  let one () = Experiments.Common.sweep_sample ~seed:5 cfg ~n:8 ~run:3 in
-  Alcotest.(check bool) "sweep_sample is replayable" true (one () = one ())
+  let cfg = { (Experiments.Common.isp_config ()) with sizes = [ 8 ] } in
+  let one () =
+    let r = Experiments.Common.sweep ~runs:4 ~seed:5 cfg in
+    Stats.Series.to_csv r.cost ^ Stats.Series.to_csv r.delay
+  in
+  Alcotest.(check string) "a sweep's samples are replayable" (one ()) (one ())
 
 (* ---- Registry isolation across domains ---------------------------------- *)
 
@@ -94,7 +97,7 @@ let test_registry_isolation () =
         let h = Obs.Metrics.hot_histogram "iso.shared_histo" in
         for k = 1 to counts.(i) do
           Obs.Metrics.hot_incr c;
-          Obs.Metrics.hot_observe h (float_of_int (k land 7))
+          Obs.Histo.observe (Obs.Metrics.bind_histogram h) (float_of_int (k land 7))
         done;
         Obs.Metrics.hot_value c)
   in
@@ -109,7 +112,7 @@ let test_registry_isolation () =
       Alcotest.(check (option int))
         (Printf.sprintf "registry %d counter uncontaminated" i)
         (Some counts.(i))
-        (Obs.Metrics.find_counter s "iso.shared_name"))
+        (List.assoc_opt "iso.shared_name" s.Obs.Metrics.counters))
     regs
 
 (* Owners bind their instruments when created (Obs.Metrics.bind): two
@@ -143,7 +146,7 @@ let test_owner_registry_isolation () =
   let values reg =
     let snap = Obs.Metrics.snapshot reg in
     List.map
-      (fun k -> Option.value ~default:0 (Obs.Metrics.find_counter snap k))
+      (fun k -> Option.value ~default:0 (List.assoc_opt k snap.Obs.Metrics.counters))
       keys
   in
   let alone =
@@ -201,9 +204,9 @@ let prop_faults_jobs_equiv =
     QCheck.(pair (int_range 0 1000) (oneofl [ 2; 4; 8 ]))
     (fun (seed, jobs) ->
       let render os = Format.asprintf "%a" Experiments.Faults.pp_outcomes os in
-      let seq = Experiments.Faults.run ~seed () in
+      let seq = fst (Experiments.Faults.run_observed ~seed ()) in
       let seq_metrics = metrics_json () in
-      let par = Experiments.Faults.run ~seed ~jobs () in
+      let par = fst (Experiments.Faults.run_observed ~seed ~jobs ()) in
       let par_metrics = metrics_json () in
       render seq = render par && seq_metrics = par_metrics)
 
@@ -213,8 +216,10 @@ let prop_faults_jobs_equiv =
    [jobs]. *)
 let test_faults_runaway_terminates () =
   let run jobs =
-    Experiments.Faults.run ~seed:970 ~scenarios:[ Experiments.Faults.Crash ]
-      ~protocols:[ Verif.Sut.Reunite ] ~jobs ()
+    fst
+      (Experiments.Faults.run_observed ~seed:970
+         ~scenarios:[ Experiments.Faults.Crash ] ~protocols:[ Verif.Sut.Reunite ]
+         ~jobs ())
   in
   let outcomes = run 1 in
   Alcotest.(check (list bool))
@@ -230,7 +235,7 @@ let test_faults_runaway_terminates () =
    timers, so the instrumented suite's rows equal the plain suite's. *)
 let test_faults_instrument_read_only () =
   let rows os = List.map Experiments.Faults.row os in
-  let plain = Experiments.Faults.run ~seed:42 () in
+  let plain = fst (Experiments.Faults.run_observed ~seed:42 ()) in
   let observed, obs =
     Experiments.Faults.run_observed ~seed:42
       ~instrument:

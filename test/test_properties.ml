@@ -79,7 +79,7 @@ let prop_hbh_constrained_consistent =
       let rng = Stats.Rng.create (source + 7919) in
       List.iter
         (fun r ->
-          Topology.Graph.set_multicast_capable g r (Stats.Rng.bool rng))
+          Topology.Graph.set_multicast_capable g r (Stats.Rng.int rng 2 = 1))
         (Topology.Graph.routers g);
       let ideal = Hbh.Analytic.build table ~source ~receivers in
       let constrained = Hbh.Analytic.build_constrained table ~source ~receivers in

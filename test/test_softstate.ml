@@ -63,13 +63,15 @@ let test_hbh_source_mft_decay () =
 let test_hbh_branching_mft_decay () =
   let sess, net = hbh_join_drop () in
   let branching =
-    match Hbh.Protocol.branching_routers sess with
-    | b :: _ -> b
+    match
+      List.filter (fun (_, st) -> Hbh.Tables.is_branching st) (Hbh.Protocol.all_tables sess)
+    with
+    | (b, _) :: _ -> b
     | [] -> Alcotest.fail "no branching router on the ISP scenario"
   in
   let mft =
-    match Hbh.Protocol.router_tables sess branching with
-    | Hbh.Tables.Forwarding mft -> mft
+    match List.assoc_opt branching (Hbh.Protocol.all_tables sess) with
+    | Some (Hbh.Tables.Forwarding mft) -> mft
     | _ -> Alcotest.fail "branching router lost its MFT"
   in
   (* Drop every control message: joins, trees and fusions all gone —

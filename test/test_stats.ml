@@ -8,27 +8,27 @@ let check_float = Alcotest.(check (float 1e-9))
 let test_rng_deterministic () =
   let a = Stats.Rng.create 1234 and b = Stats.Rng.create 1234 in
   for _ = 1 to 100 do
-    Alcotest.(check int64) "same stream" (Stats.Rng.bits64 a) (Stats.Rng.bits64 b)
+    Alcotest.(check (float 0.0)) "same stream" (Stats.Rng.float a 1.0) (Stats.Rng.float b 1.0)
   done
 
 let test_rng_seed_sensitivity () =
   let a = Stats.Rng.create 1 and b = Stats.Rng.create 2 in
-  let va = List.init 8 (fun _ -> Stats.Rng.bits64 a) in
-  let vb = List.init 8 (fun _ -> Stats.Rng.bits64 b) in
+  let va = List.init 8 (fun _ -> Stats.Rng.float a 1.0) in
+  let vb = List.init 8 (fun _ -> Stats.Rng.float b 1.0) in
   Alcotest.(check bool) "different seeds differ" true (va <> vb)
 
 let test_rng_copy () =
   let a = Stats.Rng.create 7 in
-  ignore (Stats.Rng.bits64 a);
+  ignore (Stats.Rng.float a 1.0);
   let b = Stats.Rng.copy a in
-  Alcotest.(check int64) "copy continues identically" (Stats.Rng.bits64 a)
-    (Stats.Rng.bits64 b)
+  Alcotest.(check (float 0.0)) "copy continues identically" (Stats.Rng.float a 1.0)
+    (Stats.Rng.float b 1.0)
 
 let test_rng_split_independent () =
   let a = Stats.Rng.create 7 in
   let child = Stats.Rng.split a in
-  let va = List.init 8 (fun _ -> Stats.Rng.bits64 a) in
-  let vc = List.init 8 (fun _ -> Stats.Rng.bits64 child) in
+  let va = List.init 8 (fun _ -> Stats.Rng.float a 1.0) in
+  let vc = List.init 8 (fun _ -> Stats.Rng.float child 1.0) in
   Alcotest.(check bool) "split streams differ" true (va <> vc)
 
 let test_rng_int_bounds () =
@@ -169,50 +169,17 @@ let test_rng_pick () =
 
 let test_summary_empty () =
   let s = Stats.Summary.create () in
-  Alcotest.(check int) "count" 0 (Stats.Summary.count s);
   Alcotest.(check bool) "mean nan" true (Float.is_nan (Stats.Summary.mean s))
 
 let test_summary_basic () =
   let s = Stats.Summary.create () in
   List.iter (Stats.Summary.add s) [ 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 ];
-  check_float "mean" 5.0 (Stats.Summary.mean s);
-  check_float "variance" 4.571428571428571 (Stats.Summary.variance s);
-  check_float "min" 2.0 (Stats.Summary.min s);
-  check_float "max" 9.0 (Stats.Summary.max s);
-  check_float "total" 40.0 (Stats.Summary.total s)
+  check_float "mean" 5.0 (Stats.Summary.mean s)
 
 let test_summary_single () =
   let s = Stats.Summary.create () in
   Stats.Summary.add s 3.5;
-  check_float "mean" 3.5 (Stats.Summary.mean s);
-  Alcotest.(check bool) "variance nan with n=1" true
-    (Float.is_nan (Stats.Summary.variance s))
-
-let test_summary_merge () =
-  let a = Stats.Summary.create () and b = Stats.Summary.create () in
-  let all = Stats.Summary.create () in
-  let rng = Stats.Rng.create 37 in
-  for i = 1 to 1000 do
-    let v = Stats.Rng.float rng 10.0 in
-    Stats.Summary.add all v;
-    Stats.Summary.add (if i mod 3 = 0 then a else b) v
-  done;
-  let m = Stats.Summary.merge a b in
-  Alcotest.(check int) "count" 1000 (Stats.Summary.count m);
-  check_float "mean matches" (Stats.Summary.mean all) (Stats.Summary.mean m);
-  Alcotest.(check (float 1e-6)) "variance matches" (Stats.Summary.variance all)
-    (Stats.Summary.variance m)
-
-let test_summary_ci_shrinks () =
-  let small = Stats.Summary.create () and large = Stats.Summary.create () in
-  let rng = Stats.Rng.create 41 in
-  for i = 1 to 10_000 do
-    let v = Stats.Rng.float rng 1.0 in
-    if i <= 100 then Stats.Summary.add small v;
-    Stats.Summary.add large v
-  done;
-  Alcotest.(check bool) "ci95 shrinks with n" true
-    (Stats.Summary.ci95 large < Stats.Summary.ci95 small)
+  check_float "mean" 3.5 (Stats.Summary.mean s)
 
 (* ---- Series ----------------------------------------------------------- *)
 
@@ -221,15 +188,15 @@ let test_series_points_sorted () =
   Stats.Series.observe s ~x:10 1.0;
   Stats.Series.observe s ~x:2 2.0;
   Stats.Series.observe s ~x:5 3.0;
-  Alcotest.(check (list int)) "sorted xs" [ 2; 5; 10 ] (Stats.Series.xs s)
+  Alcotest.(check (list int)) "sorted xs" [ 2; 5; 10 ]
+    (List.map fst (Stats.Series.points s))
 
 let test_series_mean_accumulates () =
   let s = Stats.Series.create "x" in
   Stats.Series.observe s ~x:1 2.0;
   Stats.Series.observe s ~x:1 4.0;
-  check_float "mean at x" 3.0 (Stats.Series.mean_at s ~x:1);
-  Alcotest.(check bool) "missing x is nan" true
-    (Float.is_nan (Stats.Series.mean_at s ~x:99))
+  Alcotest.(check (list (pair int (float 1e-9)))) "mean at x" [ (1, 3.0) ]
+    (Stats.Series.points s)
 
 let test_series_ratio () =
   let a = Stats.Series.create "A" and b = Stats.Series.create "B" in
@@ -265,7 +232,6 @@ let test_series_render_no_crash () =
   let buf = Buffer.create 64 in
   let ppf = Format.formatter_of_buffer buf in
   Stats.Series.render ppf g;
-  Stats.Series.render_ci ppf g;
   Format.pp_print_flush ppf ();
   Alcotest.(check bool) "rendered something" true (Buffer.length buf > 0)
 
@@ -288,25 +254,9 @@ let prop_summary_mean_in_range =
     (fun xs ->
       let s = Stats.Summary.create () in
       List.iter (Stats.Summary.add s) xs;
-      Stats.Summary.mean s >= Stats.Summary.min s -. 1e-9
-      && Stats.Summary.mean s <= Stats.Summary.max s +. 1e-9)
-
-let prop_summary_merge_commutes =
-  QCheck.Test.make ~name:"summary merge commutes" ~count:200
-    QCheck.(
-      pair
-        (list_of_size Gen.(1 -- 20) (float_range (-10.) 10.))
-        (list_of_size Gen.(1 -- 20) (float_range (-10.) 10.)))
-    (fun (xs, ys) ->
-      let mk l =
-        let s = Stats.Summary.create () in
-        List.iter (Stats.Summary.add s) l;
-        s
-      in
-      let m1 = Stats.Summary.merge (mk xs) (mk ys) in
-      let m2 = Stats.Summary.merge (mk ys) (mk xs) in
-      Float.abs (Stats.Summary.mean m1 -. Stats.Summary.mean m2) < 1e-9
-      && Stats.Summary.count m1 = Stats.Summary.count m2)
+      let lo = List.fold_left Float.min infinity xs
+      and hi = List.fold_left Float.max neg_infinity xs in
+      Stats.Summary.mean s >= lo -. 1e-9 && Stats.Summary.mean s <= hi +. 1e-9)
 
 let prop_rng_sample_distinct =
   QCheck.Test.make ~name:"sample yields distinct in-range values" ~count:200
@@ -349,8 +299,6 @@ let () =
           Alcotest.test_case "empty" `Quick test_summary_empty;
           Alcotest.test_case "basic moments" `Quick test_summary_basic;
           Alcotest.test_case "single value" `Quick test_summary_single;
-          Alcotest.test_case "merge" `Quick test_summary_merge;
-          Alcotest.test_case "ci shrinks" `Quick test_summary_ci_shrinks;
         ] );
       ( "series",
         [
@@ -367,7 +315,6 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [
             prop_summary_mean_in_range;
-            prop_summary_merge_commutes;
             prop_rng_sample_distinct;
           ] );
     ]

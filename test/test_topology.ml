@@ -78,7 +78,7 @@ let test_host_router_mapping () =
   let h = Topology.Builder.add_host b ~router:r1 () in
   let g = Topology.Builder.build b in
   Alcotest.(check int) "router of host" r1 (G.router_of_host g h);
-  Alcotest.(check (list int)) "hosts of router" [ h ] (G.hosts_of_router g r1);
+  Alcotest.(check (list int)) "hosts of router" [ h ] (Topo_check.hosts_of_router g r1);
   Alcotest.check_raises "router_of_host on router"
     (Invalid_argument "Graph.router_of_host: 0 is not a host") (fun () ->
       ignore (G.router_of_host g r0))
@@ -100,7 +100,7 @@ let test_symmetrize () =
   G.randomize_costs g rng ~lo:1 ~hi:10;
   G.symmetrize_costs g;
   Alcotest.(check (float 0.0)) "no asymmetric links" 0.0
-    (G.asymmetric_link_fraction g)
+    (Topo_check.asymmetric_link_fraction g)
 
 let test_asymmetric_fraction_nonzero () =
   let g = Topology.Isp.create () in
@@ -109,7 +109,7 @@ let test_asymmetric_fraction_nonzero () =
   (* With 48 links and 1/10 chance of equality per link, some
      asymmetry is (overwhelmingly) certain. *)
   Alcotest.(check bool) "mostly asymmetric" true
-    (G.asymmetric_link_fraction g > 0.5)
+    (Topo_check.asymmetric_link_fraction g > 0.5)
 
 let test_multicast_capability_flag () =
   let g = Topology.Isp.create () in
@@ -131,11 +131,17 @@ let test_isp_shape () =
   Alcotest.(check int) "18 routers" 18 (List.length (G.routers g));
   Alcotest.(check int) "18 hosts" 18 (List.length (G.hosts g));
   Alcotest.(check int) "48 links (30 router + 18 access)" 48 (G.link_count g);
-  Alcotest.(check bool) "connected" true (G.is_connected g)
+  Alcotest.(check bool) "connected" true (Topo_check.is_connected g)
+
+(* The average router degree, as [Graph.pp] prints it. *)
+let avg_router_degree g =
+  Scanf.sscanf (Format.asprintf "%a" G.pp g)
+    "graph: %_d nodes (%_d routers, %_d hosts), %_d links, avg router degree %f"
+    Fun.id
 
 let test_isp_average_degree () =
   let g = Topology.Isp.create () in
-  let d = G.avg_router_degree g in
+  let d = avg_router_degree g in
   Alcotest.(check bool) "paper's 3.33" true (Float.abs (d -. (10.0 /. 3.0)) < 0.01)
 
 let test_isp_numbering () =
@@ -154,10 +160,10 @@ let test_isp_numbering () =
 let test_random_connected () =
   let rng = Stats.Rng.create 4 in
   let g = Topology.Generators.random_connected rng ~n:50 ~avg_degree:8.6 in
-  Alcotest.(check bool) "connected" true (G.is_connected g);
+  Alcotest.(check bool) "connected" true (Topo_check.is_connected g);
   Alcotest.(check int) "50 routers" 50 (List.length (G.routers g));
   Alcotest.(check int) "one host per router" 50 (List.length (G.hosts g));
-  let d = G.avg_router_degree g in
+  let d = avg_router_degree g in
   Alcotest.(check bool) "degree near 8.6" true (Float.abs (d -. 8.6) < 0.2)
 
 let test_random_connected_deterministic () =
@@ -180,14 +186,14 @@ let test_random_connected_invalid_degree () =
 let test_waxman_connected () =
   let rng = Stats.Rng.create 8 in
   let g = Topology.Generators.waxman rng ~n:40 in
-  Alcotest.(check bool) "connected" true (G.is_connected g);
+  Alcotest.(check bool) "connected" true (Topo_check.is_connected g);
   Alcotest.(check int) "routers" 40 (List.length (G.routers g))
 
 let test_grid () =
   let g = Topology.Generators.grid ~hosts:false ~rows:3 ~cols:4 () in
   Alcotest.(check int) "nodes" 12 (G.node_count g);
   Alcotest.(check int) "links" ((2 * 4) + (3 * 3)) (G.link_count g);
-  Alcotest.(check bool) "connected" true (G.is_connected g)
+  Alcotest.(check bool) "connected" true (Topo_check.is_connected g)
 
 let test_ring () =
   let g = Topology.Generators.ring ~hosts:false ~n:6 () in
@@ -210,7 +216,7 @@ let test_balanced_tree () =
   let g = Topology.Generators.balanced_tree ~hosts:false ~depth:3 ~fanout:2 () in
   Alcotest.(check int) "nodes 1+2+4+8" 15 (G.node_count g);
   Alcotest.(check int) "links" 14 (G.link_count g);
-  Alcotest.(check bool) "connected" true (G.is_connected g)
+  Alcotest.(check bool) "connected" true (Topo_check.is_connected g)
 
 let test_full_mesh () =
   let g = Topology.Generators.full_mesh ~hosts:false ~n:5 () in
@@ -228,7 +234,7 @@ let test_transit_stub () =
       ~stubs_per_transit:2 ~stub_size:3
   in
   Alcotest.(check int) "nodes 4 + 4*2*3" 28 (G.node_count g);
-  Alcotest.(check bool) "connected" true (G.is_connected g)
+  Alcotest.(check bool) "connected" true (Topo_check.is_connected g)
 
 (* Structural digest: node kinds, degrees and adjacency — byte-equal
    digests mean byte-equal topologies. *)
@@ -247,7 +253,7 @@ let test_power_law () =
   let rng = Stats.Rng.create 7 in
   let g = Topology.Generators.power_law ~hosts:false rng ~n:600 in
   Alcotest.(check int) "nodes" 600 (G.node_count g);
-  Alcotest.(check bool) "connected" true (G.is_connected g);
+  Alcotest.(check bool) "connected" true (Topo_check.is_connected g);
   (* Heavy tail: the hubs tower over the m=2 arrivals. *)
   let degs = List.map (G.degree g) (G.routers g) in
   let dmax = List.fold_left max 0 degs in
@@ -269,7 +275,7 @@ let test_as_hierarchy () =
   let rng = Stats.Rng.create 11 in
   let g = Topology.Generators.as_hierarchy ~hosts:false rng ~n:500 in
   Alcotest.(check int) "nodes" 500 (G.node_count g);
-  Alcotest.(check bool) "connected" true (G.is_connected g);
+  Alcotest.(check bool) "connected" true (Topo_check.is_connected g);
   (* Stubs (the third tier) keep degree 1-2; the backbone does not. *)
   let core_deg = G.degree g 0 in
   Alcotest.(check bool) "core router degree >= 3" true (core_deg >= 3)
@@ -284,10 +290,10 @@ let test_internet_scale_build () =
      connected (the Builder link index keeps this O(E)). *)
   let g = Topology.Generators.power_law ~hosts:false (Stats.Rng.create 1) ~n:5000 in
   Alcotest.(check int) "nodes" 5000 (G.node_count g);
-  Alcotest.(check bool) "connected" true (G.is_connected g);
+  Alcotest.(check bool) "connected" true (Topo_check.is_connected g);
   let h = Topology.Generators.as_hierarchy ~hosts:false (Stats.Rng.create 2) ~n:5000 in
   Alcotest.(check int) "nodes" 5000 (G.node_count h);
-  Alcotest.(check bool) "connected" true (G.is_connected h)
+  Alcotest.(check bool) "connected" true (Topo_check.is_connected h)
 
 (* ---- Properties ------------------------------------------------------- *)
 
@@ -296,14 +302,14 @@ let prop_power_law_connected =
     QCheck.(pair (int_range 4 200) (int_range 0 1000))
     (fun (n, seed) ->
       let rng = Stats.Rng.create seed in
-      G.is_connected (Topology.Generators.power_law ~hosts:false rng ~n))
+      Topo_check.is_connected (Topology.Generators.power_law ~hosts:false rng ~n))
 
 let prop_as_hierarchy_connected =
   QCheck.Test.make ~name:"as_hierarchy always connected" ~count:50
     QCheck.(pair (int_range 41 300) (int_range 0 1000))
     (fun (n, seed) ->
       let rng = Stats.Rng.create seed in
-      G.is_connected (Topology.Generators.as_hierarchy ~hosts:false rng ~n))
+      Topo_check.is_connected (Topology.Generators.as_hierarchy ~hosts:false rng ~n))
 
 let prop_random_graphs_connected =
   QCheck.Test.make ~name:"random_connected always connected" ~count:50
@@ -313,14 +319,14 @@ let prop_random_graphs_connected =
       let deg = Float.min (float_of_int (n - 1)) 3.0 in
       let deg = Float.max deg (2.0 *. float_of_int (n - 1) /. float_of_int n) in
       let g = Topology.Generators.random_connected ~hosts:false rng ~n ~avg_degree:deg in
-      G.is_connected g)
+      Topo_check.is_connected g)
 
 let prop_waxman_connected =
   QCheck.Test.make ~name:"waxman always connected" ~count:50
     QCheck.(pair (int_range 2 40) (int_range 0 1000))
     (fun (n, seed) ->
       let rng = Stats.Rng.create seed in
-      G.is_connected (Topology.Generators.waxman ~hosts:false rng ~n))
+      Topo_check.is_connected (Topology.Generators.waxman ~hosts:false rng ~n))
 
 let () =
   Alcotest.run "topology"

@@ -48,18 +48,20 @@ let test_scenario_cost_range () =
   List.iter
     (fun (l : Topology.Graph.link) ->
       Alcotest.(check bool) "within paper range" true
-        (l.cost_uv >= Workload.Scenario.default_cost_lo
-        && l.cost_uv <= Workload.Scenario.default_cost_hi))
+        (l.cost_uv >= 1 && l.cost_uv <= 10))
     (Topology.Graph.links g)
 
 (* ---- Churn ----------------------------------------------------------------- *)
 
+(* [n] receivers join, one every [spacing] time units starting at
+   [spacing], in random order; nobody leaves. *)
+let flash_crowd rng ~candidates ~n ~spacing =
+  let picked = Workload.Scenario.pick_receivers rng ~candidates ~n in
+  List.mapi (fun i r -> (spacing *. float_of_int (i + 1), Workload.Churn.Join r)) picked
+
 let test_flash_crowd () =
   let rng = Stats.Rng.create 3 in
-  let sched =
-    Workload.Churn.flash_crowd rng ~candidates:[ 10; 11; 12; 13 ] ~n:3
-      ~spacing:5.0
-  in
+  let sched = flash_crowd rng ~candidates:[ 10; 11; 12; 13 ] ~n:3 ~spacing:5.0 in
   Alcotest.(check int) "three events" 3 (List.length sched);
   List.iteri
     (fun i (t, ev) ->
@@ -131,11 +133,20 @@ let prop_poisson_leaves_match_joins =
 
 (* ---- Zipf popularity -------------------------------------------------- *)
 
+(* A rank drawn by inverse CDF over the pmf. *)
+let zipf_sample z rng =
+  let u = Stats.Rng.float rng 1.0 and last = Workload.Zipf.n z - 1 in
+  let rec go k acc =
+    let acc = acc +. Workload.Zipf.pmf z k in
+    if k = last || acc > u then k else go (k + 1) acc
+  in
+  go 0 0.0
+
 let test_zipf_determinism () =
   let z = Workload.Zipf.create ~n:64 () in
   let draw seed =
     let rng = Stats.Rng.create seed in
-    List.init 200 (fun _ -> Workload.Zipf.sample z rng)
+    List.init 200 (fun _ -> zipf_sample z rng)
   in
   Alcotest.(check (list int)) "same rng, same ranks" (draw 7) (draw 7);
   Alcotest.(check bool) "different rng differs" true (draw 7 <> draw 8)
@@ -156,7 +167,7 @@ let test_zipf_rank_frequency () =
   let rng = Stats.Rng.create 3 in
   let counts = Array.make n 0 in
   for _ = 1 to 20_000 do
-    let k = Workload.Zipf.sample z rng in
+    let k = zipf_sample z rng in
     counts.(k) <- counts.(k) + 1
   done;
   Alcotest.(check bool) "rank 0 is hottest" true
@@ -173,6 +184,10 @@ let test_zipf_uniform_when_s0 () =
   done
 
 (* ---- Multi-channel churn ---------------------------------------------- *)
+
+(* The merged stream's events for one channel, in stream order. *)
+let project merged c =
+  List.filter_map (fun (t, c', ev) -> if c' = c then Some (t, ev) else None) merged
 
 let test_multi_projection_consistency () =
   (* The merged stream projected onto channel c must be exactly the
@@ -193,7 +208,7 @@ let test_multi_projection_consistency () =
         ~rate:(0.05 *. Workload.Zipf.pmf z c)
         ~mean_hold:300.0 ~horizon:5000.0
     in
-    let projected = Workload.Churn.project merged c in
+    let projected = project merged c in
     Alcotest.(check int)
       (Printf.sprintf "channel %d event count" c)
       (List.length standalone) (List.length projected);
@@ -243,7 +258,7 @@ let prop_multi_projection =
       in
       List.for_all
         (fun c ->
-          Workload.Churn.project merged c
+          project merged c
           = Workload.Churn.poisson
               (Stats.Rng.derive ~seed ~index:c)
               ~candidates
