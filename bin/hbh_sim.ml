@@ -1023,32 +1023,17 @@ let verify_cmd =
       & opt (enum [ ("isp", `Isp); ("rand50", `Rand50) ]) `Isp
       & info [ "topology" ] ~docv:"T" ~doc)
   in
-  let inject_bug_arg =
-    let doc =
-      "Deliberately break the protocol before exploring ($(docv) is \
-       $(b,mark-decay): HBH fusion marks never lapse) — exercises the \
-       oracle/shrinking pipeline end to end; the run must find and \
-       minimize a counterexample."
-    in
-    Arg.(
-      value
-      & opt (some (enum [ ("mark-decay", `Mark_decay) ])) None
-      & info [ "inject-bug" ] ~docv:"BUG" ~doc)
-  in
   let no_shrink_arg =
     let doc = "Report raw counterexamples without ddmin minimization." in
     Arg.(value & flag & info [ "no-shrink" ] ~doc)
   in
-  let run protocol depth states topology seed jobs json inject_bug no_shrink =
+  let run protocol depth states topology seed jobs json no_shrink =
     let make_sut () =
       let cfg = topo_config ~seed topology in
       Verif.Sut.make ~candidates:cfg.Experiments.Common.candidates protocol
         (Routing.Table.compute cfg.Experiments.Common.graph)
         ~source:cfg.Experiments.Common.source
     in
-    (match inject_bug with
-    | Some `Mark_decay -> Proto.Softstate.freeze_marks := true
-    | None -> ());
     let config =
       { Verif.Explore.default_config with depth; max_states = states; seed }
     in
@@ -1121,7 +1106,7 @@ let verify_cmd =
       $ seed_arg $ jobs_arg
       $ json_arg
           "Write the outcome (counts and counterexamples) as JSON to $(docv)."
-      $ inject_bug_arg $ no_shrink_arg)
+      $ no_shrink_arg)
 
 let default =
   Term.(ret (const (`Help (`Pager, None))))

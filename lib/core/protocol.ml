@@ -40,7 +40,6 @@ type state = {
   deadlines : Tables.deadlines;
   router_tables : Node_tables.t;
   source_mft : Tables.Mft.t;
-  member_last_seen : (int, instant) Hashtbl.t;
   member_first : (int, bool ref) Hashtbl.t;
   (* The tree damper, the control-plane twin of the session's data
      damper ([S.forward_data]).  The MFT entry graph can hold a cycle
@@ -91,7 +90,6 @@ module S = Proto.Session.Make (struct
       deadlines = { Tables.t1 = c.t1; t2 = c.t2 };
       router_tables = Node_tables.create ();
       source_mft = Tables.Mft.create ();
-      member_last_seen = Hashtbl.create 16;
       member_first = Hashtbl.create 16;
       tree_emit_at = Hashtbl.create 16;
     }
@@ -106,7 +104,6 @@ module S = Proto.Session.Make (struct
       deadlines = st.deadlines;
       router_tables = Node_tables.copy st.router_tables;
       source_mft = Tables.Mft.copy st.source_mft;
-      member_last_seen = copy_tbl (fun c -> { at = c.at }) st.member_last_seen;
       member_first = copy_tbl (fun r -> ref !r) st.member_first;
       tree_emit_at = copy_tbl (fun c -> { at = c.at }) st.tree_emit_at;
     }
@@ -128,17 +125,6 @@ let mft_ev t ~node ~target op =
 let mct_ev t ~node ~target op =
   S.count t m_mct;
   if S.trace_active t then S.ev t ~node (Obs.Event.Mct_update { target; op })
-
-(* A member refreshes its channel-liveness clock whenever a tree or
-   data message of the channel reaches it; if the clock goes silent
-   past t2, its next join is flagged [first] again (a fresh membership
-   episode), which is guaranteed to reach the source and rebuild the
-   branch — the soft-state self-heal of every recursive-unicast
-   protocol. *)
-let member_seen t n =
-  match Hashtbl.find (S.state t).member_last_seen n with
-  | cell -> cell.at <- S.now t
-  | exception Not_found -> ()
 
 (* ---- Appendix A: router message processing -------------------------- *)
 
@@ -206,7 +192,6 @@ let router_handle_join t n (p : Messages.t Pkt.t) ~member ~first =
 let router_handle_tree t n (p : Messages.t Pkt.t) ~target ~from_branch =
   let st = S.state t in
   let now = S.now t in
-  if p.Pkt.dst = n then member_seen t n;
   match channel_state t n with
   | Tables.Forwarding mft ->
       if p.Pkt.dst = n then begin
@@ -319,7 +304,6 @@ let router_handle_fusion t n (p : Messages.t Pkt.t) ~members ~sender =
 let router_handle_data t n (p : Messages.t Pkt.t) ~seq =
   if p.Pkt.dst <> n then Net.Forward
   else begin
-    member_seen t n;
     (match channel_state t n with
     | Tables.Forwarding _ -> S.forward_data t ~at:n p ~seq
     | Tables.Control _ | Tables.No_state -> ());
@@ -366,19 +350,6 @@ let source_handler t n (p : Messages.t Pkt.t) =
     Net.Consume
   end
 
-(* ---- Member (receiver) agent ----------------------------------------- *)
-
-(* Installed at member hosts; router members reuse the router handler,
-   which calls {!member_seen} on its own. *)
-let member_handler t n (p : Messages.t Pkt.t) =
-  if p.Pkt.dst <> n then Net.Forward
-  else begin
-    (match p.Pkt.payload with
-    | Messages.Tree _ | Messages.Data _ -> member_seen t n
-    | Messages.Join _ | Messages.Extra _ -> ());
-    Net.Consume
-  end
-
 (* ---- Session hooks --------------------------------------------------- *)
 
 (* The data-plane fan-out: the source's and each branching router's
@@ -401,20 +372,12 @@ let tick t =
         (Messages.Tree { channel = S.channel t; target = x; ext = S.source t }))
     (Tables.Mft.tree_targets st.source_mft ~now:(S.now t))
 
+(* A member's first join after subscribing is flagged [first], which
+   no router intercepts, so it reaches the source; later ones are
+   refreshes. *)
 let join_tick t ~member =
-  let st = S.state t in
-  match
-    ( Hashtbl.find st.member_last_seen member,
-      Hashtbl.find st.member_first member )
-  with
-  | last_seen, first ->
-      (* Channel silent past t2: this membership episode's state has
-         decayed somewhere upstream — start a new episode. *)
-      if S.now t -. last_seen.at > (S.config t).t2 then begin
-        S.notef t ~node:member "channel silent, rejoining";
-        first := true;
-        last_seen.at <- S.now t
-      end;
+  match Hashtbl.find (S.state t).member_first member with
+  | first ->
       let f = !first in
       first := false;
       S.send t ~from:member ~dst:(S.source t) ~kind:Pkt.Control
@@ -425,7 +388,7 @@ let hooks =
   {
     S.router = router_handler;
     source_agent = source_handler;
-    member_agent = Some member_handler;
+    member_agent = None;
     tick = Some tick;
     sweep = (fun t ~now -> Node_tables.sweep (S.state t).router_tables ~now);
     state_size =
@@ -444,15 +407,8 @@ let hooks =
         Hashtbl.remove st.tree_emit_at n);
     join_tick;
     on_subscribe =
-      (fun t r ->
-        let st = S.state t in
-        Hashtbl.replace st.member_last_seen r { at = S.now t };
-        Hashtbl.replace st.member_first r (ref true));
-    on_unsubscribe =
-      (fun t r ->
-        let st = S.state t in
-        Hashtbl.remove st.member_last_seen r;
-        Hashtbl.remove st.member_first r);
+      (fun t r -> Hashtbl.replace (S.state t).member_first r (ref true));
+    on_unsubscribe = (fun t r -> Hashtbl.remove (S.state t).member_first r);
     send_data =
       (fun t ->
         let payload =

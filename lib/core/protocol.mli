@@ -1,6 +1,7 @@
-(** The event-driven HBH protocol: one channel, agents on the source,
-    the receivers and every multicast-capable router, exchanging
-    {!Messages} over a {!Netsim.Network} exactly per Appendix A.
+(** The event-driven HBH protocol: one channel, agents on the source
+    and every multicast-capable router, and periodic joins from the
+    receivers, exchanging {!Messages} over a {!Netsim.Network} exactly
+    per Appendix A.
 
     Typical use:
     {[

@@ -15,9 +15,6 @@ type entry = Ss.entry = private {
   mutable epoch : int;
 }
 
-let entry_stale = Ss.entry_stale
-let entry_dead = Ss.entry_dead
-let entry_marked = Ss.entry_marked
 let stamp = Ss.stamp
 
 module Mft = struct
@@ -36,8 +33,8 @@ module Mct = struct
 
   let create dl ~now target = { e = Ss.entry dl ~now target }
   let target t = t.e.node
-  let stale t ~now = entry_stale t.e ~now
-  let dead t ~now = entry_dead t.e ~now
+  let stale t ~now = Ss.entry_stale t.e ~now
+  let dead t ~now = Ss.entry_dead t.e ~now
   let refresh t dl ~now = Ss.refresh_entry t.e dl ~now
   let replace t dl ~now target = t.e <- Ss.entry dl ~now target
   let entry t = t.e
@@ -65,7 +62,6 @@ let mft_entry_count = function
   | Forwarding m -> Mft.size m
   | No_state | Control _ -> 0
 
-let is_branching = function Forwarding _ -> true | No_state | Control _ -> false
 
 let copy = function
   | No_state -> No_state

@@ -32,10 +32,6 @@ type entry = Proto.Softstate.entry = private {
           {!stamp}); 0 until first stamped *)
 }
 
-val entry_stale : entry -> now:float -> bool
-val entry_dead : entry -> now:float -> bool
-val entry_marked : entry -> now:float -> bool
-
 val stamp : entry -> epoch:int -> unit
 (** Record forward-path evidence at the given route epoch (monotone).
     Tree processing stamps the entries the converging tree message
@@ -133,7 +129,6 @@ val sweep : channel_state -> now:float -> channel_state option
 
 val mct_count : channel_state -> int
 val mft_entry_count : channel_state -> int
-val is_branching : channel_state -> bool
 
 val copy : channel_state -> channel_state
 (** Deep copy — checkpoint support. *)

@@ -106,6 +106,12 @@ let rec step t =
   end
 
 let run ?until ?max_events t =
+  (match until with
+  | Some limit when limit < t.clock ->
+      invalid_arg
+        (Printf.sprintf "Engine.run: until %g is in the past (now %g)" limit
+           t.clock)
+  | _ -> ());
   (* The clock is read only while profiling; a toggle from inside the
      run takes effect at the next one. *)
   let timed = t.profiling in

@@ -51,7 +51,8 @@ val run : ?until:float -> ?max_events:int -> t -> unit
 (** Fire events until the queue is empty, the clock would pass
     [until], or [max_events] have fired.  Events scheduled exactly at
     [until] still fire; on exit the clock is [min until (last event
-    time)]. *)
+    time)].  The clock never runs backwards: an [until] before {!now}
+    raises [Invalid_argument]. *)
 
 val events_fired : t -> int
 (** Total events fired since creation (cancelled events excluded).

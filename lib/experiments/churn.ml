@@ -181,7 +181,12 @@ let run_arm ~seed ~params proto ~stretched =
                    (Obs.Rollup.counter rollup "churn.leaves" (chan_value c)))))
     sched;
   let ranks = probe_rank_list ~channels:p.channels ~probe_ranks:p.probe_ranks in
+  (* The probes drain past [sample_every] when they are many, so a
+     sample is taken when it is due or, if the previous one's probes
+     ran later, when they ended: the clock only moves forward, and the
+     row's time is the instant its probes start. *)
   let sample_at t =
+    let t = Float.max t (Engine.now engine) in
     Engine.run ~until:t engine;
     let members_of c = P.members sessions.(c) in
     let total = ref 0 and active = ref 0 in

@@ -42,7 +42,10 @@ val default_params : params
     Zipf(1), hold 300, horizon 2000, sampled every 500. *)
 
 type sample = {
-  s_time : float;  (** nominal sample instant (sim time at its start) *)
+  s_time : float;
+      (** sim time at which the sample's probes start: the nominal
+          instant, or later when the previous sample's probes ran past
+          it *)
   s_members : int;  (** live members summed over all channels *)
   s_active : int;  (** channels with at least one member *)
   s_probed : int;  (** sampled channels actually probed *)

@@ -38,9 +38,11 @@ let sample t ~now =
 
 let rows t = List.rev t.rows
 
-(* One JSON object per line: {"t":..., "<probe>":...,...}.  Floats
-   that hold integers print without a fraction (Json.Float already
-   canonicalizes), so the export is byte-stable across runs. *)
+(* One JSON object per line: {"t":..., "<probe>":...,...}.  Json.Float
+   prints a float that holds an integer with one fractional digit
+   ([1.0], not [1]) and any other with 12 significant digits, or 17
+   when 12 do not read back to the same float, so the export is
+   byte-stable across runs. *)
 let to_ndjson ?(tags = []) t =
   let cols = columns t in
   let b = Buffer.create 4096 in

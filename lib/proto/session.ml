@@ -491,33 +491,6 @@ module Make (P : PROTOCOL) = struct
   let control_overhead t = (Net.counters t.network).Net.control_hops
   let state_size t = t.hooks.state_size t
 
-  let metrics_state t ~tables ~mct_count ~mft_count ~is_branching =
-    let mct = ref 0 and mft = ref 0 and branching = ref 0 and on_tree = ref 0 in
-    Hashtbl.iter
-      (fun n tb ->
-        if Topology.Graph.is_router t.graph n then begin
-          let c = mct_count tb and f = mft_count tb in
-          mct := !mct + c;
-          mft := !mft + f;
-          if is_branching tb then incr branching;
-          if c > 0 || f > 0 then incr on_tree
-        end)
-      tables;
-    {
-      Mcast.Metrics.mct_entries = !mct;
-      mft_entries = !mft;
-      branching_routers = !branching;
-      on_tree_routers = !on_tree;
-    }
-
-  let branching_routers t ~tables ~is_branching =
-    Hashtbl.fold
-      (fun n tb acc ->
-        if is_branching tb && Topology.Graph.is_router t.graph n then n :: acc
-        else acc)
-      tables []
-    |> List.sort compare
-
   (* ---- Checkpoint / restore ------------------------------------------ *)
 
   (* Everything mutable the session owns on top of the network: the

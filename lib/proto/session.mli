@@ -351,22 +351,6 @@ module Make (P : PROTOCOL) : sig
   val state_size : t -> int
   (** The protocol's [state_size] hook, read now. *)
 
-  val metrics_state :
-    t ->
-    tables:(int, 'tb) Hashtbl.t ->
-    mct_count:('tb -> int) ->
-    mft_count:('tb -> int) ->
-    is_branching:('tb -> bool) ->
-    Mcast.Metrics.state
-  (** Uniform state-size summary over a per-router table map: counts
-      control (MCT) and forwarding (MFT) entries, branching routers
-      and on-tree routers — routers only, hosts excluded.  Callers
-      sweep first so dead entries are not counted. *)
-
-  val branching_routers :
-    t -> tables:(int, 'tb) Hashtbl.t -> is_branching:('tb -> bool) -> int list
-  (** Branching routers under the same conventions, ascending. *)
-
   (** {1 Checkpoint / restore}
 
       A snapshot captures the session's protocol state (via

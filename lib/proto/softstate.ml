@@ -14,15 +14,7 @@ type entry = { node : int; seq : int; tm : times; mutable epoch : int }
 let entry_stale e ~now = now >= e.tm.fresh_until
 let entry_dead e ~now = now >= e.tm.expires_at
 
-(* Verification-only fault knob: with [freeze_marks] set, a mark never
-   decays — the pre-PR2 bug the systematic explorer is expected to
-   rediscover (permanent marks blackhole data after reroute-and-
-   return).  Off in every normal run. *)
-let freeze_marks = ref false
-
-let entry_marked e ~now =
-  if !freeze_marks then e.tm.marked_until > neg_infinity
-  else now < e.tm.marked_until
+let entry_marked e ~now = now < e.tm.marked_until
 
 let make dl ~now ~seq ~fresh_until node =
   {

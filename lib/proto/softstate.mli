@@ -13,7 +13,7 @@
       {!Table.refresh}, fusion-style {!Table.mark}, and the
       data/tree target projections.
     - REUNITE receiver and control tables use install-order iteration
-      ({!Table.in_order}, {!Table.first_fresh}) with detached
+      ({!Table.first_fresh}) with detached
       {!entry} values for the dst slot.
     - PIM-SSM oif maps degenerate to [t1 = t2 = holdtime]: an entry is
       live exactly until its holdtime deadline. *)
@@ -43,13 +43,6 @@ type entry = private {
 val entry_stale : entry -> now:float -> bool
 val entry_dead : entry -> now:float -> bool
 val entry_marked : entry -> now:float -> bool
-
-val freeze_marks : bool ref
-(** Verification-only fault injection: while set, marks never decay
-    (the pre-fault-subsystem bug — permanent marks blackhole data
-    after reroute-and-return).  [Verif] sets it to demonstrate that
-    the explorer catches and shrinks the resulting failure; it must
-    stay [false] in every normal run. *)
 
 val copy_entry : entry -> entry
 (** Independent copy of a (mutable) entry, its {!times} record
@@ -119,9 +112,6 @@ module Table : sig
 
   val entries : t -> entry list
   (** All entries, ascending by node. *)
-
-  val in_order : t -> entry list
-  (** All entries, install order. *)
 
   val live_nodes : t -> now:float -> int list
   (** Non-dead entry nodes, ascending. *)

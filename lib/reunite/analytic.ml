@@ -183,7 +183,6 @@ let mct_of t n =
 let in_mct t n r =
   is_member t r
   && List.exists (fun a -> a.flow.target = r) t.arrivals.(n)
-  && not (in_mft t n r)
 
 (* Where a join walk left its receiver: in the source's table, in a
    branching router's receivers (one that just turned branching

@@ -141,7 +141,6 @@ let sweep state ~now =
 
 let mct_count s = match s.mct with Some m -> Mct.size m | None -> 0
 let mft_entry_count s = match s.mft with Some m -> Mft.size m | None -> 0
-let is_branching s = s.mft <> None
 
 let copy s =
   { mct = Option.map Mct.copy s.mct; mft = Option.map Mft.copy s.mft }

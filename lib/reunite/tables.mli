@@ -136,7 +136,6 @@ val sweep : channel_state -> now:float -> channel_state option
 
 val mct_count : channel_state -> int
 val mft_entry_count : channel_state -> int
-val is_branching : channel_state -> bool
 
 val copy : channel_state -> channel_state
 (** Deep copy — checkpoint support. *)

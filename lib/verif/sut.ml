@@ -96,9 +96,9 @@ let bucket ~now deadline =
   max (-1) (int_of_float (Float.round ((deadline -. now) /. 25.0)))
 
 (* The mark is summarized as a boolean through [entry_marked] — not a
-   bucketed remaining time — so a frozen mark (the injectable
-   mark-decay bug) yields a stable digest instead of blocking
-   quiescence forever. *)
+   bucketed remaining time — so a mark that never lapses (the
+   mark-decay mutant, test/mutants) yields a stable digest instead of
+   blocking quiescence forever. *)
 let add_entry b ~now (e : Ss.entry) =
   add_tagged b (if Ss.entry_marked e ~now then 'M' else 'e') e.Ss.node;
   add_int b (bucket ~now e.Ss.tm.fresh_until);

@@ -8,7 +8,10 @@ apart from the value's own module.  References are resolved through
 `module X = Lib.M[.Sub]` aliases (functor applications included),
 `open` / `include` / `let open` / `M.( ... )` and submodule paths such as
 `Ss.Table.add_fresh`; a bare name counts wherever its module is opened.
-Tests are not callers.
+An `include M` uses only the values of M that the including module's
+own interface declares, directly or through an included `module type`
+(so `include S` of a session functor checks every value the protocol's
+.mli does not re-export).  Tests are not callers.
 
 An export with no caller must be listed in scripts/export_allowlist.txt,
 one per line as `Lib.Module.value  # reason`, where the reason names the
@@ -82,43 +85,61 @@ def lib_name(d):
     return m.group(1).capitalize()
 
 
+def tokens(text):
+    return [(m.group(0), m.start()) for m in re.finditer(r"[A-Za-z_][A-Za-z0-9_']*|\S", text)]
+
+
+def path_at(toks, i):
+    """The dotted module path starting at token i, as a tuple."""
+    out = []
+    while i < len(toks) and re.match(r"[A-Z]", toks[i][0]):
+        out.append(toks[i][0])
+        if i + 2 < len(toks) and toks[i + 1][0] == "." and re.match(r"[A-Z]", toks[i + 2][0]):
+            i += 2
+        else:
+            break
+    return tuple(out)
+
+
 def parse_mli(path, prefix):
-    """Exports of one interface: (module path tuple, value, line)."""
+    """Exports of one interface, (module path tuple, value, line), and
+    its signatures: {module or module type path: (values, included
+    module type paths)}."""
     text = strip(open(path).read())
     exports = []
-    # Open blocks: a module path, or None inside a contract (a
-    # `module type`) or a struct/object/begin block.
-    stack = [prefix]
-    pending = None  # name of a `module X ... : sig` not yet opened
+    sigs = {}
+    # Open blocks: (path, contract).  A `module type` body is a
+    # contract: its values are recorded in [sigs] but are not exports.
+    # A struct/object/begin block has no path.
+    stack = [(prefix, False)]
+    pending = None  # name of a `module [type] X ... : sig` not yet opened
     contract_pending = False
-    toks = [(m.group(0), m.start()) for m in re.finditer(r"[A-Za-z_][A-Za-z0-9_']*|\S", text)]
+    toks = tokens(text)
     lines = [text.count("\n", 0, pos) + 1 for _, pos in toks]
     i = 0
     while i < len(toks):
         t = toks[i][0]
-        cur = stack[-1]
+        cur, contract = stack[-1]
         if t == "module":
             nxt = toks[i + 1][0] if i + 1 < len(toks) else ""
             if nxt == "type":
                 contract_pending = True
-                pending = None
-                i += 2
+                pending = toks[i + 2][0] if i + 2 < len(toks) else None
+                i += 3
                 continue
             pending = nxt
             contract_pending = False
             i += 2
             continue
         if t == "sig":
-            if contract_pending or cur is None:
-                stack.append(None)
-            elif pending is not None:
-                stack.append(cur + (pending,))
+            if cur is not None and pending is not None:
+                stack.append((cur + (pending,), contract or contract_pending))
             else:
-                stack.append(None)
+                stack.append((None, contract))
             pending = None
             contract_pending = False
         elif t in ("struct", "object", "begin"):
-            stack.append(None)
+            stack.append((None, contract))
         elif t == "end":
             if len(stack) > 1:
                 stack.pop()
@@ -134,12 +155,46 @@ def parse_mli(path, prefix):
                         op += toks[j][0]
                         j += 1
                     name = "( " + op + " )"
-                exports.append((cur, name, lines[i]))
-        elif t in ("include", "exception", "open", "class"):
+                sigs.setdefault(cur, (set(), []))[0].add(name)
+                if not contract:
+                    exports.append((cur, name, lines[i]))
+        elif t == "include":
+            pending = None
+            contract_pending = False
+            inc = path_at(toks, i + 1)
+            if cur is not None and inc:
+                sigs.setdefault(cur, (set(), []))[1].append(inc)
+        elif t in ("exception", "open", "class"):
             pending = None
             contract_pending = False
         i += 1
-    return exports
+    return exports, sigs
+
+
+def ml_scopes(text):
+    """The module path, relative to the file, enclosing each `include`
+    of an implementation: [(offset, path or None)], None inside an
+    anonymous struct (a functor argument, say)."""
+    toks = tokens(text)
+    stack = [()]
+    pending = None
+    out = []
+    for i, (t, pos) in enumerate(toks):
+        if t == "module":
+            nxt = toks[i + 1][0] if i + 1 < len(toks) else ""
+            pending = nxt if nxt != "type" else None
+        elif t == "struct":
+            named = pending is not None and i > 0 and toks[i - 1][0] == "=" and stack[-1] is not None
+            stack.append(stack[-1] + (pending,) if named else None)
+            pending = None
+        elif t in ("sig", "object", "begin"):
+            stack.append(None)
+        elif t == "end":
+            if len(stack) > 1:
+                stack.pop()
+        elif t == "include":
+            out.append((pos, stack[-1]))
+    return out
 
 
 class Tree:
@@ -147,6 +202,7 @@ class Tree:
         self.libs = {}  # Lib -> dir
         self.modules = set()  # known module paths (tuples)
         self.exports = []  # (path tuple, value, file, line)
+        self.sigs = {}  # module or module type path -> (values, includes)
         for d in sorted(os.listdir("lib")):
             full = os.path.join("lib", d)
             if not os.path.isfile(os.path.join(full, "dune")):
@@ -158,10 +214,26 @@ class Tree:
                 if f.endswith(".mli"):
                     mod = (lib, f[:-4].capitalize())
                     self.modules.add(mod)
-                    for path, v, ln in parse_mli(os.path.join(full, f), mod):
+                    exports, sigs = parse_mli(os.path.join(full, f), mod)
+                    for path, v, ln in exports:
                         self.modules.add(path)
                         self.exports.append((path, v, os.path.join(full, f), ln))
+                    self.sigs.update(sigs)
         self.dir_lib = {d: l for l, d in self.libs.items()}
+
+    def interface(self, path, seen=()):
+        """The values the interface at [path] (a module or a module
+        type) declares, its included module types' values among them."""
+        vals, incs = self.sigs.get(path, (set(), []))
+        out = set(vals)
+        for inc in incs:
+            # A relative include names a module type of an enclosing scope.
+            for k in range(len(path), -1, -1):
+                cand = path[:k] + inc
+                if cand in self.sigs and cand not in seen:
+                    out |= self.interface(cand, seen + (path,))
+                    break
+        return out
 
     def own_file(self, path):
         return os.path.join(self.libs[path[0]], path[1].lower() + ".ml")
@@ -230,11 +302,21 @@ def references(tree, path):
             refs.add((o, w))
         for w in ops:
             refs.add((o, "( " + w + " )"))
-    # `include M` in a module re-exports M's values through the including
-    # module: count them as used.
+    # `include M` re-exports M's values through the including module,
+    # but only those the including module's own interface declares,
+    # directly or through an included module type: those count as used.
+    # An include in an anonymous struct or in a file with no interface
+    # counts nothing.
+    scopes = dict(ml_scopes(text))
+    own = (home, os.path.basename(path)[:-3].capitalize()) if home else None
     for m in re.finditer(r"\binclude\s+(" + PATH + r")", text):
+        scope = scopes.get(m.start())
+        if own is None or scope is None:
+            continue
+        exported = tree.interface(own + scope)
         for c in resolve(split_path(m.group(1))):
-            refs.add((c, "*"))
+            for v in exported:
+                refs.add((c, v))
     return refs
 
 
@@ -246,7 +328,7 @@ def uncalled(tree):
     out = []
     for path, v, mli, ln in tree.exports:
         own = tree.own_file(path)
-        callers = (used.get((path, v), set()) | used.get((path, "*"), set())) - {own}
+        callers = used.get((path, v), set()) - {own}
         if not callers:
             out.append((".".join(path + (v,)), mli, ln))
     return out

@@ -101,6 +101,22 @@ let test_past_scheduling_rejected () =
        false
      with Invalid_argument _ -> true)
 
+(* A limit before the clock is refused and leaves the clock alone: a
+   run never moves simulated time backwards. *)
+let test_run_until_past_rejected () =
+  let e = E.create () in
+  ignore (E.schedule_at e ~time:100.0 (fun () -> ()));
+  E.run ~until:50.0 e;
+  Alcotest.(check (float 0.0)) "clock at first limit" 50.0 (E.now e);
+  Alcotest.(check bool) "earlier limit raises" true
+    (try
+       E.run ~until:20.0 e;
+       false
+     with Invalid_argument _ -> true);
+  Alcotest.(check (float 0.0)) "clock unchanged" 50.0 (E.now e);
+  E.run ~until:50.0 e;
+  Alcotest.(check int) "limit at now is a no-op" 1 (E.pending e)
+
 (* ---- Timers ------------------------------------------------------------ *)
 
 let test_periodic_timer () =
@@ -543,6 +559,8 @@ let () =
           Alcotest.test_case "until inclusive" `Quick test_run_until_inclusive;
           Alcotest.test_case "max events" `Quick test_max_events;
           Alcotest.test_case "past rejected" `Quick test_past_scheduling_rejected;
+          Alcotest.test_case "run until the past rejected" `Quick
+            test_run_until_past_rejected;
           Alcotest.test_case "requeue ties like a fresh event" `Quick
             test_requeue_order;
         ] );

@@ -6,6 +6,8 @@
 module Det = Experiments.Scenarios.Detour
 module Dup = Experiments.Scenarios.Duplication
 
+let is_branching = function Hbh.Tables.Forwarding _ -> true | _ -> false
+
 let isp_scenario seed n =
   let g = Topology.Isp.create () in
   let rng = Stats.Rng.create seed in
@@ -63,21 +65,21 @@ let test_mft_refresh_preserves_mark () =
 let test_mft_fusion_add_stale () =
   let m = Hbh.Tables.Mft.create () in
   let e = Hbh.Tables.Mft.add_stale m dl ~now:0.0 7 in
-  Alcotest.(check bool) "born stale" true (Hbh.Tables.entry_stale e ~now:0.0);
+  Alcotest.(check bool) "born stale" true (Proto.Softstate.entry_stale e ~now:0.0);
   Alcotest.(check (list int)) "stale yet data-forwarding" [ 7 ]
     (Hbh.Tables.Mft.data_targets m ~now:0.0);
   (* Join refresh freshens it; a later fusion must keep it fresh. *)
   ignore (Hbh.Tables.Mft.refresh m dl ~now:1.0 7);
   let e = Hbh.Tables.Mft.add_stale m dl ~now:2.0 7 in
   Alcotest.(check bool) "fusion does not downgrade freshness" false
-    (Hbh.Tables.entry_stale e ~now:3.0)
+    (Proto.Softstate.entry_stale e ~now:3.0)
 
 let test_mct_lifecycle () =
   let c = Hbh.Tables.Mct.create dl ~now:0.0 4 in
   Alcotest.(check int) "target" 4 (Hbh.Tables.Mct.target c);
   Alcotest.(check bool) "fresh" false (Hbh.Tables.Mct.stale c ~now:5.0);
   Alcotest.(check bool) "stale after t1" true (Hbh.Tables.Mct.stale c ~now:11.0);
-  Alcotest.(check bool) "dead after t2" true (Hbh.Tables.entry_dead (Hbh.Tables.Mct.entry c) ~now:26.0);
+  Alcotest.(check bool) "dead after t2" true (Proto.Softstate.entry_dead (Hbh.Tables.Mct.entry c) ~now:26.0);
   Hbh.Tables.Mct.replace c dl ~now:12.0 9;
   Alcotest.(check int) "replaced" 9 (Hbh.Tables.Mct.target c);
   Alcotest.(check bool) "fresh again" false (Hbh.Tables.Mct.stale c ~now:13.0)
@@ -88,7 +90,7 @@ let test_tables_sweep () =
   let m = Hbh.Tables.Mft.create () in
   ignore (Hbh.Tables.Mft.add_fresh m dl ~now:0.0 5);
   let fwd = Hbh.Tables.Forwarding m in
-  Alcotest.(check bool) "branching" true (Hbh.Tables.is_branching fwd);
+  Alcotest.(check bool) "branching" true (is_branching fwd);
   Alcotest.(check bool)
     "swept away" true
     (Hbh.Tables.sweep fwd ~now:30.0 = None);
@@ -272,7 +274,7 @@ let test_event_fig5_third_receiver () =
      forwarding state. *)
   Alcotest.(check bool) "R3 is branching" true
     (List.exists
-       (fun (n, st) -> n = 3 && Hbh.Tables.is_branching st)
+       (fun (n, st) -> n = 3 && is_branching st)
        (Hbh.Protocol.all_tables session))
 
 let test_event_fusion_resolves_fig3 () =

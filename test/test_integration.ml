@@ -262,6 +262,45 @@ let test_asymmetry_report () =
   Alcotest.(check bool) "more than 30% asymmetric routes" true
     (r.asymmetric_fraction > 0.3)
 
+(* Each probe drains 200 time units, so six probed channels take 1200
+   of a 100-unit sampling interval.  A sample then starts where the
+   previous one's probes ended: reported times never decrease, and no
+   two samples' probe windows overlap. *)
+let test_churn_samples_move_forward () =
+  let params =
+    {
+      Experiments.Churn.default_params with
+      routers = 60;
+      channels = 8;
+      rate = 0.2;
+      horizon = 400.0;
+      sample_every = 100.0;
+    }
+  in
+  match
+    Experiments.Churn.run ~protocols:[ Verif.Sut.Hbh ] ~arms:[ false ] ~params
+      ~seed:42 ()
+  with
+  | [ o ] ->
+      let samples = o.Experiments.Churn.o_samples in
+      Alcotest.(check int) "one row per nominal instant" 4 (List.length samples);
+      Alcotest.(check bool) "some sample probed two or more channels" true
+        (List.exists
+           (fun (s : Experiments.Churn.sample) -> s.s_probed >= 2)
+           samples);
+      let rec forward = function
+        | (a : Experiments.Churn.sample) :: (b :: _ as rest) ->
+            Alcotest.(check bool)
+              (Printf.sprintf "t=%g (%d probed) then t=%g" a.s_time a.s_probed
+                 b.s_time)
+              true
+              (b.s_time >= a.s_time +. (200.0 *. float_of_int a.s_probed));
+            forward rest
+        | _ -> ()
+      in
+      forward samples
+  | os -> Alcotest.failf "expected one outcome, got %d" (List.length os)
+
 let () =
   Alcotest.run "integration"
     [
@@ -309,5 +348,10 @@ let () =
         [
           Alcotest.test_case "detour gap" `Quick test_detour_gap_positive;
           Alcotest.test_case "asymmetry report" `Quick test_asymmetry_report;
+        ] );
+      ( "churn",
+        [
+          Alcotest.test_case "sample clock only moves forward" `Quick
+            test_churn_samples_move_forward;
         ] );
     ]

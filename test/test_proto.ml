@@ -23,6 +23,10 @@ module Ss = Proto.Softstate
 
 let dl = { Ss.t1 = 10.0; t2 = 25.0 }
 
+(* Entries in install order, the order [first_fresh] scans. *)
+let in_order tb =
+  List.sort (fun (a : Ss.entry) b -> compare a.Ss.seq b.Ss.seq) (Ss.Table.entries tb)
+
 let test_expiry_ladder () =
   let tb = Ss.Table.create () in
   let e = Ss.Table.add_fresh tb dl ~now:0.0 7 in
@@ -76,7 +80,7 @@ let test_install_order_projections () =
   ignore (Ss.Table.add_fresh tb dl ~now:2.0 6);
   Alcotest.(check (list int)) "nodes ascending" [ 2; 6; 9 ] (Ss.Table.nodes tb);
   Alcotest.(check (list int)) "install order" [ 9; 2; 6 ]
-    (List.map (fun (e : Ss.entry) -> e.Ss.node) (Ss.Table.in_order tb));
+    (List.map (fun (e : Ss.entry) -> e.Ss.node) (in_order tb));
   Alcotest.(check (option int)) "oldest fresh" (Some 9)
     (Ss.Table.first_fresh tb ~now:5.0);
   Ss.Table.remove tb 9;
@@ -273,7 +277,7 @@ let soft_view tb ~now =
   in
   let nodes = List.init 9 Fun.id in
   ( (Ss.Table.size tb, Ss.Table.nodes tb, List.map row (Ss.Table.entries tb)),
-    ( List.map (fun (e : Ss.entry) -> e.Ss.node) (Ss.Table.in_order tb),
+    ( List.map (fun (e : Ss.entry) -> e.Ss.node) (in_order tb),
       Ss.Table.live_nodes tb ~now,
       Ss.Table.data_targets tb ~now,
       Ss.Table.fresh_targets tb ~now ),

@@ -342,6 +342,23 @@ let test_event_duplication_scenario () =
   Alcotest.(check int) "two live copies on the shared link" 2
     (Mcast.Distribution.copies d u v)
 
+(* Both flows transit R6 (the source's to r1 and R1's fork to r2), so
+   R6's control table holds one entry per relayed receiver. *)
+let test_event_mct_per_relayed_receiver () =
+  let session = Reunite.Protocol.create (Dup.table ()) ~source:Dup.source in
+  Reunite.Protocol.subscribe session Dup.r1;
+  Reunite.Protocol.run_for session 300.0;
+  Reunite.Protocol.subscribe session Dup.r2;
+  Reunite.Protocol.converge session;
+  match List.assoc_opt 6 (Reunite.Protocol.all_tables session) with
+  | Some { Reunite.Tables.mct = Some mct; _ } ->
+      Alcotest.(check (list int)) "R6 relays r1 and r2" [ Dup.r1; Dup.r2 ]
+        (List.map
+           (fun (e : Reunite.Tables.entry) -> e.Reunite.Tables.node)
+           (Reunite.Tables.Mct.entries mct))
+  | Some { Reunite.Tables.mct = None; _ } | None ->
+      Alcotest.fail "R6 holds no control table"
+
 let test_event_teardown_on_leave () =
   let tbl = Det.table () in
   let session = Reunite.Protocol.create tbl ~source:Det.source in
@@ -374,7 +391,7 @@ let test_tables_sweep () =
     | Some s -> s == st
     | None -> false);
   Alcotest.(check bool) "dead MCT dropped" true (st.mct = None);
-  Alcotest.(check bool) "MFT still there" true (Reunite.Tables.is_branching st);
+  Alcotest.(check bool) "MFT still there" true (st.mft <> None);
   Alcotest.(check bool)
     "both gone" true
     (Reunite.Tables.sweep st ~now:40.0 = None)
@@ -501,6 +518,8 @@ let () =
           Alcotest.test_case "matches analytic (fig 2)" `Quick
             test_event_matches_analytic_on_detour;
           Alcotest.test_case "duplication (fig 3)" `Quick test_event_duplication_scenario;
+          Alcotest.test_case "one MCT entry per relayed receiver (fig 3)" `Quick
+            test_event_mct_per_relayed_receiver;
           Alcotest.test_case "teardown on leave (fig 2b-d)" `Quick
             test_event_teardown_on_leave;
           Alcotest.test_case "records released only when empty" `Quick

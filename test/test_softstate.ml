@@ -31,24 +31,24 @@ let check_mft_ladder ~what mft ~engine ~run =
   Alcotest.(check bool)
     (what ^ ": fresh before the outage bites")
     true
-    (List.exists (fun e -> not (Hbh.Tables.entry_stale e ~now:(nw ()))) (entries ()));
+    (List.exists (fun e -> not (Proto.Softstate.entry_stale e ~now:(nw ()))) (entries ()));
   (* Past t1 with no refreshes: every entry stale, none dead yet would
      be too strong (staggered refresh times), but all must be stale. *)
   run (cfg.t1 +. 1.0);
   Alcotest.(check bool)
     (what ^ ": all stale past t1")
     true
-    (List.for_all (fun e -> Hbh.Tables.entry_stale e ~now:(nw ())) (entries ()));
+    (List.for_all (fun e -> Proto.Softstate.entry_stale e ~now:(nw ())) (entries ()));
   Alcotest.(check bool)
     (what ^ ": still alive at t1 (data keeps flowing)")
     true
-    (List.exists (fun e -> not (Hbh.Tables.entry_dead e ~now:(nw ()))) (entries ()));
+    (List.exists (fun e -> not (Proto.Softstate.entry_dead e ~now:(nw ()))) (entries ()));
   (* Past t2: destroyed. *)
   run (cfg.t2 -. cfg.t1 +. 1.0);
   Alcotest.(check bool)
     (what ^ ": all dead past t2")
     true
-    (List.for_all (fun e -> Hbh.Tables.entry_dead e ~now:(nw ())) (entries ()))
+    (List.for_all (fun e -> Proto.Softstate.entry_dead e ~now:(nw ())) (entries ()))
 
 let test_hbh_source_mft_decay () =
   let sess, net = hbh_join_drop () in
@@ -64,7 +64,9 @@ let test_hbh_branching_mft_decay () =
   let sess, net = hbh_join_drop () in
   let branching =
     match
-      List.filter (fun (_, st) -> Hbh.Tables.is_branching st) (Hbh.Protocol.all_tables sess)
+      List.filter
+        (function _, Hbh.Tables.Forwarding _ -> true | _ -> false)
+        (Hbh.Protocol.all_tables sess)
     with
     | (b, _) :: _ -> b
     | [] -> Alcotest.fail "no branching router on the ISP scenario"
