@@ -12,7 +12,25 @@
    to the empty string to skip), so the perf trajectory accumulates
    one file per CI run, diffable against the checked-in
    [BENCH_seed.json] baseline.  Every file records its host: the
-   domains the runtime recommends and the OCaml version. *)
+   domains the runtime recommends, the OCaml version and the CPU
+   model. *)
+
+(* The first [model name] line of /proc/cpuinfo, or "unknown" where
+   there is none (not Linux, or an architecture that names it
+   otherwise). *)
+let cpu_model () =
+  let prefix = "model name" in
+  let rec scan ic =
+    match In_channel.input_line ic with
+    | None -> "unknown"
+    | Some line -> (
+        match String.index_opt line ':' with
+        | Some i when String.starts_with ~prefix line ->
+            String.trim (String.sub line (i + 1) (String.length line - i - 1))
+        | _ -> scan ic)
+  in
+  try In_channel.with_open_text "/proc/cpuinfo" scan with Sys_error _ -> "unknown"
+
 let emit_json fields wall_s =
   match Sys.getenv_opt "HBH_BENCH_JSON" with
   | Some "" -> ()
@@ -27,6 +45,7 @@ let emit_json fields wall_s =
                  [
                    ("domains", Obs.Json.Int (Domain.recommended_domain_count ()));
                    ("ocaml_version", Obs.Json.String Sys.ocaml_version);
+                   ("cpu_model", Obs.Json.String (cpu_model ()));
                  ] )
           :: fields)
       in

@@ -10,29 +10,57 @@ type in_tree = { dest : int; buf : Bytes.t }
 external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32"
 external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32"
 
+(* The queue is a ring of [ring] buckets, each a LIFO list of entries.
+   Bucket [b] holds the keys [k] with [k lsr shift = b], at ring slot
+   [b land (ring - 1)].  While the bucket of [cur] is drained every
+   queued key lies in [cur, cur + max_cost], so the queued keys span at
+   most [(max_cost lsr shift) + 2] buckets, and [shift] is the smallest
+   that keeps them within the ring: 0 (width 1, Dial's algorithm) for
+   every largest cost below [ring - 1], the paper's 1..10 included. *)
+let ring = 64
+
+let width_shift max_cost =
+  let s = ref 0 in
+  while (max_cost lsr !s) + 2 > ring do
+    incr s
+  done;
+  !s
+
 (* The kernel's working arrays, one set per domain ({!Stats.Parallel}
    runs SPFs on several at once), grown to the largest graph seen and
-   shared by every call on that domain.  Each run works on the prefix
-   [0 .. n-1] only.  It refills [dist] itself; [pos] is all -1 between
-   runs because a node leaves the heap only by being popped, and
-   popping resets it; [heap] needs no initial value. *)
+   shared by every call on that domain.  Each run refills the prefix
+   [0 .. n-1] of [dist] itself and reads [next u] only once it has set
+   it.  Entry [e] of the queue is three words of [entries] from [e]:
+   the node, its key, and the entry below it in its bucket or -1.
+   Every run drains the queue, so [head] is all -1 between runs and the
+   entries need no initial value.  A run pushes one entry per strict
+   improvement: with width 1 that is at most one per slot plus the
+   root, and wider buckets, which can expand a node twice, grow
+   [entries] when it runs out. *)
 type scratch = {
   mutable dist : int array;
-  mutable heap : int array;
-  mutable pos : int array;
+  mutable next : int array;
+  mutable entries : int array;
+  head : int array;
 }
 
 let scratch_key =
-  Domain.DLS.new_key (fun () -> { dist = [||]; heap = [||]; pos = [||] })
+  Domain.DLS.new_key (fun () ->
+      { dist = [||]; next = [||]; entries = [||]; head = Array.make ring (-1) })
 
-let scratch n =
+let scratch n slots =
   let s = Domain.DLS.get scratch_key in
-  if Array.length s.pos < n then begin
+  if Array.length s.dist < n then begin
     s.dist <- Array.make n max_int;
-    s.heap <- Array.make n 0;
-    s.pos <- Array.make n (-1)
+    s.next <- Array.make n (-1)
   end;
+  if Array.length s.entries < 3 * (slots + 1) then
+    s.entries <- Array.make (3 * (slots + 1)) 0;
   s
+
+let grow s =
+  s.entries <- Array.append s.entries (Array.make (Array.length s.entries) 0);
+  s.entries
 
 let max_dist = Int32.to_int Int32.max_int
 
@@ -40,52 +68,24 @@ let max_dist = Int32.to_int Int32.max_int
    {!Topology.Graph.view}): no link records, no lists, no closures, and
    no cross-module calls in its loops.
 
-   The queue is an indexed binary min-heap over node ids keyed by
-   [dist]: [heap.(0 .. size-1)] holds the queued nodes and [pos.(v)] is
-   [v]'s slot, or -1 when [v] is not queued.  Decrease-key moves a
-   queued node up in place, so there are no stale entries, and since
-   costs are non-negative a popped node can never improve again, so no
-   settled flags are needed either. *)
+   A popped entry whose key is no longer its node's distance is stale
+   and skipped; a node whose distance drops is queued again.  With
+   width 1 a bucket holds one key, so nodes are expanded in Dijkstra
+   order, each once.  With wider buckets a node can be expanded before
+   a smaller key of its bucket, and is expanded again when that lowers
+   its distance, so the distances stay exact.
 
-let sift_up (dist : int array) heap pos i0 =
-  let v = heap.(i0) in
-  let dv = dist.(v) in
-  let i = ref i0 in
-  while !i > 0 && dist.(heap.((!i - 1) / 2)) > dv do
-    let p = (!i - 1) / 2 in
-    let u = heap.(p) in
-    heap.(!i) <- u;
-    pos.(u) <- !i;
-    i := p
-  done;
-  heap.(!i) <- v;
-  pos.(v) <- !i
+   Next hops are picked while relaxing: a strict improvement of [u]
+   through [v] sets [next u = v], and an equal distance keeps the
+   smaller of [v] and [next u].  A node not yet at its final distance
+   offers [u] more than [u]'s final distance, so the ties compared at
+   [u]'s final distance are exactly the neighbours [w] over an up link
+   with [dist w + cost u w = dist u]: [next u] is the smallest-id one,
+   whatever the pop order.
 
-let sift_down (dist : int array) heap pos size i0 =
-  let v = heap.(i0) in
-  let dv = dist.(v) in
-  let i = ref i0 in
-  let continue = ref true in
-  while !continue do
-    let l = (2 * !i) + 1 in
-    if l >= size then continue := false
-    else begin
-      let c =
-        if l + 1 < size && dist.(heap.(l + 1)) < dist.(heap.(l)) then l + 1
-        else l
-      in
-      let u = heap.(c) in
-      if dist.(u) < dv then begin
-        heap.(!i) <- u;
-        pos.(u) <- !i;
-        i := c
-      end
-      else continue := false
-    end
-  done;
-  heap.(!i) <- v;
-  pos.(v) <- !i
-
+   A stub other than [d] starts at [min_int], which no candidate
+   distance beats or equals, so the relaxation skips it without a test
+   of its own; the stub pass below fills it in. *)
 let of_view (view : G.view) d =
   let off = view.G.offsets
   and nbrs = view.G.nbrs
@@ -94,78 +94,87 @@ let of_view (view : G.view) d =
   and stub = view.G.stub in
   let n = Array.length stub in
   if d < 0 || d >= n then invalid_arg "Dijkstra.to_dest: bad destination";
-  let s = scratch n in
-  let dist = s.dist and heap = s.heap and pos = s.pos in
-  Array.fill dist 0 n max_int;
+  let s = scratch n (Array.length nbrs) in
+  let dist = s.dist and next = s.next and head = s.head in
+  for u = 0 to n - 1 do
+    dist.(u) <- (if stub.(u) then min_int else max_int)
+  done;
   dist.(d) <- 0;
-  heap.(0) <- d;
-  pos.(d) <- 0;
-  let size = ref 1 in
-  while !size > 0 do
-    let v = heap.(0) in
-    pos.(v) <- -1;
-    decr size;
-    if !size > 0 then begin
-      heap.(0) <- heap.(!size);
-      sift_down dist heap pos !size 0
-    end;
-    (* Relax every in-edge u -> v: a path u -> v -> ... -> d.  A stub
-       other than [d] is skipped; it is filled in below. *)
-    let dv = dist.(v) in
-    for k = off.(v) to off.(v + 1) - 1 do
-      let c = cost_in.(k) in
-      if c >= 0 then begin
-        let u = nbrs.(k) in
-        let cand = dv + c in
-        if cand < dist.(u) && not stub.(u) then begin
-          dist.(u) <- cand;
-          if pos.(u) < 0 then begin
-            heap.(!size) <- u;
-            pos.(u) <- !size;
-            incr size
-          end;
-          sift_up dist heap pos pos.(u)
-        end
+  next.(d) <- -1;
+  let shift = width_shift view.G.max_cost and mask = ring - 1 in
+  let entries = ref s.entries in
+  !entries.(0) <- d;
+  !entries.(1) <- 0;
+  !entries.(2) <- -1;
+  head.(0) <- 0;
+  let top = ref 3 and queued = ref 1 and cur = ref 0 in
+  while !queued > 0 do
+    let b = !cur land mask in
+    let e = head.(b) in
+    if e < 0 then incr cur
+    else begin
+      let q = !entries in
+      head.(b) <- q.(e + 2);
+      decr queued;
+      let v = q.(e) in
+      let dv = dist.(v) in
+      if q.(e + 1) = dv then begin
+        let k0 = off.(v) and k1 = off.(v + 1) in
+        if !top + (3 * (k1 - k0)) > Array.length q then entries := grow s;
+        let q = !entries in
+        (* Relax every in-edge u -> v: a path u -> v -> ... -> d. *)
+        for k = k0 to k1 - 1 do
+          let c = cost_in.(k) in
+          if c >= 0 then begin
+            let u = nbrs.(k) in
+            let cand = dv + c in
+            let du = dist.(u) in
+            if cand < du then begin
+              dist.(u) <- cand;
+              next.(u) <- v;
+              let e = !top and b = (cand lsr shift) land mask in
+              q.(e) <- u;
+              q.(e + 1) <- cand;
+              q.(e + 2) <- head.(b);
+              head.(b) <- e;
+              top := e + 3;
+              incr queued
+            end
+            else if cand = du && v < next.(u) then next.(u) <- v
+          end
+        done
       end
-    done
+    end
   done;
   (* Stubs: a degree-1 node cannot be interior to a simple path, so no
      other distance depends on it, and its own is its one neighbour's
-     plus the link cost.  (A neighbour that is itself a stub other
-     than [d] is a two-node component without [d]: both stay
-     unreachable whichever is filled first.) *)
+     plus the link cost, its next hop that neighbour.  (A neighbour
+     that is itself a stub other than [d] is a two-node component
+     without [d]: both stay unreachable.)  Over a link of cost 0 both
+     ways the stub also ties as its neighbour's next hop, where the
+     smallest id still wins. *)
   for s = 0 to n - 1 do
     if stub.(s) && s <> d then begin
       let k = off.(s) in
-      let c = cost_out.(k) in
-      let dw = dist.(nbrs.(k)) in
-      if c >= 0 && dw < max_int then dist.(s) <- dw + c
+      let c = cost_out.(k) and w = nbrs.(k) in
+      let dw = dist.(w) in
+      if c >= 0 && dw >= 0 && dw < max_int then begin
+        dist.(s) <- dw + c;
+        next.(s) <- w;
+        if c = 0 && cost_in.(k) = 0 && s < next.(w) then next.(w) <- s
+      end
+      else dist.(s) <- max_int
     end
   done;
-  (* Next hops: the first (so smallest-id) neighbour [w] over an up
-     link with [dist w + cost u w = dist u].  Computed after the fact
-     so ties are broken by id, not by heap pop order.  The same pass
-     stores both words of each node. *)
+  (* One pass stores both words of each node. *)
   let buf = Bytes.create (n lsl 3) in
   for u = 0 to n - 1 do
     let du = dist.(u) in
-    let next = ref (-1) in
-    if u <> d && du < max_int then begin
-      let k = ref off.(u) and stop = off.(u + 1) in
-      while !k < stop do
-        let c = cost_out.(!k) and w = nbrs.(!k) in
-        if c >= 0 && dist.(w) < max_int && dist.(w) + c = du then begin
-          next := w;
-          k := stop
-        end
-        else incr k
-      done
-    end;
     if du > max_dist && du < max_int then
       invalid_arg
         (Printf.sprintf
            "Dijkstra.to_dest: cost %d from %d to %d exceeds int32" du u d);
-    set32 buf (u lsl 3) (Int32.of_int !next);
+    set32 buf (u lsl 3) (if du = max_int then -1l else Int32.of_int next.(u));
     set32 buf ((u lsl 3) + 4) (if du = max_int then -1l else Int32.of_int du)
   done;
   { dest = d; buf }

@@ -1,4 +1,4 @@
-(** Single-destination shortest paths (Dijkstra).
+(** Single-destination shortest paths (Dijkstra on a bucket queue).
 
     Unicast forwarding in the simulator is destination-rooted: for a
     destination [d] we compute, at every node [u], the distance of the
@@ -28,24 +28,29 @@ val to_dest : Topology.Graph.t -> int -> in_tree
     [Int32.max_int] = 2{^31} - 1).
 
     The kernel is one closure-free pass over the view's flat arrays
-    with an indexed (decrease-key) binary heap.  {b Stub rule:} a
-    degree-1 node other than [d] never enters the heap — it cannot be
-    interior to a simple path — and gets its one neighbour's distance
-    plus the link cost once the heap drains.  Distances are unique
-    and next hops come from a separate smallest-id pass, so neither
-    the heap nor the stub rule changes any tie-break.
+    with a bucket queue: a ring of buckets whose width comes from the
+    view's [max_cost], 1 (Dial's algorithm) for the paper's costs and
+    wider for large ones.  A popped entry whose key is no longer its
+    node's distance is skipped, and a node whose distance drops is
+    queued again, so distances are exact for any non-negative costs.
+    Next hops are picked while relaxing: a strict improvement takes
+    the relaxing neighbour, an equal distance keeps the smaller id, so
+    among equal-cost next hops the smallest id wins whatever the pop
+    order.  {b Stub rule:} a degree-1 node other than [d] never enters
+    the queue — it cannot be interior to a simple path — and gets its
+    one neighbour's distance plus the link cost once the queue drains.
 
-    {b Scratch.}  The kernel's working arrays (distances, heap, heap
-    positions) live in one per-domain ({!Domain.DLS}) scratch that
+    {b Scratch.}  The kernel's working arrays (distances, next hops,
+    the queue) live in one per-domain ({!Domain.DLS}) scratch that
     grows to the largest graph seen on that domain and is reused by
     every call, so a call allocates only the tree it returns.  Calls
     on different domains never share it. *)
 
 val of_view : Topology.Graph.view -> int -> in_tree
-(** [of_view v d] is the same kernel over an explicit view, for
-    callers with their own picture of the topology (the link-state
-    test oracle builds one per router LSDB generation).  [to_dest g d]
-    is [of_view (Topology.Graph.routing_view g) d]. *)
+(** [of_view v d] is the same kernel over an explicit view:
+    {!Table.in_tree} passes the graph's current one, and the
+    link-state test oracle builds one per router LSDB generation.
+    [to_dest g d] is [of_view (Topology.Graph.routing_view g) d]. *)
 
 (** {1 Reading a tree}
 

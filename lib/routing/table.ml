@@ -44,7 +44,7 @@ let in_tree t d =
       tree
   | None ->
       Obs.Metrics.incr t.spf_runs;
-      let tree = Dijkstra.to_dest t.graph d in
+      let tree = Dijkstra.of_view (Topology.Graph.routing_view t.graph) d in
       t.trees.(d) <- Some tree;
       tree
 

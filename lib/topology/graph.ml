@@ -18,6 +18,7 @@ type view = {
   cost_in : int array;
   cost_out : int array;
   stub : bool array;
+  max_cost : int;
 }
 
 type t = {
@@ -25,6 +26,7 @@ type t = {
   capable : bool array;
   adj : (int * int) list array; (* node -> (neighbor, link id) list *)
   link_arr : link array;
+  slot_link : int array; (* routing-view slot -> link id *)
   mutable generation : int; (* bumped by every routing-relevant mutator *)
   view : view Atomic.t;
       (* the routing view last built; stale when its generation differs *)
@@ -223,22 +225,30 @@ let make_view ~generation ~offsets ~nbrs ~cost_in ~cost_out =
     || Array.length cost_out <> offsets.(n)
   then invalid_arg "Graph.make_view: ragged arrays";
   let stub = Array.init n (fun i -> offsets.(i + 1) - offsets.(i) = 1) in
-  { generation; offsets; nbrs; cost_in; cost_out; stub }
+  let max_cost = Array.fold_left (fun a c -> if c > a then c else a) 0 cost_in in
+  { generation; offsets; nbrs; cost_in; cost_out; stub; max_cost }
 
 (* The structure half of the view (offsets, neighbour ids, stub flags)
    never changes, so every generation's view shares it and only the
-   two cost arrays are rebuilt.  Generation -1 marks it stale. *)
+   two cost arrays are rebuilt.  Generation -1 marks it stale.  The
+   second result maps each slot to its link's id. *)
 let structure_view adj =
   let n = Array.length adj in
   let offsets = Array.make (n + 1) 0 in
   Array.iteri (fun i l -> offsets.(i + 1) <- offsets.(i) + List.length l) adj;
   let m = offsets.(n) in
-  let nbrs = Array.make m 0 in
+  let nbrs = Array.make m 0 and slot_link = Array.make m 0 in
   Array.iteri
-    (fun i l -> List.iteri (fun j (w, _) -> nbrs.(offsets.(i) + j) <- w) l)
+    (fun i l ->
+      List.iteri
+        (fun j (w, lid) ->
+          nbrs.(offsets.(i) + j) <- w;
+          slot_link.(offsets.(i) + j) <- lid)
+        l)
     adj;
-  make_view ~generation:(-1) ~offsets ~nbrs ~cost_in:(Array.make m (-1))
-    ~cost_out:(Array.make m (-1))
+  ( make_view ~generation:(-1) ~offsets ~nbrs ~cost_in:(Array.make m (-1))
+      ~cost_out:(Array.make m (-1)),
+    slot_link )
 
 (* Rebuild into fresh arrays and publish with one [Atomic.set]: a view
    is immutable once another domain can see it.  Two domains racing on
@@ -248,27 +258,23 @@ let routing_view g =
   let generation = g.generation in
   if v.generation = generation then v
   else begin
-    let m = Array.length v.nbrs in
+    let offsets = v.offsets and slot_link = g.slot_link and links = g.link_arr in
+    let m = Array.length slot_link in
     let cost_in = Array.make m (-1) and cost_out = Array.make m (-1) in
-    Array.iteri
-      (fun u adj ->
-        List.iteri
-          (fun j (_, lid) ->
-            let l = g.link_arr.(lid) in
-            if l.up then begin
-              let k = v.offsets.(u) + j in
-              if l.u = u then begin
-                cost_out.(k) <- l.cost_uv;
-                cost_in.(k) <- l.cost_vu
-              end
-              else begin
-                cost_out.(k) <- l.cost_vu;
-                cost_in.(k) <- l.cost_uv
-              end
-            end)
-          adj)
-      g.adj;
-    let fresh = { v with generation; cost_in; cost_out } in
+    let max_cost = ref 0 in
+    for u = 0 to Array.length offsets - 2 do
+      for k = offsets.(u) to offsets.(u + 1) - 1 do
+        let l = links.(slot_link.(k)) in
+        if l.up then begin
+          let forward = l.u = u in
+          let c_in = if forward then l.cost_vu else l.cost_uv in
+          cost_out.(k) <- (if forward then l.cost_uv else l.cost_vu);
+          cost_in.(k) <- c_in;
+          if c_in > !max_cost then max_cost := c_in
+        end
+      done
+    done;
+    let fresh = { v with generation; cost_in; cost_out; max_cost = !max_cost } in
     Atomic.set g.view fresh;
     fresh
   end
@@ -279,6 +285,7 @@ let copy g =
     capable = Array.copy g.capable;
     adj = Array.copy g.adj;
     link_arr = Array.map (fun l -> { l with id = l.id }) g.link_arr;
+    slot_link = g.slot_link;
     generation = 0;
     view = Atomic.make { (Atomic.get g.view) with generation = -1 };
   }
@@ -331,11 +338,13 @@ let make ~kinds ~links =
         invalid_arg
           (Printf.sprintf "Graph.make: host %d must have exactly one link" i))
     kinds;
+  let view, slot_link = structure_view adj in
   {
     kinds = Array.copy kinds;
     capable = Array.make n true;
     adj;
     link_arr;
+    slot_link;
     generation = 0;
-    view = Atomic.make (structure_view adj);
+    view = Atomic.make view;
   }

@@ -161,13 +161,16 @@ type view = private {
           [w -> v], or [-1] if the link is down *)
   cost_out : int array;  (** the directed cost [v -> w], or [-1] if down *)
   stub : bool array;  (** node has exactly one neighbour (degree 1) *)
+  max_cost : int;
+      (** the largest entry of [cost_in], 0 when every direction is
+          down: the bucket width of the SPF kernel's queue *)
 }
 
 val routing_view : t -> view
 (** The view of the current generation, rebuilt (O(nodes + links),
-    into fresh arrays published with one [Atomic.set]) if the cached
-    one is stale.  Safe to call from several domains sharing a graph
-    that none of them mutates. *)
+    one flat pass over the slots into fresh arrays published with one
+    [Atomic.set]) if the cached one is stale.  Safe to call from
+    several domains sharing a graph that none of them mutates. *)
 
 val make_view :
   generation:int ->
@@ -177,7 +180,8 @@ val make_view :
   cost_out:int array ->
   view
 (** A view over some other directed graph (a router's link-state
-    database, say), with the stub flags derived from [offsets].  Costs
+    database, say), with the stub flags derived from [offsets] and
+    [max_cost] from [cost_in].  Costs
     must be non-negative, [-1] marking an absent direction.  Raises
     [Invalid_argument] on ragged arrays. *)
 

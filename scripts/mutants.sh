@@ -29,7 +29,7 @@
 # Prints one `mutant NAME: killed|SURVIVED|BROKEN ...` line per mutant
 # and exits 1 if any mutant survived or failed to apply or build.  About
 # 70 s per mutant on a 2 vCPU host (build ~16 s, runtest 6-55 s,
-# equivalence 40-60 s): 14 min for all twelve.
+# equivalence 40-60 s): about 15 min for all thirteen.
 #
 # Usage: scripts/mutants.sh [NAME...]   (all mutants by default)
 set -u

@@ -32,6 +32,43 @@ let fail_random_links g rng =
 
 (* ---- Dijkstra --------------------------------------------------------- *)
 
+(* The first node whose next hop or distance toward [d] differs between
+   the bucket-queue kernel and the binary-heap reference over the same
+   view, or the two kernels' different errors; [None] when they
+   agree. *)
+let reference_mismatch (view : G.view) d =
+  let module R = Routing_oracles.Spf_reference in
+  let attempt f = match f () with t -> Ok t | exception Invalid_argument m -> Error m in
+  match
+    ( attempt (fun () -> Routing.Dijkstra.of_view view d),
+      attempt (fun () -> R.of_view view d) )
+  with
+  | Ok tree, Ok r ->
+      let n = Array.length view.G.stub in
+      let rec first u =
+        if u = n then None
+        else if
+          Routing.Dijkstra.next tree u <> R.next r u
+          || Routing.Dijkstra.dist tree u <> R.dist r u
+        then
+          Some
+            (Printf.sprintf "to %d, node %d: next %d dist %d, reference next %d dist %d"
+               d u (Routing.Dijkstra.next tree u) (Routing.Dijkstra.dist tree u)
+               (R.next r u) (R.dist r u))
+        else first (u + 1)
+      in
+      first 0
+  | Error a, Error b when a = b -> None
+  | Error m, Ok _ -> Some (Printf.sprintf "to %d: kernel raised %s" d m)
+  | Ok _, Error m -> Some (Printf.sprintf "to %d: reference raised %s" d m)
+  | Error a, Error b -> Some (Printf.sprintf "to %d: %s, reference %s" d a b)
+
+let check_reference g =
+  let view = G.routing_view g in
+  for d = 0 to G.node_count g - 1 do
+    Option.iter Alcotest.fail (reference_mismatch view d)
+  done
+
 let test_dijkstra_trivial () =
   let g = diamond () in
   let t = Routing.Dijkstra.to_dest g 0 in
@@ -52,6 +89,7 @@ let test_dijkstra_unreachable () =
   let g =
     G.make ~kinds:(Array.make 3 G.Router) ~links:[ (0, 1, 1, 1) ]
   in
+  check_reference g;
   let t = Routing.Dijkstra.to_dest g 2 in
   Alcotest.(check bool) "0 cannot reach 2" false (Routing.Dijkstra.reachable t 0);
   Alcotest.check_raises "path raises"
@@ -65,6 +103,7 @@ let test_dijkstra_tie_break_smallest_id () =
       ~kinds:(Array.make 4 G.Router)
       ~links:[ (0, 1, 1, 1); (0, 2, 1, 1); (1, 3, 1, 1); (2, 3, 1, 1) ]
   in
+  check_reference g;
   let t = Routing.Dijkstra.to_dest g 3 in
   Alcotest.(check (option int)) "smallest id wins" (Some 1)
     (Routing.Dijkstra.next_hop t 0)
@@ -80,12 +119,30 @@ let test_dijkstra_int32_bound () =
   Alcotest.(check int) "cost Int32.max_int fits" (Int32.to_int Int32.max_int)
     (Routing.Dijkstra.distance (Routing.Dijkstra.to_dest g 2) 0);
   G.set_cost g 1 2 (1 lsl 30);
+  check_reference g;
   Alcotest.(check bool) "cost past Int32.max_int raises" true
     (match Routing.Dijkstra.to_dest g 2 with
     | _ -> false
     | exception Invalid_argument _ -> true);
   Alcotest.(check int) "the reverse direction still fits" 2
     (Routing.Dijkstra.distance (Routing.Dijkstra.to_dest g 0) 2)
+
+(* Links of cost 0: 1 - 2 both ways and the stub 0 behind 1, so 0, 1
+   and 2 share a distance and tie as each other's next hops.  The
+   reference's smallest-id rule picks 1 and 0 as each other's, a loop
+   between tied nodes, and the bucket queue must pick the same. *)
+let test_dijkstra_zero_cost_link () =
+  let g =
+    G.make
+      ~kinds:(Array.make 5 G.Router)
+      ~links:[ (0, 1, 0, 0); (1, 2, 0, 0); (1, 3, 4, 4); (2, 4, 2, 2); (3, 4, 1, 1) ]
+  in
+  check_reference g;
+  let t = Routing.Dijkstra.to_dest g 4 in
+  Alcotest.(check (list int)) "distances" [ 2; 2; 2; 1; 0 ]
+    (List.init 5 (Routing.Dijkstra.dist t));
+  Alcotest.(check (list int)) "next hops" [ 1; 0; 1; 4; -1 ]
+    (List.init 5 (Routing.Dijkstra.next t))
 
 (* A cached in-tree keeps one word per node: two int32 words a node in
    one buffer, plus a constant five words (the 3-word record, the
@@ -501,9 +558,9 @@ let prop_kernel_tracks_mutations =
    (stub-heavy, failed links, many ties) must each equal Bellman-Ford
    and the smallest-id tied-neighbour rule: a kernel that reads scratch
    left over from an earlier, larger graph fails here.  Mutants it
-   kills on every run: skipping the [dist] refill, refilling only half
-   of it, leaving [pos] dirty after a pop, and growing the scratch only
-   on first use.  The same
+   kills on every run: skipping the [dist] refill, keeping the
+   destination's [next] from an earlier call, and growing the scratch
+   only on first use.  The same
    call sequence on two domains through {!Stats.Parallel} (each with
    its own graphs, since a graph caches its routing view) must then
    read exactly what the sequential run read. *)
@@ -536,6 +593,45 @@ let prop_scratch_reuse =
         (calls ()) sequential;
       Array.for_all (( = ) sequential)
         (Stats.Parallel.map ~jobs:2 2 (fun _ -> List.map read (calls ()))))
+
+(* The bucket queue against the binary-heap reference on every tree of
+   a random graph: random-connected, power-law, grid or ISP, hosts
+   attached (stubs), a quarter of the links down, and costs drawn from
+   0..2 (zero-cost links, many ties), the paper's 1..10 (width-1
+   buckets), 1..10^6 (wide buckets, nodes expanded out of order) or
+   all 2^24 (wide buckets, every path a tie).  Every node's next hop
+   and distance toward every destination must agree. *)
+let prop_bucket_queue_matches_reference =
+  QCheck.Test.make ~name:"bucket queue = binary-heap reference on every tree"
+    ~count:150
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Stats.Rng.create seed in
+      let g =
+        match Stats.Rng.int rng 4 with
+        | 0 ->
+            Topology.Generators.random_connected rng
+              ~n:(5 + Stats.Rng.int rng 40) ~avg_degree:3.0
+        | 1 ->
+            Topology.Generators.power_law ~m:(1 + Stats.Rng.int rng 2) rng
+              ~n:(5 + Stats.Rng.int rng 60)
+        | 2 ->
+            Topology.Generators.grid ~rows:(1 + Stats.Rng.int rng 6)
+              ~cols:(2 + Stats.Rng.int rng 6) ()
+        | _ -> Topology.Isp.create ()
+      in
+      let lo, hi =
+        [| (0, 2); (1, 10); (1, 1_000_000); (1 lsl 24, 1 lsl 24) |].(Stats.Rng.int rng 4)
+      in
+      G.randomize_costs g rng ~lo ~hi;
+      fail_random_links g rng;
+      let view = G.routing_view g in
+      for d = 0 to G.node_count g - 1 do
+        Option.iter
+          (QCheck.Test.fail_reportf "seed %d, costs %d..%d: %s" seed lo hi)
+          (reference_mismatch view d)
+      done;
+      true)
 
 let prop_path_endpoints =
   QCheck.Test.make ~name:"paths start and end correctly" ~count:30
@@ -657,6 +753,7 @@ let () =
           Alcotest.test_case "asymmetric paths" `Quick test_dijkstra_asymmetric_paths;
           Alcotest.test_case "unreachable" `Quick test_dijkstra_unreachable;
           Alcotest.test_case "tie break" `Quick test_dijkstra_tie_break_smallest_id;
+          Alcotest.test_case "zero-cost link" `Quick test_dijkstra_zero_cost_link;
           Alcotest.test_case "int32 distance bound" `Quick test_dijkstra_int32_bound;
           Alcotest.test_case "a cached in-tree costs at most one word per node"
             `Quick test_tree_one_word_per_node;
@@ -703,5 +800,6 @@ let () =
             prop_next_hop_smallest_tied_neighbour;
             prop_kernel_tracks_mutations;
             prop_scratch_reuse;
+            prop_bucket_queue_matches_reference;
           ] );
     ]
