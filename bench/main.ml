@@ -4,8 +4,8 @@
    and prints its OK or failure line; every part runs, the numbers
    land in [bench_results.json], and the run then exits 1 if any part
    failed, so CI gates on one run.  The paper's figures come from
-   [hbh_sim all]; per-layer timings from perfbench's unit-cost ladder
-   and [hbh_sim scaling --large]. *)
+   [hbh_sim all]; per-layer timings from perfbench's unit-cost
+   ladder. *)
 
 (* Machine-readable trajectory: the budget measurements, written to
    [bench_results.json] (path overridable via HBH_BENCH_JSON; set it

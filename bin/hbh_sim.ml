@@ -356,75 +356,23 @@ let demo_duplication_cmd =
   in
   analytic "demo-duplication" ~doc (Term.const run)
 
-let scaling_large ~seed ~sizes ~json =
-  let points = Experiments.Scaling.large ~seed ?sizes () in
-  Format.printf
-    "== Routing fast path: reconvergence cost, lazy vs eager refresh ==@.";
-  Format.printf "   (5 flap cycles of the worst-case link, 32 live dests)@.@.";
-  Format.printf "  %8s %12s %12s %9s %10s %10s %12s@." "routers" "eager (s)"
-    "lazy (s)" "speedup" "SPF eager" "SPF lazy" "query (ns)";
-  List.iter
-    (fun (p : Experiments.Scaling.fastpath_point) ->
-      Format.printf "  %8d %12.4f %12.4f %8.1fx %10d %10d %12.0f@." p.n
-        p.eager_s p.lazy_s p.speedup p.spf_eager p.spf_lazy p.query_ns)
-    points;
-  let all_ok =
-    List.for_all (fun (p : Experiments.Scaling.fastpath_point) -> p.equiv_ok)
-      points
-  in
-  Format.printf "@.route-equivalence: %s@."
-    (if all_ok then "OK" else "MISMATCH");
-  Option.iter
-    (fun file ->
-      write_json file (Experiments.Scaling.fastpath_to_json points);
-      Format.printf "wrote %s@." file)
-    json;
-  (* Scripts (CI) gate on this: a silent equivalence skip or mismatch
-     must fail the job, not just print. *)
-  if not all_ok then exit 1
-
 let scaling_cmd =
   let doc =
     "Test the paper's concluding claim: HBH's advantage over REUNITE grows \
      with larger and more connected networks."
   in
-  let large_arg =
-    let doc =
-      "Skip the advantage sweeps and benchmark the routing fast path \
-       instead: lazy cached tables vs eager full refresh on link-flap \
-       reconvergence, at large router counts."
-    in
-    Arg.(value & flag & info [ "large" ] ~doc)
-  in
-  let sizes_arg =
-    let doc = "Router counts for $(b,--large) (default 50,200,500,1000)." in
-    (* The fast-path graphs have average degree 4: fewer than 5
-       routers cannot carry it. *)
-    let size = int_at_least ~name:"--sizes entries" 5 in
-    Arg.(
-      value
-      & opt (some (list size)) None
-      & info [ "sizes" ] ~docv:"N,N,..." ~doc)
-  in
-  let run runs jobs csv large sizes json seed =
-    if large then scaling_large ~seed ~sizes ~json
-    else begin
-      Format.printf
-        "== Advantage vs connectivity (50 routers, 10 receivers) ==@.";
-      print_group ~csv
-        (Experiments.Scaling.group ~x_label:"avg degree x10"
-           (Experiments.Scaling.connectivity ~runs ~seed ~jobs ()));
-      Format.printf
-        "@.== Advantage vs network size (degree 4, n/5 receivers) ==@.";
-      print_group ~csv
-        (Experiments.Scaling.group ~x_label:"routers"
-           (Experiments.Scaling.size ~runs ~seed ~jobs ()))
-    end
+  let run runs jobs csv seed =
+    Format.printf "== Advantage vs connectivity (50 routers, 10 receivers) ==@.";
+    print_group ~csv
+      (Experiments.Scaling.group ~x_label:"avg degree x10"
+         (Experiments.Scaling.connectivity ~runs ~seed ~jobs ()));
+    Format.printf "@.== Advantage vs network size (degree 4, n/5 receivers) ==@.";
+    print_group ~csv
+      (Experiments.Scaling.group ~x_label:"routers"
+         (Experiments.Scaling.size ~runs ~seed ~jobs ()))
   in
   analytic "scaling" ~doc ~topo:`Rand50
-    Term.(
-      const run $ runs_arg 150 $ jobs_arg $ csv_arg $ large_arg $ sizes_arg
-      $ json_arg "With $(b,--large): also write the points as JSON to $(docv).")
+    Term.(const run $ runs_arg 150 $ jobs_arg $ csv_arg)
 
 let symmetry_cmd =
   let doc =

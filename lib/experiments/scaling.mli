@@ -33,36 +33,3 @@ val size :
     degree 4 and a fifth of the hosts subscribed, 1 job. *)
 
 val group : x_label:string -> point list -> Stats.Series.group
-
-(** {1 Routing fast-path scaling}
-
-    Not a paper claim but an engineering one: the lazy,
-    incrementally-invalidated {!Routing.Table} must beat the eager
-    full-refresh discipline it replaced on the reconvergence workload
-    the fault experiments exercise.  Each point runs flap cycles of a
-    worst-case link (the one crossing the most in-use in-trees) on a
-    degree-4 random graph and measures the wall time to restore
-    service to the destinations in use, both ways, over the same
-    graph. *)
-
-type fastpath_point = {
-  n : int;  (** router count *)
-  eager_s : float;  (** flap cycles under eager full refresh *)
-  lazy_s : float;  (** same cycles under targeted invalidation *)
-  speedup : float;  (** [eager_s /. lazy_s] *)
-  spf_eager : int;  (** SPF runs charged to the eager pass *)
-  spf_lazy : int;
-  query_ns : float;  (** warm-cache next-hop query, nanoseconds *)
-  equiv_ok : bool;
-      (** the surviving lazy table agreed with a from-scratch
-          computation on every (node, destination) pair *)
-}
-
-val large :
-  ?seed:int -> ?flaps:int -> ?live:int -> ?sizes:int list -> unit ->
-  fastpath_point list
-(** Defaults: seed 42, 5 flap cycles, 32 live destinations, router
-    counts 50, 200, 500, 1000. *)
-
-val fastpath_to_json : fastpath_point list -> Obs.Json.t
-(** Schema [hbh-scaling/1]. *)

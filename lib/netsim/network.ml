@@ -69,10 +69,6 @@ type 'p t = {
   mutable node_listeners : (up:bool -> int -> unit) list;
   mutable route_listeners : (changed:int -> unit) list;
   mutable delivery_listeners : (now:float -> node:int -> 'p Packet.t -> unit) list;
-  (* Link changes since the last {!reconverge}: downed links support
-     targeted invalidation; any restore forces a full one. *)
-  mutable pending_down : (int * int) list;
-  mutable pending_restore : bool;
 }
 
 and 'p handler = 'p t -> int -> 'p Packet.t -> verdict
@@ -156,8 +152,6 @@ let create ?(default_ttl = 255) ?trace engine table =
     node_listeners = [];
     route_listeners = [];
     delivery_listeners = [];
-    pending_down = [];
-    pending_restore = false;
   }
 
 let engine t = t.engine
@@ -257,19 +251,8 @@ let hostile_active t =
   match t.hostile with Some _ -> true | None -> false
 
 let set_link_up t u v b =
-  (* Materialize any not-yet-computed routes against the pre-change
-     topology first: packets must keep following stale next hops until
-     {!reconverge}, even toward destinations first looked up after the
-     change (the table is lazy; an uncached in-tree would otherwise be
-     built against the mutated graph and skip the detection-lag
-     window). *)
-  Routing.Table.force_all t.table;
-  Topology.Graph.set_link_up t.graph u v b;
-  if b then t.pending_restore <- true
-  else begin
-    t.faults_on <- true;
-    t.pending_down <- (u, v) :: t.pending_down
-  end
+  Routing.Table.set_link_up t.table u v b;
+  if not b then t.faults_on <- true
 
 let node_up t n = not t.down_nodes.(n)
 
@@ -287,49 +270,14 @@ let set_node_up t n b =
     List.iter (fun f -> f ~up:b n) t.node_listeners
   end
 
-let route_changed t ~changed =
+let reconverge t =
+  let changed = Routing.Table.reconverge t.table in
   Obs.Metrics.incr t.m.reconverges;
   if Obs.Trace.active t.trace then
     Obs.Trace.event t.trace ~time:(now t) ~node:(-1)
       (Obs.Event.Route_reconverge { changed });
-  List.iter (fun f -> f ~changed) t.route_listeners
-
-let reconverge t =
-  let table = t.table in
-  let n = Topology.Graph.node_count t.graph in
-  (* Destinations whose forwarding could have changed.  Only downed
-     links support targeted invalidation: a restore (or a change made
-     behind our back, e.g. direct cost mutation) can improve any
-     route, so those fall back to every cached destination.  Uncached
-     destinations need no bookkeeping — they rebuild from the current
-     graph on first use. *)
-  let targeted = (not t.pending_restore) && t.pending_down <> [] in
-  let affected =
-    if targeted then
-      List.sort_uniq compare
-        (List.concat_map
-           (fun (u, v) -> Routing.Table.using_edge table u v)
-           t.pending_down)
-    else List.filter (Routing.Table.cached table) (List.init n Fun.id)
-  in
-  (* An in-tree is immutable once built, so the old trees stay valid
-     after the cache drops them. *)
-  let before =
-    List.map (fun d -> (d, Routing.Table.in_tree table d)) affected
-  in
-  if targeted then List.iter (Routing.Table.invalidate_dest table) affected
-  else Routing.Table.invalidate_all table;
-  t.pending_down <- [];
-  t.pending_restore <- false;
-  let changed = ref 0 in
-  List.iter
-    (fun (d, old) ->
-      changed :=
-        !changed
-        + Routing.Dijkstra.next_hops_changed old (Routing.Table.in_tree table d))
-    before;
-  route_changed t ~changed:!changed;
-  !changed
+  List.iter (fun f -> f ~changed) t.route_listeners;
+  changed
 
 let reason_label = function
   | Loss -> "loss"
@@ -619,12 +567,9 @@ let copy_hostile h =
   }
 
 let snapshot t =
-  (* A checkpoint inside the routing detection-lag window cannot be
-     captured: the table caches stale next hops against an older graph
-     that a restore could not reproduce.  Callers reconverge first. *)
-  if t.pending_down <> [] || t.pending_restore then
-    invalid_arg
-      "Network.snapshot: pending topology change; call reconverge first";
+  (* First, so a checkpoint inside the routing detection-lag window
+     raises before anything is copied. *)
+  let s_trees = Routing.Table.save t.table in
   {
     s_engine = Eventsim.Engine.snapshot t.engine;
     s_links = Topology.Graph.save_links t.graph;
@@ -636,7 +581,7 @@ let snapshot t =
     s_faults_on = t.faults_on;
     s_default_loss = t.default_loss;
     s_down_nodes = Array.copy t.down_nodes;
-    s_trees = Routing.Table.save t.table;
+    s_trees;
     s_fault_rng = Option.map Stats.Rng.copy t.fault_rng;
     s_drop_filter = t.drop_filter;
     s_hostile = Option.map copy_hostile t.hostile;
@@ -674,14 +619,14 @@ let restore t s =
   t.node_listeners <- s.s_node_listeners;
   t.route_listeners <- s.s_route_listeners;
   t.delivery_listeners <- s.s_delivery_listeners;
-  t.pending_down <- [];
-  t.pending_restore <- false;
   (* The snapshot was taken at a routing-converged point (enforced
-     above), so its cached in-trees are the SPF of its link state.  If
-     the links had to be rewritten, those trees come back and any
-     built against post-snapshot topology go.  If not, the generation
-     never moved: every cached in-tree was built from the snapshot's
-     own link state (a pure function of it), so the cache stays, with
-     whatever it gained since. *)
+     by {!Routing.Table.save}), so its cached in-trees are the SPF of
+     its link state.  If the links had to be rewritten, those trees
+     come back, any built against post-snapshot topology go, and so
+     does any link change awaiting {!reconverge}.  If not, the
+     generation never moved, so no link changed since the snapshot and
+     none is pending: every cached in-tree was built from the
+     snapshot's own link state (a pure function of it), so the cache
+     stays, with whatever it gained since. *)
   if Topology.Graph.generation t.graph <> generation then
     Routing.Table.reinstate t.table s.s_trees

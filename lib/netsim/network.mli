@@ -124,9 +124,9 @@ val set_link_up : 'p t -> int -> int -> bool -> unit
     the fast path armed off and the failure invisible).  Routing is
     {e not} recomputed: packets keep following the stale next hops and
     die on the dead link until {!reconverge} — exactly the
-    detection-lag window the fault experiments measure.  The change is
-    recorded so that {!reconverge} can invalidate only the affected
-    cached routes. *)
+    detection-lag window the fault experiments measure.  The routing
+    table records the change ({!Routing.Table.set_link_up}, which first
+    computes every destination's in-tree on the pre-change graph). *)
 
 val set_node_up : 'p t -> int -> bool -> unit
 (** Crash ([false]) or restart ([true]) a node.  A down node neither
@@ -146,18 +146,15 @@ val on_node_event : 'p t -> (up:bool -> int -> unit) -> unit
 val reconverge : 'p t -> int
 (** Reconverge unicast routing onto the current topology and announce
     it (the {!on_route_change} listeners fire and a typed
-    [Route_reconverge] event is recorded); returns the number of next-hop decisions
-    that changed among the destinations in use.  Link failures since
-    the last call invalidate only the cached in-trees that crossed
-    them ({!Routing.Table.invalidate_edge} semantics); a restore — or
-    a call with no recorded link change, e.g. after direct cost
-    mutations — falls back to invalidating every cached destination.
-    Either way only destinations that were actually cached are
-    recomputed for the change count, which compares each one's old and
-    new {!Routing.Dijkstra.in_tree} with
-    {!Routing.Dijkstra.next_hops_changed} (in-trees are immutable, so
-    the old tree outlives its eviction); the rest rebuild lazily on
-    their next lookup. *)
+    [Route_reconverge] event is recorded); returns
+    {!Routing.Table.reconverge}'s count: the number of (node,
+    destination) next hops that changed, over every destination the
+    table had cached.  Since {!set_link_up} first caches every
+    destination, after a link change that is every destination, not
+    only those in use.  After link failures alone the table recomputes
+    only the in-trees that crossed a failed link; after a restore, or
+    a call with no recorded link change (e.g. after direct cost
+    mutations), it recomputes every cached in-tree. *)
 
 val on_route_change : 'p t -> (changed:int -> unit) -> unit
 (** Observe reconvergences; [changed = 0] announces a recomputation
@@ -241,7 +238,8 @@ type 'p snapshot
 
 val snapshot : 'p t -> 'p snapshot
 (** Raises [Invalid_argument] if a topology change is pending
-    ({!set_link_up} since the last {!reconverge}): the stale-route
-    detection-lag window cannot be captured — reconverge first. *)
+    ({!set_link_up} since the last {!reconverge}; see
+    {!Routing.Table.save}): the stale-route detection-lag window cannot
+    be captured — reconverge first. *)
 
 val restore : 'p t -> 'p snapshot -> unit

@@ -150,9 +150,9 @@ let of_view (view : G.view) d =
      other distance depends on it, and its own is its one neighbour's
      plus the link cost, its next hop that neighbour.  (A neighbour
      that is itself a stub other than [d] is a two-node component
-     without [d]: both stay unreachable.)  Over a link of cost 0 both
-     ways the stub also ties as its neighbour's next hop, where the
-     smallest id still wins. *)
+     without [d]: both stay unreachable.)  Costs are at least 1
+     ({!Topology.Graph.set_cost}), so the stub never ties as its
+     neighbour's next hop. *)
   for s = 0 to n - 1 do
     if stub.(s) && s <> d then begin
       let k = off.(s) in
@@ -160,8 +160,7 @@ let of_view (view : G.view) d =
       let dw = dist.(w) in
       if c >= 0 && dw >= 0 && dw < max_int then begin
         dist.(s) <- dw + c;
-        next.(s) <- w;
-        if c = 0 && cost_in.(k) = 0 && s < next.(w) then next.(w) <- s
+        next.(s) <- w
       end
       else dist.(s) <- max_int
     end

@@ -1,7 +1,7 @@
 (** All-pairs unicast forwarding state, computed lazily: one
     {!Dijkstra.in_tree} per destination, built on first query and
     memoized.  Queries against a cached destination are array reads;
-    the SPF cost is paid once per (destination, invalidation).
+    the SPF cost is paid once per (destination, reconvergence).
 
     {b Cache semantics.}  Each cached in-tree is a snapshot of the
     graph {e at the time it was computed}.  Mutating the graph (costs,
@@ -12,21 +12,18 @@
     halves: every routing mutator bumps it, SPF runs on a
     {!Topology.Graph.routing_view} rebuilt whenever the generation is
     stale, and a view (like the in-tree built from it) is never
-    modified once built.  Callers model reconvergence by
-    invalidating:
+    modified once built.
 
-    - {!invalidate_edge} after a change that can only make the link
-      {e worse} (cost increase, link failure): it dirties only the
-      destinations whose cached tree actually crossed the link, which
-      is exact — an in-tree not using a worsened link is still optimal
-      and keeps its tie-breaks.
-    - {!invalidate_all} after a change that can {e improve} a link
-      (cost decrease, link restore) or any bulk cost redraw: every
-      destination might want the new edge, so everything is dirtied.
+    {b Reconvergence.}  The table owns the one rule for leaving that
+    window.  {!set_link_up} records a link change after freezing every
+    route against the pre-change graph; {!reconverge} drops the cached
+    trees the changes since the last call may have made wrong and
+    recomputes them.
 
     Cache traffic is accounted under [routing.spf_runs],
-    [routing.cache_hits] and [routing.invalidations] in the registry
-    that was {!Obs.Metrics.default} when the table was computed. *)
+    [routing.cache_hits] and [routing.invalidations] (one per tree a
+    {!reconverge} drops) in the registry that was
+    {!Obs.Metrics.default} when the table was computed. *)
 
 type t
 
@@ -35,34 +32,28 @@ val compute : Topology.Graph.t -> t
     Links whose {!Topology.Graph.link_up} flag is false are treated as
     absent when a tree is (re)computed. *)
 
-val force_all : t -> unit
-(** Materialize every in-tree now — the eager baseline the scaling
-    benchmarks compare against, and a way to pre-pay all SPF cost
-    before a latency-sensitive phase. *)
+val set_link_up : t -> int -> int -> bool -> unit
+(** [set_link_up t u v up] fails ([false]) or restores ([true]) the
+    link joining [u] and [v] ({!Topology.Graph.set_link_up}) and
+    records the change for {!reconverge}.  Every destination's in-tree
+    is first materialized against the pre-change graph (one SPF run
+    per destination not yet cached), so forwarding keeps the stale
+    next hops toward every destination, including ones first looked up
+    after the change, until {!reconverge}. *)
 
-val invalidate_all : t -> unit
-(** Drop every cached tree.  Required after changes that can improve
-    a route: cost decreases, link restores, bulk cost redraws. *)
-
-val invalidate_dest : t -> int -> unit
-(** Drop one destination's cached tree. *)
-
-val invalidate_edge : t -> int -> int -> int list
-(** [invalidate_edge t u v] drops exactly the cached trees that cross
-    the link joining [u] and [v] (in either direction) and returns the
-    destinations dropped.  Sound only for changes that made the link
-    worse (cost increase or failure); see the cache semantics above.
-    Destinations never computed are unaffected — they rebuild from the
-    current graph on demand. *)
-
-val using_edge : t -> int -> int -> int list
-(** The destinations whose {e cached} tree crosses the link joining
-    [u] and [v], without invalidating — lets a caller snapshot the old
-    next hops (e.g. to count reconvergence changes) before dropping
-    them. *)
-
-val cached : t -> int -> bool
-(** Whether a destination's in-tree is currently materialized. *)
+val reconverge : t -> int
+(** Bring the cache onto the current graph.  When every graph change
+    since the last call (or {!compute}, or {!reinstate}) was a link
+    failure made through {!set_link_up}, it drops exactly the cached
+    trees that crossed a failed link, in either direction; after
+    anything else — a restore, a cost change made directly on the
+    graph, or no change at all — it drops every cached tree.  It then
+    recomputes the dropped trees, in ascending destination order, and
+    returns the number of (node, destination) next hops that differ
+    between each dropped tree and its recomputation
+    ({!Dijkstra.next_hops_changed}).  A tree kept after failures is
+    still optimal and unchanged, so the count covers every cached
+    destination — after a {!set_link_up}, every destination. *)
 
 val graph : t -> Topology.Graph.t
 
@@ -73,14 +64,17 @@ type saved
 
 val save : t -> saved
 (** A copy of the cache's slots, O(nodes) pointer copies: the trees
-    are immutable and shared with the live table. *)
+    are immutable and shared with the live table.  Raises
+    [Invalid_argument] while a {!set_link_up} change awaits
+    {!reconverge}: the stale routes of that window depend on a graph a
+    restore could not reproduce. *)
 
 val reinstate : t -> saved -> unit
 (** Make the cache hold exactly the saved trees again.  Sound only
     when the graph's routing state is back to what it was at {!save}
     (as after {!Topology.Graph.restore_links} of links saved at the
-    same instant) and no link change was pending then: every saved
-    tree is then what a fresh SPF would build.
+    same instant): every saved tree is then what a fresh SPF would
+    build, so any change recorded since {!save} is cleared.
     Raises [Invalid_argument] for a [saved] of another table's size. *)
 
 val in_tree : t -> int -> Dijkstra.in_tree

@@ -35,7 +35,13 @@ let check_node b i =
 let link_key u v = if u < v then (u, v) else (v, u)
 let has_link b u v = Hashtbl.mem b.link_index (link_key u v)
 
+let check_costs cost cost_back =
+  if cost < 1 || cost_back < 1 then
+    invalid_arg
+      (Printf.sprintf "Builder: link costs %d/%d, below 1" cost cost_back)
+
 let add_raw_link b u v cost cost_back =
+  check_costs cost cost_back;
   check_node b u;
   check_node b v;
   if u = v then invalid_arg "Builder.add_link: self-loop";
@@ -47,6 +53,7 @@ let add_raw_link b u v cost cost_back =
 
 let add_host b ~router ?(cost = 1) ?(cost_back = 1) () =
   check_node b router;
+  check_costs cost cost_back;
   let id = add_node b Graph.Host in
   add_raw_link b router id cost cost_back;
   id

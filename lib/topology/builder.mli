@@ -18,12 +18,12 @@ val add_routers : t -> int -> int list
 val add_host : t -> router:int -> ?cost:int -> ?cost_back:int -> unit -> int
 (** [add_host b ~router ()] adds a host attached to [router] by a link
     with the given directed costs (both default to 1), returning the
-    host id. *)
+    host id.  Raises [Invalid_argument] on a cost below 1. *)
 
 val add_link : t -> int -> int -> ?cost:int -> ?cost_back:int -> unit -> unit
 (** [add_link b u v ()] joins two existing routers.  Costs default to
-    1.  Raises [Invalid_argument] on unknown nodes, self-loops or
-    duplicate links. *)
+    1.  Raises [Invalid_argument] on unknown nodes, self-loops,
+    duplicate links or a cost below 1. *)
 
 val has_link : t -> int -> int -> bool
 

@@ -129,7 +129,13 @@ let delay g u v =
 
 let bump g = g.generation <- g.generation + 1
 
+(* A cost below 1 would let tied nodes pick each other as next hop (a
+   zero-cost link both ways makes a forwarding loop), so none gets in. *)
+let check_cost what c =
+  if c < 1 then invalid_arg (Printf.sprintf "%s: cost %d below 1" what c)
+
 let set_cost g u v c =
+  check_cost "Graph.set_cost" c;
   let l = directed_link g u v in
   if l.u = u then l.cost_uv <- c else l.cost_vu <- c;
   bump g
@@ -148,6 +154,7 @@ let router_of_host g h =
   | _ -> invalid_arg (Printf.sprintf "Graph.router_of_host: host %d ill-attached" h)
 
 let randomize_costs g rng ~lo ~hi =
+  check_cost "Graph.randomize_costs" lo;
   Array.iter
     (fun l ->
       l.cost_uv <- Stats.Rng.int_in rng lo hi;
@@ -311,6 +318,8 @@ let make ~kinds ~links =
            check u;
            check v;
            if u = v then invalid_arg "Graph.make: self-loop";
+           check_cost "Graph.make" cuv;
+           check_cost "Graph.make" cvu;
            if List.exists (fun (w, _) -> w = v) adj.(u) then
              invalid_arg (Printf.sprintf "Graph.make: duplicate link %d-%d" u v);
            adj.(u) <- (v, id) :: adj.(u);

@@ -86,8 +86,9 @@ val delay : t -> int -> int -> float
 (** Directed propagation delay; same convention as {!cost}. *)
 
 val set_cost : t -> int -> int -> int -> unit
-(** [set_cost g u v c] sets the metric of direction [u -> v]; [c]
-    must be non-negative. *)
+(** [set_cost g u v c] sets the metric of direction [u -> v].  Raises
+    [Invalid_argument] when [c < 1]: a link of cost 0 both ways lets
+    tied nodes pick each other as next hop. *)
 
 val link_up : t -> int -> int -> bool
 (** Operational state of the link joining [u] and [v] (both
@@ -95,9 +96,10 @@ val link_up : t -> int -> int -> bool
     link exists. *)
 
 val set_link_up : t -> int -> int -> bool -> unit
-(** Fail or restore a link.  Routing ({!Routing.Table.compute} /
-    [invalidate_all]) treats down links as absent; the packet simulator
-    drops traffic forwarded onto one. *)
+(** Fail or restore a link.  Routing treats down links as absent in
+    every in-tree it computes afterwards ({!Routing.Table.set_link_up}
+    records the change for the table's reconvergence); the packet
+    simulator drops traffic forwarded onto one. *)
 
 val router_of_host : t -> int -> int
 (** The unique router a host attaches to.  Raises [Invalid_argument]
@@ -108,7 +110,8 @@ val router_of_host : t -> int -> int
 val randomize_costs : t -> Stats.Rng.t -> lo:int -> hi:int -> unit
 (** Draw every directed cost independently and uniformly from
     [\[lo, hi\]] and set each directed delay to the corresponding cost
-    (the paper's "time units" convention). *)
+    (the paper's "time units" convention).  Raises [Invalid_argument]
+    when [lo < 1]. *)
 
 val symmetrize_costs : t -> unit
 (** Force [cost v u := cost u v] (and delays alike) on every link —
@@ -199,4 +202,5 @@ val make :
 (** [make ~kinds ~links] builds a topology.  Each link is
     [(u, v, cost_uv, cost_vu)]; delays default to the costs.  Raises
     [Invalid_argument] on out-of-range endpoints, self-loops,
-    duplicate links, or a host with other than exactly one link. *)
+    duplicate links, a cost below 1, or a host with other than exactly
+    one link. *)

@@ -4,10 +4,6 @@
 # Seeded `hbh_sim` runs are pinned against goldens captured before the
 # refactors they guard:
 #   * `hbh_sim faults --seed 42` is bit-identical (full output).
-#   * `hbh_sim scaling --large --sizes 50,200` is pinned on its
-#     deterministic projection: router count and SPF work columns plus
-#     the route-equivalence verdict.  Wall-clock columns (seconds,
-#     speedup, per-query ns) are excluded.
 #   * `hbh_sim verify --depth 4 --seed 42` for every protocol, plus the
 #     HPIM-DM seed-2 run that prints its violation lines, is
 #     bit-identical: explored-state counts, counterexamples and
@@ -53,15 +49,6 @@ if run faults --seed 42 | diff -u test/golden/faults-seed42.golden -; then
 else
   status=1
   echo "output-equivalence: faults MISMATCH"
-fi
-
-if run scaling --large --sizes 50,200 \
-    | awk '$1 ~ /^[0-9]+$/ { print $1, $5, $6 } /route-equivalence/ { print }' \
-    | diff -u test/golden/scaling-large.golden -; then
-  echo "output-equivalence: scaling OK"
-else
-  status=1
-  echo "output-equivalence: scaling MISMATCH"
 fi
 
 if {

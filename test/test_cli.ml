@@ -122,13 +122,6 @@ let test_negative_runs () =
            "scaling"; "symmetry-ablation"; "overhead"; "rp-ablation";
          ])
 
-let test_scaling_tiny_sizes () =
-  List.iter
-    (fun n ->
-      let args = Printf.sprintf "scaling --large --sizes %d" n in
-      check_usage_exit args args ~msg:"--sizes entries must be >= 5")
-    [ 4; 0 ]
-
 let test_report_zero_interval () =
   check_usage_exit "report --interval 0" "report --interval 0"
     ~msg:"--interval needs a positive sampling interval"
@@ -144,8 +137,6 @@ let test_unwritable_output () =
       ("report --out no-such-dir/r.md", "no-such-dir/r.md");
       ("verify --protocol hbh --depth 1 --json no-such-dir/v.json",
         "no-such-dir/v.json");
-      ("scaling --large --sizes 5 --json no-such-dir/s.json",
-        "no-such-dir/s.json");
     ]
 
 (* Every range-checked flag rejects a negative, a non-finite and a
@@ -162,7 +153,6 @@ let range_checked =
     ("verify --protocol hbh", "states");
     ("churn", "channels");
     ("churn", "routers");
-    ("scaling --large", "sizes");
     ("soak", "hours");
     ("churn", "rate");
     ("churn", "hold");
@@ -197,17 +187,6 @@ let test_help_every_command () =
       "symmetry-ablation"; "overhead"; "asymmetry"; "validate"; "faults";
       "churn"; "soak"; "report"; "verify";
     ]
-
-(* The fast-path benchmark takes the observability flags like the
-   sweeps it replaces: --metrics-json writes its file. *)
-let test_scaling_large_metrics_json () =
-  let file = "cli_scaling_metrics.json" in
-  if Sys.file_exists file then Sys.remove file;
-  let code, _, _ =
-    run ("scaling --large --sizes 5 --metrics-json " ^ file)
-  in
-  Alcotest.(check int) "exit code" 0 code;
-  Alcotest.(check bool) "metrics file written" true (Sys.file_exists file)
 
 (* One good invocation end to end: the short soak must complete with
    silent monitors and exit 0 — the same gate the CI smoke greps. *)
@@ -284,8 +263,6 @@ let () =
             test_usage_advertises_hpim;
           Alcotest.test_case "sweeps reject a negative --runs" `Quick
             test_negative_runs;
-          Alcotest.test_case "scaling --large rejects --sizes below 5" `Quick
-            test_scaling_tiny_sizes;
           Alcotest.test_case "report rejects a zero --interval" `Quick
             test_report_zero_interval;
           Alcotest.test_case "unwritable output paths exit 2" `Quick
@@ -294,8 +271,6 @@ let () =
             test_range_checked_values;
           Alcotest.test_case "--help renders for every subcommand" `Quick
             test_help_every_command;
-          Alcotest.test_case "scaling --large writes --metrics-json" `Quick
-            test_scaling_large_metrics_json;
         ] );
       ( "soak smoke",
         [

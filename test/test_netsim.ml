@@ -189,21 +189,28 @@ let test_restore_after_link_change () =
     (next_hops net)
 
 (* A restore across a link change brings back the snapshot's own
-   cached in-trees: exactly the destinations cached at the snapshot are
-   cached again, each answers with no SPF run and its pre-save next
-   hops, and one snapshot serves two restores. *)
+   cached in-trees: exactly the destinations cached at the snapshot
+   answer with no SPF run, each with its pre-save next hops, and one
+   snapshot serves two restores. *)
 let test_restore_reinstates_trees () =
   let graph = Topology.Isp.create () in
   let table = Routing.Table.compute graph in
   let net = Net.create (Eventsim.Engine.create ()) table in
   let src = Topology.Isp.source in
   let dst = List.hd Topology.Isp.receiver_hosts in
-  List.iter
-    (fun d -> ignore (Routing.Table.in_tree table d))
-    (src :: Topology.Isp.receiver_hosts);
+  let at_snapshot = List.sort_uniq compare (src :: Topology.Isp.receiver_hosts) in
+  List.iter (fun d -> ignore (Routing.Table.in_tree table d)) at_snapshot;
   let all = List.init (G.node_count graph) Fun.id in
-  let cached () = List.filter (Routing.Table.cached table) all in
-  let at_snapshot = cached () in
+  (* The destinations a query answers with no SPF run; probing caches
+     the rest. *)
+  let cached () =
+    List.filter
+      (fun d ->
+        let runs = spf_runs () in
+        ignore (Routing.Table.in_tree table d);
+        spf_runs () = runs)
+      all
+  in
   let hops d =
     List.map (fun u -> Routing.Table.next_hop table u ~dest:d) all
   in
@@ -225,12 +232,27 @@ let test_restore_reinstates_trees () =
     Net.restore net snap;
     Alcotest.(check (list int)) (name "the snapshot's cache") at_snapshot
       (cached ());
-    let runs = spf_runs () in
     Alcotest.(check (list (list (option int))))
       (name "pre-save next hops") before
-      (List.map hops at_snapshot);
-    Alcotest.(check int) (name "no SPF rerun") runs (spf_runs ())
+      (List.map hops at_snapshot)
   done
+
+(* The routing detection-lag window cannot be checkpointed: between a
+   link change and its reconvergence a snapshot is refused, after it
+   one is taken. *)
+let test_snapshot_refused_while_pending () =
+  let _, net = diamond_network () in
+  List.iter
+    (fun up ->
+      let what = if up then "restore" else "failure" in
+      Net.set_link_up net 1 3 up;
+      Alcotest.(check bool) (what ^ " pending: refused") true
+        (match Net.snapshot net with
+        | _ -> false
+        | exception Invalid_argument _ -> true);
+      ignore (Net.reconverge net);
+      ignore (Net.snapshot net))
+    [ false; true ]
 
 (* A crash is simulation state: restoring a snapshot taken while the
    node was down takes a later restart back. *)
@@ -351,6 +373,55 @@ let table_next_hops net =
           match Routing.Table.next_hop (Net.table net) u ~dest:d with
           | Some h -> h
           | None -> -1))
+
+(* The SPF work of the path every run takes, {!Net.set_link_up} then
+   {!Net.reconverge}, on a seeded random graph with five destinations
+   in use.  The link change computes every other destination's in-tree
+   on the old graph.  Reconverging after the failure of a link on a
+   tree in use reruns SPF for exactly the destinations whose tree
+   crossed it (a rerun replaces the tree); after the restore, for every
+   destination.  Each time the next hops equal a fresh table's. *)
+let test_reconverge_spf_work () =
+  let rng = Stats.Rng.create 11 in
+  let g =
+    Topology.Generators.random_connected ~hosts:false rng ~n:60 ~avg_degree:4.0
+  in
+  G.randomize_costs g rng ~lo:1 ~hi:10;
+  let n = G.node_count g in
+  let table = Routing.Table.compute g in
+  let net = Net.create (Eventsim.Engine.create ()) table in
+  let live = [ 0; 13; 26; 39; 52 ] in
+  List.iter (fun d -> ignore (Routing.Table.in_tree table d)) live;
+  let u = 59 in
+  let v = Routing.Dijkstra.next (Routing.Table.in_tree table 0) u in
+  let trees () = Array.init n (Routing.Table.in_tree table) in
+  let step what ~up ~link_spf ~rerun =
+    let runs = spf_runs () in
+    Net.set_link_up net u v up;
+    Alcotest.(check int) (what ^ ": SPF runs of the link change") link_spf
+      (spf_runs () - runs);
+    let old = trees () in
+    let expected = List.filter (rerun old) (List.init n Fun.id) in
+    let runs = spf_runs () in
+    ignore (Net.reconverge net);
+    Alcotest.(check int) (what ^ ": SPF runs of reconverge")
+      (List.length expected) (spf_runs () - runs);
+    let now = trees () in
+    Alcotest.(check (list int)) (what ^ ": the trees replaced") expected
+      (List.filter (fun d -> old.(d) != now.(d)) (List.init n Fun.id));
+    Alcotest.(check bool) (what ^ ": next hops of a fresh table") true
+      (table_next_hops net = fresh_next_hops g);
+    List.length expected
+  in
+  let crossed =
+    step "failure" ~up:false ~link_spf:(n - List.length live)
+      ~rerun:(fun old d ->
+        Routing.Dijkstra.next old.(d) u = v
+        || Routing.Dijkstra.next old.(d) v = u)
+  in
+  Alcotest.(check bool) "the failure spares some trees" true
+    (crossed > 0 && crossed < n);
+  ignore (step "restore" ~up:true ~link_spf:0 ~rerun:(fun _ _ -> true))
 
 let prop_reconverge_counts name make_graph =
   QCheck.Test.make ~count:40
@@ -668,6 +739,8 @@ let () =
             test_restore_reinstates_trees;
           Alcotest.test_case "restore keeps a crash" `Quick
             test_restore_keeps_crash;
+          Alcotest.test_case "snapshot refused while a link change pends"
+            `Quick test_snapshot_refused_while_pending;
         ] );
       ( "injector",
         [
@@ -683,13 +756,15 @@ let () =
             test_injector_restore_twice;
         ] );
       ( "reconverge",
-        List.map QCheck_alcotest.to_alcotest
-          [
-            prop_reconverge_counts "ISP" Topology.Isp.create;
-            prop_reconverge_counts "RAND50" (fun () ->
-                (Experiments.Common.rand50_config ~seed:7)
-                  .Experiments.Common.graph);
-          ] );
+        Alcotest.test_case "SPF reruns only for trees that crossed the link"
+          `Quick test_reconverge_spf_work
+        :: List.map QCheck_alcotest.to_alcotest
+             [
+               prop_reconverge_counts "ISP" Topology.Isp.create;
+               prop_reconverge_counts "RAND50" (fun () ->
+                   (Experiments.Common.rand50_config ~seed:7)
+                     .Experiments.Common.graph);
+             ] );
       ( "faults",
         [
           Alcotest.test_case "bernoulli loss" `Quick test_bernoulli_loss_drop;

@@ -127,22 +127,34 @@ let test_dijkstra_int32_bound () =
   Alcotest.(check int) "the reverse direction still fits" 2
     (Routing.Dijkstra.distance (Routing.Dijkstra.to_dest g 0) 2)
 
-(* Links of cost 0: 1 - 2 both ways and the stub 0 behind 1, so 0, 1
-   and 2 share a distance and tie as each other's next hops.  The
-   reference's smallest-id rule picks 1 and 0 as each other's, a loop
-   between tied nodes, and the bucket queue must pick the same. *)
+(* Links of cost 0 are refused wherever a cost enters a graph: over a
+   link of cost 0 both ways, tied nodes would pick each other as next
+   hop and forward in a loop. *)
 let test_dijkstra_zero_cost_link () =
-  let g =
-    G.make
-      ~kinds:(Array.make 5 G.Router)
-      ~links:[ (0, 1, 0, 0); (1, 2, 0, 0); (1, 3, 4, 4); (2, 4, 2, 2); (3, 4, 1, 1) ]
+  let refused what f =
+    Alcotest.(check bool) (what ^ " refuses cost 0") true
+      (match f () with _ -> false | exception Invalid_argument _ -> true)
   in
-  check_reference g;
-  let t = Routing.Dijkstra.to_dest g 4 in
-  Alcotest.(check (list int)) "distances" [ 2; 2; 2; 1; 0 ]
-    (List.init 5 (Routing.Dijkstra.dist t));
-  Alcotest.(check (list int)) "next hops" [ 1; 0; 1; 4; -1 ]
-    (List.init 5 (Routing.Dijkstra.next t))
+  let links = [ (0, 1, 1, 1); (1, 2, 2, 2) ] in
+  let make links = G.make ~kinds:(Array.make 3 G.Router) ~links in
+  refused "Graph.make" (fun () -> make ((2, 0, 0, 1) :: links));
+  refused "Graph.make (reverse direction)" (fun () ->
+      make ((2, 0, 1, 0) :: links));
+  let g = make links in
+  refused "Graph.set_cost" (fun () -> G.set_cost g 1 2 0);
+  refused "Graph.randomize_costs" (fun () ->
+      G.randomize_costs g (Stats.Rng.create 1) ~lo:0 ~hi:2);
+  Alcotest.(check (list int)) "the graph kept its costs" [ 1; 1; 2; 2 ]
+    [ G.cost g 0 1; G.cost g 1 0; G.cost g 1 2; G.cost g 2 1 ];
+  let b = Topology.Builder.create () in
+  let r0 = Topology.Builder.add_router b and r1 = Topology.Builder.add_router b in
+  refused "Builder.add_link" (fun () ->
+      Topology.Builder.add_link b r0 r1 ~cost:0 ());
+  refused "Builder.add_host" (fun () ->
+      Topology.Builder.add_host b ~router:r0 ~cost_back:0 ());
+  Topology.Builder.add_link b r0 r1 ();
+  Alcotest.(check int) "the builder holds the good link only" 1
+    (G.link_count (Topology.Builder.build b))
 
 (* A cached in-tree keeps one word per node: two int32 words a node in
    one buffer, plus a constant five words (the 3-word record, the
@@ -487,7 +499,7 @@ let prop_kernel_tracks_mutations =
       let n = G.node_count g in
       let snapshot = G.save_links g in
       fail_random_links g rng;
-      let table = Routing.Table.compute g in
+      let table = ref (Routing.Table.compute g) in
       (* Cached trees with their distances and next hops read out at
          caching time. *)
       let cached = Hashtbl.create n in
@@ -504,7 +516,7 @@ let prop_kernel_tracks_mutations =
       let query_table () =
         for d = 0 to n - 1 do
           if Stats.Rng.int rng 2 = 0 then begin
-            let tree = Routing.Table.in_tree table d in
+            let tree = Routing.Table.in_tree !table d in
             match Hashtbl.find_opt cached d with
             | Some (t0, at_caching) ->
                 check "cached tree replaced"
@@ -542,14 +554,12 @@ let prop_kernel_tracks_mutations =
                 G.set_cost g l.u l.v c;
                 G.set_cost g l.v l.u (1 + Stats.Rng.int rng 3))
               (G.links g));
-        (* Drop a third of the cached trees: their next query is a
-           first query after this mutation and must see it. *)
-        for d = 0 to n - 1 do
-          if Stats.Rng.int rng 3 = 0 then begin
-            Routing.Table.invalidate_dest table d;
-            Hashtbl.remove cached d
-          end
-        done
+        (* Now and then start over on a fresh table: its first
+           queries come after this mutation and must see it. *)
+        if Stats.Rng.int rng 3 = 0 then begin
+          table := Routing.Table.compute g;
+          Hashtbl.reset cached
+        end
       done;
       true)
 
@@ -597,10 +607,10 @@ let prop_scratch_reuse =
 (* The bucket queue against the binary-heap reference on every tree of
    a random graph: random-connected, power-law, grid or ISP, hosts
    attached (stubs), a quarter of the links down, and costs drawn from
-   0..2 (zero-cost links, many ties), the paper's 1..10 (width-1
-   buckets), 1..10^6 (wide buckets, nodes expanded out of order) or
-   all 2^24 (wide buckets, every path a tie).  Every node's next hop
-   and distance toward every destination must agree. *)
+   1..2 (many ties), the paper's 1..10 (width-1 buckets), 1..10^6
+   (wide buckets, nodes expanded out of order) or all 2^24 (wide
+   buckets, every path a tie).  Every node's next hop and distance
+   toward every destination must agree. *)
 let prop_bucket_queue_matches_reference =
   QCheck.Test.make ~name:"bucket queue = binary-heap reference on every tree"
     ~count:150
@@ -621,7 +631,7 @@ let prop_bucket_queue_matches_reference =
         | _ -> Topology.Isp.create ()
       in
       let lo, hi =
-        [| (0, 2); (1, 10); (1, 1_000_000); (1 lsl 24, 1 lsl 24) |].(Stats.Rng.int rng 4)
+        [| (1, 2); (1, 10); (1, 1_000_000); (1 lsl 24, 1 lsl 24) |].(Stats.Rng.int rng 4)
       in
       G.randomize_costs g rng ~lo ~hi;
       fail_random_links g rng;
@@ -650,11 +660,13 @@ let prop_path_endpoints =
       done;
       !ok)
 
-(* The lazy table's contract: after any mix of queries, link flaps
-   (edge-targeted invalidation on failures and cost increases, full
-   invalidation on restores and arbitrary cost redraws) the surviving
-   cache answers exactly like a table computed from scratch on the
-   current graph. *)
+(* The lazy table's contract: after any mix of queries, link failures
+   and restores through [set_link_up] and direct cost changes, a
+   [reconverge] leaves a cache that answers exactly like a table
+   computed from scratch on the current graph.  Changes pile up between
+   reconvergences: failures alone take the targeted path, and a
+   failure mixed with a restore or a cost change (made before or after
+   it) must take the full one. *)
 let prop_lazy_table_matches_fresh =
   QCheck.Test.make ~name:"lazy table = from-scratch after any mutations"
     ~count:30
@@ -665,7 +677,8 @@ let prop_lazy_table_matches_fresh =
       let rng = Stats.Rng.create (seed + 1) in
       let table = Routing.Table.compute g in
       let ok = ref true in
-      let check_all () =
+      let reconverge_and_check () =
+        ignore (Routing.Table.reconverge table);
         let fresh = Routing.Table.compute g in
         for d = 0 to n - 1 do
           for u = 0 to n - 1 do
@@ -680,37 +693,26 @@ let prop_lazy_table_matches_fresh =
         let links = G.links g in
         List.nth links (Stats.Rng.int rng (List.length links))
       in
-      for step = 1 to 25 do
+      for _ = 1 to 25 do
         (match Stats.Rng.int rng 5 with
         | 0 -> ignore (Routing.Table.in_tree table (Stats.Rng.int rng n))
         | 1 ->
             let l = random_link () in
-            if l.G.up then begin
-              G.set_link_up g l.G.u l.G.v false;
-              ignore (Routing.Table.invalidate_edge table l.G.u l.G.v)
-            end
+            if l.G.up then Routing.Table.set_link_up table l.G.u l.G.v false
         | 2 -> (
             match Topo_check.down_links g with
             | [] -> ()
-            | (u, v) :: _ ->
-                (* A restore can improve any route: full invalidation
-                   is the documented requirement. *)
-                G.set_link_up g u v true;
-                Routing.Table.invalidate_all table)
+            | (u, v) :: _ -> Routing.Table.set_link_up table u v true)
         | 3 ->
-            (* Worsening a cost keeps edge-targeted invalidation
-               exact. *)
             let l = random_link () in
             G.set_cost g l.G.u l.G.v
-              (G.cost g l.G.u l.G.v + 1 + Stats.Rng.int rng 5);
-            ignore (Routing.Table.invalidate_edge table l.G.u l.G.v)
+              (G.cost g l.G.u l.G.v + 1 + Stats.Rng.int rng 5)
         | _ ->
             let l = random_link () in
-            G.set_cost g l.G.u l.G.v (1 + Stats.Rng.int rng 10);
-            Routing.Table.invalidate_all table);
-        if step mod 5 = 0 then check_all ()
+            G.set_cost g l.G.u l.G.v (1 + Stats.Rng.int rng 10));
+        if Stats.Rng.int rng 3 = 0 then reconverge_and_check ()
       done;
-      check_all ();
+      reconverge_and_check ();
       !ok)
 
 let prop_link_state_cache_consistent =
