@@ -210,7 +210,7 @@ let figure_sample (config : Experiments.Common.config) n =
     List.iter
       (fun p ->
         let d = Experiments.Common.build p rng s in
-        ignore (Mcast.Metrics.of_distribution d))
+        ignore (Mcast.Distribution.cost d, Mcast.Distribution.avg_delay d))
       Experiments.Common.all_protocols
 
 let overhead_check () =

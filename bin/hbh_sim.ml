@@ -33,6 +33,15 @@ let positive_float msg =
     (fun v -> Float.is_finite v && v > 0.0)
     msg Format.pp_print_float
 
+(* A sampling interval is at least one time unit, the smallest link
+   delay: a finer grid sees no change a unit grid misses, and below
+   one a run can spend its memory on sample points (a float clock
+   stops advancing at 1e-300) or its event budget on sampling timers. *)
+let sampling_interval msg =
+  checked_conv float_of_string_opt
+    (fun v -> Float.is_finite v && v >= 1.0)
+    msg Format.pp_print_float
+
 let runs_arg ?(doc = "Simulation runs per group size (paper: 500).") default =
   Arg.(value & opt (int_at_least 1) default & info [ "runs" ] ~docv:"N" ~doc)
 
@@ -552,12 +561,13 @@ let faults_cmd =
   let timeline =
     let doc =
       "Sample per-case recovery timelines (repaired receivers, deliveries, \
-       control hops) every $(docv) simulated time units (default 50) and \
-       print them after the report."
+       control hops) every $(docv) simulated time units (at least 1, default \
+       50) and print them after the report."
     in
     let interval =
-      positive_float
-        "--timeline needs a positive sampling interval (simulated time units)"
+      sampling_interval
+        "--timeline needs a positive sampling interval of at least 1 \
+         (simulated time units)"
     in
     Arg.(
       value
@@ -832,8 +842,12 @@ let churn_cmd =
     Arg.(value & opt horizon 2000.0 & info [ "horizon" ] ~docv:"T" ~doc)
   in
   let sample_every =
-    let doc = "Interval between degradation sample points." in
-    let dt = positive_float "--sample-every must be a positive interval" in
+    let doc = "Interval between degradation sample points (at least 1)." in
+    let dt =
+      sampling_interval
+        "--sample-every must be a positive interval of at least 1 (simulated \
+         time units)"
+    in
     Arg.(value & opt dt 500.0 & info [ "sample-every" ] ~docv:"DT" ~doc)
   in
   let arm =
@@ -913,10 +927,11 @@ let report_cmd =
     file_arg [ "out"; "o" ] "Write the markdown to $(docv) instead of stdout."
   in
   let interval =
-    let doc = "Timeline sampling interval (simulated time units)." in
+    let doc = "Timeline sampling interval (simulated time units, at least 1)." in
     let dt =
-      positive_float
-        "--interval needs a positive sampling interval (simulated time units)"
+      sampling_interval
+        "--interval needs a positive sampling interval of at least 1 \
+         (simulated time units)"
     in
     Arg.(value & opt dt 50.0 & info [ "interval" ] ~docv:"DT" ~doc)
   in

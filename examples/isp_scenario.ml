@@ -32,13 +32,19 @@ let () =
       ("HBH    ", Hbh.Analytic.build table ~source ~receivers);
     ]
   in
-  Format.printf "protocol  cost  links  avg-delay  max-stress@.";
-  Format.printf "--------  ----  -----  ---------  ----------@.";
+  Format.printf
+    "protocol  cost  links  dup-links  avg-delay  max-delay  max-stress@.";
+  Format.printf
+    "--------  ----  -----  ---------  ---------  ---------  ----------@.";
   List.iter
     (fun (name, d) ->
-      let m = Mcast.Metrics.of_distribution d in
-      Format.printf "%s   %4d  %5d  %9.2f  %10d@." name m.cost m.links_used
-        m.avg_delay m.max_stress)
+      Format.printf "%s   %4d  %5d  %9d  %9.2f  %9.2f  %10d@." name
+        (Mcast.Distribution.cost d)
+        (Mcast.Distribution.links_used d)
+        (Mcast.Distribution.duplicated_links d)
+        (Mcast.Distribution.avg_delay d)
+        (Mcast.Distribution.max_delay d)
+        (Mcast.Distribution.max_stress d))
     trees;
 
   (* Where REUNITE pays: per-receiver delay inflation vs HBH. *)

@@ -1,5 +1,6 @@
 module Net = Netsim.Network
 module Pkt = Netsim.Packet
+module Ss = Proto.Softstate
 
 type config = {
   join_period : float;
@@ -37,9 +38,9 @@ end)
 type instant = { mutable at : float }
 
 type state = {
-  deadlines : Tables.deadlines;
+  deadlines : Ss.deadlines;
   router_tables : Node_tables.t;
-  source_mft : Tables.Mft.t;
+  source_mft : Ss.Table.t;
   member_first : (int, bool ref) Hashtbl.t;
   (* The tree damper, the control-plane twin of the session's data
      damper ([S.forward_data]).  The MFT entry graph can hold a cycle
@@ -87,9 +88,9 @@ module S = Proto.Session.Make (struct
 
   let create_state c =
     {
-      deadlines = { Tables.t1 = c.t1; t2 = c.t2 };
+      deadlines = { Ss.t1 = c.t1; t2 = c.t2 };
       router_tables = Node_tables.create ();
-      source_mft = Tables.Mft.create ();
+      source_mft = Ss.Table.create ();
       member_first = Hashtbl.create 16;
       tree_emit_at = Hashtbl.create 16;
     }
@@ -103,7 +104,7 @@ module S = Proto.Session.Make (struct
     {
       deadlines = st.deadlines;
       router_tables = Node_tables.copy st.router_tables;
-      source_mft = Tables.Mft.copy st.source_mft;
+      source_mft = Ss.Table.copy st.source_mft;
       member_first = copy_tbl (fun r -> ref !r) st.member_first;
       tree_emit_at = copy_tbl (fun c -> { at = c.at }) st.tree_emit_at;
     }
@@ -142,7 +143,7 @@ let emit_trees t ~at mft =
     (fun x ->
       S.send t ~from:at ~dst:x ~kind:Pkt.Control
         (Messages.Tree { channel = S.channel t; target = x; ext = at }))
-    (Tables.Mft.tree_targets mft ~now:(S.now t))
+    (Ss.Table.fresh_targets mft ~now:(S.now t))
 
 let send_fusion t ~at ~to_branch mft =
   if to_branch <> at then
@@ -150,7 +151,7 @@ let send_fusion t ~at ~to_branch mft =
       (Messages.Extra
          {
            channel = S.channel t;
-           extra = { members = Tables.Mft.members mft; sender = at };
+           extra = { members = Ss.Table.nodes mft; sender = at };
          })
 
 (* Re-stamp a tree message as owned by [at] and push it on toward its
@@ -165,7 +166,7 @@ let router_handle_join t n (p : Messages.t Pkt.t) ~member ~first =
   else begin
     let st = S.state t in
     match channel_state t n with
-    | Tables.Forwarding mft when Tables.Mft.mem mft member -> (
+    | Tables.Forwarding mft when Ss.Table.mem mft member -> (
         (* Rule 3: intercept, refresh, join upstream on own behalf —
            but only when the entry carries forward-path evidence from
            the current route epoch (DESIGN.md §6b).  After a
@@ -175,9 +176,9 @@ let router_handle_join t n (p : Messages.t Pkt.t) ~member ~first =
            (the mutual-capture pathology).  Letting the join pass
            upstream instead re-anchors the member on the live tree,
            and the unvalidated entry decays at its own t1/t2. *)
-        match Tables.Mft.find mft member with
-        | Some e when e.Tables.epoch >= S.route_epoch t ->
-            ignore (Tables.Mft.refresh mft st.deadlines ~now:(S.now t) member);
+        match Ss.Table.find mft member with
+        | Some e when e.Ss.epoch >= S.route_epoch t ->
+            ignore (Ss.Table.refresh mft st.deadlines ~now:(S.now t) member);
             mft_ev t ~node:n ~target:member Obs.Event.Refresh;
             S.notef t ~node:n "intercept join(%d), send join(%d)" member n;
             S.send t ~from:n ~dst:p.Pkt.dst ~kind:Pkt.Control
@@ -223,30 +224,30 @@ let router_handle_tree t n (p : Messages.t Pkt.t) ~target ~from_branch =
            the entry with the present route epoch so join
            interception keeps trusting it (DESIGN.md §6b). *)
         let epoch = S.route_epoch t in
-        if Tables.Mft.mem mft target then begin
-          ignore (Tables.Mft.refresh mft st.deadlines ~now target);
+        if Ss.Table.mem mft target then begin
+          ignore (Ss.Table.refresh mft st.deadlines ~now target);
           mft_ev t ~node:n ~target Obs.Event.Refresh
         end
         else begin
-          ignore (Tables.Mft.add_fresh mft st.deadlines ~now target);
+          ignore (Ss.Table.add_fresh mft st.deadlines ~now target);
           mft_ev t ~node:n ~target Obs.Event.Add
         end;
-        Option.iter (fun e -> Tables.stamp e ~epoch) (Tables.Mft.find mft target);
+        Option.iter (fun e -> Ss.stamp e ~epoch) (Ss.Table.find mft target);
         send_fusion t ~at:n ~to_branch:from_branch mft;
         restamp_tree t ~at:n p ~target;
         Net.Consume
       end
   | Tables.Control mct ->
       if p.Pkt.dst = n then Net.Consume
-      else if Tables.Mct.target mct = target then begin
+      else if mct.Ss.node = target then begin
         (* Rule 6. *)
-        Tables.Mct.refresh mct st.deadlines ~now;
+        Ss.refresh_entry mct st.deadlines ~now;
         mct_ev t ~node:n ~target Obs.Event.Refresh;
         Net.Forward
       end
-      else if Tables.Mct.stale mct ~now then begin
+      else if Ss.entry_stale mct ~now then begin
         (* Rule 7: stale control entry superseded by the live flow. *)
-        Tables.Mct.replace mct st.deadlines ~now target;
+        install t n (Tables.Control (Ss.entry st.deadlines ~now target));
         mct_ev t ~node:n ~target Obs.Event.Add;
         Net.Forward
       end
@@ -256,12 +257,10 @@ let router_handle_tree t n (p : Messages.t Pkt.t) ~target ~from_branch =
            out of trees flowing through us right now — stamp them
            with the current route epoch. *)
         let epoch = S.route_epoch t in
-        let mft = Tables.Mft.create () in
-        Tables.stamp
-          (Tables.Mft.add_fresh mft st.deadlines ~now (Tables.Mct.target mct))
-          ~epoch;
-        Tables.stamp (Tables.Mft.add_fresh mft st.deadlines ~now target) ~epoch;
-        mft_ev t ~node:n ~target:(Tables.Mct.target mct) Obs.Event.Add;
+        let mft = Ss.Table.create () in
+        Ss.stamp (Ss.Table.add_fresh mft st.deadlines ~now mct.Ss.node) ~epoch;
+        Ss.stamp (Ss.Table.add_fresh mft st.deadlines ~now target) ~epoch;
+        mft_ev t ~node:n ~target:mct.Ss.node Obs.Event.Add;
         mft_ev t ~node:n ~target Obs.Event.Add;
         install t n (Tables.Forwarding mft);
         send_fusion t ~at:n ~to_branch:from_branch mft;
@@ -272,8 +271,7 @@ let router_handle_tree t n (p : Messages.t Pkt.t) ~target ~from_branch =
       if p.Pkt.dst = n then Net.Consume
       else begin
         (* Rule 4: first sight of this channel. *)
-        install t n
-          (Tables.Control (Tables.Mct.create st.deadlines ~now target));
+        install t n (Tables.Control (Ss.entry st.deadlines ~now target));
         mct_ev t ~node:n ~target Obs.Event.Add;
         Net.Forward
       end
@@ -286,11 +284,11 @@ let router_handle_fusion t n (p : Messages.t Pkt.t) ~members ~sender =
     | Tables.Forwarding mft ->
         List.iter
           (fun m ->
-            ignore (Tables.Mft.mark mft st.deadlines ~now:(S.now t) m);
+            ignore (Ss.Table.mark mft st.deadlines ~now:(S.now t) m);
             mft_ev t ~node:n ~target:m Obs.Event.Mark)
           members;
         if sender <> n then begin
-          ignore (Tables.Mft.add_stale mft st.deadlines ~now:(S.now t) sender);
+          ignore (Ss.Table.add_stale mft st.deadlines ~now:(S.now t) sender);
           mft_ev t ~node:n ~target:sender Obs.Event.Add
         end
     | Tables.Control _ | Tables.No_state ->
@@ -331,8 +329,8 @@ let source_handler t n (p : Messages.t Pkt.t) =
         if member <> S.source t then begin
           (* A join that reached the source travelled the current
              unicast paths end to end — forward-path evidence. *)
-          Tables.stamp
-            (Tables.Mft.add_fresh st.source_mft st.deadlines ~now:(S.now t)
+          Ss.stamp
+            (Ss.Table.add_fresh st.source_mft st.deadlines ~now:(S.now t)
                member)
             ~epoch:(S.route_epoch t);
           mft_ev t ~node:n ~target:member Obs.Event.Add
@@ -340,11 +338,11 @@ let source_handler t n (p : Messages.t Pkt.t) =
     | Messages.Extra { extra = { Messages.members; sender }; _ } ->
         List.iter
           (fun m ->
-            ignore (Tables.Mft.mark st.source_mft st.deadlines ~now:(S.now t) m))
+            ignore (Ss.Table.mark st.source_mft st.deadlines ~now:(S.now t) m))
           members;
         if sender <> S.source t then
           ignore
-            (Tables.Mft.add_stale st.source_mft st.deadlines ~now:(S.now t)
+            (Ss.Table.add_stale st.source_mft st.deadlines ~now:(S.now t)
                sender)
     | Messages.Tree _ | Messages.Data _ -> ());
     Net.Consume
@@ -356,21 +354,21 @@ let source_handler t n (p : Messages.t Pkt.t) =
    unmarked live MFT entries. *)
 let data_targets t n =
   let now = S.now t in
-  if n = S.source t then Tables.Mft.data_targets (S.state t).source_mft ~now
+  if n = S.source t then Ss.Table.data_targets (S.state t).source_mft ~now
   else
     match channel_state t n with
-    | Tables.Forwarding mft -> Tables.Mft.data_targets mft ~now
+    | Tables.Forwarding mft -> Ss.Table.data_targets mft ~now
     | Tables.Control _ | Tables.No_state -> []
 
 (* Source tree cycle. *)
 let tick t =
   let st = S.state t in
-  Tables.Mft.expire st.source_mft ~now:(S.now t);
+  Ss.Table.expire st.source_mft ~now:(S.now t);
   List.iter
     (fun x ->
       S.send t ~from:(S.source t) ~dst:x ~kind:Pkt.Control
         (Messages.Tree { channel = S.channel t; target = x; ext = S.source t }))
-    (Tables.Mft.tree_targets st.source_mft ~now:(S.now t))
+    (Ss.Table.fresh_targets st.source_mft ~now:(S.now t))
 
 (* A member's first join after subscribing is flagged [first], which
    no router intercepts, so it reaches the source; later ones are
@@ -398,11 +396,11 @@ let hooks =
           (fun _ cs acc ->
             acc + Tables.mct_count cs + Tables.mft_entry_count cs)
           st.router_tables
-          (Tables.Mft.size st.source_mft));
+          (Ss.Table.size st.source_mft));
     crash_wipe =
       (fun t n ->
         let st = S.state t in
-        if n = S.source t then Tables.Mft.clear st.source_mft
+        if n = S.source t then Ss.Table.clear st.source_mft
         else Hashtbl.remove st.router_tables n;
         Hashtbl.remove st.tree_emit_at n);
     join_tick;
@@ -414,7 +412,7 @@ let hooks =
         let payload =
           Messages.Data { channel = S.channel t; seq = S.next_seq t }
         in
-        Tables.Mft.expire (S.state t).source_mft ~now:(S.now t);
+        Ss.Table.expire (S.state t).source_mft ~now:(S.now t);
         List.iter
           (fun x -> S.send t ~from:(S.source t) ~dst:x ~kind:Pkt.Data payload)
           (data_targets t (S.source t)));

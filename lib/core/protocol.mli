@@ -36,7 +36,7 @@ include
 
 (** {1 Inspection} *)
 
-val source_table : t -> Tables.Mft.t
+val source_table : t -> Proto.Softstate.Table.t
 (** The source's own forwarding table (first-hop receivers and
     branching nodes); kept alive by join messages alone, so
     suppressing joins lets its entries age through t1/t2. *)

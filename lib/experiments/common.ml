@@ -91,8 +91,9 @@ let sweep_sample ?(protocols = all_protocols)
   List.map
     (fun p ->
       let dist = build ~rp_strategy p run_rng s in
-      let m = Mcast.Metrics.of_distribution dist in
-      (p, (float_of_int m.cost, m.avg_delay)))
+      ( p,
+        ( float_of_int (Mcast.Distribution.cost dist),
+          Mcast.Distribution.avg_delay dist ) ))
     protocols
 
 let sweep ?(protocols = all_protocols) ?(runs = 500) ?(seed = 42)

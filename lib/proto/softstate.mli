@@ -11,7 +11,8 @@
 
     - HBH MFTs use the full ladder: fresh/stale insertions, join-style
       {!Table.refresh}, fusion-style {!Table.mark}, and the
-      data/tree target projections.
+      data/tree target projections ({!Table.data_targets},
+      {!Table.fresh_targets}); an HBH MCT is one detached {!entry}.
     - REUNITE receiver and control tables use install-order iteration
       ({!Table.first_fresh}) with detached
       {!entry} values for the dst slot.

@@ -1,5 +1,6 @@
 module Net = Netsim.Network
 module Pkt = Netsim.Packet
+module Ss = Proto.Softstate
 
 type config = {
   join_period : float;
@@ -31,7 +32,7 @@ module Node_tables = Proto.Node_tables.Make (struct
 end)
 
 type state = {
-  deadlines : Tables.deadlines;
+  deadlines : Ss.deadlines;
   router_tables : Node_tables.t;
   mutable source_mft : Tables.Mft.t option;
   mutable epoch : int;
@@ -70,7 +71,7 @@ module S = Proto.Session.Make (struct
 
   let create_state c =
     {
-      deadlines = { Tables.t1 = c.t1; t2 = c.t2 };
+      deadlines = { Ss.t1 = c.t1; t2 = c.t2 };
       router_tables = Node_tables.create ();
       source_mft = None;
       epoch = 0;
@@ -115,7 +116,7 @@ let data_targets t n =
     | None -> []
     | Some mft ->
         let dst = Tables.Mft.dst mft in
-        (if Tables.entry_dead dst ~now:(S.now t) then [] else [ dst.node ])
+        (if Ss.entry_dead dst ~now:(S.now t) then [] else [ dst.node ])
         @ Tables.Mft.receiver_nodes mft
   else
     match channel_state t n with
@@ -129,7 +130,7 @@ let router_handle_join_at t n (st : Tables.channel_state) ~member =
   let nw = S.now t in
   let relays_member =
     match st.Tables.mct with
-    | Some mct -> Tables.Mct.mem mct ~now:nw member
+    | Some mct -> Ss.Table.mem_live mct ~now:nw member
     | None -> false
   in
   match st.Tables.mft with
@@ -143,7 +144,7 @@ let router_handle_join_at t n (st : Tables.channel_state) ~member =
            forever. *)
         Net.Forward
       else if Tables.Mft.mem mft member then
-        if Tables.entry_stale (Tables.Mft.dst mft) ~now:nw then Net.Forward
+        if Ss.entry_stale (Tables.Mft.dst mft) ~now:nw then Net.Forward
         else begin
           (* Freshness guard (DESIGN.md §6b): only refresh a receiver
              entry the current route epoch has validated — the last
@@ -152,7 +153,7 @@ let router_handle_join_at t n (st : Tables.channel_state) ~member =
              alive by the joins it captures; the join passes upstream
              and the member re-anchors on the live tree. *)
           match Tables.Mft.find_receiver mft member with
-          | Some e when e.Tables.epoch >= S.route_epoch t ->
+          | Some e when e.Ss.epoch >= S.route_epoch t ->
               ignore (Tables.Mft.refresh mft dl ~now:nw member);
               mft_ev t ~node:n ~target:member Obs.Event.Refresh;
               Net.Consume
@@ -162,7 +163,7 @@ let router_handle_join_at t n (st : Tables.channel_state) ~member =
         (* The member's flow transits this branching node unforked; it
            is served elsewhere and its join passes. *)
         Net.Forward
-      else if Tables.entry_stale (Tables.Mft.dst mft) ~now:nw then
+      else if Ss.entry_stale (Tables.Mft.dst mft) ~now:nw then
         (* A stale table no longer captures joins — they flow through
            toward the source (Figure 2(c)). *)
         Net.Forward
@@ -171,7 +172,7 @@ let router_handle_join_at t n (st : Tables.channel_state) ~member =
         Tables.Mft.add_receiver mft dl ~now:nw member;
         (* Born under the routing that delivered this join. *)
         Option.iter
-          (fun e -> Tables.stamp e ~epoch:(S.route_epoch t))
+          (fun e -> Ss.stamp e ~epoch:(S.route_epoch t))
           (Tables.Mft.find_receiver mft member);
         mft_ev t ~node:n ~target:member Obs.Event.Add;
         Net.Consume
@@ -182,7 +183,7 @@ let router_handle_join_at t n (st : Tables.channel_state) ~member =
         match st.Tables.mct with
         | None -> Net.Forward
         | Some mct -> (
-            match Tables.Mct.first_fresh mct ~now:nw with
+            match Ss.Table.first_fresh mct ~now:nw with
             | None -> Net.Forward
             | Some dst ->
                 (* Control router becomes a branching node: its oldest
@@ -193,16 +194,16 @@ let router_handle_join_at t n (st : Tables.channel_state) ~member =
                   "capture join(%d): becoming branching (dst=%d)" member dst;
                 let mft = Tables.Mft.create dl ~now:nw ~dst in
                 let epoch = S.route_epoch t in
-                Tables.stamp (Tables.Mft.dst mft) ~epoch;
+                Ss.stamp (Tables.Mft.dst mft) ~epoch;
                 Tables.Mft.add_receiver mft dl ~now:nw member;
                 Option.iter
-                  (fun e -> Tables.stamp e ~epoch)
+                  (fun e -> Ss.stamp e ~epoch)
                   (Tables.Mft.find_receiver mft member);
                 mft_ev t ~node:n ~target:dst Obs.Event.Add;
                 mft_ev t ~node:n ~target:member Obs.Event.Add;
                 mct_ev t ~node:n ~target:dst Obs.Event.Remove;
-                Tables.Mct.remove mct dst;
-                if Tables.Mct.dead mct ~now:nw then st.Tables.mct <- None;
+                Ss.Table.remove mct dst;
+                if Ss.Table.all_dead mct ~now:nw then st.Tables.mct <- None;
                 st.Tables.mft <- Some mft;
                 Net.Consume))
 
@@ -238,10 +239,10 @@ let router_handle_tree t n (p : Messages.t Pkt.t) ~target ~marked ~epoch =
            unicast paths: forward-path evidence for the dst entry and
            every receiver entry the fork serves (DESIGN.md §6b). *)
         let repoch = S.route_epoch t in
-        Tables.stamp (Tables.Mft.dst mft) ~epoch:repoch;
+        Ss.stamp (Tables.Mft.dst mft) ~epoch:repoch;
         List.iter
-          (fun (e : Tables.entry) ->
-            Tables.stamp e ~epoch:repoch;
+          (fun (e : Ss.entry) ->
+            Ss.stamp e ~epoch:repoch;
             S.send t ~from:n ~dst:e.node ~kind:Pkt.Control
               (Messages.Tree
                  {
@@ -249,7 +250,7 @@ let router_handle_tree t n (p : Messages.t Pkt.t) ~target ~marked ~epoch =
                    target = e.node;
                    ext =
                      {
-                       Messages.marked = Tables.entry_stale e ~now:nw;
+                       Messages.marked = Ss.entry_stale e ~now:nw;
                        epoch;
                      };
                  }))
@@ -268,9 +269,9 @@ let router_handle_tree t n (p : Messages.t Pkt.t) ~target ~marked ~epoch =
         (* Teardown: "destroys any r1 MCT entries". *)
         match found with
         | Some ({ Tables.mct = Some mct; _ } as st) ->
-            Tables.Mct.remove mct target;
+            Ss.Table.remove mct target;
             mct_ev t ~node:n ~target Obs.Event.Remove;
-            if Tables.Mct.dead mct ~now:nw then begin
+            if Ss.Table.all_dead mct ~now:nw then begin
               st.Tables.mct <- None;
               (* The teardown emptied the record between sweeps. *)
               if st.Tables.mft = None then
@@ -279,17 +280,20 @@ let router_handle_tree t n (p : Messages.t Pkt.t) ~target ~marked ~epoch =
         | Some { Tables.mct = None; _ } | None -> ()
       end
       else if not in_mft then begin
-        (match found with
-        | Some { Tables.mct = Some mct; _ } ->
-            Tables.Mct.add mct dl ~now:nw target
-        | Some st ->
-            st.Tables.mct <- Some (Tables.Mct.create dl ~now:nw target)
-        | None ->
-            Node_tables.set (S.state t).router_tables n
-              {
-                Tables.mct = Some (Tables.Mct.create dl ~now:nw target);
-                mft = None;
-              });
+        let mct =
+          match found with
+          | Some { Tables.mct = Some mct; _ } -> mct
+          | Some st ->
+              let mct = Ss.Table.create () in
+              st.Tables.mct <- Some mct;
+              mct
+          | None ->
+              let mct = Ss.Table.create () in
+              Node_tables.set (S.state t).router_tables n
+                { Tables.mct = Some mct; mft = None };
+              mct
+        in
+        ignore (Ss.Table.add_fresh mct dl ~now:nw target);
         mct_ev t ~node:n ~target Obs.Event.Add
       end;
       Net.Forward
@@ -331,11 +335,11 @@ let source_handler t n (p : Messages.t Pkt.t) =
              unicast paths end to end — forward-path evidence. *)
           let epoch = S.route_epoch t in
           let stamp_member mft =
-            if (Tables.Mft.dst mft).Tables.node = member then
-              Tables.stamp (Tables.Mft.dst mft) ~epoch
+            if (Tables.Mft.dst mft).Ss.node = member then
+              Ss.stamp (Tables.Mft.dst mft) ~epoch
             else
               Option.iter
-                (fun e -> Tables.stamp e ~epoch)
+                (fun e -> Ss.stamp e ~epoch)
                 (Tables.Mft.find_receiver mft member)
           in
           match st.source_mft with
@@ -372,14 +376,14 @@ let source_tick t =
       if Tables.Mft.dead mft ~now:nw then st.source_mft <- None
       else begin
         st.epoch <- st.epoch + 1;
-        let tree (e : Tables.entry) =
+        let tree (e : Ss.entry) =
           Messages.Tree
             {
               channel = S.channel t;
               target = e.node;
               ext =
                 {
-                  Messages.marked = Tables.entry_stale e ~now:nw;
+                  Messages.marked = Ss.entry_stale e ~now:nw;
                   epoch = st.epoch;
                 };
             }
@@ -387,7 +391,7 @@ let source_tick t =
         let dst = Tables.Mft.dst mft in
         S.send t ~from:(S.source t) ~dst:dst.node ~kind:Pkt.Control (tree dst);
         List.iter
-          (fun (e : Tables.entry) ->
+          (fun (e : Ss.entry) ->
             S.send t ~from:(S.source t) ~dst:e.node ~kind:Pkt.Control (tree e))
           (Tables.Mft.receivers mft)
       end

@@ -1,29 +1,10 @@
 module Ss = Proto.Softstate
 
-type deadlines = Ss.deadlines = { t1 : float; t2 : float }
-
-type times = Ss.times = private {
-  mutable marked_until : float;
-  mutable fresh_until : float;
-  mutable expires_at : float;
-}
-
-type entry = Ss.entry = private {
-  node : int;
-  seq : int;
-  tm : times;
-  mutable epoch : int;
-}
-
-let entry_stale = Ss.entry_stale
-let entry_dead = Ss.entry_dead
-let stamp = Ss.stamp
-
 module Mft = struct
   (* The dst slot is a detached softstate entry; the receiver entries
      data is rewritten to live in a generic table. *)
   type t = {
-    mutable dst : entry;
+    mutable dst : Ss.entry;
     tbl : Ss.Table.t;
     mutable last_fork_epoch : int;
     mutable upstream : int;
@@ -65,10 +46,10 @@ module Mft = struct
 
   let stale_dst t ~now = Ss.force_stale t.dst ~now
   let expire t ~now = Ss.Table.expire t.tbl ~now
-  let dead t ~now = entry_dead t.dst ~now && Ss.Table.all_dead t.tbl ~now
+  let dead t ~now = Ss.entry_dead t.dst ~now && Ss.Table.all_dead t.tbl ~now
 
   let promote t ~now =
-    if entry_dead t.dst ~now then begin
+    if Ss.entry_dead t.dst ~now then begin
       expire t ~now;
       match receivers t with
       | e :: _ ->
@@ -90,36 +71,12 @@ module Mft = struct
     }
 end
 
-(* Multi-entry control table: one entry per receiver whose flow is
-   relayed through this router (Figure 3's R6 holds both r1 and r2).
-   Entries keep their install order — the generic table's sequence
-   numbers — and the oldest fresh entry becomes the dst when a
-   captured join turns the router into a branching node. *)
-module Mct = struct
-  type t = Ss.Table.t
-
-  let create dl ~now target =
-    let t = Ss.Table.create () in
-    ignore (Ss.Table.add_fresh t dl ~now target);
-    t
-
-  let mem t ~now target = Ss.Table.mem_live t ~now target
-  let add t dl ~now target = ignore (Ss.Table.add_fresh t dl ~now target)
-  let remove t target = Ss.Table.remove t target
-  let first_fresh t ~now = Ss.Table.first_fresh t ~now
-  let expire t ~now = Ss.Table.expire t ~now
-  let dead t ~now = Ss.Table.all_dead t ~now
-  let size t = Ss.Table.size t
-  let entries t = Ss.Table.entries t
-  let copy t = Ss.Table.copy t
-end
-
 (* A router may hold control entries for transit flows alongside a
    forwarding table: becoming a branching node moves one MCT entry
    into the MFT ("removes <S,r1> from its MCT", Figure 2) and leaves
    the rest. *)
 type channel_state = {
-  mutable mct : Mct.t option;
+  mutable mct : Ss.Table.t option;
   mutable mft : Mft.t option;
 }
 
@@ -129,8 +86,8 @@ type channel_state = {
 let sweep state ~now =
   (match state.mct with
   | Some m ->
-      Mct.expire m ~now;
-      if Mct.dead m ~now then state.mct <- None
+      Ss.Table.expire m ~now;
+      if Ss.Table.is_empty m then state.mct <- None
   | None -> ());
   (match state.mft with
   | Some m ->
@@ -139,8 +96,8 @@ let sweep state ~now =
   | None -> ());
   if state.mct = None && state.mft = None then None else Some state
 
-let mct_count s = match s.mct with Some m -> Mct.size m | None -> 0
+let mct_count s = match s.mct with Some m -> Ss.Table.size m | None -> 0
 let mft_entry_count s = match s.mft with Some m -> Mft.size m | None -> 0
 
 let copy s =
-  { mct = Option.map Mct.copy s.mct; mft = Option.map Mft.copy s.mft }
+  { mct = Option.map Ss.Table.copy s.mct; mft = Option.map Mft.copy s.mft }

@@ -190,17 +190,17 @@ let hbh_view (p : Hbh.Protocol.t) : view =
      or ['F'] (forwarding) header and its entries. *)
   let dump_tables b =
     let now = now () in
-    add_entries b ~now (Hbh.Tables.Mft.entries (P.source_table p));
+    add_entries b ~now (Ss.Table.entries (P.source_table p));
     List.iter
       (fun (n, cs) ->
         match cs with
         | Hbh.Tables.No_state -> ()
         | Hbh.Tables.Control mct ->
             add_tagged b 'C' n;
-            add_entry b ~now (Hbh.Tables.Mct.entry mct)
+            add_entry b ~now mct
         | Hbh.Tables.Forwarding mft ->
             add_tagged b 'F' n;
-            add_entries b ~now (Hbh.Tables.Mft.entries mft))
+            add_entries b ~now (Ss.Table.entries mft))
       (P.all_tables p)
   in
   (* "The first join reaches the source": whenever at least one
@@ -210,7 +210,7 @@ let hbh_view (p : Hbh.Protocol.t) : view =
   let first_join sut =
     let reachable = reachable sut in
     let has_member = List.exists (fun m -> reachable.(m)) (sut.members ()) in
-    let bad = has_member && Hbh.Tables.Mft.entries (P.source_table p) = [] in
+    let bad = has_member && Ss.Table.is_empty (P.source_table p) in
     count_check ~oracle:"hbh_first_join" bad;
     if bad then
       [
@@ -244,7 +244,7 @@ let hbh_view (p : Hbh.Protocol.t) : view =
         (fun (n, cs) ->
           match cs with
           | Hbh.Tables.Forwarding mft
-            when Hbh.Tables.Mft.tree_targets mft ~now:nw <> []
+            when Ss.Table.fresh_targets mft ~now:nw <> []
                  && sut.node_up n
                  && not (on_some_path n) ->
               Some n
@@ -299,7 +299,7 @@ let reunite_view (p : Reunite.Protocol.t) : view =
         | None -> ()
         | Some mct ->
             add_tagged b 'C' n;
-            add_entries b ~now (Reunite.Tables.Mct.entries mct));
+            add_entries b ~now (Ss.Table.entries mct));
         match st.mft with
         | None -> ()
         | Some mft ->

@@ -37,114 +37,115 @@
 #
 # Prints one `output-equivalence: <run> OK|MISMATCH` line per run and
 # exits nonzero on any mismatch.  CI greps for the OK lines.
+#
+# Usage: scripts/equivalence.sh [RUN...]   (all runs by default; RUN is
+# one of the names below, as printed in the output lines)
 set -u
 cd "$(dirname "$0")/.."
 
+selected=("$@")
+runs="faults verify verify-sweep churn soak report validate overhead companion state stability all"
+for name in "$@"; do
+  case " $runs " in
+    *" $name "*) ;;
+    *) echo "equivalence: unknown run '$name' (runs: $runs)" >&2; exit 2 ;;
+  esac
+done
+
 run() { dune exec bin/hbh_sim.exe -- "$@" 2>/dev/null; }
-
-status=0
-
-if run faults --seed 42 | diff -u test/golden/faults-seed42.golden -; then
-  echo "output-equivalence: faults OK"
-else
-  status=1
-  echo "output-equivalence: faults MISMATCH"
-fi
-
-if {
-  for p in hbh reunite pim-ssm hpim-dm; do
-    run verify --protocol "$p" --depth 4 --seed 42
-  done
-  run verify --protocol hpim-dm --seed 2 --states 100 --no-shrink
-} | diff -u test/golden/verify-seed42.golden -; then
-  echo "output-equivalence: verify OK"
-else
-  status=1
-  echo "output-equivalence: verify MISMATCH"
-fi
-
-if for s in $(seq 0 34); do
-     for p in hbh reunite pim-ssm hpim-dm; do
-       run verify --protocol "$p" --depth 4 --seed "$s" --states 100 --no-shrink
-     done
-   done | diff -u test/golden/verify-sweep.golden -; then
-  echo "output-equivalence: verify-sweep OK"
-else
-  status=1
-  echo "output-equivalence: verify-sweep MISMATCH"
-fi
-
-churn() {
-  run churn --gen power-law --horizon 1000 --sample-every 500 --seed 42 "$@"
-}
-
-if {
-  for p in hbh reunite pim-ssm; do
-    churn --routers 1000 --channels 64 --protocol "$p"
-  done
-  churn --routers 200 --channels 8 --protocol hpim-dm
-} | diff -u test/golden/churn-seed42.golden -; then
-  echo "output-equivalence: churn OK"
-else
-  status=1
-  echo "output-equivalence: churn MISMATCH"
-fi
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
-if run soak --seed 42 --timeline-ndjson "$tmp/soak-timeline.ndjson" \
+# One function per run: exit 0 when its output matches the goldens.
+faults() { run faults --seed 42 | diff -u test/golden/faults-seed42.golden -; }
+
+verify() {
+  {
+    for p in hbh reunite pim-ssm hpim-dm; do
+      run verify --protocol "$p" --depth 4 --seed 42
+    done
+    run verify --protocol hpim-dm --seed 2 --states 100 --no-shrink
+  } | diff -u test/golden/verify-seed42.golden -
+}
+
+verify_sweep() {
+  for s in $(seq 0 34); do
+    for p in hbh reunite pim-ssm hpim-dm; do
+      run verify --protocol "$p" --depth 4 --seed "$s" --states 100 --no-shrink
+    done
+  done | diff -u test/golden/verify-sweep.golden -
+}
+
+churn() {
+  local c="churn --gen power-law --horizon 1000 --sample-every 500 --seed 42"
+  {
+    for p in hbh reunite pim-ssm; do
+      run $c --routers 1000 --channels 64 --protocol "$p"
+    done
+    run $c --routers 200 --channels 8 --protocol hpim-dm
+  } | diff -u test/golden/churn-seed42.golden -
+}
+
+soak() {
+  run soak --seed 42 --timeline-ndjson "$tmp/soak-timeline.ndjson" \
     | diff -u test/golden/soak-seed42.golden - \
-  && diff -u test/golden/soak-seed42-timeline.ndjson "$tmp/soak-timeline.ndjson"; then
-  echo "output-equivalence: soak OK"
-else
-  status=1
-  echo "output-equivalence: soak MISMATCH"
-fi
+    && diff -u test/golden/soak-seed42-timeline.ndjson "$tmp/soak-timeline.ndjson"
+}
 
-if run report --seed 42 | diff -u test/golden/report-seed42.golden -; then
-  echo "output-equivalence: report OK"
-else
-  status=1
-  echo "output-equivalence: report MISMATCH"
-fi
+report() { run report --seed 42 | diff -u test/golden/report-seed42.golden -; }
 
-for cmd in validate overhead; do
-  if run "$cmd" --seed 42 --metrics-json "$tmp/$cmd.json" \
-      | diff -u "test/golden/$cmd-seed42.golden" - \
-    && diff -u "test/golden/$cmd-seed42.json" "$tmp/$cmd.json"; then
-    echo "output-equivalence: $cmd OK"
-  else
-    status=1
-    echo "output-equivalence: $cmd MISMATCH"
-  fi
-done
+# validate, overhead: stdout and the --metrics-json file.
+with_json() {
+  run "$1" --seed 42 --metrics-json "$tmp/$1.json" \
+    | diff -u "test/golden/$1-seed42.golden" - \
+    && diff -u "test/golden/$1-seed42.json" "$tmp/$1.json"
+}
 
-if run fig7a --runs 5 --seed 42 --metrics --trace=30 \
+companion() {
+  run fig7a --runs 5 --seed 42 --metrics --trace=30 \
       --metrics-json "$tmp/fig7a.json" \
     | sed 's/ wall=[0-9.]*s//' \
     | diff -u test/golden/fig7a-metrics-seed42.golden - \
-  && diff -u test/golden/fig7a-metrics-seed42.json "$tmp/fig7a.json"; then
-  echo "output-equivalence: companion OK"
-else
-  status=1
-  echo "output-equivalence: companion MISMATCH"
-fi
+    && diff -u test/golden/fig7a-metrics-seed42.json "$tmp/fig7a.json"
+}
 
-for cmd in state stability; do
-  if run "$cmd" --runs 20 --seed 42 | diff -u "test/golden/$cmd-seed42.golden" -; then
-    echo "output-equivalence: $cmd OK"
+# state, stability.
+twenty_runs() {
+  run "$1" --runs 20 --seed 42 | diff -u "test/golden/$1-seed42.golden" -
+}
+
+all() { run all --runs 50 --seed 42 --csv | diff -u test/golden/all-seed42.csv -; }
+
+status=0
+
+# check RUN COMMAND...: when RUN was named (or none was), run COMMAND
+# and print RUN's OK or MISMATCH line.
+check() {
+  local name=$1
+  shift
+  if [ ${#selected[@]} -gt 0 ] && [[ " ${selected[*]} " != *" $name "* ]]; then
+    return 0
+  fi
+  if "$@"; then
+    echo "output-equivalence: $name OK"
   else
     status=1
-    echo "output-equivalence: $cmd MISMATCH"
+    echo "output-equivalence: $name MISMATCH"
   fi
-done
+}
 
-if run all --runs 50 --seed 42 --csv | diff -u test/golden/all-seed42.csv -; then
-  echo "output-equivalence: all OK"
-else
-  status=1
-  echo "output-equivalence: all MISMATCH"
-fi
+check faults faults
+check verify verify
+check verify-sweep verify_sweep
+check churn churn
+check soak soak
+check report report
+check validate with_json validate
+check overhead with_json overhead
+check companion companion
+check state twenty_runs state
+check stability twenty_runs stability
+check all all
 
 exit $status

@@ -54,6 +54,23 @@ let test_faults_bad_timeline () =
   check_usage_exit "faults --timeline=-5" "faults --timeline=-5"
     ~msg:"--timeline needs a positive sampling interval"
 
+(* A sampling interval below the smallest link delay (1) is refused:
+   at 1e-300 the sample clock stops advancing and the run exhausts
+   memory, and timeline timers count against the faults event budget. *)
+let test_faults_sub_unit_timeline () =
+  check_usage_exit "faults --timeline=0.5"
+    "faults --timeline=0.5 --scenario crash --protocol hbh"
+    ~msg:"--timeline needs a positive sampling interval of at least 1"
+
+let test_churn_sub_unit_sample_interval () =
+  check_usage_exit "churn --sample-every 0.5"
+    "churn --sample-every 0.5 --routers 16 --channels 2 --horizon 10"
+    ~msg:"--sample-every must be a positive interval of at least 1"
+
+let test_report_sub_unit_interval () =
+  check_usage_exit "report --interval 0.5" "report --interval 0.5"
+    ~msg:"--interval needs a positive sampling interval of at least 1"
+
 let test_unknown_subcommand () =
   check_usage_exit "definitely-not-a-command" "definitely-not-a-command"
     ~msg:"unknown command"
@@ -265,6 +282,12 @@ let () =
             test_negative_runs;
           Alcotest.test_case "report rejects a zero --interval" `Quick
             test_report_zero_interval;
+          Alcotest.test_case "faults rejects a sub-unit --timeline" `Quick
+            test_faults_sub_unit_timeline;
+          Alcotest.test_case "churn rejects a sub-unit --sample-every" `Quick
+            test_churn_sub_unit_sample_interval;
+          Alcotest.test_case "report rejects a sub-unit --interval" `Quick
+            test_report_sub_unit_interval;
           Alcotest.test_case "unwritable output paths exit 2" `Quick
             test_unwritable_output;
           Alcotest.test_case "range-checked flags reject bad values" `Quick

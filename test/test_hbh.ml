@@ -5,6 +5,7 @@
 
 module Det = Experiments.Scenarios.Detour
 module Dup = Experiments.Scenarios.Duplication
+module Ss = Proto.Softstate
 
 let is_branching = function Hbh.Tables.Forwarding _ -> true | _ -> false
 
@@ -16,86 +17,87 @@ let isp_scenario seed n =
 
 (* ---- Tables -------------------------------------------------------------- *)
 
-let dl = { Hbh.Tables.t1 = 10.0; t2 = 25.0 }
+let dl = { Ss.t1 = 10.0; t2 = 25.0 }
 
 let test_mft_lifecycle () =
-  let m = Hbh.Tables.Mft.create () in
-  ignore (Hbh.Tables.Mft.add_fresh m dl ~now:0.0 5);
-  Alcotest.(check bool) "member" true (Hbh.Tables.Mft.mem m 5);
+  let m = Ss.Table.create () in
+  ignore (Ss.Table.add_fresh m dl ~now:0.0 5);
+  Alcotest.(check bool) "member" true (Ss.Table.mem m 5);
   Alcotest.(check (list int)) "data target" [ 5 ]
-    (Hbh.Tables.Mft.data_targets m ~now:1.0);
+    (Ss.Table.data_targets m ~now:1.0);
   Alcotest.(check (list int)) "tree target while fresh" [ 5 ]
-    (Hbh.Tables.Mft.tree_targets m ~now:1.0);
+    (Ss.Table.fresh_targets m ~now:1.0);
   (* After t1 the entry is stale: data yes, trees no. *)
   Alcotest.(check (list int)) "stale: data" [ 5 ]
-    (Hbh.Tables.Mft.data_targets m ~now:12.0);
+    (Ss.Table.data_targets m ~now:12.0);
   Alcotest.(check (list int)) "stale: no trees" []
-    (Hbh.Tables.Mft.tree_targets m ~now:12.0);
+    (Ss.Table.fresh_targets m ~now:12.0);
   (* After t2 it is dead. *)
-  Hbh.Tables.Mft.expire m ~now:26.0;
-  Alcotest.(check bool) "gone" false (Hbh.Tables.Mft.mem m 5)
+  Ss.Table.expire m ~now:26.0;
+  Alcotest.(check bool) "gone" false (Ss.Table.mem m 5)
 
 let test_mft_marked_semantics () =
-  let m = Hbh.Tables.Mft.create () in
-  ignore (Hbh.Tables.Mft.add_fresh m dl ~now:0.0 5);
-  Alcotest.(check bool) "mark succeeds" true (Hbh.Tables.Mft.mark m dl ~now:0.0 5);
+  let m = Ss.Table.create () in
+  ignore (Ss.Table.add_fresh m dl ~now:0.0 5);
+  Alcotest.(check bool) "mark succeeds" true (Ss.Table.mark m dl ~now:0.0 5);
   Alcotest.(check (list int)) "marked: no data" []
-    (Hbh.Tables.Mft.data_targets m ~now:1.0);
+    (Ss.Table.data_targets m ~now:1.0);
   Alcotest.(check (list int)) "marked: trees flow" [ 5 ]
-    (Hbh.Tables.Mft.tree_targets m ~now:1.0);
-  Alcotest.(check bool) "mark unknown fails" false (Hbh.Tables.Mft.mark m dl ~now:0.0 9)
+    (Ss.Table.fresh_targets m ~now:1.0);
+  Alcotest.(check bool) "mark unknown fails" false (Ss.Table.mark m dl ~now:0.0 9)
 
 let test_mft_refresh_preserves_mark () =
-  let m = Hbh.Tables.Mft.create () in
-  ignore (Hbh.Tables.Mft.add_fresh m dl ~now:0.0 5);
-  ignore (Hbh.Tables.Mft.mark m dl ~now:0.0 5);
-  Alcotest.(check bool) "refresh ok" true (Hbh.Tables.Mft.refresh m dl ~now:9.0 5);
+  let m = Ss.Table.create () in
+  ignore (Ss.Table.add_fresh m dl ~now:0.0 5);
+  ignore (Ss.Table.mark m dl ~now:0.0 5);
+  Alcotest.(check bool) "refresh ok" true (Ss.Table.refresh m dl ~now:9.0 5);
   Alcotest.(check (list int)) "still marked" []
-    (Hbh.Tables.Mft.data_targets m ~now:9.5);
+    (Ss.Table.data_targets m ~now:9.5);
   Alcotest.(check (list int)) "alive past original t2" [ 5 ]
-    (Hbh.Tables.Mft.tree_targets m ~now:18.0);
+    (Ss.Table.fresh_targets m ~now:18.0);
   (* The mark is itself soft state: unless a later fusion re-asserts
      it, it lapses at its own t1 and data flows again. *)
   Alcotest.(check (list int)) "mark decays at t1" [ 5 ]
-    (Hbh.Tables.Mft.data_targets m ~now:10.0);
-  ignore (Hbh.Tables.Mft.mark m dl ~now:10.0 5);
+    (Ss.Table.data_targets m ~now:10.0);
+  ignore (Ss.Table.mark m dl ~now:10.0 5);
   Alcotest.(check (list int)) "re-marked" []
-    (Hbh.Tables.Mft.data_targets m ~now:11.0)
+    (Ss.Table.data_targets m ~now:11.0)
 
 let test_mft_fusion_add_stale () =
-  let m = Hbh.Tables.Mft.create () in
-  let e = Hbh.Tables.Mft.add_stale m dl ~now:0.0 7 in
-  Alcotest.(check bool) "born stale" true (Proto.Softstate.entry_stale e ~now:0.0);
+  let m = Ss.Table.create () in
+  let e = Ss.Table.add_stale m dl ~now:0.0 7 in
+  Alcotest.(check bool) "born stale" true (Ss.entry_stale e ~now:0.0);
   Alcotest.(check (list int)) "stale yet data-forwarding" [ 7 ]
-    (Hbh.Tables.Mft.data_targets m ~now:0.0);
+    (Ss.Table.data_targets m ~now:0.0);
   (* Join refresh freshens it; a later fusion must keep it fresh. *)
-  ignore (Hbh.Tables.Mft.refresh m dl ~now:1.0 7);
-  let e = Hbh.Tables.Mft.add_stale m dl ~now:2.0 7 in
+  ignore (Ss.Table.refresh m dl ~now:1.0 7);
+  let e = Ss.Table.add_stale m dl ~now:2.0 7 in
   Alcotest.(check bool) "fusion does not downgrade freshness" false
-    (Proto.Softstate.entry_stale e ~now:3.0)
+    (Ss.entry_stale e ~now:3.0)
 
 let test_mct_lifecycle () =
-  let c = Hbh.Tables.Mct.create dl ~now:0.0 4 in
-  Alcotest.(check int) "target" 4 (Hbh.Tables.Mct.target c);
-  Alcotest.(check bool) "fresh" false (Hbh.Tables.Mct.stale c ~now:5.0);
-  Alcotest.(check bool) "stale after t1" true (Hbh.Tables.Mct.stale c ~now:11.0);
-  Alcotest.(check bool) "dead after t2" true (Proto.Softstate.entry_dead (Hbh.Tables.Mct.entry c) ~now:26.0);
-  Hbh.Tables.Mct.replace c dl ~now:12.0 9;
-  Alcotest.(check int) "replaced" 9 (Hbh.Tables.Mct.target c);
-  Alcotest.(check bool) "fresh again" false (Hbh.Tables.Mct.stale c ~now:13.0)
+  let c = Ss.entry dl ~now:0.0 4 in
+  Alcotest.(check int) "target" 4 c.Ss.node;
+  Alcotest.(check bool) "fresh" false (Ss.entry_stale c ~now:5.0);
+  Alcotest.(check bool) "stale after t1" true (Ss.entry_stale c ~now:11.0);
+  Alcotest.(check bool) "dead after t2" true (Ss.entry_dead c ~now:26.0);
+  (* Rule 7 replaces a stale MCT with a fresh entry for the new target. *)
+  let c = Ss.entry dl ~now:12.0 9 in
+  Alcotest.(check int) "replaced" 9 c.Ss.node;
+  Alcotest.(check bool) "fresh again" false (Ss.entry_stale c ~now:13.0)
 
 (* A router's entry is its channel state: sweep keeps it while it holds
    a live table and gives [None] once nothing is left. *)
 let test_tables_sweep () =
-  let m = Hbh.Tables.Mft.create () in
-  ignore (Hbh.Tables.Mft.add_fresh m dl ~now:0.0 5);
+  let m = Ss.Table.create () in
+  ignore (Ss.Table.add_fresh m dl ~now:0.0 5);
   let fwd = Hbh.Tables.Forwarding m in
   Alcotest.(check bool) "branching" true (is_branching fwd);
   Alcotest.(check bool)
     "swept away" true
     (Hbh.Tables.sweep fwd ~now:30.0 = None);
   Alcotest.(check int) "no entries" 0 (Hbh.Tables.mft_entry_count fwd);
-  let ctl = Hbh.Tables.Control (Hbh.Tables.Mct.create dl ~now:0.0 4) in
+  let ctl = Hbh.Tables.Control (Ss.entry dl ~now:0.0 4) in
   Alcotest.(check bool)
     "live MCT kept" true
     (match Hbh.Tables.sweep ctl ~now:20.0 with
@@ -287,6 +289,32 @@ let test_event_fusion_resolves_fig3 () =
   let u, v = Dup.shared_link in
   Alcotest.(check int) "single copy after fusion" 1 (Mcast.Distribution.copies d u v);
   Alcotest.(check int) "cost 6" 6 (Mcast.Distribution.cost d)
+
+(* Figure 3 with staggered joins: once r2's tree converges on R1, R1
+   sends data to R6 (the new branching node) but trees still to both
+   receivers, whose entries R6's fusion marked; R6 copies data to
+   both, and the source sends only to R1.  R1 keeps its MFT with a
+   single data target instead of reverting to an MCT (DESIGN.md §6b). *)
+let test_event_staggered_fig3_targets () =
+  let session = Hbh.Protocol.create (Dup.table ()) ~source:Dup.source in
+  Hbh.Protocol.subscribe session Dup.r1;
+  Hbh.Protocol.converge session;
+  Hbh.Protocol.subscribe session Dup.r2;
+  Hbh.Protocol.converge session;
+  let now = Eventsim.Engine.now (Hbh.Protocol.engine session) in
+  let mft n =
+    match List.assoc_opt n (Hbh.Protocol.all_tables session) with
+    | Some (Hbh.Tables.Forwarding mft) -> mft
+    | _ -> Alcotest.failf "router %d holds no forwarding table" n
+  in
+  Alcotest.(check (list int)) "R1 data targets" [ 6 ]
+    (Ss.Table.data_targets (mft 1) ~now);
+  Alcotest.(check (list int)) "R1 tree targets" [ Dup.r1; Dup.r2 ]
+    (Ss.Table.fresh_targets (mft 1) ~now);
+  Alcotest.(check (list int)) "R6 data targets" [ Dup.r1; Dup.r2 ]
+    (Ss.Table.data_targets (mft 6) ~now);
+  Alcotest.(check (list int)) "source data targets" [ 1 ]
+    (Ss.Table.data_targets (Hbh.Protocol.source_table session) ~now)
 
 let test_event_random_isp_convergence () =
   for seed = 1 to 6 do
@@ -508,6 +536,8 @@ let () =
             test_event_two_channels_share_network;
           Alcotest.test_case "subscribe validation" `Quick test_event_subscribe_validation;
           Alcotest.test_case "config validation" `Quick test_event_config_validation;
+          Alcotest.test_case "staggered fig 3 targets" `Quick
+            test_event_staggered_fig3_targets;
         ] );
       ( "aggregation",
         [

@@ -354,8 +354,8 @@ let test_event_mct_per_relayed_receiver () =
   | Some { Reunite.Tables.mct = Some mct; _ } ->
       Alcotest.(check (list int)) "R6 relays r1 and r2" [ Dup.r1; Dup.r2 ]
         (List.map
-           (fun (e : Reunite.Tables.entry) -> e.Reunite.Tables.node)
-           (Reunite.Tables.Mct.entries mct))
+           (fun (e : Proto.Softstate.entry) -> e.node)
+           (Proto.Softstate.Table.entries mct))
   | Some { Reunite.Tables.mct = None; _ } | None ->
       Alcotest.fail "R6 holds no control table"
 
@@ -378,10 +378,12 @@ let test_event_teardown_on_leave () =
    keeps it while either table is alive and gives [None] once both are
    gone. *)
 let test_tables_sweep () =
-  let dl = { Reunite.Tables.t1 = 10.0; t2 = 25.0 } in
+  let dl = { Proto.Softstate.t1 = 10.0; t2 = 25.0 } in
+  let mct = Proto.Softstate.Table.create () in
+  ignore (Proto.Softstate.Table.add_fresh mct dl ~now:0.0 4);
   let st =
     {
-      Reunite.Tables.mct = Some (Reunite.Tables.Mct.create dl ~now:0.0 4);
+      Reunite.Tables.mct = Some mct;
       mft = Some (Reunite.Tables.Mft.create dl ~now:10.0 ~dst:5);
     }
   in

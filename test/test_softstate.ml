@@ -25,7 +25,7 @@ let hbh_join_drop () =
 
 let check_mft_ladder ~what mft ~engine ~run =
   let cfg = Hbh.Protocol.default_config in
-  let entries () = Hbh.Tables.Mft.entries mft in
+  let entries () = Proto.Softstate.Table.entries mft in
   Alcotest.(check bool) (what ^ ": populated") false (entries () = []);
   let nw () = Eventsim.Engine.now engine in
   Alcotest.(check bool)
@@ -107,7 +107,7 @@ let test_reunite_source_decay () =
     match Reunite.Protocol.source_table sess with
     | None -> true
     | Some mft ->
-        Reunite.Tables.entry_dead (Reunite.Tables.Mft.dst mft) ~now:nw
+        Proto.Softstate.entry_dead (Reunite.Tables.Mft.dst mft) ~now:nw
   in
   Alcotest.(check bool) "source table decayed by t2" true decayed
 
