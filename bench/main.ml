@@ -10,8 +10,10 @@
 (* Machine-readable trajectory: the budget measurements, written to
    [bench_results.json] (path overridable via HBH_BENCH_JSON; set it
    to the empty string to skip), so the perf trajectory accumulates
-   one file per CI run, diffable against the checked-in
-   [BENCH_seed.json] baseline.  Every file records its host: the
+   one file per CI run, diffable against the checked-in ledger
+   ([BENCH_seed.json], then one [BENCH_pr<N>.json] per PR that moves a
+   number; CI checks the key set against the latest).  Every file
+   records its host: the
    domains the runtime recommends, the OCaml version and the CPU
    model. *)
 
@@ -633,6 +635,50 @@ let alloc_budget_check () =
   end;
   List.rev !fields
 
+(* Ledger entries with no gate: the two halves of perfbench churn's
+   set-up, at its parameters (a 1000-router power-law graph, m = 2,
+   costs 1..10, seed 1; 256 Zipf channels, aggregate rate 0.5, mean
+   hold 300, horizon 24,800).  [churn_schedule_ms] draws the merged
+   schedule; [routing_fill_ms] reads every destination through one
+   fresh table in ascending order, so each host's tree comes from its
+   router's.  Each is the median of [timed_pairs] wall-clock runs. *)
+let churn_setup_ledger () =
+  let seed = 1 and channels = 256 in
+  let g =
+    Topology.Generators.power_law ~m:2
+      (Stats.Rng.derive2 ~seed ~a:0 ~b:0)
+      ~n:1000
+  in
+  Topology.Graph.randomize_costs g (Stats.Rng.derive2 ~seed ~a:0 ~b:1) ~lo:1
+    ~hi:10;
+  let candidates = List.tl (Topology.Graph.hosts g) in
+  let popularity = Workload.Zipf.create ~s:1.0 ~n:channels () in
+  let schedule () =
+    ignore
+      (Workload.Churn.multi ~seed ~channels ~candidates ~rate:0.5 ~popularity
+         ~mean_hold:300.0 ~horizon:24_800.0
+        : (float * int * Workload.Churn.event) list)
+  in
+  let fill () =
+    let table = Routing.Table.compute g in
+    for d = 0 to Topology.Graph.node_count g - 1 do
+      ignore (Routing.Table.in_tree table d : Routing.Dijkstra.in_tree)
+    done
+  in
+  let ms f =
+    median
+      (Array.init timed_pairs (fun _ -> time_ns_per ~iters:1 f /. 1e6))
+  in
+  let schedule_ms = ms schedule and fill_ms = ms fill in
+  Format.printf
+    "ledger: churn schedule %.1f ms, routing fill %.1f ms (perfbench churn \
+     parameters; no gate)@."
+    schedule_ms fill_ms;
+  [
+    ("churn_schedule_ms", Obs.Json.Float schedule_ms);
+    ("routing_fill_ms", Obs.Json.Float fill_ms);
+  ]
+
 let () =
   let t0 = Sys.time () in
   let telemetry = overhead_check () in
@@ -640,7 +686,8 @@ let () =
   let hardstate = hardstate_overhead_check () in
   let mux = mux_scaling_check () in
   let alloc = alloc_budget_check () in
+  let ledger = churn_setup_ledger () in
   emit_json
-    (telemetry @ adversarial @ hardstate @ mux @ alloc)
+    (telemetry @ adversarial @ hardstate @ mux @ alloc @ ledger)
     (Sys.time () -. t0);
   if !failed then exit 1

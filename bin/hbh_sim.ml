@@ -789,6 +789,11 @@ let soak_cmd =
       $ protocols_arg Verif.Sut.all
       $ timeline_ndjson $ openmetrics_arg)
 
+(* The largest [--rate] x [--horizon] churn accepts.  Each expected
+   arrival is drawn one by one, so the product, not the draw cost,
+   bounds the schedule: at 1e9 x 10 a run never printed a line. *)
+let churn_max_arrivals = 1e5
+
 let churn_cmd =
   let doc =
     "Multi-channel churn on a generated internet-scale topology: one \
@@ -827,7 +832,15 @@ let churn_cmd =
       & info [ "gen" ] ~docv:"G" ~doc)
   in
   let rate =
-    let doc = "Aggregate join rate over all channels (joins per time unit)." in
+    let doc =
+      Printf.sprintf
+        "Aggregate join rate over all channels (joins per time unit).  \
+         $(b,--rate) times $(b,--horizon), the expected number of join \
+         arrivals, must be at most %g: the schedule draws 3-4x10^5 \
+         arrivals a second when every arrival joins (2 vCPU, OCaml 5.1.1), \
+         so a schedule at the ceiling takes about 0.3 s and 45 MB."
+        churn_max_arrivals
+    in
     let rate = positive_float "--rate must be a positive join rate" in
     Arg.(value & opt rate 0.5 & info [ "rate" ] ~docv:"R" ~doc)
   in
@@ -861,6 +874,12 @@ let churn_cmd =
   in
   let run seed jobs protocols channels routers gen rate hold horizon
       sample_every arm json metrics_json openmetrics =
+    if rate *. horizon > churn_max_arrivals then
+      usage_error
+        (Printf.sprintf
+           "churn: --rate %g x --horizon %g expects %g join arrivals, above \
+            the ceiling of %g"
+           rate horizon (rate *. horizon) churn_max_arrivals);
     let arms = match arm with None -> [ false; true ] | Some a -> [ a ] in
     let params =
       {

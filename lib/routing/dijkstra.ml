@@ -10,6 +10,10 @@ type in_tree = { dest : int; buf : Bytes.t }
 external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32"
 external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32"
 
+(* Unchecked, for loops whose offsets stay inside the buffer. *)
+external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+
 (* The queue is a ring of [ring] buckets, each a LIFO list of entries.
    Bucket [b] holds the keys [k] with [k lsr shift = b], at ring slot
    [b land (ring - 1)].  While the bucket of [cur] is drained every
@@ -179,6 +183,50 @@ let of_view (view : G.view) d =
   { dest = d; buf }
 
 let to_dest g d = of_view (G.routing_view g) d
+
+(* A stub [s] has one neighbour [w], and every path into [s] ends with
+   the access hop [w -> s]; [s] is never interior to a simple path, so
+   the paths into [w] that [w]'s tree holds never cross [s].  Hence
+   [dist u s = dist u w + cost w s] for every [u] but [s], and, since
+   costs are at least 1, the tied neighbours of each [u] other than [w]
+   and [s] are the same toward [s] as toward [w]: [u]'s next hop
+   carries over.  [w] steps to [s], and [s] is the root.  Nodes are
+   checked in ascending order, so an overflow names the node the kernel
+   would have named. *)
+let of_stub (view : G.view) s tw =
+  let stub = view.G.stub in
+  let n = Array.length stub in
+  if s < 0 || s >= n || not stub.(s) then invalid_arg "Dijkstra.of_stub: not a stub";
+  let k = view.G.offsets.(s) in
+  let w = view.G.nbrs.(k) in
+  if tw.dest <> w || Bytes.length tw.buf <> n lsl 3 then
+    invalid_arg "Dijkstra.of_stub: not the tree of the stub's neighbour";
+  let c = view.G.cost_in.(k) in
+  let len = n lsl 3 in
+  let buf = Bytes.create len in
+  if c < 0 then Bytes.fill buf 0 len '\xff'
+  else begin
+    Bytes.blit tw.buf 0 buf 0 len;
+    (* [!o] walks the distance words: 4, 12, .., len - 4. *)
+    let o = ref 4 in
+    while !o < len do
+      let du = Int32.to_int (get32u buf !o) in
+      if du >= 0 then begin
+        let du = du + c in
+        if du > max_dist && !o lsr 3 <> s then
+          invalid_arg
+            (Printf.sprintf
+               "Dijkstra.to_dest: cost %d from %d to %d exceeds int32" du
+               (!o lsr 3) s);
+        set32u buf !o (Int32.of_int du)
+      end;
+      o := !o + 8
+    done;
+    set32 buf (w lsl 3) (Int32.of_int s)
+  end;
+  set32 buf (s lsl 3) (-1l);
+  set32 buf ((s lsl 3) + 4) 0l;
+  { dest = s; buf }
 
 let next t u = Int32.to_int (get32 t.buf (u lsl 3))
 

@@ -52,6 +52,18 @@ val of_view : Topology.Graph.view -> int -> in_tree
     link-state test oracle builds one per router LSDB generation.
     [to_dest g d] is [of_view (Topology.Graph.routing_view g) d]. *)
 
+val of_stub : Topology.Graph.view -> int -> in_tree -> in_tree
+(** [of_stub v s tw] is stub [s]'s in-tree over [v], built in O(n)
+    with no queue from [tw], the in-tree over [v] of [s]'s one
+    neighbour [w]: every reachable node keeps its next hop and adds the
+    access link's cost [w -> s] to its distance, [w]'s next hop becomes
+    [s], and [s] is the root.  When that link is down no other node
+    reaches [s].  Equal to [of_view v s] whenever costs are at least 1,
+    as on every {!Topology.Graph}: a stub is never interior to a simple
+    path.  Raises [Invalid_argument] when [s] is not a stub of [v] or
+    [tw] is not its neighbour's tree of [v]'s size, and with the
+    kernel's message when a distance exceeds int32. *)
+
 (** {1 Reading a tree}
 
     Every reader raises [Invalid_argument] for a node outside the

@@ -9,7 +9,15 @@
    its tie-breaks — and every cached tree otherwise, since a restore
    or a cost change can improve any route. *)
 
-(* Always-on cache accounting.  Each table binds these when it is
+(* A miss on a stub destination extends its neighbour's cached tree by
+   the access hop ({!Dijkstra.of_stub}) instead of running the kernel,
+   but only while the table is converged at the graph's current
+   generation: then every cached tree is what the kernel would build on
+   the current graph.  A pending link change, or a change made directly
+   on the graph since, leaves cached trees that the current graph no
+   longer yields, so those misses run the kernel.
+
+   Always-on cache accounting.  Each table binds these when it is
    computed (the owner contract of {!Obs.Metrics.bind}). *)
 let m_spf = Obs.Metrics.hot_counter "routing.spf_runs"
 let m_hits = Obs.Metrics.hot_counter "routing.cache_hits"
@@ -54,7 +62,15 @@ let in_tree t d =
       tree
   | None ->
       Obs.Metrics.incr t.spf_runs;
-      let tree = Dijkstra.of_view (Topology.Graph.routing_view t.graph) d in
+      let view = Topology.Graph.routing_view t.graph in
+      let tree =
+        match t.pending with
+        | Converged g when g = view.generation && view.stub.(d) -> (
+            match t.trees.(view.nbrs.(view.offsets.(d))) with
+            | Some tw -> Dijkstra.of_stub view d tw
+            | None -> Dijkstra.of_view view d)
+        | _ -> Dijkstra.of_view view d
+      in
       t.trees.(d) <- Some tree;
       tree
 

@@ -79,7 +79,16 @@ val reinstate : t -> saved -> unit
 
 val in_tree : t -> int -> Dijkstra.in_tree
 (** The in-tree of a destination (computing and caching it if
-    needed). *)
+    needed).  A miss on a stub (a degree-1 node, such as a host) whose
+    one neighbour's tree is cached, while the table is converged at the
+    graph's current generation (no {!set_link_up} change awaiting
+    {!reconverge}, no change made directly on the graph since), extends
+    that tree by the access hop ({!Dijkstra.of_stub}, O(nodes), the
+    same tree the kernel builds); every other miss runs the kernel.
+    Either way a miss counts one [routing.spf_runs], and reading the
+    neighbour's tree counts no [routing.cache_hits].  So a fill in
+    ascending destination order, where each host follows its router,
+    runs the kernel once per router only. *)
 
 val next_hop : t -> int -> dest:int -> int option
 (** [next_hop t u ~dest] is the forwarding decision of node [u] for a

@@ -90,6 +90,14 @@ let test_churn_negative_rate () =
 let test_churn_bad_generator () =
   check_usage_exit "churn --gen ladder" "churn --gen ladder" ~msg:"--gen"
 
+(* Every expected arrival is drawn one by one, so a huge --rate x
+   --horizon is refused before any work: at 1e9 x 10 the run used to go
+   on past 30 s without printing a line. *)
+let test_churn_arrival_ceiling () =
+  check_usage_exit "churn --rate 1e9 --horizon 10"
+    "churn --rate 1e9 --routers 16 --channels 2 --horizon 10"
+    ~msg:"join arrivals"
+
 let test_churn_bad_sample_interval () =
   check_usage_exit "churn --sample-every 0" "churn --sample-every 0"
     ~msg:"--sample-every must be a positive interval"
@@ -292,6 +300,8 @@ let () =
             test_unwritable_output;
           Alcotest.test_case "range-checked flags reject bad values" `Quick
             test_range_checked_values;
+          Alcotest.test_case "churn rejects --rate x --horizon past its ceiling"
+            `Quick test_churn_arrival_ceiling;
           Alcotest.test_case "--help renders for every subcommand" `Quick
             test_help_every_command;
         ] );

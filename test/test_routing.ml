@@ -33,16 +33,16 @@ let fail_random_links g rng =
 (* ---- Dijkstra --------------------------------------------------------- *)
 
 (* The first node whose next hop or distance toward [d] differs between
-   the bucket-queue kernel and the binary-heap reference over the same
-   view, or the two kernels' different errors; [None] when they
-   agree. *)
-let reference_mismatch (view : G.view) d =
+   the bucket-queue kernel (or the tree [tree] returns) and the
+   binary-heap reference over the same view, or the two kernels'
+   different errors; [None] when they agree. *)
+let reference_mismatch ?tree (view : G.view) d =
   let module R = Routing_oracles.Spf_reference in
   let attempt f = match f () with t -> Ok t | exception Invalid_argument m -> Error m in
-  match
-    ( attempt (fun () -> Routing.Dijkstra.of_view view d),
-      attempt (fun () -> R.of_view view d) )
-  with
+  let tree =
+    Option.value tree ~default:(fun () -> Routing.Dijkstra.of_view view d)
+  in
+  match (attempt tree, attempt (fun () -> R.of_view view d)) with
   | Ok tree, Ok r ->
       let n = Array.length view.G.stub in
       let rec first u =
@@ -125,7 +125,18 @@ let test_dijkstra_int32_bound () =
     | _ -> false
     | exception Invalid_argument _ -> true);
   Alcotest.(check int) "the reverse direction still fits" 2
-    (Routing.Dijkstra.distance (Routing.Dijkstra.to_dest g 0) 2)
+    (Routing.Dijkstra.distance (Routing.Dijkstra.to_dest g 0) 2);
+  (* Node 2 is a stub: through a table with its neighbour's tree
+     cached, its tree is built from that tree, and must fail the same
+     way. *)
+  let table = Routing.Table.compute g in
+  ignore (Routing.Table.in_tree table 1 : Routing.Dijkstra.in_tree);
+  let message f =
+    match f () with _ -> "no error" | exception Invalid_argument m -> m
+  in
+  Alcotest.(check string) "a stub tree from its neighbour's raises the same"
+    (message (fun () -> Routing.Dijkstra.to_dest g 2))
+    (message (fun () -> Routing.Table.in_tree table 2))
 
 (* Links of cost 0 are refused wherever a cost enters a graph: over a
    link of cost 0 both ways, tied nodes would pick each other as next
@@ -605,12 +616,16 @@ let prop_scratch_reuse =
         (Stats.Parallel.map ~jobs:2 2 (fun _ -> List.map read (calls ()))))
 
 (* The bucket queue against the binary-heap reference on every tree of
-   a random graph: random-connected, power-law, grid or ISP, hosts
+   a random graph: random-connected, power-law, grid, ISP or
+   {!stubby_graph} (pendant chains, a detached router pair), hosts
    attached (stubs), a quarter of the links down, and costs drawn from
    1..2 (many ties), the paper's 1..10 (width-1 buckets), 1..10^6
    (wide buckets, nodes expanded out of order) or all 2^24 (wide
    buckets, every path a tie).  Every node's next hop and distance
-   toward every destination must agree. *)
+   toward every destination must agree.  Every destination is then
+   read again through one [Routing.Table] in ascending order, so each
+   stub whose neighbour has the smaller id gets its tree from the
+   neighbour's ({!Routing.Dijkstra.of_stub}), and must agree too. *)
 let prop_bucket_queue_matches_reference =
   QCheck.Test.make ~name:"bucket queue = binary-heap reference on every tree"
     ~count:150
@@ -618,7 +633,7 @@ let prop_bucket_queue_matches_reference =
     (fun seed ->
       let rng = Stats.Rng.create seed in
       let g =
-        match Stats.Rng.int rng 4 with
+        match Stats.Rng.int rng 5 with
         | 0 ->
             Topology.Generators.random_connected rng
               ~n:(5 + Stats.Rng.int rng 40) ~avg_degree:3.0
@@ -628,7 +643,8 @@ let prop_bucket_queue_matches_reference =
         | 2 ->
             Topology.Generators.grid ~rows:(1 + Stats.Rng.int rng 6)
               ~cols:(2 + Stats.Rng.int rng 6) ()
-        | _ -> Topology.Isp.create ()
+        | 3 -> Topology.Isp.create ()
+        | _ -> stubby_graph rng
       in
       let lo, hi =
         [| (1, 2); (1, 10); (1, 1_000_000); (1 lsl 24, 1 lsl 24) |].(Stats.Rng.int rng 4)
@@ -636,12 +652,101 @@ let prop_bucket_queue_matches_reference =
       G.randomize_costs g rng ~lo ~hi;
       fail_random_links g rng;
       let view = G.routing_view g in
+      let table = Routing.Table.compute g in
       for d = 0 to G.node_count g - 1 do
         Option.iter
           (QCheck.Test.fail_reportf "seed %d, costs %d..%d: %s" seed lo hi)
-          (reference_mismatch view d)
+          (reference_mismatch view d);
+        Option.iter
+          (QCheck.Test.fail_reportf "seed %d, costs %d..%d, table: %s" seed lo
+             hi)
+          (reference_mismatch ~tree:(fun () -> Routing.Table.in_tree table d)
+             view d)
       done;
       true)
+
+(* Stub trees from the neighbour's tree, case by case, each against the
+   kernel and the binary-heap reference.  Routers 0-1-2 in a line with
+   hosts 3 (on 1) and 4 (on 2), router 5 whose only link is its host 6
+   (a two-node component), and host 7 on router 0 with its access link
+   down. *)
+let stub_graph () =
+  let b = Topology.Builder.create () in
+  let r = Topology.Builder.add_routers b 3 in
+  Topology.Builder.add_link b 0 1 ~cost:2 ~cost_back:3 ();
+  Topology.Builder.add_link b 1 2 ~cost:4 ~cost_back:1 ();
+  ignore (Topology.Builder.add_host b ~router:1 ~cost:2 ~cost_back:5 () : int);
+  ignore (Topology.Builder.add_host b ~router:2 ~cost:3 () : int);
+  let lone = Topology.Builder.add_router b in
+  ignore (Topology.Builder.add_host b ~router:lone ~cost:4 ~cost_back:6 () : int);
+  ignore (Topology.Builder.add_host b ~router:(List.hd r) () : int);
+  let g = Topology.Builder.build b in
+  G.set_link_up g 0 7 false;
+  g
+
+let same_tree n a b =
+  List.for_all
+    (fun u ->
+      Routing.Dijkstra.next a u = Routing.Dijkstra.next b u
+      && Routing.Dijkstra.dist a u = Routing.Dijkstra.dist b u)
+    (List.init n Fun.id)
+
+let test_stub_trees () =
+  let g = stub_graph () in
+  let n = G.node_count g in
+  let view = G.routing_view g in
+  List.iter
+    (fun (s, w) ->
+      let built = Routing.Dijkstra.of_stub view s (Routing.Dijkstra.of_view view w) in
+      Alcotest.(check bool)
+        (Printf.sprintf "stub %d from %d = kernel" s w)
+        true
+        (same_tree n built (Routing.Dijkstra.of_view view s));
+      Option.iter Alcotest.fail
+        (reference_mismatch ~tree:(fun () -> built) view s))
+    [ (3, 1); (4, 2); (6, 5); (5, 6); (7, 0) ];
+  let down = Routing.Dijkstra.of_stub view 7 (Routing.Dijkstra.of_view view 0) in
+  Alcotest.(check (list int)) "access link down: only the stub reaches itself"
+    [ 7 ]
+    (List.filter (Routing.Dijkstra.reachable down) (List.init n Fun.id));
+  let pair = Routing.Dijkstra.of_stub view 6 (Routing.Dijkstra.of_view view 5) in
+  Alcotest.(check (list int)) "two-node component: its router reaches it"
+    [ 5; 6 ]
+    (List.filter (Routing.Dijkstra.reachable pair) (List.init n Fun.id));
+  Alcotest.(check int) "two-node component: the access cost" 4
+    (Routing.Dijkstra.distance pair 5);
+  let table = Routing.Table.compute g in
+  for d = 0 to n - 1 do
+    Option.iter Alcotest.fail
+      (reference_mismatch ~tree:(fun () -> Routing.Table.in_tree table d) view d)
+  done;
+  let refused what f =
+    Alcotest.(check bool) what true
+      (match f () with _ -> false | exception Invalid_argument _ -> true)
+  in
+  refused "a router is not a stub" (fun () ->
+      Routing.Dijkstra.of_stub view 1 (Routing.Dijkstra.of_view view 0));
+  refused "another node's tree" (fun () ->
+      Routing.Dijkstra.of_stub view 3 (Routing.Dijkstra.of_view view 2))
+
+(* A cost changed directly on the graph after the router's tree was
+   cached: the table is no longer converged at the graph's generation,
+   so the host's miss must run the kernel on the current graph, not
+   extend the router's stale tree by one hop. *)
+let test_stub_tree_after_direct_mutation () =
+  let g = stub_graph () in
+  let n = G.node_count g in
+  let table = Routing.Table.compute g in
+  let router = Routing.Table.in_tree table 1 in
+  G.set_cost g 0 1 9;
+  let view = G.routing_view g in
+  let fresh = Routing.Dijkstra.of_view view 3 in
+  Alcotest.(check bool) "the stale extension differs from the fresh tree" false
+    (same_tree n (Routing.Dijkstra.of_stub view 3 router) fresh);
+  Alcotest.(check bool) "the host's miss is the fresh tree" true
+    (same_tree n (Routing.Table.in_tree table 3) fresh);
+  Alcotest.(check int) "0 -> 3 costs the new 9 plus the access 2" 11
+    (Routing.Table.distance table 0 3)
 
 let prop_path_endpoints =
   QCheck.Test.make ~name:"paths start and end correctly" ~count:30
@@ -762,6 +867,10 @@ let () =
           Alcotest.test_case "matches bellman-ford" `Quick test_dijkstra_matches_bellman_ford;
           Alcotest.test_case "table matches floyd-warshall" `Quick
             test_table_matches_floyd_warshall;
+          Alcotest.test_case "stub trees from the neighbour's tree" `Quick
+            test_stub_trees;
+          Alcotest.test_case "stub tree after a direct cost change" `Quick
+            test_stub_tree_after_direct_mutation;
         ] );
       ( "forwarding",
         [

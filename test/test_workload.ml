@@ -266,6 +266,70 @@ let prop_multi_projection =
               ~mean_hold:50.0 ~horizon:500.0)
         (List.init channels (fun c -> c)))
 
+(* ---- The O(log n) draws against the Set-based reference ----------------- *)
+
+(* Random inputs from one seed: a candidate list of up to 16 entries
+   over -3..20, unsorted and with duplicates (sometimes empty), a rate
+   of 0.01..30, a mean hold of 0.1..1000 and a horizon of 1..400.  A
+   few candidates at a high rate with long holds fill the group, so
+   arrivals are lost. *)
+let churn_inputs seed =
+  let r = Stats.Rng.create seed in
+  let candidates =
+    List.init (Stats.Rng.int r 17) (fun _ -> Stats.Rng.int_in r (-3) 20)
+  in
+  let log_uniform lo hi =
+    Float.exp (Float.log lo +. Stats.Rng.float r (Float.log hi -. Float.log lo))
+  in
+  let rate = log_uniform 0.01 30.0 in
+  let mean_hold = log_uniform 0.1 1000.0 in
+  let horizon = 1.0 +. Stats.Rng.float r 399.0 in
+  (r, candidates, rate, mean_hold, horizon)
+
+let prop_poisson_matches_reference =
+  QCheck.Test.make ~name:"poisson = Set-based reference" ~count:300
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let _, candidates, rate, mean_hold, horizon = churn_inputs seed in
+      Workload.Churn.poisson (Stats.Rng.create seed) ~candidates ~rate
+        ~mean_hold ~horizon
+      = Churn_reference.poisson (Stats.Rng.create seed) ~candidates ~rate
+          ~mean_hold ~horizon)
+
+let prop_multi_matches_reference =
+  QCheck.Test.make ~name:"multi = merged Set-based reference streams"
+    ~count:100
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let r, candidates, rate, mean_hold, horizon = churn_inputs seed in
+      let channels = 1 + Stats.Rng.int r 8 in
+      let popularity =
+        Workload.Zipf.create ~s:(Stats.Rng.float r 1.5) ~n:channels ()
+      in
+      Workload.Churn.multi ~seed ~channels ~candidates ~rate ~popularity
+        ~mean_hold ~horizon
+      = Churn_reference.multi ~seed ~channels ~candidates ~rate ~popularity
+          ~mean_hold ~horizon)
+
+(* Two distinct candidates (listed three times over, out of order) at
+   rate 5 with holds far past the horizon: both join early and about
+   500 later arrivals are lost, each drawing nothing. *)
+let test_full_group_matches_reference () =
+  let candidates = [ 7; 3; 7; 3; 3; 7 ] in
+  let sched rng = Workload.Churn.poisson rng ~candidates ~rate:5.0
+      ~mean_hold:1e6 ~horizon:100.0
+  in
+  let got = sched (Stats.Rng.create 11) in
+  Alcotest.(check (list int)) "both candidates join, once each" [ 3; 7 ]
+    (List.sort compare
+       (List.filter_map
+          (function _, Workload.Churn.Join r -> Some r | _ -> None)
+          got));
+  Alcotest.(check bool) "equals the reference" true
+    (got
+    = Churn_reference.poisson (Stats.Rng.create 11) ~candidates ~rate:5.0
+        ~mean_hold:1e6 ~horizon:100.0)
+
 let () =
   Alcotest.run "workload"
     [
@@ -290,8 +354,15 @@ let () =
             test_multi_projection_consistency;
           Alcotest.test_case "multi-channel deterministic" `Quick
             test_multi_deterministic_and_ordered;
+          Alcotest.test_case "full group = reference" `Quick
+            test_full_group_matches_reference;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_poisson_leaves_match_joins; prop_multi_projection ] );
+          [
+            prop_poisson_leaves_match_joins;
+            prop_multi_projection;
+            prop_poisson_matches_reference;
+            prop_multi_matches_reference;
+          ] );
     ]
