@@ -320,8 +320,9 @@ let adversarial_overhead_check () =
     sut.Verif.Sut.converge ();
     let t0 = Eventsim.Engine.now sut.Verif.Sut.engine in
     ignore
-      (Eventsim.Timer.every ~tag:"bench.probe" sut.Verif.Sut.engine ~start:0.0
-         ~period:50.0 (fun () ->
+      (Eventsim.Wheel.every
+         (Eventsim.Wheel.create ~tag:"bench.probe" sut.Verif.Sut.engine)
+         ~start:0.0 ~period:50.0 (fun () ->
            if Eventsim.Engine.now sut.Verif.Sut.engine -. t0 <= 700.0 then
              ignore (sut.Verif.Sut.send_probe ())));
     Eventsim.Engine.run ~until:(t0 +. 1000.0) sut.Verif.Sut.engine;

@@ -650,8 +650,7 @@ let faults_cmd =
       List.iter
         (fun (c : Experiments.Faults.case_obs) ->
           Format.printf "%-32s %a@." c.Experiments.Faults.c_label
-            Obs.Span.pp_stats
-            (Obs.Span.stats ~name:"repair" c.Experiments.Faults.c_spans))
+            Obs.Span.pp_stats c.Experiments.Faults.c_repair)
         obs
     end;
     if timeline_dt <> None then

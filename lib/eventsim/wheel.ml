@@ -5,7 +5,7 @@
    (anything scheduled between them is a message send whose delay is
    shorter than any timer period, so it lands before the shared
    deadline), which makes a coalesced bucket fire its members in
-   exactly the order separate [Timer.every] chains would.  An arm that
+   exactly the order separate timer chains would.  An arm that
    finds only a bucket created at an earlier instant schedules its own
    event — foreign events could have claimed sequence numbers in
    between, and joining the old bucket would reorder against them.

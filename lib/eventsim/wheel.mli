@@ -1,23 +1,29 @@
 (** A deadline-coalescing timer wheel.
 
-    [Timer.every] costs one engine event per timer per period; a
-    runtime hosting k channels' tick/sweep/join timers would keep
-    O(k) events in flight for each shared period.  A wheel groups all
-    entries expiring at the same instant into one bucket backed by a
-    single engine event, firing members in insertion order.
+    A standalone timer chain costs one engine event per timer per
+    period; a runtime hosting k channels' tick/sweep/join timers
+    would keep O(k) events in flight for each shared period.  A wheel
+    groups all entries expiring at the same instant into one bucket
+    backed by a single engine event, firing members in insertion
+    order.
 
     Determinism contract: an entry's deadline sequence ([now +. start],
     then [d +. period] from each fire instant [d]) is bit-identical to
-    the equivalent [Timer.every] chain, and entries only share a
-    bucket when they were armed in the same engine instant — the case
-    where separate timers are provably adjacent in the engine's
-    same-time tie-break (any event scheduled between their arms is a
-    message whose delay is shorter than every timer period, so it
-    lands before the shared deadline).  Firing a bucket therefore
-    runs its members exactly when and in the order the standalone
-    timers would have.  [stop] cancels the backing event when a
-    bucket empties; a stopped entry never causes a no-op engine
-    fire.
+    the equivalent timer chain (the reference chains, which re-arm
+    with a fresh engine event after each fire, are [Timer] in
+    [test/support]), and entries only share a bucket when they were
+    armed in the same engine instant — the case where separate timers
+    are provably adjacent in the engine's same-time tie-break (any
+    event scheduled between their arms is a message whose delay is
+    shorter than every timer period, so it lands before the shared
+    deadline).  Firing a bucket therefore runs its members exactly
+    when and in the order the standalone timers would have.  The
+    argument holds per wheel: an entry of another wheel on the same
+    engine, armed between two merged arms for the same deadline, fires
+    after both instead of between them.  A wheel with a single entry
+    never merges, so it fires exactly as its timer chain.  [stop]
+    cancels the backing event when a bucket empties; a stopped entry
+    never causes a no-op engine fire.
 
     Re-arm in place: when a bucket fires, the first of its members
     that re-arms into no existing bucket takes the fired bucket itself

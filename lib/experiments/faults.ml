@@ -6,7 +6,7 @@
 
 module G = Topology.Graph
 module Engine = Eventsim.Engine
-module Timer = Eventsim.Timer
+module Wheel = Eventsim.Wheel
 module Net = Netsim.Network
 
 type scenario = Crash | Link_failure | Loss_burst
@@ -151,7 +151,7 @@ type case_obs = {
   c_label : string;  (* "<topology>/<scenario>/<protocol>" *)
   c_timeline : Obs.Timeline.t option;
   c_monitor : Verif.Monitor.t option;
-  c_spans : Obs.Span.t;  (* this case's "repair" spans *)
+  c_repair : Obs.Span.stats;  (* over the receivers' time_to_repair *)
 }
 
 (* ---- The probe stream -------------------------------------------- *)
@@ -161,21 +161,22 @@ type stream = {
   recovery : Fault.Recovery.t;
       (* every probe sent, every copy delivered, the control samples *)
   report : Fault.Recovery.report;  (* read at the horizon *)
-  spans : Obs.Span.t;  (* the recovery's "repair" spans *)
   timeline : Obs.Timeline.t option;
   drops : int;  (* loss + link-down + node-down drops during the run *)
-  stopped : bool;  (* fired [max_events] before the horizon *)
+  stopped : bool;
+      (* fired [max_events] events besides the timeline's and the
+         monitor's before the horizon *)
 }
 
 (* Probing stops [delivery_slack] before [horizon] so the lost count
    is not polluted by copies still in flight.  The timeline sampler
-   and [monitor] read state and schedule only their own timers, so
-   observing a run does not change it. *)
+   and [monitor] read state and schedule only their own timer events,
+   and [max_events] counts every event but theirs, so observing a run
+   does not change it. *)
 let stream ?max_events ?timeline ?monitor ?fault_at ?heal_at ?plan
     ?(probe_start = probe_period) ~seed ~horizon ~receivers sut =
   let engine = sut.Sut.engine in
-  let spans = Obs.Span.create () in
-  let recov = Fault.Recovery.create ~spans ~receivers () in
+  let recov = Fault.Recovery.create ~receivers in
   sut.Sut.on_delivery (fun ~now ~receiver ~seq ->
       Fault.Recovery.note_delivery recov ~now ~receiver ~seq);
   let t0 = Engine.now engine in
@@ -183,6 +184,8 @@ let stream ?max_events ?timeline ?monitor ?fault_at ?heal_at ?plan
     Fault.Recovery.note_control recov ~now:(Engine.now engine)
       ~hops:(sut.Sut.control_hops ())
   in
+  (* Each sampler fire is one engine event of the timeline's own wheel. *)
+  let samples = ref 0 in
   let timeline =
     Option.map
       (fun (interval, probes) ->
@@ -191,8 +194,11 @@ let stream ?max_events ?timeline ?monitor ?fault_at ?heal_at ?plan
           (fun (name, f) -> Obs.Timeline.add_probe tl name (fun () -> f recov))
           probes;
         ignore
-          (Timer.every ~tag:"obs.timeline" engine ~start:0.0 ~period:interval
+          (Wheel.every
+             (Wheel.create ~tag:"obs.timeline" engine)
+             ~start:0.0 ~period:interval
              (fun () ->
+               incr samples;
                let nw = Engine.now engine in
                if nw -. t0 <= horizon then
                  Obs.Timeline.sample tl ~now:(nw -. t0)));
@@ -202,8 +208,10 @@ let stream ?max_events ?timeline ?monitor ?fault_at ?heal_at ?plan
   note_control ();
   let probe_until = horizon -. delivery_slack in
   ignore
-    (Timer.every ~tag:"fault.probe" engine ~start:probe_start
-       ~period:probe_period (fun () ->
+    (Wheel.every
+       (Wheel.create ~tag:"fault.probe" engine)
+       ~start:probe_start ~period:probe_period
+       (fun () ->
          let nw = Engine.now engine in
          if nw -. t0 <= probe_until then begin
            let seq = sut.Sut.send_probe () in
@@ -217,12 +225,32 @@ let stream ?max_events ?timeline ?monitor ?fault_at ?heal_at ?plan
   Option.iter (fun at -> Fault.Recovery.note_fault recov ~now:(t0 +. at)) fault_at;
   Option.iter (fun at -> Fault.Recovery.note_heal recov ~now:(t0 +. at)) heal_at;
   let before = sut.Sut.counters () in
-  let e0 = Engine.events_fired engine in
-  Engine.run ~until:(t0 +. horizon) ?max_events engine;
+  let checks () = Option.fold ~none:0 ~some:Verif.Monitor.checks monitor in
+  let e0 = Engine.events_fired engine and c0 = checks () in
+  (* The case's own events so far: every fire but the sampler's and
+     the monitor's (one engine event per check). *)
+  let fired () =
+    Engine.events_fired engine - e0 - !samples - (checks () - c0)
+  in
+  (* Run in slices of the budget left: a slice that fires all it may
+     has spent part of it on instrumentation, so the next slice takes
+     that part back.  Slicing does not reorder the queue.  True once
+     the case has fired the whole budget. *)
+  let until = t0 +. horizon in
+  let rec spend m =
+    let left = m - fired () in
+    left <= 0
+    ||
+    let f0 = Engine.events_fired engine in
+    Engine.run ~until ~max_events:left engine;
+    Engine.events_fired engine - f0 = left && spend m
+  in
   let stopped =
     match max_events with
-    | Some m -> Engine.events_fired engine - e0 >= m
-    | None -> false
+    | Some m -> spend m
+    | None ->
+        Engine.run ~until engine;
+        false
   in
   note_control ();
   Option.iter Verif.Monitor.stop monitor;
@@ -230,7 +258,6 @@ let stream ?max_events ?timeline ?monitor ?fault_at ?heal_at ?plan
   {
     recovery = recov;
     report = Fault.Recovery.report recov;
-    spans;
     timeline;
     drops =
       after.Net.dropped_loss - before.Net.dropped_loss
@@ -305,7 +332,12 @@ let run_one ?instrument proto ~topology ~graph ~source ~receivers ~scenario
           c_label = case_label ~topology ~scenario ~proto;
           c_timeline = st.timeline;
           c_monitor = monitor;
-          c_spans = st.spans;
+          c_repair =
+            Obs.Span.stats_of
+              (List.filter_map
+                 (fun (o : Fault.Recovery.receiver_outcome) ->
+                   o.Fault.Recovery.time_to_repair)
+                 st.report.Fault.Recovery.outcomes);
         })
       instrument )
 

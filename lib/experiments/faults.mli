@@ -80,10 +80,11 @@ type stream = {
       (** fed every probe sent, every copy delivered and the control
           samples *)
   report : Fault.Recovery.report;  (** read at the horizon *)
-  spans : Obs.Span.t;  (** the recovery's ["repair"] spans *)
   timeline : Obs.Timeline.t option;  (** times relative to the start *)
   drops : int;  (** loss + link-down + node-down drops during the run *)
-  stopped : bool;  (** fired [max_events] before the horizon *)
+  stopped : bool;
+      (** fired [max_events] events before the horizon, not counting
+          the [timeline] sampler's and the [monitor]'s *)
 }
 
 val stream :
@@ -105,14 +106,16 @@ val stream :
     start, at [fault_at] and [heal_at] (the fault window the recovery
     is told) and at the end, [plan] installed with [seed], the named
     [timeline] probes sampled at the given interval, [monitor]
-    stopped at the end. *)
+    stopped at the end.  [max_events] bounds the events fired besides
+    the sampler's and the monitor's. *)
 
 (** {1 Observation}
 
     Instrumentation is strictly read-only: timeline probes and
     monitor checks read state and schedule only their own timer
-    events, so an instrumented run's outcomes — and the default
-    stdout — are identical to a plain run's. *)
+    events, which no event budget counts, so an instrumented run's
+    outcomes — and the default stdout — are identical to a plain
+    run's. *)
 
 type instrument = {
   i_timeline : float option;  (** sampling interval, when wanted *)
@@ -126,7 +129,8 @@ type case_obs = {
           deliveries, cumulative control hops — times relative to the
           case's converged start *)
   c_monitor : Verif.Monitor.t option;  (** stopped, ready to summarize *)
-  c_spans : Obs.Span.t;  (** the case's ["repair"] spans *)
+  c_repair : Obs.Span.stats;
+      (** exact quantiles over the receivers' [time_to_repair] *)
 }
 
 val run_observed :

@@ -1,5 +1,5 @@
 (** The markdown convergence report behind [hbh_sim report]: the
-    fault-recovery outcome table, per-case time-to-repair span
+    fault-recovery outcome table, per-case time-to-repair
     quantiles, the join-latency table, sampled recovery timelines,
     and the runtime invariant monitors' verdict — one deterministic
     document per seed. *)

@@ -12,14 +12,9 @@ type t = {
   last_seen : (int, float) Hashtbl.t;
   max_gap : (int, float) Hashtbl.t;
   mutable last_event : float;
-  spans : Obs.Span.t option;
-      (* when wired, one "repair" span per receiver brackets
-         fault -> first proof of healing *)
 }
 
-let repair_span = "repair"
-
-let create ?spans ~receivers () =
+let create ~receivers =
   {
     receivers = List.sort_uniq compare receivers;
     sends = Hashtbl.create 256;
@@ -31,7 +26,6 @@ let create ?spans ~receivers () =
     last_seen = Hashtbl.create 16;
     max_gap = Hashtbl.create 16;
     last_event = 0.0;
-    spans;
   }
 
 let touch t now = if now > t.last_event then t.last_event <- now
@@ -42,19 +36,9 @@ let note_send t ~now ~seq =
 
 let note_fault t ~now =
   touch t now;
-  (match t.fault_time with
+  match t.fault_time with
   | Some tf when tf <= now -> ()
-  | _ -> t.fault_time <- Some now);
-  match t.spans with
-  | Some spans ->
-      List.iter
-        (fun r ->
-          if
-            (not (Hashtbl.mem t.first_repair r))
-            && not (Obs.Span.is_open spans repair_span ~key:r)
-          then Obs.Span.start spans repair_span ~key:r ~now)
-        t.receivers
-  | None -> ()
+  | _ -> t.fault_time <- Some now
 
 (* The repair instant (link back up, partition healed): closes the
    during-fault window the degradation metrics measure.  Idempotent —
@@ -95,12 +79,7 @@ let note_delivery t ~now ~receiver ~seq =
   match t.fault_time with
   | Some tf when not (Hashtbl.mem t.first_repair receiver) -> (
       match Hashtbl.find_opt t.sends seq with
-      | Some sent when sent >= tf ->
-          Hashtbl.replace t.first_repair receiver now;
-          (match t.spans with
-          | Some spans ->
-              ignore (Obs.Span.finish spans repair_span ~key:receiver ~now)
-          | None -> ())
+      | Some sent when sent >= tf -> Hashtbl.replace t.first_repair receiver now
       | _ -> ())
   | _ -> ()
 

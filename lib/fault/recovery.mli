@@ -16,11 +16,7 @@
 
 type t
 
-val create : ?spans:Obs.Span.t -> receivers:int list -> unit -> t
-(** [spans], when given, records one ["repair"] span per receiver:
-    opened at {!note_fault}, closed at the receiver's first
-    post-fault delivery — so a span store shared across cases
-    accumulates an exact time-to-repair distribution. *)
+val create : receivers:int list -> t
 
 val repaired_count : t -> int
 (** Receivers whose first post-fault delivery has been seen — the

@@ -4,9 +4,9 @@
 
    Where the soft-state stacks refresh their tables every period and
    let lost messages heal by decay, this instance keeps {e hard}
-   interest state (Proto.Hardstate) that changes only on explicit
-   events, and makes those events stick with sequence-numbered
-   reliable control messages (Proto.Reliable):
+   interest state, each node's set of interested downstream neighbors,
+   that changes only on explicit events, and makes those events stick
+   with sequence-numbered reliable control messages (Proto.Reliable):
 
    - Interest/NoInterest (the Join class) travel one hop to the
      RPF parent and are retransmitted with bounded backoff until
@@ -34,7 +34,7 @@
 
 module Net = Netsim.Network
 module Pkt = Netsim.Packet
-module Hs = Proto.Hardstate
+module Iset = Set.Make (Int)
 module Rel = Proto.Reliable
 module Tbl = Proto.Node_tables.Int_tbl
 
@@ -113,7 +113,7 @@ type node_state = {
   mutable ns_member : bool;  (* this node is a subscribed member host *)
   nbrs : nbr Tbl.t;
   peers : peer Tbl.t;
-  down : Hs.Table.t;  (* downstream interested: routers + member hosts *)
+  mutable down : Iset.t;  (* downstream interested: routers + member hosts *)
   mutable up_state : (int * bool * int) option;
       (* (parent, polarity, parent genid) of the last tracked
          upstream Interest/NoInterest post — the audit's "already
@@ -185,7 +185,7 @@ module S = Proto.Session.Make (struct
     Tbl.iter
       (fun v (p : peer) -> Tbl.replace peers v { p with p_genid = p.p_genid })
       ns.peers;
-    { ns with nbrs; peers; down = Hs.Table.copy ns.down }
+    { ns with nbrs; peers }
 
   let copy_state st =
     {
@@ -221,7 +221,7 @@ let node_state t n =
           ns_member = false;
           nbrs = Tbl.create 8;
           peers = Tbl.create 8;
-          down = Hs.Table.create ();
+          down = Iset.empty;
           up_state = None;
         }
       in
@@ -341,7 +341,7 @@ let parent_of t n ns = fst (upstream_info t n ns)
 (* The metric this node advertises in hellos, syncs and asserts. *)
 let metric_of t n ns = snd (upstream_info t n ns)
 
-let wants ns = ns.ns_member || not (Hs.Table.is_empty ns.down)
+let wants ns = ns.ns_member || not (Iset.is_empty ns.down)
 
 (* ---- The retransmission pump ------------------------------------------- *)
 
@@ -470,8 +470,8 @@ let send_sync t n ns ~dst =
 let neighbor_restarted t n ns ~v ~genid ~metric ~now =
   let st = S.state t in
   Rel.cancel_between st.rel ~from:n ~dst:v;
-  if Hs.Table.mem ns.down v then begin
-    Hs.Table.remove ns.down v;
+  if Iset.mem v ns.down then begin
+    ns.down <- Iset.remove v ns.down;
     S.count t m_down
   end;
   (match Tbl.find_opt ns.nbrs v with
@@ -558,8 +558,8 @@ let expire_neighbors t n ns ~now =
     List.iter
       (fun v ->
         Rel.cancel_between st.rel ~from:n ~dst:v;
-        if Hs.Table.mem ns.down v then begin
-          Hs.Table.remove ns.down v;
+        if Iset.mem v ns.down then begin
+          ns.down <- Iset.remove v ns.down;
           S.count t m_down
         end;
         match ns.up_state with
@@ -599,7 +599,7 @@ let send_hellos t n ns =
     (Topology.Graph.adjacency g n);
   List.iter
     (fun v -> if not (is_router t v) then hello v)
-    (Hs.Table.nodes ns.down)
+    (Iset.elements ns.down)
 
 (* ---- Data plane --------------------------------------------------------- *)
 
@@ -622,7 +622,7 @@ let entitled t n ns d =
 let data_targets t n =
   match find_state (S.state t) n with
   | None -> []
-  | Some ns -> List.filter (entitled t n ns) (Hs.Table.nodes ns.down)
+  | Some ns -> List.filter (entitled t n ns) (Iset.elements ns.down)
 
 (* ---- Receive processing ------------------------------------------------- *)
 
@@ -642,8 +642,7 @@ let process_interest t n ~v ~sn ~j_int ~genid =
   let ns = node_state t n in
   send_ack t n ~dst:v ~cls:cls_join ~sn;
   if fresh_reliable ns ~v ~genid ~sn then begin
-    (if j_int then ignore (Hs.Table.add ns.down v : Hs.entry)
-     else Hs.Table.remove ns.down v);
+    ns.down <- (if j_int then Iset.add else Iset.remove) v ns.down;
     S.count t m_down;
     audit t n ns
   end
@@ -673,8 +672,7 @@ let process_sync t n ~v ~sn ~genid ~metric ~s_int =
             n_heard = now +. (S.config t).holdtime;
             n_hseq = 0;
           });
-    (if s_int then ignore (Hs.Table.add ns.down v : Hs.entry)
-     else Hs.Table.remove ns.down v);
+    ns.down <- (if s_int then Iset.add else Iset.remove) v ns.down;
     S.count t m_down;
     (* A Sync from the RPF parent means the parent (re)initialized its
        view of this node — whatever interest was expressed before may
@@ -746,7 +744,7 @@ let hooks =
       (fun t ->
         Array.fold_left
           (fun acc -> function
-            | Some ns -> acc + Hs.Table.size ns.down | None -> acc)
+            | Some ns -> acc + Iset.cardinal ns.down | None -> acc)
           0 (S.state t).nodes);
     (* A crash voids the incarnation: tables, dedup windows and the
        node's own pending reliable slots all go; the restart draws a
@@ -827,7 +825,7 @@ let view t =
     {
       vw_member = ns.ns_member;
       vw_expressed = Option.map (fun (p, pol, _) -> (p, pol)) ns.up_state;
-      vw_down = Hs.Table.nodes ns.down;
+      vw_down = Iset.elements ns.down;
       vw_nbrs;
     }
   in

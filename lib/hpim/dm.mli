@@ -2,9 +2,10 @@
     Valadas, arXiv 2002.06635), adapted to the runtime's
     point-to-point message model.
 
-    The design opposite of HBH's soft state: interest tables are
-    {e hard} ({!Proto.Hardstate} — no deadlines, entries change only
-    on explicit events), control messages are sequence-numbered and
+    The design opposite of HBH's soft state: a node's interest is
+    the {e hard} set of its interested downstream neighbors (no
+    deadlines; a neighbor enters or leaves it only on explicit
+    events), control messages are sequence-numbered and
     {e reliable} ({!Proto.Reliable} — per-neighbor retransmission
     with bounded backoff until acked), neighbor liveness comes from
     periodic Hellos carrying generation IDs (a changed ID means the
@@ -80,7 +81,7 @@ type node_view = {
   vw_member : bool;
   vw_expressed : (int * bool) option;
       (** upstream (parent, polarity) last expressed *)
-  vw_down : int list;  (** downstream hard-state entries, ascending *)
+  vw_down : int list;  (** interested downstream neighbors, ascending *)
   vw_nbrs : nbr_view list;  (** neighbor records, ascending *)
 }
 

@@ -1,6 +1,5 @@
 (* Causal spans: an operation that starts at one simulated instant
-   and finishes at another — a member's join converging, a fault
-   being repaired.  Spans are keyed by (name, key) so concurrent
+   and finishes at another, such as a member's join converging.  Spans are keyed by (name, key) so concurrent
    members never collide; durations are kept exactly (not bucketed)
    so quantiles are precise, and completion order is deterministic
    under a seeded run. *)
@@ -18,8 +17,6 @@ let start t name ~key ~now =
      newer episode supersedes it (e.g. leave + rejoin before the
      first join ever completed). *)
   Hashtbl.replace t.open_spans (name, key) now
-
-let is_open t name ~key = Hashtbl.mem t.open_spans (name, key)
 
 let finish t name ~key ~now =
   let id = (name, key) in
@@ -64,9 +61,9 @@ type stats = {
   p99 : float;
 }
 
-(* Exact quantiles over the recorded durations (nearest-rank). *)
-let stats ?name t =
-  match durations ?name t with
+(* Exact quantiles (nearest-rank).  Sorted before summing, so the
+   result does not depend on the order of [ds]. *)
+let stats_of = function
   | [] ->
       { n = 0; mean = nan; min = nan; max = nan; p50 = nan; p95 = nan; p99 = nan }
   | ds ->
@@ -87,6 +84,8 @@ let stats ?name t =
         p95 = q 0.95;
         p99 = q 0.99;
       }
+
+let stats ?name t = stats_of (durations ?name t)
 
 let pp_stats ppf s =
   if s.n = 0 then Format.fprintf ppf "n=0"

@@ -1,7 +1,7 @@
 (** Causal spans over simulated time.
 
     A span is a named operation with a start and an end instant —
-    member 7's join converging, the repair after a link failure —
+    member 7's join converging —
     keyed by an integer (usually the node id) so many can be in
     flight at once.  Durations are recorded exactly, so the
     summary quantiles are precise rather than bucket-interpolated,
@@ -25,8 +25,6 @@ val drop : t -> string -> key:int -> bool
     member unsubscribed before its join completed).  Returns whether
     a span was actually open. *)
 
-val is_open : t -> string -> key:int -> bool
-
 val drop_all_open : t -> int
 (** Abandon every open span; returns how many there were.  Called when
     a checkpoint restore invalidates in-flight operations. *)
@@ -45,8 +43,11 @@ type stats = {
   p99 : float;
 }
 
+val stats_of : float list -> stats
+(** Exact nearest-rank quantiles over the durations, in any order;
+    all fields [nan] when [n = 0]. *)
+
 val stats : ?name:string -> t -> stats
-(** Exact nearest-rank quantiles over the completed durations; all
-    fields [nan] when [n = 0]. *)
+(** {!stats_of} the completed durations. *)
 
 val pp_stats : Format.formatter -> stats -> unit

@@ -59,32 +59,3 @@ module Make (T : TABLE) : sig
   val to_list : t -> (int * T.t) list
   (** Ascending by node. *)
 end
-
-(** The entry store under {!Softstate.Table} and {!Hardstate.Table}:
-    for [i < len], [vals.(i)] is the entry of node [keys.(i)], ascending
-    by node, and [seq] is the next install-order number.  Lookups scan
-    the keys without allocating, [filter] compacts in place, and lists
-    come out in node order. *)
-module Sorted : sig
-  type 'e t = private {
-    mutable keys : int array;
-    mutable vals : 'e array;
-    mutable len : int;
-    mutable seq : int;
-  }
-
-  val create : first_seq:int -> 'e t
-
-  val index : 'e t -> int -> int
-  (** A node's position, or [-1]. *)
-
-  val add : 'e t -> int -> (int -> 'e) -> 'e
-  (** Insert and return [make seq] for a node with no entry. *)
-
-  val remove : 'e t -> int -> unit
-  val clear : 'e t -> unit
-  val copy : 'e t -> ('e -> 'e) -> 'e t
-  val filter : 'e t -> (int -> 'e -> bool) -> unit
-  val keys_where : 'e t -> ('e -> bool) -> int list
-  val to_list : 'e t -> 'e list
-end

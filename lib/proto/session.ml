@@ -167,7 +167,7 @@ module Make (P : PROTOCOL) = struct
     source : int;
     mutable state : P.state;
     hooks : hooks;
-    mutable members : int list;
+    (* One join-timer entry per member: its keys are the members. *)
     member_timers : Wheel.entry Tbl.t;
     member_handler_installed : unit Tbl.t;
     mutable data_seq : int;
@@ -224,7 +224,8 @@ module Make (P : PROTOCOL) = struct
   let config t = t.config
   let source t = t.source
   let state t = t.state
-  let members t = List.sort compare t.members
+  let members t =
+    List.sort compare (Tbl.fold (fun m _ acc -> m :: acc) t.member_timers [])
   let now t = Engine.now t.engine
   let data_seq t = t.data_seq
   let route_epoch t = t.route_epoch
@@ -300,7 +301,6 @@ module Make (P : PROTOCOL) = struct
         source;
         state = P.create_state config;
         hooks;
-        members = [];
         member_timers = Tbl.create 16;
         member_handler_installed = Tbl.create 16;
         data_seq = 0;
@@ -411,8 +411,7 @@ module Make (P : PROTOCOL) = struct
   let subscribe t r =
     if r = t.source then
       invalid_arg (Printf.sprintf "%s.subscribe: the source cannot join" P.label);
-    if not (List.mem r t.members) then begin
-      t.members <- r :: t.members;
+    if not (Tbl.mem t.member_timers r) then begin
       Net.sink_acquire t.network r;
       (match t.hooks.member_agent with
       | Some _ ->
@@ -439,21 +438,18 @@ module Make (P : PROTOCOL) = struct
     end
 
   let unsubscribe t r =
-    if List.mem r t.members then begin
-      if trace_active t then ev t ~node:r Obs.Event.Member_leave;
-      ignore (Obs.Span.drop t.spans join_span ~key:r);
-      t.members <- List.filter (fun m -> m <> r) t.members;
-      (match Tbl.find_opt t.member_timers r with
-      | Some entry ->
-          Wheel.stop entry;
-          Tbl.remove t.member_timers r
-      | None -> ());
-      t.hooks.on_unsubscribe t r;
-      (* The member-agent install mark stays set (the node stays
-         covered); with the member gone the agent forwards everything,
-         so it is inert. *)
-      Net.sink_release t.network r
-    end
+    match Tbl.find_opt t.member_timers r with
+    | None -> ()
+    | Some entry ->
+        if trace_active t then ev t ~node:r Obs.Event.Member_leave;
+        ignore (Obs.Span.drop t.spans join_span ~key:r);
+        Wheel.stop entry;
+        Tbl.remove t.member_timers r;
+        t.hooks.on_unsubscribe t r;
+        (* The member-agent install mark stays set (the node stays
+           covered); with the member gone the agent forwards
+           everything, so it is inert. *)
+        Net.sink_release t.network r
 
   let run_for t d = Engine.run ~until:(now t +. d) t.engine
 
@@ -496,14 +492,13 @@ module Make (P : PROTOCOL) = struct
   (* Everything mutable the session owns on top of the network: the
      protocol state (deep-copied — every hook body reads it through
      [state t] at call time, so reassigning the field redirects them
-     all), the loop damper, membership, the per-member join-timer
-     entries (the mux state restores the wheel buckets whose pending
-     engine events the network snapshot already holds, so a
-     post-restore [unsubscribe] detaches exactly the right entry), the
-     mux's cover/wheel state, and the member-agent install set. *)
+     all), the loop damper, the per-member join-timer entries, whose
+     keys are the membership (the mux state restores the wheel buckets
+     whose pending engine events the network snapshot already holds,
+     so a post-restore [unsubscribe] detaches exactly the right entry),
+     the mux's cover/wheel state, and the member-agent install set. *)
   type snapshot = {
     s_state : P.state;
-    s_members : int list;
     s_data_seq : int;
     s_data_seen : int Tbl.t;
     s_route_epoch : int;
@@ -516,7 +511,6 @@ module Make (P : PROTOCOL) = struct
   let snapshot t =
     {
       s_state = P.copy_state t.state;
-      s_members = t.members;
       s_data_seq = t.data_seq;
       s_data_seen = Tbl.copy t.data_seen;
       s_route_epoch = t.route_epoch;
@@ -537,7 +531,6 @@ module Make (P : PROTOCOL) = struct
     (* Copy again on the way out so one snapshot restores any number
        of times without the live run mutating it. *)
     t.state <- P.copy_state s.s_state;
-    t.members <- s.s_members;
     t.data_seq <- s.s_data_seq;
     t.data_seen <- Tbl.copy s.s_data_seen;
     t.route_epoch <- s.s_route_epoch;

@@ -316,9 +316,9 @@ module Make (P : PROTOCOL) : sig
   val wheel : t -> Eventsim.Wheel.t
   (** The session's (possibly mux-shared) timer wheel.  Protocols
       arming their own dynamic timers (e.g. a {!Reliable}
-      retransmission pump) must use this wheel, not a raw
-      {!Eventsim.Timer}: wheel entries coalesce with the session's
-      tick/sweep buckets and participate in snapshot/restore. *)
+      retransmission pump) must use this wheel, not one of their own:
+      its entries coalesce with the session's tick/sweep buckets and
+      participate in snapshot/restore. *)
 
   val graph : t -> Topology.Graph.t
   val channel : t -> Mcast.Channel.t
@@ -354,7 +354,8 @@ module Make (P : PROTOCOL) : sig
   (** {1 Checkpoint / restore}
 
       A snapshot captures the session's protocol state (via
-      [P.copy_state]), membership, per-member join timers, data
+      [P.copy_state]), the per-member join timers (and with them the
+      membership), data
       sequence and loop damper, {e plus} the underlying
       network/engine state through {!Netsim.Network.snapshot} — so
       restoring rewinds the whole simulation this session runs in.

@@ -37,21 +37,76 @@ let force_stale e ~now = e.tm.fresh_until <- Float.min e.tm.fresh_until now
 (* [with] always builds a fresh record, the times included. *)
 let copy_entry e = { e with tm = { e.tm with expires_at = e.tm.expires_at } }
 
+(* For [i < len], [vals.(i)] is the entry of node [keys.(i)],
+   ascending by node, and [next] is the next install-order number.
+   Lookups scan the keys without allocating, [filter] compacts in
+   place, and lists come out in node order. *)
 module Table = struct
-  module A = Node_tables.Sorted
+  type t = {
+    mutable keys : int array;
+    mutable vals : entry array;
+    mutable len : int;
+    mutable next : int;
+  }
 
-  type t = entry A.t
+  let create () = { keys = [||]; vals = [||]; len = 0; next = 0 }
+  let size t = t.len
+  let is_empty t = t.len = 0
 
-  let create () = A.create ~first_seq:0
-  let size (t : t) = t.len
-  let is_empty (t : t) = t.len = 0
-  let mem t n = A.index t n >= 0
-  let find t n = match A.index t n with -1 -> None | i -> Some t.vals.(i)
+  (* The first position whose key is not below [n]. *)
+  let position t n =
+    let i = ref 0 in
+    while !i < t.len && t.keys.(!i) < n do
+      incr i
+    done;
+    !i
+
+  (* A node's position, or [-1]. *)
+  let index t n =
+    let i = position t n in
+    if i < t.len && t.keys.(i) = n then i else -1
+
+  let mem t n = index t n >= 0
+  let find t n = match index t n with -1 -> None | i -> Some t.vals.(i)
+
+  (* A new entry for a node with none, next in install order. *)
+  let insert t dl ~now ~fresh_until n =
+    let e = make dl ~now ~seq:t.next ~fresh_until n and i = position t n in
+    t.next <- t.next + 1;
+    if t.len = Array.length t.keys then begin
+      t.keys <- Array.append t.keys (Array.make (max 4 t.len) 0);
+      t.vals <- Array.append t.vals (Array.make (max 4 t.len) e)
+    end;
+    Array.blit t.keys i t.keys (i + 1) (t.len - i);
+    Array.blit t.vals i t.vals (i + 1) (t.len - i);
+    t.keys.(i) <- n;
+    t.vals.(i) <- e;
+    t.len <- t.len + 1;
+    e
+
+  let filter t keep =
+    let j = ref 0 in
+    for i = 0 to t.len - 1 do
+      if keep t.vals.(i) then begin
+        t.keys.(!j) <- t.keys.(i);
+        t.vals.(!j) <- t.vals.(i);
+        incr j
+      end
+    done;
+    t.len <- !j
+
+  let keys_where t f =
+    let acc = ref [] in
+    for i = t.len - 1 downto 0 do
+      if f t.vals.(i) then acc := t.keys.(i) :: !acc
+    done;
+    !acc
+
+  let entries t = List.init t.len (fun i -> t.vals.(i))
 
   let add_fresh t dl ~now n =
-    match A.index t n with
-    | -1 ->
-        A.add t n (fun seq -> make dl ~now ~seq ~fresh_until:(now +. dl.t1) n)
+    match index t n with
+    | -1 -> insert t dl ~now ~fresh_until:(now +. dl.t1) n
     | i ->
         refresh_entry t.vals.(i) dl ~now;
         t.vals.(i)
@@ -61,14 +116,14 @@ module Table = struct
      t1, but it must not expire a t1 that fresh-style refreshes are
      keeping alive either. *)
   let add_stale t dl ~now n =
-    match A.index t n with
-    | -1 -> A.add t n (fun seq -> make dl ~now ~seq ~fresh_until:now n)
+    match index t n with
+    | -1 -> insert t dl ~now ~fresh_until:now n
     | i ->
         t.vals.(i).tm.expires_at <- now +. dl.t2;
         t.vals.(i)
 
   let refresh t dl ~now n =
-    let i = A.index t n in
+    let i = index t n in
     if i >= 0 then refresh_entry t.vals.(i) dl ~now;
     i >= 0
 
@@ -76,33 +131,35 @@ module Table = struct
      unless re-asserted.  t2 is deliberately untouched — a marked
      entry not refreshed through the fresh path must die. *)
   let mark t dl ~now n =
-    let i = A.index t n in
+    let i = index t n in
     if i >= 0 then t.vals.(i).tm.marked_until <- now +. dl.t1;
     i >= 0
 
-  let remove = A.remove
-  let clear = A.clear
+  let remove t n = filter t (fun e -> e.node <> n)
+  let clear t = t.len <- 0
 
   (* Deep copy: independent entry records (entries are mutable) and
      the same install-order counter, so every projection — including
      [in_order] and [first_fresh] — is preserved exactly.  This is the
      checkpoint primitive of the verification layer. *)
-  let copy t = A.copy t copy_entry
-  let expire t ~now = A.filter t (fun _ e -> not (entry_dead e ~now))
-  let live_nodes t ~now = A.keys_where t (fun e -> not (entry_dead e ~now))
+  let copy t =
+    let vals = Array.init t.len (fun i -> copy_entry t.vals.(i)) in
+    { t with keys = Array.sub t.keys 0 t.len; vals }
+
+  let expire t ~now = filter t (fun e -> not (entry_dead e ~now))
+  let live_nodes t ~now = keys_where t (fun e -> not (entry_dead e ~now))
   let all_dead t ~now = live_nodes t ~now = []
-  let nodes t = A.keys_where t (fun _ -> true)
-  let entries = A.to_list
-  let in_order t = List.sort (fun a b -> compare a.seq b.seq) (A.to_list t)
+  let nodes t = keys_where t (fun _ -> true)
+  let in_order t = List.sort (fun a b -> compare a.seq b.seq) (entries t)
 
   let data_targets t ~now =
-    A.keys_where t (fun e -> not (entry_dead e ~now || entry_marked e ~now))
+    keys_where t (fun e -> not (entry_dead e ~now || entry_marked e ~now))
 
   let fresh_targets t ~now =
-    A.keys_where t (fun e -> not (entry_dead e ~now || entry_stale e ~now))
+    keys_where t (fun e -> not (entry_dead e ~now || entry_stale e ~now))
 
   let mem_live t ~now n =
-    let i = A.index t n in
+    let i = index t n in
     i >= 0 && not (entry_dead t.vals.(i) ~now)
 
   let first_fresh t ~now =

@@ -1,5 +1,5 @@
 (** The generic TTL'd soft-state table of the protocol runtime, kept
-    as a {!Node_tables.Sorted} array in node order.
+    as an array sorted by node.
 
     Every entry carries the paper's two absolute deadlines: when [t1]
     expires the entry goes {e stale} (still usable, no longer

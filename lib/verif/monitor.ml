@@ -11,7 +11,7 @@
    break (a forwarding loop that survives fusion, a permanently
    blackholed member) persists and crosses the threshold. *)
 
-module Timer = Eventsim.Timer
+module Wheel = Eventsim.Wheel
 
 let m_checks = Obs.Metrics.hot_counter "obs.monitor.checks"
 
@@ -25,7 +25,7 @@ let confirm = 3
 
 type t = {
   sut : Sut.t;
-  timer : Timer.t;
+  timer : Wheel.entry;
   streaks : (string, int) Hashtbl.t; (* oracle:detail -> consecutive count *)
   mutable confirmed : confirmed list; (* newest first *)
   mutable checks : int;
@@ -75,7 +75,9 @@ let attach (sut : Sut.t) =
       {
         sut;
         timer =
-          Timer.every ~tag:"verif.monitor" sut.Sut.engine ~start:period ~period
+          Wheel.every
+            (Wheel.create ~tag:"verif.monitor" sut.Sut.engine)
+            ~start:period ~period
             (fun () -> probe (Lazy.force t));
         streaks = Hashtbl.create 8;
         confirmed = [];
@@ -84,7 +86,7 @@ let attach (sut : Sut.t) =
   in
   Lazy.force t
 
-let stop t = Timer.stop t.timer
+let stop t = Wheel.stop t.timer
 let checks t = t.checks
 let violations t = List.rev t.confirmed
 let violation_count t = List.length t.confirmed

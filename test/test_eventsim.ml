@@ -2,7 +2,7 @@
    limits, periodic and one-shot timers. *)
 
 module E = Eventsim.Engine
-module T = Eventsim.Timer
+module T = Timer
 
 let test_clock_starts_at_zero () =
   let e = E.create () in
@@ -374,19 +374,25 @@ let test_wheel_restore_reused_buckets () =
       first (run ())
   done
 
-(* A random timer program, run once on a wheel and once on standalone
-   [Timer.every] chains.  Entry [k] is armed by an engine event at
-   [arm] (first fire [start] later, then every [period]); a [stop]
-   event may stop it, and each fire at or after [kill_at] stops entry
-   [victim] (itself included).  Arms land at shared instants with
+(* A random timer program, run once on two wheels sharing one engine
+   and once on standalone [Timer.every] chains.  Entry [k] lives on
+   wheel [wheel] and is armed by an engine event at [arm] (first fire
+   [start] later, then every [period]); a [stop] event may stop it,
+   and each fire at or after [kill_at] stops entry [victim] (itself
+   included, on either wheel).  Arms land at shared instants with
    shared deadlines, so buckets merge, fire, are re-armed in place and
-   lose members mid-fire.  Messages are foreign events: each is sent at
-   a half-integer time, when no arm happens, and lands on an integer
-   one, where it can tie with a deadline.  A bucket armed before such a
+   lose members mid-fire.  Wheel 1's deadlines sit a quarter past the
+   integers, so its arms interleave with wheel 0's in the same instants
+   but never with a deadline wheel 0 could merge on: the shape of a
+   session's mux wheel beside an experiment's probe wheels.  Messages
+   are foreign events: each is sent at a half-integer time, when no arm
+   happens, and lands on an integer or a quarter-past one, where it can
+   tie with either wheel's deadlines.  A bucket armed before such a
    message must fire before it, and an arm made after it must fire
    after it: which is why only buckets born at the current instant may
    take a merge. *)
 type timed_entry = {
+  wheel : int;
   arm : float;
   start : float;
   period : float;
@@ -404,18 +410,22 @@ let gen_timer_prog =
   QCheck.Gen.(
     int_range 1 8 >>= fun n ->
     list_repeat n
-      (oneofl [ 0.0; 1.0; 2.0; 3.0; 5.0 ] >>= fun arm ->
+      (int_range 0 1 >>= fun wheel ->
+       oneofl [ 0.0; 1.0; 2.0; 3.0; 5.0 ] >>= fun arm ->
        oneofl [ 0.0; 1.0; 2.0; 3.0; 4.0 ] >>= fun start ->
+       let start = if wheel = 1 then start +. 0.25 else start in
        oneofl [ 2.0; 3.0; 4.0; 6.0 ] >>= fun period ->
        opt (map float_of_int (int_range 3 30)) >>= fun stop ->
        int_range 0 (n - 1) >>= fun victim ->
        map float_of_int (int_range 5 60) >>= fun kill_at ->
-       return { arm; start; period; stop; victim; kill_at })
+       return { wheel; arm; start; period; stop; victim; kill_at })
     >>= fun entries ->
     list_size (int_range 0 6)
       (pair
          (map (fun k -> float_of_int k +. 0.5) (int_range 0 20))
-         (map (fun k -> float_of_int k +. 0.5) (int_range 0 4)))
+         (map2 ( +. )
+            (map float_of_int (int_range 0 4))
+            (oneofl [ 0.5; 0.75 ])))
     >>= fun messages -> return { entries; messages })
 
 (* Schedules the program's events on [e]; [arm k] and [stop k] act on
@@ -447,8 +457,9 @@ let arbitrary_timer_prog =
       String.concat "; "
         (List.map
            (fun p ->
-             Printf.sprintf "arm %g start %g period %g stop %s kill %d at %g"
-               p.arm p.start p.period
+             Printf.sprintf
+               "wheel %d arm %g start %g period %g stop %s kill %d at %g"
+               p.wheel p.arm p.start p.period
                (match p.stop with Some t -> Printf.sprintf "%g" t | None -> "-")
                p.victim p.kill_at)
            prog.entries
@@ -457,12 +468,14 @@ let arbitrary_timer_prog =
             prog.messages))
     gen_timer_prog
 
-(* The program on a wheel; returns the entry slots, which an owner
-   restores along with the wheel. *)
-let load_on_wheel e w prog ~log =
+(* The program on the wheels [ws] (one per wheel index); returns the
+   entry slots, which an owner restores along with the wheels. *)
+let load_on_wheels e ws prog ~log =
+  let wheel = Array.of_list (List.map (fun p -> ws.(p.wheel)) prog.entries) in
   let hs = Array.make (List.length prog.entries) None in
   load_timer_prog e prog ~log
-    ~arm:(fun k ~start ~period f -> hs.(k) <- Some (W.every w ~start ~period f))
+    ~arm:(fun k ~start ~period f ->
+      hs.(k) <- Some (W.every wheel.(k) ~start ~period f))
     ~stop:(fun k -> Option.iter W.stop hs.(k));
   hs
 
@@ -476,7 +489,8 @@ let prop_wheel_is_timers =
         E.run ~until:70.0 e;
         List.rev !log
       in
-      fires (fun e ~log -> ignore (load_on_wheel e (W.create e) prog ~log))
+      fires (fun e ~log ->
+          ignore (load_on_wheels e [| W.create e; W.create e |] prog ~log))
       = fires (fun e ~log ->
             let hs = Array.make (List.length prog.entries) None in
             load_timer_prog e prog ~log
@@ -491,11 +505,12 @@ let prop_wheel_replays =
     QCheck.(pair arbitrary_timer_prog (int_range 0 20))
     (fun (prog, at) ->
       let e = E.create () in
-      let w = W.create e in
+      let ws = [| W.create e; W.create e |] in
       let log = ref [] in
-      let hs = load_on_wheel e w prog ~log in
+      let hs = load_on_wheels e ws prog ~log in
       E.run ~until:(float_of_int at) e;
-      let es = E.snapshot e and ws = W.save w and saved_hs = Array.copy hs in
+      let es = E.snapshot e and saved = Array.map W.save ws in
+      let saved_hs = Array.copy hs in
       let rest () =
         log := [];
         E.run ~until:70.0 e;
@@ -505,7 +520,7 @@ let prop_wheel_replays =
       List.for_all
         (fun () ->
           E.restore e es;
-          W.restore w ws;
+          Array.iter2 W.restore ws saved;
           Array.blit saved_hs 0 hs 0 (Array.length hs);
           rest () = first)
         [ (); () ])

@@ -329,6 +329,31 @@ let test_span_balance () =
   Alcotest.(check int) "empty family reports n=0" 0
     (Obs.Span.stats ~name:"nope" s).Obs.Span.n
 
+(* [stats_of] sorts before it sums, so a duration list read in
+   receiver order (a recovery report) and the same durations in
+   completion order (a span store) give the same bits, also where
+   float addition is not associative (durations of mixed magnitudes). *)
+let prop_span_stats_order_free =
+  QCheck.Test.make ~count:300 ~name:"stats_of ignores the order of its durations"
+    QCheck.(
+      make
+        ~print:Print.(pair (list float) int)
+        Gen.(
+          pair
+            (list_size (0 -- 30)
+               (map2 ( *. ) (float_bound_inclusive 1.0)
+                  (oneofl [ 1e-9; 1.0; 1e9 ])))
+            int))
+    (fun (ds, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let shuffled =
+        List.map snd
+          (List.sort compare
+             (List.map (fun d -> (Random.State.bits rng, d)) ds))
+      in
+      compare (Obs.Span.stats_of ds) (Obs.Span.stats_of shuffled) = 0
+      && compare (Obs.Span.stats_of ds) (Obs.Span.stats_of (List.rev ds)) = 0)
+
 (* ---- OpenMetrics exporter ----------------------------------------------- *)
 
 let test_openmetrics_exposition () =
@@ -666,6 +691,7 @@ let () =
       ( "span",
         [
           Alcotest.test_case "open/close balance" `Quick test_span_balance;
+          QCheck_alcotest.to_alcotest prop_span_stats_order_free;
         ] );
       ( "openmetrics",
         [

@@ -204,8 +204,6 @@ let softstate_tests =
    the model's, and a copy taken along the way still equals the model
    as it was at the copy when the sequence ends. *)
 
-module Hs = Proto.Hardstate
-
 type soft_op =
   | Fresh of int
   | Stale of int
@@ -337,81 +335,12 @@ let prop_softstate_model =
                [ 0.0; 50.0; 100.0; 200.0 ])
            !copies)
 
-type hard_op = H_add of int | H_remove of int | H_clear | H_copy
-
-let prop_hardstate_model =
-  QCheck.Test.make ~count:300 ~name:"hardstate table matches its model"
-    QCheck.(
-      make
-        Gen.(
-          list_size (1 -- 40)
-            (let node = int_range 0 7 in
-             frequency
-               [
-                 (4, map (fun n -> H_add n) node);
-                 (2, map (fun n -> H_remove n) node);
-                 (1, return H_clear);
-                 (1, return H_copy);
-               ])))
-    (fun ops ->
-      let tb = Hs.Table.create () in
-      let copies = ref [] in
-      let row (e : Hs.entry) = (e.Hs.node, e.Hs.seq) in
-      let view tb =
-        ( Hs.Table.size tb,
-          Hs.Table.is_empty tb,
-          Hs.Table.nodes tb,
-          List.map row (Hs.Table.entries tb),
-          List.map row (Hs.Table.in_order tb),
-          List.map (Hs.Table.mem tb) (List.init 9 Fun.id),
-          List.map
-            (fun n -> Option.map row (Hs.Table.find tb n))
-            (List.init 9 Fun.id) )
-      in
-      let model (rows, _) =
-        let rows = List.sort compare rows in
-        ( List.length rows,
-          rows = [],
-          List.map fst rows,
-          rows,
-          List.sort (fun (_, a) (_, b) -> compare a b) rows,
-          List.map (fun n -> List.mem_assoc n rows) (List.init 9 Fun.id),
-          List.map
-            (fun n -> Option.map (fun s -> (n, s)) (List.assoc_opt n rows))
-            (List.init 9 Fun.id) )
-      in
-      let step ((rows, next) as m) = function
-        | H_add n ->
-            if List.mem_assoc n rows then m else ((n, next) :: rows, next + 1)
-        | H_remove n -> (List.remove_assoc n rows, next)
-        | H_clear -> ([], next)
-        | H_copy -> m
-      in
-      let _, ok =
-        List.fold_left
-          (fun (m, ok) op ->
-            (match op with
-            | H_add n -> ignore (Hs.Table.add tb n)
-            | H_remove n -> Hs.Table.remove tb n
-            | H_clear -> Hs.Table.clear tb
-            | H_copy -> ());
-            let m = step m op in
-            if op = H_copy then copies := (Hs.Table.copy tb, m) :: !copies;
-            (m, ok && view tb = model m))
-          (([], 1), true)
-          ops
-      in
-      ok && List.for_all (fun (c, m) -> view c = model m) !copies)
-
 (* Lookups on the per-hop and per-refresh paths allocate nothing:
    [mem] hits and misses, and a [find] miss. *)
 let test_lookups_allocate_nothing () =
   let tb = Ss.Table.create () in
-  let hs = Hs.Table.create () in
   List.iter
-    (fun n ->
-      ignore (Ss.Table.add_fresh tb dl ~now:0.0 n);
-      ignore (Hs.Table.add hs n))
+    (fun n -> ignore (Ss.Table.add_fresh tb dl ~now:0.0 n))
     [ 9; 2; 6; 4 ];
   let words f =
     let w0 = Gc.minor_words () in
@@ -423,17 +352,13 @@ let test_lookups_allocate_nothing () =
   Alcotest.(check (float 0.0)) "softstate mem" 0.0
     (words (fun n -> Ss.Table.mem tb n));
   Alcotest.(check (float 0.0)) "softstate find miss" 0.0
-    (words (fun n -> Ss.Table.find tb (n + 16)));
-  Alcotest.(check (float 0.0)) "hardstate mem" 0.0
-    (words (fun n -> Hs.Table.mem hs n));
-  Alcotest.(check (float 0.0)) "hardstate find miss" 0.0
-    (words (fun n -> Hs.Table.find hs (n + 16)))
+    (words (fun n -> Ss.Table.find tb (n + 16)))
 
 let table_model_tests =
   Alcotest.test_case "lookups allocate nothing" `Quick
     test_lookups_allocate_nothing
   :: List.map QCheck_alcotest.to_alcotest
-       [ prop_softstate_model; prop_hardstate_model ]
+       [ prop_softstate_model ]
 
 (* ---- Channel multiplexer ----------------------------------------- *)
 
@@ -799,7 +724,9 @@ let damper_tests =
 let probe_until = 700.0
 let horizon = 1000.0
 
-let fingerprint proto (config : Common.config) ~n =
+(* The faults suite's seed-42 draw on [config]: a fresh session of
+   [proto], the sorted receivers, and the suite's crash plan. *)
+let crash_case proto (config : Common.config) ~n =
   let rng = Stats.Rng.create 42 in
   let s =
     Workload.Scenario.make rng config.graph ~source:config.source
@@ -814,7 +741,12 @@ let fingerprint proto (config : Common.config) ~n =
     Faults.pick_tree_link s.Workload.Scenario.table
       ~source:s.Workload.Scenario.source ~receivers
   in
-  let sut = Faults.session proto config.graph ~source:s.Workload.Scenario.source in
+  ( Faults.session proto config.graph ~source:s.Workload.Scenario.source,
+    receivers,
+    Faults.plan_of Faults.Crash ~crash_node ~link )
+
+let fingerprint proto (config : Common.config) ~n =
+  let sut, receivers, plan = crash_case proto config ~n in
   let buf = Buffer.create 4096 in
   sut.Sut.on_delivery (fun ~now ~receiver ~seq ->
       Buffer.add_string buf (Printf.sprintf "%.6f:%d:%d;" now receiver seq));
@@ -822,11 +754,11 @@ let fingerprint proto (config : Common.config) ~n =
   sut.Sut.converge ();
   let t0 = Engine.now sut.Sut.engine in
   ignore
-    (Eventsim.Timer.every ~tag:"proto.test.probe" sut.Sut.engine ~start:0.0
+    (Timer.every ~tag:"proto.test.probe" sut.Sut.engine ~start:0.0
        ~period:50.0 (fun () ->
          if Engine.now sut.Sut.engine -. t0 <= probe_until then
            ignore (sut.Sut.send_probe ())));
-  sut.Sut.install_plan ~seed:42 (Faults.plan_of Faults.Crash ~crash_node ~link);
+  sut.Sut.install_plan ~seed:42 plan;
   Engine.run ~until:(t0 +. horizon) sut.Sut.engine;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
@@ -880,6 +812,47 @@ let equivalence_tests =
         [ (isp, "isp", 8); (rand50, "rand50", 15) ])
     Sut.all
 
+(* ---- The event budget -------------------------------------------- *)
+
+(* A budget small enough to cut the HBH crash case short: the cut
+   must fall on the same event of the case whether or not a timeline
+   sampler and a monitor ride along, since their timer events are not
+   the case's.  A 1-unit sampler fires about as often as the case
+   itself. *)
+let test_budget_ignores_instrumentation () =
+  let run ~observed =
+    let sut, receivers, plan =
+      crash_case Sut.Hbh (Common.isp_config ()) ~n:8
+    in
+    List.iter sut.Sut.subscribe receivers;
+    sut.Sut.converge ();
+    let timeline =
+      if observed then
+        Some
+          ( 1.0,
+            [
+              ( "repaired",
+                fun r -> float_of_int (Fault.Recovery.repaired_count r) );
+            ] )
+      else None
+    in
+    let monitor = if observed then Some (Verif.Monitor.attach sut) else None in
+    let st =
+      Faults.stream ?timeline ?monitor ~max_events:3000 ~fault_at:300.0 ~plan
+        ~seed:42 ~horizon:1700.0 ~receivers sut
+    in
+    ( st.Faults.stopped,
+      Fault.Recovery.sent_count st.Faults.recovery,
+      st.Faults.report )
+  in
+  let stopped, sent, report = run ~observed:false in
+  let stopped', sent', report' = run ~observed:true in
+  Alcotest.(check bool) "the plain case hits the budget" true stopped;
+  Alcotest.(check bool) "stopped alike" stopped stopped';
+  Alcotest.(check int) "probes sent alike" sent sent';
+  Alcotest.(check bool) "same recovery report" true
+    (compare report report' = 0)
+
 let () =
   Alcotest.run "proto"
     [
@@ -889,4 +862,9 @@ let () =
       ("live-state", live_state_tests);
       ("loop damper", damper_tests);
       ("trace-equivalence", equivalence_tests);
+      ( "event budget",
+        [
+          Alcotest.test_case "instrumentation does not spend it" `Quick
+            test_budget_ignores_instrumentation;
+        ] );
     ]
