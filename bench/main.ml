@@ -140,8 +140,9 @@ let hardstate_overhead_check () =
 (* ---- Part 3: dormant-telemetry overhead budget --------------------------- *)
 
 (* The telemetry left always-on in the hot paths is counters and
-   histogram observations; traces, spans, timelines and monitors are
-   pay-for-use and cost nothing until attached.  Budget: the dormant
+   histogram observations; traces, timelines and monitors are
+   pay-for-use and cost nothing until attached, and spans are timed
+   by the experiments that read them, never by a session.  Budget: the dormant
    instruments may cost at most 2% of a fig7b sample.  There is no
    instrument-free build to A/B against, so the overhead is measured
    by construction: meter how many metric updates one sample actually
@@ -543,7 +544,8 @@ let tree_words_per_node () =
 (* One REUNITE tree on RAND50 at the paper's largest group, 45
    receivers, with every in-tree it reads already cached, so no SPF is
    counted: the model inserts the one flow each join creates.  This
-   draw costs 7,174 words a build (OCaml 5.1.1); the whole-replay
+   draw costs 7,422 words a build (OCaml 5.1.1; 248 of them box each
+   hop's delay, the float of its cost); the whole-replay
    reference in test/support, which re-runs every flow after every
    join, costs 113,419. *)
 let rand50_draw () =
@@ -563,9 +565,10 @@ let reunite_build () =
    it), in-trees cached.  Each model looks up every receiver's path
    once and hands it to Mcast.Distribution.Union, which keeps the
    distinct links as packed ints and computes no degrees.  The three
-   cost 4,792 + 5,072 + 4,370 = 14,234 words (OCaml 5.1.1); with a
-   tuple set per model and every path looked up twice they cost
-   12,658 + 13,055 + 10,991 = 36,704. *)
+   cost 13,243 words together (OCaml 5.1.1; 14,234 while a path's
+   delay was summed as boxed floats); with a tuple set per model and
+   every path looked up twice they cost 12,658 + 13,055 + 10,991 =
+   36,704. *)
 let union_builds () =
   let s = rand50_draw () in
   let rp =

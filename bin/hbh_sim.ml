@@ -534,6 +534,27 @@ let asymmetry_cmd =
   in
   analytic "asymmetry" ~doc (Term.const run)
 
+(* A run stopped at its event budget is named on stderr, and the
+   command exits 1 once its output is written. *)
+let exit_on_runaways names =
+  List.iter
+    (fun name ->
+      Printf.eprintf "hbh_sim: runaway: %s stopped at the %d-event budget\n"
+        name Experiments.Faults.event_budget)
+    names;
+  if names <> [] then exit 1
+
+let fault_runaways outcomes =
+  List.filter_map
+    (fun (o : Experiments.Faults.outcome) ->
+      if o.runaway then
+        Some
+          (Printf.sprintf "%s/%s/%s" o.topology
+             (Experiments.Faults.scenario_name o.scenario)
+             (Verif.Sut.label o.proto))
+      else None)
+    outcomes
+
 let faults_cmd =
   let doc =
     "Fault-injection recovery experiment: every registered protocol (HBH, \
@@ -690,17 +711,7 @@ let faults_cmd =
       timeline_ndjson;
     Option.iter write_openmetrics openmetrics;
     Option.iter write_metrics_json metrics_json;
-    let runaways =
-      List.filter (fun (o : Experiments.Faults.outcome) -> o.runaway) outcomes
-    in
-    List.iter
-      (fun (o : Experiments.Faults.outcome) ->
-        Printf.eprintf "hbh_sim: runaway: %s/%s/%s stopped at the %d-event budget\n"
-          o.topology
-          (Experiments.Faults.scenario_name o.scenario)
-          (Verif.Sut.label o.proto) Experiments.Faults.event_budget)
-      runaways;
-    if runaways <> [] then exit 1
+    exit_on_runaways (fault_runaways outcomes)
   in
   Cmd.v (Cmd.info "faults" ~doc)
     Term.(
@@ -939,7 +950,9 @@ let report_cmd =
      per-case time-to-repair span quantiles, join-latency quantiles \
      (subscribe on a live stream to first packet), sampled recovery \
      timelines and the runtime invariant monitors' verdict.  Deterministic \
-     in $(b,--seed)."
+     in $(b,--seed).  A fault case or join-latency stream that fires more \
+     than its event budget is stopped and its row reads $(b,runaway); the \
+     command then exits 1 after writing the document."
   in
   let out =
     file_arg [ "out"; "o" ] "Write the markdown to $(docv) instead of stdout."
@@ -963,9 +976,19 @@ let report_cmd =
     let outcomes, obs = Experiments.Faults.run_observed ~instrument ~seed () in
     let join_latency = Experiments.Faults.measure_join_latency ~seed () in
     let md = Experiments.Report.markdown ~seed ~outcomes ~obs ~join_latency () in
-    match out with
+    (match out with
     | None -> print_string md
-    | Some file -> write_file ~what:"report" file md
+    | Some file -> write_file ~what:"report" file md);
+    exit_on_runaways
+      (fault_runaways outcomes
+      @ List.filter_map
+          (fun (jl : Experiments.Faults.join_latency) ->
+            if jl.jl_runaway then
+              Some
+                (Printf.sprintf "%s/join-latency/%s" jl.jl_topology
+                   (Verif.Sut.label jl.jl_proto))
+            else None)
+          join_latency)
   in
   Cmd.v (Cmd.info "report" ~doc)
     Term.(const run $ seed_arg $ out $ interval)

@@ -409,9 +409,10 @@ let run_observed ?instrument ?(seed = 42) ?scenarios ?protocols ?jobs () =
 
 (* The paper's join-latency question: with the stream already
    flowing, how long from a member's subscribe to its first packet?
-   One fresh session per protocol, the tree anchored by one member,
-   then the remaining receivers join one at a time — each join opens
-   a session span that closes at that member's first delivery. *)
+   One fresh session per protocol, the tree anchored by one member
+   (not timed: it joins before the stream starts), then the remaining
+   receivers join one at a time, each timed from the instant it
+   subscribes to its first delivery. *)
 
 let join_warmup = 400.0 (* anchor member + stream settle before joins *)
 let join_stagger = 200.0 (* gap between successive joins *)
@@ -420,6 +421,7 @@ type join_latency = {
   jl_topology : string;
   jl_proto : Sut.protocol;
   jl_stats : Obs.Span.stats;
+  jl_runaway : bool;
 }
 
 let measure_join_latency_config ?(protocols = Sut.all) ~seed ~n
@@ -435,6 +437,15 @@ let measure_join_latency_config ?(protocols = Sut.all) ~seed ~n
       let sut =
         session proto config.Common.graph ~source:s.Workload.Scenario.source
       in
+      (* Members subscribed and not yet reached, with their subscribe
+         instants; a member's first delivery closes its interval. *)
+      let waiting = Hashtbl.create 16 and latencies = ref [] in
+      sut.Sut.on_delivery (fun ~now ~receiver ~seq:_ ->
+          match Hashtbl.find_opt waiting receiver with
+          | Some joined ->
+              Hashtbl.remove waiting receiver;
+              latencies := (now -. joined) :: !latencies
+          | None -> ());
       (match receivers with
       | first :: rest ->
           sut.Sut.subscribe first;
@@ -443,19 +454,23 @@ let measure_join_latency_config ?(protocols = Sut.all) ~seed ~n
               ignore
                 (Engine.schedule ~tag:"obs.join" sut.Sut.engine
                    ~delay:(join_warmup +. (float_of_int i *. join_stagger))
-                   (fun () -> sut.Sut.subscribe r)))
+                   (fun () ->
+                     Hashtbl.replace waiting r (Engine.now sut.Sut.engine);
+                     sut.Sut.subscribe r)))
             rest
       | [] -> ());
-      ignore
-        (stream ~seed ~receivers sut
-           ~horizon:
-             (join_warmup
-             +. (float_of_int (List.length receivers) *. join_stagger)
-             +. (2.0 *. t2)));
+      let st =
+        stream ~max_events:event_budget ~seed ~receivers sut
+          ~horizon:
+            (join_warmup
+            +. (float_of_int (List.length receivers) *. join_stagger)
+            +. (2.0 *. t2))
+      in
       {
         jl_topology = config.Common.label;
         jl_proto = proto;
-        jl_stats = Obs.Span.stats ~name:"join" sut.Sut.spans;
+        jl_stats = Obs.Span.stats_of !latencies;
+        jl_runaway = st.stopped;
       })
     protocols
 

@@ -9,9 +9,9 @@
 
     One driver, {!stream}, runs every probe stream here and in
     {!Soak}.  A fault case adds its plan, the {!event_budget} bound
-    and optional instrumentation; join latency adds staggered joins
-    and reads the session's join spans; {!Soak} adds churn, the
-    hostile plan and an armed monitor.
+    and optional instrumentation; join latency adds staggered joins,
+    times each one to its first delivery and takes the same bound;
+    {!Soak} adds churn, the hostile plan and an armed monitor.
 
     Everything is deterministic in [seed]: two runs with the same seed
     produce identical outcomes (the acceptance criterion behind
@@ -157,15 +157,20 @@ val pp_outcomes : Format.formatter -> outcome list -> unit
 
 (** {1 Join latency}
 
-    The paper's join-latency question, measured with spans: with the
-    stream already flowing (anchored by one member), each remaining
-    receiver joins one at a time; its span runs from subscribe to its
-    first delivered packet. *)
+    The paper's join-latency question: with the stream already
+    flowing (anchored by one member, which is not timed), each
+    remaining receiver joins one at a time, and its join latency runs
+    from the instant it subscribes to its first delivered packet. *)
 
 type join_latency = {
   jl_topology : string;
   jl_proto : Verif.Sut.protocol;
-  jl_stats : Obs.Span.stats;  (** exact quantiles over joins *)
+  jl_stats : Obs.Span.stats;
+      (** exact quantiles over the joins that reached a packet *)
+  jl_runaway : bool;
+      (** the stream fired {!event_budget} events before its horizon
+          and was stopped there: [jl_stats] covers only the prefix
+          that ran *)
 }
 
 val measure_join_latency :

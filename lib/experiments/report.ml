@@ -16,10 +16,12 @@ let md_table b ~headers rows =
 
 let fmt_f v = if Float.is_nan v then "-" else Printf.sprintf "%.0f" v
 
-let span_stats_row label (s : Obs.Span.stats) =
+(* A run stopped at its event budget reads [runaway] where its count
+   would be. *)
+let span_stats_row ?(runaway = false) label (s : Obs.Span.stats) =
   [
     label;
-    string_of_int s.Obs.Span.n;
+    (if runaway then "runaway" else string_of_int s.Obs.Span.n);
     fmt_f s.Obs.Span.mean;
     fmt_f s.Obs.Span.p50;
     fmt_f s.Obs.Span.p95;
@@ -68,17 +70,10 @@ let markdown ~seed ~(outcomes : Faults.outcome list)
     ~headers:[ "topology"; "protocol"; "joins"; "mean"; "p50"; "p95"; "p99"; "max" ]
     (List.map
        (fun (jl : Faults.join_latency) ->
-         let s = jl.Faults.jl_stats in
-         [
-           jl.Faults.jl_topology;
-           Verif.Sut.label jl.Faults.jl_proto;
-           string_of_int s.Obs.Span.n;
-           fmt_f s.Obs.Span.mean;
-           fmt_f s.Obs.Span.p50;
-           fmt_f s.Obs.Span.p95;
-           fmt_f s.Obs.Span.p99;
-           fmt_f s.Obs.Span.max;
-         ])
+         jl.Faults.jl_topology
+         :: span_stats_row ~runaway:jl.Faults.jl_runaway
+              (Verif.Sut.label jl.Faults.jl_proto)
+              jl.Faults.jl_stats)
        join_latency);
   sec "";
   let timelines =

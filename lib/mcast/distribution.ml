@@ -23,13 +23,8 @@ let add_link t key =
 let add_copy t u v = add_link t (link u v)
 
 let add_path t g p =
-  let delay = ref 0.0 in
-  List.iter
-    (fun (u, v) ->
-      add_copy t u v;
-      delay := !delay +. Topology.Graph.delay g u v)
-    (Routing.Path.links p);
-  !delay
+  List.iter (fun (u, v) -> add_copy t u v) (Routing.Path.links p);
+  Routing.Path.delay g p
 
 let deliver t ~receiver ~delay =
   match Hashtbl.find_opt t.deliveries receiver with

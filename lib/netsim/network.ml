@@ -347,10 +347,10 @@ let record_delivery t node delay =
    scheduling, so an engine restore, which resurrects the closures,
    rewinds every in-flight packet.  A packet sits in at most one queued
    hop: [emit] gets a fresh rewrite, a hostile copy is a [Packet.dup]. *)
-let rec hop t ~delay ~next (p : 'p Packet.t) =
+let rec hop t ~time ~next (p : 'p Packet.t) =
   let ttl = p.ttl and via = p.via in
   ignore
-    (Eventsim.Engine.schedule ~tag:"net.hop" t.engine ~delay (fun () ->
+    (Eventsim.Engine.schedule_at ~tag:"net.hop" t.engine ~time (fun () ->
          p.ttl <- ttl;
          p.via <- via;
          arrive t next p))
@@ -417,10 +417,13 @@ and transmit t node (p : 'p Packet.t) =
       else begin
         p.Packet.via <- node;
         tally_link t p node next dlink;
-        let delay = if l.u = node then l.delay_uv else l.delay_vu in
+        (* A link's delay is its cost.  The arrival time is the one
+           float a hop boxes. *)
+        let delay = if l.u = node then l.cost_uv else l.cost_vu in
         match t.hostile with
-        | None -> hop t ~delay ~next p
-        | Some h -> hostile_hop t h ~delay ~next dlink node p
+        | None -> hop t ~time:(now t +. float_of_int delay) ~next p
+        | Some h ->
+            hostile_hop t h ~delay:(float_of_int delay) ~next dlink node p
       end
 
 (* One adversarial link traversal: the scheduled delay picks up
@@ -438,12 +441,12 @@ and hostile_delay t (h : hostile) base =
   !d
 
 and hostile_hop t h ~delay ~next dlink node (p : 'p Packet.t) =
-  hop t ~delay:(hostile_delay t h delay) ~next p;
+  hop t ~time:(now t +. hostile_delay t h delay) ~next p;
   if h.h_dup_prob > 0.0 && Stats.Rng.float (rng_of t) 1.0 < h.h_dup_prob
   then begin
     let c = Packet.dup p in
     tally_link t c node next dlink;
-    hop t ~delay:(hostile_delay t h delay) ~next c
+    hop t ~time:(now t +. hostile_delay t h delay) ~next c
   end
 
 (* Decide whether the [node -> next] traversal is killed by an
@@ -503,7 +506,7 @@ let originate t ~src ~dst ~kind payload =
   | Packet.Data -> t.c.originated_data <- t.c.originated_data + 1
   | Packet.Control ->
       t.c.originated_control <- t.c.originated_control + 1);
-  if dst = src then hop t ~delay:0.0 ~next:src p else transmit t src p
+  if dst = src then hop t ~time:(now t) ~next:src p else transmit t src p
 
 let emit t ~at (p : 'p Packet.t) =
   (match p.kind with
@@ -515,7 +518,7 @@ let emit t ~at (p : 'p Packet.t) =
   if Obs.Trace.active t.trace && Obs.Trace.verbose t.trace then
     Obs.Trace.event t.trace ~time:(now t) ~node:at
       (Obs.Event.Packet_duplicate { dst = p.dst; data = p.kind = Packet.Data });
-  if p.dst = at then hop t ~delay:0.0 ~next:at p else transmit t at p
+  if p.dst = at then hop t ~time:(now t) ~next:at p else transmit t at p
 
 let counters t = copy_counters t.c
 

@@ -110,10 +110,7 @@ let hot_gauge name = hot_gauge_l name Labels.empty
 
 type hot_histogram = Histo.t hot
 
-let hot_histogram_l ?buckets name labels =
-  make_hot (fun t -> histogram_l t ?buckets name labels)
-
-let hot_histogram ?buckets name = hot_histogram_l ?buckets name Labels.empty
+let hot_histogram ?buckets name = make_hot (fun t -> histogram t ?buckets name)
 
 (* Binding is one resolution through the handle's cache; the owner
    then holds the instrument and pays a plain add per update. *)

@@ -66,7 +66,7 @@ val histogram : t -> ?buckets:float array -> string -> Histo.t
 
     A labeled instrument is one series of a family: same base name,
     distinguished by a canonical {!Labels.t} (e.g.
-    [span.join_latency{protocol="hbh"}]).  Identity is (name, label
+    [span.time_to_repair{protocol="hbh"}]).  Identity is (name, label
     set) — label construction order never splits a series.  Labeled
     series appear in snapshots under their encoded
     [name{k="v",...}] key, sorted with everything else. *)
@@ -126,7 +126,6 @@ val bind_gauge : hot_gauge -> gauge
 type hot_histogram
 
 val hot_histogram : ?buckets:float array -> string -> hot_histogram
-val hot_histogram_l : ?buckets:float array -> string -> Labels.t -> hot_histogram
 
 val bind_histogram : hot_histogram -> Histo.t
 (** {!bind} for histograms. *)

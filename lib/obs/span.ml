@@ -1,55 +1,6 @@
-(* Causal spans: an operation that starts at one simulated instant
-   and finishes at another, such as a member's join converging.  Spans are keyed by (name, key) so concurrent
-   members never collide; durations are kept exactly (not bucketed)
-   so quantiles are precise, and completion order is deterministic
-   under a seeded run. *)
-
-type t = {
-  open_spans : (string * int, float) Hashtbl.t;
-  mutable completed : (string * float) list;
-  (* (name, duration), newest first *)
-}
-
-let create () = { open_spans = Hashtbl.create 16; completed = [] }
-
-let start t name ~key ~now =
-  (* Re-starting an in-flight span abandons the first attempt: the
-     newer episode supersedes it (e.g. leave + rejoin before the
-     first join ever completed). *)
-  Hashtbl.replace t.open_spans (name, key) now
-
-let finish t name ~key ~now =
-  let id = (name, key) in
-  match Hashtbl.find_opt t.open_spans id with
-  | None -> None
-  | Some started ->
-      Hashtbl.remove t.open_spans id;
-      let d = now -. started in
-      t.completed <- (name, d) :: t.completed;
-      Some d
-
-let drop t name ~key =
-  let id = (name, key) in
-  if Hashtbl.mem t.open_spans id then begin
-    Hashtbl.remove t.open_spans id;
-    true
-  end
-  else false
-
-let drop_all_open t =
-  let n = Hashtbl.length t.open_spans in
-  Hashtbl.reset t.open_spans;
-  n
-
-let open_count t = Hashtbl.length t.open_spans
-
-(* Completed durations in completion order, [?name] filtering to one
-   family. *)
-let durations ?name t =
-  List.rev
-    (List.filter_map
-       (fun (m, d) -> match name with Some n when m <> n -> None | _ -> Some d)
-       t.completed)
+(* Exact summaries of durations over simulated time, such as a
+   member's join latency or a receiver's time to repair.  Durations
+   are kept exactly (not bucketed), so quantiles are precise. *)
 
 type stats = {
   n : int;
@@ -84,8 +35,6 @@ let stats_of = function
         p95 = q 0.95;
         p99 = q 0.99;
       }
-
-let stats ?name t = stats_of (durations ?name t)
 
 let pp_stats ppf s =
   if s.n = 0 then Format.fprintf ppf "n=0"

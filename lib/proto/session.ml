@@ -75,7 +75,6 @@ module type S = sig
   val channel : t -> Mcast.Channel.t
   val control_overhead : t -> int
   val state_size : t -> int
-  val spans : t -> Obs.Span.t
 
   type snapshot
 
@@ -108,13 +107,6 @@ module Make (P : PROTOCOL) = struct
   let m_route_changes = hot_counter "route_changes"
   let g_state = gauge "state_entries"
 
-  (* Join latency (subscribe on a live stream -> first data delivery),
-     one labeled series per protocol so cross-protocol comparison
-     reads straight out of the registry. *)
-  let h_join_latency =
-    Obs.Metrics.hot_histogram_l "span.join_latency"
-      (Obs.Labels.v [ ("protocol", P.name) ])
-
   (* The stack's own counters ({!counter}), in declaration order; a
      stack declares them at module initialisation, before any session
      binds them. *)
@@ -135,7 +127,6 @@ module Make (P : PROTOCOL) = struct
     crash_wipes : Obs.Metrics.counter;
     route_changes : Obs.Metrics.counter;
     state_entries : Obs.Metrics.gauge;
-    join_latency : Obs.Histo.t;
     stack : Obs.Metrics.counter array;  (* by {!counter} slot *)
   }
 
@@ -150,7 +141,6 @@ module Make (P : PROTOCOL) = struct
       crash_wipes = bind m_crash_wipes;
       route_changes = bind m_route_changes;
       state_entries = Obs.Metrics.bind_gauge g_state;
-      join_latency = Obs.Metrics.bind_histogram h_join_latency;
       stack = Array.map bind !declared;
     }
 
@@ -181,7 +171,6 @@ module Make (P : PROTOCOL) = struct
        pre-flap state from state the current routing still supports
        (the freshness guard, DESIGN.md section 6b). *)
     mutable route_epoch : int;
-    spans : Obs.Span.t;
     (* Bound at attach: the session counts into the registry current
        when it was created (the owner contract of
        {!Obs.Metrics.bind}). *)
@@ -229,8 +218,6 @@ module Make (P : PROTOCOL) = struct
   let now t = Engine.now t.engine
   let data_seq t = t.data_seq
   let route_epoch t = t.route_epoch
-  let spans t = t.spans
-  let join_span = "join"
 
   let next_seq t =
     t.data_seq <- t.data_seq + 1;
@@ -306,14 +293,12 @@ module Make (P : PROTOCOL) = struct
         data_seq = 0;
         data_seen = Tbl.create 16;
         route_epoch = 0;
-        spans = Obs.Span.create ();
         meters = bind_meters ();
       }
     in
     (* The session's port in the mux: role-based per-hop dispatch
        (the mux only hands us our own channel's packets at covered
-       nodes), the join-latency delivery probe, and the crash-wipe /
-       route-epoch listeners — each installed once per network by the
+       nodes) and the crash-wipe / route-epoch listeners — each installed once per network by the
        mux, not once per session. *)
     let handle node p =
       if node = t.source then hooks.source_agent t node p
@@ -329,20 +314,9 @@ module Make (P : PROTOCOL) = struct
     let port =
       {
         Mux.p_handle = handle;
-        (* Close a member's open join span on its first data delivery
-           for this channel — the span only exists when the member
-           subscribed while the stream was already live, so the
-           duration is the paper's join latency (subscribe -> first
-           packet heard). *)
-        p_deliver =
-          (fun ~now ~node p ->
-            if
-              Obs.Span.open_count t.spans > 0
-              && P.kind_of p.Pkt.payload = Messages.Data_msg
-            then
-              match Obs.Span.finish t.spans join_span ~key:node ~now with
-              | Some d -> Obs.Histo.observe t.meters.join_latency d
-              | None -> ());
+        (* Deliveries are observed by whoever measures them
+           ({!Netsim.Network.on_delivery}); the session needs none. *)
+        p_deliver = (fun ~now:_ ~node:_ _ -> ());
         (* A crash wipes the node's volatile soft state; recovery then
            happens purely through the periodic join/refresh cycle.
            The node stays covered (the network skips the handler at
@@ -424,10 +398,6 @@ module Make (P : PROTOCOL) = struct
           end
       | None -> ());
       if trace_active t then ev t ~node:r Obs.Event.Member_join;
-      (* Join latency is only defined against a live stream: a member
-         joining before the source ever sent data would just measure
-         time-to-first-send. *)
-      if t.data_seq > 0 then Obs.Span.start t.spans join_span ~key:r ~now:(now t);
       t.hooks.on_subscribe t r;
       let entry =
         Wheel.every (Mux.timers t.mux) ~start:0.0
@@ -442,7 +412,6 @@ module Make (P : PROTOCOL) = struct
     | None -> ()
     | Some entry ->
         if trace_active t then ev t ~node:r Obs.Event.Member_leave;
-        ignore (Obs.Span.drop t.spans join_span ~key:r);
         Wheel.stop entry;
         Tbl.remove t.member_timers r;
         t.hooks.on_unsubscribe t r;
@@ -522,8 +491,6 @@ module Make (P : PROTOCOL) = struct
     }
 
   let restore t s =
-    (* In-flight spans refer to the timeline being discarded. *)
-    ignore (Obs.Span.drop_all_open t.spans);
     Net.restore t.network s.s_net;
     (* The engine is back; now rewind the wheel/cover state built on
        it. *)

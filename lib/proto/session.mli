@@ -164,10 +164,6 @@ module type S = sig
       value the [proto.<name>.state_entries] gauge samples after each
       sweep). *)
 
-  val spans : t -> Obs.Span.t
-  (** Causal spans recorded by the session runtime (the ["join"]
-      latency family; see {!Make.spans}). *)
-
   type snapshot
 
   val snapshot : t -> snapshot
@@ -336,14 +332,6 @@ module Make (P : PROTOCOL) : sig
       guard): an entry stamped with an older epoch may be stale
       tree structure the current routing no longer supports, and
       refresh paths treat it conservatively. *)
-
-  val spans : t -> Obs.Span.t
-  (** The session's causal spans.  The session itself records one
-      family, ["join"]: opened when a member subscribes while the
-      stream is live ([data_seq > 0]), closed at that member's first
-      data delivery (also observed into the
-      [span.join_latency{protocol="<name>"}] histogram), dropped on
-      unsubscribe or checkpoint restore. *)
 
   val control_overhead : t -> int
   (** Control-plane hop count from the network counters. *)

@@ -5,13 +5,15 @@ let links p =
   in
   go p
 
-(* Summed hop by hop in path order, without building the link list. *)
+(* A link's delay is its cost, so a path's delay is its summed cost:
+   added hop by hop as ints, without building the link list or boxing
+   a float per hop. *)
 let delay g p =
   let rec go acc = function
-    | u :: (v :: _ as rest) -> go (acc +. Topology.Graph.delay g u v) rest
-    | [ _ ] | [] -> acc
+    | u :: (v :: _ as rest) -> go (acc + Topology.Graph.cost g u v) rest
+    | [ _ ] | [] -> float_of_int acc
   in
-  go 0.0 p
+  go 0 p
 
 let hops p = max 0 (List.length p - 1)
 

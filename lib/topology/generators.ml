@@ -132,11 +132,9 @@ let power_law ?(hosts = true) ?(m = 2) rng ~n =
   done;
   finish ~hosts b
 
-let as_hierarchy ?(hosts = true) ?(core = 8) ?(mids_per_core = 4) rng ~n =
-  if core < 3 then invalid_arg "Generators.as_hierarchy: need core >= 3";
-  if mids_per_core < 1 then
-    invalid_arg "Generators.as_hierarchy: need mids_per_core >= 1";
-  let mids = core * mids_per_core in
+let as_hierarchy ?(hosts = true) rng ~n =
+  let core = 8 in
+  let mids = 4 * core (* four regionals per core router *) in
   if n < core + mids + 1 then
     invalid_arg "Generators.as_hierarchy: n too small for the core/mid tiers";
   let b = Builder.create () in
@@ -146,11 +144,10 @@ let as_hierarchy ?(hosts = true) ?(core = 8) ?(mids_per_core = 4) rng ~n =
   for i = 0 to core - 1 do
     Builder.add_link b i ((i + 1) mod core) ()
   done;
-  if core > 3 then
-    for i = 0 to core - 1 do
-      let j = (i + (core / 2)) mod core in
-      if i <> j && not (Builder.has_link b i j) then Builder.add_link b i j ()
-    done;
+  for i = 0 to core - 1 do
+    let j = (i + (core / 2)) mod core in
+    if not (Builder.has_link b i j) then Builder.add_link b i j ()
+  done;
   (* Tier 2 — regionals: each multihomes to two distinct core routers,
      with occasional peering links between regionals. *)
   for v = core to core + mids - 1 do

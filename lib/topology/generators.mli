@@ -40,14 +40,12 @@ val power_law :
     internet-scale workloads (n >= 5000).  Default [m = 2].  Raises
     [Invalid_argument] unless [n > m >= 1]. *)
 
-val as_hierarchy :
-  ?hosts:bool -> ?core:int -> ?mids_per_core:int -> Stats.Rng.t -> n:int -> Graph.t
-(** Three-tier AS-like hierarchy: a [core] backbone ring with
-    cross-chords, [core * mids_per_core] regionals each multihomed to
-    two core routers (plus sparse peering), and the remaining
-    [n - core * (1 + mids_per_core)] stub routers single- or
-    dual-homed to regionals.  Connected by construction.  Defaults:
-    [core = 8], [mids_per_core = 4]. *)
+val as_hierarchy : ?hosts:bool -> Stats.Rng.t -> n:int -> Graph.t
+(** Three-tier AS-like hierarchy: an 8-router backbone ring with
+    cross-chords, 32 regionals each multihomed to two core routers
+    (plus sparse peering), and the remaining [n - 40] stub routers
+    single- or dual-homed to regionals.  Connected by construction.
+    Raises [Invalid_argument] when [n < 41]. *)
 
 val grid : ?hosts:bool -> rows:int -> cols:int -> unit -> Graph.t
 (** Rectangular mesh. *)

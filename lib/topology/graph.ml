@@ -6,8 +6,6 @@ type link = {
   v : int;
   mutable cost_uv : int;
   mutable cost_vu : int;
-  mutable delay_uv : float;
-  mutable delay_vu : float;
   mutable up : bool;
 }
 
@@ -123,9 +121,7 @@ let cost g u v =
   let l = directed_link g u v in
   if l.u = u then l.cost_uv else l.cost_vu
 
-let delay g u v =
-  let l = directed_link g u v in
-  if l.u = u then l.delay_uv else l.delay_vu
+let delay g u v = float_of_int (cost g u v)
 
 let bump g = g.generation <- g.generation + 1
 
@@ -158,28 +154,22 @@ let randomize_costs g rng ~lo ~hi =
   Array.iter
     (fun l ->
       l.cost_uv <- Stats.Rng.int_in rng lo hi;
-      l.cost_vu <- Stats.Rng.int_in rng lo hi;
-      l.delay_uv <- float_of_int l.cost_uv;
-      l.delay_vu <- float_of_int l.cost_vu)
+      l.cost_vu <- Stats.Rng.int_in rng lo hi)
     g.link_arr;
   bump g
 
 let symmetrize_costs g =
-  Array.iter
-    (fun l ->
-      l.cost_vu <- l.cost_uv;
-      l.delay_vu <- l.delay_uv)
-    g.link_arr;
+  Array.iter (fun l -> l.cost_vu <- l.cost_uv) g.link_arr;
   bump g
 
 let generation g = g.generation
 
-(* The graph's full mutable footprint: per-link costs/delays/up flags
+(* The graph's full mutable footprint: per-link costs/up flags
    plus the multicast-capability flags.  Structure (nodes, adjacency)
    is immutable and shared.  [ls_of] and [ls_generation] name the
    graph and generation the links were saved at. *)
 type link_state = {
-  ls_links : (int * int * float * float * bool) array;
+  ls_links : (int * int * bool) array;
   ls_capable : bool array;
   ls_of : link array;
   ls_generation : int;
@@ -188,9 +178,7 @@ type link_state = {
 let save_links g =
   {
     ls_links =
-      Array.map
-        (fun l -> (l.cost_uv, l.cost_vu, l.delay_uv, l.delay_vu, l.up))
-        g.link_arr;
+      Array.map (fun l -> (l.cost_uv, l.cost_vu, l.up)) g.link_arr;
     ls_capable = Array.copy g.capable;
     ls_of = g.link_arr;
     ls_generation = g.generation;
@@ -209,12 +197,10 @@ let restore_links g s =
   Array.blit s.ls_capable 0 g.capable 0 (Array.length g.capable);
   if s.ls_of != g.link_arr || s.ls_generation <> g.generation then begin
     Array.iteri
-      (fun i (cuv, cvu, duv, dvu, up) ->
+      (fun i (cuv, cvu, up) ->
         let l = g.link_arr.(i) in
         l.cost_uv <- cuv;
         l.cost_vu <- cvu;
-        l.delay_uv <- duv;
-        l.delay_vu <- dvu;
         l.up <- up)
       s.ls_links;
     bump g
@@ -330,8 +316,6 @@ let make ~kinds ~links =
              v;
              cost_uv = cuv;
              cost_vu = cvu;
-             delay_uv = float_of_int cuv;
-             delay_vu = float_of_int cvu;
              up = true;
            })
          links)

@@ -1,6 +1,7 @@
 (** Network topology: an undirected multigraph of routers and hosts
-    whose links carry an independent integer cost (and float delay)
-    {e in each direction}.
+    whose links carry an independent integer cost {e in each
+    direction}.  A directed link's propagation delay is its cost, in
+    the paper's time units.
 
     The per-direction costs are the source of the unicast routing
     asymmetry that the HBH paper studies: the shortest path from [a]
@@ -16,7 +17,7 @@
 type kind = Router | Host
 
 type t
-(** Immutable topology structure.  Link costs and delays are mutable
+(** Immutable topology structure.  Link costs are mutable
     so that a sweep can re-randomize costs without rebuilding the
     graph (the paper redraws costs every run). *)
 
@@ -24,10 +25,10 @@ type link = private {
   id : int;  (** dense link id, [0 .. link_count - 1] *)
   u : int;
   v : int;
-  mutable cost_uv : int;  (** routing metric in direction [u -> v] *)
-  mutable cost_vu : int;  (** routing metric in direction [v -> u] *)
-  mutable delay_uv : float;  (** propagation delay in direction [u -> v] *)
-  mutable delay_vu : float;  (** propagation delay in direction [v -> u] *)
+  mutable cost_uv : int;
+      (** routing metric and propagation delay in direction [u -> v] *)
+  mutable cost_vu : int;
+      (** routing metric and propagation delay in direction [v -> u] *)
   mutable up : bool;  (** operational state; failed links carry nothing *)
 }
 
@@ -83,10 +84,11 @@ val cost : t -> int -> int -> int
     no such link exists. *)
 
 val delay : t -> int -> int -> float
-(** Directed propagation delay; same convention as {!cost}. *)
+(** Directed propagation delay: the directed {!cost}, as a float. *)
 
 val set_cost : t -> int -> int -> int -> unit
-(** [set_cost g u v c] sets the metric of direction [u -> v].  Raises
+(** [set_cost g u v c] sets the metric (and so the delay) of
+    direction [u -> v].  Raises
     [Invalid_argument] when [c < 1]: a link of cost 0 both ways lets
     tied nodes pick each other as next hop. *)
 
@@ -109,12 +111,11 @@ val router_of_host : t -> int -> int
 
 val randomize_costs : t -> Stats.Rng.t -> lo:int -> hi:int -> unit
 (** Draw every directed cost independently and uniformly from
-    [\[lo, hi\]] and set each directed delay to the corresponding cost
-    (the paper's "time units" convention).  Raises [Invalid_argument]
-    when [lo < 1]. *)
+    [\[lo, hi\]] (a delay in the paper's time units).  Raises
+    [Invalid_argument] when [lo < 1]. *)
 
 val symmetrize_costs : t -> unit
-(** Force [cost v u := cost u v] (and delays alike) on every link —
+(** Force [cost v u := cost u v] on every link —
     the symmetric-routing ablation. *)
 
 val copy : t -> t
@@ -122,7 +123,7 @@ val copy : t -> t
     copy starts a fresh generation with a stale view. *)
 
 type link_state
-(** The graph's full mutable footprint: per-link costs, delays and
+(** The graph's full mutable footprint: per-link costs and
     operational flags, plus the multicast-capability flags. *)
 
 val save_links : t -> link_state
@@ -200,7 +201,7 @@ val make :
   links:(int * int * int * int) list ->
   t
 (** [make ~kinds ~links] builds a topology.  Each link is
-    [(u, v, cost_uv, cost_vu)]; delays default to the costs.  Raises
+    [(u, v, cost_uv, cost_vu)].  Raises
     [Invalid_argument] on out-of-range endpoints, self-loops,
     duplicate links, a cost below 1, or a host with other than exactly
     one link. *)

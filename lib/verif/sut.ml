@@ -39,7 +39,6 @@ type t = {
       (** observe every data delivery with its sequence number *)
   control_hops : unit -> int;  (** control-message link traversals so far *)
   counters : unit -> Net.counters;
-  spans : Obs.Span.t;  (** the session's causal spans *)
   install_plan : seed:int -> Fault.Plan.t -> unit;
       (** seed the fault RNG and schedule the plan relative to now,
           through the same injector as [inject] *)
@@ -713,7 +712,6 @@ let wrap (type s) (r : s row) ?candidates (p : s) =
                 ()));
     control_hops = (fun () -> P.control_overhead p);
     counters = (fun () -> Net.counters net);
-    spans = P.spans p;
     install_plan =
       (fun ~seed plan ->
         Net.set_fault_rng net (Stats.Rng.create seed);

@@ -60,8 +60,6 @@ type t = {
       (** observe every data delivery with its sequence number *)
   control_hops : unit -> int;  (** control-message link traversals so far *)
   counters : unit -> Netsim.Network.counters;
-  spans : Obs.Span.t;
-      (** the session's causal spans (the ["join"] family) *)
   install_plan : seed:int -> Fault.Plan.t -> unit;
       (** seed the network's fault RNG and schedule the plan relative
           to now, through the same injector as [inject] *)

@@ -253,6 +253,27 @@ let test_churn_default_protocols () =
     "named hpim-dm runs" true
     (contains out "HPIM-DM/normal")
 
+(* A runaway stops at the event budget and fails the run (exit 1),
+   but only after the document is written.  At seed 64 it is REUNITE's
+   fault-free RAND50 join-latency stream, at seed 970 its ISP crash
+   case. *)
+let test_report_runaway_exit () =
+  List.iter
+    (fun (seed, case) ->
+      let code, out, err = run (Printf.sprintf "report --seed %d" seed) in
+      let name = Printf.sprintf "report --seed %d" seed in
+      Alcotest.(check int) (name ^ ": exit code") 1 code;
+      Alcotest.(check bool)
+        (name ^ ": names the case") true
+        (contains err ("hbh_sim: runaway: " ^ case));
+      Alcotest.(check bool)
+        (name ^ ": document written") true
+        (contains out "## Join latency" && contains out "| runaway |"))
+    [
+      (64, "50-node random topology/join-latency/REUNITE");
+      (970, "ISP topology/crash/REUNITE");
+    ]
+
 let () =
   Alcotest.run "cli"
     [
@@ -316,5 +337,10 @@ let () =
         [
           Alcotest.test_case "churn runs HPIM-DM only when named" `Quick
             test_churn_default_protocols;
+        ] );
+      ( "runaway exit",
+        [
+          Alcotest.test_case "report names a runaway and exits 1" `Quick
+            test_report_runaway_exit;
         ] );
     ]

@@ -293,45 +293,21 @@ let test_timeline_registration_guards () =
 
 (* ---- Spans -------------------------------------------------------------- *)
 
-let test_span_balance () =
-  let s = Obs.Span.create () in
-  Obs.Span.start s "join" ~key:1 ~now:10.0;
-  Obs.Span.start s "join" ~key:2 ~now:10.0;
-  Obs.Span.start s "join" ~key:3 ~now:12.0;
-  Alcotest.(check int) "three in flight" 3 (Obs.Span.open_count s);
-  Alcotest.(check (option (float 1e-9))) "finish returns the duration"
-    (Some 15.0)
-    (Obs.Span.finish s "join" ~key:1 ~now:25.0);
-  Alcotest.(check (option (float 0.0))) "closing is idempotent" None
-    (Obs.Span.finish s "join" ~key:1 ~now:30.0);
-  Alcotest.(check bool) "drop abandons an open span" true
-    (Obs.Span.drop s "join" ~key:2);
-  Alcotest.(check bool) "drop without an open span is a no-op" false
-    (Obs.Span.drop s "join" ~key:2);
-  (* A re-start abandons the first attempt and restarts the clock. *)
-  Obs.Span.start s "join" ~key:3 ~now:20.0;
-  Alcotest.(check (option (float 1e-9))) "restart superseded the clock"
-    (Some 10.0)
-    (Obs.Span.finish s "join" ~key:3 ~now:30.0);
-  Obs.Span.start s "join" ~key:4 ~now:31.0;
-  Obs.Span.start s "graft" ~key:4 ~now:31.0;
-  Alcotest.(check int) "restore abandons all in flight" 2
-    (Obs.Span.drop_all_open s);
-  Alcotest.(check int) "completed" 2 (Obs.Span.stats s).Obs.Span.n;
-  Alcotest.(check int) "open" 0 (Obs.Span.open_count s);
-  (* Exact nearest-rank stats over the two completed durations. *)
-  let st = Obs.Span.stats ~name:"join" s in
+let test_span_stats_nearest_rank () =
+  let st = Obs.Span.stats_of [ 15.0; 10.0 ] in
   Alcotest.(check int) "stats n" 2 st.Obs.Span.n;
   Alcotest.(check (float 1e-9)) "mean" 12.5 st.Obs.Span.mean;
+  Alcotest.(check (float 0.0)) "min" 10.0 st.Obs.Span.min;
   Alcotest.(check (float 0.0)) "p50 nearest-rank" 10.0 st.Obs.Span.p50;
   Alcotest.(check (float 0.0)) "p95 nearest-rank" 15.0 st.Obs.Span.p95;
   Alcotest.(check (float 0.0)) "max" 15.0 st.Obs.Span.max;
-  Alcotest.(check int) "empty family reports n=0" 0
-    (Obs.Span.stats ~name:"nope" s).Obs.Span.n
+  let empty = Obs.Span.stats_of [] in
+  Alcotest.(check int) "no durations reports n=0" 0 empty.Obs.Span.n;
+  Alcotest.(check bool) "and nan quantiles" true (Float.is_nan empty.Obs.Span.p50)
 
 (* [stats_of] sorts before it sums, so a duration list read in
    receiver order (a recovery report) and the same durations in
-   completion order (a span store) give the same bits, also where
+   completion order (a join-latency run) give the same bits, also where
    float addition is not associative (durations of mixed magnitudes). *)
 let prop_span_stats_order_free =
   QCheck.Test.make ~count:300 ~name:"stats_of ignores the order of its durations"
@@ -690,7 +666,8 @@ let () =
         ] );
       ( "span",
         [
-          Alcotest.test_case "open/close balance" `Quick test_span_balance;
+          Alcotest.test_case "stats_of nearest-rank quantiles" `Quick
+            test_span_stats_nearest_rank;
           QCheck_alcotest.to_alcotest prop_span_stats_order_free;
         ] );
       ( "openmetrics",

@@ -231,6 +231,19 @@ let test_faults_runaway_terminates () =
   Alcotest.(check string) "jobs=2 renders the same" (render outcomes)
     (render (run 2))
 
+(* At seed 64 REUNITE duplicates without bound on RAND50 with no fault
+   at all, from the staggered joins on a live stream (an open defect),
+   so the join-latency stream must stop at the event budget and say
+   so. *)
+let test_join_latency_runaway_terminates () =
+  let jls =
+    Experiments.Faults.measure_join_latency ~seed:64
+      ~protocols:[ Verif.Sut.Reunite ] ()
+  in
+  Alcotest.(check (list bool))
+    "ISP joins do not run away, RAND50 joins do" [ false; true ]
+    (List.map (fun (jl : Experiments.Faults.join_latency) -> jl.jl_runaway) jls)
+
 (* Timelines and monitors read state and schedule only their own
    timers, so the instrumented suite's rows equal the plain suite's. *)
 let test_faults_instrument_read_only () =
@@ -287,6 +300,8 @@ let () =
         @ [
             Alcotest.test_case "faults seed 970 stops a runaway" `Quick
               test_faults_runaway_terminates;
+            Alcotest.test_case "join latency seed 64 stops a runaway" `Quick
+              test_join_latency_runaway_terminates;
             Alcotest.test_case "faults instrumentation is read-only" `Quick
               test_faults_instrument_read_only;
           ] );

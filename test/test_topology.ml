@@ -91,7 +91,10 @@ let test_randomize_costs () =
     (fun (l : G.link) ->
       Alcotest.(check bool) "uv in range" true (l.cost_uv >= 1 && l.cost_uv <= 10);
       Alcotest.(check bool) "vu in range" true (l.cost_vu >= 1 && l.cost_vu <= 10);
-      Alcotest.(check (float 0.0)) "delay = cost" (float_of_int l.cost_uv) l.delay_uv)
+      Alcotest.(check (float 0.0)) "delay = cost" (float_of_int l.cost_uv)
+        (G.delay g l.u l.v);
+      Alcotest.(check (float 0.0)) "reverse delay = cost" (float_of_int l.cost_vu)
+        (G.delay g l.v l.u))
     (G.links g)
 
 let test_symmetrize () =
